@@ -162,10 +162,8 @@ def cmd_dominance(args) -> int:
 def cmd_reproduce(args) -> int:
     if args.all:
         results = repro_mod.run_all(args.seed)
-    elif args.claim:
-        results = [repro_mod.run_claim(args.claim, args.seed)]
     else:
-        raise ValueError("reproduce needs --claim <id> or --all")
+        results = [repro_mod.run_claim(args.claim, args.seed)]
     rows = []
     for r in results:
         # runtime deliberately excluded: artifacts must be byte-identical
@@ -240,8 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dominance)
 
     p = sub.add_parser("reproduce", help="run the registered reproduction claims")
-    p.add_argument("--claim", help="claim identifier")
-    p.add_argument("--all", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--claim", help="claim identifier")
+    which.add_argument("--all", action="store_true")
     common(p)
     p.set_defaults(func=cmd_reproduce)
 

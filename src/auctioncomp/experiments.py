@@ -8,11 +8,17 @@ competition-complexity analysis to comparing random variables on [0, 1]:
 * ``X_B(n, l)``: max of the top uniform and a fresh uniform draw from
   [X_(l), 1] (the big-n benchmark experiment).
 * ``X_L(n, m)``: the little-n benchmark experiment, where a uniformly random
-  one of the "item" draws exceeding the top "bidder" draw (if any) is taken,
-  maxed with a fresh draw from [X_(2), 1].
+  one of the m - 1 "item" draws exceeding the top "bidder" draw (if any) is
+  taken, maxed with a fresh draw from [X_(2), 1].
 
 Order statistics of uniforms are generated top-down via the ratio recursion
 X_(k+1) = X_(k) * U^(1/(n-k)), so only the needed top-k values are drawn.
+
+``X_L`` is sampled conditionally on X_(1) = x, in O(1) per draw whatever m
+is: the item draws are independent of x, so none of them exceeds x with
+probability x^(m-1), and otherwise a uniformly chosen exceeder is uniform on
+[x, 1]. ``ystar_conditional_mc`` still simulates all m - 1 item draws,
+because it is the independent check of the closed form ``ystar_tail``.
 
 Dominance between two samplers is decided empirically on a uniform probe
 grid with a two-sided DKW allowance.
@@ -29,7 +35,6 @@ import numpy as np
 from .rng import batch_sizes, substream
 
 __all__ = [
-    "ExperimentParams",
     "DominanceReport",
     "sample_xs",
     "sample_w",
@@ -45,22 +50,6 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 199
 _BATCH = 1_000_000
-
-
-@dataclass(frozen=True)
-class ExperimentParams:
-    """Parameters of the quantile experiments."""
-
-    n: int
-    m: int = 1
-    c: int = 0
-    ell: int = 2
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.c < 0:
-            raise ValueError("need n >= 1, m >= 1, c >= 0")
-        if not 2 <= self.ell <= max(self.n, 2):
-            raise ValueError("order index ell must lie in [2, n]")
 
 
 def top_order_stats(n: int, k: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -104,46 +93,58 @@ def _pick_exceeder(y: np.ndarray, x1: np.ndarray, rng: np.random.Generator):
     """Uniformly random element of {y_j : y_j > x1} per row.
 
     Returns (chosen, any_exceed); ``chosen`` is undefined where none exceed.
-    In descending sorted order the exceeders occupy the first k slots, so a
-    uniform index into the first k is a uniform pick among exceeders.
+    A uniform rank r < k among the k exceeders is drawn, and the exceeder
+    whose running count first passes r is taken.
     """
-    k = np.count_nonzero(y > x1[:, None], axis=1)
-    y_sorted = -np.sort(-y, axis=1)
-    idx = np.minimum((rng.random(len(x1)) * np.maximum(k, 1)).astype(np.int64), y.shape[1] - 1)
-    chosen = y_sorted[np.arange(len(x1)), idx]
+    exceed = y > x1[:, None]
+    # the narrowest integer that holds a row's count keeps the scan cheap
+    running = np.cumsum(exceed, axis=1, dtype=np.min_scalar_type(y.shape[1]))
+    k = running[:, -1]
+    rank = (rng.random(len(x1)) * np.maximum(k, 1)).astype(running.dtype)
+    idx = np.argmax(running > rank[:, None], axis=1)
+    chosen = y[np.arange(len(x1)), idx]
     return chosen, k > 0
 
 
-def sample_xl_prime(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """X'_L(n, m): X_(1) if no item draw exceeds it, else a random exceeder."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1, m >= 1")
-    x1 = top_order_stats(n, 1, rng, size)[:, 0]
+def _top_or_exceeder(x1: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """X'_L given X_(1) = x1, from two uniforms per row (see ``sample_xl_prime``).
+
+    m = 1 has no item draws and consumes no randomness.
+    """
     if m == 1:
         return x1
-    y = rng.random((size, m - 1))
-    chosen, has = _pick_exceeder(y, x1, rng)
+    has = rng.random(len(x1)) >= x1 ** (m - 1)
+    chosen = x1 + rng.random(len(x1)) * (1.0 - x1)
     return np.where(has, chosen, x1)
 
 
-def sample_xl(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """The little-n benchmark experiment.
+def sample_xl_prime(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """X'_L(n, m): X_(1) if no item draw exceeds it, else a random exceeder.
 
-    For n >= 2 the output is maxed with W_{2,n}. For n = 1 there is no second
-    order statistic and the single-bidder variant (no W draw) is used.
+    The m - 1 item draws are not materialized: given X_(1) = x, the output
+    is x with probability x^(m-1) and uniform on [x, 1] otherwise, so each
+    draw costs O(1) whatever m is.
+    """
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1, m >= 1")
+    x1 = top_order_stats(n, 1, rng, size)[:, 0]
+    return _top_or_exceeder(x1, m, rng)
+
+
+def sample_xl(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The little-n benchmark experiment X_L(n, m) = max(X'_L(n, m), W_{2,n}).
+
+    X'_L is sampled conditionally on X_(1) as in ``sample_xl_prime``, in O(1)
+    per draw. For n = 1 there is no second order statistic and the
+    single-bidder variant (no W draw) is used.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1, m >= 1")
     if n == 1:
         return sample_xl_prime(1, m, rng, size)
     tops = top_order_stats(n, 2, rng, size)
-    x1 = tops[:, 0]
     w2 = tops[:, 1] + rng.random(size) * (1.0 - tops[:, 1])
-    if m == 1:
-        return np.maximum(x1, w2)
-    y = rng.random((size, m - 1))
-    chosen, has = _pick_exceeder(y, x1, rng)
-    return np.maximum(np.where(has, chosen, x1), w2)
+    return np.maximum(_top_or_exceeder(tops[:, 0], m, rng), w2)
 
 
 def ystar_tail(n: int, m: int, p) -> np.ndarray | float:
@@ -168,14 +169,16 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
     """Monte Carlo Pr[Y* > p | X_(1),n < p] by direct conditional sampling.
 
     Conditioned on X_(1),n < p the bidder draws are i.i.d. uniform on [0, p],
-    so the conditional law is sampled exactly (no rejection).
+    so the conditional law is sampled exactly (no rejection). The m - 1 item
+    draws are simulated directly, so this stays independent of both
+    ``ystar_tail`` and the conditional construction in ``sample_xl``.
     """
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")
     if m < 2:
         raise ValueError("need m >= 2")
     hits = 0
-    for bi, b in enumerate(batch_sizes(N, _BATCH)):
+    for bi, b in enumerate(batch_sizes(N, max(1, _BATCH // (m - 1)))):
         rng = substream(seed, "ystar-mc", bi)
         x1 = p * rng.random(b) ** (1.0 / n)
         y = rng.random((b, m - 1))

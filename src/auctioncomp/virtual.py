@@ -14,6 +14,7 @@ the grid, so the hull construction there is exact, not approximate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = ["IronedVirtualMap", "raw_virtual", "raw_virtual_many", "iron", "fact1
 
 REGULARITY_TOL = 1e-9
 DEFAULT_GRID = 4096
+IRON_CACHE_SIZE = 32  # ironed maps kept per process, keyed by (distribution, K)
 
 
 def raw_virtual(d: SingleDist, v: float) -> float:
@@ -69,7 +71,11 @@ def raw_virtual_many(d: SingleDist, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IronedVirtualMap:
-    """Grid representation of the ironed virtual value in quantile space."""
+    """Grid representation of the ironed virtual value in quantile space.
+
+    Maps are shared between callers (see ``iron``), so ``grid`` and
+    ``phi_bar`` are read-only arrays.
+    """
 
     dist: SingleDist
     grid: np.ndarray        # ascending quantiles, grid[0]=0, grid[-1]=1
@@ -106,9 +112,18 @@ def _upper_concave_envelope(u: np.ndarray, r: np.ndarray):
 
 
 def iron(d: SingleDist, K: int = DEFAULT_GRID) -> IronedVirtualMap:
-    """Build the ironed virtual value map on a K-cell quantile grid."""
+    """The ironed virtual value map of d on a K-cell quantile grid.
+
+    Distributions are frozen and hashable, so maps are memoized per (d, K):
+    repeated calls return the same read-only map.
+    """
     if K < 2:
         raise ValueError("grid size must be >= 2")
+    return _iron_cached(d, K)
+
+
+@functools.lru_cache(maxsize=IRON_CACHE_SIZE)
+def _iron_cached(d: SingleDist, K: int) -> IronedVirtualMap:
     grid = np.linspace(0.0, 1.0, K + 1)
     bps = d.quantile_breakpoints()
     if bps.size:
@@ -140,6 +155,8 @@ def iron(d: SingleDist, K: int = DEFAULT_GRID) -> IronedVirtualMap:
     cell_seg = np.clip(cell_seg, 0, len(seg_slopes) - 1)
     phi_bar = seg_slopes[cell_seg]
 
+    grid.flags.writeable = False
+    phi_bar.flags.writeable = False
     return IronedVirtualMap(dist=d, grid=grid, phi_bar=phi_bar, regular=regular)
 
 

@@ -123,9 +123,13 @@ def test_reproduce_unknown_claim_exit_3(capsys):
     assert code == EXIT_PRECONDITION
 
 
-def test_reproduce_requires_claim_or_all(capsys):
-    code, _ = run_cli(["reproduce", "--seed", "0"], capsys)
-    assert code == EXIT_PRECONDITION
+def test_reproduce_requires_claim_or_all():
+    # exactly one of --claim/--all: neither or both is a usage error
+    for argv in (["reproduce", "--seed", "0"],
+                 ["reproduce", "--claim", "er-order-stat-4-12", "--all", "--seed", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_output_file_roundtrip(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from auctioncomp.experiments import (
-    ExperimentParams,
+    _pick_exceeder,
     dkw_epsilon,
     dominance_test,
     prop_key_conditional,
@@ -14,20 +15,79 @@ from auctioncomp.experiments import (
     sample_xl,
     sample_xl_prime,
     sample_xs,
+    top_order_stats,
     ystar_conditional_mc,
     ystar_tail,
 )
 from auctioncomp.rng import substream
 
 N = 200_000
+N_XL = 400_000
+XL_CASES = [(1, 4), (2, 2), (2, 5), (3, 16), (2, 64)]
 
 
-def test_experiment_params_validation():
-    ExperimentParams(n=3, m=2, c=1, ell=2)
-    with pytest.raises(ValueError):
-        ExperimentParams(n=0)
-    with pytest.raises(ValueError):
-        ExperimentParams(n=5, ell=6)
+# Reference samplers for X_L: the m - 1 item draws are materialized and
+# sorted, and a uniform index into the exceeders is taken. The library samples
+# X_L conditionally on X_(1) instead and must agree in law.
+
+
+def _ref_pick_exceeder(y, x1, rng):
+    k = np.count_nonzero(y > x1[:, None], axis=1)
+    y_sorted = -np.sort(-y, axis=1)
+    idx = np.minimum((rng.random(len(x1)) * np.maximum(k, 1)).astype(np.int64), y.shape[1] - 1)
+    chosen = y_sorted[np.arange(len(x1)), idx]
+    return chosen, k > 0
+
+
+def ref_sample_xl_prime(n, m, rng, size):
+    x1 = top_order_stats(n, 1, rng, size)[:, 0]
+    if m == 1:
+        return x1
+    y = rng.random((size, m - 1))
+    chosen, has = _ref_pick_exceeder(y, x1, rng)
+    return np.where(has, chosen, x1)
+
+
+def ref_sample_xl(n, m, rng, size):
+    if n == 1:
+        return ref_sample_xl_prime(1, m, rng, size)
+    tops = top_order_stats(n, 2, rng, size)
+    x1 = tops[:, 0]
+    w2 = tops[:, 1] + rng.random(size) * (1.0 - tops[:, 1])
+    if m == 1:
+        return np.maximum(x1, w2)
+    y = rng.random((size, m - 1))
+    chosen, has = _ref_pick_exceeder(y, x1, rng)
+    return np.maximum(np.where(has, chosen, x1), w2)
+
+
+def _draw_chunked(sampler, n, m, rng, size, chunk=50_000):
+    """size draws in chunks, so a reference sampler's (chunk, m-1) matrix stays small."""
+    return np.concatenate(
+        [sampler(n, m, rng, min(chunk, size - lo)) for lo in range(0, size, chunk)]
+    )
+
+
+def _xl_prime_wrong_exponent(n, m, rng, size):
+    """Mutant X'_L that keeps X_(1) with probability x^m instead of x^(m-1)."""
+    x1 = top_order_stats(n, 1, rng, size)[:, 0]
+    has = rng.random(size) >= x1**m
+    return np.where(has, x1 + rng.random(size) * (1.0 - x1), x1)
+
+
+def _xl_prime_cdf(n, m, t):
+    """P(X'_L <= t) = int_0^t n x^(n-1) [x^(m-1) + (1 - x^(m-1)) (t - x)/(1 - x)] dx."""
+    integrand = lambda x: n * x ** (n - 1) * (x ** (m - 1) + (1 - x ** (m - 1)) * (t - x) / (1 - x))
+    return integrate.quad(integrand, 0.0, t)[0]
+
+
+def _xl_prime_cdf_gap(x, n, m):
+    """Largest |empirical - closed-form| CDF gap of X'_L samples on a probe grid."""
+    x = np.sort(x)
+    return max(
+        abs(np.searchsorted(x, t, side="right") / len(x) - _xl_prime_cdf(n, m, t))
+        for t in np.linspace(0.05, 0.95, 19)
+    )
 
 
 def test_xs_mean_and_cdf():
@@ -109,6 +169,71 @@ def test_xl_bounds_and_n1_variant():
     assert np.array_equal(xl, xlp)  # n=1 has no W draw
 
 
+@pytest.mark.parametrize("n,m", XL_CASES)
+@pytest.mark.parametrize(
+    "sampler,reference",
+    [(sample_xl_prime, ref_sample_xl_prime), (sample_xl, ref_sample_xl)],
+    ids=["xl_prime", "xl"],
+)
+def test_xl_matches_sort_reference(sampler, reference, n, m):
+    x = sampler(n, m, substream(18, "xl-new", n, m), N_XL)
+    ref = _draw_chunked(reference, n, m, substream(18, "xl-ref", n, m), N_XL)
+    _, pval = stats.ks_2samp(x, ref)
+    assert pval > 1e-3
+
+
+@pytest.mark.parametrize("n,m", XL_CASES)
+def test_xl_prime_closed_form_cdf(n, m):
+    x = sample_xl_prime(n, m, substream(19, "xl-cdf", n, m), N_XL)
+    assert _xl_prime_cdf_gap(x, n, m) <= dkw_epsilon(N_XL, 1e-3)
+
+
+def test_xl_oracles_reject_wrong_exponent():
+    # negative control: keeping X_(1) with probability x^m (one item too many)
+    # must fail both the closed-form CDF check and the KS test against the reference
+    n, m = 2, 5
+    bad = _xl_prime_wrong_exponent(n, m, substream(20, "xl-bad"), N_XL)
+    assert _xl_prime_cdf_gap(bad, n, m) > dkw_epsilon(N_XL, 1e-3)
+    ref = _draw_chunked(ref_sample_xl_prime, n, m, substream(20, "xl-ref"), N_XL)
+    _, pval = stats.ks_2samp(bad, ref)
+    assert pval <= 1e-3
+
+
+def test_xl_memory_independent_of_m():
+    # materializing the (size, m-1) item draws, as the sort-based reference
+    # does, peaks at ~235 MB here
+    rng = substream(21, "xl-mem")
+    tracemalloc.start()
+    try:
+        sample_xl(2, 512, rng, 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_pick_exceeder_rank_uniform():
+    # given k exceeders, the chosen one's rank among them (the number of
+    # exceeders in earlier columns) is uniform on {0, ..., k-1}
+    w = 7
+    rng = substream(22, "rank")
+    x1 = rng.random(N)
+    y = rng.random((N, w))
+    chosen, has = _pick_exceeder(y, x1, rng)
+    exceed = y > x1[:, None]
+    k = np.count_nonzero(exceed, axis=1)
+    assert np.array_equal(has, k > 0)
+    col = np.argmax(y == chosen[:, None], axis=1)
+    rows = np.flatnonzero(has)
+    assert np.all(y[rows, col[rows]] == chosen[rows]) and np.all(exceed[rows, col[rows]])
+    rank = np.count_nonzero(exceed & (np.arange(w) < col[:, None]), axis=1)
+    for kk in range(2, w + 1):
+        counts = np.bincount(rank[k == kk], minlength=kk)
+        assert len(counts) == kk
+        _, pval = stats.chisquare(counts)
+        assert pval > 1e-3
+
+
 def test_xl_chosen_y_uniform_above_top():
     # conditioned on some item draw exceeding the top, the chosen draw is
     # uniform on [X_(1), 1]: transform to (y - x1)/(1 - x1) and KS against U(0,1)
@@ -116,8 +241,6 @@ def test_xl_chosen_y_uniform_above_top():
     rng = substream(11, "ksy")
     x1 = rng.random(N) ** (1.0 / n)
     y = rng.random((N, m - 1))
-    from auctioncomp.experiments import _pick_exceeder
-
     chosen, has = _pick_exceeder(y, x1, rng)
     z = (chosen[has] - x1[has]) / (1.0 - x1[has])
     _, pval = stats.kstest(z, "uniform")

@@ -9,7 +9,7 @@ from auctioncomp.distributions import (
     TruncatedEqualRevenue,
     Uniform,
 )
-from auctioncomp.virtual import fact1_check, iron, raw_virtual
+from auctioncomp.virtual import DEFAULT_GRID, fact1_check, iron, raw_virtual
 
 
 def test_raw_virtual_closed_forms():
@@ -99,6 +99,17 @@ def test_ironed_map_monotone(d):
     u = np.linspace(0.0, 0.999999, 2000)
     phi = np.asarray(imap.at_quantile(u))
     assert np.all(np.diff(phi) >= -1e-9)
+
+
+def test_iron_memoized_read_only():
+    # equal distributions share one map, whatever form K is passed in
+    d = FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1))
+    imap = iron(d)
+    assert iron(FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1)), K=DEFAULT_GRID) is imap
+    assert iron(d, 64) is not imap and len(iron(d, 64).phi_bar) < len(imap.phi_bar)
+    for arr in (imap.grid, imap.phi_bar):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_ironed_uniform_matches_raw():
