@@ -21,13 +21,13 @@ from .distributions import (
 )
 from .virtual import IronedVirtualMap, fact1_check, iron, raw_virtual
 from .revenue import (
-    MechanismOutcome,
     RevenueEstimate,
     bulow_klemperer_check,
     feldman_posted_price,
     myerson_item_revenue,
     srev,
     three_tier_mechanism,
+    three_tier_revenue,
     vcg,
     vcg_item_revenue,
 )

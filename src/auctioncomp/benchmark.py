@@ -13,6 +13,10 @@ where the underlying inequality does.
 
 All estimators draw complete valuation profiles from one shared per-seed
 stream, so estimates compared at the same seed use common random numbers.
+Profile batches are item-major, shape (m, n, b) (see
+``ProductDist.sample_profiles``): regions come from a running maximum over the
+item slabs, and every reduction over bidders is an elementwise pass over the
+n rows of a slab, so no kernel reduces along a short strided axis.
 """
 
 from __future__ import annotations
@@ -41,39 +45,58 @@ _BATCH = 1_000_000
 def assign_regions(quantiles: np.ndarray) -> np.ndarray:
     """Per-bidder region: the index of the item with the highest quantile.
 
-    Accepts quantile arrays of shape (..., n, m); returns shape (..., n).
-    Atom quantiles are randomized at sampling time, so ties have measure zero.
+    Accepts item-major quantile arrays of shape (m, ...) (the layout of
+    ``ProductDist.sample_profiles``); returns shape (...). Ties go to the
+    first such item, as with argmax; atom quantiles are randomized at
+    sampling time, so ties have measure zero.
     """
     quantiles = np.asarray(quantiles)
-    if quantiles.shape[-1] < 1:
+    if quantiles.ndim < 1 or quantiles.shape[0] < 1:
         raise ValueError("need at least one item")
-    return np.argmax(quantiles, axis=-1)
+    m = quantiles.shape[0]
+    region = np.zeros(quantiles.shape[1:], dtype=np.intp)
+    best = quantiles[0]
+    for j in range(1, m):
+        np.copyto(region, j, where=quantiles[j] > best)  # strict: ties keep the first item
+        if j < m - 1:
+            best = np.maximum(best, quantiles[j])
+    return region
 
 
-def _profile_batches(pd: ProductDist, n: int, N: int, seed: int):
-    """Yield coupled (values, quantiles) profile batches from the shared stream."""
+def _map_profiles(pd: ProductDist, n: int, N: int, seed: int, kernel) -> np.ndarray:
+    """Run ``kernel(values, quantiles, region)`` on coupled profile batches.
+
+    Batches are item-major (see ``ProductDist.sample_profiles``) and come
+    from one shared per-seed stream. The kernel returns an array whose last
+    axis runs over the batch's profiles; the outputs are joined along it.
+    A batch is released before the next one is drawn, so one batch is alive
+    at a time.
+    """
     per_batch = max(1, _BATCH // max(1, n * pd.m))
+    outs = []
     for bi, b in enumerate(batch_sizes(N, per_batch)):
-        rng = substream(seed, "profiles", bi)
-        yield pd.sample_profiles(rng, n, b)
+        values, quantiles = pd.sample_profiles(substream(seed, "profiles", bi), n, b)
+        outs.append(kernel(values, quantiles, assign_regions(quantiles)))
+        del values, quantiles
+    return np.concatenate(outs, axis=-1)
 
 
 def efftw_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
     """Monte Carlo estimate of the quantile-region revenue benchmark."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if N < 1:
+        raise ValueError("need N >= 1 profiles")
     imaps = [iron(d) for d in pd.marginals]
-    totals = []
-    for values, quantiles in _profile_batches(pd, n, N, seed):
-        region = assign_regions(quantiles)
-        batch_total = np.zeros(values.shape[0])
+
+    def kernel(values, quantiles, region):
+        total = np.zeros(values.shape[2])
         for j, imap in enumerate(imaps):
-            in_region = region == j
-            phi_plus = np.maximum(imap.at_quantile(quantiles[:, :, j]), 0.0)
-            score = np.where(in_region, phi_plus, values[:, :, j])
-            batch_total += score.max(axis=1)
-        totals.append(batch_total)
-    return _mc_estimate(np.concatenate(totals), N, seed)
+            phi_plus = np.maximum(imap.at_quantile(quantiles[j], values[j]), 0.0)
+            total += np.where(region == j, phi_plus, values[j]).max(axis=0)
+        return total
+
+    return _mc_estimate(_map_profiles(pd, n, N, seed, kernel), N, seed)
 
 
 def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
@@ -81,28 +104,34 @@ def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
 
     E[ max { v_(1)j * I(top bidder not in R_j), phi_bar_j(v_(1)j), v_(2)j } ]
 
-    where v_(1)j, v_(2)j are the two highest values for item j. Weakly exceeds
-    the benchmark.
+    where v_(1)j, v_(2)j are the two highest values for item j and the top
+    bidder is the first bidder holding v_(1)j. Weakly exceeds the benchmark.
     """
     if n < 2:
         raise ValueError("need n >= 2 (uses the second-highest value)")
+    if N < 1:
+        raise ValueError("need N >= 1 profiles")
     imaps = [iron(d) for d in pd.marginals]
-    totals = []
-    for values, quantiles in _profile_batches(pd, n, N, seed):
-        region = assign_regions(quantiles)
-        b = values.shape[0]
-        rows = np.arange(b)
-        batch_total = np.zeros(b)
+
+    def kernel(values, quantiles, region):
+        total = np.zeros(values.shape[2])
         for j, imap in enumerate(imaps):
-            vj = values[:, :, j]
-            i1 = np.argmax(vj, axis=1)
-            v1 = vj[rows, i1]
-            v2 = np.partition(vj, n - 2, axis=1)[:, n - 2]
-            off_region = region[rows, i1] != j
-            phi1 = imap.at_quantile(quantiles[rows, i1, j])
-            batch_total += np.maximum(np.maximum(np.where(off_region, v1, 0.0), phi1), v2)
-        totals.append(batch_total)
-    return _mc_estimate(np.concatenate(totals), N, seed)
+            vj, qj = values[j], quantiles[j]
+            # one pass over the bidders: the top value v1 with its bidder's
+            # quantile q1 and region r1, and the second value v2
+            v1, q1, r1 = vj[0].copy(), qj[0].copy(), region[0].copy()
+            v2 = np.full_like(v1, -np.inf)
+            for i in range(1, n):
+                np.maximum(v2, np.minimum(v1, vj[i]), out=v2)
+                top = vj[i] > v1  # strict: a tie keeps the earlier bidder
+                np.copyto(v1, vj[i], where=top)
+                np.copyto(q1, qj[i], where=top)
+                np.copyto(r1, region[i], where=top)
+            phi1 = imap.at_quantile(q1, v1)
+            total += np.maximum(np.maximum(np.where(r1 == j, 0.0, v1), phi1), v2)
+        return total
+
+    return _mc_estimate(_map_profiles(pd, n, N, seed, kernel), N, seed)
 
 
 def _phi_at_experiment(pd: ProductDist, sampler, N: int, seed: int, label: str):

@@ -8,7 +8,13 @@ masses the stored quantile is the raw uniform draw, which always lies in
 
 Supported kinds: uniform, exponential, equal-revenue truncated at p (CDF
 1 - 1/x on [1, p) with an atom of mass 1/p at p), point mass, and finite
-discrete. Instances are immutable and safe to share across threads.
+discrete. Each kind also carries its raw Myerson virtual value
+(``raw_virtual``), in closed form where one exists. Instances are immutable
+and safe to share across threads.
+
+``ProductDist.sample_profiles`` returns valuation profiles item-major, with
+shape (m, n_bidders, n_profiles): each item's (bidder, profile) slab is
+contiguous, so per-item work and reductions over bidders run on whole rows.
 """
 
 from __future__ import annotations
@@ -68,6 +74,20 @@ class SingleDist:
     def pdf(self, x):
         raise NotImplementedError
 
+    def raw_virtual(self, v):
+        """Raw virtual value v - (1 - F(v)) / f(v), elementwise.
+
+        Defined where the distribution has a density; subclasses with a
+        closed form override it. Atoms of purely atomic distributions are
+        rejected.
+        """
+        if self.purely_atomic:
+            raise ValueError("raw virtual value undefined at atoms of discrete distributions")
+        f = self.pdf(v)
+        if np.any(f <= 0):
+            raise ValueError("no density at requested value")
+        return v - (1.0 - self.cdf(v)) / f
+
     @property
     def is_continuous(self) -> bool:
         return False
@@ -120,6 +140,11 @@ class Uniform(SingleDist):
         inside = (x >= self.lo) & (x <= self.hi)
         return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
+    def raw_virtual(self, v):
+        if np.any(v < self.lo) or np.any(v > self.hi):
+            raise ValueError("value outside support")
+        return 2.0 * v - self.hi
+
     @property
     def is_continuous(self):
         return True
@@ -149,6 +174,11 @@ class Exponential(SingleDist):
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0)))
+
+    def raw_virtual(self, v):
+        if np.any(v < 0):
+            raise ValueError("value outside support")
+        return v - 1.0 / self.rate
 
     @property
     def is_continuous(self):
@@ -195,6 +225,12 @@ class TruncatedEqualRevenue(SingleDist):
         x = np.asarray(x, dtype=float)
         inside = (x >= 1) & (x < self.p)
         return np.where(inside, 1.0 / np.maximum(x, 1.0) ** 2, 0.0)
+
+    def raw_virtual(self, v):
+        if np.any(v < 1) or np.any(v > self.p):
+            raise ValueError("value outside support")
+        # 0 on the continuous part, p at the truncation atom.
+        return np.where(v >= self.p, self.p, 0.0)
 
     def quantile_breakpoints(self):
         return np.array([1.0 - 1.0 / self.p])
@@ -299,16 +335,18 @@ class ProductDist:
         return len(self.marginals)
 
     def sample_profiles(self, rng: np.random.Generator, n_bidders: int, n_profiles: int):
-        """Draw coupled valuation profiles.
+        """Draw coupled valuation profiles, item-major.
 
-        Returns (values, quantiles), each of shape (n_profiles, n_bidders, m).
-        One shared uniform per (bidder, item) cell provides both the value and
-        the randomized quantile at atoms.
+        Returns (values, quantiles), each of shape (m, n_bidders, n_profiles)
+        and C-contiguous. One shared uniform per (bidder, item) cell provides
+        both the value and the randomized quantile at atoms. The uniforms are
+        drawn profile-major, as an (n_profiles, n_bidders, m) block, and then
+        transposed, so a cell's uniform does not depend on the layout.
         """
-        q = rng.random((n_profiles, n_bidders, self.m))
+        q = np.ascontiguousarray(rng.random((n_profiles, n_bidders, self.m)).transpose(2, 1, 0))
         v = np.empty_like(q)
         for j, d in enumerate(self.marginals):
-            v[:, :, j] = d.quantile(q[:, :, j])
+            v[j] = d.quantile(q[j])
         return v, q
 
     def spec(self):

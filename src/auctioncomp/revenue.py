@@ -13,20 +13,18 @@ value) and the explicit mechanisms are seeded Monte Carlo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
 from .rng import batch_sizes, substream
-from .virtual import IronedVirtualMap, iron, raw_virtual_many
+from .virtual import IronedVirtualMap, iron
 
 __all__ = [
     "RevenueEstimate",
-    "MechanismOutcome",
     "myerson_item_revenue",
     "vcg_item_revenue",
-    "virtual_max_estimate",
     "srev",
     "vcg",
     "bulow_klemperer_check",
@@ -34,6 +32,7 @@ __all__ = [
     "feldman_posted_price",
     "three_tier_params",
     "three_tier_mechanism",
+    "three_tier_revenue",
 ]
 
 _BATCH = 1_000_000
@@ -51,21 +50,6 @@ class RevenueEstimate:
 
     def combined_stderr(self, other: "RevenueEstimate") -> float:
         return math.hypot(self.stderr, other.stderr)
-
-
-@dataclass(frozen=True)
-class MechanismOutcome:
-    """Allocation trace of one mechanism run; revenue equals total payments."""
-
-    revenue: float
-    winners: tuple  # per item: bidder index or None
-    payments: tuple  # per bidder
-
-    def __post_init__(self):
-        if any(p < 0 for p in self.payments):
-            raise ValueError("payments must be nonnegative")
-        if abs(self.revenue - sum(self.payments)) > 1e-9 * max(1.0, abs(self.revenue)):
-            raise ValueError("revenue must equal the sum of payments")
 
 
 def _mc_estimate(values: np.ndarray, samples: int, seed: int) -> RevenueEstimate:
@@ -115,16 +99,6 @@ def vcg_item_revenue(d: SingleDist, n: int, N: int, seed: int) -> RevenueEstimat
     return _mc_estimate(np.concatenate(chunks), N, seed)
 
 
-def virtual_max_estimate(d: SingleDist, n: int, N: int, seed: int) -> RevenueEstimate:
-    """Monte Carlo E[phi(max of n draws)]; the other side of Myerson's identity."""
-    chunks = []
-    for bi, b in enumerate(batch_sizes(N, _BATCH)):
-        rng = substream(seed, "virt-max", bi)
-        u1 = rng.random(b) ** (1.0 / n)
-        chunks.append(raw_virtual_many(d, d.quantile(u1)))
-    return _mc_estimate(np.concatenate(chunks), N, seed)
-
-
 def srev(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
     """Myerson run separately per item: sum of single-item optimal revenues."""
     total = 0.0
@@ -171,27 +145,6 @@ def feldman_params(n: int, m: int) -> tuple[int, float]:
     if m < 4 * n:
         raise ValueError("need m >= 4n")
     return m // (4 * n), (m / 8.0) * (math.log(m / n) + 1.0)
-
-
-def feldman_run_once(values: np.ndarray, bundle_size: int, price: float) -> MechanismOutcome:
-    """One pass of the sequential mechanism on an (n, m) value matrix.
-
-    Bidders are visited in row order; each takes her ``bundle_size``
-    highest-value remaining items iff their total value meets the price.
-    """
-    n, m = values.shape
-    avail = np.ones(m, dtype=bool)
-    winners: list = [None] * m
-    payments = [0.0] * n
-    for i in range(n):
-        masked = np.where(avail, values[i], -np.inf)
-        idx = np.argpartition(masked, m - bundle_size)[m - bundle_size:]
-        if masked[idx].sum() >= price:
-            payments[i] = price
-            avail[idx] = False
-            for j in idx:
-                winners[j] = i
-    return MechanismOutcome(revenue=sum(payments), winners=tuple(winners), payments=tuple(payments))
 
 
 def feldman_posted_price(
@@ -292,14 +245,25 @@ def three_tier_mechanism(
     multinomially from the exact tier probabilities. The truncation of the
     value support defaults to 10^4 * p so the high price sits well inside it.
     """
-    if not 100.0 <= q <= math.sqrt(n):
-        raise ValueError("q must satisfy 100 <= q <= sqrt(n)")
-    if p < 100.0 * q:
-        raise ValueError("high price p must be >> q")
+    _check_three_tier(n, q, p)
     if profile_override not in (None, "low"):
         raise ValueError("unknown profile override")
     if profile_override == "low":
         return RevenueEstimate(mean=0.0, stderr=0.0, samples=N, seed=seed)
+    return _mc_estimate(_three_tier_runs(n, q, p, N, seed, truncation), N, seed)
+
+
+def _check_three_tier(n: int, q: float, p: float) -> None:
+    if not 100.0 <= q <= math.sqrt(n):
+        raise ValueError("q must satisfy 100 <= q <= sqrt(n)")
+    if p < 100.0 * q:
+        raise ValueError("high price p must be >> q")
+
+
+def _three_tier_runs(
+    n: int, q: float, p: float, N: int, seed: int, truncation: float | None = None
+) -> np.ndarray:
+    """Per-run revenues of the three-tier mechanism, from multinomial tier counts."""
     params = three_tier_params(n, q, p, truncation)
     p_high, p_med = params["p_high"], params["p_med"]
     revs = []
@@ -309,4 +273,25 @@ def three_tier_mechanism(
         high = counts[:, 0]
         med = counts[:, 1]
         revs.append(np.where(high >= 1, p, q * np.minimum(med, 2)))
-    return _mc_estimate(np.concatenate(revs), N, seed)
+    return np.concatenate(revs)
+
+
+def three_tier_revenue(n: int, q: float, p: float) -> float:
+    """Exact expected revenue of the three-tier mechanism (see three_tier_mechanism).
+
+    Revenue depends only on the tier counts: p when some bidder is high,
+    else q * min(M, 2) with M ~ Bin(n, p_med / (1 - p_high)) medium bidders, so
+
+        E = p (1 - (1 - p_high)^n) + q (1 - p_high)^n E[min(M, 2)].
+
+    Powers go through log1p/expm1, which keeps the tiny p_high exact.
+    """
+    _check_three_tier(n, q, p)
+    params = three_tier_params(n, q, p)
+    p_high, p_med = params["p_high"], params["p_med"]
+    log_no_high = n * math.log1p(-p_high)
+    r = p_med / (1.0 - p_high)
+    log_no_med = math.log1p(-r)
+    # E[min(M, 2)] = 2 - 2 Pr[M = 0] - Pr[M = 1]
+    e_min_m2 = 2.0 - 2.0 * math.exp(n * log_no_med) - n * r * math.exp((n - 1) * log_no_med)
+    return -p * math.expm1(log_no_high) + q * math.exp(log_no_high) * e_min_m2

@@ -4,9 +4,12 @@ The ironed virtual value is built in quantile space: with u the value
 quantile, the revenue curve R(u) = (1 - u) * F^{-1}(u) is tabulated on a
 grid, its least concave majorant is taken, and the (negated) left slope of
 the majorant gives a monotone nondecreasing ironed virtual value per grid
-cell. For distributions whose raw virtual value has a closed form (uniform,
-exponential, truncated equal-revenue) evaluation dispatches to the exact
-formula; the grid is still built to drive the regularity check.
+cell. Regular distributions that are not purely atomic (uniform, exponential,
+truncated equal-revenue) evaluate their exact raw virtual value
+(``SingleDist.raw_virtual``) instead; the grid is still built to drive the
+regularity check. The grid path looks up the step function ``phi_bar``
+through its change points only: hull vertices are grid points, so ``phi_bar``
+takes few distinct levels (three for a four-point discrete item).
 
 Finite discrete supports include their cumulative-probability breakpoints in
 the grid, so the hull construction there is exact, not approximate.
@@ -19,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    Exponential,
-    FiniteDiscrete,
-    PointMass,
-    SingleDist,
-    TruncatedEqualRevenue,
-    Uniform,
-)
+from .distributions import SingleDist
 from .rng import substream
 
 __all__ = ["IronedVirtualMap", "raw_virtual", "raw_virtual_many", "iron", "fact1_check"]
@@ -47,34 +43,15 @@ def raw_virtual(d: SingleDist, v: float) -> float:
 
 
 def raw_virtual_many(d: SingleDist, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if isinstance(d, Uniform):
-        if np.any(v < d.lo) or np.any(v > d.hi):
-            raise ValueError("value outside support")
-        return 2.0 * v - d.hi
-    if isinstance(d, Exponential):
-        if np.any(v < 0):
-            raise ValueError("value outside support")
-        return v - 1.0 / d.rate
-    if isinstance(d, TruncatedEqualRevenue):
-        if np.any(v < 1) or np.any(v > d.p):
-            raise ValueError("value outside support")
-        # 0 on the continuous part, p at the truncation atom.
-        return np.where(v >= d.p, d.p, 0.0)
-    if isinstance(d, (PointMass, FiniteDiscrete)):
-        raise ValueError("raw virtual value undefined at atoms of discrete distributions")
-    f = d.pdf(v)
-    if np.any(f <= 0):
-        raise ValueError("no density at requested value")
-    return v - (1.0 - d.cdf(v)) / f
+    return d.raw_virtual(np.asarray(v, dtype=float))
 
 
 @dataclass(frozen=True)
 class IronedVirtualMap:
     """Grid representation of the ironed virtual value in quantile space.
 
-    Maps are shared between callers (see ``iron``), so ``grid`` and
-    ``phi_bar`` are read-only arrays.
+    Maps are shared between callers (see ``iron``), so ``grid``, ``phi_bar``
+    and the step form (``steps``) are read-only arrays.
     """
 
     dist: SingleDist
@@ -82,14 +59,36 @@ class IronedVirtualMap:
     phi_bar: np.ndarray     # one slope per grid cell, monotone nondecreasing
     regular: bool
 
-    def at_quantile(self, u):
-        """Ironed virtual value of the value at quantile u."""
+    @functools.cached_property
+    def steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(knots, levels): where ``phi_bar`` changes, and its value on each step.
+
+        ``levels[searchsorted(knots, u, "right")]`` equals
+        ``phi_bar[clip(searchsorted(grid, u, "right") - 1, 0, K - 1)]`` bit
+        for bit for every u, including 0, 1, values outside [0, 1] and NaN: a
+        knot is the left edge of each cell whose bits differ from the previous
+        cell's. Built on the first grid-path lookup; read-only, like ``phi_bar``.
+        """
+        bits = self.phi_bar.view(np.int64)
+        change = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        knots = self.grid[change]
+        levels = np.concatenate([self.phi_bar[:1], self.phi_bar[change]])
+        knots.flags.writeable = False
+        levels.flags.writeable = False
+        return knots, levels
+
+    def at_quantile(self, u, values=None):
+        """Ironed virtual value of the value at quantile u.
+
+        ``values``, when given, must be ``dist.quantile(u)``; the exact path
+        then uses it instead of recomputing the quantile.
+        """
         u = np.asarray(u, dtype=float)
         d = self.dist
-        if self.regular and isinstance(d, (Uniform, Exponential, TruncatedEqualRevenue)):
-            return raw_virtual_many(d, d.quantile(u))
-        cell = np.clip(np.searchsorted(self.grid, u, side="right") - 1, 0, len(self.phi_bar) - 1)
-        return self.phi_bar[cell]
+        if self.regular and not d.purely_atomic:
+            return d.raw_virtual(d.quantile(u) if values is None else values)
+        knots, levels = self.steps
+        return levels[np.searchsorted(knots, u, side="right")]
 
     def at_value(self, v):
         return self.at_quantile(self.dist.cdf(v))

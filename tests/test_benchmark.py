@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from auctioncomp.benchmark import (
+    _BATCH,
     assign_regions,
     efftw_bound,
     obs1_bound,
@@ -14,18 +17,112 @@ from auctioncomp.distributions import (
     ProductDist,
     TruncatedEqualRevenue,
     Uniform,
+    parse_dist,
 )
-from auctioncomp.revenue import myerson_item_revenue, srev
-from auctioncomp.rng import substream
+from auctioncomp.repro import er_offregion_items
+from auctioncomp.revenue import _mc_estimate, myerson_item_revenue, srev
+from auctioncomp.rng import batch_sizes, substream
+from auctioncomp.virtual import iron
 
 N = 100_000
+IRREGULAR = "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: profile-major (b, n, m) batches reduced with argmax,
+# partition and gathers, and the full-grid ironed lookup. The package's
+# item-major kernels must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _ref_batches(pd, n, N, seed):
+    for bi, b in enumerate(batch_sizes(N, max(1, _BATCH // (n * pd.m)))):
+        q = substream(seed, "profiles", bi).random((b, n, pd.m))
+        v = np.empty_like(q)
+        for j, d in enumerate(pd.marginals):
+            v[:, :, j] = d.quantile(q[:, :, j])
+        yield v, q, np.argmax(q, axis=2)
+
+
+def _ref_at_quantile(imap, u):
+    d = imap.dist
+    if imap.regular and isinstance(d, (Uniform, Exponential, TruncatedEqualRevenue)):
+        return d.raw_virtual(d.quantile(u))
+    cell = np.clip(np.searchsorted(imap.grid, u, side="right") - 1, 0, len(imap.phi_bar) - 1)
+    return imap.phi_bar[cell]
+
+
+def _ref_efftw(pd, n, N, seed):
+    imaps = [iron(d) for d in pd.marginals]
+    totals = []
+    for values, quantiles, region in _ref_batches(pd, n, N, seed):
+        total = np.zeros(values.shape[0])
+        for j, imap in enumerate(imaps):
+            phi_plus = np.maximum(_ref_at_quantile(imap, quantiles[:, :, j]), 0.0)
+            total += np.where(region == j, phi_plus, values[:, :, j]).max(axis=1)
+        totals.append(total)
+    return _mc_estimate(np.concatenate(totals), N, seed)
+
+
+def _ref_obs1(pd, n, N, seed):
+    imaps = [iron(d) for d in pd.marginals]
+    totals = []
+    for values, quantiles, region in _ref_batches(pd, n, N, seed):
+        rows = np.arange(values.shape[0])
+        total = np.zeros(values.shape[0])
+        for j, imap in enumerate(imaps):
+            vj = values[:, :, j]
+            i1 = np.argmax(vj, axis=1)
+            v1 = vj[rows, i1]
+            v2 = np.partition(vj, n - 2, axis=1)[:, n - 2]
+            off_region = region[rows, i1] != j
+            phi1 = _ref_at_quantile(imap, quantiles[rows, i1, j])
+            total += np.maximum(np.maximum(np.where(off_region, v1, 0.0), phi1), v2)
+        totals.append(total)
+    return _mc_estimate(np.concatenate(totals), N, seed)
+
+
+def _ref_offregion(n, m, N, seed, p):
+    pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
+    chunks = [[] for _ in range(m)]
+    for values, _, region in _ref_batches(pd, n, N, seed):
+        for j in range(m):
+            chunks[j].append(np.where(region != j, values[:, :, j], 0.0).max(axis=1))
+    return [_mc_estimate(np.concatenate(c), N, seed) for c in chunks]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+@pytest.mark.parametrize("kind", ["er", "irregular"])
+def test_profile_kernels_match_reference_bit_for_bit(kind, n, m):
+    specs = ["er:p=10000"] * m if kind == "er" else [IRREGULAR, "exp:1", "uniform:0,1", "er:p=100"][:m]
+    pd = ProductDist(tuple(parse_dist(s) for s in specs))
+    samples = 20_001  # two batches at n=16, m=4, the last one partial
+    seed = 50 + 7 * n + m
+
+    def same(a, b):
+        return (a.mean, a.stderr) == (b.mean, b.stderr)
+
+    assert same(efftw_bound(pd, n, samples, seed), _ref_efftw(pd, n, samples, seed))
+    if n >= 2:
+        assert same(obs1_bound(pd, n, samples, seed), _ref_obs1(pd, n, samples, seed))
+    if kind == "er":
+        got = er_offregion_items(n, m, samples, seed, 1e4)
+        assert all(same(a, b) for a, b in zip(got, _ref_offregion(n, m, samples, seed, 1e4)))
 
 
 def test_assign_regions_basics():
-    q = np.array([[0.2, 0.9, 0.5], [0.7, 0.1, 0.3]])
+    # item-major: rows are items, columns are bidders
+    q = np.array([[0.2, 0.9, 0.5], [0.7, 0.1, 0.3]]).T
     assert np.array_equal(assign_regions(q), [1, 0])
     # single item: everyone in region 0
-    assert np.array_equal(assign_regions(np.array([[0.4], [0.9]])), [0, 0])
+    assert np.array_equal(assign_regions(np.array([[0.4], [0.9]]).T), [0, 0])
+    # ties go to the first item, as with argmax
+    q = np.array([[0.5, 0.5, 0.2], [0.1, 0.7, 0.7], [0.3, 0.3, 0.3]]).T
+    assert np.array_equal(assign_regions(q), np.argmax(q, axis=0))
+    assert np.array_equal(assign_regions(q), [0, 1, 0])
+    with pytest.raises(ValueError):
+        assign_regions(np.empty((0, 3)))
 
 
 def test_regions_uniform_under_iid_marginals():
@@ -77,6 +174,29 @@ def test_obs1_requires_two_bidders():
     pd = ProductDist((Uniform(0, 1),))
     with pytest.raises(ValueError):
         obs1_bound(pd, 1, 1000, seed=0)
+
+
+@pytest.mark.parametrize("bound", [efftw_bound, obs1_bound])
+@pytest.mark.parametrize("samples", [0, -5])
+def test_profile_bounds_need_samples(bound, samples):
+    pd = ProductDist((Uniform(0, 1), Uniform(0, 1)))
+    with pytest.raises(ValueError, match="N >= 1"):
+        bound(pd, 2, samples, seed=0)
+
+
+def test_efftw_peak_memory_bounded_by_one_batch():
+    # a 1M-cell batch holds the uniform draw, its item-major copy and the
+    # values (3 x 8 MB) plus item-slab temporaries; per-profile totals add
+    # 8 bytes per profile. Profile-major kernels with gathers took ~44 MB.
+    pd = ProductDist((TruncatedEqualRevenue(1e4), TruncatedEqualRevenue(1e4)))
+    efftw_bound(pd, 4, 1000, seed=0)  # iron outside the measurement
+    tracemalloc.start()
+    try:
+        efftw_bound(pd, 4, 200_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 2**20, peak / 2**20
 
 
 def test_obs1_direct_resimulation_oracle():

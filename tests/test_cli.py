@@ -85,6 +85,12 @@ def test_benchmark_chain_links(capsys):
     assert all(r.get("link_ok", True) for r in doc["results"])
 
 
+def test_benchmark_without_samples_exit_3(capsys):
+    code = main(["benchmark", "--dist", "uniform:0,1", "-n", "2", "--samples", "0", "--seed", "3"])
+    assert code == EXIT_PRECONDITION
+    assert "need N >= 1 profiles" in capsys.readouterr().err
+
+
 def test_dominance_above_threshold_true(capsys):
     code, out = run_cli(
         ["dominance", "--pair", "xs-xb", "-n", "10", "-l", "3", "-c", "20",

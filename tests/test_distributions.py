@@ -92,9 +92,13 @@ def test_discrete_quantile_breaks_ties_toward_smaller_value():
 def test_product_profiles_shape_and_coupling():
     pd = ProductDist((Uniform(0, 1), TruncatedEqualRevenue(10.0)))
     v, q = pd.sample_profiles(substream(9, "prof"), 3, 50)
-    assert v.shape == q.shape == (50, 3, 2)
-    assert np.allclose(v[:, :, 0], q[:, :, 0])  # uniform: value == quantile
-    assert np.allclose(v[:, :, 1], np.asarray(pd.marginals[1].quantile(q[:, :, 1])))
+    assert v.shape == q.shape == (2, 3, 50)  # item-major: (m, bidders, profiles)
+    assert v.flags.c_contiguous and q.flags.c_contiguous
+    assert np.allclose(v[0], q[0])  # uniform: value == quantile
+    assert np.allclose(v[1], np.asarray(pd.marginals[1].quantile(q[1])))
+    # each cell keeps the uniform of a profile-major (profiles, bidders, m) draw
+    drawn = substream(9, "prof").random((50, 3, 2))
+    assert np.array_equal(q, drawn.transpose(2, 1, 0))
 
 
 def test_quantile_domain_validated():

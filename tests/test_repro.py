@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from auctioncomp import revenue
 from auctioncomp.repro import (
     CLAIMS,
     appendix_b_revenue,
@@ -101,6 +102,39 @@ def test_appendix_b_identity():
     assert "surplus_over_2n" in res.details
     with pytest.raises(ValueError):
         appendix_b_revenue(100, 1000, seed=0)
+
+
+@pytest.mark.parametrize("n,gap,tol", [(10_000, -1.996, 3.92), (250_000, -1248.0, 2490.0)])
+def test_appendix_b_exact_gap_within_dropped_terms(n, gap, tol):
+    res = appendix_b_revenue(n, 2_000, seed=44)
+    assert res.passed
+    assert res.computed - res.target == pytest.approx(gap, rel=1e-3)
+    assert res.tolerance == pytest.approx(tol, rel=1e-3)
+    assert res.tolerance / res.target < 1e-2  # the claim can fail
+    # the Monte Carlo cross-check is reported, not asserted
+    assert {"mc_mean", "mc_stderr", "mc_high_tier_runs"} <= set(res.details)
+
+
+def test_appendix_b_passes_where_the_monte_carlo_saw_no_high_sale():
+    # at claim seed 105 none of the 20 000 runs has a high-tier sale, so the
+    # Monte Carlo mean is ~200 against a target of 20 001; the exact value
+    # does not depend on the draws
+    res = run_claim("appendix-b-revenue", seed=105)
+    assert res.details["mc_high_tier_runs"] == 0
+    assert res.details["mc_mean"] < 1_000
+    assert res.passed
+
+
+def test_appendix_b_fails_with_doubled_high_tier_probability(monkeypatch):
+    true_params = revenue.three_tier_params
+
+    def doubled(*args, **kwargs):
+        params = dict(true_params(*args, **kwargs))
+        params["p_high"] *= 2.0
+        return params
+
+    monkeypatch.setattr(revenue, "three_tier_params", doubled)
+    assert not appendix_b_revenue(10_000, 2_000, seed=45).passed
 
 
 def test_little_n_tightness_monotone_in_m():

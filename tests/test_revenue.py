@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,20 +11,72 @@ from auctioncomp.distributions import (
     Uniform,
 )
 from auctioncomp.revenue import (
-    MechanismOutcome,
+    _mc_estimate,
     bulow_klemperer_check,
     er2_sum_tail_truncated,
     feldman_params,
     feldman_posted_price,
-    feldman_run_once,
     myerson_item_revenue,
     srev,
     three_tier_mechanism,
     three_tier_params,
+    three_tier_revenue,
     vcg,
     vcg_item_revenue,
-    virtual_max_estimate,
 )
+from auctioncomp.rng import batch_sizes, substream
+from auctioncomp.virtual import raw_virtual_many
+
+# ---------------------------------------------------------------------------
+# Oracles: the other side of Myerson's identity, and one traced run of the
+# sequential posted-bundle mechanism.
+# ---------------------------------------------------------------------------
+
+
+def virtual_max_estimate(d, n, N, seed):
+    """Monte Carlo E[phi(max of n draws)]; the other side of Myerson's identity."""
+    chunks = []
+    for bi, b in enumerate(batch_sizes(N, 1_000_000)):
+        rng = substream(seed, "virt-max", bi)
+        u1 = rng.random(b) ** (1.0 / n)
+        chunks.append(raw_virtual_many(d, d.quantile(u1)))
+    return _mc_estimate(np.concatenate(chunks), N, seed)
+
+
+@dataclass(frozen=True)
+class MechanismOutcome:
+    """Allocation trace of one mechanism run; revenue equals total payments."""
+
+    revenue: float
+    winners: tuple  # per item: bidder index or None
+    payments: tuple  # per bidder
+
+    def __post_init__(self):
+        if any(p < 0 for p in self.payments):
+            raise ValueError("payments must be nonnegative")
+        if abs(self.revenue - sum(self.payments)) > 1e-9 * max(1.0, abs(self.revenue)):
+            raise ValueError("revenue must equal the sum of payments")
+
+
+def feldman_run_once(values, bundle_size, price):
+    """One pass of the sequential mechanism on an (n, m) value matrix.
+
+    Bidders are visited in row order; each takes their ``bundle_size``
+    highest-value remaining items iff their total value meets the price.
+    """
+    n, m = values.shape
+    avail = np.ones(m, dtype=bool)
+    winners = [None] * m
+    payments = [0.0] * n
+    for i in range(n):
+        masked = np.where(avail, values[i], -np.inf)
+        idx = np.argpartition(masked, m - bundle_size)[m - bundle_size:]
+        if masked[idx].sum() >= price:
+            payments[i] = price
+            avail[idx] = False
+            for j in idx:
+                winners[j] = i
+    return MechanismOutcome(revenue=sum(payments), winners=tuple(winners), payments=tuple(payments))
 
 
 def _posted_price_oracle(d, lo, hi):
@@ -176,6 +229,16 @@ def test_feldman_run_once_trace():
     assert out.winners[1] == 1  # second bidder's best remaining item
 
 
+def test_feldman_posted_price_matches_per_profile_oracle():
+    # same draws as feldman_posted_price, replayed one profile at a time
+    n, m, N, seed = 2, 16, 400, 12
+    bundle, price = feldman_params(n, m)
+    est = feldman_posted_price(n, m, N, seed, p=1e4)
+    vals = TruncatedEqualRevenue(1e4).quantile(substream(seed, "feldman", 0).random((N, n, m)))
+    revs = [feldman_run_once(v, bundle, price).revenue for v in vals]
+    assert est.mean == pytest.approx(np.mean(revs), rel=1e-12)
+
+
 def test_mechanism_outcome_invariants():
     with pytest.raises(ValueError):
         MechanismOutcome(revenue=1.0, winners=(None,), payments=(-1.0,))
@@ -222,6 +285,15 @@ def test_three_tier_medium_count_concentrates():
     n, q, p = 10_000, 100.0, 1e8
     params = three_tier_params(n, q, p)
     assert n * params["p_med"] == pytest.approx(params["k"], rel=0.05)
+
+
+def test_three_tier_exact_matches_mechanism():
+    n, q, p = 10_000, 100.0, 1e8
+    exact = three_tier_revenue(n, q, p)
+    est = three_tier_mechanism(n, q, p, 1_000_000, seed=13)
+    assert abs(est.mean - exact) <= 4 * est.stderr, (exact, est.mean, est.stderr)
+    with pytest.raises(ValueError):
+        three_tier_revenue(100, 100.0, 1e8)  # q > sqrt(n)
 
 
 def test_three_tier_revenue_cap():

@@ -6,6 +6,7 @@ import pytest
 from auctioncomp.distributions import (
     Exponential,
     FiniteDiscrete,
+    PointMass,
     TruncatedEqualRevenue,
     Uniform,
 )
@@ -110,6 +111,52 @@ def test_iron_memoized_read_only():
     for arr in (imap.grid, imap.phi_bar):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "d,K",
+    [
+        (FiniteDiscrete((1.0, 3.0, 4.0, 20.0), (0.4, 0.3, 0.25, 0.05)), DEFAULT_GRID),
+        (FiniteDiscrete((1.0, 3.0, 4.0, 20.0), (0.4, 0.3, 0.25, 0.05)), 64),
+        (FiniteDiscrete((2.0, 3.0, 7.0, 8.0, 30.0), (0.1, 0.3, 0.3, 0.2, 0.1)), DEFAULT_GRID),
+        (FiniteDiscrete((1.0, 2.0), (0.5, 0.5)), 7),
+        (PointMass(5.0), DEFAULT_GRID),
+    ],
+    ids=lambda x: x.spec() if hasattr(x, "spec") else str(x),
+)
+def test_step_lookup_equals_full_grid_lookup(d, K):
+    imap = iron(d, K)
+    knots, levels = imap.steps
+    assert imap.steps is imap.steps  # built once per map
+    assert len(levels) == len(knots) + 1 <= len(imap.phi_bar)
+    for arr in (knots, levels):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    bps = d.quantile_breakpoints()
+    u = np.concatenate([
+        imap.grid,
+        bps,
+        np.nextafter(bps, 0.0),
+        np.nextafter(bps, 1.0),
+        knots,
+        [0.0, 1.0, -0.5, 1.5, np.nan, np.inf, -np.inf],
+        np.random.default_rng(0).random(20_000),
+    ])
+    cell = np.clip(np.searchsorted(imap.grid, u, side="right") - 1, 0, len(imap.phi_bar) - 1)
+    assert np.array_equal(_bits(imap.at_quantile(u)), _bits(imap.phi_bar[cell]))
+
+
+@pytest.mark.parametrize(
+    "d", [Uniform(0, 1), Exponential(2.0), TruncatedEqualRevenue(100.0)], ids=lambda d: d.spec()
+)
+def test_at_quantile_reuses_given_values(d):
+    imap = iron(d)
+    u = np.concatenate([[0.0, 1.0 - 1.0 / 100.0, 0.999], np.random.default_rng(1).random(1000)])
+    assert np.array_equal(_bits(imap.at_quantile(u, d.quantile(u))), _bits(imap.at_quantile(u)))
 
 
 def test_ironed_uniform_matches_raw():
