@@ -13,22 +13,23 @@ where the underlying inequality does.
 
 All estimators draw complete valuation profiles from one shared per-seed
 stream, so estimates compared at the same seed use common random numbers.
-Profile batches are item-major, shape (m, n, b) (see
-``ProductDist.sample_profiles``): regions come from a running maximum over the
-item slabs, and every reduction over bidders is an elementwise pass over the
-n rows of a slab, so no kernel reduces along a short strided axis.
+Batches come from ``rng.map_batches``: a profile batch holds about
+``rng.BATCH`` floats (n * m per profile), and the chain bounds run one
+labelled batch stream per item. Profile batches are item-major, shape
+(m, n, b) (see ``ProductDist.sample_profiles``): regions come from a running
+maximum over the item slabs, and every reduction over bidders is an
+elementwise pass over the n rows of a slab, so no kernel reduces along a
+short strided axis.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .distributions import ProductDist
 from .experiments import sample_xb, sample_xl
-from .revenue import RevenueEstimate, _mc_estimate
-from .rng import batch_sizes, substream
+from .revenue import RevenueEstimate, _mc_estimate, _sum_estimates
+from .rng import map_batches
 from .virtual import iron
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
     "xl_chain_bound",
     "xb_chain_bound",
 ]
-
-_BATCH = 1_000_000
 
 
 def assign_regions(quantiles: np.ndarray) -> np.ndarray:
@@ -66,27 +65,24 @@ def assign_regions(quantiles: np.ndarray) -> np.ndarray:
 def _map_profiles(pd: ProductDist, n: int, N: int, seed: int, kernel) -> np.ndarray:
     """Run ``kernel(values, quantiles, region)`` on coupled profile batches.
 
-    Batches are item-major (see ``ProductDist.sample_profiles``) and come
-    from one shared per-seed stream. The kernel returns an array whose last
-    axis runs over the batch's profiles; the outputs are joined along it.
-    A batch is released before the next one is drawn, so one batch is alive
-    at a time.
+    Batches are item-major (see ``ProductDist.sample_profiles``), come from
+    one shared per-seed stream and hold n * m floats per profile. The kernel
+    returns an array whose last axis runs over the batch's profiles; the
+    outputs are joined along it. A batch dies when its kernel returns, so
+    one batch is alive at a time.
     """
-    per_batch = max(1, _BATCH // max(1, n * pd.m))
-    outs = []
-    for bi, b in enumerate(batch_sizes(N, per_batch)):
-        values, quantiles = pd.sample_profiles(substream(seed, "profiles", bi), n, b)
-        outs.append(kernel(values, quantiles, assign_regions(quantiles)))
-        del values, quantiles
-    return np.concatenate(outs, axis=-1)
+
+    def batch(rng, b):
+        values, quantiles = pd.sample_profiles(rng, n, b)
+        return kernel(values, quantiles, assign_regions(quantiles))
+
+    return np.concatenate(map_batches(seed, "profiles", N, batch, n * pd.m), axis=-1)
 
 
 def efftw_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
     """Monte Carlo estimate of the quantile-region revenue benchmark."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if N < 1:
-        raise ValueError("need N >= 1 profiles")
     imaps = [iron(d) for d in pd.marginals]
 
     def kernel(values, quantiles, region):
@@ -109,8 +105,6 @@ def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
     """
     if n < 2:
         raise ValueError("need n >= 2 (uses the second-highest value)")
-    if N < 1:
-        raise ValueError("need N >= 1 profiles")
     imaps = [iron(d) for d in pd.marginals]
 
     def kernel(values, quantiles, region):
@@ -136,18 +130,12 @@ def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
 
 def _phi_at_experiment(pd: ProductDist, sampler, N: int, seed: int, label: str):
     """Sum over items of E[phi_bar_j at an experiment quantile]; no positive part."""
-    total = 0.0
-    var = 0.0
-    for j, d in enumerate(pd.marginals):
-        imap = iron(d)
-        chunks = []
-        for bi, b in enumerate(batch_sizes(N, _BATCH)):
-            rng = substream(seed, label, j, bi)
-            chunks.append(imap.at_quantile(sampler(rng, b)))
-        est = _mc_estimate(np.concatenate(chunks), N, seed)
-        total += est.mean
-        var += est.stderr**2
-    return RevenueEstimate(mean=total, stderr=math.sqrt(var), samples=N, seed=seed)
+
+    def item(j, imap):
+        chunks = map_batches(seed, (label, j), N, lambda rng, b: imap.at_quantile(sampler(rng, b)))
+        return _mc_estimate(np.concatenate(chunks), N, seed)
+
+    return _sum_estimates((item(j, iron(d)) for j, d in enumerate(pd.marginals)), N, seed)
 
 
 def xl_chain_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:

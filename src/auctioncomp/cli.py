@@ -134,16 +134,17 @@ def cmd_benchmark(args) -> int:
 
 def cmd_dominance(args) -> int:
     n, m, ell, c = args.n, args.m, args.l, args.c
-    if args.pair == "xs-xb":
+    xb = args.pair == "xs-xb"
+    if xb:
         sampler_b = lambda rng, b: exp_mod.sample_xb(n, ell, rng, b)
-        threshold = 4.0 * n / (ell - 1)
     else:  # xs-xl
         sampler_b = lambda rng, b: exp_mod.sample_xl(n, m, rng, b)
-        threshold = n * (2.0 + math.log(1.0 + m / n))
     sampler_a = lambda rng, b: exp_mod.sample_xs(n, c, rng, b)
+    # the samplers check n, m and ell before the threshold formulas divide by them
     report = exp_mod.dominance_test(
         sampler_a, sampler_b, args.samples, delta=args.delta, seed=args.seed
     )
+    threshold = 4.0 * n / (ell - 1) if xb else n * (2.0 + math.log(1.0 + m / n))
     expected = c >= threshold
     rows = [
         {

@@ -12,7 +12,8 @@ competition-complexity analysis to comparing random variables on [0, 1]:
   taken, maxed with a fresh draw from [X_(2), 1].
 
 Order statistics of uniforms are generated top-down via the ratio recursion
-X_(k+1) = X_(k) * U^(1/(n-k)), so only the needed top-k values are drawn.
+X_(k+1) = X_(k) * U^(1/(n-k)), so only the needed top-k values are drawn and
+only X_(1) and the current one are held.
 
 ``X_L`` is sampled conditionally on X_(1) = x, in O(1) per draw whatever m
 is: the item draws are independent of x, so none of them exceeds x with
@@ -21,7 +22,8 @@ probability x^(m-1), and otherwise a uniformly chosen exceeder is uniform on
 because it is the independent check of the closed form ``ystar_tail``.
 
 Dominance between two samplers is decided empirically on a uniform probe
-grid with a two-sided DKW allowance.
+grid with a two-sided DKW allowance. Every Monte Carlo loop here runs through
+``rng.map_batches``, and the hit-rate estimators share one binomial stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import batch_sizes, substream
+from .rng import map_batches
 
 __all__ = [
     "DominanceReport",
@@ -49,18 +51,20 @@ __all__ = [
 ]
 
 DEFAULT_GRID_SIZE = 199
-_BATCH = 1_000_000
 
 
-def top_order_stats(n: int, k: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Top-k order statistics of n i.i.d. uniforms, shape (size, k), descending."""
+def top_order_stats(n: int, k: int, rng: np.random.Generator, size: int):
+    """(X_(1), X_(k)) of n i.i.d. uniforms, each of shape (size,).
+
+    The recursion walks down from the top carrying only the current order
+    statistic, so memory does not grow with k.
+    """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    out = np.empty((size, k))
-    out[:, 0] = rng.random(size) ** (1.0 / n)
+    top = kth = rng.random(size) ** (1.0 / n)
     for j in range(1, k):
-        out[:, j] = out[:, j - 1] * rng.random(size) ** (1.0 / (n - j))
-    return out
+        kth = kth * rng.random(size) ** (1.0 / (n - j))
+    return top, kth
 
 
 def sample_xs(n: int, c: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -74,9 +78,7 @@ def sample_w(n: int, ell: int, rng: np.random.Generator, size: int):
     """Draw (W_{ell,n}, X_(1), X_(ell)); W is uniform on [X_(ell), 1]."""
     if not 1 <= ell <= n:
         raise ValueError("need 1 <= ell <= n")
-    tops = top_order_stats(n, ell, rng, size)
-    x1 = tops[:, 0]
-    xl = tops[:, ell - 1]
+    x1, xl = top_order_stats(n, ell, rng, size)
     w = xl + rng.random(size) * (1.0 - xl)
     return w, x1, xl
 
@@ -127,7 +129,7 @@ def sample_xl_prime(n: int, m: int, rng: np.random.Generator, size: int) -> np.n
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1, m >= 1")
-    x1 = top_order_stats(n, 1, rng, size)[:, 0]
+    x1, _ = top_order_stats(n, 1, rng, size)
     return _top_or_exceeder(x1, m, rng)
 
 
@@ -142,9 +144,9 @@ def sample_xl(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray
         raise ValueError("need n >= 1, m >= 1")
     if n == 1:
         return sample_xl_prime(1, m, rng, size)
-    tops = top_order_stats(n, 2, rng, size)
-    w2 = tops[:, 1] + rng.random(size) * (1.0 - tops[:, 1])
-    return np.maximum(_top_or_exceeder(tops[:, 0], m, rng), w2)
+    x1, x2 = top_order_stats(n, 2, rng, size)
+    w2 = x2 + rng.random(size) * (1.0 - x2)
+    return np.maximum(_top_or_exceeder(x1, m, rng), w2)
 
 
 def ystar_tail(n: int, m: int, p) -> np.ndarray | float:
@@ -177,16 +179,19 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
         raise ValueError("p must lie in (0, 1)")
     if m < 2:
         raise ValueError("need m >= 2")
-    hits = 0
-    for bi, b in enumerate(batch_sizes(N, max(1, _BATCH // (m - 1)))):
-        rng = substream(seed, "ystar-mc", bi)
+
+    def batch(rng, b):
         x1 = p * rng.random(b) ** (1.0 / n)
-        y = rng.random((b, m - 1))
-        chosen, has = _pick_exceeder(y, x1, rng)
-        hits += int(np.count_nonzero(has & (chosen > p)))
+        chosen, has = _pick_exceeder(rng.random((b, m - 1)), x1, rng)
+        return int(np.count_nonzero(has & (chosen > p)))
+
+    return _hit_rate(sum(map_batches(seed, "ystar-mc", N, batch, m - 1)), N)
+
+
+def _hit_rate(hits: int, N: int) -> tuple[float, float]:
+    """Binomial rate estimate hits / N and its standard error."""
     est = hits / N
-    stderr = math.sqrt(max(est * (1 - est), 1e-300) / N)
-    return est, stderr
+    return est, math.sqrt(max(est * (1 - est), 1e-300) / N)
 
 
 def dkw_epsilon(N: int, delta: float) -> float:
@@ -227,23 +232,25 @@ def dominance_test(
 ) -> DominanceReport:
     """Empirical first-order stochastic dominance of A over B.
 
-    Samples are sharded over fixed-size batches with per-batch substreams, so
-    the merged counts do not depend on how batches are scheduled.
+    Each sampler runs over its own batches (``rng.map_batches``, labels
+    ``dom-a`` and ``dom-b``); the per-batch counts are summed, so they do not
+    depend on how batches are scheduled, and one sampler's batch is alive at
+    a time.
     """
     if N < 10_000:
         raise ValueError("need N >= 10^4 for a meaningful DKW band")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     grid = np.arange(1, grid_size + 1) / (grid_size + 1)
-    counts_a = np.zeros(grid_size, dtype=np.int64)
-    counts_b = np.zeros(grid_size, dtype=np.int64)
-    for bi, b in enumerate(batch_sizes(N, _BATCH)):
-        xa = sampler_a(substream(seed, "dom-a", bi), b)
-        xb = sampler_b(substream(seed, "dom-b", bi), b)
-        counts_a += np.searchsorted(np.sort(xa), grid, side="right")
-        counts_b += np.searchsorted(np.sort(xb), grid, side="right")
-    cdf_a = counts_a / N
-    cdf_b = counts_b / N
+
+    def cdf(sampler, label):
+        counts = map_batches(
+            seed, label, N, lambda rng, b: np.searchsorted(np.sort(sampler(rng, b)), grid, "right")
+        )
+        return sum(counts) / N
+
+    cdf_a = cdf(sampler_a, "dom-a")
+    cdf_b = cdf(sampler_b, "dom-b")
     eps = dkw_epsilon(N, delta)
     dominates = bool(np.all(cdf_a <= cdf_b + 2 * eps))
     return DominanceReport(grid=grid, cdf_a=cdf_a, cdf_b=cdf_b, epsilon=eps, dominates=dominates)
@@ -263,13 +270,11 @@ def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
     if not 2 <= ell <= n:
         raise ValueError("need 2 <= ell <= n")
     lhs = 1.0 - p**c
-    hits = 0
-    for bi, b in enumerate(batch_sizes(N, _BATCH)):
-        rng = substream(seed, "prop-key", bi)
-        tops = p * top_order_stats(n, ell, rng, b)
-        xl = tops[:, ell - 1]
+
+    def batch(rng, b):
+        xl = p * top_order_stats(n, ell, rng, b)[1]
         w = xl + rng.random(b) * (1.0 - xl)
-        hits += int(np.count_nonzero(w > p))
-    rhs = hits / N
-    stderr = math.sqrt(max(rhs * (1 - rhs), 1e-300) / N)
+        return int(np.count_nonzero(w > p))
+
+    rhs, stderr = _hit_rate(sum(map_batches(seed, "prop-key", N, batch)), N)
     return lhs, rhs, (0.0, stderr)

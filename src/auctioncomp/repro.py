@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .benchmark import _map_profiles, efftw_bound
 from .distributions import ProductDist, TruncatedEqualRevenue
+from .experiments import _hit_rate
 from .revenue import (
     RevenueEstimate,
     _mc_estimate,
+    _sum_estimates,
     _three_tier_runs,
     feldman_params,
     feldman_posted_price,
@@ -29,7 +31,7 @@ from .revenue import (
     three_tier_revenue,
     vcg,
 )
-from .rng import batch_sizes, substream
+from .rng import map_batches, substream
 
 __all__ = [
     "ReproResult",
@@ -46,8 +48,6 @@ __all__ = [
     "run_all",
 ]
 
-_BATCH = 1_000_000
-
 
 @dataclass(frozen=True)
 class ReproResult:
@@ -58,7 +58,7 @@ class ReproResult:
     target: float
     tolerance: float
     passed: bool
-    runtime: float
+    runtime: float = 0.0  # wall seconds, set by run_claim; never in the artifact
     details: dict = field(default_factory=dict)
 
 
@@ -76,12 +76,11 @@ def er_order_stat(x: int, y: int, N: int, seed: int, p: float = 1e4) -> RevenueE
     if x < 4 and p > 1e6:
         raise ValueError("heavy tail: for x < 4 require truncation p <= 1e6")
     dist = TruncatedEqualRevenue(p)
-    chunks = []
-    for bi, b in enumerate(batch_sizes(N, max(1, _BATCH // y))):
-        rng = substream(seed, "er-order", bi)
-        vals = dist.quantile(rng.random((b, y)))
-        chunks.append(np.partition(vals, y - x, axis=1)[:, y - x])
-    return _mc_estimate(np.concatenate(chunks), N, seed)
+
+    def batch(rng, b):
+        return np.partition(dist.quantile(rng.random((b, y))), y - x, axis=1)[:, y - x]
+
+    return _mc_estimate(np.concatenate(map_batches(seed, "er-order", N, batch, y)), N, seed)
 
 
 def er_offregion_items(n: int, m: int, N: int, seed: int, p: float) -> list[RevenueEstimate]:
@@ -109,13 +108,8 @@ def er_benchmark_decomposition(n: int, m: int, N: int, seed: int, p: float):
         raise ValueError("need n >= 1, m >= 1")
     pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
     bench = efftw_bound(pd, n, N, seed)
-    off = er_offregion_items(n, m, N, seed, p)
-    approx = RevenueEstimate(
-        mean=n * m + sum(e.mean for e in off),
-        stderr=math.sqrt(sum(e.stderr**2 for e in off)),
-        samples=N,
-        seed=seed,
-    )
+    off = _sum_estimates(er_offregion_items(n, m, N, seed, p), N, seed)
+    approx = RevenueEstimate(mean=n * m + off.mean, stderr=off.stderr, samples=N, seed=seed)
     gap = abs(bench.mean - approx.mean) / max(abs(bench.mean), 1e-12)
     return bench, approx, gap
 
@@ -129,7 +123,6 @@ def bign_tightness(n: int, m: int, c: int, N: int, seed: int, p: float = 1e4) ->
     """
     if n < 4 * m:
         raise ValueError("need n >= 4m")
-    start = time.perf_counter()
     pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
     vcg_est = vcg(pd, n + c, N, seed)
     bench = efftw_bound(pd, n, N, seed)
@@ -143,7 +136,6 @@ def bign_tightness(n: int, m: int, c: int, N: int, seed: int, p: float = 1e4) ->
         target=float(target),
         tolerance=0.02 * target,
         passed=bool(vcg_ok and covered),
-        runtime=time.perf_counter() - start,
         details={
             "benchmark": bench.mean,
             "benchmark_stderr": bench.stderr,
@@ -169,13 +161,11 @@ def two_item_sum_tail_mc(q: float, N: int, seed: int, p: float = 1e6) -> tuple[f
     if q <= 1:
         raise ValueError("need q > 1")
     dist = TruncatedEqualRevenue(p)
-    hits = 0
-    for bi, b in enumerate(batch_sizes(N, _BATCH)):
-        rng = substream(seed, "sum-tail", bi)
-        v = dist.quantile(rng.random((b, 2)))
-        hits += int(np.count_nonzero(v.sum(axis=1) >= 2.0 * q))
-    est = hits / N
-    return est, math.sqrt(max(est * (1 - est), 1e-300) / N)
+
+    def batch(rng, b):
+        return int(np.count_nonzero(dist.quantile(rng.random((b, 2))).sum(axis=1) >= 2.0 * q))
+
+    return _hit_rate(sum(map_batches(seed, "sum-tail", N, batch)), N)
 
 
 def appendix_b_revenue(n: int, N: int, seed: int) -> ReproResult:
@@ -190,7 +180,6 @@ def appendix_b_revenue(n: int, N: int, seed: int) -> ReproResult:
     """
     if n < 10_000:
         raise ValueError("need n >= 10^4 so q = sqrt(n) >= 100")
-    start = time.perf_counter()
     q = math.sqrt(n)
     p = 1e8
     exact = three_tier_revenue(n, q, p)
@@ -206,7 +195,6 @@ def appendix_b_revenue(n: int, N: int, seed: int) -> ReproResult:
         target=target,
         tolerance=tol,
         passed=bool(abs(exact - target) <= tol),
-        runtime=time.perf_counter() - start,
         details={
             "k": k,
             "mc_mean": mc.mean,
@@ -225,7 +213,6 @@ def little_n_tightness(n: int, m: int, N: int, seed: int, p: float = 1e4) -> Rep
     VCG bidder on ER^m is worth m); report-only, the hard assertion is the
     trivial cap revenue <= n * price.
     """
-    start = time.perf_counter()
     _, price = feldman_params(n, m)
     est = feldman_posted_price(n, m, N, seed, p=p)
     # raw (possibly negative) so the growth trend in m stays visible
@@ -237,7 +224,6 @@ def little_n_tightness(n: int, m: int, N: int, seed: int, p: float = 1e4) -> Rep
         target=cap,
         tolerance=0.0,
         passed=bool(est.mean <= cap + 1e-9),
-        runtime=time.perf_counter() - start,
         details={"implied_min_c": implied_c, "price": price, "stderr": est.stderr},
     )
 
@@ -247,45 +233,38 @@ def little_n_tightness(n: int, m: int, N: int, seed: int, p: float = 1e4) -> Rep
 # ---------------------------------------------------------------------------
 
 
-def _timed(name: str, computed: float, target: float, tol: float, start: float, **details):
+def _within(name: str, computed: float, target: float, tol: float, **details):
     return ReproResult(
         name=name,
         computed=computed,
         target=target,
         tolerance=tol,
         passed=bool(abs(computed - target) <= tol),
-        runtime=time.perf_counter() - start,
         details=details,
     )
 
 
 def _claim_er_order(x: int, y: int, p: float):
     def run(seed: int) -> ReproResult:
-        start = time.perf_counter()
         est = er_order_stat(x, y, 200_000, seed, p=p)
-        return _timed(
-            f"er-order-stat-{x}-{y}", est.mean, y / (x - 1), 3 * est.stderr, start,
-            stderr=est.stderr,
+        return _within(
+            f"er-order-stat-{x}-{y}", est.mean, y / (x - 1), 3 * est.stderr, stderr=est.stderr
         )
     return run
 
 
 def _claim_decomposition(seed: int) -> ReproResult:
-    start = time.perf_counter()
     bench, approx, gap = er_benchmark_decomposition(4, 2, 1_000_000, seed, p=1e4)
-    return _timed(
+    return _within(
         "er-benchmark-decomposition-n4-m2", bench.mean, approx.mean,
-        0.05 * bench.mean + 3 * bench.combined_stderr(approx), start,
-        relative_gap=gap,
+        0.05 * bench.mean + 3 * bench.combined_stderr(approx), relative_gap=gap,
     )
 
 
 def _claim_sum_tail(seed: int) -> ReproResult:
-    start = time.perf_counter()
     q = 5.0
     mc, stderr = two_item_sum_tail_mc(q, 1_000_000, seed)
-    return _timed(f"two-item-sum-tail-q{q:g}", mc, two_item_sum_tail(q), 4 * stderr, start,
-                  stderr=stderr)
+    return _within(f"two-item-sum-tail-q{q:g}", mc, two_item_sum_tail(q), 4 * stderr, stderr=stderr)
 
 
 CLAIMS = {
@@ -300,15 +279,17 @@ CLAIMS = {
 
 
 def run_claim(name: str, seed: int) -> ReproResult:
+    """Run one registered claim; the only place a claim's runtime is measured."""
     if name not in CLAIMS:
         raise KeyError(f"unknown claim {name!r}; known: {', '.join(sorted(CLAIMS))}")
-    return CLAIMS[name](seed)
+    start = time.perf_counter()
+    result = CLAIMS[name](seed)
+    return replace(result, runtime=time.perf_counter() - start)
 
 
 def run_all(seed: int) -> list[ReproResult]:
     """Run every registered claim with an isolated per-claim seed."""
-    out = []
-    for name in sorted(CLAIMS):
-        claim_seed = int(substream(seed, "claim", name).integers(2**63))
-        out.append(CLAIMS[name](claim_seed))
-    return out
+    return [
+        run_claim(name, int(substream(seed, "claim", name).integers(2**63)))
+        for name in sorted(CLAIMS)
+    ]

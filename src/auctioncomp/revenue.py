@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
-from .rng import batch_sizes, substream
+from .rng import map_batches, substream
 from .virtual import IronedVirtualMap, iron
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "three_tier_revenue",
 ]
 
-_BATCH = 1_000_000
 _QUAD_CELLS = 1 << 15
 
 
@@ -56,6 +55,15 @@ def _mc_estimate(values: np.ndarray, samples: int, seed: int) -> RevenueEstimate
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
     return RevenueEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
+
+
+def _sum_estimates(ests, samples: int, seed: int) -> RevenueEstimate:
+    """Sum of independent estimates, added in order; stderrs combine in quadrature."""
+    mean = var = 0.0
+    for est in ests:
+        mean += est.mean
+        var += est.stderr**2
+    return RevenueEstimate(mean=mean, stderr=math.sqrt(var), samples=samples, seed=seed)
 
 
 def myerson_item_revenue(
@@ -91,34 +99,24 @@ def vcg_item_revenue(d: SingleDist, n: int, N: int, seed: int) -> RevenueEstimat
         raise ValueError("need n >= 1")
     if n == 1:
         return RevenueEstimate(mean=0.0, stderr=0.0, samples=N, seed=seed)
-    chunks = []
-    for bi, b in enumerate(batch_sizes(N, _BATCH)):
-        rng = substream(seed, "vcg-item", bi)
-        _, u2 = _second_highest_quantiles(rng, n, b)
-        chunks.append(d.quantile(u2))
+    chunks = map_batches(
+        seed, "vcg-item", N, lambda rng, b: d.quantile(_second_highest_quantiles(rng, n, b)[1])
+    )
     return _mc_estimate(np.concatenate(chunks), N, seed)
 
 
 def srev(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
     """Myerson run separately per item: sum of single-item optimal revenues."""
-    total = 0.0
-    var = 0.0
-    for j, d in enumerate(pd.marginals):
-        est = myerson_item_revenue(d, n, N, seed)
-        total += est.mean
-        var += est.stderr**2
-    return RevenueEstimate(mean=total, stderr=math.sqrt(var), samples=N, seed=seed)
+    return _sum_estimates((myerson_item_revenue(d, n, N, seed) for d in pd.marginals), N, seed)
 
 
 def vcg(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
     """Second-price auction per item; per-item stderrs combine in quadrature."""
-    total = 0.0
-    var = 0.0
-    for j, d in enumerate(pd.marginals):
-        est = vcg_item_revenue(d, n, N, substream(seed, "vcg", j).integers(2**63))
-        total += est.mean
-        var += est.stderr**2
-    return RevenueEstimate(mean=total, stderr=math.sqrt(var), samples=N, seed=seed)
+    ests = (
+        vcg_item_revenue(d, n, N, substream(seed, "vcg", j).integers(2**63))
+        for j, d in enumerate(pd.marginals)
+    )
+    return _sum_estimates(ests, N, seed)
 
 
 def bulow_klemperer_check(d: SingleDist, n: int, N: int, seed: int):
@@ -142,8 +140,8 @@ def bulow_klemperer_check(d: SingleDist, n: int, N: int, seed: int):
 
 def feldman_params(n: int, m: int) -> tuple[int, float]:
     """Bundle size m//(4n) (rounded down) and price (m/8)(ln(m/n)+1)."""
-    if m < 4 * n:
-        raise ValueError("need m >= 4n")
+    if n < 1 or m < 4 * n:
+        raise ValueError("need n >= 1 and m >= 4n")
     return m // (4 * n), (m / 8.0) * (math.log(m / n) + 1.0)
 
 
@@ -158,9 +156,8 @@ def feldman_posted_price(
     bundle, default_price = feldman_params(n, m)
     price = default_price if price is None else price
     dist = TruncatedEqualRevenue(p)
-    revs = []
-    for bi, b in enumerate(batch_sizes(N, max(1, _BATCH // (n * m)))):
-        rng = substream(seed, "feldman", bi)
+
+    def batch(rng, b):
         vals = dist.quantile(rng.random((b, n, m)))
         avail = np.ones((b, m), dtype=bool)
         bought = np.zeros(b)
@@ -173,8 +170,9 @@ def feldman_posted_price(
             bought += buy
             r = rows[buy]
             avail[r[:, None], idx[buy]] = False
-        revs.append(price * bought)
-    return _mc_estimate(np.concatenate(revs), N, seed)
+        return price * bought
+
+    return _mc_estimate(np.concatenate(map_batches(seed, "feldman", N, batch, n * m)), N, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +264,12 @@ def _three_tier_runs(
     """Per-run revenues of the three-tier mechanism, from multinomial tier counts."""
     params = three_tier_params(n, q, p, truncation)
     p_high, p_med = params["p_high"], params["p_med"]
-    revs = []
-    for bi, b in enumerate(batch_sizes(N, _BATCH)):
-        rng = substream(seed, "three-tier", bi)
+
+    def batch(rng, b):
         counts = rng.multinomial(n, [p_high, p_med, 1.0 - p_high - p_med], size=b)
-        high = counts[:, 0]
-        med = counts[:, 1]
-        revs.append(np.where(high >= 1, p, q * np.minimum(med, 2)))
-    return np.concatenate(revs)
+        return np.where(counts[:, 0] >= 1, p, q * np.minimum(counts[:, 1], 2))
+
+    return np.concatenate(map_batches(seed, "three-tier", N, batch))
 
 
 def three_tier_revenue(n: int, q: float, p: float) -> float:

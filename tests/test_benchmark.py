@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from auctioncomp.benchmark import (
-    _BATCH,
     assign_regions,
     efftw_bound,
     obs1_bound,
@@ -21,7 +20,7 @@ from auctioncomp.distributions import (
 )
 from auctioncomp.repro import er_offregion_items
 from auctioncomp.revenue import _mc_estimate, myerson_item_revenue, srev
-from auctioncomp.rng import batch_sizes, substream
+from auctioncomp.rng import BATCH, batch_sizes, substream
 from auctioncomp.virtual import iron
 
 N = 100_000
@@ -36,7 +35,7 @@ IRREGULAR = "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"
 
 
 def _ref_batches(pd, n, N, seed):
-    for bi, b in enumerate(batch_sizes(N, max(1, _BATCH // (n * pd.m)))):
+    for bi, b in enumerate(batch_sizes(N, max(1, BATCH // (n * pd.m)))):
         q = substream(seed, "profiles", bi).random((b, n, pd.m))
         v = np.empty_like(q)
         for j, d in enumerate(pd.marginals):
@@ -182,6 +181,14 @@ def test_profile_bounds_need_samples(bound, samples):
     pd = ProductDist((Uniform(0, 1), Uniform(0, 1)))
     with pytest.raises(ValueError, match="N >= 1"):
         bound(pd, 2, samples, seed=0)
+
+
+def test_chain_bounds_need_samples():
+    pd = ProductDist((Uniform(0, 1), Uniform(0, 1)))
+    with pytest.raises(ValueError, match="need N >= 1 samples"):
+        xl_chain_bound(pd, 2, 0, seed=0)
+    with pytest.raises(ValueError, match="need N >= 1 samples"):
+        xb_chain_bound(pd, 2, 2, 0, seed=0)
 
 
 def test_efftw_peak_memory_bounded_by_one_batch():

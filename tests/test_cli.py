@@ -85,10 +85,37 @@ def test_benchmark_chain_links(capsys):
     assert all(r.get("link_ok", True) for r in doc["results"])
 
 
-def test_benchmark_without_samples_exit_3(capsys):
-    code = main(["benchmark", "--dist", "uniform:0,1", "-n", "2", "--samples", "0", "--seed", "3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["benchmark", "--dist", "uniform:0,1", "-n", "2"],
+        ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "2"],
+        ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "2", "-m", "3"],
+        ["revenue", "--mech", "feldman", "-n", "1", "-m", "8"],
+        ["revenue", "--mech", "three-tier", "-n", "10000"],
+    ],
+    ids=["benchmark", "vcg", "vcg-m3", "feldman", "three-tier"],
+)
+def test_benchmark_without_samples_exit_3(argv, capsys):
+    code = main(argv + ["--samples", "0", "--seed", "3"])
     assert code == EXIT_PRECONDITION
-    assert "need N >= 1 profiles" in capsys.readouterr().err
+    assert "need N >= 1 samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["dominance", "--pair", "xs-xb", "-n", "3", "-l", "1", "-c", "1"], "need 2 <= ell <= n"),
+        (["dominance", "--pair", "xs-xl", "-n", "0", "-m", "2", "-c", "1"], "need n >= 1"),
+        (["revenue", "--mech", "feldman", "-n", "0", "-m", "8"], "need n >= 1"),
+    ],
+    ids=["xs-xb-ell1", "xs-xl-n0", "feldman-n0"],
+)
+def test_degenerate_sizes_exit_3(argv, message, capsys):
+    # a dominance threshold or the feldman bundle size divides by these sizes
+    code = main(argv + ["--seed", "1", "--samples", "20000"])
+    assert code == EXIT_PRECONDITION
+    assert message in capsys.readouterr().err
 
 
 def test_dominance_above_threshold_true(capsys):

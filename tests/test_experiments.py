@@ -26,6 +26,15 @@ N_XL = 400_000
 XL_CASES = [(1, 4), (2, 2), (2, 5), (3, 16), (2, 64)]
 
 
+def ref_top_order_stats(n, k, rng, size):
+    """Top-k order statistics as a (size, k) matrix, by the same ratio recursion."""
+    out = np.empty((size, k))
+    out[:, 0] = rng.random(size) ** (1.0 / n)
+    for j in range(1, k):
+        out[:, j] = out[:, j - 1] * rng.random(size) ** (1.0 / (n - j))
+    return out
+
+
 # Reference samplers for X_L: the m - 1 item draws are materialized and
 # sorted, and a uniform index into the exceeders is taken. The library samples
 # X_L conditionally on X_(1) instead and must agree in law.
@@ -40,7 +49,7 @@ def _ref_pick_exceeder(y, x1, rng):
 
 
 def ref_sample_xl_prime(n, m, rng, size):
-    x1 = top_order_stats(n, 1, rng, size)[:, 0]
+    x1 = ref_top_order_stats(n, 1, rng, size)[:, 0]
     if m == 1:
         return x1
     y = rng.random((size, m - 1))
@@ -51,7 +60,7 @@ def ref_sample_xl_prime(n, m, rng, size):
 def ref_sample_xl(n, m, rng, size):
     if n == 1:
         return ref_sample_xl_prime(1, m, rng, size)
-    tops = top_order_stats(n, 2, rng, size)
+    tops = ref_top_order_stats(n, 2, rng, size)
     x1 = tops[:, 0]
     w2 = tops[:, 1] + rng.random(size) * (1.0 - tops[:, 1])
     if m == 1:
@@ -70,7 +79,7 @@ def _draw_chunked(sampler, n, m, rng, size, chunk=50_000):
 
 def _xl_prime_wrong_exponent(n, m, rng, size):
     """Mutant X'_L that keeps X_(1) with probability x^m instead of x^(m-1)."""
-    x1 = top_order_stats(n, 1, rng, size)[:, 0]
+    x1 = ref_top_order_stats(n, 1, rng, size)[:, 0]
     has = rng.random(size) >= x1**m
     return np.where(has, x1 + rng.random(size) * (1.0 - x1), x1)
 
@@ -210,6 +219,25 @@ def test_xl_memory_independent_of_m():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (5, 1), (5, 2), (7, 5), (40, 40)])
+def test_top_order_stats_match_matrix_reference(n, k):
+    top, kth = top_order_stats(n, k, substream(22, "tos", n, k), 1000)
+    ref = ref_top_order_stats(n, k, substream(22, "tos", n, k), 1000)
+    assert np.array_equal(top, ref[:, 0]) and np.array_equal(kth, ref[:, k - 1])
+
+
+def test_xb_memory_independent_of_ell():
+    # the (size, ell) order-statistic matrix would be 2000 x 5000 floats, 80 MB
+    rng = substream(23, "xb-mem")
+    tracemalloc.start()
+    try:
+        sample_xb(20_000, 5_000, rng, 2_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_pick_exceeder_rank_uniform():
