@@ -15,7 +15,10 @@ All estimators draw complete valuation profiles from one shared per-seed
 stream, so estimates compared at the same seed use common random numbers.
 Batches come from ``rng.map_batches``: a profile batch holds about
 ``rng.BATCH`` floats (n * m per profile), and the chain bounds run one
-labelled batch stream per item. Profile batches are item-major, shape
+labelled batch stream per item. Profile batches run on one lane per usable
+CPU and are drawn and reduced in blocks of about ``rng.BLOCK`` floats, each
+block's output written at its profiles' place in one result array, so the
+estimates do not depend on the CPU count. Blocks are item-major, shape
 (m, n, b) (see ``ProductDist.sample_profiles``): regions come from a running
 maximum over the item slabs, and every reduction over bidders is an
 elementwise pass over the n rows of a slab, so no kernel reduces along a
@@ -29,7 +32,7 @@ import numpy as np
 from .distributions import ProductDist
 from .experiments import sample_xb, sample_xl
 from .revenue import RevenueEstimate, _mc_estimate, _sum_estimates
-from .rng import map_batches
+from .rng import BLOCK, map_batches
 from .virtual import iron
 
 __all__ = [
@@ -39,6 +42,12 @@ __all__ = [
     "xl_chain_bound",
     "xb_chain_bound",
 ]
+
+
+# profiles per block at least: obs1's pass over the bidders runs numpy calls
+# on rows of one value per profile, and on shorter rows the per-call overhead
+# (under the interpreter lock) outweighs the cache gain of a smaller block
+MIN_BLOCK_PROFILES = 4096
 
 
 def assign_regions(quantiles: np.ndarray) -> np.ndarray:
@@ -62,21 +71,33 @@ def assign_regions(quantiles: np.ndarray) -> np.ndarray:
     return region
 
 
-def _map_profiles(pd: ProductDist, n: int, N: int, seed: int, kernel) -> np.ndarray:
-    """Run ``kernel(values, quantiles, region)`` on coupled profile batches.
+def _map_profiles(
+    pd: ProductDist, n: int, N: int, seed: int, kernel, shape: tuple = ()
+) -> np.ndarray:
+    """Run ``kernel(values, quantiles, region)`` on coupled profile blocks.
 
-    Batches are item-major (see ``ProductDist.sample_profiles``), come from
-    one shared per-seed stream and hold n * m floats per profile. The kernel
-    returns an array whose last axis runs over the batch's profiles; the
-    outputs are joined along it. A batch dies when its kernel returns, so
-    one batch is alive at a time.
+    Profiles are item-major (see ``ProductDist.sample_profiles``) and come
+    from one shared per-seed stream, in batches of about ``BATCH`` floats
+    (n * m per profile) that run on every usable CPU. Each batch is drawn and
+    reduced in blocks of about ``BLOCK`` floats (but at least
+    ``MIN_BLOCK_PROFILES`` profiles), block after block from the batch's
+    generator, so a block's draws and temporaries stay in cache and the
+    cells hold the same uniforms as a one-shot draw of the batch. The
+    kernel returns an array of ``shape`` per profile, with the block's
+    profiles on the last axis; each block's output goes straight into one
+    ``shape + (N,)`` array, which is returned.
     """
+    out = np.empty(shape + (max(N, 0),))  # N < 1 is left to the engine's check
+    rows = max(MIN_BLOCK_PROFILES, BLOCK // (n * pd.m))
 
-    def batch(rng, b):
-        values, quantiles = pd.sample_profiles(rng, n, b)
-        return kernel(values, quantiles, assign_regions(quantiles))
+    def batch(rng, b, start):
+        for lo in range(start, start + b, rows):
+            hi = min(lo + rows, start + b)
+            values, quantiles = pd.sample_profiles(rng, n, hi - lo)
+            out[..., lo:hi] = kernel(values, quantiles, assign_regions(quantiles))
 
-    return np.concatenate(map_batches(seed, "profiles", N, batch, n * pd.m), axis=-1)
+    map_batches(seed, "profiles", N, batch, n * pd.m, parallel=True)
+    return out
 
 
 def efftw_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:

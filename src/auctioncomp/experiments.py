@@ -235,7 +235,8 @@ def dominance_test(
     Each sampler runs over its own batches (``rng.map_batches``, labels
     ``dom-a`` and ``dom-b``); the per-batch counts are summed, so they do not
     depend on how batches are scheduled, and one sampler's batch is alive at
-    a time.
+    a time. Sampler B is first called for zero draws, so its argument checks
+    fire before sampler A's pass rather than after it.
     """
     if N < 10_000:
         raise ValueError("need N >= 10^4 for a meaningful DKW band")
@@ -249,6 +250,7 @@ def dominance_test(
         )
         return sum(counts) / N
 
+    sampler_b(np.random.default_rng(0), 0)  # draws nothing; only its checks run
     cdf_a = cdf(sampler_a, "dom-a")
     cdf_b = cdf(sampler_b, "dom-b")
     eps = dkw_epsilon(N, delta)

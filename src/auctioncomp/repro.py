@@ -31,7 +31,7 @@ from .revenue import (
     three_tier_revenue,
     vcg,
 )
-from .rng import map_batches, substream
+from .rng import BLOCK, map_batches, substream
 
 __all__ = [
     "ReproResult",
@@ -94,7 +94,7 @@ def er_offregion_items(n: int, m: int, N: int, seed: int, p: float) -> list[Reve
     def kernel(values, quantiles, region):
         return np.stack([np.where(region != j, values[j], 0.0).max(axis=0) for j in range(m)])
 
-    off = _map_profiles(pd, n, N, seed, kernel)
+    off = _map_profiles(pd, n, N, seed, kernel, (m,))
     return [_mc_estimate(off[j], N, seed) for j in range(m)]
 
 
@@ -161,9 +161,14 @@ def two_item_sum_tail_mc(q: float, N: int, seed: int, p: float = 1e6) -> tuple[f
     if q <= 1:
         raise ValueError("need q > 1")
     dist = TruncatedEqualRevenue(p)
+    rows = BLOCK // 2  # a batch is BATCH pairs; count its hits block by block
 
     def batch(rng, b):
-        return int(np.count_nonzero(dist.quantile(rng.random((b, 2))).sum(axis=1) >= 2.0 * q))
+        hits = 0
+        for lo in range(0, b, rows):
+            v = dist.quantile(rng.random((min(rows, b - lo), 2)))
+            hits += int(np.count_nonzero(v.sum(axis=1) >= 2.0 * q))
+        return hits
 
     return _hit_rate(sum(map_batches(seed, "sum-tail", N, batch)), N)
 

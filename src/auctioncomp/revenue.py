@@ -97,6 +97,8 @@ def vcg_item_revenue(d: SingleDist, n: int, N: int, seed: int) -> RevenueEstimat
     """Second-price (no reserve) revenue on one item: E[second-highest of n]."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if N < 1:  # before the n = 1 shortcut, which never reaches the engine's check
+        raise ValueError("need N >= 1 samples")
     if n == 1:
         return RevenueEstimate(mean=0.0, stderr=0.0, samples=N, seed=seed)
     chunks = map_batches(
@@ -246,6 +248,8 @@ def three_tier_mechanism(
     _check_three_tier(n, q, p)
     if profile_override not in (None, "low"):
         raise ValueError("unknown profile override")
+    if N < 1:  # before the all-low shortcut, which never reaches the engine's check
+        raise ValueError("need N >= 1 samples")
     if profile_override == "low":
         return RevenueEstimate(mean=0.0, stderr=0.0, samples=N, seed=seed)
     return _mc_estimate(_three_tier_runs(n, q, p, N, seed, truncation), N, seed)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from auctioncomp import benchmark as benchmark_mod
+from auctioncomp import repro as repro_mod
+from auctioncomp import rng as rng_mod
 from auctioncomp.benchmark import (
     assign_regions,
     efftw_bound,
@@ -20,7 +23,7 @@ from auctioncomp.distributions import (
 )
 from auctioncomp.repro import er_offregion_items
 from auctioncomp.revenue import _mc_estimate, myerson_item_revenue, srev
-from auctioncomp.rng import BATCH, batch_sizes, substream
+from auctioncomp.rng import BATCH, BLOCK, batch_sizes, substream
 from auctioncomp.virtual import iron
 
 N = 100_000
@@ -191,10 +194,12 @@ def test_chain_bounds_need_samples():
         xb_chain_bound(pd, 2, 2, 0, seed=0)
 
 
-def test_efftw_peak_memory_bounded_by_one_batch():
-    # a 1M-cell batch holds the uniform draw, its item-major copy and the
-    # values (3 x 8 MB) plus item-slab temporaries; per-profile totals add
-    # 8 bytes per profile. Profile-major kernels with gathers took ~44 MB.
+def test_efftw_peak_memory_bounded_by_one_batch(monkeypatch):
+    # two batches on two lanes, each holding one 64k-float block's draw, its
+    # item-major copy, the values and item-slab temporaries, plus the
+    # per-profile totals (8 bytes per profile, 1.6 MB): 7.1 MB measured.
+    # Whole 1M-float batches took 31.5 MB, profile-major kernels ~44 MB.
+    monkeypatch.setattr(rng_mod, "usable_cpus", lambda: 2)
     pd = ProductDist((TruncatedEqualRevenue(1e4), TruncatedEqualRevenue(1e4)))
     efftw_bound(pd, 4, 1000, seed=0)  # iron outside the measurement
     tracemalloc.start()
@@ -203,7 +208,66 @@ def test_efftw_peak_memory_bounded_by_one_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36 * 2**20, peak / 2**20
+    assert peak < 8.2 * 2**20, peak / 2**20
+
+
+# ---------------------------------------------------------------------------
+# Blocks and lanes: the profile path gives the same bits for any lane count
+# ---------------------------------------------------------------------------
+
+
+def _profile_outputs(monkeypatch, lanes, pd, n, samples, seed, with_obs1):
+    """Estimates and per-profile arrays of the three profile-path estimators."""
+    monkeypatch.setattr(rng_mod, "usable_cpus", lambda: lanes)
+    arrays = []
+
+    def keep(values, samples, seed):
+        arrays.append(values.copy())
+        return _mc_estimate(values, samples, seed)
+
+    monkeypatch.setattr(benchmark_mod, "_mc_estimate", keep)
+    monkeypatch.setattr(repro_mod, "_mc_estimate", keep)
+    ests = [efftw_bound(pd, n, samples, seed)]
+    if with_obs1:
+        ests.append(obs1_bound(pd, n, samples, seed))
+    if all(isinstance(d, TruncatedEqualRevenue) for d in pd.marginals):
+        ests += er_offregion_items(n, pd.m, samples, seed, pd.marginals[0].p)
+    return [(e.mean, e.stderr) for e in ests], arrays
+
+
+@pytest.mark.parametrize(
+    "specs,n,samples",
+    [
+        # three batches of 125 000 and 50 001 profiles, blocks of 8 192
+        (["er:p=10000"] * 2, 4, 300_001),
+        # three batches of 83 333 and 1 profiles, blocks of 5 461
+        ([IRREGULAR, "exp:1", "uniform:0,1"], 4, 166_667),
+        # BLOCK // (n * m) = 1 024 < MIN_BLOCK_PROFILES: three batches of
+        # 15 625 and 1 profiles, blocks of 4 096
+        (["er:p=10000"] * 4, 16, 31_251),
+        # n * m > BLOCK: each block is a whole batch, four batches of 15, 15,
+        # 15 and 5 profiles; obs1's pass over n bidders would take seconds
+        (["er:p=10000"] * 2, BLOCK // 2 + 1, 50),
+    ],
+    ids=["er2", "irregular", "er4-min-rows", "wide"],
+)
+def test_profile_path_same_bits_for_any_lane_count(monkeypatch, specs, n, samples):
+    pd = ProductDist(tuple(parse_dist(s) for s in specs))
+    seed = 61
+    with_obs1 = n <= 16
+    base = _profile_outputs(monkeypatch, 1, pd, n, samples, seed, with_obs1)
+    for lanes in (2, 3):
+        got = _profile_outputs(monkeypatch, lanes, pd, n, samples, seed, with_obs1)
+        assert got[0] == base[0]
+        assert len(got[1]) == len(base[1])
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], base[1]))
+    # and the unblocked, single-threaded reference kernels agree bit for bit
+    want = [_ref_efftw(pd, n, samples, seed)]
+    if with_obs1:
+        want.append(_ref_obs1(pd, n, samples, seed))
+    if specs[0].startswith("er"):
+        want += _ref_offregion(n, pd.m, samples, seed, 1e4)
+    assert base[0] == [(e.mean, e.stderr) for e in want]
 
 
 def test_obs1_direct_resimulation_oracle():

@@ -93,8 +93,11 @@ def test_benchmark_chain_links(capsys):
         ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "2", "-m", "3"],
         ["revenue", "--mech", "feldman", "-n", "1", "-m", "8"],
         ["revenue", "--mech", "three-tier", "-n", "10000"],
+        # one bidder: VCG revenue is 0 without sampling, but N is still checked
+        ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "1"],
+        ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "1", "-m", "3"],
     ],
-    ids=["benchmark", "vcg", "vcg-m3", "feldman", "three-tier"],
+    ids=["benchmark", "vcg", "vcg-m3", "feldman", "three-tier", "vcg-n1", "vcg-n1-m3"],
 )
 def test_benchmark_without_samples_exit_3(argv, capsys):
     code = main(argv + ["--samples", "0", "--seed", "3"])

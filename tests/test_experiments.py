@@ -303,6 +303,19 @@ def test_dominance_requires_sample_budget():
         dominance_test(s, s, 100)
 
 
+def test_dominance_checks_sampler_b_before_sampler_a_runs():
+    # B's argument check must not wait for a full pass of A
+    calls = []
+
+    def counting_a(rng, b):
+        calls.append(b)
+        return rng.random(b)
+
+    with pytest.raises(ValueError, match="need 2 <= ell <= n"):
+        dominance_test(counting_a, lambda rng, b: sample_xb(3, 1, rng, b), 10_000_000, seed=1)
+    assert calls == []
+
+
 def test_dominance_self_and_shifted():
     uni = lambda rng, b: rng.random(b)
     shifted = lambda rng, b: rng.random(b) ** 0.5  # stochastically larger

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from auctioncomp import revenue
+from auctioncomp.distributions import TruncatedEqualRevenue
 from auctioncomp.repro import (
     CLAIMS,
     appendix_b_revenue,
@@ -17,6 +19,7 @@ from auctioncomp.repro import (
     two_item_sum_tail,
     two_item_sum_tail_mc,
 )
+from auctioncomp.rng import BATCH, batch_sizes, substream
 
 
 def test_er_order_stat_identity():
@@ -82,6 +85,30 @@ def test_two_item_sum_tail_closed_form():
     for q in (1.5, 5.0, 20.0, 100.0):
         mc, se = two_item_sum_tail_mc(q, 400_000, seed=38)
         assert abs(two_item_sum_tail(q) - mc) <= 4 * se + 1e-5
+
+
+def test_two_item_sum_tail_mc_blocks_count_the_one_shot_draw():
+    # reference: each batch of pairs drawn and counted at once
+    q, N, seed = 2.5, BATCH + 70_001, 41  # a partial block in a partial batch
+    dist = TruncatedEqualRevenue(1e6)
+    hits = 0
+    for i, b in enumerate(batch_sizes(N, BATCH)):
+        v = dist.quantile(substream(seed, "sum-tail", i).random((b, 2)))
+        hits += int(np.count_nonzero(v.sum(axis=1) >= 2.0 * q))
+    assert two_item_sum_tail_mc(q, N, seed, p=1e6)[0] == hits / N
+
+
+def test_two_item_sum_tail_mc_memory_bounded_by_blocks():
+    # a batch of 10^6 pairs is counted in 64k-float blocks: 2.6 MB measured;
+    # quantiles of the whole (10^6, 2) draw took 63 MB
+    two_item_sum_tail_mc(3.0, 1_000, seed=0)
+    tracemalloc.start()
+    try:
+        two_item_sum_tail_mc(3.0, 1_000_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * 2**20, peak / 2**20
 
 
 def test_two_item_sum_tail_near_one():

@@ -136,6 +136,14 @@ def test_vcg_single_bidder_is_zero():
     assert est.mean == 0.0 and est.stderr == 0.0
 
 
+def test_shortcut_estimates_still_need_samples():
+    # the n = 1 and all-low answers need no draws, but N < 1 is still an error
+    with pytest.raises(ValueError, match="need N >= 1 samples"):
+        vcg_item_revenue(Uniform(0, 1), 1, 0, seed=0)
+    with pytest.raises(ValueError, match="need N >= 1 samples"):
+        three_tier_mechanism(10_000, 100.0, 1e8, 0, seed=0, profile_override="low")
+
+
 def test_vcg_er_second_highest_mean():
     # second-highest of n equal-revenue draws has mean n (x=2, y=n identity)
     est = vcg_item_revenue(TruncatedEqualRevenue(1e4), 6, 400_000, seed=2)
