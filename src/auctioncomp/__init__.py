@@ -2,9 +2,9 @@
 multi-item auctions with additive bidders.
 
 Core pieces: value distributions with coupled quantiles, Myerson virtual
-values with ironing, seeded revenue estimators (Myerson, VCG, per-item
-Myerson, explicit posted-price mechanisms), the quantile-region revenue
-benchmark with its chain of upper bounds, quantile experiments with an
+values with ironing, revenue estimators (exact Myerson, VCG and per-item
+Myerson; seeded explicit posted-price mechanisms), the exact quantile-region
+revenue benchmark with its chain of upper bounds, quantile experiments with an
 empirical stochastic-dominance tester, and reproduction drivers for the
 lower-bound computations.
 """

@@ -11,28 +11,22 @@ relax it step by step toward a sum of single-item ironed virtual values at
 coupled quantile experiments; each relaxation drops the positive part exactly
 where the underlying inequality does.
 
-All estimators draw complete valuation profiles from one shared per-seed
-stream, so estimates compared at the same seed use common random numbers.
-Batches come from ``rng.map_batches``: a profile batch holds about
-``rng.BATCH`` floats (n * m per profile), and the chain bounds run one
-labelled batch stream per item. Profile batches run on one lane per usable
-CPU and are drawn and reduced in blocks of about ``rng.BLOCK`` floats, each
-block's output written at its profiles' place in one result array, so the
-estimates do not depend on the CPU count. Blocks are item-major, shape
-(m, n, b) (see ``ProductDist.sample_profiles``): regions come from a running
-maximum over the item slabs, and every reduction over bidders is an
-elementwise pass over the n rows of a slab, so no kernel reduces along a
-short strided axis.
+A bidder with quantile u on item j is in R_j with probability u^(m-1),
+whatever the marginals, so each item's scores are i.i.d. across bidders with
+a closed-form CDF: the benchmark and ``obs1_bound`` are exact 1-D integrals
+(``revenue._score_estimate``). The chain bounds are Monte Carlo, one labelled
+``rng.map_batches`` stream per item. ``assign_regions`` is the region rule of
+the Monte Carlo oracles in the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distributions import ProductDist
+from .distributions import ProductDist, SingleDist
 from .experiments import sample_xb, sample_xl
-from .revenue import RevenueEstimate, _mc_estimate, _sum_estimates
-from .rng import BLOCK, map_batches
+from .revenue import RevenueEstimate, _mc_estimate, _score_estimate, _sum_estimates
+from .rng import map_batches, need_samples
 from .virtual import iron
 
 __all__ = [
@@ -42,12 +36,6 @@ __all__ = [
     "xl_chain_bound",
     "xb_chain_bound",
 ]
-
-
-# profiles per block at least: obs1's pass over the bidders runs numpy calls
-# on rows of one value per profile, and on shorter rows the per-call overhead
-# (under the interpreter lock) outweighs the cache gain of a smaller block
-MIN_BLOCK_PROFILES = 4096
 
 
 def assign_regions(quantiles: np.ndarray) -> np.ndarray:
@@ -71,49 +59,37 @@ def assign_regions(quantiles: np.ndarray) -> np.ndarray:
     return region
 
 
-def _map_profiles(
-    pd: ProductDist, n: int, N: int, seed: int, kernel, shape: tuple = ()
-) -> np.ndarray:
-    """Run ``kernel(values, quantiles, region)`` on coupled profile blocks.
+def _region_max_cdf(d: SingleDist, m: int, n: int, psi):
+    """CDF of the largest of n i.i.d. bidder scores on item d of m.
 
-    Profiles are item-major (see ``ProductDist.sample_profiles``) and come
-    from one shared per-seed stream, in batches of about ``BATCH`` floats
-    (n * m per profile) that run on every usable CPU. Each batch is drawn and
-    reduced in blocks of about ``BLOCK`` floats (but at least
-    ``MIN_BLOCK_PROFILES`` profiles), block after block from the batch's
-    generator, so a block's draws and temporaries stay in cache and the
-    cells hold the same uniforms as a one-shot draw of the batch. The
-    kernel returns an array of ``shape`` per profile, with the block's
-    profiles on the last axis; each block's output goes straight into one
-    ``shape + (N,)`` array, which is returned.
+    A bidder with quantile u is in the item's region with probability
+    u^(m-1). Outside it the score (the value) is at most t for quantiles up
+    to F(t); inside it the region term is at most t for quantiles up to
+    psi(t). So one score has CDF G = F - F^m/m + psi^m/m, and the largest G^n.
     """
-    out = np.empty(shape + (max(N, 0),))  # N < 1 is left to the engine's check
-    rows = max(MIN_BLOCK_PROFILES, BLOCK // (n * pd.m))
 
-    def batch(rng, b, start):
-        for lo in range(start, start + b, rows):
-            hi = min(lo + rows, start + b)
-            values, quantiles = pd.sample_profiles(rng, n, hi - lo)
-            out[..., lo:hi] = kernel(values, quantiles, assign_regions(quantiles))
+    def cdf(t):
+        F = d.cdf(t)
+        return (F - F**m / m + psi(t) ** m / m) ** n
 
-    map_batches(seed, "profiles", N, batch, n * pd.m, parallel=True)
-    return out
+    return cdf
+
+
+def _exact_bound(pd: ProductDist, n: int, N: int, seed: int, item_cdf) -> RevenueEstimate:
+    """Sum over items of the exact mean of a score with CDF ``item_cdf(d, imap)``."""
+    need_samples(N)
+    ests = (_score_estimate(d, n, item_cdf(d, iron(d)), N, seed) for d in pd.marginals)
+    return _sum_estimates(ests, N, seed, exact=True)
 
 
 def efftw_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
-    """Monte Carlo estimate of the quantile-region revenue benchmark."""
+    """The quantile-region revenue benchmark, exact; N and the seed are recorded.
+
+    Region terms are phi_bar^+, whose law ``IronedVirtualMap.psi`` gives.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    imaps = [iron(d) for d in pd.marginals]
-
-    def kernel(values, quantiles, region):
-        total = np.zeros(values.shape[2])
-        for j, imap in enumerate(imaps):
-            phi_plus = np.maximum(imap.at_quantile(quantiles[j], values[j]), 0.0)
-            total += np.where(region == j, phi_plus, values[j]).max(axis=0)
-        return total
-
-    return _mc_estimate(_map_profiles(pd, n, N, seed, kernel), N, seed)
+    return _exact_bound(pd, n, N, seed, lambda d, imap: _region_max_cdf(d, pd.m, n, imap.psi))
 
 
 def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
@@ -123,30 +99,25 @@ def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
 
     where v_(1)j, v_(2)j are the two highest values for item j and the top
     bidder is the first bidder holding v_(1)j. Weakly exceeds the benchmark.
+
+    Exact: as phi_bar <= v, the quantity is v_(1) off the region and
+    max(phi_bar^+, v_(2)) in it. Its CDF is F^n + n F^(n-1) (psi^m - F^m)/m
+    for t >= 0 (where psi >= F) and F^n - n F^(n+m-1)/(n+m-1) for t < 0.
     """
     if n < 2:
         raise ValueError("need n >= 2 (uses the second-highest value)")
-    imaps = [iron(d) for d in pd.marginals]
+    m = pd.m
 
-    def kernel(values, quantiles, region):
-        total = np.zeros(values.shape[2])
-        for j, imap in enumerate(imaps):
-            vj, qj = values[j], quantiles[j]
-            # one pass over the bidders: the top value v1 with its bidder's
-            # quantile q1 and region r1, and the second value v2
-            v1, q1, r1 = vj[0].copy(), qj[0].copy(), region[0].copy()
-            v2 = np.full_like(v1, -np.inf)
-            for i in range(1, n):
-                np.maximum(v2, np.minimum(v1, vj[i]), out=v2)
-                top = vj[i] > v1  # strict: a tie keeps the earlier bidder
-                np.copyto(v1, vj[i], where=top)
-                np.copyto(q1, qj[i], where=top)
-                np.copyto(r1, region[i], where=top)
-            phi1 = imap.at_quantile(q1, v1)
-            total += np.maximum(np.maximum(np.where(r1 == j, 0.0, v1), phi1), v2)
-        return total
+    def item_cdf(d, imap):
+        def cdf(t):
+            F = d.cdf(t)
+            in_region = n * F ** (n - 1) * np.maximum(imap.psi(t) ** m - F**m, 0.0) / m
+            off_only = -n * F ** (n + m - 1) / (n + m - 1)
+            return F**n + np.where(t < 0, off_only, in_region)
 
-    return _mc_estimate(_map_profiles(pd, n, N, seed, kernel), N, seed)
+        return cdf
+
+    return _exact_bound(pd, n, N, seed, item_cdf)
 
 
 def _phi_at_experiment(pd: ProductDist, sampler, N: int, seed: int, label: str):

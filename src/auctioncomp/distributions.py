@@ -9,8 +9,9 @@ masses the stored quantile is the raw uniform draw, which always lies in
 Supported kinds: uniform, exponential, equal-revenue truncated at p (CDF
 1 - 1/x on [1, p) with an atom of mass 1/p at p), point mass, and finite
 discrete. Each kind also carries its raw Myerson virtual value
-(``raw_virtual``), in closed form where one exists. Instances are immutable
-and safe to share across threads.
+(``raw_virtual``), in closed form where one exists, and the regular ones its
+CDF (``raw_virtual_cdf``). Instances are immutable and safe to share
+across threads.
 
 ``ProductDist.sample_profiles`` returns valuation profiles item-major, with
 shape (m, n_bidders, n_profiles): each item's (bidder, profile) slab is
@@ -88,6 +89,10 @@ class SingleDist:
             raise ValueError("no density at requested value")
         return v - (1.0 - self.cdf(v)) / f
 
+    def tail_integral(self, t: float) -> float:
+        """Integral of Pr[X > s] over s >= t; unbounded kinds override it."""
+        return 0.0 if t >= self.support_hi else math.inf
+
     @property
     def is_continuous(self) -> bool:
         return False
@@ -145,6 +150,9 @@ class Uniform(SingleDist):
             raise ValueError("value outside support")
         return 2.0 * v - self.hi
 
+    def raw_virtual_cdf(self, t):
+        return self.cdf((t + self.hi) / 2.0)
+
     @property
     def is_continuous(self):
         return True
@@ -179,6 +187,12 @@ class Exponential(SingleDist):
         if np.any(v < 0):
             raise ValueError("value outside support")
         return v - 1.0 / self.rate
+
+    def raw_virtual_cdf(self, t):
+        return self.cdf(t + 1.0 / self.rate)
+
+    def tail_integral(self, t: float) -> float:  # for t >= 0
+        return math.exp(-self.rate * t) / self.rate
 
     @property
     def is_continuous(self):
@@ -231,6 +245,9 @@ class TruncatedEqualRevenue(SingleDist):
             raise ValueError("value outside support")
         # 0 on the continuous part, p at the truncation atom.
         return np.where(v >= self.p, self.p, 0.0)
+
+    def raw_virtual_cdf(self, t):
+        return np.where(t >= self.p, 1.0, np.where(t >= 0, 1.0 - 1.0 / self.p, 0.0))
 
     def quantile_breakpoints(self):
         return np.array([1.0 - 1.0 / self.p])

@@ -1,24 +1,25 @@
 """Revenue estimators: Myerson per item, VCG, and the explicit lower-bound
 mechanisms (sequential posted-bundle and three-tier).
 
-Single-item optimal revenue E[(phi_bar(max))^+] is computed by deterministic
-quadrature against the exact law of the top quantile (CDF u^n) over the
-ironed grid, and is reported with stderr 0. A plain Monte Carlo estimator is
-hopeless here for heavy-tailed cases: the truncated equal-revenue curve puts
-all of its virtual value in an atom of mass 1/p, so at p = 10^4 the naive
-estimator has ~10% relative error at a million samples. VCG (second-highest
-value) and the explicit mechanisms are seeded Monte Carlo.
+Single-item optimal revenue E[(phi_bar(max))^+] and VCG (the second-highest
+value) are exact: the mean of a score with a closed-form CDF, integrated by
+``_score_estimate`` (as are the benchmark and ``obs1_bound``). Monte Carlo is
+hopeless here for heavy tails: at p = 10^4 the truncated equal-revenue curve
+has all of its virtual value in an atom of mass 1/p, so the naive estimator
+has ~10% relative error at a million samples. The explicit mechanisms are
+seeded Monte Carlo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
-from .rng import map_batches, substream
+from .rng import map_batches, need_samples
 from .virtual import IronedVirtualMap, iron
 
 __all__ = [
@@ -40,7 +41,8 @@ _QUAD_CELLS = 1 << 15
 
 @dataclass(frozen=True)
 class RevenueEstimate:
-    """Monte Carlo (or quadrature) revenue with its standard error."""
+    """Revenue with its standard error: Monte Carlo, or an exact integral's
+    midpoint with the bracket's certified half-width."""
 
     mean: float
     stderr: float
@@ -57,13 +59,61 @@ def _mc_estimate(values: np.ndarray, samples: int, seed: int) -> RevenueEstimate
     return RevenueEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
-def _sum_estimates(ests, samples: int, seed: int) -> RevenueEstimate:
-    """Sum of independent estimates, added in order; stderrs combine in quadrature."""
-    mean = var = 0.0
+def _sum_estimates(ests, samples: int, seed: int, exact: bool = False) -> RevenueEstimate:
+    """Sum of estimates, added in order. Independent Monte Carlo stderrs
+    combine in quadrature; the half-widths of ``exact`` brackets add."""
+    mean = err = 0.0
     for est in ests:
         mean += est.mean
-        var += est.stderr**2
-    return RevenueEstimate(mean=mean, stderr=math.sqrt(var), samples=samples, seed=seed)
+        err += est.stderr if exact else est.stderr**2
+    err = err if exact else math.sqrt(err)
+    return RevenueEstimate(mean=mean, stderr=err, samples=samples, seed=seed)
+
+
+@functools.lru_cache(maxsize=8)
+def _score_points(d: SingleDist, n: int) -> np.ndarray:
+    """Sorted, read-only grid from min(0, support_lo) to the top of the support
+    (Q(1 - 2^-53) if unbounded): the support edges, 0, the atoms, the ironed
+    step levels, Q on a ``_QUAD_CELLS``-cell quantile grid and on its n-th root
+    (where the top of n lives), and a geometric grid. Memoized per (d, n); the
+    bracket holds on any grid, the points only narrow it.
+    """
+    lo, hi = d.support_lo, d.support_hi
+    levels = iron(d).steps[1]
+    top = hi if math.isfinite(hi) else float(d.quantile(np.nextafter(1.0, 0.0)))
+    top = max(top, float(levels[-1]))  # a hull slope may pass v by rounding
+    bps = d.quantile_breakpoints()
+    cells = np.linspace(0.0, 1.0, _QUAD_CELLS + 1)
+    t = np.concatenate([
+        [min(0.0, lo), 0.0, top],
+        levels,
+        d.quantile(np.concatenate([bps, np.nextafter(bps, 1.0)])),
+        d.quantile(cells),
+        d.quantile(cells ** (1.0 / n)),
+        lo + (top - lo) * np.geomspace(2.0**-20, 1.0, _QUAD_CELLS // 4),
+    ])
+    t = np.sort(t[(t >= min(0.0, lo)) & (t <= top)])  # drops Q(1) = inf; repeats add 0
+    t.flags.writeable = False
+    return t
+
+
+def _score_estimate(d: SingleDist, n: int, cdf, samples: int, seed: int) -> RevenueEstimate:
+    """E[S] = L + integral over t >= L of 1 - H(t), for a score S >= L =
+    min(0, support_lo) of item d with CDF H = ``cdf``.
+
+    Bracketed by rectangles on ``_score_points``: on each cell [t_k, t_k+1)
+    the nondecreasing H lies between H(t_k) and its left limit at t_k+1, read
+    at the next float below. Past the last point T every score here has
+    1 - H <= n (1 - F), which adds n * d.tail_integral(T) to the upper end.
+    Returns the bracket's midpoint, with its half-width as the stderr.
+    """
+    t = _score_points(d, n)
+    dt = np.diff(t)
+    # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
+    upper = float(t[0] + np.sum(dt * (1.0 - cdf(t[:-1])))) + n * d.tail_integral(t[-1])
+    lower = float(t[0] + np.sum(dt * (1.0 - cdf(np.nextafter(t[1:], -np.inf)))))
+    mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
+    return RevenueEstimate(mean=mean, stderr=half_width, samples=samples, seed=seed)
 
 
 def myerson_item_revenue(
@@ -71,54 +121,41 @@ def myerson_item_revenue(
 ) -> RevenueEstimate:
     """Optimal single-item revenue with n i.i.d. bidders, E[(phi_bar(max))^+].
 
-    Integrates the ironed virtual value against the exact distribution of the
-    highest quantile (CDF u^n); deterministic, so stderr is 0 and the N
-    argument is recorded but unused.
+    The top quantile has CDF u^n, so phi_bar(max)^+ has CDF psi(t)^n
+    (``IronedVirtualMap.psi``). N is recorded but unused.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     imap = imap if imap is not None else iron(d)
-    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, _QUAD_CELLS + 1), imap.grid]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    weights = np.diff(grid**n)
-    phi = np.maximum(imap.at_quantile(mids), 0.0)
-    mean = float(np.sum(phi * weights))
-    return RevenueEstimate(mean=mean, stderr=0.0, samples=N, seed=seed)
-
-
-def _second_highest_quantiles(rng: np.random.Generator, n: int, size: int):
-    """(top, second) quantiles of n i.i.d. uniforms via the ratio recursion."""
-    u1 = rng.random(size) ** (1.0 / n)
-    u2 = u1 * rng.random(size) ** (1.0 / (n - 1))
-    return u1, u2
+    return _score_estimate(d, n, lambda t: imap.psi(t) ** n, N, seed)
 
 
 def vcg_item_revenue(d: SingleDist, n: int, N: int, seed: int) -> RevenueEstimate:
-    """Second-price (no reserve) revenue on one item: E[second-highest of n]."""
+    """Second-price (no reserve) revenue on one item: E[second-highest of n],
+    whose CDF is F^n + n F^(n-1) (1 - F)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if N < 1:  # before the n = 1 shortcut, which never reaches the engine's check
-        raise ValueError("need N >= 1 samples")
+    need_samples(N)
     if n == 1:
         return RevenueEstimate(mean=0.0, stderr=0.0, samples=N, seed=seed)
-    chunks = map_batches(
-        seed, "vcg-item", N, lambda rng, b: d.quantile(_second_highest_quantiles(rng, n, b)[1])
-    )
-    return _mc_estimate(np.concatenate(chunks), N, seed)
+
+    def cdf(t):
+        F = d.cdf(t)
+        return F**n + n * F ** (n - 1) * (1.0 - F)
+
+    return _score_estimate(d, n, cdf, N, seed)
 
 
 def srev(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
     """Myerson run separately per item: sum of single-item optimal revenues."""
-    return _sum_estimates((myerson_item_revenue(d, n, N, seed) for d in pd.marginals), N, seed)
+    ests = (myerson_item_revenue(d, n, N, seed) for d in pd.marginals)
+    return _sum_estimates(ests, N, seed, exact=True)
 
 
 def vcg(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
-    """Second-price auction per item; per-item stderrs combine in quadrature."""
-    ests = (
-        vcg_item_revenue(d, n, N, substream(seed, "vcg", j).integers(2**63))
-        for j, d in enumerate(pd.marginals)
-    )
-    return _sum_estimates(ests, N, seed)
+    """Second-price auction per item, summed over the items."""
+    ests = (vcg_item_revenue(d, n, N, seed) for d in pd.marginals)
+    return _sum_estimates(ests, N, seed, exact=True)
 
 
 def bulow_klemperer_check(d: SingleDist, n: int, N: int, seed: int):

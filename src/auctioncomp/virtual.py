@@ -9,7 +9,8 @@ truncated equal-revenue) evaluate their exact raw virtual value
 (``SingleDist.raw_virtual``) instead; the grid is still built to drive the
 regularity check. The grid path looks up the step function ``phi_bar``
 through its change points only: hull vertices are grid points, so ``phi_bar``
-takes few distinct levels (three for a four-point discrete item).
+takes few distinct levels (three for a four-point discrete item), and
+``psi`` inverts it for the exact revenue and benchmark integrals.
 
 Finite discrete supports include their cumulative-probability breakpoints in
 the grid, so the hull construction there is exact, not approximate.
@@ -89,6 +90,22 @@ class IronedVirtualMap:
             return d.raw_virtual(d.quantile(u) if values is None else values)
         knots, levels = self.steps
         return levels[np.searchsorted(knots, u, side="right")]
+
+    def psi(self, t):
+        """sup{u : phi_bar(u)^+ <= t}, the CDF of phi_bar(U)^+ for uniform U.
+
+        Mirrors ``at_quantile``: the exact path inverts the raw virtual value
+        (``SingleDist.raw_virtual_cdf``), the grid path reads the step form.
+        """
+        t = np.asarray(t, dtype=float)
+        d = self.dist
+        if self.regular and not d.purely_atomic:
+            u = d.raw_virtual_cdf(t)
+        else:
+            knots, levels = self.steps
+            edges = np.concatenate([[0.0], knots, [1.0]])
+            u = edges[np.searchsorted(levels, t, side="right")]
+        return np.where(t < 0, 0.0, u)
 
     def at_value(self, v):
         return self.at_quantile(self.dist.cdf(v))

@@ -1,12 +1,12 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from auctioncomp import benchmark as benchmark_mod
-from auctioncomp import repro as repro_mod
-from auctioncomp import rng as rng_mod
 from auctioncomp.benchmark import (
     assign_regions,
     efftw_bound,
@@ -22,8 +22,8 @@ from auctioncomp.distributions import (
     parse_dist,
 )
 from auctioncomp.repro import er_offregion_items
-from auctioncomp.revenue import _mc_estimate, myerson_item_revenue, srev
-from auctioncomp.rng import BATCH, BLOCK, batch_sizes, substream
+from auctioncomp.revenue import _mc_estimate, _sum_estimates, myerson_item_revenue, srev
+from auctioncomp.rng import BATCH, batch_sizes, substream
 from auctioncomp.virtual import iron
 
 N = 100_000
@@ -31,9 +31,11 @@ IRREGULAR = "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"
 
 
 # ---------------------------------------------------------------------------
-# Reference kernels: profile-major (b, n, m) batches reduced with argmax,
-# partition and gathers, and the full-grid ironed lookup. The package's
-# item-major kernels must reproduce them bit for bit.
+# Monte Carlo oracles: profile-major (b, n, m) batches reduced with argmax,
+# partition and gathers, and the full-grid ironed lookup. The package's exact
+# efftw_bound, obs1_bound and er_offregion_items must agree with them within
+# 4 sigma; the item-major profile draw and region rule left in the package
+# must reproduce their batches bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -54,63 +56,121 @@ def _ref_at_quantile(imap, u):
     return imap.phi_bar[cell]
 
 
-def _ref_efftw(pd, n, N, seed):
+def _ref_efftw(imaps, values, quantiles, region):
+    total = np.zeros(values.shape[0])
+    for j, imap in enumerate(imaps):
+        phi_plus = np.maximum(_ref_at_quantile(imap, quantiles[:, :, j]), 0.0)
+        total += np.where(region == j, phi_plus, values[:, :, j]).max(axis=1)
+    return total
+
+
+def _ref_obs1(imaps, values, quantiles, region):
+    n = values.shape[1]
+    rows = np.arange(values.shape[0])
+    total = np.zeros(values.shape[0])
+    for j, imap in enumerate(imaps):
+        vj = values[:, :, j]
+        i1 = np.argmax(vj, axis=1)
+        v1 = vj[rows, i1]
+        v2 = np.partition(vj, n - 2, axis=1)[:, n - 2]
+        off_region = region[rows, i1] != j
+        phi1 = _ref_at_quantile(imap, quantiles[rows, i1, j])
+        total += np.maximum(np.maximum(np.where(off_region, v1, 0.0), phi1), v2)
+    return total
+
+
+def _ref_offregion(imaps, values, quantiles, region):
+    # summed over the items
+    return sum(np.where(region != j, values[:, :, j], 0.0).max(axis=1) for j in range(len(imaps)))
+
+
+def _ref_estimates(pd, n, N, seed, kernels):
+    """Monte Carlo estimates of each kernel's mean, all on one profile stream."""
     imaps = [iron(d) for d in pd.marginals]
-    totals = []
-    for values, quantiles, region in _ref_batches(pd, n, N, seed):
-        total = np.zeros(values.shape[0])
-        for j, imap in enumerate(imaps):
-            phi_plus = np.maximum(_ref_at_quantile(imap, quantiles[:, :, j]), 0.0)
-            total += np.where(region == j, phi_plus, values[:, :, j]).max(axis=1)
-        totals.append(total)
-    return _mc_estimate(np.concatenate(totals), N, seed)
-
-
-def _ref_obs1(pd, n, N, seed):
-    imaps = [iron(d) for d in pd.marginals]
-    totals = []
-    for values, quantiles, region in _ref_batches(pd, n, N, seed):
-        rows = np.arange(values.shape[0])
-        total = np.zeros(values.shape[0])
-        for j, imap in enumerate(imaps):
-            vj = values[:, :, j]
-            i1 = np.argmax(vj, axis=1)
-            v1 = vj[rows, i1]
-            v2 = np.partition(vj, n - 2, axis=1)[:, n - 2]
-            off_region = region[rows, i1] != j
-            phi1 = _ref_at_quantile(imap, quantiles[rows, i1, j])
-            total += np.maximum(np.maximum(np.where(off_region, v1, 0.0), phi1), v2)
-        totals.append(total)
-    return _mc_estimate(np.concatenate(totals), N, seed)
-
-
-def _ref_offregion(n, m, N, seed, p):
-    pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
-    chunks = [[] for _ in range(m)]
-    for values, _, region in _ref_batches(pd, n, N, seed):
-        for j in range(m):
-            chunks[j].append(np.where(region != j, values[:, :, j], 0.0).max(axis=1))
-    return [_mc_estimate(np.concatenate(c), N, seed) for c in chunks]
+    chunks = {key: [] for key in kernels}
+    for batch in _ref_batches(pd, n, N, seed):
+        for key, kernel in kernels.items():
+            chunks[key].append(kernel(imaps, *batch))
+    return {key: _mc_estimate(np.concatenate(c), N, seed) for key, c in chunks.items()}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 4, 16])
 @pytest.mark.parametrize("kind", ["er", "irregular"])
 def test_profile_kernels_match_reference_bit_for_bit(kind, n, m):
+    # the profile kernels left in the package, ProductDist.sample_profiles,
+    # assign_regions and the step-form ironed lookup, against the reference
     specs = ["er:p=10000"] * m if kind == "er" else [IRREGULAR, "exp:1", "uniform:0,1", "er:p=100"][:m]
     pd = ProductDist(tuple(parse_dist(s) for s in specs))
     samples = 20_001  # two batches at n=16, m=4, the last one partial
     seed = 50 + 7 * n + m
+    imaps = [iron(d) for d in pd.marginals]
+    for bi, (v_ref, q_ref, r_ref) in enumerate(_ref_batches(pd, n, samples, seed)):
+        values, quantiles = pd.sample_profiles(substream(seed, "profiles", bi), n, len(v_ref))
+        assert np.array_equal(values, v_ref.transpose(2, 1, 0))
+        assert np.array_equal(quantiles, q_ref.transpose(2, 1, 0))
+        assert np.array_equal(assign_regions(quantiles), r_ref.T)
+        for j, imap in enumerate(imaps):
+            got = imap.at_quantile(quantiles[j], values[j])
+            assert np.array_equal(got, _ref_at_quantile(imap, q_ref[:, :, j]).T)
 
-    def same(a, b):
-        return (a.mean, a.stderr) == (b.mean, b.stderr)
 
-    assert same(efftw_bound(pd, n, samples, seed), _ref_efftw(pd, n, samples, seed))
-    if n >= 2:
-        assert same(obs1_bound(pd, n, samples, seed), _ref_obs1(pd, n, samples, seed))
-    if kind == "er":
-        got = er_offregion_items(n, m, samples, seed, 1e4)
-        assert all(same(a, b) for a, b in zip(got, _ref_offregion(n, m, samples, seed, 1e4)))
+# (specs, n): ER^2, ER^4 with many bidders, the irregular product (ironed
+# grid path, atoms, an unbounded item) and a support below 0
+ORACLE_CASES = {
+    "er2": (["er:p=10000"] * 2, 4),
+    "er4-n16": (["er:p=10000"] * 4, 16),
+    "irregular": ([IRREGULAR, "exp:1", "uniform:0,1"], 4),
+    "negative": (["uniform:-1,1"] * 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_exact_bounds_agree_with_monte_carlo_oracles(case):
+    specs, n = ORACLE_CASES[case]
+    pd = ProductDist(tuple(parse_dist(s) for s in specs))
+    samples, seed = 1_000_000, 70 + len(case)
+    kernels = {"efftw": _ref_efftw, "obs1": _ref_obs1}
+    got = {"efftw": efftw_bound(pd, n, samples, seed), "obs1": obs1_bound(pd, n, samples, seed)}
+    if case.startswith("er"):
+        kernels["off"] = _ref_offregion
+        off = er_offregion_items(n, pd.m, samples, seed, 1e4)
+        got["off"] = _sum_estimates(off, samples, seed, exact=True)
+    ref = _ref_estimates(pd, n, samples, seed, kernels)
+    for key, est in got.items():
+        assert est.samples == samples and est.seed == seed
+        assert est.stderr < 1e-4 * abs(est.mean)  # the certified half-width
+        z = (est.mean - ref[key].mean) / ref[key].stderr
+        assert abs(z) <= 4, (key, est.mean, ref[key].mean, ref[key].stderr)
+
+
+def test_exact_estimates_same_bits_for_any_blas_thread_count():
+    # a BLAS dot sums in an order that follows its thread count, which would
+    # make the artifact depend on the CPU count
+    code = (
+        "from auctioncomp import *; pd = ProductDist((TruncatedEqualRevenue(1e4),) * 4); "
+        "print(repr(efftw_bound(pd, 16, 1, 0)), repr(vcg(pd, 25, 1, 0)))"
+    )
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "4")
+    ]
+    assert outs[0] == outs[1] and "RevenueEstimate" in outs[0]
+
+
+def test_obs1_region_quantile_dominates_value_quantile():
+    # phi_bar <= v, so psi(t) >= F(t) for t >= 0: obs1's CDF drops no
+    # min(psi, F) term there
+    t = np.concatenate([np.linspace(-2.0, 25.0, 2701), np.geomspace(1.0, 1e4, 2000)])
+    for spec in [IRREGULAR, "exp:1", "uniform:0,1", "uniform:-1,1", "er:p=10000", "point:5",
+                 "discrete:v=1,1.2,10;p=0.5,0.4,0.1"]:
+        d = parse_dist(spec)
+        psi, F = iron(d).psi(t), d.cdf(t)
+        assert np.all(psi[t >= 0] >= F[t >= 0]), spec
+        assert np.all(psi[t < 0] == 0.0)
 
 
 def test_assign_regions_basics():
@@ -194,80 +254,19 @@ def test_chain_bounds_need_samples():
         xb_chain_bound(pd, 2, 2, 0, seed=0)
 
 
-def test_efftw_peak_memory_bounded_by_one_batch(monkeypatch):
-    # two batches on two lanes, each holding one 64k-float block's draw, its
-    # item-major copy, the values and item-slab temporaries, plus the
-    # per-profile totals (8 bytes per profile, 1.6 MB): 7.1 MB measured.
-    # Whole 1M-float batches took 31.5 MB, profile-major kernels ~44 MB.
-    monkeypatch.setattr(rng_mod, "usable_cpus", lambda: 2)
+def test_efftw_peak_memory_independent_of_N():
+    # exact: a grid of ~10^5 points per item, whatever N (N = 10^12 profiles
+    # would be 64 TB as Monte Carlo draws)
     pd = ProductDist((TruncatedEqualRevenue(1e4), TruncatedEqualRevenue(1e4)))
     efftw_bound(pd, 4, 1000, seed=0)  # iron outside the measurement
     tracemalloc.start()
     try:
-        efftw_bound(pd, 4, 200_000, seed=0)
+        est = efftw_bound(pd, 4, 10**12, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8.2 * 2**20, peak / 2**20
-
-
-# ---------------------------------------------------------------------------
-# Blocks and lanes: the profile path gives the same bits for any lane count
-# ---------------------------------------------------------------------------
-
-
-def _profile_outputs(monkeypatch, lanes, pd, n, samples, seed, with_obs1):
-    """Estimates and per-profile arrays of the three profile-path estimators."""
-    monkeypatch.setattr(rng_mod, "usable_cpus", lambda: lanes)
-    arrays = []
-
-    def keep(values, samples, seed):
-        arrays.append(values.copy())
-        return _mc_estimate(values, samples, seed)
-
-    monkeypatch.setattr(benchmark_mod, "_mc_estimate", keep)
-    monkeypatch.setattr(repro_mod, "_mc_estimate", keep)
-    ests = [efftw_bound(pd, n, samples, seed)]
-    if with_obs1:
-        ests.append(obs1_bound(pd, n, samples, seed))
-    if all(isinstance(d, TruncatedEqualRevenue) for d in pd.marginals):
-        ests += er_offregion_items(n, pd.m, samples, seed, pd.marginals[0].p)
-    return [(e.mean, e.stderr) for e in ests], arrays
-
-
-@pytest.mark.parametrize(
-    "specs,n,samples",
-    [
-        # three batches of 125 000 and 50 001 profiles, blocks of 8 192
-        (["er:p=10000"] * 2, 4, 300_001),
-        # three batches of 83 333 and 1 profiles, blocks of 5 461
-        ([IRREGULAR, "exp:1", "uniform:0,1"], 4, 166_667),
-        # BLOCK // (n * m) = 1 024 < MIN_BLOCK_PROFILES: three batches of
-        # 15 625 and 1 profiles, blocks of 4 096
-        (["er:p=10000"] * 4, 16, 31_251),
-        # n * m > BLOCK: each block is a whole batch, four batches of 15, 15,
-        # 15 and 5 profiles; obs1's pass over n bidders would take seconds
-        (["er:p=10000"] * 2, BLOCK // 2 + 1, 50),
-    ],
-    ids=["er2", "irregular", "er4-min-rows", "wide"],
-)
-def test_profile_path_same_bits_for_any_lane_count(monkeypatch, specs, n, samples):
-    pd = ProductDist(tuple(parse_dist(s) for s in specs))
-    seed = 61
-    with_obs1 = n <= 16
-    base = _profile_outputs(monkeypatch, 1, pd, n, samples, seed, with_obs1)
-    for lanes in (2, 3):
-        got = _profile_outputs(monkeypatch, lanes, pd, n, samples, seed, with_obs1)
-        assert got[0] == base[0]
-        assert len(got[1]) == len(base[1])
-        assert all(np.array_equal(a, b) for a, b in zip(got[1], base[1]))
-    # and the unblocked, single-threaded reference kernels agree bit for bit
-    want = [_ref_efftw(pd, n, samples, seed)]
-    if with_obs1:
-        want.append(_ref_obs1(pd, n, samples, seed))
-    if specs[0].startswith("er"):
-        want += _ref_offregion(n, pd.m, samples, seed, 1e4)
-    assert base[0] == [(e.mean, e.stderr) for e in want]
+    assert est.samples == 10**12
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_obs1_direct_resimulation_oracle():

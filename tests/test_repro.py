@@ -44,15 +44,22 @@ def test_er_order_stat_heavy_tail_flagged():
 
 
 def test_benchmark_decomposition_gap_shrinks_with_p():
-    # the benchmark's atom contribution gets rarer and larger as p grows, so
-    # N scales with p to keep the gap estimate's noise below the trend
-    gaps = []
-    for p, N in [(1e2, 400_000), (1e3, 2_000_000), (1e4, 10_000_000)]:
-        _, _, gap = er_benchmark_decomposition(4, 2, N, seed=34, p=p)
-        gaps.append(gap)
-    assert gaps[1] <= gaps[0] + 0.02 and gaps[2] <= gaps[1] + 0.02
-    assert gaps[0] > gaps[-1]
-    assert gaps[-1] <= 0.05
+    # exact: the benchmark falls short of nm + off-region by 2.54/p relative
+    # (2.569, 2.545, 2.543 and 2.543 times 1/p at p = 1e2 .. 1e5)
+    for p in (1e3, 1e4):
+        bench, approx, gap = er_benchmark_decomposition(4, 2, 1_000_000, seed=34, p=p)
+        signed = (bench.mean - approx.mean) / bench.mean
+        assert 2.5 <= -signed * p <= 2.6, (p, signed * p)
+        assert gap == abs(signed)
+        assert bench.stderr + approx.stderr < 0.2 * abs(bench.mean - approx.mean)
+
+
+def test_decomposition_claim_tolerance_fits_the_effect():
+    # 3 bench/p plus the half-widths: the claim fails once the gap grows
+    # by a third
+    res = run_claim("er-benchmark-decomposition", seed=42)
+    assert res.passed
+    assert 0.5 <= abs(res.computed - res.target) / res.tolerance <= 0.8
 
 
 def test_decomposition_single_item_degenerates():
@@ -72,11 +79,14 @@ def test_offregion_items_positive_and_symmetric():
 
 
 def test_bign_tightness_pass_and_fail_branches():
-    ok = bign_tightness(16, 4, 8, 100_000, seed=37)
+    # the exact benchmark on ER(1e4)^4 at n = 16 is 97.49, so the implied
+    # c* is 8.37: m(n + 9) = 100 covers it, m(n + 8) = 96 does not
+    ok = bign_tightness(16, 4, 9, 100_000, seed=37)
     assert ok.passed
-    assert ok.details["implied_min_c"] > 0
-    low_c = bign_tightness(16, 4, 0, 100_000, seed=37)
-    assert not low_c.passed  # m*(n+0) < benchmark: direction check exercised
+    assert ok.details["implied_min_c"] == pytest.approx(8.37, abs=0.01)
+    assert ok.details["implied_min_c_over_sqrt_nm"] == pytest.approx(8.37 / 8, abs=0.01)
+    low_c = bign_tightness(16, 4, 8, 100_000, seed=37)
+    assert not low_c.passed  # m*(n+8) < benchmark: direction check exercised
 
 
 def test_two_item_sum_tail_closed_form():

@@ -91,7 +91,16 @@ def test_myerson_uniform_matches_posted_price_oracle():
     assert oracle == pytest.approx(0.25, abs=1e-6)
     est = myerson_item_revenue(Uniform(0, 1), 1)
     assert est.mean == pytest.approx(oracle, abs=1e-4)
-    assert est.stderr == 0.0
+    assert abs(est.mean - 0.25) <= est.stderr <= 1e-5
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+def test_myerson_exponential_within_its_half_width(rate):
+    # exact value e^-1 / rate: the posted price 1/rate sells with probability
+    # e^-1; the integral reaches the log-singular top of the quantile range
+    est = myerson_item_revenue(Exponential(rate), 1)
+    assert abs(est.mean - math.exp(-1.0) / rate) <= est.stderr
+    assert est.stderr <= 1e-4 / rate
 
 
 def test_myerson_exponential_single_bidder():

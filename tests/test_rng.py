@@ -1,12 +1,6 @@
-import os
-import sys
-import threading
-import time
-
 import numpy as np
 import pytest
 
-from auctioncomp import rng as rng_mod
 from auctioncomp.rng import BATCH, batch_sizes, map_batches, substream
 
 
@@ -43,90 +37,3 @@ def test_map_batches_needs_samples(N):
     with pytest.raises(ValueError, match="need N >= 1 samples"):
         map_batches(0, "x", N, lambda rng, b: calls.append(b))
     assert calls == []
-
-
-# ---------------------------------------------------------------------------
-# Lanes: map_batches(..., parallel=True)
-# ---------------------------------------------------------------------------
-
-
-def _placed(rng, b, start):
-    return start, rng.random(b)
-
-
-@pytest.mark.parametrize("lanes", [1, 2, 3, 5])
-def test_parallel_results_match_serial_in_batch_order(monkeypatch, lanes):
-    monkeypatch.setattr(rng_mod, "usable_cpus", lambda: lanes)
-    N = 3 * (BATCH // 4) + 11  # four batches, the last one partial
-    got = map_batches(8, "lanes", N, _placed, width=4, parallel=True)
-    want = map_batches(8, "lanes", N, _draw, width=4)
-    assert [s for s, _ in got] == [0, BATCH // 4, 2 * (BATCH // 4), 3 * (BATCH // 4)]
-    assert len(got) == len(want) == 4
-    assert all(np.array_equal(g, w) for (_, g), w in zip(got, want))
-
-
-def test_parallel_lanes_stop_at_the_number_of_batches(monkeypatch):
-    monkeypatch.setattr(rng_mod, "usable_cpus", lambda: 64)
-    before = threading.active_count()
-    seen = set()
-    map_batches(0, "few", 2, lambda rng, b, start: seen.add(threading.get_ident()),
-                width=BATCH, parallel=True)
-    assert len(seen) == 2 and threading.get_ident() in seen  # lane 0 is the caller
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("lanes", [2, 3])
-def test_parallel_helper_lane_error_reaches_caller(monkeypatch, lanes):
-    monkeypatch.setattr(rng_mod, "usable_cpus", lambda: lanes)
-    before = threading.active_count()
-    ran = []
-
-    def kernel(rng, b, start):  # one-sample batches, so start is the batch index
-        ran.append(start)
-        if start == 1:  # batch 1 runs on helper lane 1
-            raise ZeroDivisionError("batch one failed")
-        if start == 0:  # lane 0 goes on only once every helper lane has ended
-            deadline = time.monotonic() + 30
-            while threading.active_count() > before and time.monotonic() < deadline:
-                time.sleep(0.001)
-        return b
-
-    with pytest.raises(ZeroDivisionError, match="^batch one failed$"):
-        map_batches(0, "err", 40, kernel, width=BATCH, parallel=True)
-    assert threading.active_count() == before
-    assert lanes not in ran  # lane 0 stopped before its second batch
-
-
-def test_parallel_stress_more_lanes_than_cores(monkeypatch):
-    # every sample is written exactly once, in its place, whatever the thread
-    # switching; the call runs in a thread so that a hang fails, not blocks
-    lanes = 2 * rng_mod.usable_cpus() + 3
-    monkeypatch.setattr(rng_mod, "usable_cpus", lambda: lanes)
-    N = 5_003
-    out = np.zeros(N, dtype=np.int64)
-
-    def kernel(rng, b, start):
-        for k in range(start, start + b):
-            out[k] += 1
-        return b
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        result = []
-
-        def call():
-            result.append(map_batches(1, "stress", N, kernel, width=BATCH // 7, parallel=True))
-
-        caller = threading.Thread(target=call)
-        caller.start()
-        caller.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not caller.is_alive()
-    assert sum(result[0]) == N and np.all(out == 1)
-
-
-def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert rng_mod.usable_cpus() == (os.cpu_count() or 1)
