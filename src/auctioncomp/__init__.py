@@ -1,7 +1,7 @@
 """Simulation and verification toolkit for the competition complexity of
 multi-item auctions with additive bidders.
 
-Core pieces: value distributions with coupled quantiles, Myerson virtual
+Core pieces: value distributions with exact quantiles, Myerson virtual
 values with ironing, revenue estimators (exact Myerson, VCG and per-item
 Myerson; seeded explicit posted-price mechanisms), the exact quantile-region
 revenue benchmark with its chain of upper bounds, quantile experiments with an
@@ -19,7 +19,7 @@ from .distributions import (
     Uniform,
     parse_dist,
 )
-from .virtual import IronedVirtualMap, fact1_check, iron, raw_virtual
+from .virtual import IronedVirtualMap, fact1_check, iron
 from .revenue import (
     RevenueEstimate,
     bulow_klemperer_check,

@@ -1,10 +1,9 @@
-"""Single-variate value distributions and value/quantile coupling.
+"""Single-variate value distributions.
 
-Each distribution exposes an exact CDF, the generalized inverse CDF
-(``quantile``), a density where one exists, and seeded coupled sampling that
-returns both a value and the uniform quantile that produced it. At point
-masses the stored quantile is the raw uniform draw, which always lies in
-``[Pr[X < x], Pr[X <= x]]``; over repeated draws it is uniform on [0, 1].
+Each distribution exposes an exact CDF and the generalized inverse CDF
+(``quantile``). A value drawn as ``quantile(U)`` for a uniform U is coupled
+with its quantile U: at point masses U lies in ``[Pr[X < x], Pr[X <= x]]``,
+so quantiles are randomized at atoms and stay uniform on [0, 1].
 
 Supported kinds: uniform, exponential, equal-revenue truncated at p (CDF
 1 - 1/x on [1, p) with an atom of mass 1/p at p), point mass, and finite
@@ -33,19 +32,10 @@ __all__ = [
     "PointMass",
     "FiniteDiscrete",
     "ProductDist",
-    "QuantileDraw",
     "parse_dist",
 ]
 
 _PROB_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QuantileDraw:
-    """A coupled (value, quantile) pair from a single distribution."""
-
-    value: float
-    quantile: float
 
 
 class SingleDist:
@@ -72,30 +62,17 @@ class SingleDist:
     def _quantile(self, q):
         raise NotImplementedError
 
-    def pdf(self, x):
-        raise NotImplementedError
-
     def raw_virtual(self, v):
         """Raw virtual value v - (1 - F(v)) / f(v), elementwise.
 
-        Defined where the distribution has a density; subclasses with a
-        closed form override it. Atoms of purely atomic distributions are
-        rejected.
+        Every kind with a density overrides it in closed form; the atoms of
+        purely atomic distributions have none.
         """
-        if self.purely_atomic:
-            raise ValueError("raw virtual value undefined at atoms of discrete distributions")
-        f = self.pdf(v)
-        if np.any(f <= 0):
-            raise ValueError("no density at requested value")
-        return v - (1.0 - self.cdf(v)) / f
+        raise ValueError("raw virtual value undefined at atoms of discrete distributions")
 
     def tail_integral(self, t: float) -> float:
         """Integral of Pr[X > s] over s >= t; unbounded kinds override it."""
         return 0.0 if t >= self.support_hi else math.inf
-
-    @property
-    def is_continuous(self) -> bool:
-        return False
 
     @property
     def purely_atomic(self) -> bool:
@@ -105,15 +82,6 @@ class SingleDist:
     def quantile_breakpoints(self):
         """Quantile-space knots (atoms, kinks) the ironing grid must include."""
         return np.array([])
-
-    def sample_coupled(self, rng: np.random.Generator) -> QuantileDraw:
-        q = float(rng.random())
-        return QuantileDraw(value=float(self._quantile(np.asarray(q))), quantile=q)
-
-    def sample_coupled_many(self, rng: np.random.Generator, size: int):
-        """Vectorized coupled sampling; returns (values, quantiles)."""
-        q = rng.random(size)
-        return self._quantile(q), q
 
     def spec(self) -> str:
         raise NotImplementedError
@@ -140,11 +108,6 @@ class Uniform(SingleDist):
     def _quantile(self, q):
         return self.lo + q * (self.hi - self.lo)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-
     def raw_virtual(self, v):
         if np.any(v < self.lo) or np.any(v > self.hi):
             raise ValueError("value outside support")
@@ -152,10 +115,6 @@ class Uniform(SingleDist):
 
     def raw_virtual_cdf(self, t):
         return self.cdf((t + self.hi) / 2.0)
-
-    @property
-    def is_continuous(self):
-        return True
 
     def spec(self):
         return f"uniform:{_fmt(self.lo)},{_fmt(self.hi)}"
@@ -179,10 +138,6 @@ class Exponential(SingleDist):
         with np.errstate(divide="ignore"):
             return -np.log1p(-q) / self.rate
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0)))
-
     def raw_virtual(self, v):
         if np.any(v < 0):
             raise ValueError("value outside support")
@@ -193,10 +148,6 @@ class Exponential(SingleDist):
 
     def tail_integral(self, t: float) -> float:  # for t >= 0
         return math.exp(-self.rate * t) / self.rate
-
-    @property
-    def is_continuous(self):
-        return True
 
     def spec(self):
         return f"exp:{_fmt(self.rate)}"
@@ -214,10 +165,6 @@ class TruncatedEqualRevenue(SingleDist):
         object.__setattr__(self, "support_lo", 1.0)
         object.__setattr__(self, "support_hi", self.p)
 
-    @property
-    def atom_mass(self) -> float:
-        return 1.0 / self.p
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.where(x < 1, 0.0, 1.0 - 1.0 / np.maximum(x, 1.0))
@@ -233,12 +180,6 @@ class TruncatedEqualRevenue(SingleDist):
         with np.errstate(divide="ignore"):
             body = 1.0 / (1.0 - np.minimum(q, cutoff))
         return np.where(q > cutoff, self.p, np.minimum(body, self.p))
-
-    def pdf(self, x):
-        # Continuous part only; the atom at p carries extra mass 1/p.
-        x = np.asarray(x, dtype=float)
-        inside = (x >= 1) & (x < self.p)
-        return np.where(inside, 1.0 / np.maximum(x, 1.0) ** 2, 0.0)
 
     def raw_virtual(self, v):
         if np.any(v < 1) or np.any(v > self.p):
@@ -365,9 +306,6 @@ class ProductDist:
         for j, d in enumerate(self.marginals):
             v[j] = d.quantile(q[j])
         return v, q
-
-    def spec(self):
-        return "x".join(d.spec() for d in self.marginals)
 
 
 def _fmt(x) -> str:

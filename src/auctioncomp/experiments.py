@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import map_batches
+from .rng import hit_rate, map_batches
 
 __all__ = [
     "DominanceReport",
@@ -185,13 +185,7 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
         chosen, has = _pick_exceeder(rng.random((b, m - 1)), x1, rng)
         return int(np.count_nonzero(has & (chosen > p)))
 
-    return _hit_rate(sum(map_batches(seed, "ystar-mc", N, batch, m - 1)), N)
-
-
-def _hit_rate(hits: int, N: int) -> tuple[float, float]:
-    """Binomial rate estimate hits / N and its standard error."""
-    est = hits / N
-    return est, math.sqrt(max(est * (1 - est), 1e-300) / N)
+    return hit_rate(sum(map_batches(seed, "ystar-mc", N, batch, m - 1)), N)
 
 
 def dkw_epsilon(N: int, delta: float) -> float:
@@ -278,5 +272,5 @@ def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
         w = xl + rng.random(b) * (1.0 - xl)
         return int(np.count_nonzero(w > p))
 
-    rhs, stderr = _hit_rate(sum(map_batches(seed, "prop-key", N, batch)), N)
+    rhs, stderr = hit_rate(sum(map_batches(seed, "prop-key", N, batch)), N)
     return lhs, rhs, (0.0, stderr)

@@ -21,20 +21,26 @@ import numpy as np
 
 from .benchmark import _region_max_cdf, efftw_bound
 from .distributions import ProductDist, TruncatedEqualRevenue
-from .experiments import _hit_rate
 from .revenue import (
     RevenueEstimate,
-    _mc_estimate,
     _score_estimate,
     _sum_estimates,
-    _three_tier_runs,
+    _three_tier_batches,
     feldman_params,
     feldman_posted_price,
     three_tier_params,
     three_tier_revenue,
     vcg,
 )
-from .rng import BLOCK, map_batches, need_samples, substream
+from .rng import (
+    BLOCK,
+    batch_moments,
+    hit_rate,
+    map_batches,
+    mean_stderr,
+    need_samples,
+    substream,
+)
 
 __all__ = [
     "ReproResult",
@@ -81,9 +87,11 @@ def er_order_stat(x: int, y: int, N: int, seed: int, p: float = 1e4) -> RevenueE
     dist = TruncatedEqualRevenue(p)
 
     def batch(rng, b):
-        return np.partition(dist.quantile(rng.random((b, y))), y - x, axis=1)[:, y - x]
+        kth = np.partition(dist.quantile(rng.random((b, y))), y - x, axis=1)[:, y - x]
+        return batch_moments(kth)
 
-    return _mc_estimate(np.concatenate(map_batches(seed, "er-order", N, batch, y)), N, seed)
+    mean, stderr = mean_stderr(map_batches(seed, "er-order", N, batch, y))
+    return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
 
 
 def er_offregion_items(n: int, m: int, N: int, seed: int, p: float) -> list[RevenueEstimate]:
@@ -174,7 +182,7 @@ def two_item_sum_tail_mc(q: float, N: int, seed: int, p: float = 1e6) -> tuple[f
             hits += int(np.count_nonzero(v.sum(axis=1) >= 2.0 * q))
         return hits
 
-    return _hit_rate(sum(map_batches(seed, "sum-tail", N, batch)), N)
+    return hit_rate(sum(map_batches(seed, "sum-tail", N, batch)), N)
 
 
 def appendix_b_revenue(n: int, N: int, seed: int) -> ReproResult:
@@ -196,8 +204,8 @@ def appendix_b_revenue(n: int, N: int, seed: int) -> ReproResult:
     k = params["k"]
     target = 2.0 * n * (1.0 - 1.0 / k) + 2.0 * q
     tol = p * (n * params["p_high"]) ** 2
-    runs = _three_tier_runs(n, q, p, N, seed)
-    mc = _mc_estimate(runs, N, seed)
+    batches = _three_tier_batches(n, q, p, N, seed)
+    mc_mean, mc_stderr = mean_stderr(moments for moments, _ in batches)
     return ReproResult(
         name=f"appendix-b-revenue-n{n}",
         computed=exact,
@@ -206,9 +214,9 @@ def appendix_b_revenue(n: int, N: int, seed: int) -> ReproResult:
         passed=bool(abs(exact - target) <= tol),
         details={
             "k": k,
-            "mc_mean": mc.mean,
-            "mc_stderr": mc.stderr,
-            "mc_high_tier_runs": int(np.count_nonzero(runs == p)),
+            "mc_mean": mc_mean,
+            "mc_stderr": mc_stderr,
+            "mc_high_tier_runs": sum(high for _, high in batches),
             "surplus_over_2n": exact - 2.0 * n,
             "log_n_over_10": math.log(n) / 10.0,
         },

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
-from .rng import map_batches, need_samples
-from .virtual import IronedVirtualMap, iron
+from .rng import batch_moments, map_batches, mean_stderr, need_samples
+from .virtual import iron
 
 __all__ = [
     "RevenueEstimate",
@@ -53,12 +53,6 @@ class RevenueEstimate:
         return math.hypot(self.stderr, other.stderr)
 
 
-def _mc_estimate(values: np.ndarray, samples: int, seed: int) -> RevenueEstimate:
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return RevenueEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
-
-
 def _sum_estimates(ests, samples: int, seed: int, exact: bool = False) -> RevenueEstimate:
     """Sum of estimates, added in order. Independent Monte Carlo stderrs
     combine in quadrature; the half-widths of ``exact`` brackets add."""
@@ -79,7 +73,7 @@ def _score_points(d: SingleDist, n: int) -> np.ndarray:
     bracket holds on any grid, the points only narrow it.
     """
     lo, hi = d.support_lo, d.support_hi
-    levels = iron(d).steps[1]
+    levels = iron(d).levels
     top = hi if math.isfinite(hi) else float(d.quantile(np.nextafter(1.0, 0.0)))
     top = max(top, float(levels[-1]))  # a hull slope may pass v by rounding
     bps = d.quantile_breakpoints()
@@ -116,9 +110,7 @@ def _score_estimate(d: SingleDist, n: int, cdf, samples: int, seed: int) -> Reve
     return RevenueEstimate(mean=mean, stderr=half_width, samples=samples, seed=seed)
 
 
-def myerson_item_revenue(
-    d: SingleDist, n: int, N: int = 0, seed: int = 0, imap: IronedVirtualMap | None = None
-) -> RevenueEstimate:
+def myerson_item_revenue(d: SingleDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
     """Optimal single-item revenue with n i.i.d. bidders, E[(phi_bar(max))^+].
 
     The top quantile has CDF u^n, so phi_bar(max)^+ has CDF psi(t)^n
@@ -126,7 +118,7 @@ def myerson_item_revenue(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    imap = imap if imap is not None else iron(d)
+    imap = iron(d)
     return _score_estimate(d, n, lambda t: imap.psi(t) ** n, N, seed)
 
 
@@ -164,11 +156,10 @@ def bulow_klemperer_check(d: SingleDist, n: int, N: int, seed: int):
     The margin is vcg.mean - rev.mean; the classical guarantee asks it to be
     nonnegative up to 3 combined standard errors.
     """
-    imap = iron(d)
-    if not imap.regular:
+    if not iron(d).regular:
         raise ValueError("Bulow-Klemperer requires a regular distribution")
     vcg_est = vcg_item_revenue(d, n + 1, N, seed)
-    rev_est = myerson_item_revenue(d, n, N, seed, imap=imap)
+    rev_est = myerson_item_revenue(d, n, N, seed)
     return vcg_est, rev_est, vcg_est.mean - rev_est.mean
 
 
@@ -209,9 +200,10 @@ def feldman_posted_price(
             bought += buy
             r = rows[buy]
             avail[r[:, None], idx[buy]] = False
-        return price * bought
+        return batch_moments(price * bought)
 
-    return _mc_estimate(np.concatenate(map_batches(seed, "feldman", N, batch, n * m)), N, seed)
+    mean, stderr = mean_stderr(map_batches(seed, "feldman", N, batch, n * m))
+    return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +245,21 @@ def er2_sum_tail_truncated(t: float, trunc: float) -> float:
     return both_atoms + one_atom + part_mixed + part_flat
 
 
-def three_tier_params(n: int, q: float, p: float, truncation: float | None = None) -> dict:
-    """Tier thresholds and probabilities for the three-tier mechanism."""
-    trunc = truncation if truncation is not None else 1e4 * p
+def three_tier_params(n: int, q: float, p: float) -> dict:
+    """Tier thresholds and probabilities for the three-tier mechanism.
+
+    Values are truncated at 10^4 * p, so the high price sits well inside
+    their support.
+    """
+    trunc = 1e4 * p
     k = n / q + n * math.log(q) / (8.0 * q**2)
     t_high = p * k / (k - 1.0)
     p_high = er2_sum_tail_truncated(t_high, trunc)
     p_med = max(er2_sum_tail_truncated(2.0 * q, trunc) - p_high, 0.0)
-    return {"k": k, "t_high": t_high, "p_high": p_high, "p_med": p_med, "truncation": trunc}
+    return {"k": k, "t_high": t_high, "p_high": p_high, "p_med": p_med}
 
 
-def three_tier_mechanism(
-    n: int,
-    q: float,
-    p: float,
-    N: int,
-    seed: int,
-    truncation: float | None = None,
-    profile_override: str | None = None,
-) -> RevenueEstimate:
+def three_tier_mechanism(n: int, q: float, p: float, N: int, seed: int) -> RevenueEstimate:
     """Revenue of the three-tier (high/medium/low) mechanism on ER^2 bidders.
 
     Bidders play the explicit threshold profile: high iff v1+v2 >= p*k/(k-1)
@@ -279,17 +267,11 @@ def three_tier_mechanism(
     v1+v2 >= 2q, else low. The first processed high bidder takes both items
     for p; otherwise up to two medium bidders each take one item for q, so
     per-run revenue depends only on the tier counts, which are drawn
-    multinomially from the exact tier probabilities. The truncation of the
-    value support defaults to 10^4 * p so the high price sits well inside it.
+    multinomially from the exact tier probabilities (``three_tier_params``).
     """
     _check_three_tier(n, q, p)
-    if profile_override not in (None, "low"):
-        raise ValueError("unknown profile override")
-    if N < 1:  # before the all-low shortcut, which never reaches the engine's check
-        raise ValueError("need N >= 1 samples")
-    if profile_override == "low":
-        return RevenueEstimate(mean=0.0, stderr=0.0, samples=N, seed=seed)
-    return _mc_estimate(_three_tier_runs(n, q, p, N, seed, truncation), N, seed)
+    mean, stderr = mean_stderr(moments for moments, _ in _three_tier_batches(n, q, p, N, seed))
+    return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
 
 
 def _check_three_tier(n: int, q: float, p: float) -> None:
@@ -299,18 +281,19 @@ def _check_three_tier(n: int, q: float, p: float) -> None:
         raise ValueError("high price p must be >> q")
 
 
-def _three_tier_runs(
-    n: int, q: float, p: float, N: int, seed: int, truncation: float | None = None
-) -> np.ndarray:
-    """Per-run revenues of the three-tier mechanism, from multinomial tier counts."""
-    params = three_tier_params(n, q, p, truncation)
+def _three_tier_batches(n: int, q: float, p: float, N: int, seed: int) -> list:
+    """Per batch of three-tier runs, from multinomial tier counts: the
+    ``batch_moments`` of the run revenues and the number of high-tier sales."""
+    params = three_tier_params(n, q, p)
     p_high, p_med = params["p_high"], params["p_med"]
 
     def batch(rng, b):
         counts = rng.multinomial(n, [p_high, p_med, 1.0 - p_high - p_med], size=b)
-        return np.where(counts[:, 0] >= 1, p, q * np.minimum(counts[:, 1], 2))
+        high = counts[:, 0] >= 1
+        runs = np.where(high, p, q * np.minimum(counts[:, 1], 2))
+        return batch_moments(runs), int(np.count_nonzero(high))
 
-    return np.concatenate(map_batches(seed, "three-tier", N, batch))
+    return map_batches(seed, "three-tier", N, batch)
 
 
 def three_tier_revenue(n: int, q: float, p: float) -> float:

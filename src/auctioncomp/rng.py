@@ -1,4 +1,4 @@
-"""Seed derivation and the one batch loop.
+"""Seed derivation, the one batch loop and the fold of its batch means.
 
 Every estimator in this package takes a single integer master seed. Sub-tasks
 (per-item streams, per-batch shards, named experiment stages) derive their own
@@ -18,12 +18,17 @@ block after block from the batch's generator: ``Generator.random`` fills rows
 in order, so the blocks hold exactly the one-shot draw, and a block's
 temporaries stay in cache. Batches run one after another in the calling
 thread.
+
+A Monte Carlo mean never holds its N samples: each batch is reduced to
+``batch_moments`` and ``mean_stderr`` folds those in batch order, and a hit
+rate is a count (``hit_rate``).
 """
 
 from __future__ import annotations
 
+import math
 import zlib
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -74,3 +79,36 @@ def map_batches(seed: int, label: str | tuple, N: int, kernel: Callable, width: 
     labels = (label,) if isinstance(label, str) else tuple(label)
     sizes = batch_sizes(N, max(1, BATCH // max(1, width)))
     return [kernel(substream(seed, *labels, i), b) for i, b in enumerate(sizes)]
+
+
+def batch_moments(x: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of one batch, M2 being the sum of squared deviations
+    from its mean (``np.sum``, not a BLAS dot, whose threaded sum order
+    follows the CPU count)."""
+    mean = np.mean(x)
+    return len(x), float(mean), float(np.sum((x - mean) ** 2))
+
+
+def mean_stderr(moments: Iterable[tuple[int, float, float]]) -> tuple[float, float]:
+    """Mean of all samples and its standard error, from the batches'
+    ``batch_moments`` folded in order (Chan, Golub & LeVeque's pairwise update).
+
+    One batch gives ``np.mean`` and ``np.std(ddof=1) / sqrt(N)`` of its
+    samples bit for bit; a single sample has stderr 0.
+    """
+    moments = iter(moments)
+    count, mean, m2 = next(moments)
+    for n_b, mean_b, m2_b in moments:
+        total = count + n_b
+        delta = mean_b - mean
+        mean += delta * n_b / total
+        m2 += m2_b + delta * delta * count * n_b / total
+        count = total
+    stderr = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
+    return mean, stderr
+
+
+def hit_rate(hits: int, N: int) -> tuple[float, float]:
+    """Binomial rate estimate hits / N and its standard error."""
+    est = hits / N
+    return est, math.sqrt(max(est * (1 - est), 1e-300) / N)

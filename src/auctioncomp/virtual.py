@@ -2,15 +2,15 @@
 
 The ironed virtual value is built in quantile space: with u the value
 quantile, the revenue curve R(u) = (1 - u) * F^{-1}(u) is tabulated on a
-grid, its least concave majorant is taken, and the (negated) left slope of
-the majorant gives a monotone nondecreasing ironed virtual value per grid
-cell. Regular distributions that are not purely atomic (uniform, exponential,
-truncated equal-revenue) evaluate their exact raw virtual value
-(``SingleDist.raw_virtual``) instead; the grid is still built to drive the
-regularity check. The grid path looks up the step function ``phi_bar``
-through its change points only: hull vertices are grid points, so ``phi_bar``
-takes few distinct levels (three for a four-point discrete item), and
-``psi`` inverts it for the exact revenue and benchmark integrals.
+grid and its least concave majorant is taken. The (negated) slopes of the
+majorant's segments are the ironed virtual value phi_bar, a nondecreasing
+step function: ``IronedVirtualMap`` keeps only its steps, the hull vertices
+where the level changes (``knots``) and the level on each step (``levels``),
+so a four-point discrete item has at most four levels. Regular distributions
+that are not purely atomic (uniform, exponential, truncated equal-revenue)
+evaluate their exact raw virtual value (``SingleDist.raw_virtual``) instead;
+the grid is still built to drive the regularity check. ``psi`` inverts
+phi_bar^+ for the exact revenue and benchmark integrals.
 
 Finite discrete supports include their cumulative-probability breakpoints in
 the grid, so the hull construction there is exact, not approximate.
@@ -26,89 +26,50 @@ import numpy as np
 from .distributions import SingleDist
 from .rng import substream
 
-__all__ = ["IronedVirtualMap", "raw_virtual", "raw_virtual_many", "iron", "fact1_check"]
+__all__ = ["IronedVirtualMap", "iron", "fact1_check"]
 
 REGULARITY_TOL = 1e-9
 DEFAULT_GRID = 4096
 IRON_CACHE_SIZE = 32  # ironed maps kept per process, keyed by (distribution, K)
 
 
-def raw_virtual(d: SingleDist, v: float) -> float:
-    """Raw virtual value v - (1 - F(v)) / f(v).
-
-    Defined where d has a density, plus the truncation atom of the
-    equal-revenue curve (where it equals the truncation point). Other atoms
-    are rejected.
-    """
-    return float(raw_virtual_many(d, np.asarray(v, dtype=float)))
-
-
-def raw_virtual_many(d: SingleDist, v: np.ndarray) -> np.ndarray:
-    return d.raw_virtual(np.asarray(v, dtype=float))
-
-
 @dataclass(frozen=True)
 class IronedVirtualMap:
-    """Grid representation of the ironed virtual value in quantile space.
+    """The ironed virtual value phi_bar in quantile space, as a step function.
 
-    Maps are shared between callers (see ``iron``), so ``grid``, ``phi_bar``
-    and the step form (``steps``) are read-only arrays.
+    phi_bar(u) is ``levels[searchsorted(knots, u, "right")]``: ``knots`` are
+    the ascending quantiles where it changes and ``levels`` its value on each
+    of the ``len(knots) + 1`` steps. Maps are shared between callers (see
+    ``iron``), so both arrays are read-only.
     """
 
     dist: SingleDist
-    grid: np.ndarray        # ascending quantiles, grid[0]=0, grid[-1]=1
-    phi_bar: np.ndarray     # one slope per grid cell, monotone nondecreasing
+    knots: np.ndarray
+    levels: np.ndarray
     regular: bool
 
-    @functools.cached_property
-    def steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(knots, levels): where ``phi_bar`` changes, and its value on each step.
-
-        ``levels[searchsorted(knots, u, "right")]`` equals
-        ``phi_bar[clip(searchsorted(grid, u, "right") - 1, 0, K - 1)]`` bit
-        for bit for every u, including 0, 1, values outside [0, 1] and NaN: a
-        knot is the left edge of each cell whose bits differ from the previous
-        cell's. Built on the first grid-path lookup; read-only, like ``phi_bar``.
-        """
-        bits = self.phi_bar.view(np.int64)
-        change = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-        knots = self.grid[change]
-        levels = np.concatenate([self.phi_bar[:1], self.phi_bar[change]])
-        knots.flags.writeable = False
-        levels.flags.writeable = False
-        return knots, levels
-
-    def at_quantile(self, u, values=None):
-        """Ironed virtual value of the value at quantile u.
-
-        ``values``, when given, must be ``dist.quantile(u)``; the exact path
-        then uses it instead of recomputing the quantile.
-        """
+    def at_quantile(self, u):
+        """Ironed virtual value of the value at quantile u."""
         u = np.asarray(u, dtype=float)
         d = self.dist
         if self.regular and not d.purely_atomic:
-            return d.raw_virtual(d.quantile(u) if values is None else values)
-        knots, levels = self.steps
-        return levels[np.searchsorted(knots, u, side="right")]
+            return d.raw_virtual(d.quantile(u))
+        return self.levels[np.searchsorted(self.knots, u, side="right")]
 
     def psi(self, t):
         """sup{u : phi_bar(u)^+ <= t}, the CDF of phi_bar(U)^+ for uniform U.
 
         Mirrors ``at_quantile``: the exact path inverts the raw virtual value
-        (``SingleDist.raw_virtual_cdf``), the grid path reads the step form.
+        (``SingleDist.raw_virtual_cdf``), the grid path reads the steps.
         """
         t = np.asarray(t, dtype=float)
         d = self.dist
         if self.regular and not d.purely_atomic:
             u = d.raw_virtual_cdf(t)
         else:
-            knots, levels = self.steps
-            edges = np.concatenate([[0.0], knots, [1.0]])
-            u = edges[np.searchsorted(levels, t, side="right")]
+            edges = np.concatenate([[0.0], self.knots, [1.0]])
+            u = edges[np.searchsorted(self.levels, t, side="right")]
         return np.where(t < 0, 0.0, u)
-
-    def at_value(self, v):
-        return self.at_quantile(self.dist.cdf(v))
 
 
 def _upper_concave_envelope(u: np.ndarray, r: np.ndarray):
@@ -164,16 +125,15 @@ def _iron_cached(d: SingleDist, K: int) -> IronedVirtualMap:
         gap = gap[vertex]
     regular = bool(np.max(gap) <= REGULARITY_TOL)
 
-    # one slope per hull segment, broadcast to the grid cells it spans
-    seg_slopes = -np.diff(hull_r) / np.diff(hull_u)
-    seg_slopes = np.maximum.accumulate(seg_slopes)  # absorb fp noise only
-    cell_seg = np.searchsorted(hull_u, grid[:-1], side="right") - 1
-    cell_seg = np.clip(cell_seg, 0, len(seg_slopes) - 1)
-    phi_bar = seg_slopes[cell_seg]
-
-    grid.flags.writeable = False
-    phi_bar.flags.writeable = False
-    return IronedVirtualMap(dist=d, grid=grid, phi_bar=phi_bar, regular=regular)
+    # one slope per hull segment; bit-equal neighbours are one step
+    slopes = np.maximum.accumulate(-np.diff(hull_r) / np.diff(hull_u))  # absorb fp noise only
+    bits = slopes.view(np.int64)
+    change = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    knots = hull_u[change]
+    levels = np.concatenate([slopes[:1], slopes[change]])
+    knots.flags.writeable = False
+    levels.flags.writeable = False
+    return IronedVirtualMap(dist=d, knots=knots, levels=levels, regular=regular)
 
 
 def fact1_check(d: SingleDist, v: float, N: int, seed: int) -> tuple[float, float]:
@@ -190,7 +150,7 @@ def fact1_check(d: SingleDist, v: float, N: int, seed: int) -> tuple[float, floa
     rng = substream(seed, "fact1")
     u = qlo + rng.random(N) * (1.0 - qlo)
     w = d.quantile(u)
-    phi = raw_virtual_many(d, w)
+    phi = d.raw_virtual(w)
     est = float(np.mean(phi))
     stderr = float(np.std(phi, ddof=1) / np.sqrt(N)) if N > 1 else float("inf")
     return est, stderr

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -22,9 +23,10 @@ from auctioncomp.distributions import (
     parse_dist,
 )
 from auctioncomp.repro import er_offregion_items
-from auctioncomp.revenue import _mc_estimate, _sum_estimates, myerson_item_revenue, srev
+from auctioncomp.revenue import RevenueEstimate, _sum_estimates, myerson_item_revenue, srev
 from auctioncomp.rng import BATCH, batch_sizes, substream
 from auctioncomp.virtual import iron
+from test_virtual import _brute_force_ironed
 
 N = 100_000
 IRREGULAR = "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"
@@ -32,10 +34,10 @@ IRREGULAR = "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"
 
 # ---------------------------------------------------------------------------
 # Monte Carlo oracles: profile-major (b, n, m) batches reduced with argmax,
-# partition and gathers, and the full-grid ironed lookup. The package's exact
-# efftw_bound, obs1_bound and er_offregion_items must agree with them within
-# 4 sigma; the item-major profile draw and region rule left in the package
-# must reproduce their batches bit for bit.
+# partition and gathers, and the brute-force hull for ironed items. The
+# package's exact efftw_bound, obs1_bound and er_offregion_items must agree
+# with them within 4 sigma; the item-major profile draw, the region rule and
+# the ironed lookup left in the package must reproduce their batches.
 # ---------------------------------------------------------------------------
 
 
@@ -52,8 +54,7 @@ def _ref_at_quantile(imap, u):
     d = imap.dist
     if imap.regular and isinstance(d, (Uniform, Exponential, TruncatedEqualRevenue)):
         return d.raw_virtual(d.quantile(u))
-    cell = np.clip(np.searchsorted(imap.grid, u, side="right") - 1, 0, len(imap.phi_bar) - 1)
-    return imap.phi_bar[cell]
+    return _brute_force_ironed(d, u.ravel()).reshape(u.shape)
 
 
 def _ref_efftw(imaps, values, quantiles, region):
@@ -70,7 +71,7 @@ def _ref_obs1(imaps, values, quantiles, region):
     total = np.zeros(values.shape[0])
     for j, imap in enumerate(imaps):
         vj = values[:, :, j]
-        i1 = np.argmax(vj, axis=1)
+        i1 = np.argmax(quantiles[:, :, j], axis=1)  # the top bidder holds v_(1)
         v1 = vj[rows, i1]
         v2 = np.partition(vj, n - 2, axis=1)[:, n - 2]
         off_region = region[rows, i1] != j
@@ -91,7 +92,12 @@ def _ref_estimates(pd, n, N, seed, kernels):
     for batch in _ref_batches(pd, n, N, seed):
         for key, kernel in kernels.items():
             chunks[key].append(kernel(imaps, *batch))
-    return {key: _mc_estimate(np.concatenate(c), N, seed) for key, c in chunks.items()}
+    out = {}
+    for key, c in chunks.items():
+        x = np.concatenate(c)
+        stderr = float(np.std(x, ddof=1) / math.sqrt(N))
+        out[key] = RevenueEstimate(mean=float(np.mean(x)), stderr=stderr, samples=N, seed=seed)
+    return out
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -111,17 +117,20 @@ def test_profile_kernels_match_reference_bit_for_bit(kind, n, m):
         assert np.array_equal(quantiles, q_ref.transpose(2, 1, 0))
         assert np.array_equal(assign_regions(quantiles), r_ref.T)
         for j, imap in enumerate(imaps):
-            got = imap.at_quantile(quantiles[j], values[j])
+            got = imap.at_quantile(quantiles[j])
             assert np.array_equal(got, _ref_at_quantile(imap, q_ref[:, :, j]).T)
 
 
 # (specs, n): ER^2, ER^4 with many bidders, the irregular product (ironed
-# grid path, atoms, an unbounded item) and a support below 0
+# grid path, atoms, an unbounded item), a support below 0, and atoms below 0,
+# where the top value is often tied and obs1's top bidder is the one with the
+# highest quantile
 ORACLE_CASES = {
     "er2": (["er:p=10000"] * 2, 4),
     "er4-n16": (["er:p=10000"] * 4, 16),
     "irregular": ([IRREGULAR, "exp:1", "uniform:0,1"], 4),
     "negative": (["uniform:-1,1"] * 2, 3),
+    "negative-atoms": (["discrete:v=-2,-1,1;p=0.3,0.3,0.4"] * 2, 3),
 }
 
 
@@ -267,6 +276,21 @@ def test_efftw_peak_memory_independent_of_N():
         tracemalloc.stop()
     assert est.samples == 10**12
     assert peak < 16 * 2**20, peak / 2**20
+
+
+def test_xl_chain_peak_memory_independent_of_N():
+    # batch means are folded, not concatenated: 4 N samples peak where N do
+    pd = ProductDist((Uniform(0, 1),))
+    xl_chain_bound(pd, 2, 1000, seed=0)  # iron outside the measurement
+    peaks = []
+    for samples in (BATCH, 4 * BATCH):
+        tracemalloc.start()
+        try:
+            xl_chain_bound(pd, 2, samples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], [p / 2**20 for p in peaks]
 
 
 def test_obs1_direct_resimulation_oracle():

@@ -28,6 +28,31 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["virtual", "--dist", "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"],
+        ["revenue", "--mech", "srev", "--dist", "exp:1", "-n", "4", "-m", "2"],
+        ["benchmark", "--dist", "uniform:0,1", "er:p=100", "-n", "2", "--chain", "little",
+         "--samples", "20000"],
+        ["dominance", "--pair", "xs-xl", "-n", "2", "-m", "4", "-c", "7", "--samples", "20000"],
+        ["reproduce", "--all"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subcommands_run_without_scipy(argv):
+    # scipy is a test-only dependency: an import of it, lazy or not, fails here
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from auctioncomp.cli import main; sys.exit(main())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--seed", "1"], capture_output=True, text=True
+    )
+    assert out.returncode == EXIT_OK, out.stderr
+    assert json.loads(out.stdout)["results"]
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["revenue", "--mech", "myerson"])  # missing -n/--seed

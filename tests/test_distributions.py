@@ -34,42 +34,43 @@ def test_quantile_cdf_identity(d):
     v = d.quantile(q)
     c = d.cdf(v)
     assert np.all(c >= q - 1e-9)
-    if d.is_continuous:
+    if isinstance(d, (Uniform, Exponential)):  # no atoms
         assert np.max(np.abs(c - q)) <= 1e-9
 
 
 @pytest.mark.parametrize("d", DISTS, ids=lambda d: d.spec())
 def test_stored_quantiles_are_uniform(d):
-    # DKW band on the coupled quantiles: they must be uniform on [0, 1]
+    # DKW band: values drawn as quantile(U) for uniform U follow the CDF
     N = 100_000
-    rng = substream(11, "unif", d.spec())
-    _, q = d.sample_coupled_many(rng, N)
-    grid = np.linspace(0.05, 0.95, 19)
-    emp = np.searchsorted(np.sort(q), grid, side="right") / N
-    assert np.max(np.abs(emp - grid)) <= dkw_epsilon(N, 1e-3)
+    v = d.quantile(substream(11, "unif", d.spec()).random(N))
+    x = d.quantile(np.linspace(0.05, 0.95, 19))
+    emp = np.searchsorted(np.sort(v), x, side="right") / N
+    assert np.max(np.abs(emp - d.cdf(x))) <= dkw_epsilon(N, 1e-3)
 
 
 @pytest.mark.parametrize("d", DISTS, ids=lambda d: d.spec())
 def test_coupled_values_match_quantiles(d):
-    rng = substream(12, "couple", d.spec())
-    v, q = d.sample_coupled_many(rng, 1000)
-    assert np.allclose(v, np.asarray(d.quantile(q)))
-    assert np.all(v >= d.support_lo)
+    # the uniform that drew a value is a quantile of it, also at atoms:
+    # Pr[X < v] <= u <= Pr[X <= v]
+    u = substream(12, "couple", d.spec()).random(1000)
+    v = d.quantile(u)
+    assert np.all(d.cdf_left(v) <= u + 1e-12) and np.all(u <= d.cdf(v) + 1e-12)
+    assert np.all(v >= d.support_lo) and np.all(v <= d.support_hi)
 
 
 def test_sampling_is_seed_reproducible():
     d = TruncatedEqualRevenue(1e4)
-    v1, q1 = d.sample_coupled_many(substream(5, "x"), 1000)
-    v2, q2 = d.sample_coupled_many(substream(5, "x"), 1000)
-    assert np.array_equal(v1, v2) and np.array_equal(q1, q2)
-    v3, _ = d.sample_coupled_many(substream(6, "x"), 1000)
+    v1 = d.quantile(substream(5, "x").random(1000))
+    v2 = d.quantile(substream(5, "x").random(1000))
+    assert np.array_equal(v1, v2)
+    v3 = d.quantile(substream(6, "x").random(1000))
     assert not np.array_equal(v1, v3)
 
 
 def test_er_atom_mass():
     d = TruncatedEqualRevenue(4.0)
     N = 100_000
-    v, _ = d.sample_coupled_many(substream(7, "atom"), N)
+    v = d.quantile(substream(7, "atom").random(N))
     freq = np.count_nonzero(v == 4.0) / N
     assert abs(freq - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / N)
     assert d.cdf(4.0) == 1.0

@@ -34,6 +34,20 @@ def test_er_order_stat_minimum():
     assert abs(est.mean - 12.0 / 11.0) <= 3 * est.stderr
 
 
+def test_er_order_stat_peak_memory_independent_of_N():
+    # batch means are folded, not concatenated: 4 N samples peak where N do
+    er_order_stat(4, 12, 1_000, seed=0)
+    peaks = []
+    for samples in (200_000, 800_000):
+        tracemalloc.start()
+        try:
+            er_order_stat(4, 12, samples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], [p / 2**20 for p in peaks]
+
+
 def test_er_order_stat_heavy_tail_flagged():
     with pytest.raises(ValueError):
         er_order_stat(1, 5, 1000, seed=0)

@@ -11,7 +11,7 @@ from auctioncomp.distributions import (
     Uniform,
 )
 from auctioncomp.revenue import (
-    _mc_estimate,
+    RevenueEstimate,
     bulow_klemperer_check,
     er2_sum_tail_truncated,
     feldman_params,
@@ -25,12 +25,18 @@ from auctioncomp.revenue import (
     vcg_item_revenue,
 )
 from auctioncomp.rng import batch_sizes, substream
-from auctioncomp.virtual import raw_virtual_many
 
 # ---------------------------------------------------------------------------
-# Oracles: the other side of Myerson's identity, and one traced run of the
-# sequential posted-bundle mechanism.
+# Oracles: the mean of all samples held at once, the other side of Myerson's
+# identity, and one traced run of the sequential posted-bundle mechanism.
 # ---------------------------------------------------------------------------
+
+
+def _mc_estimate(values: np.ndarray, samples: int, seed: int) -> RevenueEstimate:
+    """Mean and standard error of the whole sample, held in memory at once."""
+    mean = float(np.mean(values))
+    stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    return RevenueEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
 def virtual_max_estimate(d, n, N, seed):
@@ -39,7 +45,7 @@ def virtual_max_estimate(d, n, N, seed):
     for bi, b in enumerate(batch_sizes(N, 1_000_000)):
         rng = substream(seed, "virt-max", bi)
         u1 = rng.random(b) ** (1.0 / n)
-        chunks.append(raw_virtual_many(d, d.quantile(u1)))
+        chunks.append(d.raw_virtual(d.quantile(u1)))
     return _mc_estimate(np.concatenate(chunks), N, seed)
 
 
@@ -146,11 +152,12 @@ def test_vcg_single_bidder_is_zero():
 
 
 def test_shortcut_estimates_still_need_samples():
-    # the n = 1 and all-low answers need no draws, but N < 1 is still an error
+    # the n = 1 answer needs no draws, but N < 1 is still an error, as it is
+    # for the Monte Carlo mechanism
     with pytest.raises(ValueError, match="need N >= 1 samples"):
         vcg_item_revenue(Uniform(0, 1), 1, 0, seed=0)
     with pytest.raises(ValueError, match="need N >= 1 samples"):
-        three_tier_mechanism(10_000, 100.0, 1e8, 0, seed=0, profile_override="low")
+        three_tier_mechanism(10_000, 100.0, 1e8, 0, seed=0)
 
 
 def test_vcg_er_second_highest_mean():
@@ -290,11 +297,6 @@ def test_three_tier_validates_window():
         three_tier_mechanism(10_000, 99.0, 1e8, 100, seed=0)  # q < 100
     with pytest.raises(ValueError):
         three_tier_mechanism(10_000, 100.0, 500.0, 100, seed=0)  # p not >> q
-
-
-def test_three_tier_forced_low_is_zero():
-    est = three_tier_mechanism(10_000, 100.0, 1e8, 1000, seed=0, profile_override="low")
-    assert est.mean == 0.0
 
 
 def test_three_tier_medium_count_concentrates():

@@ -10,23 +10,24 @@ from auctioncomp.distributions import (
     TruncatedEqualRevenue,
     Uniform,
 )
-from auctioncomp.virtual import DEFAULT_GRID, fact1_check, iron, raw_virtual
+from auctioncomp.virtual import DEFAULT_GRID, fact1_check, iron
 
 
 def test_raw_virtual_closed_forms():
-    assert raw_virtual(Uniform(0, 1), 0.75) == pytest.approx(0.5)
-    assert raw_virtual(Exponential(1.0), 1.0) == pytest.approx(0.0)
-    assert raw_virtual(Exponential(2.0), 3.0) == pytest.approx(2.5)
+    assert Uniform(0, 1).raw_virtual(0.75) == pytest.approx(0.5)
+    assert Exponential(1.0).raw_virtual(1.0) == pytest.approx(0.0)
+    assert Exponential(2.0).raw_virtual(3.0) == pytest.approx(2.5)
     er = TruncatedEqualRevenue(100.0)
-    assert raw_virtual(er, 50.0) == 0.0
-    assert raw_virtual(er, 100.0) == 100.0
+    assert er.raw_virtual(50.0) == 0.0
+    assert er.raw_virtual(100.0) == 100.0
 
 
 def test_raw_virtual_rejects_atoms_and_out_of_support():
+    for d in (FiniteDiscrete((1.0, 2.0), (0.5, 0.5)), PointMass(5.0)):
+        with pytest.raises(ValueError, match="undefined at atoms"):
+            d.raw_virtual(np.asarray(1.0))
     with pytest.raises(ValueError):
-        raw_virtual(FiniteDiscrete((1.0, 2.0), (0.5, 0.5)), 1.0)
-    with pytest.raises(ValueError):
-        raw_virtual(Uniform(0, 1), 2.0)
+        Uniform(0, 1).raw_virtual(2.0)
 
 
 @pytest.mark.parametrize(
@@ -50,21 +51,29 @@ def test_two_point_mass_is_regular():
     assert iron(d).regular
 
 
-def _brute_force_ironed(d: FiniteDiscrete, u: float) -> float:
-    """Independent oracle: gift-wrap the concave hull of the exact revenue
-    vertices (b_j, (1-b_j)*values[j]) plus (1, 0), then read off -slope at u."""
-    cum = np.concatenate([[0.0], np.cumsum(d.probs)])
-    pts = [(float(cum[j]), (1.0 - float(cum[j])) * v) for j, v in enumerate(d.values)]
+def _brute_force_ironed(d, u) -> np.ndarray:
+    """Independent oracle for a purely atomic d: gift-wrap the concave hull of
+    the exact revenue vertices (b_j, (1-b_j)*values[j]) plus (1, 0), then read
+    off -slope at each u, right-continuously. Below the first segment (u < 0)
+    the first slope applies; past the last (u >= 1, inf, NaN) the last one."""
+    values, probs = (d.values, d.probs) if isinstance(d, FiniteDiscrete) else ((d.v,), (1.0,))
+    cum = np.concatenate([[0.0], np.cumsum(probs)])
+    pts = [(float(cum[j]), (1.0 - float(cum[j])) * v) for j, v in enumerate(values)]
     pts.append((1.0, 0.0))
     hull = [pts[0]]
     while hull[-1][0] < 1.0:
         u0, r0 = hull[-1]
         cand = [p for p in pts if p[0] > u0 + 1e-15]
         hull.append(max(cand, key=lambda p: ((p[1] - r0) / (p[0] - u0), p[0])))
-    for (u0, r0), (u1, r1) in itertools.pairwise(hull):
-        if u0 <= u < u1 or (u1 == 1.0 and u >= u0):
-            return -(r1 - r0) / (u1 - u0)
-    raise AssertionError("unreachable")
+    segments = [(u0, -(r1 - r0) / (u1 - u0)) for (u0, r0), (u1, r1) in itertools.pairwise(hull)]
+    out = []
+    for x in np.atleast_1d(np.asarray(u, dtype=float)):
+        slope = segments[0][1]
+        for u0, seg_slope in segments:
+            if not x < u0:  # NaN passes every segment start
+                slope = seg_slope
+        out.append(slope)
+    return np.array(out)
 
 
 @pytest.mark.parametrize(
@@ -79,9 +88,8 @@ def _brute_force_ironed(d: FiniteDiscrete, u: float) -> float:
 def test_ironed_discrete_matches_brute_force_hull(vals, probs):
     d = FiniteDiscrete(vals, probs)
     imap = iron(d)
-    for u in [0.05, 0.2, 0.33, 0.5, 0.66, 0.8, 0.95]:
-        expect = _brute_force_ironed(d, u)
-        assert float(np.asarray(imap.at_quantile(u))) == pytest.approx(expect, abs=1e-8)
+    u = np.array([0.05, 0.2, 0.33, 0.5, 0.66, 0.8, 0.95])
+    assert np.allclose(imap.at_quantile(u), _brute_force_ironed(d, u), rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -107,14 +115,10 @@ def test_iron_memoized_read_only():
     d = FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1))
     imap = iron(d)
     assert iron(FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1)), K=DEFAULT_GRID) is imap
-    assert iron(d, 64) is not imap and len(iron(d, 64).phi_bar) < len(imap.phi_bar)
-    for arr in (imap.grid, imap.phi_bar):
+    assert iron(d, 64) is not imap and iron(d, 64) is iron(d, 64)
+    for arr in (imap.knots, imap.levels):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-
-
-def _bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)
 
 
 @pytest.mark.parametrize(
@@ -124,54 +128,40 @@ def _bits(x):
         (FiniteDiscrete((1.0, 3.0, 4.0, 20.0), (0.4, 0.3, 0.25, 0.05)), 64),
         (FiniteDiscrete((2.0, 3.0, 7.0, 8.0, 30.0), (0.1, 0.3, 0.3, 0.2, 0.1)), DEFAULT_GRID),
         (FiniteDiscrete((1.0, 2.0), (0.5, 0.5)), 7),
+        (FiniteDiscrete((-2.0, -1.0, 1.0), (0.3, 0.3, 0.4)), DEFAULT_GRID),
+        (FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1)), 64),
         (PointMass(5.0), DEFAULT_GRID),
     ],
     ids=lambda x: x.spec() if hasattr(x, "spec") else str(x),
 )
 def test_step_lookup_equals_full_grid_lookup(d, K):
+    # the steps against the brute-force hull, not against the map's own arrays
     imap = iron(d, K)
-    knots, levels = imap.steps
-    assert imap.steps is imap.steps  # built once per map
-    assert len(levels) == len(knots) + 1 <= len(imap.phi_bar)
+    knots, levels = imap.knots, imap.levels
+    assert len(levels) == len(knots) + 1
+    assert np.all(np.diff(knots) > 0) and np.all(np.diff(levels) > 0)
     for arr in (knots, levels):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     bps = d.quantile_breakpoints()
     u = np.concatenate([
-        imap.grid,
+        np.linspace(0.0, 1.0, 20_001),
         bps,
         np.nextafter(bps, 0.0),
         np.nextafter(bps, 1.0),
         knots,
+        np.nextafter(knots, 0.0),
+        np.nextafter(knots, 1.0),
         [0.0, 1.0, -0.5, 1.5, np.nan, np.inf, -np.inf],
         np.random.default_rng(0).random(20_000),
     ])
-    cell = np.clip(np.searchsorted(imap.grid, u, side="right") - 1, 0, len(imap.phi_bar) - 1)
-    assert np.array_equal(_bits(imap.at_quantile(u)), _bits(imap.phi_bar[cell]))
-
-
-@pytest.mark.parametrize(
-    "d", [Uniform(0, 1), Exponential(2.0), TruncatedEqualRevenue(100.0)], ids=lambda d: d.spec()
-)
-def test_at_quantile_reuses_given_values(d):
-    imap = iron(d)
-    u = np.concatenate([[0.0, 1.0 - 1.0 / 100.0, 0.999], np.random.default_rng(1).random(1000)])
-    assert np.array_equal(_bits(imap.at_quantile(u, d.quantile(u))), _bits(imap.at_quantile(u)))
+    assert np.allclose(imap.at_quantile(u), _brute_force_ironed(d, u), rtol=0, atol=1e-8)
 
 
 def test_ironed_uniform_matches_raw():
     imap = iron(Uniform(0, 1))
     u = np.linspace(0.0, 1.0, 11)
     assert np.allclose(np.asarray(imap.at_quantile(u)), 2.0 * u - 1.0)
-
-
-def test_at_value_consistent_with_at_quantile():
-    d = Exponential(1.0)
-    imap = iron(d)
-    v = 2.0
-    assert float(np.asarray(imap.at_value(v))) == pytest.approx(
-        float(np.asarray(imap.at_quantile(d.cdf(v))))
-    )
 
 
 def test_fact1_uniform_grid():
