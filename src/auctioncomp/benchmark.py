@@ -14,19 +14,23 @@ where the underlying inequality does.
 A bidder with quantile u on item j is in R_j with probability u^(m-1),
 whatever the marginals, so each item's scores are i.i.d. across bidders with
 a closed-form CDF: the benchmark and ``obs1_bound`` are exact 1-D integrals
-(``revenue._score_estimate``). The chain bounds are Monte Carlo, one labelled
-``rng.map_batches`` stream per item. ``assign_regions`` is the region rule of
-the Monte Carlo oracles in the tests.
+(``revenue._score_estimate``). The chain bounds are exact too: the CDF of
+the experiment (``experiments.xl_cdf`` / ``xb_cdf``) is tabulated once per
+call on a quantile grid, and each item's E[phi_bar(X)] is bracketed by
+rectangles on it. ``assign_regions`` is the region rule of the Monte Carlo
+oracles in the tests.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .distributions import ProductDist, SingleDist
-from .experiments import sample_xb, sample_xl
-from .revenue import RevenueEstimate, _score_estimate, _sum_estimates
-from .rng import batch_moments, map_batches, mean_stderr, need_samples
+from .experiments import xb_cdf, xl_cdf
+from .revenue import _QUAD_CELLS, RevenueEstimate, _score_estimate, _sum_estimates
+from .rng import need_samples
 from .virtual import iron
 
 __all__ = [
@@ -124,28 +128,77 @@ def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
     return _exact_bound(pd, n, N, seed, item_cdf)
 
 
-def _phi_at_experiment(pd: ProductDist, sampler, N: int, seed: int, label: str):
-    """Sum over items of E[phi_bar_j at an experiment quantile]; no positive part."""
+def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> RevenueEstimate:
+    """Sum over items of E[phi_bar_j(X)] for an experiment quantile X with CDF
+    ``cdf``, exact; no positive part. N and the seed are recorded.
 
-    def item(j, imap):
-        kernel = lambda rng, b: batch_moments(imap.at_quantile(sampler(rng, b)))
-        mean, stderr = mean_stderr(map_batches(seed, (label, j), N, kernel))
-        return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
+    One quantile grid serves every item: ``_QUAD_CELLS`` uniform cells plus
+    each marginal's ironing knots and quantile breakpoints, where phi_bar
+    jumps. F = ``cdf`` is tabulated on it once, with F(0) = 0, F(1) = 1 and
+    running maxima, so every cell has mass dF_k >= 0. X has no atoms and
+    phi_bar is nondecreasing, so on cell (u_k, u_k+1) phi_bar(X) lies
+    between its right limit at u_k and its left limit at u_k+1, read at the
+    next float above and below. (The exact regular path is left-continuous
+    at a value atom: ER(p) reads 0 at its breakpoint and p just above.) The
+    item's bracket is the midpoint, with its half-width as the stderr, and
+    the items' half-widths add.
 
-    return _sum_estimates((item(j, iron(d)) for j, d in enumerate(pd.marginals)), N, seed)
+    phi_bar is unbounded only for ``Exponential``, where it is Q - 1/rate.
+    There the top cell (u_K, 1) takes phi_bar(u_K) dF_K plus
+    integral_{s > Q(u_K)} Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)),
+    given 1 - F(u) <= D (1 - u) for every u.
+    """
+    need_samples(N)
+    imaps = [iron(d) for d in pd.marginals]
+    u = np.unique(np.concatenate(
+        [np.linspace(0.0, 1.0, _QUAD_CELLS + 1)]
+        + [imap.knots for imap in imaps]
+        + [d.quantile_breakpoints() for d in pd.marginals]
+    ))
+    F = cdf(u)
+    F[0], F[-1] = 0.0, 1.0
+    dF = np.diff(np.maximum.accumulate(F))
+    above, below = np.nextafter(u[:-1], np.inf), np.nextafter(u[1:], -np.inf)
+
+    def item(d: SingleDist, imap):
+        lo_phi = imap.at_quantile(above)
+        hi_phi = imap.at_quantile(below)
+        tail = 0.0
+        if not math.isfinite(d.support_hi):
+            hi_phi[-1] = lo_phi[-1]
+            tail = D * d.tail_integral(float(d.quantile(above[-1])))
+        # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
+        lower = float(np.sum(dF * lo_phi))
+        upper = float(np.sum(dF * hi_phi)) + tail
+        mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
+        return RevenueEstimate(mean=mean, stderr=half_width, samples=N, seed=seed)
+
+    return _sum_estimates(map(item, pd.marginals, imaps), N, seed, exact=True)
 
 
 def xl_chain_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
-    """Sum over items of E[phi_bar_j at the little-n experiment quantile X_L(n, m)]."""
+    """Sum over items of E[phi_bar_j at the little-n experiment quantile X_L(n, m)].
+
+    Exact (``_phi_at_experiment``), with D = 2n + m - 1: X_L > u needs
+    x1 > u (probability 1 - u^n <= n (1 - u)), or x1 <= u with X'_L > u
+    (at most (1 - x1^(m-1)) (1 - u)/(1 - x1) <= (m - 1)(1 - u)), or x1 <= u
+    with W_2 > u (at most E[(1 - u)/(1 - X_(2))] = n (1 - u)).
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     m = pd.m
-    return _phi_at_experiment(pd, lambda rng, b: sample_xl(n, m, rng, b), N, seed, "xl-chain")
+    return _phi_at_experiment(pd, lambda u: xl_cdf(n, m, u), 2 * n + m - 1, N, seed)
 
 
 def xb_chain_bound(pd: ProductDist, n: int, ell: int, N: int, seed: int) -> RevenueEstimate:
-    """Sum over items of E[phi_bar_j at X_B(n', ell)] with n' = n + (m-1)(ell-1)."""
+    """Sum over items of E[phi_bar_j at X_B(n', ell)] with n' = n + (m-1)(ell-1).
+
+    Exact (``_phi_at_experiment``), with D = n' ell / (ell - 1): X_B > u needs
+    X_(1) > u (at most n' (1 - u)) or W > u >= X_(1) (at most
+    E[(1 - u)/(1 - X_(ell))] = n' (1 - u) / (ell - 1)).
+    """
     if not 2 <= ell <= n:
         raise ValueError("need 2 <= ell <= n")
     n_prime = n + (pd.m - 1) * (ell - 1)
-    return _phi_at_experiment(pd, lambda rng, b: sample_xb(n_prime, ell, rng, b), N, seed, "xb-chain")
+    D = n_prime * ell / (ell - 1)
+    return _phi_at_experiment(pd, lambda u: xb_cdf(n_prime, ell, u), D, N, seed)

@@ -21,6 +21,17 @@ probability x^(m-1), and otherwise a uniformly chosen exceeder is uniform on
 [x, 1]. ``ystar_conditional_mc`` still simulates all m - 1 item draws,
 because it is the independent check of the closed form ``ystar_tail``.
 
+The samplers compute in place (``out=`` arithmetic in the order of the plain
+expressions, so the draws are the same bits), which keeps a batch of X_L
+draws at four arrays.
+
+``xl_cdf`` and ``xb_cdf`` are the exact CDFs of X_L and X_B, as 1-D integrals
+over one order statistic taken by Gauss-Legendre quadrature in
+v = log(1 - x). That variable turns the pole of (t - x)/(1 - x), a distance
+1 - t past the end of [0, t], into a smooth boundary layer, so a rule whose
+node count grows with -log(1 - t) holds ~1e-13 up to t = 1 - 2^-15 and
+beyond.
+
 Dominance between two samplers is decided empirically on a uniform probe
 grid with a two-sided DKW allowance. Every Monte Carlo loop here runs through
 ``rng.map_batches``, and the hit-rate estimators share one binomial stderr.
@@ -28,13 +39,14 @@ grid with a two-sided DKW allowance. Every Monte Carlo loop here runs through
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .rng import hit_rate, map_batches
+from .rng import BLOCK, hit_rate, map_batches
 
 __all__ = [
     "DominanceReport",
@@ -43,6 +55,8 @@ __all__ = [
     "sample_xb",
     "sample_xl",
     "sample_xl_prime",
+    "xl_cdf",
+    "xb_cdf",
     "ystar_tail",
     "ystar_conditional_mc",
     "dominance_test",
@@ -61,17 +75,34 @@ def top_order_stats(n: int, k: int, rng: np.random.Generator, size: int):
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    top = kth = rng.random(size) ** (1.0 / n)
+    top = rng.random(size)
+    np.power(top, 1.0 / n, out=top)
+    if k == 1:
+        return top, top
+    kth = np.empty_like(top)
+    step = np.empty_like(top)
     for j in range(1, k):
-        kth = kth * rng.random(size) ** (1.0 / (n - j))
+        np.power(rng.random(out=step), 1.0 / (n - j), out=step)
+        np.multiply(top if j == 1 else kth, step, out=kth)
     return top, kth
+
+
+def _uniform_above(lo: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """lo + U * (1 - lo) with a fresh uniform U per row, in a new array.
+
+    The same bits as the plain expression, with one temporary.
+    """
+    out = rng.random(len(lo))
+    np.multiply(out, np.subtract(1.0, lo), out=out)
+    return np.add(lo, out, out=out)
 
 
 def sample_xs(n: int, c: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Max of n + c i.i.d. uniforms."""
     if n + c < 1:
         raise ValueError("need n + c >= 1")
-    return rng.random(size) ** (1.0 / (n + c))
+    x = rng.random(size)
+    return np.power(x, 1.0 / (n + c), out=x)
 
 
 def sample_w(n: int, ell: int, rng: np.random.Generator, size: int):
@@ -79,8 +110,7 @@ def sample_w(n: int, ell: int, rng: np.random.Generator, size: int):
     if not 1 <= ell <= n:
         raise ValueError("need 1 <= ell <= n")
     x1, xl = top_order_stats(n, ell, rng, size)
-    w = xl + rng.random(size) * (1.0 - xl)
-    return w, x1, xl
+    return _uniform_above(xl, rng), x1, xl
 
 
 def sample_xb(n: int, ell: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -88,7 +118,7 @@ def sample_xb(n: int, ell: int, rng: np.random.Generator, size: int) -> np.ndarr
     if not 2 <= ell <= n:
         raise ValueError("need 2 <= ell <= n")
     w, x1, _ = sample_w(n, ell, rng, size)
-    return np.maximum(x1, w)
+    return np.maximum(x1, w, out=w)
 
 
 def _pick_exceeder(y: np.ndarray, x1: np.ndarray, rng: np.random.Generator):
@@ -116,8 +146,9 @@ def _top_or_exceeder(x1: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
     if m == 1:
         return x1
     has = rng.random(len(x1)) >= x1 ** (m - 1)
-    chosen = x1 + rng.random(len(x1)) * (1.0 - x1)
-    return np.where(has, chosen, x1)
+    chosen = _uniform_above(x1, rng)
+    np.copyto(chosen, x1, where=~has)
+    return chosen
 
 
 def sample_xl_prime(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -144,9 +175,148 @@ def sample_xl(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray
         raise ValueError("need n >= 1, m >= 1")
     if n == 1:
         return sample_xl_prime(1, m, rng, size)
-    x1, x2 = top_order_stats(n, 2, rng, size)
-    w2 = x2 + rng.random(size) * (1.0 - x2)
-    return np.maximum(_top_or_exceeder(x1, m, rng), w2)
+    x1, w2 = top_order_stats(n, 2, rng, size)
+    w2 = _uniform_above(w2, rng)  # rebinding frees X_(2): four arrays at most
+    out = _top_or_exceeder(x1, m, rng)
+    return np.maximum(out, w2, out=out)
+
+
+MIN_NODES = 48  # Gauss-Legendre nodes per CDF value, at the least
+MAX_NODES = 1024  # built in ~0.05 s; beyond it accuracy degrades slowly
+_SERIES_TERMS = 54  # J_k by its series for x <= 1/2: the rest is below 2^-53
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(k: int):
+    """(r, 1 - r, w): k Gauss-Legendre nodes on [0, 1], their mirror images
+    and weights, read-only.
+
+    Newton's method on the Legendre recurrence from Tricomi's guesses, as in
+    Numerical Recipes' gauleg: ``numpy.polynomial.legendre.leggauss`` gives
+    the same nodes to 1e-16, but importing ``numpy.polynomial`` adds ~1.6 MB
+    of resident memory to every process that builds a chain bound.
+    """
+    z = np.cos(np.pi * (np.arange(k) + 0.75) / (k + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(z), z
+        for j in range(2, k + 1):
+            p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
+        slope = k * (z * p1 - p0) / (z * z - 1.0)  # P_k'(z)
+        step = p1 / slope
+        z = z - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    w = 2.0 / ((1.0 - z * z) * slope * slope)
+    nodes = ((1.0 + z) / 2.0, (1.0 - z) / 2.0, w / 2.0)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
+def _node_count(t: float, sharpness: float) -> int:
+    """Gauss-Legendre nodes for an interval of length L = -log(1 - t) in v:
+    4 L sqrt(sharpness), within [MIN_NODES, MAX_NODES]. The integrands'
+    narrowest features are about 1/sqrt(sharpness) wide in v."""
+    return min(MAX_NODES, max(MIN_NODES, math.ceil(-4.0 * math.log1p(-t) * math.sqrt(sharpness))))
+
+
+def _log_gap_cdf(t, sharpness: float, integrand) -> np.ndarray | float:
+    """A CDF on [0, 1] given as F(t) = integral over v in [log(1 - t), 0] of
+    ``integrand(d, v, g)``, with d = 1 - t, v the node and g = log(1 - t) - v.
+
+    F is 0 for t <= 0 and 1 for t >= 1. The t are taken in ascending blocks,
+    each with the node count of its largest t and about ``BLOCK`` floats per
+    temporary. Nodes are summed with ``np.sum``, not a BLAS dot, whose
+    threaded sum order follows the CPU count.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    flat_t, flat_out = t.ravel(), out.ravel()
+    inner = np.flatnonzero((flat_t > 0.0) & (flat_t < 1.0))
+    inner = inner[np.argsort(flat_t[inner], kind="stable")]
+    start = 0
+    while start < len(inner):
+        # as many rows as the node count of a full-size block's last t allows
+        widest = flat_t[inner[min(start + BLOCK // MIN_NODES, len(inner)) - 1]]
+        block = inner[start:start + max(1, BLOCK // _node_count(widest, sharpness))]
+        tb = flat_t[block]
+        r, rc, w = _gauss_legendre(_node_count(tb[-1], sharpness))
+        lo = np.log1p(-tb)[:, None]
+        f = integrand((1.0 - tb)[:, None], lo * r, lo * rc)
+        flat_out[block] = -lo[:, 0] * np.sum(f * w, axis=1)
+        start += len(block)
+    return out if out.ndim else float(out)
+
+
+def _j_tail(k: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """J_k(x) = integral_0^x y^k / (1 - y) dy = sum_{i > k} x^i / i, v = log(1 - x).
+
+    -log(1 - x) - sum_{i <= k} x^i / i cancels where x is small, so there
+    the series x^(k+1) sum_j x^j / (k + 1 + j) is summed instead.
+    """
+    if k == 0:
+        return -v
+    head = np.full_like(x, 1.0 / k)
+    for i in range(k - 1, 0, -1):
+        head *= x
+        head += 1.0 / i
+    out = -v - x * head
+    small = x <= 0.5
+    xs = x[small]
+    tail = np.full_like(xs, 1.0 / (k + _SERIES_TERMS))
+    for j in range(_SERIES_TERMS - 2, -1, -1):
+        tail *= xs
+        tail += 1.0 / (k + 1 + j)
+    out[small] = xs ** (k + 1) * tail
+    return out
+
+
+def xl_cdf(n: int, m: int, t) -> np.ndarray | float:
+    """Exact CDF of X_L(n, m) for n >= 2 (the law ``sample_xl`` draws).
+
+    With (x1, x2) the top two of n uniforms (joint density
+    n (n-1) x2^(n-2)), X_L <= t when x1 <= t, X'_L <= t and W_2 <= t:
+
+        F(t) = integral_0^t a_t(x1) g_t(x1) dx1,
+        a_t(x) = x^(m-1) + (1 - x^(m-1)) (t - x) / (1 - x)
+                 (X'_L is x1, or uniform on [x1, 1]),
+        g_t(x) = n x^(n-1) - n (n-1) (1 - t) J_{n-2}(x)
+                 (the x2 integral of (t - x2)/(1 - x2) below x1),
+
+    with J_k from ``_j_tail``. The integral is taken in v = log(1 - x1).
+    """
+    if n < 2 or m < 1:
+        raise ValueError("need n >= 2, m >= 1")
+
+    def integrand(d, v, g):
+        x = -np.expm1(v)
+        xm = x ** (m - 1)
+        a = xm + (1.0 - xm) * -np.expm1(g)  # (t - x)/(1 - x) = 1 - e^g
+        top = n * x ** (n - 1) - n * (n - 1) * d * _j_tail(n - 2, x, v)
+        return a * top * np.exp(v)  # dx1 = e^v dv
+
+    return _log_gap_cdf(t, 2.0, integrand)
+
+
+def xb_cdf(n: int, ell: int, t) -> np.ndarray | float:
+    """Exact CDF of X_B(n, ell) (the law ``sample_xb`` draws).
+
+    Given X_(1) <= t the n draws are i.i.d. on [0, t], so X_(ell) = t Y with
+    Y ~ Beta(n - ell + 1, ell), and F(t) = t^n E[(t - tY)/(1 - tY)]. With
+    s = tY this is C integral_0^t s^(n-ell) (t - s)^ell / (1 - s) ds,
+    C = n! / ((n-ell)! (ell-1)!), taken in v = log(1 - s), where it reads
+    C integral (1 - e^v)^(n-ell) (e^v - (1 - t))^ell dv, in logs.
+    """
+    if not 2 <= ell <= n:
+        raise ValueError("need 2 <= ell <= n")
+    log_c = math.lgamma(n + 1) - math.lgamma(n - ell + 1) - math.lgamma(ell)
+
+    def integrand(d, v, g):
+        # e^v - (1 - t) = (1 - t) expm1(-g) >= 0, exact near the end of [0, t]
+        log_gap = np.log(d) + np.log(np.expm1(-g))
+        return np.exp(log_c + (n - ell) * np.log(-np.expm1(v)) + ell * log_gap)
+
+    return _log_gap_cdf(t, float(ell), integrand)
 
 
 def ystar_tail(n: int, m: int, p) -> np.ndarray | float:
@@ -229,8 +399,9 @@ def dominance_test(
     Each sampler runs over its own batches (``rng.map_batches``, labels
     ``dom-a`` and ``dom-b``); the per-batch counts are summed, so they do not
     depend on how batches are scheduled, and one sampler's batch is alive at
-    a time. Sampler B is first called for zero draws, so its argument checks
-    fire before sampler A's pass rather than after it.
+    a time. Each batch a sampler returns is sorted in place, so a sampler
+    must return a fresh array. Sampler B is first called for zero draws, so its
+    argument checks fire before sampler A's pass rather than after it.
     """
     if N < 10_000:
         raise ValueError("need N >= 10^4 for a meaningful DKW band")
@@ -239,9 +410,12 @@ def dominance_test(
     grid = np.arange(1, grid_size + 1) / (grid_size + 1)
 
     def cdf(sampler, label):
-        counts = map_batches(
-            seed, label, N, lambda rng, b: np.searchsorted(np.sort(sampler(rng, b)), grid, "right")
-        )
+        def batch(rng, b):
+            x = sampler(rng, b)
+            x.sort()  # in place: a copy would be one more batch-sized array
+            return np.searchsorted(x, grid, "right")
+
+        counts = map_batches(seed, label, N, batch)
         return sum(counts) / N
 
     sampler_b(np.random.default_rng(0), 0)  # draws nothing; only its checks run
@@ -269,8 +443,7 @@ def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
 
     def batch(rng, b):
         xl = p * top_order_stats(n, ell, rng, b)[1]
-        w = xl + rng.random(b) * (1.0 - xl)
-        return int(np.count_nonzero(w > p))
+        return int(np.count_nonzero(_uniform_above(xl, rng) > p))
 
     rhs, stderr = hit_rate(sum(map_batches(seed, "prop-key", N, batch)), N)
     return lhs, rhs, (0.0, stderr)

@@ -246,7 +246,9 @@ def er2_sum_tail_truncated(t: float, trunc: float) -> float:
 
 
 def three_tier_params(n: int, q: float, p: float) -> dict:
-    """Tier thresholds and probabilities for the three-tier mechanism.
+    """The concentration value k and the tier probabilities of the
+    three-tier mechanism: high iff v1 + v2 >= p k/(k-1), medium iff
+    v1 + v2 >= 2q.
 
     Values are truncated at 10^4 * p, so the high price sits well inside
     their support.
@@ -256,7 +258,7 @@ def three_tier_params(n: int, q: float, p: float) -> dict:
     t_high = p * k / (k - 1.0)
     p_high = er2_sum_tail_truncated(t_high, trunc)
     p_med = max(er2_sum_tail_truncated(2.0 * q, trunc) - p_high, 0.0)
-    return {"k": k, "t_high": t_high, "p_high": p_high, "p_med": p_med}
+    return {"k": k, "p_high": p_high, "p_med": p_med}
 
 
 def three_tier_mechanism(n: int, q: float, p: float, N: int, seed: int) -> RevenueEstimate:

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from auctioncomp import benchmark as bench_mod
 from auctioncomp.cli import (
     EXIT_CLAIM,
     EXIT_OK,
@@ -19,6 +21,18 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def test_chain_bounds_do_not_load_numpy_polynomial():
+    # the quadrature nodes are built in the package: numpy.polynomial costs
+    # ~5 ms to import and ~1.6 MB of resident memory
+    code = (
+        "import sys, auctioncomp as a; pd = a.ProductDist((a.Uniform(0, 1),) * 2); "
+        "a.xl_chain_bound(pd, 2, 1, 0); a.xb_chain_bound(pd, 2, 2, 1, 0); "
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_import_does_not_load_scipy():
@@ -117,6 +131,26 @@ def test_benchmark_chain_links(capsys):
     assert names[0] == "efftw" and names[1] == "obs1" and names[2] == "xl_chain"
     assert names[3].startswith("srev_n+")
     assert all(r.get("link_ok", True) for r in doc["results"])
+
+
+def test_benchmark_links_use_certified_slack(monkeypatch, capsys):
+    # the rows are exact brackets, so a link's slack is the sum of the two
+    # half-widths: a chain row 1.5e-3 below obs1 with half-width 1e-3 passes
+    # 3 * hypot(stderr) but breaks the link
+    def low_chain(pd, n, N, seed):
+        obs1 = bench_mod.obs1_bound(pd, n, N, seed)
+        return bench_mod.RevenueEstimate(mean=obs1.mean - 1.5e-3, stderr=1e-3, samples=N, seed=seed)
+
+    monkeypatch.setattr(bench_mod, "xl_chain_bound", low_chain)
+    code, out = run_cli(
+        ["benchmark", "--dist", "uniform:0,1", "uniform:0,1", "-n", "2",
+         "--chain", "little", "--samples", "1000", "--seed", "3"],
+        capsys,
+    )
+    obs1, chain = json.loads(out)["results"][1:3]
+    assert obs1["mean"] <= chain["mean"] + 3 * math.hypot(obs1["stderr"], chain["stderr"])
+    assert chain["link_ok"] is False
+    assert code == EXIT_CLAIM
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,8 @@ from auctioncomp.experiments import (
     sample_xl_prime,
     sample_xs,
     top_order_stats,
+    xb_cdf,
+    xl_cdf,
     ystar_conditional_mc,
     ystar_tail,
 )
@@ -68,6 +70,39 @@ def ref_sample_xl(n, m, rng, size):
     y = rng.random((size, m - 1))
     chosen, has = _ref_pick_exceeder(y, x1, rng)
     return np.maximum(np.where(has, chosen, x1), w2)
+
+
+# The samplers as plain expressions, before they computed in place. The
+# in-place samplers must reproduce them bit for bit.
+
+
+def _plain_top_order_stats(n, k, rng, size):
+    top = kth = rng.random(size) ** (1.0 / n)
+    for j in range(1, k):
+        kth = kth * rng.random(size) ** (1.0 / (n - j))
+    return top, kth
+
+
+def _plain_sample_w(n, ell, rng, size):
+    x1, xl = _plain_top_order_stats(n, ell, rng, size)
+    w = xl + rng.random(size) * (1.0 - xl)
+    return w, x1, xl
+
+
+def _plain_top_or_exceeder(x1, m, rng):
+    if m == 1:
+        return x1
+    has = rng.random(len(x1)) >= x1 ** (m - 1)
+    chosen = x1 + rng.random(len(x1)) * (1.0 - x1)
+    return np.where(has, chosen, x1)
+
+
+def _plain_sample_xl(n, m, rng, size):
+    if n == 1:
+        return _plain_top_or_exceeder(_plain_top_order_stats(1, 1, rng, size)[0], m, rng)
+    x1, x2 = _plain_top_order_stats(n, 2, rng, size)
+    w2 = x2 + rng.random(size) * (1.0 - x2)
+    return np.maximum(_plain_top_or_exceeder(x1, m, rng), w2)
 
 
 def _draw_chunked(sampler, n, m, rng, size, chunk=50_000):
@@ -226,6 +261,118 @@ def test_top_order_stats_match_matrix_reference(n, k):
     top, kth = top_order_stats(n, k, substream(22, "tos", n, k), 1000)
     ref = ref_top_order_stats(n, k, substream(22, "tos", n, k), 1000)
     assert np.array_equal(top, ref[:, 0]) and np.array_equal(kth, ref[:, k - 1])
+
+
+@pytest.mark.parametrize("n,m", [(2, 16), (3, 1), (5, 4), (2, 2), (1, 4)])
+def test_in_place_samplers_same_bits_as_plain_expressions(n, m):
+    size = 10_001
+    draw = lambda label: substream(24, label, n, m)
+    ref = _plain_sample_xl(n, m, draw("xl"), size)
+    assert np.array_equal(sample_xl(n, m, draw("xl"), size), ref)
+    got = sample_w(n, n, draw("w"), size)
+    ref = _plain_sample_w(n, n, draw("w"), size)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    if n >= 2:
+        ref = np.maximum(*_plain_sample_w(n, 2, draw("xb"), size)[1::-1])
+        assert np.array_equal(sample_xb(n, 2, draw("xb"), size), ref)
+    ref = draw("xs").random(size) ** (1.0 / (n + m))
+    assert np.array_equal(sample_xs(n, m, draw("xs"), size), ref)
+
+
+def test_xl_sampler_peak_memory():
+    # X_(1), W_2 and two arrays of temporaries: 4 x 8 MB and a boolean mask;
+    # the plain expressions peak at 39 MB
+    rng = substream(25, "xl-peak")
+    sample_xl(2, 16, rng, 10)
+    tracemalloc.start()
+    try:
+        sample_xl(2, 16, rng, 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33 * 2**20, peak / 2**20
+
+
+# ---------------------------------------------------------------------------
+# Exact CDFs of X_L and X_B against scipy quadrature of the defining
+# integrals and against the samplers
+# ---------------------------------------------------------------------------
+
+CDF_PROBES = [0.2, 0.5, 0.9, 0.99, 0.999, 1.0 - 2.0**-15]
+
+
+def _xl_cdf_dblquad(n, m, t):
+    """Pr[X_L <= t]: the joint density of the top two uniforms times
+    Pr[X'_L <= t | x1] Pr[W_2 <= t | x2], integrated over x2 < x1 <= t."""
+    keep = lambda x1: x1 ** (m - 1) + (1 - x1 ** (m - 1)) * (t - x1) / (1 - x1)
+    f = lambda x2, x1: n * (n - 1) * x2 ** (n - 2) * keep(x1) * (t - x2) / (1 - x2)
+    return integrate.dblquad(f, 0.0, t, 0.0, lambda x1: x1, epsabs=1e-14, epsrel=1e-12)[0]
+
+
+def _xb_cdf_quad(n, ell, t):
+    """Pr[X_B <= t] = t^n E[(t - tY)/(1 - tY)], Y ~ Beta(n - ell + 1, ell)."""
+    a, b = n - ell + 1, ell
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    pdf = lambda y: math.exp((a - 1) * math.log(y) + (b - 1) * math.log1p(-y) - log_beta)
+    f = lambda y: pdf(y) * (t - t * y) / (1 - t * y)
+    mode = (a - 1) / (a + b - 2)
+    quad = integrate.quad(f, 0.0, 1.0, points=[mode], epsabs=1e-14, epsrel=1e-12, limit=200)
+    return t**n * quad[0]
+
+
+@pytest.mark.parametrize("n,m", [(2, 16), (2, 4), (4, 4), (8, 2), (3, 1)])
+def test_xl_cdf_matches_dblquad(n, m):
+    got = xl_cdf(n, m, CDF_PROBES)
+    ref = [_xl_cdf_dblquad(n, m, t) for t in CDF_PROBES]
+    assert np.max(np.abs(got - ref)) <= 1e-10, got - ref
+
+
+@pytest.mark.parametrize("n,ell", [(19, 4), (10, 3), (5, 2), (200, 5), (4, 4)])
+def test_xb_cdf_matches_quad(n, ell):
+    got = xb_cdf(n, ell, CDF_PROBES)
+    ref = [_xb_cdf_quad(n, ell, t) for t in CDF_PROBES]
+    assert np.max(np.abs(got - ref)) <= 1e-10, got - ref
+
+
+@pytest.mark.parametrize(
+    "kind,n,k",
+    [("xl", 2, 16), ("xl", 2, 4), ("xl", 4, 4), ("xl", 8, 2), ("xl", 200, 4), ("xl", 50, 8),
+     ("xb", 19, 4), ("xb", 10, 3), ("xb", 5, 2), ("xb", 2000, 2), ("xb", 200, 5)],
+)
+def test_exact_cdfs_within_dkw_of_samplers(kind, n, k):
+    sampler, cdf = (sample_xl, xl_cdf) if kind == "xl" else (sample_xb, xb_cdf)
+    samples = 1_000_000
+    x = np.sort(sampler(n, k, substream(26, kind, n, k), samples))
+    probe = np.concatenate([np.linspace(0.005, 0.995, 199), 1.0 - np.geomspace(1e-2, 1e-5, 31)])
+    gap = np.max(np.abs(np.searchsorted(x, probe, "right") / samples - cdf(n, k, probe)))
+    assert gap <= dkw_epsilon(samples, 1e-3), gap
+
+
+@pytest.mark.parametrize(
+    "kind,n,k", [("xl", 2, 16), ("xl", 2, 1), ("xl", 3, 1), ("xl", 200, 4), ("xl", 50, 8),
+                 ("xb", 19, 4), ("xb", 2000, 2), ("xb", 4, 4)]
+)
+def test_exact_cdfs_monotone_with_linear_tail(kind, n, k):
+    cdf = xl_cdf if kind == "xl" else xb_cdf
+    u = np.linspace(0.0, 1.0, 2**15 + 1)
+    u = np.unique(np.concatenate([u, 1.0 - np.geomspace(0.5, 1e-9, 200)]))
+    F = cdf(n, k, u)
+    assert F[0] == 0.0 and F[-1] == 1.0
+    # rounding: F is accurate to ~1e-13 at n = 200, below 1e-14 elsewhere
+    assert np.all(np.diff(F) >= -1e-12)
+    # 1 - F(u) <= D (1 - u), the bound that caps the chain's unbounded tail;
+    # D is tight as u -> 1 for m <= 2 and for X_B
+    D = 2 * n + k - 1 if kind == "xl" else n * k / (k - 1)
+    g = 1.0 - np.geomspace(0.5, 1e-7, 60)
+    assert np.max((1.0 - cdf(n, k, g)) / (1.0 - g)) <= D
+
+
+def test_exact_cdfs_reject_bad_sizes():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        xl_cdf(1, 4, 0.5)
+    with pytest.raises(ValueError, match="need 2 <= ell <= n"):
+        xb_cdf(3, 1, 0.5)
+    assert xl_cdf(2, 3, -0.5) == 0.0 and xb_cdf(3, 2, 1.5) == 1.0
 
 
 def test_xb_memory_independent_of_ell():
