@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import ProductDist, SingleDist
 from .experiments import xb_cdf, xl_cdf
-from .revenue import _QUAD_CELLS, RevenueEstimate, _score_estimate, _sum_estimates
+from .revenue import _QUAD_CELLS, RevenueEstimate, _per_item, _score_estimate, _sum_estimates
 from .rng import need_samples
 from .virtual import iron
 
@@ -80,9 +80,10 @@ def _region_max_cdf(d: SingleDist, m: int, n: int, psi):
 
 
 def _exact_bound(pd: ProductDist, n: int, N: int, seed: int, item_cdf) -> RevenueEstimate:
-    """Sum over items of the exact mean of a score with CDF ``item_cdf(d, imap)``."""
+    """Sum over items of the exact mean of a score with CDF ``item_cdf(d, imap)``,
+    integrated once per distinct marginal and added in item order."""
     need_samples(N)
-    ests = (_score_estimate(d, n, item_cdf(d, iron(d)), N, seed) for d in pd.marginals)
+    ests = _per_item(lambda d: _score_estimate(d, n, item_cdf(d, iron(d)), N, seed), pd.marginals)
     return _sum_estimates(ests, N, seed, exact=True)
 
 
@@ -141,7 +142,8 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
     next float above and below. (The exact regular path is left-continuous
     at a value atom: ER(p) reads 0 at its breakpoint and p just above.) The
     item's bracket is the midpoint, with its half-width as the stderr, and
-    the items' half-widths add.
+    the items' half-widths add. A repeated marginal reuses its bracket
+    (``revenue._per_item``); the sum still runs over the items in order.
 
     phi_bar is unbounded only for ``Exponential``, where it is Q - 1/rate.
     There the top cell (u_K, 1) takes phi_bar(u_K) dF_K plus
@@ -149,18 +151,19 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
     given 1 - F(u) <= D (1 - u) for every u.
     """
     need_samples(N)
-    imaps = [iron(d) for d in pd.marginals]
+    imaps = {d: iron(d) for d in pd.marginals}  # one per distinct marginal
     u = np.unique(np.concatenate(
         [np.linspace(0.0, 1.0, _QUAD_CELLS + 1)]
-        + [imap.knots for imap in imaps]
-        + [d.quantile_breakpoints() for d in pd.marginals]
+        + [imap.knots for imap in imaps.values()]
+        + [d.quantile_breakpoints() for d in imaps]
     ))
     F = cdf(u)
     F[0], F[-1] = 0.0, 1.0
     dF = np.diff(np.maximum.accumulate(F))
     above, below = np.nextafter(u[:-1], np.inf), np.nextafter(u[1:], -np.inf)
 
-    def item(d: SingleDist, imap):
+    def item(d: SingleDist):
+        imap = imaps[d]
         lo_phi = imap.at_quantile(above)
         hi_phi = imap.at_quantile(below)
         tail = 0.0
@@ -173,7 +176,7 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
         mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
         return RevenueEstimate(mean=mean, stderr=half_width, samples=N, seed=seed)
 
-    return _sum_estimates(map(item, pd.marginals, imaps), N, seed, exact=True)
+    return _sum_estimates(_per_item(item, pd.marginals), N, seed, exact=True)
 
 
 def xl_chain_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:

@@ -40,7 +40,9 @@ def _emit(payload: dict, rows: list[dict], args) -> None:
     else:
         buf = io.StringIO()
         if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+            # rows may differ in their keys: the header is their union, in first-seen order
+            fieldnames = list(dict.fromkeys(key for row in rows for key in row))
+            writer = csv.DictWriter(buf, fieldnames=fieldnames)
             writer.writeheader()
             for row in rows:
                 writer.writerow(row)

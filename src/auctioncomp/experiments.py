@@ -19,7 +19,11 @@ only X_(1) and the current one are held.
 is: the item draws are independent of x, so none of them exceeds x with
 probability x^(m-1), and otherwise a uniformly chosen exceeder is uniform on
 [x, 1]. ``ystar_conditional_mc`` still simulates all m - 1 item draws,
-because it is the independent check of the closed form ``ystar_tail``.
+because it is the independent check of the closed form ``ystar_tail``. It
+draws them item-major, (m - 1, rows), in blocks of about ``BLOCK`` floats,
+and takes the rank-th exceeder, largest first, with a uniform rank; whether
+that one exceeds p follows from two counts per row, so no exceeder is
+located.
 
 The samplers compute in place (``out=`` arithmetic in the order of the plain
 expressions, so the draws are the same bits), which keeps a batch of X_L
@@ -119,23 +123,6 @@ def sample_xb(n: int, ell: int, rng: np.random.Generator, size: int) -> np.ndarr
         raise ValueError("need 2 <= ell <= n")
     w, x1, _ = sample_w(n, ell, rng, size)
     return np.maximum(x1, w, out=w)
-
-
-def _pick_exceeder(y: np.ndarray, x1: np.ndarray, rng: np.random.Generator):
-    """Uniformly random element of {y_j : y_j > x1} per row.
-
-    Returns (chosen, any_exceed); ``chosen`` is undefined where none exceed.
-    A uniform rank r < k among the k exceeders is drawn, and the exceeder
-    whose running count first passes r is taken.
-    """
-    exceed = y > x1[:, None]
-    # the narrowest integer that holds a row's count keeps the scan cheap
-    running = np.cumsum(exceed, axis=1, dtype=np.min_scalar_type(y.shape[1]))
-    k = running[:, -1]
-    rank = (rng.random(len(x1)) * np.maximum(k, 1)).astype(running.dtype)
-    idx = np.argmax(running > rank[:, None], axis=1)
-    chosen = y[np.arange(len(x1)), idx]
-    return chosen, k > 0
 
 
 def _top_or_exceeder(x1: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -344,18 +331,34 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
     so the conditional law is sampled exactly (no rejection). The m - 1 item
     draws are simulated directly, so this stays independent of both
     ``ystar_tail`` and the conditional construction in ``sample_xl``.
+
+    Each batch runs in blocks of ``BLOCK // (m - 1)`` rows, each drawing
+    X_(1), then the item draws item-major as (m - 1, rows), then the rank
+    uniforms U. Y* is the exceeder of rank floor(U k) among the k item draws
+    above X_(1), taken largest first; the h draws above p > X_(1) lead that
+    order, so Y* > p iff floor(U k) < h, i.e. U k < h. Only k and h are
+    counted, as sums over contiguous item rows.
     """
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")
     if m < 2:
         raise ValueError("need m >= 2")
+    width = m - 1
+    rows = max(1, BLOCK // width)
+    count = np.min_scalar_type(width)  # the narrowest integer that holds k
 
     def batch(rng, b):
-        x1 = p * rng.random(b) ** (1.0 / n)
-        chosen, has = _pick_exceeder(rng.random((b, m - 1)), x1, rng)
-        return int(np.count_nonzero(has & (chosen > p)))
+        hits = 0
+        for start in range(0, b, rows):
+            r = min(rows, b - start)
+            x1 = p * rng.random(r) ** (1.0 / n)
+            y = rng.random((width, r))
+            k = np.add.reduce(y > x1, axis=0, dtype=count)
+            h = np.add.reduce(y > p, axis=0, dtype=count)
+            hits += int(np.count_nonzero(rng.random(r) * k < h))
+        return hits
 
-    return hit_rate(sum(map_batches(seed, "ystar-mc", N, batch, m - 1)), N)
+    return hit_rate(sum(map_batches(seed, "ystar-mc", N, batch, width)), N)
 
 
 def dkw_epsilon(N: int, delta: float) -> float:

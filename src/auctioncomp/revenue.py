@@ -6,8 +6,9 @@ value) are exact: the mean of a score with a closed-form CDF, integrated by
 ``_score_estimate`` (as are the benchmark and ``obs1_bound``). Monte Carlo is
 hopeless here for heavy tails: at p = 10^4 the truncated equal-revenue curve
 has all of its virtual value in an atom of mass 1/p, so the naive estimator
-has ~10% relative error at a million samples. The explicit mechanisms are
-seeded Monte Carlo.
+has ~10% relative error at a million samples. A sum over items integrates
+each distinct marginal once (``_per_item``) and adds the items in order. The
+explicit mechanisms are seeded Monte Carlo.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def _sum_estimates(ests, samples: int, seed: int, exact: bool = False) -> Revenu
         err += est.stderr if exact else est.stderr**2
     err = err if exact else math.sqrt(err)
     return RevenueEstimate(mean=mean, stderr=err, samples=samples, seed=seed)
+
+
+def _per_item(fn, marginals):
+    """Yield ``fn(d)`` for each marginal in order, computing it once per
+    distinct (frozen, hashable) marginal; a repeat yields the first result.
+    The caller's in-order sum keeps the bits of one call per item."""
+    done = {}
+    for d in marginals:
+        if d not in done:
+            done[d] = fn(d)
+        yield done[d]
 
 
 @functools.lru_cache(maxsize=8)
@@ -140,13 +152,13 @@ def vcg_item_revenue(d: SingleDist, n: int, N: int, seed: int) -> RevenueEstimat
 
 def srev(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
     """Myerson run separately per item: sum of single-item optimal revenues."""
-    ests = (myerson_item_revenue(d, n, N, seed) for d in pd.marginals)
+    ests = _per_item(lambda d: myerson_item_revenue(d, n, N, seed), pd.marginals)
     return _sum_estimates(ests, N, seed, exact=True)
 
 
 def vcg(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
     """Second-price auction per item, summed over the items."""
-    ests = (vcg_item_revenue(d, n, N, seed) for d in pd.marginals)
+    ests = _per_item(lambda d: vcg_item_revenue(d, n, N, seed), pd.marginals)
     return _sum_estimates(ests, N, seed, exact=True)
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from auctioncomp import benchmark as benchmark_mod
+from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import (
     assign_regions,
     efftw_bound,
@@ -24,9 +26,9 @@ from auctioncomp.distributions import (
 )
 from auctioncomp.experiments import sample_xb, sample_xl
 from auctioncomp.repro import er_offregion_items
-from auctioncomp.revenue import RevenueEstimate, _sum_estimates, myerson_item_revenue, srev
+from auctioncomp.revenue import RevenueEstimate, _sum_estimates, myerson_item_revenue, srev, vcg
 from auctioncomp.rng import BATCH, batch_moments, batch_sizes, map_batches, mean_stderr, substream
-from auctioncomp.virtual import iron
+from auctioncomp.virtual import IronedVirtualMap, iron
 from test_virtual import _brute_force_ironed
 
 N = 100_000
@@ -277,6 +279,60 @@ def test_regions_uniform_under_iid_marginals():
     counts = np.bincount(regions, minlength=m)
     _, pval = stats.chisquare(counts)
     assert pval > 1e-3
+
+
+# Repeated marginals of mixed kinds: U(0, 1) three times, and U(0, 2) shares
+# its kind but not its law.
+REPEATS = ProductDist((Uniform(0, 1), Exponential(1.0), Uniform(0, 2), parse_dist(IRREGULAR),
+                       Uniform(0, 1)))
+PER_ITEM_SUMS = {
+    "srev": lambda pd: srev(pd, 3),
+    "vcg": lambda pd: vcg(pd, 3, 1000, 0),
+    "efftw": lambda pd: efftw_bound(pd, 3, 1000, 0),
+    "obs1": lambda pd: obs1_bound(pd, 3, 1000, 0),
+    "xl_chain": lambda pd: xl_chain_bound(pd, 3, 1000, 0),
+    "xb_chain": lambda pd: xb_chain_bound(pd, 3, 2, 1000, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(PER_ITEM_SUMS))
+def test_repeated_marginals_keep_the_in_order_sum(name, monkeypatch):
+    # one estimate per distinct marginal, added once per item in item order:
+    # the same bits as estimating every item
+    got = PER_ITEM_SUMS[name](REPEATS)
+
+    def every_item(fn, marginals):
+        return (fn(d) for d in marginals)
+
+    monkeypatch.setattr(revenue_mod, "_per_item", every_item)
+    monkeypatch.setattr(benchmark_mod, "_per_item", every_item)
+    assert PER_ITEM_SUMS[name](REPEATS) == got
+
+
+def test_each_distinct_marginal_estimated_once(monkeypatch):
+    distinct = list(dict.fromkeys(REPEATS.marginals))
+    assert len(distinct) == 4
+    calls = []
+    score_estimate = revenue_mod._score_estimate
+    at_quantile = IronedVirtualMap.at_quantile
+
+    def counted_score_estimate(d, *args):
+        calls.append(d)
+        return score_estimate(d, *args)
+
+    def counted_at_quantile(imap, u):
+        calls.append(imap.dist)
+        return at_quantile(imap, u)
+
+    monkeypatch.setattr(revenue_mod, "_score_estimate", counted_score_estimate)
+    monkeypatch.setattr(benchmark_mod, "_score_estimate", counted_score_estimate)
+    monkeypatch.setattr(IronedVirtualMap, "at_quantile", counted_at_quantile)
+    for name, per_marginal in [("srev", 1), ("vcg", 1), ("efftw", 1), ("obs1", 1),
+                               ("xl_chain", 2), ("xb_chain", 2)]:
+        calls.clear()
+        PER_ITEM_SUMS[name](REPEATS)
+        # a chain bound reads phi_bar twice per marginal: below and above each cell
+        assert calls == [d for d in distinct for _ in range(per_marginal)], name
 
 
 def test_efftw_single_item_equals_myerson():

@@ -133,6 +133,25 @@ def test_benchmark_chain_links(capsys):
     assert all(r.get("link_ok", True) for r in doc["results"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dist", "uniform:0,1", "-n", "2", "--chain", "little"],
+        ["--dist", "uniform:0,1", "uniform:0,1", "-n", "16", "--chain", "big"],
+    ],
+    ids=["little", "big"],
+)
+def test_benchmark_csv_header_is_union_of_row_keys(argv, capsys):
+    # the first row (efftw) has no link_ok; the header still names it
+    code, out = run_cli(["benchmark", *argv, "--seed", "1", "--out", "csv"], capsys)
+    assert code == EXIT_OK
+    reader = csv.DictReader(io.StringIO(out))
+    assert reader.fieldnames == ["name", "mean", "stderr", "samples", "link_ok"]
+    rows = list(reader)
+    assert rows[0]["name"] == "efftw" and rows[0]["link_ok"] == ""
+    assert len(rows) > 2 and all(row["link_ok"] == "True" for row in rows[1:])
+
+
 def test_benchmark_links_use_certified_slack(monkeypatch, capsys):
     # the rows are exact brackets, so a link's slack is the sum of the two
     # half-widths: a chain row 1.5e-3 below obs1 with half-width 1e-3 passes

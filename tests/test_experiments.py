@@ -6,7 +6,6 @@ import pytest
 from scipy import integrate, stats
 
 from auctioncomp.experiments import (
-    _pick_exceeder,
     dkw_epsilon,
     dominance_test,
     prop_key_conditional,
@@ -21,7 +20,7 @@ from auctioncomp.experiments import (
     ystar_conditional_mc,
     ystar_tail,
 )
-from auctioncomp.rng import substream
+from auctioncomp.rng import BATCH, BLOCK, substream
 
 N = 200_000
 N_XL = 400_000
@@ -47,6 +46,22 @@ def _ref_pick_exceeder(y, x1, rng):
     y_sorted = -np.sort(-y, axis=1)
     idx = np.minimum((rng.random(len(x1)) * np.maximum(k, 1)).astype(np.int64), y.shape[1] - 1)
     chosen = y_sorted[np.arange(len(x1)), idx]
+    return chosen, k > 0
+
+
+def _pick_exceeder(y, x1, rng):
+    """Uniformly random element of {y_j : y_j > x1} per row, by a scan.
+
+    Returns (chosen, any_exceed); ``chosen`` is undefined where none exceed.
+    A uniform rank r < k among the k exceeders is drawn, and the exceeder
+    whose running count first passes r is taken.
+    """
+    exceed = y > x1[:, None]
+    running = np.cumsum(exceed, axis=1, dtype=np.min_scalar_type(y.shape[1]))
+    k = running[:, -1]
+    rank = (rng.random(len(x1)) * np.maximum(k, 1)).astype(running.dtype)
+    idx = np.argmax(running > rank[:, None], axis=1)
+    chosen = y[np.arange(len(x1)), idx]
     return chosen, k > 0
 
 
@@ -438,6 +453,37 @@ def test_ystar_tail_matches_conditional_mc():
     n, m, p = 2, 3, 0.5
     est, se = ystar_conditional_mc(n, m, p, 400_000, seed=12)
     assert abs(est - ystar_tail(n, m, p)) <= 4 * se
+
+
+@pytest.mark.parametrize("n, m", [(2, 16), (5, 4), (1, 3), (3, 300)])
+def test_ystar_conditional_mc_equals_sort_based_pick(n, m):
+    # replay one batch block by block, in the kernel's draw order (X_(1), the
+    # item draws item-major, the rank uniforms), and pick with the sorting
+    # reference: the hit counts agree exactly
+    p, seed, width = 0.6, 5, m - 1
+    N, rows = BATCH // width, BLOCK // width  # one batch, ending in a short block
+    rng = substream(seed, "ystar-mc", 0)
+    hits = 0
+    for start in range(0, N, rows):
+        r = min(rows, N - start)
+        x1 = p * rng.random(r) ** (1.0 / n)
+        y = rng.random((width, r))
+        chosen, has = _ref_pick_exceeder(y.T, x1, rng)
+        hits += int(np.count_nonzero(has & (chosen > p)))
+    assert N % rows and 0 < hits < N
+    assert ystar_conditional_mc(n, m, p, N, seed)[0] == hits / N
+
+
+@pytest.mark.parametrize("m", [3, 16, 200])
+def test_ystar_conditional_mc_peak_memory(m):
+    # the item draws are held one block at a time, whatever m
+    tracemalloc.start()
+    try:
+        ystar_conditional_mc(2, m, 0.5, 10**6, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_dkw_epsilon_value():
