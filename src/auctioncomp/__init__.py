@@ -2,11 +2,11 @@
 multi-item auctions with additive bidders.
 
 Core pieces: value distributions with exact quantiles, Myerson virtual
-values with ironing, revenue estimators (exact Myerson, VCG and per-item
-Myerson; seeded explicit posted-price mechanisms), the exact quantile-region
-revenue benchmark with its chain of upper bounds, quantile experiments with an
-empirical stochastic-dominance tester, and reproduction drivers for the
-lower-bound computations.
+values with ironing, revenue estimators (exact Myerson, VCG, per-item Myerson
+and three-tier revenue; a seeded sequential posted-bundle mechanism), the
+exact quantile-region revenue benchmark with its chain of upper bounds,
+quantile experiments with an empirical stochastic-dominance tester, and
+reproduction drivers for the lower-bound computations.
 """
 
 from .distributions import (
@@ -19,10 +19,9 @@ from .distributions import (
     Uniform,
     parse_dist,
 )
-from .virtual import IronedVirtualMap, fact1_check, iron
+from .virtual import IronedVirtualMap, iron
 from .revenue import (
     RevenueEstimate,
-    bulow_klemperer_check,
     feldman_posted_price,
     myerson_item_revenue,
     srev,
@@ -41,7 +40,6 @@ from .benchmark import (
 from .experiments import (
     DominanceReport,
     dominance_test,
-    prop_key_conditional,
     sample_xb,
     sample_xl,
     sample_xs,

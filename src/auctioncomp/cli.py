@@ -197,11 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default=1_000_000):
+    def common(p):
         p.add_argument("--seed", type=int, required=True, help="master RNG seed (required)")
-        p.add_argument("--samples", type=int, default=samples_default)
         p.add_argument("--out", choices=["json", "csv"], default="json")
         p.add_argument("--output", help="write artifact to this path instead of stdout")
+
+    def sampled(p):
+        # only the subcommands whose estimators take a sample budget N
+        p.add_argument("--samples", type=int, default=1_000_000)
+        common(p)
 
     p = sub.add_parser("virtual", help="ironed virtual values of a distribution")
     p.add_argument("--dist", required=True)
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--price", type=float, help="override the posted bundle price")
     p.add_argument("--medium-price", type=float, default=100.0)
     p.add_argument("--high-price", type=float, default=1e8)
-    common(p)
+    sampled(p)
     p.set_defaults(func=cmd_revenue)
 
     p = sub.add_parser("benchmark", help="revenue benchmark and its chain of upper bounds")
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", choices=["little", "big"])
     p.add_argument("-l", type=int, help="order index for the big-n chain")
     p.add_argument("-c", type=int, help="extra bidders for the final chain link")
-    common(p)
+    sampled(p)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("dominance", help="empirical stochastic dominance of quantile experiments")
@@ -238,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-l", type=int, default=2)
     p.add_argument("-c", type=int, required=True)
     p.add_argument("--delta", type=float, default=1e-3)
-    common(p)
+    sampled(p)
     p.set_defaults(func=cmd_dominance)
 
     p = sub.add_parser("reproduce", help="run the registered reproduction claims")

@@ -38,7 +38,8 @@ beyond.
 
 Dominance between two samplers is decided empirically on a uniform probe
 grid with a two-sided DKW allowance. Every Monte Carlo loop here runs through
-``rng.map_batches``, and the hit-rate estimators share one binomial stderr.
+``rng.map_batches``, and the hit rate of ``ystar_conditional_mc`` takes the
+binomial stderr of ``rng.hit_rate``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
     "ystar_tail",
     "ystar_conditional_mc",
     "dominance_test",
-    "prop_key_conditional",
     "dkw_epsilon",
 ]
 
@@ -427,26 +427,3 @@ def dominance_test(
     eps = dkw_epsilon(N, delta)
     dominates = bool(np.all(cdf_a <= cdf_b + 2 * eps))
     return DominanceReport(grid=grid, cdf_a=cdf_a, cdf_b=cdf_b, epsilon=eps, dominates=dominates)
-
-
-def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
-    """Compare Pr[Z_(1),c > p | X_(1),n < p] with Pr[W_{ell,n} > p | X_(1),n < p].
-
-    The left side is analytic (1 - p^c, independence). The right side is
-    estimated by sampling the conditional law directly: given X_(1),n < p the
-    draws are i.i.d. uniform on [0, p]. Returns (lhs, rhs, (0, stderr_rhs)).
-    """
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0, 1)")
-    if p**n < 1e-4:
-        raise ValueError("conditioning event too rare (p^n < 1e-4)")
-    if not 2 <= ell <= n:
-        raise ValueError("need 2 <= ell <= n")
-    lhs = 1.0 - p**c
-
-    def batch(rng, b):
-        xl = p * top_order_stats(n, ell, rng, b)[1]
-        return int(np.count_nonzero(_uniform_above(xl, rng) > p))
-
-    rhs, stderr = hit_rate(sum(map_batches(seed, "prop-key", N, batch)), N)
-    return lhs, rhs, (0.0, stderr)

@@ -7,8 +7,11 @@ value) are exact: the mean of a score with a closed-form CDF, integrated by
 hopeless here for heavy tails: at p = 10^4 the truncated equal-revenue curve
 has all of its virtual value in an atom of mass 1/p, so the naive estimator
 has ~10% relative error at a million samples. A sum over items integrates
-each distinct marginal once (``_per_item``) and adds the items in order. The
-explicit mechanisms are seeded Monte Carlo.
+each distinct marginal once (``_per_item``) and adds the items in order.
+
+Of the explicit mechanisms, the three-tier one is exact: its revenue depends
+only on the tier counts (``three_tier_revenue``). The sequential posted-bundle
+mechanism is seeded Monte Carlo.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "vcg_item_revenue",
     "srev",
     "vcg",
-    "bulow_klemperer_check",
     "feldman_params",
     "feldman_posted_price",
     "three_tier_params",
@@ -162,19 +164,6 @@ def vcg(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
     return _sum_estimates(ests, N, seed, exact=True)
 
 
-def bulow_klemperer_check(d: SingleDist, n: int, N: int, seed: int):
-    """Estimate (VCG_{n+1}, Rev_n, margin) for a regular distribution.
-
-    The margin is vcg.mean - rev.mean; the classical guarantee asks it to be
-    nonnegative up to 3 combined standard errors.
-    """
-    if not iron(d).regular:
-        raise ValueError("Bulow-Klemperer requires a regular distribution")
-    vcg_est = vcg_item_revenue(d, n + 1, N, seed)
-    rev_est = myerson_item_revenue(d, n, N, seed)
-    return vcg_est, rev_est, vcg_est.mean - rev_est.mean
-
-
 # ---------------------------------------------------------------------------
 # Sequential posted-bundle mechanism on ER(p)^m (little-n lower bound)
 # ---------------------------------------------------------------------------
@@ -246,13 +235,16 @@ def er2_sum_tail_truncated(t: float, trunc: float) -> float:
 
     both_atoms = a * a
     one_atom = 2.0 * a * cont_tail(t - P)
-    x0 = max(1.0, t - P)
-    x1 = min(max(t - 1.0, x0), P)
+    # continuous pairs with x0 <= v1 < x1 and v2 >= t - v1; each end comes
+    # with its gap t - x from its definition: t minus the rounded x1 = t - 1
+    # reads 0 once t passes 2^53
+    x0, g0 = (1.0, t - 1.0) if t - P <= 1.0 else (t - P, P)
+    x1, g1 = (t - 1.0, 1.0) if t - 1.0 <= P else (P, t - P)
     part_mixed = 0.0
     if x1 > x0:
-        def F(x: float) -> float:
-            return math.log(x / (t - x)) / t**2 - 1.0 / (t * x)
-        part_mixed = F(x1) - F(x0) - a * (1.0 / x0 - 1.0 / x1)
+        def F(x: float, gap: float) -> float:
+            return math.log(x / gap) / t**2 - 1.0 / (t * x)
+        part_mixed = F(x1, g1) - F(x0, g0) - a * (1.0 / x0 - 1.0 / x1)
     part_flat = (1.0 - a) * (1.0 / x1 - 1.0 / P) if P > x1 else 0.0
     return both_atoms + one_atom + part_mixed + part_flat
 
@@ -279,13 +271,13 @@ def three_tier_mechanism(n: int, q: float, p: float, N: int, seed: int) -> Reven
     Bidders play the explicit threshold profile: high iff v1+v2 >= p*k/(k-1)
     with k the concentration value n/q + n*ln(q)/(8 q^2), medium iff
     v1+v2 >= 2q, else low. The first processed high bidder takes both items
-    for p; otherwise up to two medium bidders each take one item for q, so
-    per-run revenue depends only on the tier counts, which are drawn
-    multinomially from the exact tier probabilities (``three_tier_params``).
+    for p; otherwise up to two medium bidders each take one item for q. The
+    revenue is exact (``three_tier_revenue``), with stderr 0; N and the seed
+    are recorded.
     """
     _check_three_tier(n, q, p)
-    mean, stderr = mean_stderr(moments for moments, _ in _three_tier_batches(n, q, p, N, seed))
-    return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
+    need_samples(N)
+    return RevenueEstimate(mean=three_tier_revenue(n, q, p), stderr=0.0, samples=N, seed=seed)
 
 
 def _check_three_tier(n: int, q: float, p: float) -> None:
@@ -293,21 +285,6 @@ def _check_three_tier(n: int, q: float, p: float) -> None:
         raise ValueError("q must satisfy 100 <= q <= sqrt(n)")
     if p < 100.0 * q:
         raise ValueError("high price p must be >> q")
-
-
-def _three_tier_batches(n: int, q: float, p: float, N: int, seed: int) -> list:
-    """Per batch of three-tier runs, from multinomial tier counts: the
-    ``batch_moments`` of the run revenues and the number of high-tier sales."""
-    params = three_tier_params(n, q, p)
-    p_high, p_med = params["p_high"], params["p_med"]
-
-    def batch(rng, b):
-        counts = rng.multinomial(n, [p_high, p_med, 1.0 - p_high - p_med], size=b)
-        high = counts[:, 0] >= 1
-        runs = np.where(high, p, q * np.minimum(counts[:, 1], 2))
-        return batch_moments(runs), int(np.count_nonzero(high))
-
-    return map_batches(seed, "three-tier", N, batch)
 
 
 def three_tier_revenue(n: int, q: float, p: float) -> float:

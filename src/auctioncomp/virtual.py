@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import SingleDist
-from .rng import substream
 
-__all__ = ["IronedVirtualMap", "iron", "fact1_check"]
+__all__ = ["IronedVirtualMap", "iron"]
 
 REGULARITY_TOL = 1e-9
 DEFAULT_GRID = 4096
@@ -134,23 +133,3 @@ def _iron_cached(d: SingleDist, K: int) -> IronedVirtualMap:
     knots.flags.writeable = False
     levels.flags.writeable = False
     return IronedVirtualMap(dist=d, knots=knots, levels=levels, regular=regular)
-
-
-def fact1_check(d: SingleDist, v: float, N: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of E[phi(w) | w >= v] with its standard error.
-
-    For regular distributions the estimate should match v within sampling
-    noise; the caller owns the 3-sigma comparison.
-    """
-    if v > d.support_hi:
-        raise ValueError("conditioning value above the support")
-    qlo = float(d.cdf_left(np.asarray(v)))
-    if qlo >= 1.0:
-        raise ValueError("conditioning event has probability zero")
-    rng = substream(seed, "fact1")
-    u = qlo + rng.random(N) * (1.0 - qlo)
-    w = d.quantile(u)
-    phi = d.raw_virtual(w)
-    est = float(np.mean(phi))
-    stderr = float(np.std(phi, ddof=1) / np.sqrt(N)) if N > 1 else float("inf")
-    return est, stderr

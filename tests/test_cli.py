@@ -51,8 +51,11 @@ def test_import_does_not_load_scipy():
          "--samples", "20000"],
         ["dominance", "--pair", "xs-xl", "-n", "2", "-m", "4", "-c", "7", "--samples", "20000"],
         ["reproduce", "--all"],
+        # a high price past 2^53: the truncated sum tail must not cancel
+        ["revenue", "--mech", "three-tier", "-n", "1000000", "--medium-price", "1000",
+         "--high-price", "1e16"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["virtual", "revenue", "benchmark", "dominance", "reproduce", "three-tier-1e16"],
 )
 def test_subcommands_run_without_scipy(argv):
     # scipy is a test-only dependency: an import of it, lazy or not, fails here
@@ -244,6 +247,25 @@ def test_reproduce_single_claim_deterministic(capsys):
 def test_reproduce_unknown_claim_exit_3(capsys):
     code, _ = run_cli(["reproduce", "--claim", "bogus", "--seed", "0"], capsys)
     assert code == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["virtual", "--dist", "uniform:0,1"],
+        ["reproduce", "--claim", "er-order-stat-4-12"],
+    ],
+    ids=["virtual", "reproduce"],
+)
+def test_samples_only_where_an_estimator_reads_it(argv, capsys):
+    # virtual and reproduce take no sample budget: --samples is a usage error,
+    # and their artifact config records none
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--samples", "10", "--seed", "0"])
+    assert exc.value.code == 2
+    code, out = run_cli(argv + ["--seed", "0"], capsys)
+    assert code == EXIT_OK
+    assert "samples" not in json.loads(out)["config"]
 
 
 def test_reproduce_requires_claim_or_all():

@@ -8,7 +8,6 @@ from scipy import integrate, stats
 from auctioncomp.experiments import (
     dkw_epsilon,
     dominance_test,
-    prop_key_conditional,
     sample_w,
     sample_xb,
     sample_xl,
@@ -21,6 +20,7 @@ from auctioncomp.experiments import (
     ystar_tail,
 )
 from auctioncomp.rng import BATCH, BLOCK, substream
+from oracles import prop_key_conditional
 
 N = 200_000
 N_XL = 400_000

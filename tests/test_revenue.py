@@ -10,9 +10,9 @@ from auctioncomp.distributions import (
     TruncatedEqualRevenue,
     Uniform,
 )
+from auctioncomp.repro import two_item_sum_tail
 from auctioncomp.revenue import (
     RevenueEstimate,
-    bulow_klemperer_check,
     er2_sum_tail_truncated,
     feldman_params,
     feldman_posted_price,
@@ -25,6 +25,7 @@ from auctioncomp.revenue import (
     vcg_item_revenue,
 )
 from auctioncomp.rng import batch_sizes, substream
+from oracles import bulow_klemperer_check, three_tier_mc
 
 # ---------------------------------------------------------------------------
 # Oracles: the mean of all samples held at once, the other side of Myerson's
@@ -152,8 +153,8 @@ def test_vcg_single_bidder_is_zero():
 
 
 def test_shortcut_estimates_still_need_samples():
-    # the n = 1 answer needs no draws, but N < 1 is still an error, as it is
-    # for the Monte Carlo mechanism
+    # neither answer needs draws, but N < 1 is still an error, as it is for
+    # every estimator
     with pytest.raises(ValueError, match="need N >= 1 samples"):
         vcg_item_revenue(Uniform(0, 1), 1, 0, seed=0)
     with pytest.raises(ValueError, match="need N >= 1 samples"):
@@ -206,7 +207,7 @@ def test_vcg_er_product_scales_with_bidders():
                                  (TruncatedEqualRevenue(1e4), 3)])
 def test_bulow_klemperer(d, n):
     vcg_est, rev_est, margin = bulow_klemperer_check(d, n, 400_000, seed=7)
-    assert margin >= -3 * vcg_est.combined_stderr(rev_est)
+    assert margin >= -(vcg_est.stderr + rev_est.stderr)
 
 
 def test_bulow_klemperer_rejects_irregular():
@@ -290,6 +291,17 @@ def test_er2_sum_tail_truncated_vs_mc():
         assert abs(closed - mc) <= 4 * se + 1e-6
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e6])
+def test_er2_sum_tail_truncated_equals_closed_form_below_the_atom(scale):
+    # for t <= P + 1 a draw at the atom P already reaches t, so truncation
+    # leaves the event unchanged; past t = 2^53, t - 1 rounds to t and the
+    # gaps t - x must not be taken from rounded ends
+    for t in np.geomspace(2.5, 1e20, 300):
+        t = float(t)
+        closed = two_item_sum_tail(t / 2.0)
+        assert er2_sum_tail_truncated(t, scale * t) == pytest.approx(closed, rel=1e-15, abs=0)
+
+
 def test_three_tier_validates_window():
     with pytest.raises(ValueError):
         three_tier_mechanism(100, 100.0, 1e8, 100, seed=0)  # q > sqrt(n)
@@ -310,7 +322,9 @@ def test_three_tier_exact_matches_mechanism():
     n, q, p = 10_000, 100.0, 1e8
     exact = three_tier_revenue(n, q, p)
     est = three_tier_mechanism(n, q, p, 1_000_000, seed=13)
-    assert abs(est.mean - exact) <= 4 * est.stderr, (exact, est.mean, est.stderr)
+    assert (est.mean, est.stderr, est.samples, est.seed) == (exact, 0.0, 1_000_000, 13)
+    mc = three_tier_mc(n, q, p, 1_000_000, seed=13)
+    assert abs(mc.mean - exact) <= 4 * mc.stderr, (exact, mc.mean, mc.stderr)
     with pytest.raises(ValueError):
         three_tier_revenue(100, 100.0, 1e8)  # q > sqrt(n)
 

@@ -10,7 +10,8 @@ from auctioncomp.distributions import (
     TruncatedEqualRevenue,
     Uniform,
 )
-from auctioncomp.virtual import DEFAULT_GRID, fact1_check, iron
+from auctioncomp.virtual import DEFAULT_GRID, iron
+from oracles import fact1_check
 
 
 def test_raw_virtual_closed_forms():
