@@ -26,8 +26,10 @@ that one exceeds p follows from two counts per row, so no exceeder is
 located.
 
 The samplers compute in place (``out=`` arithmetic in the order of the plain
-expressions, so the draws are the same bits), which keeps a batch of X_L
-draws at four arrays.
+expressions, so the draws are the same bits), which keeps a call to
+``sample_xl`` at four arrays of its size. ``dominance_test`` calls a sampler
+once per block of ``BLOCK`` rows, so ``sample_xl`` computes in four
+block-sized arrays there.
 
 ``xl_cdf`` and ``xb_cdf`` are the exact CDFs of X_L and X_B, as 1-D integrals
 over one order statistic taken by Gauss-Legendre quadrature in
@@ -38,7 +40,9 @@ beyond.
 
 Dominance between two samplers is decided empirically on a uniform probe
 grid with a two-sided DKW allowance. Every Monte Carlo loop here runs through
-``rng.map_batches``, and the hit rate of ``ystar_conditional_mc`` takes the
+``rng.map_batches`` and splits each batch into blocks with
+``rng.batch_sizes``, so no kernel holds more than about ``BLOCK`` floats of
+draws, whatever N and m. The hit rate of ``ystar_conditional_mc`` takes the
 binomial stderr of ``rng.hit_rate``.
 """
 
@@ -51,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import BLOCK, hit_rate, map_batches
+from .rng import BLOCK, batch_sizes, hit_rate, map_batches
 
 __all__ = [
     "DominanceReport",
@@ -349,8 +353,7 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
 
     def batch(rng, b):
         hits = 0
-        for start in range(0, b, rows):
-            r = min(rows, b - start)
+        for r in batch_sizes(b, rows):
             x1 = p * rng.random(r) ** (1.0 / n)
             y = rng.random((width, r))
             k = np.add.reduce(y > x1, axis=0, dtype=count)
@@ -400,11 +403,17 @@ def dominance_test(
     """Empirical first-order stochastic dominance of A over B.
 
     Each sampler runs over its own batches (``rng.map_batches``, labels
-    ``dom-a`` and ``dom-b``); the per-batch counts are summed, so they do not
-    depend on how batches are scheduled, and one sampler's batch is alive at
-    a time. Each batch a sampler returns is sorted in place, so a sampler
-    must return a fresh array. Sampler B is first called for zero draws, so its
-    argument checks fire before sampler A's pass rather than after it.
+    ``dom-a`` and ``dom-b``), and each batch in blocks of ``BLOCK`` rows: the
+    sampler is called once per block on the batch's generator, the block is
+    sorted and its counts at or below the grid are added up as integers. So
+    the counts do not depend on how batches are scheduled, and one block of
+    draws is alive at a time. A sampler that makes one ``rng.random`` call
+    (``sample_xs``) draws the same values as in one call per batch; one that
+    draws several arrays per call (``sample_xl``, ``sample_xb``) draws a
+    different sample of the same law, still fixed by (seed, N). Each block a
+    sampler returns is sorted in place, so a sampler must return a fresh
+    array. Sampler B is first called for zero draws, so its argument checks
+    fire before sampler A's pass rather than after it.
     """
     if N < 10_000:
         raise ValueError("need N >= 10^4 for a meaningful DKW band")
@@ -414,12 +423,14 @@ def dominance_test(
 
     def cdf(sampler, label):
         def batch(rng, b):
-            x = sampler(rng, b)
-            x.sort()  # in place: a copy would be one more batch-sized array
-            return np.searchsorted(x, grid, "right")
+            counts = np.zeros(grid_size, dtype=np.int64)
+            for r in batch_sizes(b, BLOCK):
+                x = sampler(rng, r)
+                x.sort()  # in place: a copy would be one more block-sized array
+                counts += np.searchsorted(x, grid, "right")
+            return counts
 
-        counts = map_batches(seed, label, N, batch)
-        return sum(counts) / N
+        return sum(map_batches(seed, label, N, batch)) / N
 
     sampler_b(np.random.default_rng(0), 0)  # draws nothing; only its checks run
     cdf_a = cdf(sampler_a, "dom-a")

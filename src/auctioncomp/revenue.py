@@ -11,7 +11,7 @@ each distinct marginal once (``_per_item``) and adds the items in order.
 
 Of the explicit mechanisms, the three-tier one is exact: its revenue depends
 only on the tier counts (``three_tier_revenue``). The sequential posted-bundle
-mechanism is seeded Monte Carlo.
+mechanism is seeded Monte Carlo, streamed in blocks of about ``BLOCK`` values.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
-from .rng import batch_moments, map_batches, mean_stderr, need_samples
+from .rng import BLOCK, batch_moments, batch_sizes, map_batches, mean_stderr, need_samples
 from .virtual import iron
 
 __all__ = [
@@ -182,25 +182,31 @@ def feldman_posted_price(
     """Revenue of the sequential posted-bundle mechanism on ER(p)^m.
 
     Greedy bundle choice (the bidder's highest-value remaining items)
-    maximizes her purchase probability.
+    maximizes her purchase probability. Each batch runs in blocks of
+    ``BLOCK // (n m)`` runs (at least one) drawn one after another from the
+    batch's generator; runs are independent and ``Generator.random`` fills
+    them in order, so the estimate has the bits of one draw per batch.
     """
     bundle, default_price = feldman_params(n, m)
     price = default_price if price is None else price
     dist = TruncatedEqualRevenue(p)
+    runs = max(1, BLOCK // (n * m))
 
     def batch(rng, b):
-        vals = dist.quantile(rng.random((b, n, m)))
-        avail = np.ones((b, m), dtype=bool)
-        bought = np.zeros(b)
-        rows = np.arange(b)
-        for i in range(n):
-            masked = np.where(avail, vals[:, i, :], -np.inf)
-            idx = np.argpartition(masked, m - bundle, axis=1)[:, m - bundle:]
-            bundle_val = np.take_along_axis(masked, idx, axis=1).sum(axis=1)
-            buy = bundle_val >= price
-            bought += buy
-            r = rows[buy]
-            avail[r[:, None], idx[buy]] = False
+        bought = np.zeros(b)  # bundles sold in each run
+        start = 0
+        for r in batch_sizes(b, runs):
+            vals = dist.quantile(rng.random((r, n, m)))
+            avail = np.ones((r, m), dtype=bool)
+            sold = bought[start:start + r]
+            for i in range(n):
+                masked = np.where(avail, vals[:, i, :], -np.inf)
+                idx = np.argpartition(masked, m - bundle, axis=1)[:, m - bundle:]
+                bundle_val = np.take_along_axis(masked, idx, axis=1).sum(axis=1)
+                buy = bundle_val >= price
+                sold += buy
+                avail[np.flatnonzero(buy)[:, None], idx[buy]] = False
+            start += r
         return batch_moments(price * bought)
 
     mean, stderr = mean_stderr(map_batches(seed, "feldman", N, batch, n * m))

@@ -13,11 +13,13 @@ one; the last batch takes the remainder) and draws from
 ``substream(seed, *label, i)``. ``width`` is the number of floats one sample
 row holds, so a batch holds about ``BATCH`` floats whatever the row size.
 
-A kernel may stream its batch in blocks of about ``BLOCK`` floats, drawing
-block after block from the batch's generator: ``Generator.random`` fills rows
-in order, so the blocks hold exactly the one-shot draw, and a block's
-temporaries stay in cache. Batches run one after another in the calling
-thread.
+Every Monte Carlo kernel streams its batch in blocks of about ``BLOCK``
+floats, splitting the batch's rows with ``batch_sizes`` and drawing block
+after block from the batch's generator, so no kernel holds more than about
+``BLOCK`` floats of draws, whatever N and the row width. ``Generator.random``
+fills rows in order, so a kernel that makes one ``random`` call per block
+draws exactly the values of one call per batch; a block's temporaries stay in
+cache. Batches run one after another in the calling thread.
 
 A Monte Carlo mean never holds its N samples: each batch is reduced to
 ``batch_moments`` and ``mean_stderr`` folds those in batch order, and a hit

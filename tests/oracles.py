@@ -4,7 +4,9 @@ Each one samples a quantity that the package computes in closed form, so it
 is the independent check of that form and lives here, not in the package:
 Fact 1's conditional virtual value, the three-tier revenue, the two-item sum
 tail and the conditional W tail of the big-n key proposition. The
-Bulow-Klemperer margin is the difference of two exact estimates.
+Bulow-Klemperer margin is the difference of two exact estimates. The
+posted-bundle kernel in one draw per batch is the reference for the blocked
+one in the package.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from auctioncomp.distributions import SingleDist, TruncatedEqualRevenue
 from auctioncomp.experiments import top_order_stats
 from auctioncomp.revenue import (
     RevenueEstimate,
+    feldman_params,
     myerson_item_revenue,
     three_tier_params,
     vcg_item_revenue,
@@ -72,6 +75,34 @@ def three_tier_mc(n: int, q: float, p: float, N: int, seed: int) -> RevenueEstim
         return batch_moments(runs)
 
     mean, stderr = mean_stderr(map_batches(seed, "three-tier", N, batch))
+    return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
+
+
+def feldman_one_shot(
+    n: int, m: int, N: int, seed: int, p: float = 1e4, price: float | None = None
+) -> RevenueEstimate:
+    """``revenue.feldman_posted_price`` with each batch's (b, n, m) values
+    drawn and run at once, not in blocks."""
+    bundle, default_price = feldman_params(n, m)
+    price = default_price if price is None else price
+    dist = TruncatedEqualRevenue(p)
+
+    def batch(rng, b):
+        vals = dist.quantile(rng.random((b, n, m)))
+        avail = np.ones((b, m), dtype=bool)
+        bought = np.zeros(b)
+        rows = np.arange(b)
+        for i in range(n):
+            masked = np.where(avail, vals[:, i, :], -np.inf)
+            idx = np.argpartition(masked, m - bundle, axis=1)[:, m - bundle:]
+            bundle_val = np.take_along_axis(masked, idx, axis=1).sum(axis=1)
+            buy = bundle_val >= price
+            bought += buy
+            r = rows[buy]
+            avail[r[:, None], idx[buy]] = False
+        return batch_moments(price * bought)
+
+    mean, stderr = mean_stderr(map_batches(seed, "feldman", N, batch, n * m))
     return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
 
 

@@ -19,7 +19,7 @@ from auctioncomp.experiments import (
     ystar_conditional_mc,
     ystar_tail,
 )
-from auctioncomp.rng import BATCH, BLOCK, substream
+from auctioncomp.rng import BATCH, BLOCK, batch_sizes, substream
 from oracles import prop_key_conditional
 
 N = 200_000
@@ -519,13 +519,53 @@ def test_dominance_self_and_shifted():
     assert rep2.max_violation > 0
 
 
+# the last batch and its last block are both partial
+N_BLOCKED = 2 * BATCH + 3 * BLOCK + 17
+
+
 def test_dominance_batching_invariance():
-    # merged counts are a pure function of (seed, batch index), so a direct
-    # run and the default run agree exactly at the same N
-    uni = lambda rng, b: rng.random(b)
-    r1 = dominance_test(uni, uni, 60_000, seed=14)
-    r2 = dominance_test(uni, uni, 60_000, seed=14)
-    assert np.array_equal(r1.cdf_a, r2.cdf_a) and np.array_equal(r1.cdf_b, r2.cdf_b)
+    # sample_xs makes one rng.random call, so the blocked counts are those of
+    # one sort per batch of substream(seed, "dom-a", i) draws, bit for bit
+    n, c, seed = 2, 9, 14
+    rep = dominance_test(
+        lambda rng, b: sample_xs(n, c, rng, b), lambda rng, b: sample_xl(n, 16, rng, b),
+        N_BLOCKED, seed=seed,
+    )
+    counts = 0
+    for i, b in enumerate(batch_sizes(N_BLOCKED, BATCH)):
+        x = np.sort(sample_xs(n, c, substream(seed, "dom-a", i), b))
+        counts = counts + np.searchsorted(x, rep.grid, "right")
+    assert np.array_equal(rep.cdf_a, counts / N_BLOCKED)
+
+
+@pytest.mark.parametrize("kind,n,k", [("xl", 2, 16), ("xb", 10, 3)])
+def test_dominance_blocked_draws_follow_the_exact_law(kind, n, k):
+    # X_L and X_B draw several arrays per block, so the blocked sample is a
+    # new one; its CDF must still sit within the DKW band of the exact CDF
+    sampler, cdf = (sample_xl, xl_cdf) if kind == "xl" else (sample_xb, xb_cdf)
+    rep = dominance_test(
+        lambda rng, b: sample_xs(n, 1, rng, b), lambda rng, b: sampler(n, k, rng, b),
+        N_BLOCKED, seed=15,
+    )
+    gap = np.max(np.abs(rep.cdf_b - cdf(n, k, rep.grid)))
+    assert gap <= dkw_epsilon(N_BLOCKED, 1e-6), gap
+
+
+def test_dominance_peak_memory_independent_of_N():
+    # one block of X_L draws (four arrays of BLOCK floats) at a time; a whole
+    # 10^6-row batch of them peaked at 31.5 MiB
+    xs = lambda rng, b: sample_xs(2, 9, rng, b)
+    xl = lambda rng, b: sample_xl(2, 16, rng, b)
+    dominance_test(xs, xl, 10_000, seed=16)
+    peaks = []
+    for samples in (BATCH, 4 * BATCH):
+        tracemalloc.start()
+        try:
+            dominance_test(xs, xl, samples, seed=16)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 4 * 2**20, [p / 2**20 for p in peaks]
 
 
 def test_prop_key_conditional():

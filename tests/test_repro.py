@@ -108,14 +108,25 @@ def test_offregion_items_positive_and_symmetric():
 
 
 def test_bign_tightness_pass_and_fail_branches():
-    # the exact benchmark on ER(1e4)^4 at n = 16 is 97.49, so the implied
-    # c* is 8.37: m(n + 9) = 100 covers it, m(n + 8) = 96 does not
+    # the exact benchmark on ER(1e4)^4 at n = 16 is 97.49 and VCG_16 is
+    # 63.95, so the implied c* is 8.38: m(n + 9) = 100 covers the benchmark,
+    # m(n + 8) = 96 does not
     ok = bign_tightness(16, 4, 9, 100_000, seed=37)
     assert ok.passed
-    assert ok.details["implied_min_c"] == pytest.approx(8.37, abs=0.01)
-    assert ok.details["implied_min_c_over_sqrt_nm"] == pytest.approx(8.37 / 8, abs=0.01)
+    assert ok.details["vcg_n"] == pytest.approx(63.95, abs=0.01)
+    assert ok.details["implied_min_c"] == pytest.approx(8.38, abs=0.01)
+    assert ok.details["implied_min_c_over_sqrt_nm"] == pytest.approx(8.38 / 8, abs=0.01)
     low_c = bign_tightness(16, 4, 8, 100_000, seed=37)
     assert not low_c.passed  # m*(n+8) < benchmark: direction check exercised
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+def test_bign_implied_min_c_not_negative(n):
+    # the benchmark is at least VCG_n, so c* >= 0 up to its half-width; at
+    # n = 4096, p = 1e4 VCG_n is 13 444, far below nm = 16 384
+    m = 4
+    res = bign_tightness(n, m, 100, 100_000, seed=37)
+    assert res.details["implied_min_c"] >= -res.details["benchmark_stderr"] / m
 
 
 def test_two_item_sum_tail_closed_form():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from auctioncomp.revenue import (
     vcg,
     vcg_item_revenue,
 )
-from auctioncomp.rng import batch_sizes, substream
-from oracles import bulow_klemperer_check, three_tier_mc
+from auctioncomp.rng import BATCH, BLOCK, batch_sizes, substream
+from oracles import bulow_klemperer_check, feldman_one_shot, three_tier_mc
 
 # ---------------------------------------------------------------------------
 # Oracles: the mean of all samples held at once, the other side of Myerson's
@@ -262,6 +263,31 @@ def test_feldman_posted_price_matches_per_profile_oracle():
     vals = TruncatedEqualRevenue(1e4).quantile(substream(seed, "feldman", 0).random((N, n, m)))
     revs = [feldman_run_once(v, bundle, price).revenue for v in vals]
     assert est.mean == pytest.approx(np.mean(revs), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m, price", [(2, 64, 60.0), (4, 1024, 6000.0)])
+def test_feldman_blocks_keep_the_one_shot_bits(n, m, price):
+    # two full batches and a partial one that ends in a partial block; at
+    # these prices only some bundles sell (at (4, 1024) and price 700 every
+    # run sells all four)
+    rows, block = BATCH // (n * m), max(1, BLOCK // (n * m))
+    N = 2 * rows + 3 * block + 5
+    est = feldman_posted_price(n, m, N, seed=3, price=price)
+    assert 0 < est.mean < n * price
+    assert est == feldman_one_shot(n, m, N, seed=3, price=price)
+
+
+def test_feldman_peak_memory_independent_of_N():
+    # a block of BLOCK values at a time; one (7812, 2, 64) batch of values
+    # and its masks peaked at 31.5 MiB
+    feldman_posted_price(2, 64, 100, seed=4)
+    tracemalloc.start()
+    try:
+        feldman_posted_price(2, 64, 200_000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak / 2**20
 
 
 def test_mechanism_outcome_invariants():
