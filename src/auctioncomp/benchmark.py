@@ -31,7 +31,7 @@ from .distributions import ProductDist, SingleDist
 from .experiments import xb_cdf, xl_cdf
 from .revenue import _QUAD_CELLS, RevenueEstimate, _per_item, _score_estimate, _sum_estimates
 from .rng import need_samples
-from .virtual import iron
+from .virtual import _sorted_distinct, iron
 
 __all__ = [
     "assign_regions",
@@ -152,7 +152,7 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
     """
     need_samples(N)
     imaps = {d: iron(d) for d in pd.marginals}  # one per distinct marginal
-    u = np.unique(np.concatenate(
+    u = _sorted_distinct(np.concatenate(
         [np.linspace(0.0, 1.0, _QUAD_CELLS + 1)]
         + [imap.knots for imap in imaps.values()]
         + [d.quantile_breakpoints() for d in imaps]

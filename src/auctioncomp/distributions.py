@@ -55,7 +55,8 @@ class SingleDist:
     def quantile(self, q):
         """Generalized inverse: inf{x : cdf(x) >= q}. Requires q in [0, 1]."""
         q = np.asarray(q, dtype=float)
-        if np.any(q < 0) or np.any(q > 1):
+        # min and max propagate NaN, which then fails both comparisons
+        if q.size and not (q.min() >= 0 and q.max() <= 1):
             raise ValueError("quantile argument must lie in [0, 1]")
         return self._quantile(q)
 

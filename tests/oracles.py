@@ -6,7 +6,9 @@ Fact 1's conditional virtual value, the three-tier revenue, the two-item sum
 tail and the conditional W tail of the big-n key proposition. The
 Bulow-Klemperer margin is the difference of two exact estimates. The
 posted-bundle kernel in one draw per batch is the reference for the blocked
-one in the package.
+one in the package. The ironing construction with its hull loop indexing
+numpy arrays element by element, and ``np.unique`` for the grid, is the
+reference for the one over Python floats in the package.
 """
 
 from __future__ import annotations
@@ -24,6 +26,52 @@ from auctioncomp.revenue import (
 )
 from auctioncomp.rng import BLOCK, batch_moments, hit_rate, map_batches, mean_stderr, substream
 from auctioncomp.virtual import iron
+
+
+def upper_concave_envelope_indexed(u: np.ndarray, r: np.ndarray) -> list[int]:
+    """Vertex indices of the least concave majorant of (u, r), indexing the
+    numpy arrays one element at a time."""
+    hull: list[int] = []
+    for i in range(len(u)):
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            cross = (u[i1] - u[i0]) * (r[i] - r[i0]) - (u[i] - u[i0]) * (r[i1] - r[i0])
+            if cross >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+def revenue_curve(d: SingleDist, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The quantile grid of ``virtual.iron(d, K)`` (np.unique of K + 1
+    uniform points and d's interior breakpoints) and the revenue on it."""
+    grid = np.linspace(0.0, 1.0, K + 1)
+    bps = d.quantile_breakpoints()
+    if bps.size:
+        grid = np.unique(np.concatenate([grid, bps[(bps > 0) & (bps < 1)]]))
+    vals = d.quantile(np.minimum(np.nextafter(grid, 1.0), 1.0))
+    with np.errstate(invalid="ignore"):
+        revenue = (1.0 - grid) * vals
+    revenue[-1] = 0.0 if not np.isfinite(vals[-1]) else (1.0 - grid[-1]) * vals[-1]
+    return grid, revenue
+
+
+def iron_reference(d: SingleDist, K: int, tol: float = 1e-9):
+    """(knots, levels, regular) of ``virtual.iron(d, K)``, built on
+    ``revenue_curve`` with ``upper_concave_envelope_indexed``."""
+    grid, revenue = revenue_curve(d, K)
+    hull_idx = upper_concave_envelope_indexed(grid, revenue)
+    hull_u, hull_r = grid[hull_idx], revenue[hull_idx]
+    gap = np.interp(grid, hull_u, hull_r) - revenue
+    if d.purely_atomic:
+        gap = gap[np.isin(grid, np.concatenate([[0.0, 1.0], d.quantile_breakpoints()]))]
+    regular = bool(np.max(gap) <= tol)
+    slopes = np.maximum.accumulate(-np.diff(hull_r) / np.diff(hull_u))
+    bits = slopes.view(np.int64)
+    change = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    return hull_u[change], np.concatenate([slopes[:1], slopes[change]]), regular
 
 
 def fact1_check(d: SingleDist, v: float, N: int, seed: int) -> tuple[float, float]:

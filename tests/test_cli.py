@@ -35,6 +35,25 @@ def test_chain_bounds_do_not_load_numpy_polynomial():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "--all", "--seed", "42"],
+        ["benchmark", "--dist", "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05", "exp:1",
+         "uniform:0,1", "-n", "4", "--chain", "little", "--seed", "1"],
+    ],
+    ids=["reproduce", "benchmark-mixed"],
+)
+def test_commands_do_not_load_numpy_ma(argv):
+    # np.unique imports all of numpy.ma on first use: ~15 ms and ~1.5 MB
+    code = (
+        "import sys; from auctioncomp.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert out.stderr.split()[-2:] == [str(EXIT_OK), "False"], out.stderr
+
+
 def test_import_does_not_load_scipy():
     # scipy.integrate alone takes several times the whole package's import
     code = "import sys, auctioncomp; print('scipy' in sys.modules)"
@@ -90,6 +109,14 @@ def test_virtual_json(capsys):
     doc = json.loads(out)
     assert doc["config"]["regular"] is True
     assert doc["results"][0]["phi_bar"] == pytest.approx(0.5)
+
+
+def test_virtual_nan_quantile_exit_3(capsys):
+    code, out = run_cli(
+        ["virtual", "--dist", "uniform:0,1", "--quantile", "nan", "--seed", "1"], capsys
+    )
+    assert code == EXIT_PRECONDITION
+    assert out == ""
 
 
 def test_revenue_vcg_single_bidder_zero(capsys):

@@ -90,6 +90,20 @@ def test_discrete_quantile_breaks_ties_toward_smaller_value():
     assert np.array_equal(d.quantile_breakpoints(), [0.5])
 
 
+@pytest.mark.parametrize("d", DISTS, ids=lambda d: d.spec())
+def test_quantile_rejects_out_of_range_and_nan(d):
+    for q in (np.nan, [0.2, np.nan, 0.7], -1e-300, 1.0 + 1e-15, [0.5, np.inf]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            d.quantile(q)
+
+
+@pytest.mark.parametrize("d", DISTS, ids=lambda d: d.spec())
+def test_quantile_accepts_empty_and_endpoints(d):
+    assert d.quantile(np.array([])).shape == (0,)
+    assert d.quantile(np.empty((0, 3))).shape == (0, 3)
+    assert d.quantile([0.0, 1.0]).shape == (2,)
+
+
 def test_product_profiles_shape_and_coupling():
     pd = ProductDist((Uniform(0, 1), TruncatedEqualRevenue(10.0)))
     v, q = pd.sample_profiles(substream(9, "prof"), 3, 50)

@@ -9,9 +9,27 @@ from auctioncomp.distributions import (
     PointMass,
     TruncatedEqualRevenue,
     Uniform,
+    parse_dist,
 )
-from auctioncomp.virtual import DEFAULT_GRID, iron
-from oracles import fact1_check
+from auctioncomp.revenue import _QUAD_CELLS
+from auctioncomp.virtual import DEFAULT_GRID, _sorted_distinct, _upper_concave_envelope, iron
+from oracles import (
+    fact1_check,
+    iron_reference,
+    revenue_curve,
+    upper_concave_envelope_indexed,
+)
+
+# regular and irregular, continuous, atomic and mixed, heavy-tailed, negative
+IRON_ZOO = [
+    "uniform:0,1",
+    "exp:1",
+    "er:1e4",
+    "er:1e16",
+    "point:5",
+    "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05",
+    "discrete:v=-2,-1,1;p=0.3,0.3,0.4",
+]
 
 
 def test_raw_virtual_closed_forms():
@@ -183,3 +201,92 @@ def test_fact1_er_exact_structure():
 def test_fact1_rejects_degenerate_conditioning():
     with pytest.raises(ValueError):
         fact1_check(Uniform(0, 1), 2.0, 1000, seed=0)
+
+
+def _random_point_sets():
+    rng = np.random.default_rng(20)
+    for size in (1, 2, 3, 50, 2000):
+        u = np.sort(rng.random(size))
+        yield u, rng.standard_normal(size)  # noise: many pops
+        yield u, u * (1.0 - u) + 1e-13 * rng.standard_normal(size)  # near-ties
+        yield np.sort(rng.integers(0, 8, size) / 8.0), rng.random(size)  # repeated u
+
+
+def _collinear_point_sets():
+    for size in (2, 3, 5, 1000):
+        k = np.arange(size, dtype=float)
+        yield k, 3.0 - 2.0 * k  # exact in binary: every cross product is 0
+        yield k, np.zeros(size)
+        u = np.linspace(0.0, 1.0, size)
+        yield u, 0.1 * u + 0.3  # rounded, so some cross products are not 0
+        yield u, 1.0 - u
+
+
+@pytest.mark.parametrize("spec", IRON_ZOO)
+@pytest.mark.parametrize("K", [17, DEFAULT_GRID])
+def test_hull_matches_indexed_loop_on_revenue_curves(spec, K):
+    grid, revenue = revenue_curve(parse_dist(spec), K)
+    assert _upper_concave_envelope(grid, revenue) == upper_concave_envelope_indexed(grid, revenue)
+
+
+@pytest.mark.parametrize(
+    "points", [*_random_point_sets(), *_collinear_point_sets()],
+)
+def test_hull_matches_indexed_loop_on_point_sets(points):
+    u, r = points
+    assert _upper_concave_envelope(u, r) == upper_concave_envelope_indexed(u, r)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [revenue_curve(parse_dist(spec), DEFAULT_GRID) for spec in IRON_ZOO]
+    + [*_random_point_sets(), *_collinear_point_sets()],
+)
+def test_hull_is_a_least_concave_majorant(points):
+    # no reference: every point on or below the hull, every interior vertex a turn
+    u, r = points
+    hull = _upper_concave_envelope(u, r)
+    assert hull[0] == 0 and hull[-1] == len(u) - 1
+    assert all(a < b for a, b in itertools.pairwise(hull))
+    hu, hr = u[hull], r[hull]
+    if len(np.unique(u)) == len(u):  # interp needs one height per u
+        slack = 1e-12 * max(1.0, float(np.max(np.abs(r))))
+        assert np.all(r <= np.interp(u, hu, hr) + slack)
+    for i0, i1, i2 in zip(hull, hull[1:], hull[2:]):
+        cross = (u[i1] - u[i0]) * (r[i2] - r[i0]) - (u[i2] - u[i0]) * (r[i1] - r[i0])
+        assert cross < 0
+
+
+@pytest.mark.parametrize("spec", IRON_ZOO)
+@pytest.mark.parametrize("K", [2, 3, 17, DEFAULT_GRID])
+def test_iron_bit_equal_to_reference_construction(spec, K):
+    d = parse_dist(spec)
+    imap = iron(d, K)
+    knots, levels, regular = iron_reference(d, K)
+    assert imap.knots.tobytes() == knots.tobytes()
+    assert imap.levels.tobytes() == levels.tobytes()
+    assert imap.regular is regular
+
+
+def _dedupe_inputs():
+    # what ``iron`` and ``benchmark._phi_at_experiment`` actually dedupe
+    dists = [parse_dist(spec) for spec in IRON_ZOO]
+    for d in dists:
+        bps = d.quantile_breakpoints()
+        for K in (2, 3, 17, DEFAULT_GRID):
+            yield np.concatenate([np.linspace(0.0, 1.0, K + 1), bps[(bps > 0) & (bps < 1)]])
+    yield np.concatenate(
+        [np.linspace(0.0, 1.0, _QUAD_CELLS + 1)]
+        + [iron(d).knots for d in dists]
+        + [d.quantile_breakpoints() for d in dists]
+    )
+    yield np.array([])
+    yield np.array([0.5])
+    yield np.full(7, 0.25)
+    yield np.array([1.0, -0.0, 0.0, 1.0, 0.5])
+
+
+@pytest.mark.parametrize("x", [*_dedupe_inputs()], ids=lambda x: f"size{x.size}")
+def test_sorted_distinct_equals_np_unique(x):
+    got, want = _sorted_distinct(x), np.unique(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
