@@ -84,7 +84,7 @@ def _exact_bound(pd: ProductDist, n: int, N: int, seed: int, item_cdf) -> Revenu
     integrated once per distinct marginal and added in item order."""
     need_samples(N)
     ests = _per_item(lambda d: _score_estimate(d, n, item_cdf(d, iron(d)), N, seed), pd.marginals)
-    return _sum_estimates(ests, N, seed, exact=True)
+    return _sum_estimates(ests, N, seed)
 
 
 def efftw_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
@@ -176,7 +176,7 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
         mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
         return RevenueEstimate(mean=mean, stderr=half_width, samples=N, seed=seed)
 
-    return _sum_estimates(_per_item(item, pd.marginals), N, seed, exact=True)
+    return _sum_estimates(_per_item(item, pd.marginals), N, seed)
 
 
 def xl_chain_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:

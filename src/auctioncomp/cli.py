@@ -92,15 +92,9 @@ def cmd_revenue(args) -> int:
     n, N, seed = args.n, args.samples, args.seed
     if args.mech == "myerson":
         est = rev_mod.myerson_item_revenue(parse_dist(args.dist), n, N, seed)
-    elif args.mech == "vcg":
-        if args.m > 1:
-            pd = ProductDist(tuple(parse_dist(args.dist) for _ in range(args.m)))
-            est = rev_mod.vcg(pd, n, N, seed)
-        else:
-            est = rev_mod.vcg_item_revenue(parse_dist(args.dist), n, N, seed)
-    elif args.mech == "srev":
+    elif args.mech in ("vcg", "srev"):
         pd = ProductDist(tuple(parse_dist(args.dist) for _ in range(args.m)))
-        est = rev_mod.srev(pd, n, N, seed)
+        est = (rev_mod.vcg if args.mech == "vcg" else rev_mod.srev)(pd, n, N, seed)
     elif args.mech == "feldman":
         est = rev_mod.feldman_posted_price(n, args.m, N, seed, p=args.trunc, price=args.price)
     else:  # three-tier

@@ -20,10 +20,9 @@ is: the item draws are independent of x, so none of them exceeds x with
 probability x^(m-1), and otherwise a uniformly chosen exceeder is uniform on
 [x, 1]. ``ystar_conditional_mc`` still simulates all m - 1 item draws,
 because it is the independent check of the closed form ``ystar_tail``. It
-draws them item-major, (m - 1, rows), in blocks of about ``BLOCK`` floats,
-and takes the rank-th exceeder, largest first, with a uniform rank; whether
-that one exceeds p follows from two counts per row, so no exceeder is
-located.
+draws them item-major, (m - 1, rows), and takes the rank-th exceeder, largest
+first, with a uniform rank; whether that one exceeds p follows from two
+counts per row, so no exceeder is located.
 
 The samplers compute in place (``out=`` arithmetic in the order of the plain
 expressions, so the draws are the same bits), which keeps a call to
@@ -39,11 +38,9 @@ node count grows with -log(1 - t) holds ~1e-13 up to t = 1 - 2^-15 and
 beyond.
 
 Dominance between two samplers is decided empirically on a uniform probe
-grid with a two-sided DKW allowance. Every Monte Carlo loop here runs through
-``rng.map_batches`` and splits each batch into blocks with
-``rng.batch_sizes``, so no kernel holds more than about ``BLOCK`` floats of
-draws, whatever N and m. The hit rate of ``ystar_conditional_mc`` takes the
-binomial stderr of ``rng.hit_rate``.
+grid with a two-sided DKW allowance. Determinism model: each Monte Carlo
+loop here is ``rng.map_batches``, one seeded stream drawn block by block,
+with about ``BLOCK`` floats of draws alive at a time, whatever N and m.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import BLOCK, batch_sizes, hit_rate, map_batches
+from .rng import BLOCK, hit_rate, map_batches
 
 __all__ = [
     "DominanceReport",
@@ -336,32 +333,28 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
     draws are simulated directly, so this stays independent of both
     ``ystar_tail`` and the conditional construction in ``sample_xl``.
 
-    Each batch runs in blocks of ``BLOCK // (m - 1)`` rows, each drawing
-    X_(1), then the item draws item-major as (m - 1, rows), then the rank
-    uniforms U. Y* is the exceeder of rank floor(U k) among the k item draws
-    above X_(1), taken largest first; the h draws above p > X_(1) lead that
-    order, so Y* > p iff floor(U k) < h, i.e. U k < h. Only k and h are
-    counted, as sums over contiguous item rows.
+    Each block of ``BLOCK // (m - 1)`` rows draws X_(1), then the item
+    draws item-major as (m - 1, rows), then the rank uniforms U. Y* is the
+    exceeder of rank floor(U k) among the k item draws above X_(1), taken
+    largest first; the h draws above p > X_(1) lead that order, so Y* > p
+    iff floor(U k) < h, i.e. U k < h. Only k and h are counted, as sums over
+    contiguous item rows.
     """
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")
     if m < 2:
         raise ValueError("need m >= 2")
     width = m - 1
-    rows = max(1, BLOCK // width)
     count = np.min_scalar_type(width)  # the narrowest integer that holds k
 
-    def batch(rng, b):
-        hits = 0
-        for r in batch_sizes(b, rows):
-            x1 = p * rng.random(r) ** (1.0 / n)
-            y = rng.random((width, r))
-            k = np.add.reduce(y > x1, axis=0, dtype=count)
-            h = np.add.reduce(y > p, axis=0, dtype=count)
-            hits += int(np.count_nonzero(rng.random(r) * k < h))
-        return hits
+    def block(rng, r):
+        x1 = p * rng.random(r) ** (1.0 / n)
+        y = rng.random((width, r))
+        k = np.add.reduce(y > x1, axis=0, dtype=count)
+        h = np.add.reduce(y > p, axis=0, dtype=count)
+        return int(np.count_nonzero(rng.random(r) * k < h))
 
-    return hit_rate(sum(map_batches(seed, "ystar-mc", N, batch, width)), N)
+    return hit_rate(sum(map_batches(seed, "ystar-mc", N, block, width)), N)
 
 
 def dkw_epsilon(N: int, delta: float) -> float:
@@ -402,18 +395,12 @@ def dominance_test(
 ) -> DominanceReport:
     """Empirical first-order stochastic dominance of A over B.
 
-    Each sampler runs over its own batches (``rng.map_batches``, labels
-    ``dom-a`` and ``dom-b``), and each batch in blocks of ``BLOCK`` rows: the
-    sampler is called once per block on the batch's generator, the block is
-    sorted and its counts at or below the grid are added up as integers. So
-    the counts do not depend on how batches are scheduled, and one block of
-    draws is alive at a time. A sampler that makes one ``rng.random`` call
-    (``sample_xs``) draws the same values as in one call per batch; one that
-    draws several arrays per call (``sample_xl``, ``sample_xb``) draws a
-    different sample of the same law, still fixed by (seed, N). Each block a
-    sampler returns is sorted in place, so a sampler must return a fresh
-    array. Sampler B is first called for zero draws, so its argument checks
-    fire before sampler A's pass rather than after it.
+    Each sampler draws its own stream (``rng.map_batches``, labels ``dom-a``
+    and ``dom-b``), called once per block of ``BLOCK`` rows; the block is
+    sorted in place, so a sampler must return a fresh array, and its counts
+    at or below the grid are added up as integers. Sampler B is first called
+    for zero draws, so its argument checks fire before sampler A's pass
+    rather than after it.
     """
     if N < 10_000:
         raise ValueError("need N >= 10^4 for a meaningful DKW band")
@@ -422,15 +409,12 @@ def dominance_test(
     grid = np.arange(1, grid_size + 1) / (grid_size + 1)
 
     def cdf(sampler, label):
-        def batch(rng, b):
-            counts = np.zeros(grid_size, dtype=np.int64)
-            for r in batch_sizes(b, BLOCK):
-                x = sampler(rng, r)
-                x.sort()  # in place: a copy would be one more block-sized array
-                counts += np.searchsorted(x, grid, "right")
-            return counts
+        def block(rng, r):
+            x = sampler(rng, r)
+            x.sort()  # in place: a copy would be one more block-sized array
+            return np.searchsorted(x, grid, "right")
 
-        return sum(map_batches(seed, label, N, batch)) / N
+        return sum(map_batches(seed, label, N, block)) / N
 
     sampler_b(np.random.default_rng(0), 0)  # draws nothing; only its checks run
     cdf_a = cdf(sampler_a, "dom-a")

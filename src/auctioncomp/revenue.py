@@ -11,7 +11,8 @@ each distinct marginal once (``_per_item``) and adds the items in order.
 
 Of the explicit mechanisms, the three-tier one is exact: its revenue depends
 only on the tier counts (``three_tier_revenue``). The sequential posted-bundle
-mechanism is seeded Monte Carlo, streamed in blocks of about ``BLOCK`` values.
+mechanism is seeded Monte Carlo. Determinism model: it draws one seeded
+stream in blocks of about ``BLOCK`` values (``rng.map_batches``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
-from .rng import BLOCK, batch_moments, batch_sizes, map_batches, mean_stderr, need_samples
+from .rng import batch_moments, map_batches, mean_stderr, need_samples
 from .virtual import iron
 
 __all__ = [
@@ -56,14 +57,12 @@ class RevenueEstimate:
         return math.hypot(self.stderr, other.stderr)
 
 
-def _sum_estimates(ests, samples: int, seed: int, exact: bool = False) -> RevenueEstimate:
-    """Sum of estimates, added in order. Independent Monte Carlo stderrs
-    combine in quadrature; the half-widths of ``exact`` brackets add."""
+def _sum_estimates(ests, samples: int, seed: int) -> RevenueEstimate:
+    """Sum of exact brackets, added in order; their half-widths add."""
     mean = err = 0.0
     for est in ests:
         mean += est.mean
-        err += est.stderr if exact else est.stderr**2
-    err = err if exact else math.sqrt(err)
+        err += est.stderr
     return RevenueEstimate(mean=mean, stderr=err, samples=samples, seed=seed)
 
 
@@ -155,13 +154,13 @@ def vcg_item_revenue(d: SingleDist, n: int, N: int, seed: int) -> RevenueEstimat
 def srev(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
     """Myerson run separately per item: sum of single-item optimal revenues."""
     ests = _per_item(lambda d: myerson_item_revenue(d, n, N, seed), pd.marginals)
-    return _sum_estimates(ests, N, seed, exact=True)
+    return _sum_estimates(ests, N, seed)
 
 
 def vcg(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
     """Second-price auction per item, summed over the items."""
     ests = _per_item(lambda d: vcg_item_revenue(d, n, N, seed), pd.marginals)
-    return _sum_estimates(ests, N, seed, exact=True)
+    return _sum_estimates(ests, N, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -182,34 +181,28 @@ def feldman_posted_price(
     """Revenue of the sequential posted-bundle mechanism on ER(p)^m.
 
     Greedy bundle choice (the bidder's highest-value remaining items)
-    maximizes her purchase probability. Each batch runs in blocks of
-    ``BLOCK // (n m)`` runs (at least one) drawn one after another from the
-    batch's generator; runs are independent and ``Generator.random`` fills
-    them in order, so the estimate has the bits of one draw per batch.
+    maximizes her purchase probability. Each block of ``BLOCK // (n m)``
+    runs (at least one) draws its (runs, n, m) values at once and is reduced
+    to its ``batch_moments``.
     """
     bundle, default_price = feldman_params(n, m)
     price = default_price if price is None else price
     dist = TruncatedEqualRevenue(p)
-    runs = max(1, BLOCK // (n * m))
 
-    def batch(rng, b):
-        bought = np.zeros(b)  # bundles sold in each run
-        start = 0
-        for r in batch_sizes(b, runs):
-            vals = dist.quantile(rng.random((r, n, m)))
-            avail = np.ones((r, m), dtype=bool)
-            sold = bought[start:start + r]
-            for i in range(n):
-                masked = np.where(avail, vals[:, i, :], -np.inf)
-                idx = np.argpartition(masked, m - bundle, axis=1)[:, m - bundle:]
-                bundle_val = np.take_along_axis(masked, idx, axis=1).sum(axis=1)
-                buy = bundle_val >= price
-                sold += buy
-                avail[np.flatnonzero(buy)[:, None], idx[buy]] = False
-            start += r
-        return batch_moments(price * bought)
+    def block(rng, r):
+        vals = dist.quantile(rng.random((r, n, m)))
+        avail = np.ones((r, m), dtype=bool)
+        sold = np.zeros(r)  # bundles sold in each run
+        for i in range(n):
+            masked = np.where(avail, vals[:, i, :], -np.inf)
+            idx = np.argpartition(masked, m - bundle, axis=1)[:, m - bundle:]
+            bundle_val = np.take_along_axis(masked, idx, axis=1).sum(axis=1)
+            buy = bundle_val >= price
+            sold += buy
+            avail[np.flatnonzero(buy)[:, None], idx[buy]] = False
+        return batch_moments(price * sold)
 
-    mean, stderr = mean_stderr(map_batches(seed, "feldman", N, batch, n * m))
+    mean, stderr = mean_stderr(map_batches(seed, "feldman", N, block, n * m))
     return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
 
 

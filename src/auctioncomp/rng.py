@@ -1,28 +1,18 @@
-"""Seed derivation, the one batch loop and the fold of its batch means.
+"""Seed derivation, the one Monte Carlo loop and the fold of its block means.
 
 Every estimator in this package takes a single integer master seed. Sub-tasks
-(per-item streams, per-batch shards, named experiment stages) derive their own
-independent generator through ``substream``, which hashes a label into a
-``SeedSequence`` spawn key. The derivation is a pure function of
-``(seed, label)``, so results do not depend on evaluation order or on how work
-is sharded across workers.
+(per-item streams, named experiment stages) derive their own independent
+generator through ``substream``, which hashes a label into a ``SeedSequence``
+spawn key, a pure function of ``(seed, label)``.
 
-``map_batches`` is the only place where N samples are split into seeded
-batches: batch i of a labelled estimator has ``BATCH // width`` rows (at least
-one; the last batch takes the remainder) and draws from
-``substream(seed, *label, i)``. ``width`` is the number of floats one sample
-row holds, so a batch holds about ``BATCH`` floats whatever the row size.
+Determinism model: a Monte Carlo estimator of N samples draws them all from
+one generator, ``substream(seed, *label)``, in blocks of
+``max(1, BLOCK // width)`` rows taken in order (``map_batches``), so its
+result is a pure function of ``(seed, label, N)`` with about ``BLOCK`` floats
+of draws alive at a time.
 
-Every Monte Carlo kernel streams its batch in blocks of about ``BLOCK``
-floats, splitting the batch's rows with ``batch_sizes`` and drawing block
-after block from the batch's generator, so no kernel holds more than about
-``BLOCK`` floats of draws, whatever N and the row width. ``Generator.random``
-fills rows in order, so a kernel that makes one ``random`` call per block
-draws exactly the values of one call per batch; a block's temporaries stay in
-cache. Batches run one after another in the calling thread.
-
-A Monte Carlo mean never holds its N samples: each batch is reduced to
-``batch_moments`` and ``mean_stderr`` folds those in batch order, and a hit
+A Monte Carlo mean never holds its N samples: each block is reduced to
+``batch_moments`` and ``mean_stderr`` folds those in block order, and a hit
 rate is a count (``hit_rate``).
 """
 
@@ -30,13 +20,11 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-# floats drawn per batch; a row of ``width`` floats gives BATCH // width rows
-BATCH = 1_000_000
-# floats per block when a kernel streams its batch in cache-sized pieces
+# floats drawn per block; a row of ``width`` floats gives BLOCK // width rows
 BLOCK = 65_536
 
 
@@ -53,7 +41,7 @@ def substream(seed: int, *labels: str | int) -> np.random.Generator:
 
 
 def batch_sizes(total: int, batch: int) -> list[int]:
-    """Split ``total`` samples into batches of at most ``batch``."""
+    """Split ``total`` rows into blocks of at most ``batch``."""
     if total <= 0:
         return []
     full, rem = divmod(total, batch)
@@ -69,22 +57,26 @@ def need_samples(N: int) -> None:
         raise ValueError("need N >= 1 samples")
 
 
-def map_batches(seed: int, label: str | tuple, N: int, kernel: Callable, width: int = 1) -> list:
-    """``[kernel(substream(seed, *label, i), b) for the i-th batch of b samples]``.
+def map_batches(
+    seed: int, label: str | tuple, N: int, kernel: Callable, width: int = 1
+) -> Iterator:
+    """``kernel(rng, r)`` for each block of r rows, lazily and in block order,
+    with the one generator ``rng = substream(seed, *label)``.
 
-    N samples are split into batches of ``max(1, BATCH // width)`` rows, in
-    order; the kernel's outputs come back in batch order for the caller to
-    join or sum. One batch's draws are alive at a time, as long as the kernel
+    N rows are split into blocks of ``max(1, BLOCK // width)`` rows (the last
+    takes the remainder); ``width`` is the number of floats one row holds.
+    N is checked at the call; the caller sums or folds the outputs as they
+    come, so one block's draws are alive at a time as long as the kernel
     returns a reduction of them.
     """
     need_samples(N)
     labels = (label,) if isinstance(label, str) else tuple(label)
-    sizes = batch_sizes(N, max(1, BATCH // max(1, width)))
-    return [kernel(substream(seed, *labels, i), b) for i, b in enumerate(sizes)]
+    rng = substream(seed, *labels)
+    return (kernel(rng, r) for r in batch_sizes(N, max(1, BLOCK // max(1, width))))
 
 
 def batch_moments(x: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, M2) of one batch, M2 being the sum of squared deviations
+    """(count, mean, M2) of one block, M2 being the sum of squared deviations
     from its mean (``np.sum``, not a BLAS dot, whose threaded sum order
     follows the CPU count)."""
     mean = np.mean(x)
@@ -92,10 +84,10 @@ def batch_moments(x: np.ndarray) -> tuple[int, float, float]:
 
 
 def mean_stderr(moments: Iterable[tuple[int, float, float]]) -> tuple[float, float]:
-    """Mean of all samples and its standard error, from the batches'
+    """Mean of all samples and its standard error, from the blocks'
     ``batch_moments`` folded in order (Chan, Golub & LeVeque's pairwise update).
 
-    One batch gives ``np.mean`` and ``np.std(ddof=1) / sqrt(N)`` of its
+    One block gives ``np.mean`` and ``np.std(ddof=1) / sqrt(N)`` of its
     samples bit for bit; a single sample has stderr 0.
     """
     moments = iter(moments)

@@ -5,10 +5,10 @@ is the independent check of that form and lives here, not in the package:
 Fact 1's conditional virtual value, the three-tier revenue, the two-item sum
 tail and the conditional W tail of the big-n key proposition. The
 Bulow-Klemperer margin is the difference of two exact estimates. The
-posted-bundle kernel in one draw per batch is the reference for the blocked
-one in the package. The ironing construction with its hull loop indexing
-numpy arrays element by element, and ``np.unique`` for the grid, is the
-reference for the one over Python floats in the package.
+posted-bundle kernel run on one draw of all N runs is the reference for the
+blocked one in the package. The ironing construction with its hull loop
+indexing numpy arrays element by element, and ``np.unique`` for the grid, is
+the reference for the one over Python floats in the package.
 """
 
 from __future__ import annotations
@@ -129,28 +129,25 @@ def three_tier_mc(n: int, q: float, p: float, N: int, seed: int) -> RevenueEstim
 def feldman_one_shot(
     n: int, m: int, N: int, seed: int, p: float = 1e4, price: float | None = None
 ) -> RevenueEstimate:
-    """``revenue.feldman_posted_price`` with each batch's (b, n, m) values
-    drawn and run at once, not in blocks."""
+    """``revenue.feldman_posted_price`` with all N runs' (N, n, m) values
+    drawn and run at once; the revenues are folded over ``BLOCK // (n m)``-run
+    slices, as the package folds its blocks."""
     bundle, default_price = feldman_params(n, m)
     price = default_price if price is None else price
-    dist = TruncatedEqualRevenue(p)
-
-    def batch(rng, b):
-        vals = dist.quantile(rng.random((b, n, m)))
-        avail = np.ones((b, m), dtype=bool)
-        bought = np.zeros(b)
-        rows = np.arange(b)
-        for i in range(n):
-            masked = np.where(avail, vals[:, i, :], -np.inf)
-            idx = np.argpartition(masked, m - bundle, axis=1)[:, m - bundle:]
-            bundle_val = np.take_along_axis(masked, idx, axis=1).sum(axis=1)
-            buy = bundle_val >= price
-            bought += buy
-            r = rows[buy]
-            avail[r[:, None], idx[buy]] = False
-        return batch_moments(price * bought)
-
-    mean, stderr = mean_stderr(map_batches(seed, "feldman", N, batch, n * m))
+    vals = TruncatedEqualRevenue(p).quantile(substream(seed, "feldman").random((N, n, m)))
+    avail = np.ones((N, m), dtype=bool)
+    bought = np.zeros(N)
+    rows = np.arange(N)
+    for i in range(n):
+        masked = np.where(avail, vals[:, i, :], -np.inf)
+        idx = np.argpartition(masked, m - bundle, axis=1)[:, m - bundle:]
+        bundle_val = np.take_along_axis(masked, idx, axis=1).sum(axis=1)
+        buy = bundle_val >= price
+        bought += buy
+        r = rows[buy]
+        avail[r[:, None], idx[buy]] = False
+    revenue, runs = price * bought, max(1, BLOCK // (n * m))
+    mean, stderr = mean_stderr(batch_moments(revenue[i:i + runs]) for i in range(0, N, runs))
     return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
 
 
@@ -159,16 +156,12 @@ def two_item_sum_tail_mc(q: float, N: int, seed: int, p: float = 1e6) -> tuple[f
     if q <= 1:
         raise ValueError("need q > 1")
     dist = TruncatedEqualRevenue(p)
-    rows = BLOCK // 2  # a batch is BATCH pairs; count its hits block by block
 
-    def batch(rng, b):
-        hits = 0
-        for lo in range(0, b, rows):
-            v = dist.quantile(rng.random((min(rows, b - lo), 2)))
-            hits += int(np.count_nonzero(v.sum(axis=1) >= 2.0 * q))
-        return hits
+    def block(rng, r):
+        v = dist.quantile(rng.random((r, 2)))
+        return int(np.count_nonzero(v.sum(axis=1) >= 2.0 * q))
 
-    return hit_rate(sum(map_batches(seed, "sum-tail", N, batch)), N)
+    return hit_rate(sum(map_batches(seed, "sum-tail", N, block, 2)), N)
 
 
 def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):

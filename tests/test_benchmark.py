@@ -27,11 +27,12 @@ from auctioncomp.distributions import (
 from auctioncomp.experiments import sample_xb, sample_xl
 from auctioncomp.repro import er_offregion_items
 from auctioncomp.revenue import RevenueEstimate, _sum_estimates, myerson_item_revenue, srev, vcg
-from auctioncomp.rng import BATCH, batch_moments, batch_sizes, map_batches, mean_stderr, substream
+from auctioncomp.rng import batch_moments, batch_sizes, map_batches, mean_stderr, substream
 from auctioncomp.virtual import IronedVirtualMap, iron
 from test_virtual import _brute_force_ironed
 
 N = 100_000
+REF_BATCH = 1_000_000  # floats per reference batch of profiles
 IRREGULAR = "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"
 
 
@@ -45,7 +46,7 @@ IRREGULAR = "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"
 
 
 def _ref_batches(pd, n, N, seed):
-    for bi, b in enumerate(batch_sizes(N, max(1, BATCH // (n * pd.m)))):
+    for bi, b in enumerate(batch_sizes(N, max(1, REF_BATCH // (n * pd.m)))):
         q = substream(seed, "profiles", bi).random((b, n, pd.m))
         v = np.empty_like(q)
         for j, d in enumerate(pd.marginals):
@@ -147,7 +148,7 @@ def test_exact_bounds_agree_with_monte_carlo_oracles(case):
     if case.startswith("er"):
         kernels["off"] = _ref_offregion
         off = er_offregion_items(n, pd.m, samples, seed, 1e4)
-        got["off"] = _sum_estimates(off, samples, seed, exact=True)
+        got["off"] = _sum_estimates(off, samples, seed)
     ref = _ref_estimates(pd, n, samples, seed, kernels)
     for key, est in got.items():
         assert est.samples == samples and est.seed == seed
@@ -161,12 +162,15 @@ def test_exact_bounds_agree_with_monte_carlo_oracles(case):
 
 
 def _ref_phi_at_experiment(pd, sampler, N, seed, label):
-    def item(j, imap):
+    # the items draw independent streams, so their stderrs add in quadrature
+    mean = var = 0.0
+    for j, d in enumerate(pd.marginals):
+        imap = iron(d)
         kernel = lambda rng, b: batch_moments(imap.at_quantile(sampler(rng, b)))
-        mean, stderr = mean_stderr(map_batches(seed, (label, j), N, kernel))
-        return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
-
-    return _sum_estimates((item(j, iron(d)) for j, d in enumerate(pd.marginals)), N, seed)
+        item_mean, item_stderr = mean_stderr(map_batches(seed, (label, j), N, kernel))
+        mean += item_mean
+        var += item_stderr**2
+    return RevenueEstimate(mean=mean, stderr=math.sqrt(var), samples=N, seed=seed)
 
 
 # (specs, chain, n, ell): wide uniform, ER^2 (phi_bar jumps from 0 to p at
@@ -411,7 +415,7 @@ def test_xl_chain_peak_memory_independent_of_N():
     pd = ProductDist((Uniform(0, 1),))
     xl_chain_bound(pd, 2, 1000, seed=0)  # iron outside the measurement
     peaks = []
-    for samples in (BATCH, 4 * BATCH):
+    for samples in (10**6, 4 * 10**6):
         tracemalloc.start()
         try:
             xl_chain_bound(pd, 2, samples, seed=0)

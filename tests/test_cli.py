@@ -228,11 +228,13 @@ def test_benchmark_without_samples_exit_3(argv, capsys):
         (["dominance", "--pair", "xs-xb", "-n", "3", "-l", "1", "-c", "1"], "need 2 <= ell <= n"),
         (["dominance", "--pair", "xs-xl", "-n", "0", "-m", "2", "-c", "1"], "need n >= 1"),
         (["revenue", "--mech", "feldman", "-n", "0", "-m", "8"], "need n >= 1"),
+        (["revenue", "--mech", "vcg", "-n", "2", "-m", "0"], "need at least one marginal"),
     ],
-    ids=["xs-xb-ell1", "xs-xl-n0", "feldman-n0"],
+    ids=["xs-xb-ell1", "xs-xl-n0", "feldman-n0", "vcg-m0"],
 )
 def test_degenerate_sizes_exit_3(argv, message, capsys):
-    # a dominance threshold or the feldman bundle size divides by these sizes
+    # a dominance threshold or the feldman bundle size divides by these
+    # sizes; VCG on no items, like SRev, has no product to sum over
     code = main(argv + ["--seed", "1", "--samples", "20000"])
     assert code == EXIT_PRECONDITION
     assert message in capsys.readouterr().err

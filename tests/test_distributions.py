@@ -39,7 +39,7 @@ def test_quantile_cdf_identity(d):
 
 
 @pytest.mark.parametrize("d", DISTS, ids=lambda d: d.spec())
-def test_stored_quantiles_are_uniform(d):
+def test_quantile_of_uniform_draws_follows_the_cdf(d):
     # DKW band: values drawn as quantile(U) for uniform U follow the CDF
     N = 100_000
     v = d.quantile(substream(11, "unif", d.spec()).random(N))
@@ -49,7 +49,7 @@ def test_stored_quantiles_are_uniform(d):
 
 
 @pytest.mark.parametrize("d", DISTS, ids=lambda d: d.spec())
-def test_coupled_values_match_quantiles(d):
+def test_drawing_uniform_is_a_quantile_of_its_value(d):
     # the uniform that drew a value is a quantile of it, also at atoms:
     # Pr[X < v] <= u <= Pr[X <= v]
     u = substream(12, "couple", d.spec()).random(1000)

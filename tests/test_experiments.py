@@ -19,7 +19,7 @@ from auctioncomp.experiments import (
     ystar_conditional_mc,
     ystar_tail,
 )
-from auctioncomp.rng import BATCH, BLOCK, batch_sizes, substream
+from auctioncomp.rng import BLOCK, substream
 from oracles import prop_key_conditional
 
 N = 200_000
@@ -457,12 +457,13 @@ def test_ystar_tail_matches_conditional_mc():
 
 @pytest.mark.parametrize("n, m", [(2, 16), (5, 4), (1, 3), (3, 300)])
 def test_ystar_conditional_mc_equals_sort_based_pick(n, m):
-    # replay one batch block by block, in the kernel's draw order (X_(1), the
-    # item draws item-major, the rank uniforms), and pick with the sorting
+    # replay the one stream block by block, in the kernel's draw order (X_(1),
+    # the item draws item-major, the rank uniforms), and pick with the sorting
     # reference: the hit counts agree exactly
     p, seed, width = 0.6, 5, m - 1
-    N, rows = BATCH // width, BLOCK // width  # one batch, ending in a short block
-    rng = substream(seed, "ystar-mc", 0)
+    rows = BLOCK // width
+    N = 15 * rows + rows // 2  # fifteen full blocks and a short one
+    rng = substream(seed, "ystar-mc")
     hits = 0
     for start in range(0, N, rows):
         r = min(rows, N - start)
@@ -519,23 +520,20 @@ def test_dominance_self_and_shifted():
     assert rep2.max_violation > 0
 
 
-# the last batch and its last block are both partial
-N_BLOCKED = 2 * BATCH + 3 * BLOCK + 17
+# the last block is partial
+N_BLOCKED = 33 * BLOCK + 17
 
 
 def test_dominance_batching_invariance():
     # sample_xs makes one rng.random call, so the blocked counts are those of
-    # one sort per batch of substream(seed, "dom-a", i) draws, bit for bit
+    # one sorted draw of all N from substream(seed, "dom-a"), bit for bit
     n, c, seed = 2, 9, 14
     rep = dominance_test(
         lambda rng, b: sample_xs(n, c, rng, b), lambda rng, b: sample_xl(n, 16, rng, b),
         N_BLOCKED, seed=seed,
     )
-    counts = 0
-    for i, b in enumerate(batch_sizes(N_BLOCKED, BATCH)):
-        x = np.sort(sample_xs(n, c, substream(seed, "dom-a", i), b))
-        counts = counts + np.searchsorted(x, rep.grid, "right")
-    assert np.array_equal(rep.cdf_a, counts / N_BLOCKED)
+    x = np.sort(sample_xs(n, c, substream(seed, "dom-a"), N_BLOCKED))
+    assert np.array_equal(rep.cdf_a, np.searchsorted(x, rep.grid, "right") / N_BLOCKED)
 
 
 @pytest.mark.parametrize("kind,n,k", [("xl", 2, 16), ("xb", 10, 3)])
@@ -552,13 +550,13 @@ def test_dominance_blocked_draws_follow_the_exact_law(kind, n, k):
 
 
 def test_dominance_peak_memory_independent_of_N():
-    # one block of X_L draws (four arrays of BLOCK floats) at a time; a whole
-    # 10^6-row batch of them peaked at 31.5 MiB
+    # one block of X_L draws (four arrays of BLOCK floats) at a time; 10^6
+    # rows of them at once peaked at 31.5 MiB
     xs = lambda rng, b: sample_xs(2, 9, rng, b)
     xl = lambda rng, b: sample_xl(2, 16, rng, b)
     dominance_test(xs, xl, 10_000, seed=16)
     peaks = []
-    for samples in (BATCH, 4 * BATCH):
+    for samples in (10**6, 4 * 10**6):
         tracemalloc.start()
         try:
             dominance_test(xs, xl, samples, seed=16)

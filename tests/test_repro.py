@@ -18,7 +18,7 @@ from auctioncomp.repro import (
     run_claim,
     two_item_sum_tail,
 )
-from auctioncomp.rng import BATCH, batch_sizes, substream
+from auctioncomp.rng import BLOCK, substream
 from oracles import two_item_sum_tail_mc
 
 
@@ -109,15 +109,29 @@ def test_offregion_items_positive_and_symmetric():
 
 def test_bign_tightness_pass_and_fail_branches():
     # the exact benchmark on ER(1e4)^4 at n = 16 is 97.49 and VCG_16 is
-    # 63.95, so the implied c* is 8.38: m(n + 9) = 100 covers the benchmark,
-    # m(n + 8) = 96 does not
+    # 63.95, so the implied c* is 8.38: VCG_25 = 99.88 covers the benchmark,
+    # VCG_24 = 95.89 does not
     ok = bign_tightness(16, 4, 9, 100_000, seed=37)
     assert ok.passed
+    assert ok.computed == pytest.approx(99.88, abs=0.01)
+    assert ok.target == pytest.approx(97.487, abs=0.001)
+    assert ok.tolerance == ok.details["vcg_stderr"] + ok.details["benchmark_stderr"]
     assert ok.details["vcg_n"] == pytest.approx(63.95, abs=0.01)
     assert ok.details["implied_min_c"] == pytest.approx(8.38, abs=0.01)
     assert ok.details["implied_min_c_over_sqrt_nm"] == pytest.approx(8.38 / 8, abs=0.01)
     low_c = bign_tightness(16, 4, 8, 100_000, seed=37)
-    assert not low_c.passed  # m*(n+8) < benchmark: direction check exercised
+    assert not low_c.passed  # VCG_24 < benchmark: direction check exercised
+    assert low_c.computed == pytest.approx(95.89, abs=0.01)
+
+
+@pytest.mark.parametrize("c, covers", [(130, False), (137, False), (138, True), (145, True)])
+def test_bign_tightness_judges_the_exact_values_at_large_n(c, covers):
+    # at n = 4096 near p = 1e4 VCG_{n+c} sits far below m(n + c) (13 808
+    # against 16 936 at c = 138), so only the exact values judge coverage;
+    # they cross between c = 137 and c = 138
+    res = bign_tightness(4096, 4, c, 100_000, seed=37)
+    assert res.passed is covers
+    assert res.target == pytest.approx(13808.76, abs=0.01)
 
 
 @pytest.mark.parametrize("n", [16, 4096])
@@ -138,19 +152,17 @@ def test_two_item_sum_tail_closed_form():
 
 
 def test_two_item_sum_tail_mc_blocks_count_the_one_shot_draw():
-    # reference: each batch of pairs drawn and counted at once
-    q, N, seed = 2.5, BATCH + 70_001, 41  # a partial block in a partial batch
+    # reference: all N pairs drawn and counted at once
+    q, N, seed = 2.5, 30 * (BLOCK // 2) + 70_001, 41  # ends in a partial block
     dist = TruncatedEqualRevenue(1e6)
-    hits = 0
-    for i, b in enumerate(batch_sizes(N, BATCH)):
-        v = dist.quantile(substream(seed, "sum-tail", i).random((b, 2)))
-        hits += int(np.count_nonzero(v.sum(axis=1) >= 2.0 * q))
+    v = dist.quantile(substream(seed, "sum-tail").random((N, 2)))
+    hits = int(np.count_nonzero(v.sum(axis=1) >= 2.0 * q))
     assert two_item_sum_tail_mc(q, N, seed, p=1e6)[0] == hits / N
 
 
 def test_two_item_sum_tail_mc_memory_bounded_by_blocks():
-    # a batch of 10^6 pairs is counted in 64k-float blocks: 2.6 MB measured;
-    # quantiles of the whole (10^6, 2) draw took 63 MB
+    # 10^6 pairs are counted in 64k-float blocks: 2.6 MB measured; quantiles
+    # of the whole (10^6, 2) draw took 63 MB
     two_item_sum_tail_mc(3.0, 1_000, seed=0)
     tracemalloc.start()
     try:

@@ -10,6 +10,7 @@ from auctioncomp.distributions import (
     ProductDist,
     TruncatedEqualRevenue,
     Uniform,
+    parse_dist,
 )
 from auctioncomp.repro import two_item_sum_tail
 from auctioncomp.revenue import (
@@ -25,7 +26,7 @@ from auctioncomp.revenue import (
     vcg,
     vcg_item_revenue,
 )
-from auctioncomp.rng import BATCH, BLOCK, batch_sizes, substream
+from auctioncomp.rng import BLOCK, batch_sizes, substream
 from oracles import bulow_klemperer_check, feldman_one_shot, three_tier_mc
 
 # ---------------------------------------------------------------------------
@@ -197,6 +198,16 @@ def test_vcg_product_n1_zero():
     assert vcg(pd, 1, 1000, seed=0).mean == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize(
+    "spec", ["uniform:0,1", "exp:1", "er:p=10000", "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"]
+)
+def test_vcg_single_item_product_equals_item_revenue(spec, n):
+    # the CLI runs `--mech vcg` through vcg() for every m, m = 1 included
+    d = parse_dist(spec)
+    assert vcg(ProductDist((d,)), n, 1000, seed=3) == vcg_item_revenue(d, n, 1000, seed=3)
+
+
 def test_vcg_er_product_scales_with_bidders():
     m, n = 3, 8
     pd = ProductDist(tuple(TruncatedEqualRevenue(1e4) for _ in range(m)))
@@ -260,26 +271,25 @@ def test_feldman_posted_price_matches_per_profile_oracle():
     n, m, N, seed = 2, 16, 400, 12
     bundle, price = feldman_params(n, m)
     est = feldman_posted_price(n, m, N, seed, p=1e4)
-    vals = TruncatedEqualRevenue(1e4).quantile(substream(seed, "feldman", 0).random((N, n, m)))
+    vals = TruncatedEqualRevenue(1e4).quantile(substream(seed, "feldman").random((N, n, m)))
     revs = [feldman_run_once(v, bundle, price).revenue for v in vals]
     assert est.mean == pytest.approx(np.mean(revs), rel=1e-12)
 
 
 @pytest.mark.parametrize("n, m, price", [(2, 64, 60.0), (4, 1024, 6000.0)])
 def test_feldman_blocks_keep_the_one_shot_bits(n, m, price):
-    # two full batches and a partial one that ends in a partial block; at
-    # these prices only some bundles sell (at (4, 1024) and price 700 every
-    # run sells all four)
-    rows, block = BATCH // (n * m), max(1, BLOCK // (n * m))
-    N = 2 * rows + 3 * block + 5
+    # many full blocks and a partial one; at these prices only some bundles
+    # sell (at (4, 1024) and price 700 every run sells all four)
+    block = max(1, BLOCK // (n * m))
+    N = 2 * (10**6 // (n * m)) + 3 * block + 5
     est = feldman_posted_price(n, m, N, seed=3, price=price)
     assert 0 < est.mean < n * price
     assert est == feldman_one_shot(n, m, N, seed=3, price=price)
 
 
 def test_feldman_peak_memory_independent_of_N():
-    # a block of BLOCK values at a time; one (7812, 2, 64) batch of values
-    # and its masks peaked at 31.5 MiB
+    # a block of BLOCK values at a time; (7812, 2, 64) values at once and
+    # their masks peaked at 31.5 MiB
     feldman_posted_price(2, 64, 100, seed=4)
     tracemalloc.start()
     try:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from auctioncomp.rng import (
-    BATCH,
+    BLOCK,
     batch_moments,
-    batch_sizes,
     map_batches,
     mean_stderr,
     substream,
@@ -18,25 +17,28 @@ def _draw(rng, b):
 
 
 def test_map_batches_equals_hand_written_loop():
-    # N not divisible by the batch: two full batches and a remainder
-    N = 2 * (BATCH // 3) + 7
-    got = map_batches(5, ("lab", 2), N, _draw, width=3)
-    sizes = batch_sizes(N, BATCH // 3)
-    want = [substream(5, "lab", 2, i).random(b) for i, b in enumerate(sizes)]
-    assert [len(g) for g in got] == [BATCH // 3, BATCH // 3, 7]
+    # N not divisible by the block: two full blocks and a remainder, drawn
+    # one after another from the one generator of the label
+    N = 2 * (BLOCK // 3) + 7
+    got = list(map_batches(5, ("lab", 2), N, _draw, width=3))
+    rng = substream(5, "lab", 2)
+    want = [rng.random(b) for b in (BLOCK // 3, BLOCK // 3, 7)]
+    assert [len(g) for g in got] == [BLOCK // 3, BLOCK // 3, 7]
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # Generator.random fills rows in order: the blocks are one N-row draw
+    assert np.array_equal(np.concatenate(got), substream(5, "lab", 2).random(N))
 
 
 def test_map_batches_string_label_is_a_one_element_tuple():
-    a = map_batches(6, "lab", 10, _draw)
-    b = map_batches(6, ("lab",), 10, _draw)
+    a = list(map_batches(6, "lab", 10, _draw))
+    b = list(map_batches(6, ("lab",), 10, _draw))
     assert len(a) == 1 and np.array_equal(a[0], b[0])
-    assert np.array_equal(a[0], substream(6, "lab", 0).random(10))
+    assert np.array_equal(a[0], substream(6, "lab").random(10))
 
 
 def test_map_batches_wide_rows_give_one_row_batches():
-    got = map_batches(7, "wide", 3, lambda rng, b: b, width=BATCH + 1)
+    got = list(map_batches(7, "wide", 3, lambda rng, b: b, width=BLOCK + 1))
     assert got == [1, 1, 1]
 
 

@@ -153,7 +153,7 @@ def test_iron_memoized_read_only():
     ],
     ids=lambda x: x.spec() if hasattr(x, "spec") else str(x),
 )
-def test_step_lookup_equals_full_grid_lookup(d, K):
+def test_at_quantile_equals_brute_force_ironing(d, K):
     # the steps against the brute-force hull, not against the map's own arrays
     imap = iron(d, K)
     knots, levels = imap.knots, imap.levels
