@@ -30,7 +30,7 @@ import numpy as np
 from .distributions import ProductDist, SingleDist
 from .experiments import xb_cdf, xl_cdf
 from .revenue import _QUAD_CELLS, RevenueEstimate, _per_item, _score_estimate, _sum_estimates
-from .rng import need_samples
+from .rng import fill_pieces, need_samples
 from .virtual import _sorted_distinct, iron
 
 __all__ = [
@@ -149,6 +149,10 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
     There the top cell (u_K, 1) takes phi_bar(u_K) dF_K plus
     integral_{s > Q(u_K)} Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)),
     given 1 - F(u) <= D (1 - u) for every u.
+
+    Working set: three grid-length arrays, u, dF (written over F) and one
+    product buffer, plus temporaries the size of one piece: each item's two
+    reads of phi_bar fill the buffer piece by piece (``rng.fill_pieces``).
     """
     need_samples(N)
     imaps = {d: iron(d) for d in pd.marginals}  # one per distinct marginal
@@ -159,20 +163,27 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
     ))
     F = cdf(u)
     F[0], F[-1] = 0.0, 1.0
-    dF = np.diff(np.maximum.accumulate(F))
-    above, below = np.nextafter(u[:-1], np.inf), np.nextafter(u[1:], -np.inf)
+    np.maximum.accumulate(F, out=F)
+    # dF_k = F_k+1 - F_k over F, front first: a piece reads F_k+1 before the
+    # next piece writes it
+    dF = fill_pieces(F[:-1], np.subtract, F[1:], F[:-1])
+    prod = np.empty_like(dF)
 
     def item(d: SingleDist):
         imap = imaps[d]
-        lo_phi = imap.at_quantile(above)
-        hi_phi = imap.at_quantile(below)
+
+        def weigh(toward):  # dF_k times phi_bar at the next float from x toward ``toward``
+            return lambda f, x: f * imap.at_quantile(np.nextafter(x, toward))
+
+        # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
+        lower = float(np.sum(fill_pieces(prod, weigh(np.inf), dF, u[:-1])))
+        top_cell = prod[-1]  # an unbounded item's top cell reads it for both ends
+        fill_pieces(prod, weigh(-np.inf), dF, u[1:])
         tail = 0.0
         if not math.isfinite(d.support_hi):
-            hi_phi[-1] = lo_phi[-1]
-            tail = D * d.tail_integral(float(d.quantile(above[-1])))
-        # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
-        lower = float(np.sum(dF * lo_phi))
-        upper = float(np.sum(dF * hi_phi)) + tail
+            prod[-1] = top_cell
+            tail = D * d.tail_integral(float(d.quantile(np.nextafter(u[-2], np.inf))))
+        upper = float(np.sum(prod)) + tail
         mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
         return RevenueEstimate(mean=mean, stderr=half_width, samples=N, seed=seed)
 

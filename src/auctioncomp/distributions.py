@@ -38,6 +38,12 @@ __all__ = [
 _PROB_TOL = 1e-12
 
 
+def _need_finite(*params) -> None:
+    """Reject a NaN or infinite distribution parameter."""
+    if not all(math.isfinite(x) for x in params):
+        raise ValueError("distribution parameters must be finite")
+
+
 class SingleDist:
     """Base class for one-dimensional value distributions."""
 
@@ -97,6 +103,7 @@ class Uniform(SingleDist):
     hi: float
 
     def __post_init__(self):
+        _need_finite(self.lo, self.hi)
         if not self.hi > self.lo:
             raise ValueError("uniform needs hi > lo")
         object.__setattr__(self, "support_lo", self.lo)
@@ -126,6 +133,7 @@ class Exponential(SingleDist):
     rate: float
 
     def __post_init__(self):
+        _need_finite(self.rate)
         if not self.rate > 0:
             raise ValueError("exponential rate must be positive")
         object.__setattr__(self, "support_lo", 0.0)
@@ -161,6 +169,7 @@ class TruncatedEqualRevenue(SingleDist):
     p: float
 
     def __post_init__(self):
+        _need_finite(self.p)
         if not self.p >= 1:
             raise ValueError("truncation point must be >= 1")
         object.__setattr__(self, "support_lo", 1.0)
@@ -203,6 +212,7 @@ class PointMass(SingleDist):
     v: float
 
     def __post_init__(self):
+        _need_finite(self.v)
         object.__setattr__(self, "support_lo", self.v)
         object.__setattr__(self, "support_hi", self.v)
 
@@ -235,6 +245,7 @@ class FiniteDiscrete(SingleDist):
         pr = np.asarray(self.probs, dtype=float)
         if vals.ndim != 1 or pr.shape != vals.shape or vals.size == 0:
             raise ValueError("values and probs must be equal-length 1-d sequences")
+        _need_finite(*vals, *pr)
         if np.any(np.diff(vals) <= 0):
             raise ValueError("values must be strictly ascending")
         if np.any(pr < 0) or abs(pr.sum() - 1.0) > _PROB_TOL:

@@ -52,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import BLOCK, hit_rate, map_batches
+from .rng import BLOCK, PIECE, fill_pieces, hit_rate, map_batches
 
 __all__ = [
     "DominanceReport",
@@ -87,18 +87,24 @@ def top_order_stats(n: int, k: int, rng: np.random.Generator, size: int):
     kth = np.empty_like(top)
     step = np.empty_like(top)
     for j in range(1, k):
-        np.power(rng.random(out=step), 1.0 / (n - j), out=step)
+        rng.random(out=step)
+        if n - j > 1:  # U ** 1.0 is U
+            np.power(step, 1.0 / (n - j), out=step)
         np.multiply(top if j == 1 else kth, step, out=kth)
     return top, kth
 
 
-def _uniform_above(lo: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """lo + U * (1 - lo) with a fresh uniform U per row, in a new array.
+def _uniform_above(lo: np.ndarray, rng: np.random.Generator, where=None) -> np.ndarray:
+    """lo + U * (1 - lo) with a fresh uniform U per row, in a new array; with
+    a boolean ``where``, lo itself in the rows where it is False.
 
-    The same bits as the plain expression, with one temporary.
+    The same bits as the plain expression, with one temporary: a row left
+    out adds the offset times 0, and lo + 0.0 is lo for lo >= 0.
     """
     out = rng.random(len(lo))
     np.multiply(out, np.subtract(1.0, lo), out=out)
+    if where is not None:
+        np.multiply(out, where, out=out)
     return np.add(lo, out, out=out)
 
 
@@ -134,9 +140,7 @@ def _top_or_exceeder(x1: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
     if m == 1:
         return x1
     has = rng.random(len(x1)) >= x1 ** (m - 1)
-    chosen = _uniform_above(x1, rng)
-    np.copyto(chosen, x1, where=~has)
-    return chosen
+    return _uniform_above(x1, rng, where=has)
 
 
 def sample_xl_prime(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -212,27 +216,39 @@ def _log_gap_cdf(t, sharpness: float, integrand) -> np.ndarray | float:
     """A CDF on [0, 1] given as F(t) = integral over v in [log(1 - t), 0] of
     ``integrand(d, v, g)``, with d = 1 - t, v the node and g = log(1 - t) - v.
 
-    F is 0 for t <= 0 and 1 for t >= 1. The t are taken in ascending blocks,
-    each with the node count of its largest t and about ``BLOCK`` floats per
-    temporary. Nodes are summed with ``np.sum``, not a BLAS dot, whose
-    threaded sum order follows the CPU count.
+    F is 0 for t <= 0 and 1 for t >= 1. The t are taken in ascending blocks
+    of about ``BLOCK`` floats, each with the node count of its largest t.
+    Nodes are summed with ``np.sum``, not a BLAS dot, whose threaded sum
+    order follows the CPU count.
+
+    Working set: the output, plus a sorting permutation and sorted copy of
+    the t unless they are ascending already, plus temporaries the size of one
+    piece: a block's rows are integrated in pieces of ``PIECE`` floats
+    (``rng.fill_pieces``), and a row's value does not depend on the rows
+    beside it.
     """
     t = np.asarray(t, dtype=float)
     out = np.where(t >= 1.0, 1.0, 0.0)
     flat_t, flat_out = t.ravel(), out.ravel()
-    inner = np.flatnonzero((flat_t > 0.0) & (flat_t < 1.0))
-    inner = inner[np.argsort(flat_t[inner], kind="stable")]
-    start = 0
-    while start < len(inner):
+    # ascending t (a grid) need no sort; NaN fails the test and sorts last
+    order = None if np.all(flat_t[1:] >= flat_t[:-1]) else np.argsort(flat_t, kind="stable")
+    ts = flat_t if order is None else flat_t[order]
+    start, end = int(np.searchsorted(ts, 0.0, "right")), int(np.searchsorted(ts, 1.0, "left"))
+    while start < end:
         # as many rows as the node count of a full-size block's last t allows
-        widest = flat_t[inner[min(start + BLOCK // MIN_NODES, len(inner)) - 1]]
-        block = inner[start:start + max(1, BLOCK // _node_count(widest, sharpness))]
-        tb = flat_t[block]
-        r, rc, w = _gauss_legendre(_node_count(tb[-1], sharpness))
-        lo = np.log1p(-tb)[:, None]
-        f = integrand((1.0 - tb)[:, None], lo * r, lo * rc)
-        flat_out[block] = -lo[:, 0] * np.sum(f * w, axis=1)
-        start += len(block)
+        widest = ts[min(start + BLOCK // MIN_NODES, end) - 1]
+        stop = min(end, start + max(1, BLOCK // _node_count(widest, sharpness)))
+        tb = ts[start:stop]
+        k = _node_count(tb[-1], sharpness)
+        r, rc, w = _gauss_legendre(k)
+
+        def rows(x):
+            lo = np.log1p(-x)[:, None]
+            return -lo[:, 0] * np.sum(integrand((1.0 - x)[:, None], lo * r, lo * rc) * w, axis=1)
+
+        dest = slice(start, stop) if order is None else order[start:stop]
+        flat_out[dest] = fill_pieces(np.empty(len(tb)), rows, tb, size=max(1, PIECE // k))
+        start = stop
     return out if out.ndim else float(out)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
-from .rng import batch_moments, map_batches, mean_stderr, need_samples
+from .rng import batch_moments, fill_pieces, map_batches, mean_stderr, need_samples
 from .virtual import iron
 
 __all__ = [
@@ -113,12 +113,18 @@ def _score_estimate(d: SingleDist, n: int, cdf, samples: int, seed: int) -> Reve
     at the next float below. Past the last point T every score here has
     1 - H <= n (1 - F), which adds n * d.tail_integral(T) to the upper end.
     Returns the bracket's midpoint, with its half-width as the stderr.
+
+    Working set: the memoized grid and one buffer of its cells' rectangle
+    areas, which both passes fill piece by piece (``rng.fill_pieces``), so
+    ``cdf`` and its temporaries see one piece of points at a time.
     """
     t = _score_points(d, n)
-    dt = np.diff(t)
+    areas = np.empty(len(t) - 1)
     # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
-    upper = float(t[0] + np.sum(dt * (1.0 - cdf(t[:-1])))) + n * d.tail_integral(t[-1])
-    lower = float(t[0] + np.sum(dt * (1.0 - cdf(np.nextafter(t[1:], -np.inf)))))
+    fill_pieces(areas, lambda a, b: (b - a) * (1.0 - cdf(a)), t[:-1], t[1:])
+    upper = float(t[0] + np.sum(areas)) + n * d.tail_integral(t[-1])
+    fill_pieces(areas, lambda a, b: (b - a) * (1.0 - cdf(np.nextafter(b, -np.inf))), t[:-1], t[1:])
+    lower = float(t[0] + np.sum(areas))
     mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
     return RevenueEstimate(mean=mean, stderr=half_width, samples=samples, seed=seed)
 

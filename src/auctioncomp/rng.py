@@ -14,6 +14,11 @@ of draws alive at a time.
 A Monte Carlo mean never holds its N samples: each block is reduced to
 ``batch_moments`` and ``mean_stderr`` folds those in block order, and a hit
 rate is a count (``hit_rate``).
+
+An exact integrand on a long grid is evaluated piece by piece
+(``fill_pieces``): elementwise arithmetic gives the same bits on any slice,
+so a kernel keeps its full-length reductions and the bits of its one-shot
+form, with temporaries of ``PIECE`` values.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import numpy as np
 
 # floats drawn per block; a row of ``width`` floats gives BLOCK // width rows
 BLOCK = 65_536
+# values per piece of an exact integrand: 64 KiB per float64 temporary
+PIECE = BLOCK // 8
 
 
 def substream(seed: int, *labels: str | int) -> np.random.Generator:
@@ -73,6 +80,15 @@ def map_batches(
     labels = (label,) if isinstance(label, str) else tuple(label)
     rng = substream(seed, *labels)
     return (kernel(rng, r) for r in batch_sizes(N, max(1, BLOCK // max(1, width))))
+
+
+def fill_pieces(out: np.ndarray, fn: Callable, *arrays: np.ndarray, size: int = PIECE) -> np.ndarray:
+    """``out[i:j] = fn(*(a[i:j] for a in arrays))`` for consecutive pieces of
+    ``size`` rows; returns ``out``. ``fn`` must act row by row, so ``out``
+    holds the bits of ``fn(*arrays)`` with one piece of temporaries alive."""
+    for i in range(0, len(out), size):
+        out[i:i + size] = fn(*(a[i:i + size] for a in arrays))
+    return out
 
 
 def batch_moments(x: np.ndarray) -> tuple[int, float, float]:

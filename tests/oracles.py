@@ -8,24 +8,32 @@ Bulow-Klemperer margin is the difference of two exact estimates. The
 posted-bundle kernel run on one draw of all N runs is the reference for the
 blocked one in the package. The ironing construction with its hull loop
 indexing numpy arrays element by element, and ``np.unique`` for the grid, is
-the reference for the one over Python floats in the package.
+the reference for the one over Python floats in the package. The exact
+kernels evaluated on their whole grid at once are the references for the
+piecewise ones in the package.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from auctioncomp.distributions import SingleDist, TruncatedEqualRevenue
-from auctioncomp.experiments import top_order_stats
+from auctioncomp import benchmark
+from auctioncomp.distributions import ProductDist, SingleDist, TruncatedEqualRevenue
+from auctioncomp.experiments import MIN_NODES, _gauss_legendre, _node_count, top_order_stats
 from auctioncomp.revenue import (
     RevenueEstimate,
+    _per_item,
+    _score_points,
+    _sum_estimates,
     feldman_params,
     myerson_item_revenue,
     three_tier_params,
     vcg_item_revenue,
 )
 from auctioncomp.rng import BLOCK, batch_moments, hit_rate, map_batches, mean_stderr, substream
-from auctioncomp.virtual import iron
+from auctioncomp.virtual import _sorted_distinct, iron
 
 
 def upper_concave_envelope_indexed(u: np.ndarray, r: np.ndarray) -> list[int]:
@@ -186,3 +194,69 @@ def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
 
     rhs, stderr = hit_rate(sum(map_batches(seed, "prop-key", N, batch)), N)
     return lhs, rhs, (0.0, stderr)
+
+
+# ---------------------------------------------------------------------------
+# The exact kernels in one shot: each integrand is evaluated on its whole grid
+# (or a whole block of rows) at once
+# ---------------------------------------------------------------------------
+
+
+def score_estimate_one_shot(d: SingleDist, n: int, cdf, samples: int, seed: int) -> RevenueEstimate:
+    """``revenue._score_estimate`` with ``cdf`` read on the whole grid at once."""
+    t = _score_points(d, n)
+    dt = np.diff(t)
+    upper = float(t[0] + np.sum(dt * (1.0 - cdf(t[:-1])))) + n * d.tail_integral(t[-1])
+    lower = float(t[0] + np.sum(dt * (1.0 - cdf(np.nextafter(t[1:], -np.inf)))))
+    mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
+    return RevenueEstimate(mean=mean, stderr=half_width, samples=samples, seed=seed)
+
+
+def log_gap_cdf_one_shot(t, sharpness: float, integrand):
+    """``experiments._log_gap_cdf`` with each block's rows integrated at once
+    and the t in (0, 1) always put in order by a stable argsort."""
+    t = np.asarray(t, dtype=float)
+    out = np.where(t >= 1.0, 1.0, 0.0)
+    flat_t, flat_out = t.ravel(), out.ravel()
+    inner = np.flatnonzero((flat_t > 0.0) & (flat_t < 1.0))
+    inner = inner[np.argsort(flat_t[inner], kind="stable")]
+    start = 0
+    while start < len(inner):
+        widest = flat_t[inner[min(start + BLOCK // MIN_NODES, len(inner)) - 1]]
+        block = inner[start:start + max(1, BLOCK // _node_count(widest, sharpness))]
+        tb = flat_t[block]
+        r, rc, w = _gauss_legendre(_node_count(tb[-1], sharpness))
+        lo = np.log1p(-tb)[:, None]
+        f = integrand((1.0 - tb)[:, None], lo * r, lo * rc)
+        flat_out[block] = -lo[:, 0] * np.sum(f * w, axis=1)
+        start += len(block)
+    return out if out.ndim else float(out)
+
+
+def phi_at_experiment_one_shot(pd: ProductDist, cdf, D: float, N: int, seed: int) -> RevenueEstimate:
+    """``benchmark._phi_at_experiment`` with phi_bar read on the whole grid at once."""
+    imaps = {d: iron(d) for d in pd.marginals}
+    u = _sorted_distinct(np.concatenate(
+        [np.linspace(0.0, 1.0, benchmark._QUAD_CELLS + 1)]
+        + [imap.knots for imap in imaps.values()]
+        + [d.quantile_breakpoints() for d in imaps]
+    ))
+    F = cdf(u)
+    F[0], F[-1] = 0.0, 1.0
+    dF = np.diff(np.maximum.accumulate(F))
+    above, below = np.nextafter(u[:-1], np.inf), np.nextafter(u[1:], -np.inf)
+
+    def item(d: SingleDist):
+        imap = imaps[d]
+        lo_phi = imap.at_quantile(above)
+        hi_phi = imap.at_quantile(below)
+        tail = 0.0
+        if not math.isfinite(d.support_hi):
+            hi_phi[-1] = lo_phi[-1]
+            tail = D * d.tail_integral(float(d.quantile(above[-1])))
+        lower = float(np.sum(dF * lo_phi))
+        upper = float(np.sum(dF * hi_phi)) + tail
+        mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
+        return RevenueEstimate(mean=mean, stderr=half_width, samples=N, seed=seed)
+
+    return _sum_estimates(_per_item(item, pd.marginals), N, seed)

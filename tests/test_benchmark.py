@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -316,27 +317,34 @@ def test_repeated_marginals_keep_the_in_order_sum(name, monkeypatch):
 def test_each_distinct_marginal_estimated_once(monkeypatch):
     distinct = list(dict.fromkeys(REPEATS.marginals))
     assert len(distinct) == 4
-    calls = []
+    calls = []  # (marginal, estimates made or phi_bar values read)
     score_estimate = revenue_mod._score_estimate
     at_quantile = IronedVirtualMap.at_quantile
 
     def counted_score_estimate(d, *args):
-        calls.append(d)
+        calls.append((d, 1))
         return score_estimate(d, *args)
 
     def counted_at_quantile(imap, u):
-        calls.append(imap.dist)
+        calls.append((imap.dist, np.size(u)))
         return at_quantile(imap, u)
 
     monkeypatch.setattr(revenue_mod, "_score_estimate", counted_score_estimate)
     monkeypatch.setattr(benchmark_mod, "_score_estimate", counted_score_estimate)
     monkeypatch.setattr(IronedVirtualMap, "at_quantile", counted_at_quantile)
+    # the chain bounds' one quantile grid
+    cells = np.unique(np.concatenate(
+        [np.linspace(0.0, 1.0, revenue_mod._QUAD_CELLS + 1)]
+        + [iron(d).knots for d in distinct] + [d.quantile_breakpoints() for d in distinct]
+    )).size - 1
     for name, per_marginal in [("srev", 1), ("vcg", 1), ("efftw", 1), ("obs1", 1),
-                               ("xl_chain", 2), ("xb_chain", 2)]:
+                               ("xl_chain", 2 * cells), ("xb_chain", 2 * cells)]:
         calls.clear()
         PER_ITEM_SUMS[name](REPEATS)
-        # a chain bound reads phi_bar twice per marginal: below and above each cell
-        assert calls == [d for d in distinct for _ in range(per_marginal)], name
+        # a chain bound reads phi_bar twice per marginal, below and above each
+        # cell, piece by piece: one unbroken run of reads per distinct marginal
+        runs = [(d, sum(k for _, k in run)) for d, run in groupby(calls, key=lambda c: c[0])]
+        assert runs == [(d, per_marginal) for d in distinct], name
 
 
 def test_efftw_single_item_equals_myerson():

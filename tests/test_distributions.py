@@ -146,6 +146,37 @@ def test_parse_dist_rejects(bad):
         parse_dist(bad)
 
 
+NON_FINITE_SPECS = ["point:nan", "point:inf", "uniform:0,inf", "exp:inf", "uniform:-inf,0",
+                    "discrete:v=1,nan;p=0.5,0.5"]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_SPECS)
+def test_parse_dist_rejects_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="bad distribution spec") as info:
+        parse_dist(bad)
+    assert "must be finite" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: Uniform(0.0, x),
+        lambda x: Uniform(-x, 0.0),
+        lambda x: Exponential(x),
+        lambda x: TruncatedEqualRevenue(x),
+        lambda x: PointMass(x),
+        lambda x: PointMass(-x),
+        lambda x: FiniteDiscrete((1.0, x), (0.5, 0.5)),
+        lambda x: FiniteDiscrete((1.0, 2.0), (x, 0.5)),
+    ],
+)
+@pytest.mark.parametrize("x", [np.nan, np.inf])
+def test_constructors_reject_non_finite_parameters(make, x):
+    # an infinite bound or rate used to build a distribution of NaN rows
+    with pytest.raises(ValueError, match="must be finite"):
+        make(x)
+
+
 @given(st.floats(1.5, 1e6), st.floats(0.0, 1.0))
 @settings(max_examples=50, deadline=None)
 def test_er_quantile_in_support(p, q):

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate, stats
 
 from auctioncomp.experiments import (
+    _top_or_exceeder,
     dkw_epsilon,
     dominance_test,
     sample_w,
@@ -292,6 +293,14 @@ def test_in_place_samplers_same_bits_as_plain_expressions(n, m):
         assert np.array_equal(sample_xb(n, 2, draw("xb"), size), ref)
     ref = draw("xs").random(size) ** (1.0 / (n + m))
     assert np.array_equal(sample_xs(n, m, draw("xs"), size), ref)
+    # the last step of a full walk has exponent 1 / (n - (n - 1)) = 1
+    got = top_order_stats(n, n, draw("tos"), size)
+    ref = _plain_top_order_stats(n, n, draw("tos"), size)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+    # kept rows add a zero offset: the same bits as copying X_(1), also at 0 and 1
+    x1 = np.concatenate([[0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)], draw("x1").random(size)])
+    got = _top_or_exceeder(x1, m, draw("or"))
+    assert got.tobytes() == _plain_top_or_exceeder(x1, m, draw("or")).tobytes()
 
 
 def test_xl_sampler_peak_memory():

@@ -1,0 +1,167 @@
+"""The exact kernels evaluate their integrands piece by piece (``rng.fill_pieces``).
+They must return the bits of the one-shot references in ``oracles``, and keep
+a working set of a few grid-length arrays whatever the grid size."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from auctioncomp import benchmark as benchmark_mod
+from auctioncomp import experiments as experiments_mod
+from auctioncomp import repro as repro_mod
+from auctioncomp import revenue as revenue_mod
+from auctioncomp.benchmark import efftw_bound, obs1_bound, xb_chain_bound, xl_chain_bound
+from auctioncomp.distributions import ProductDist, Uniform, parse_dist
+from auctioncomp.experiments import xb_cdf, xl_cdf
+from auctioncomp.repro import er_order_stat
+from auctioncomp.revenue import srev, vcg
+from auctioncomp.rng import PIECE, fill_pieces
+from oracles import log_gap_cdf_one_shot, phi_at_experiment_one_shot, score_estimate_one_shot
+
+IRREGULAR = "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"
+ZOO = ["uniform:0,1", "uniform:-1,1", "exp:1", "exp:0.3", "er:p=10000", "er:p=100", "point:5",
+       IRREGULAR, "discrete:v=-2,-1,1;p=0.3,0.3,0.4", "discrete:v=1,1.2,10;p=0.5,0.4,0.1"]
+PRODUCTS = {
+    "irregular": [IRREGULAR, "exp:1", "uniform:0,1"],
+    "er2": ["er:p=10000"] * 2,
+    "u2": ["uniform:0,1"] * 2,  # 2^15 cells and no knots: a whole number of pieces
+    "mixed": ["exp:0.3", "er:p=100", "point:5", "discrete:v=1,1.2,10;p=0.5,0.4,0.1"],
+}
+
+
+def _bits(estimates):
+    return [(e.mean.hex(), e.stderr.hex()) for e in estimates]
+
+
+@pytest.fixture(params=[64, revenue_mod._QUAD_CELLS], ids=["short-grid", "default-grid"])
+def cells(request, monkeypatch):
+    revenue_mod._score_points.cache_clear()
+    monkeypatch.setattr(revenue_mod, "_QUAD_CELLS", request.param)
+    monkeypatch.setattr(benchmark_mod, "_QUAD_CELLS", request.param)
+    yield request.param
+    revenue_mod._score_points.cache_clear()
+
+
+@pytest.mark.parametrize("spec", ZOO)
+def test_score_estimates_same_bits_as_one_shot(spec, cells, monkeypatch):
+    d = parse_dist(spec)
+    pd = ProductDist((d, parse_dist(IRREGULAR)))
+    for n in (1, 2, 5):
+        areas = len(revenue_mod._score_points(d, n)) - 1
+        # 64 cells: shorter than one piece; 2^15: several, the last one partial
+        assert (areas < PIECE) == (cells < PIECE) and areas % PIECE != 0
+
+    def estimates():
+        out = []
+        for n in (1, 2, 5):
+            out += [efftw_bound(pd, n, 1, 0), srev(pd, n), vcg(pd, n, 1, 0)]
+            if n > 1:
+                out.append(obs1_bound(pd, n, 1, 0))
+        if spec.startswith("er:"):
+            out += [er_order_stat(x, y, 1, 0, d.p) for x, y in ((2, 5), (4, 12), (12, 12))]
+        return out
+
+    got = estimates()
+    with monkeypatch.context() as mp:
+        for mod in (revenue_mod, benchmark_mod, repro_mod):
+            mp.setattr(mod, "_score_estimate", score_estimate_one_shot)
+        want = estimates()
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS))
+def test_chain_bounds_same_bits_as_one_shot(name, cells, monkeypatch):
+    pd = ProductDist(tuple(parse_dist(s) for s in PRODUCTS[name]))
+
+    def estimates():
+        return [xl_chain_bound(pd, 2, 1, 0), xl_chain_bound(pd, 9, 1, 0),
+                xb_chain_bound(pd, 3, 2, 1, 0), xb_chain_bound(pd, 6, 6, 1, 0)]
+
+    got = estimates()
+    with monkeypatch.context() as mp:
+        mp.setattr(benchmark_mod, "_phi_at_experiment", phi_at_experiment_one_shot)
+        want = estimates()
+    assert _bits(got) == _bits(want)
+
+
+def _probes():
+    rng = np.random.default_rng(3)
+    grid = np.linspace(0.0, 1.0, 5_001)  # blocks of 1365 rows at 48 nodes, pieces of 170
+    near_one = 1.0 - np.geomspace(0.5, 1e-15, 3_001)  # up to 1024 nodes: pieces of 8 rows
+    edges = np.array([0.7, np.nan, -0.0, 0.0, 1.0, 1.5, -0.5, 5e-324, np.nextafter(1.0, 0.0)])
+    return {
+        "single": 0.7,
+        "one": np.array([0.7]),
+        "ascending": grid,
+        "descending": grid[::-1].copy(),
+        "shuffled": rng.permutation(grid),
+        "near-one": near_one,
+        "near-one-shuffled": rng.permutation(near_one),
+        "2d-with-edges": np.concatenate([grid[:991], edges]).reshape(20, 50),
+    }
+
+
+@pytest.mark.parametrize("probe", list(_probes()))
+@pytest.mark.parametrize(
+    "cdf,n,k", [(xl_cdf, 2, 16), (xl_cdf, 200, 4), (xl_cdf, 3, 1), (xb_cdf, 19, 4), (xb_cdf, 2000, 2)],
+    ids=["xl-2-16", "xl-200-4", "xl-3-1", "xb-19-4", "xb-2000-2"],
+)
+def test_exact_cdfs_same_bits_as_one_shot(cdf, n, k, probe, monkeypatch):
+    t = _probes()[probe]
+    with np.errstate(divide="ignore"):  # X_B's log gap at t = 5e-324
+        got = cdf(n, k, t)
+        with monkeypatch.context() as mp:
+            mp.setattr(experiments_mod, "_log_gap_cdf", log_gap_cdf_one_shot)
+            want = cdf(n, k, t)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+IRREGULAR_PRODUCT = ProductDist(tuple(parse_dist(s) for s in PRODUCTS["irregular"]))
+U16 = ProductDist((Uniform(0, 1),) * 16)
+
+
+# tracemalloc peaks measured on numpy 2.4 with a bound about 25% above. The
+# one-shot kernels peak at 4.1 and 32.2 MB (efftw) and 5.4 and 16.0 MB (xl).
+@pytest.mark.parametrize(
+    "bound,cells,limit_mb",
+    [("efftw", 1 << 15, 1.3), ("efftw", 1 << 18, 6.2), ("xl", 1 << 15, 1.4), ("xl", 1 << 18, 7.8)],
+)
+def test_exact_kernel_working_set(bound, cells, limit_mb, monkeypatch):
+    # the score grids (efftw_bound), the ironed maps and the Gauss-Legendre
+    # nodes are memoized: a first call builds them outside the measurement
+    revenue_mod._score_points.cache_clear()
+    monkeypatch.setattr(revenue_mod, "_QUAD_CELLS", cells)
+    monkeypatch.setattr(benchmark_mod, "_QUAD_CELLS", cells)
+    try:
+        if bound == "efftw":
+            call = lambda: efftw_bound(IRREGULAR_PRODUCT, 4, 1, seed=0)
+        else:
+            call = lambda: xl_chain_bound(U16, 2, 1, seed=0)
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        revenue_mod._score_points.cache_clear()
+    assert peak <= limit_mb * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("length", [0, 1, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE - 5])
+def test_fill_pieces_equals_one_call(length):
+    x = np.random.default_rng(length).random(length)
+    sizes = []
+
+    def fn(a, b):
+        sizes.append(len(a))
+        return np.exp(a) * b - 1.0
+
+    out = fill_pieces(np.empty(length), fn, x, x[::-1])
+    assert out.tobytes() == (np.exp(x) * x[::-1] - 1.0).tobytes()
+    assert sizes == [min(PIECE, length - i) for i in range(0, length, PIECE)]
+    rows = fill_pieces(np.empty(length), lambda a: a * 2.0, x, size=7)
+    assert rows.tobytes() == (x * 2.0).tobytes()
