@@ -29,7 +29,8 @@ import numpy as np
 
 from .distributions import ProductDist, SingleDist
 from .experiments import xb_cdf, xl_cdf
-from .revenue import _QUAD_CELLS, RevenueEstimate, _per_item, _score_estimate, _sum_estimates
+from . import revenue
+from .revenue import RevenueEstimate, _per_item, _score_estimate, _sum_estimates
 from .rng import fill_pieces, need_samples
 from .virtual import _sorted_distinct, iron
 
@@ -157,7 +158,7 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
     need_samples(N)
     imaps = {d: iron(d) for d in pd.marginals}  # one per distinct marginal
     u = _sorted_distinct(np.concatenate(
-        [np.linspace(0.0, 1.0, _QUAD_CELLS + 1)]
+        [np.linspace(0.0, 1.0, revenue._QUAD_CELLS + 1)]
         + [imap.knots for imap in imaps.values()]
         + [d.quantile_breakpoints() for d in imaps]
     ))

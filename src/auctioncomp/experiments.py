@@ -20,15 +20,17 @@ is: the item draws are independent of x, so none of them exceeds x with
 probability x^(m-1), and otherwise a uniformly chosen exceeder is uniform on
 [x, 1]. ``ystar_conditional_mc`` still simulates all m - 1 item draws,
 because it is the independent check of the closed form ``ystar_tail``. It
-draws them item-major, (m - 1, rows), and takes the rank-th exceeder, largest
-first, with a uniform rank; whether that one exceeds p follows from two
-counts per row, so no exceeder is located.
+takes the rank-th exceeder, largest first, with a uniform rank; whether that
+one exceeds p follows from two counts per row, so no exceeder is located.
+Each item draw is read at its bit cost: its top byte, drawn item-major as
+(m - 1, rows) from raw 64-bit words, eight to a word, and a uniform
+remainder below it only when the byte ties the byte of X_(1) or of p.
 
 The samplers compute in place (``out=`` arithmetic in the order of the plain
 expressions, so the draws are the same bits), which keeps a call to
 ``sample_xl`` at four arrays of its size. ``dominance_test`` calls a sampler
-once per block of ``BLOCK`` rows, so ``sample_xl`` computes in four
-block-sized arrays there.
+once per block of ``BLOCK // 4`` rows, so ``sample_xl`` and ``sample_xb``
+hold about ``BLOCK`` floats there.
 
 ``xl_cdf`` and ``xb_cdf`` are the exact CDFs of X_L and X_B, as 1-D integrals
 over one order statistic taken by Gauss-Legendre quadrature in
@@ -349,12 +351,20 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
     draws are simulated directly, so this stays independent of both
     ``ystar_tail`` and the conditional construction in ``sample_xl``.
 
-    Each block of ``BLOCK // (m - 1)`` rows draws X_(1), then the item
-    draws item-major as (m - 1, rows), then the rank uniforms U. Y* is the
-    exceeder of rank floor(U k) among the k item draws above X_(1), taken
-    largest first; the h draws above p > X_(1) lead that order, so Y* > p
-    iff floor(U k) < h, i.e. U k < h. Only k and h are counted, as sums over
-    contiguous item rows.
+    Y* is the exceeder of rank floor(U k) among the k item draws above X_(1),
+    taken largest first; the h draws above p > X_(1) lead that order, so
+    Y* > p iff floor(U k) < h, i.e. U k < h. Only k and h are counted.
+
+    An item draw is (B + V) / 256: its top byte B, then a uniform remainder
+    V, which given B is uniform. Each block of ``BLOCK // (m - 1)`` rows
+    draws X_(1), then the item bytes item-major as (m - 1, rows), eight to a
+    ``random_raw`` word read little-endian, then one remainder V per item
+    whose byte is a = floor(256 X_(1)) or p8 = floor(256 p), in item-major
+    order (one V serves both when a == p8), then the rank uniforms U. A
+    byte above a (above p8) counts in k (in h); a byte equal to a (to p8)
+    counts when V > 256 X_(1) - a (V > 256 p - p8), and both differences
+    are exact in binary floating point. So only about 2/256 of the items
+    draw a float.
     """
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")
@@ -362,12 +372,24 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
         raise ValueError("need m >= 2")
     width = m - 1
     count = np.min_scalar_type(width)  # the narrowest integer that holds k
+    p8 = int(256.0 * p)
+    p_rest = 256.0 * p - p8
 
     def block(rng, r):
         x1 = p * rng.random(r) ** (1.0 / n)
-        y = rng.random((width, r))
-        k = np.add.reduce(y > x1, axis=0, dtype=count)
-        h = np.add.reduce(y > p, axis=0, dtype=count)
+        x_scaled = 256.0 * x1
+        a = x_scaled.astype(np.uint8)  # floor: 0 <= 256 x1 < 256
+        words = rng.bit_generator.random_raw(-(-width * r // 8))
+        y = words.astype("<u8", copy=False).view(np.uint8)[: width * r].reshape(width, r)
+        k = np.add.reduce(y > a, axis=0, dtype=count)
+        h = np.add.reduce(y > p8, axis=0, dtype=count)
+        tie = y == a
+        tie |= y == p8
+        at = np.flatnonzero(tie)
+        v = rng.random(len(at))
+        row, byte = at % r, y.ravel()[at]
+        k = k + np.bincount(row[(byte == a[row]) & (v > x_scaled[row] - a[row])], minlength=r)
+        h = h + np.bincount(row[(byte == p8) & (v > p_rest)], minlength=r)
         return int(np.count_nonzero(rng.random(r) * k < h))
 
     return hit_rate(sum(map_batches(seed, "ystar-mc", N, block, width)), N)
@@ -395,7 +417,13 @@ class DominanceReport:
 
     @property
     def max_violation(self) -> float:
-        return float(np.max(self.cdf_a - self.cdf_b))
+        """Largest cdf_a - cdf_b over the probes where the two CDFs are not
+        both 0 and not both 1 (there the gap is 0 whatever the laws); below
+        0 when A's CDF sits under B's at every informative probe, and 0.0
+        when no probe is informative."""
+        a, b = self.cdf_a, self.cdf_b
+        gaps = (a - b)[((a > 0) | (b > 0)) & ((a < 1) | (b < 1))]
+        return float(np.max(gaps)) if len(gaps) else 0.0
 
 
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
@@ -412,11 +440,12 @@ def dominance_test(
     """Empirical first-order stochastic dominance of A over B.
 
     Each sampler draws its own stream (``rng.map_batches``, labels ``dom-a``
-    and ``dom-b``), called once per block of ``BLOCK`` rows; the block is
-    sorted in place, so a sampler must return a fresh array, and its counts
-    at or below the grid are added up as integers. Sampler B is first called
-    for zero draws, so its argument checks fire before sampler A's pass
-    rather than after it.
+    and ``dom-b``), called once per block of ``BLOCK // 4`` rows, since
+    ``sample_xl`` and ``sample_xb`` compute in four arrays of their size: a
+    block holds about ``BLOCK`` floats. The block is sorted in place, so a
+    sampler must return a fresh array, and its counts at or below the grid
+    are added up as integers. Sampler B is first called for zero draws, so
+    its argument checks fire before sampler A's pass rather than after it.
     """
     if N < 10_000:
         raise ValueError("need N >= 10^4 for a meaningful DKW band")
@@ -430,7 +459,7 @@ def dominance_test(
             x.sort()  # in place: a copy would be one more block-sized array
             return np.searchsorted(x, grid, "right")
 
-        return sum(map_batches(seed, label, N, block)) / N
+        return sum(map_batches(seed, label, N, block, width=4)) / N
 
     sampler_b(np.random.default_rng(0), 0)  # draws nothing; only its checks run
     cdf_a = cdf(sampler_a, "dom-a")

@@ -78,26 +78,26 @@ def _per_item(fn, marginals):
 
 
 @functools.lru_cache(maxsize=8)
-def _score_points(d: SingleDist, n: int) -> np.ndarray:
+def _score_points(d: SingleDist, n: int, cells: int) -> np.ndarray:
     """Sorted, read-only grid from min(0, support_lo) to the top of the support
     (Q(1 - 2^-53) if unbounded): the support edges, 0, the atoms, the ironed
-    step levels, Q on a ``_QUAD_CELLS``-cell quantile grid and on its n-th root
-    (where the top of n lives), and a geometric grid. Memoized per (d, n); the
-    bracket holds on any grid, the points only narrow it.
+    step levels, Q on a ``cells``-cell quantile grid and on its n-th root
+    (where the top of n lives), and a geometric grid. Memoized per
+    (d, n, cells); the bracket holds on any grid, the points only narrow it.
     """
     lo, hi = d.support_lo, d.support_hi
     levels = iron(d).levels
     top = hi if math.isfinite(hi) else float(d.quantile(np.nextafter(1.0, 0.0)))
     top = max(top, float(levels[-1]))  # a hull slope may pass v by rounding
     bps = d.quantile_breakpoints()
-    cells = np.linspace(0.0, 1.0, _QUAD_CELLS + 1)
+    u = np.linspace(0.0, 1.0, cells + 1)
     t = np.concatenate([
         [min(0.0, lo), 0.0, top],
         levels,
         d.quantile(np.concatenate([bps, np.nextafter(bps, 1.0)])),
-        d.quantile(cells),
-        d.quantile(cells ** (1.0 / n)),
-        lo + (top - lo) * np.geomspace(2.0**-20, 1.0, _QUAD_CELLS // 4),
+        d.quantile(u),
+        d.quantile(u ** (1.0 / n)),
+        lo + (top - lo) * np.geomspace(2.0**-20, 1.0, cells // 4),
     ])
     t = np.sort(t[(t >= min(0.0, lo)) & (t <= top)])  # drops Q(1) = inf; repeats add 0
     t.flags.writeable = False
@@ -108,9 +108,9 @@ def _score_estimate(d: SingleDist, n: int, cdf, samples: int, seed: int) -> Reve
     """E[S] = L + integral over t >= L of 1 - H(t), for a score S >= L =
     min(0, support_lo) of item d with CDF H = ``cdf``.
 
-    Bracketed by rectangles on ``_score_points``: on each cell [t_k, t_k+1)
-    the nondecreasing H lies between H(t_k) and its left limit at t_k+1, read
-    at the next float below. Past the last point T every score here has
+    Bracketed by rectangles on ``_score_points`` with ``_QUAD_CELLS`` cells
+    (read at the call): on each cell [t_k, t_k+1) the nondecreasing H lies
+    between H(t_k) and its left limit at t_k+1, read at the next float below. Past the last point T every score here has
     1 - H <= n (1 - F), which adds n * d.tail_integral(T) to the upper end.
     Returns the bracket's midpoint, with its half-width as the stderr.
 
@@ -118,7 +118,7 @@ def _score_estimate(d: SingleDist, n: int, cdf, samples: int, seed: int) -> Reve
     areas, which both passes fill piece by piece (``rng.fill_pieces``), so
     ``cdf`` and its temporaries see one piece of points at a time.
     """
-    t = _score_points(d, n)
+    t = _score_points(d, n, _QUAD_CELLS)
     areas = np.empty(len(t) - 1)
     # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
     fill_pieces(areas, lambda a, b: (b - a) * (1.0 - cdf(a)), t[:-1], t[1:])

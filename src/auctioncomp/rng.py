@@ -8,8 +8,9 @@ spawn key, a pure function of ``(seed, label)``.
 Determinism model: a Monte Carlo estimator of N samples draws them all from
 one generator, ``substream(seed, *label)``, in blocks of
 ``max(1, BLOCK // width)`` rows taken in order (``map_batches``), so its
-result is a pure function of ``(seed, label, N)`` with about ``BLOCK`` floats
-of draws alive at a time.
+result is a pure function of ``(seed, label, N)``. ``width`` counts the
+floats a kernel holds per row: the row's own draws, or one per block-sized
+array the kernel keeps alive, so a block holds about ``BLOCK`` floats.
 
 A Monte Carlo mean never holds its N samples: each block is reduced to
 ``batch_moments`` and ``mean_stderr`` folds those in block order, and a hit
@@ -71,7 +72,8 @@ def map_batches(
     with the one generator ``rng = substream(seed, *label)``.
 
     N rows are split into blocks of ``max(1, BLOCK // width)`` rows (the last
-    takes the remainder); ``width`` is the number of floats one row holds.
+    takes the remainder); ``width`` is the number of floats the kernel holds
+    per row, counting each block-sized array it keeps alive at once.
     N is checked at the call; the caller sums or folds the outputs as they
     come, so one block's draws are alive at a time as long as the kernel
     returns a reduction of them.

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from auctioncomp import benchmark
+from auctioncomp import revenue as revenue_mod
 from auctioncomp.distributions import ProductDist, SingleDist, TruncatedEqualRevenue
 from auctioncomp.experiments import MIN_NODES, _gauss_legendre, _node_count, top_order_stats
 from auctioncomp.revenue import (
@@ -204,7 +204,7 @@ def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
 
 def score_estimate_one_shot(d: SingleDist, n: int, cdf, samples: int, seed: int) -> RevenueEstimate:
     """``revenue._score_estimate`` with ``cdf`` read on the whole grid at once."""
-    t = _score_points(d, n)
+    t = _score_points(d, n, revenue_mod._QUAD_CELLS)
     dt = np.diff(t)
     upper = float(t[0] + np.sum(dt * (1.0 - cdf(t[:-1])))) + n * d.tail_integral(t[-1])
     lower = float(t[0] + np.sum(dt * (1.0 - cdf(np.nextafter(t[1:], -np.inf)))))
@@ -237,7 +237,7 @@ def phi_at_experiment_one_shot(pd: ProductDist, cdf, D: float, N: int, seed: int
     """``benchmark._phi_at_experiment`` with phi_bar read on the whole grid at once."""
     imaps = {d: iron(d) for d in pd.marginals}
     u = _sorted_distinct(np.concatenate(
-        [np.linspace(0.0, 1.0, benchmark._QUAD_CELLS + 1)]
+        [np.linspace(0.0, 1.0, revenue_mod._QUAD_CELLS + 1)]
         + [imap.knots for imap in imaps.values()]
         + [d.quantile_breakpoints() for d in imaps]
     ))

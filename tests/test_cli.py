@@ -249,6 +249,8 @@ def test_dominance_above_threshold_true(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["results"][0]["dominates"] is True
+    # probes where both CDFs are 0 (or 1) do not pin the margin at 0
+    assert doc["results"][0]["max_violation"] < 0
 
 
 def test_dominance_below_threshold_reports_without_failing(capsys):

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate, stats
 
 from auctioncomp.experiments import (
+    DominanceReport,
     _top_or_exceeder,
     dkw_epsilon,
     dominance_test,
@@ -459,28 +460,63 @@ def test_ystar_tail_endpoints_and_m2():
 
 
 def test_ystar_tail_matches_conditional_mc():
-    n, m, p = 2, 3, 0.5
-    est, se = ystar_conditional_mc(n, m, p, 400_000, seed=12)
-    assert abs(est - ystar_tail(n, m, p)) <= 4 * se
+    # the hit count is Bin(N, ystar_tail): a z-test with the exact variance,
+    # also with p on a byte boundary (0.5) and with X_(1) mostly sharing the
+    # byte of p (n = 400)
+    N = 400_000
+    for n, m, p in [(2, 3, 0.5), (2, 16, 0.5), (5, 4, 0.3), (400, 4, 0.5 + 1 / 512), (3, 300, 0.97)]:
+        tail = ystar_tail(n, m, p)
+        est, _ = ystar_conditional_mc(n, m, p, N, seed=12)
+        assert abs(est - tail) <= 4 * math.sqrt(tail * (1 - tail) / N), (n, m, p, est, tail)
 
 
-@pytest.mark.parametrize("n, m", [(2, 16), (5, 4), (1, 3), (3, 300)])
-def test_ystar_conditional_mc_equals_sort_based_pick(n, m):
-    # replay the one stream block by block, in the kernel's draw order (X_(1),
-    # the item draws item-major, the rank uniforms), and pick with the sorting
-    # reference: the hit counts agree exactly
-    p, seed, width = 0.6, 5, m - 1
+def _ref_pick_above_p(byte, rest, x1, p, rng):
+    """Whether a uniformly ranked exceeder of x1 exceeds p, per row, by
+    sorting: items are (byte, remainder) pairs of shape (rows, m - 1), and
+    x1, p are compared as their (floor(256 x), 256 x - floor(256 x)) pairs,
+    lexicographically."""
+    a, x_rest = np.divmod(256.0 * x1, 1.0)
+    p8, p_rest = divmod(256.0 * p, 1.0)
+    above_x1 = (byte > a[:, None]) | ((byte == a[:, None]) & (rest > x_rest[:, None]))
+    k = np.count_nonzero(above_x1, axis=1)
+    order = np.lexsort((-rest, -byte.astype(np.int64)), axis=1)  # largest first
+    rank = (rng.random(len(x1)) * np.maximum(k, 1)).astype(np.int64)
+    rows = np.arange(len(x1))
+    pick = order[rows, np.minimum(rank, byte.shape[1] - 1)]
+    chosen_byte, chosen_rest = byte[rows, pick], rest[rows, pick]
+    above_p = (chosen_byte > p8) | ((chosen_byte == p8) & (chosen_rest > p_rest))
+    return (k > 0) & above_p
+
+
+@pytest.mark.parametrize(
+    "n, m, p", [(2, 16, 0.6), (5, 4, 0.6), (1, 3, 0.6), (3, 300, 0.6), (400, 4, 0.5 + 1 / 512)],
+    ids=["2-16", "5-4", "1-3", "3-300", "400-4-shared-byte"],
+)
+def test_ystar_conditional_mc_equals_sort_based_pick(n, m, p):
+    # replay the one stream block by block in the kernel's draw order: X_(1),
+    # the item bytes item-major from raw words (eight to a word, little-endian),
+    # a remainder per item whose byte ties X_(1)'s or p's, the rank uniforms;
+    # then pick with the sorting reference on (byte, remainder) pairs: the hit
+    # counts agree exactly
+    seed, width = 5, m - 1
     rows = BLOCK // width
     N = 15 * rows + rows // 2  # fifteen full blocks and a short one
     rng = substream(seed, "ystar-mc")
-    hits = 0
+    hits = shared = 0
     for start in range(0, N, rows):
         r = min(rows, N - start)
         x1 = p * rng.random(r) ** (1.0 / n)
-        y = rng.random((width, r))
-        chosen, has = _ref_pick_exceeder(y.T, x1, rng)
-        hits += int(np.count_nonzero(has & (chosen > p)))
+        a, p8 = np.floor(256.0 * x1), math.floor(256.0 * p)
+        raw = rng.bit_generator.random_raw(-(-width * r // 8))
+        byte = np.frombuffer(raw.astype("<u8").tobytes(), np.uint8)[: width * r].reshape(width, r).T
+        tie = (byte == a[:, None]) | (byte == p8)
+        rest = np.full(byte.shape, 0.5)  # decides nothing: the byte differs from both
+        rest.T[tie.T] = rng.random(np.count_nonzero(tie))  # item-major order
+        hits += int(np.count_nonzero(_ref_pick_above_p(byte, rest, x1, p, rng)))
+        shared += int(np.count_nonzero(a == p8))
     assert N % rows and 0 < hits < N
+    if n == 400:
+        assert shared > N // 2  # X_(1) and p mostly share a byte bucket
     assert ystar_conditional_mc(n, m, p, N, seed)[0] == hits / N
 
 
@@ -524,9 +560,18 @@ def test_dominance_self_and_shifted():
     shifted = lambda rng, b: rng.random(b) ** 0.5  # stochastically larger
     rep = dominance_test(shifted, uni, 50_000, seed=13)
     assert rep.dominates
+    assert rep.max_violation < 0  # A's CDF sits below B's wherever they differ
     rep2 = dominance_test(uni, shifted, 50_000, seed=13)
     assert not rep2.dominates
     assert rep2.max_violation > 0
+
+
+def test_max_violation_skips_probes_where_both_cdfs_are_0_or_1():
+    grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    report = lambda a, b: DominanceReport(grid, np.array(a), np.array(b), 0.01, True)
+    assert report([0, 0, 0.2, 1, 1], [0, 0.1, 0.5, 1, 1]).max_violation == -0.1
+    assert report([0, 0.4, 0.6, 0.9, 1], [0, 0.3, 0.5, 1, 1]).max_violation == pytest.approx(0.1)
+    assert report([0, 0, 0, 1, 1], [0, 0, 0, 1, 1]).max_violation == 0.0  # no informative probe
 
 
 # the last block is partial
@@ -559,8 +604,8 @@ def test_dominance_blocked_draws_follow_the_exact_law(kind, n, k):
 
 
 def test_dominance_peak_memory_independent_of_N():
-    # one block of X_L draws (four arrays of BLOCK floats) at a time; 10^6
-    # rows of them at once peaked at 31.5 MiB
+    # one block of X_L draws, four arrays of BLOCK // 4 rows (512 KiB), at a
+    # time; blocks of BLOCK rows peak at 2.07 MiB, 10^6 rows at once at 31.5 MiB
     xs = lambda rng, b: sample_xs(2, 9, rng, b)
     xl = lambda rng, b: sample_xl(2, 16, rng, b)
     dominance_test(xs, xl, 10_000, seed=16)
@@ -572,7 +617,8 @@ def test_dominance_peak_memory_independent_of_N():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert max(peaks) <= 4 * 2**20, [p / 2**20 for p in peaks]
+    # 0.53 MiB measured: the four arrays, X_L's boolean mask and the counts
+    assert max(peaks) <= 4 * (BLOCK // 4) * 8 + 2**17, [p / 2**20 for p in peaks]
 
 
 def test_prop_key_conditional():

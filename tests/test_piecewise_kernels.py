@@ -36,11 +36,10 @@ def _bits(estimates):
 
 @pytest.fixture(params=[64, revenue_mod._QUAD_CELLS], ids=["short-grid", "default-grid"])
 def cells(request, monkeypatch):
-    revenue_mod._score_points.cache_clear()
+    # the score grids are memoized per cell count and the benchmark reads the
+    # count at the call, so one patch sets every grid
     monkeypatch.setattr(revenue_mod, "_QUAD_CELLS", request.param)
-    monkeypatch.setattr(benchmark_mod, "_QUAD_CELLS", request.param)
-    yield request.param
-    revenue_mod._score_points.cache_clear()
+    return request.param
 
 
 @pytest.mark.parametrize("spec", ZOO)
@@ -48,7 +47,7 @@ def test_score_estimates_same_bits_as_one_shot(spec, cells, monkeypatch):
     d = parse_dist(spec)
     pd = ProductDist((d, parse_dist(IRREGULAR)))
     for n in (1, 2, 5):
-        areas = len(revenue_mod._score_points(d, n)) - 1
+        areas = len(revenue_mod._score_points(d, n, cells)) - 1
         # 64 cells: shorter than one piece; 2^15: several, the last one partial
         assert (areas < PIECE) == (cells < PIECE) and areas % PIECE != 0
 
@@ -131,23 +130,18 @@ U16 = ProductDist((Uniform(0, 1),) * 16)
 def test_exact_kernel_working_set(bound, cells, limit_mb, monkeypatch):
     # the score grids (efftw_bound), the ironed maps and the Gauss-Legendre
     # nodes are memoized: a first call builds them outside the measurement
-    revenue_mod._score_points.cache_clear()
     monkeypatch.setattr(revenue_mod, "_QUAD_CELLS", cells)
-    monkeypatch.setattr(benchmark_mod, "_QUAD_CELLS", cells)
+    if bound == "efftw":
+        call = lambda: efftw_bound(IRREGULAR_PRODUCT, 4, 1, seed=0)
+    else:
+        call = lambda: xl_chain_bound(U16, 2, 1, seed=0)
+    call()
+    tracemalloc.start()
     try:
-        if bound == "efftw":
-            call = lambda: efftw_bound(IRREGULAR_PRODUCT, 4, 1, seed=0)
-        else:
-            call = lambda: xl_chain_bound(U16, 2, 1, seed=0)
         call()
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        revenue_mod._score_points.cache_clear()
+        tracemalloc.stop()
     assert peak <= limit_mb * 2**20, peak / 2**20
 
 
