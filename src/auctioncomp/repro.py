@@ -9,7 +9,9 @@ statistics and the benchmark-side values (benchmark, off-region terms, VCG)
 are exact brackets, so their claims carry certified half-widths, not 3-sigma
 noise, and the two-item sum tail and the three-tier revenue are closed forms.
 Only the sequential posted-bundle revenue (``little-n-tightness``) is seeded
-Monte Carlo.
+Monte Carlo: each of its runs walks down every bidder's top k order
+statistics of the unsold items, n k uniforms a run, in blocks of a constant
+number of runs.
 
 The registry at the bottom maps claim identifiers to self-contained drivers
 used by the ``reproduce`` CLI subcommand.
@@ -197,7 +199,10 @@ def little_n_tightness(n: int, m: int, N: int, seed: int, p: float = 1e4) -> Rep
 
     Reports the c at which m*(n+c) matches the mechanism revenue (each extra
     VCG bidder on ER^m is worth m); report-only, the hard assertion is the
-    trivial cap revenue <= n * price.
+    trivial cap revenue <= n * price. The revenue is the Monte Carlo mean of
+    ``feldman_posted_price`` over N runs, each of which draws the top k =
+    m//(4n) order statistics of every bidder's values on the unsold items,
+    never all n m values.
     """
     _, price = feldman_params(n, m)
     est = feldman_posted_price(n, m, N, seed, p=p)

@@ -11,8 +11,12 @@ each distinct marginal once (``_per_item``) and adds the items in order.
 
 Of the explicit mechanisms, the three-tier one is exact: its revenue depends
 only on the tier counts (``three_tier_revenue``). The sequential posted-bundle
-mechanism is seeded Monte Carlo. Determinism model: it draws one seeded
-stream in blocks of about ``BLOCK`` values (``rng.map_batches``).
+mechanism is seeded Monte Carlo: a bidder's bundle is the top k of the items
+still unsold, so each run walks down the top k order statistics of each
+bidder's values (``_top_order_walk``), n k draws per run whatever m.
+Determinism model: it draws one seeded stream in blocks of
+``BLOCK // _FELDMAN_WIDTH`` runs (``rng.map_batches``), a constant width, so
+a block holds a few run-length arrays for any n and m.
 """
 
 from __future__ import annotations
@@ -181,34 +185,64 @@ def feldman_params(n: int, m: int) -> tuple[int, float]:
     return m // (4 * n), (m / 8.0) * (math.log(m / n) + 1.0)
 
 
+def _top_order_walk(rng: np.random.Generator, R: np.ndarray, k: int):
+    """Yield U_(1) >= ... >= U_(k), the top k of R[i] i.i.d. uniforms in row i.
+
+    U_(1) = V_1^(1/R) and U_(j+1) = U_(j) V_(j+1)^(1/(R-j)), one fresh
+    uniform array per step: the recursion of ``experiments.top_order_stats``
+    with a count per row. Every value is yielded in the one buffer, which
+    the next step overwrites; the walk holds three row-length arrays.
+    """
+    u = rng.random(len(R))
+    expo = np.divide(1.0, R)
+    np.power(u, expo, out=u)
+    yield u
+    step = np.empty_like(u)
+    for j in range(1, k):
+        rng.random(out=step)
+        np.divide(1.0, np.subtract(R, j, out=expo), out=expo)
+        np.power(step, expo, out=step)
+        np.multiply(u, step, out=u)
+        yield u
+
+
+# floats held per run: sold, the walk's unsold count, order statistic, step
+# and exponent, the bundle value, and the quantile's temporaries
+_FELDMAN_WIDTH = 8
+
+
 def feldman_posted_price(
     n: int, m: int, N: int, seed: int, p: float = 1e4, price: float | None = None
 ) -> RevenueEstimate:
     """Revenue of the sequential posted-bundle mechanism on ER(p)^m.
 
-    Greedy bundle choice (the bidder's highest-value remaining items)
-    maximizes her purchase probability. Each block of ``BLOCK // (n m)``
-    runs (at least one) draws its (runs, n, m) values at once and is reduced
-    to its ``batch_moments``.
+    Greedy bundle choice (the bidder's k = m//(4n) highest-value unsold
+    items) maximizes her purchase probability. Her values on the R unsold
+    items are i.i.d. ER(p) whichever items they are, since that set depends
+    only on earlier bidders, so her bundle value has the law of the sum of
+    Q(U_(j)) over the top k order statistics of R uniforms, which
+    ``_top_order_walk`` draws. She buys iff it meets the price; a sale
+    takes R down by k. Ties at the atom p do not change the sum. Blocks of
+    ``BLOCK // _FELDMAN_WIDTH`` runs draw n k uniforms per run and are
+    reduced to the ``batch_moments`` of price times the bundles sold.
     """
     bundle, default_price = feldman_params(n, m)
     price = default_price if price is None else price
+    if not (math.isfinite(price) and price >= 0.0):
+        raise ValueError("posted price must be finite and >= 0")
     dist = TruncatedEqualRevenue(p)
 
     def block(rng, r):
-        vals = dist.quantile(rng.random((r, n, m)))
-        avail = np.ones((r, m), dtype=bool)
         sold = np.zeros(r)  # bundles sold in each run
-        for i in range(n):
-            masked = np.where(avail, vals[:, i, :], -np.inf)
-            idx = np.argpartition(masked, m - bundle, axis=1)[:, m - bundle:]
-            bundle_val = np.take_along_axis(masked, idx, axis=1).sum(axis=1)
-            buy = bundle_val >= price
-            sold += buy
-            avail[np.flatnonzero(buy)[:, None], idx[buy]] = False
+        for _ in range(n):
+            unsold = m - bundle * sold
+            value = np.zeros(r)
+            for u in _top_order_walk(rng, unsold, bundle):
+                value += dist.quantile(u)
+            sold += value >= price
         return batch_moments(price * sold)
 
-    mean, stderr = mean_stderr(map_batches(seed, "feldman", N, block, n * m))
+    mean, stderr = mean_stderr(map_batches(seed, "feldman", N, block, _FELDMAN_WIDTH))
     return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
 
 
@@ -288,6 +322,8 @@ def three_tier_mechanism(n: int, q: float, p: float, N: int, seed: int) -> Reven
 def _check_three_tier(n: int, q: float, p: float) -> None:
     if not 100.0 <= q <= math.sqrt(n):
         raise ValueError("q must satisfy 100 <= q <= sqrt(n)")
+    if not math.isfinite(p):
+        raise ValueError("high price p must be finite")
     if p < 100.0 * q:
         raise ValueError("high price p must be >> q")
 

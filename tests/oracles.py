@@ -5,8 +5,11 @@ is the independent check of that form and lives here, not in the package:
 Fact 1's conditional virtual value, the three-tier revenue, the two-item sum
 tail and the conditional W tail of the big-n key proposition. The
 Bulow-Klemperer margin is the difference of two exact estimates. The
-posted-bundle kernel run on one draw of all N runs is the reference for the
-blocked one in the package. The ironing construction with its hull loop
+posted-bundle mechanism run greedily on every bidder's values on all m items
+(``feldman_full_matrix``, checked against ``feldman_run_once`` one profile at
+a time) is the law the package's order-statistic walk must match, and that
+walk replayed on all N runs' uniforms at once is the reference for its
+blocks. The ironing construction with its hull loop
 indexing numpy arrays element by element, and ``np.unique`` for the grid, is
 the reference for the one over Python floats in the package. The exact
 kernels evaluated on their whole grid at once are the references for the
@@ -16,6 +19,7 @@ piecewise ones in the package.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +36,15 @@ from auctioncomp.revenue import (
     three_tier_params,
     vcg_item_revenue,
 )
-from auctioncomp.rng import BLOCK, batch_moments, hit_rate, map_batches, mean_stderr, substream
+from auctioncomp.rng import (
+    BLOCK,
+    batch_moments,
+    batch_sizes,
+    hit_rate,
+    map_batches,
+    mean_stderr,
+    substream,
+)
 from auctioncomp.virtual import _sorted_distinct, iron
 
 
@@ -134,27 +146,101 @@ def three_tier_mc(n: int, q: float, p: float, N: int, seed: int) -> RevenueEstim
     return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
 
 
+@dataclass(frozen=True)
+class MechanismOutcome:
+    """Allocation trace of one mechanism run; revenue equals total payments."""
+
+    revenue: float
+    winners: tuple  # per item: bidder index or None
+    payments: tuple  # per bidder
+
+    def __post_init__(self):
+        if any(p < 0 for p in self.payments):
+            raise ValueError("payments must be nonnegative")
+        if abs(self.revenue - sum(self.payments)) > 1e-9 * max(1.0, abs(self.revenue)):
+            raise ValueError("revenue must equal the sum of payments")
+
+
+def feldman_run_once(values, bundle_size, price):
+    """One pass of the sequential mechanism on an (n, m) value matrix.
+
+    Bidders are visited in row order; each takes their ``bundle_size``
+    highest-value remaining items iff their total value meets the price.
+    """
+    n, m = values.shape
+    avail = np.ones(m, dtype=bool)
+    winners = [None] * m
+    payments = [0.0] * n
+    for i in range(n):
+        masked = np.where(avail, values[i], -np.inf)
+        idx = np.argpartition(masked, m - bundle_size)[m - bundle_size:]
+        if masked[idx].sum() >= price:
+            payments[i] = price
+            avail[idx] = False
+            for j in idx:
+                winners[j] = i
+    return MechanismOutcome(revenue=sum(payments), winners=tuple(winners), payments=tuple(payments))
+
+
+def feldman_full_matrix(
+    n: int, m: int, N: int, seed: int, p: float = 1e4, price: float | None = None
+) -> RevenueEstimate:
+    """Revenue of the sequential posted-bundle mechanism on ER(p)^m, each run
+    drawing all n m values (stream ``"feldman-full-matrix"``) and each bidder
+    taking her top ``feldman_params`` bundle among the unsold items by
+    ``argpartition``. Blocks of ``BLOCK // (n m)`` runs (at least one)."""
+    bundle, default_price = feldman_params(n, m)
+    price = default_price if price is None else price
+    dist = TruncatedEqualRevenue(p)
+
+    def block(rng, r):
+        vals = dist.quantile(rng.random((r, n, m)))
+        avail = np.ones((r, m), dtype=bool)
+        sold = np.zeros(r)
+        for i in range(n):
+            masked = np.where(avail, vals[:, i, :], -np.inf)
+            idx = np.argpartition(masked, m - bundle, axis=1)[:, m - bundle:]
+            bundle_val = np.take_along_axis(masked, idx, axis=1).sum(axis=1)
+            buy = bundle_val >= price
+            sold += buy
+            avail[np.flatnonzero(buy)[:, None], idx[buy]] = False
+        return batch_moments(price * sold)
+
+    mean, stderr = mean_stderr(map_batches(seed, "feldman-full-matrix", N, block, n * m))
+    return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
+
+
 def feldman_one_shot(
     n: int, m: int, N: int, seed: int, p: float = 1e4, price: float | None = None
 ) -> RevenueEstimate:
-    """``revenue.feldman_posted_price`` with all N runs' (N, n, m) values
-    drawn and run at once; the revenues are folded over ``BLOCK // (n m)``-run
-    slices, as the package folds its blocks."""
+    """``revenue.feldman_posted_price`` with the uniforms of all N runs drawn
+    at once and walked on all runs together; the revenues are folded over
+    ``BLOCK // _FELDMAN_WIDTH``-run slices, as the package folds its blocks.
+
+    A block of r runs draws, bidder by bidder and step by step, n k arrays
+    of r uniforms, so the stream cut block by block into (n, k, r) slabs and
+    joined along the runs gives every run's draws.
+    """
     bundle, default_price = feldman_params(n, m)
     price = default_price if price is None else price
-    vals = TruncatedEqualRevenue(p).quantile(substream(seed, "feldman").random((N, n, m)))
-    avail = np.ones((N, m), dtype=bool)
-    bought = np.zeros(N)
-    rows = np.arange(N)
+    dist = TruncatedEqualRevenue(p)
+    runs = BLOCK // revenue_mod._FELDMAN_WIDTH
+    stream = substream(seed, "feldman").random(N * n * bundle)
+    slabs, start = [], 0
+    for r in batch_sizes(N, runs):
+        slabs.append(stream[start:start + n * bundle * r].reshape(n, bundle, r))
+        start += n * bundle * r
+    draws = np.concatenate(slabs, axis=2)
+    sold = np.zeros(N)
     for i in range(n):
-        masked = np.where(avail, vals[:, i, :], -np.inf)
-        idx = np.argpartition(masked, m - bundle, axis=1)[:, m - bundle:]
-        bundle_val = np.take_along_axis(masked, idx, axis=1).sum(axis=1)
-        buy = bundle_val >= price
-        bought += buy
-        r = rows[buy]
-        avail[r[:, None], idx[buy]] = False
-    revenue, runs = price * bought, max(1, BLOCK // (n * m))
+        unsold = m - bundle * sold
+        u = draws[i, 0] ** (1.0 / unsold)
+        value = dist.quantile(u)
+        for j in range(1, bundle):
+            u = u * draws[i, j] ** (1.0 / (unsold - j))
+            value = value + dist.quantile(u)
+        sold += value >= price
+    revenue = price * sold
     mean, stderr = mean_stderr(batch_moments(revenue[i:i + runs]) for i in range(0, N, runs))
     return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
 

@@ -229,12 +229,26 @@ def test_benchmark_without_samples_exit_3(argv, capsys):
         (["dominance", "--pair", "xs-xl", "-n", "0", "-m", "2", "-c", "1"], "need n >= 1"),
         (["revenue", "--mech", "feldman", "-n", "0", "-m", "8"], "need n >= 1"),
         (["revenue", "--mech", "vcg", "-n", "2", "-m", "0"], "need at least one marginal"),
+        (["revenue", "--mech", "feldman", "-n", "2", "-m", "64", "--price", "nan"],
+         "posted price must be finite and >= 0"),
+        (["revenue", "--mech", "feldman", "-n", "2", "-m", "64", "--price", "inf"],
+         "posted price must be finite and >= 0"),
+        (["revenue", "--mech", "feldman", "-n", "2", "-m", "64", "--price", "-5"],
+         "posted price must be finite and >= 0"),
+        (["revenue", "--mech", "three-tier", "-n", "1000000", "--medium-price", "1000",
+          "--high-price", "nan"], "high price p must be finite"),
+        (["revenue", "--mech", "three-tier", "-n", "1000000", "--medium-price", "1000",
+          "--high-price", "inf"], "high price p must be finite"),
     ],
-    ids=["xs-xb-ell1", "xs-xl-n0", "feldman-n0", "vcg-m0"],
+    ids=["xs-xb-ell1", "xs-xl-n0", "feldman-n0", "vcg-m0", "feldman-price-nan",
+         "feldman-price-inf", "feldman-price-negative", "three-tier-high-nan",
+         "three-tier-high-inf"],
 )
 def test_degenerate_sizes_exit_3(argv, message, capsys):
     # a dominance threshold or the feldman bundle size divides by these
-    # sizes; VCG on no items, like SRev, has no product to sum over
+    # sizes; VCG on no items, like SRev, has no product to sum over. A NaN,
+    # infinite or negative posted price would report a NaN or negative
+    # revenue, and a NaN high price passes the p >= 100 q test
     code = main(argv + ["--seed", "1", "--samples", "20000"])
     assert code == EXIT_PRECONDITION
     assert message in capsys.readouterr().err

@@ -1,9 +1,9 @@
 import math
 import tracemalloc
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from auctioncomp.distributions import (
     Exponential,
@@ -17,6 +17,8 @@ from auctioncomp.revenue import (
     RevenueEstimate,
     er2_sum_tail_truncated,
     feldman_params,
+    _FELDMAN_WIDTH,
+    _top_order_walk,
     feldman_posted_price,
     myerson_item_revenue,
     srev,
@@ -27,11 +29,18 @@ from auctioncomp.revenue import (
     vcg_item_revenue,
 )
 from auctioncomp.rng import BLOCK, batch_sizes, substream
-from oracles import bulow_klemperer_check, feldman_one_shot, three_tier_mc
+from oracles import (
+    MechanismOutcome,
+    bulow_klemperer_check,
+    feldman_full_matrix,
+    feldman_one_shot,
+    feldman_run_once,
+    three_tier_mc,
+)
 
 # ---------------------------------------------------------------------------
-# Oracles: the mean of all samples held at once, the other side of Myerson's
-# identity, and one traced run of the sequential posted-bundle mechanism.
+# Oracles: the mean of all samples held at once and the other side of
+# Myerson's identity.
 # ---------------------------------------------------------------------------
 
 
@@ -50,42 +59,6 @@ def virtual_max_estimate(d, n, N, seed):
         u1 = rng.random(b) ** (1.0 / n)
         chunks.append(d.raw_virtual(d.quantile(u1)))
     return _mc_estimate(np.concatenate(chunks), N, seed)
-
-
-@dataclass(frozen=True)
-class MechanismOutcome:
-    """Allocation trace of one mechanism run; revenue equals total payments."""
-
-    revenue: float
-    winners: tuple  # per item: bidder index or None
-    payments: tuple  # per bidder
-
-    def __post_init__(self):
-        if any(p < 0 for p in self.payments):
-            raise ValueError("payments must be nonnegative")
-        if abs(self.revenue - sum(self.payments)) > 1e-9 * max(1.0, abs(self.revenue)):
-            raise ValueError("revenue must equal the sum of payments")
-
-
-def feldman_run_once(values, bundle_size, price):
-    """One pass of the sequential mechanism on an (n, m) value matrix.
-
-    Bidders are visited in row order; each takes their ``bundle_size``
-    highest-value remaining items iff their total value meets the price.
-    """
-    n, m = values.shape
-    avail = np.ones(m, dtype=bool)
-    winners = [None] * m
-    payments = [0.0] * n
-    for i in range(n):
-        masked = np.where(avail, values[i], -np.inf)
-        idx = np.argpartition(masked, m - bundle_size)[m - bundle_size:]
-        if masked[idx].sum() >= price:
-            payments[i] = price
-            avail[idx] = False
-            for j in idx:
-                winners[j] = i
-    return MechanismOutcome(revenue=sum(payments), winners=tuple(winners), payments=tuple(payments))
 
 
 def _posted_price_oracle(d, lo, hi):
@@ -267,37 +240,94 @@ def test_feldman_run_once_trace():
 
 
 def test_feldman_posted_price_matches_per_profile_oracle():
-    # same draws as feldman_posted_price, replayed one profile at a time
-    n, m, N, seed = 2, 16, 400, 12
-    bundle, price = feldman_params(n, m)
-    est = feldman_posted_price(n, m, N, seed, p=1e4)
-    vals = TruncatedEqualRevenue(1e4).quantile(substream(seed, "feldman").random((N, n, m)))
-    revs = [feldman_run_once(v, bundle, price).revenue for v in vals]
+    # the same draws as feldman_posted_price (one block: n k arrays of N
+    # uniforms in turn), each profile's walk replayed in Python floats; at
+    # this price about one bundle in ten goes unsold, so a bidder after a
+    # sale walks the order statistics of fewer items
+    n, m, N, seed, price = 2, 16, 400, 12, 12.0
+    bundle, _ = feldman_params(n, m)
+    est = feldman_posted_price(n, m, N, seed, p=1e4, price=price)
+    draws = substream(seed, "feldman").random((n, bundle, N))
+    dist = TruncatedEqualRevenue(1e4)
+    revs = []
+    for run in range(N):
+        unsold, revenue = m, 0.0
+        for i in range(n):
+            u, value = 1.0, 0.0
+            for j in range(bundle):
+                u *= draws[i, j, run] ** (1.0 / (unsold - j))
+                value += float(dist.quantile(u))
+            if value >= price:
+                revenue += price
+                unsold -= bundle
+        revs.append(revenue)
+    assert 0 < np.mean(revs) < n * price
     assert est.mean == pytest.approx(np.mean(revs), rel=1e-12)
+
+
+def test_feldman_full_matrix_oracle_matches_run_once():
+    # the law oracle's vectorized greedy choice, one traced run at a time
+    n, m, N, seed, price = 2, 16, 400, 12, 12.0
+    bundle, _ = feldman_params(n, m)
+    ref = feldman_full_matrix(n, m, N, seed, p=1e4, price=price)
+    vals = TruncatedEqualRevenue(1e4).quantile(
+        substream(seed, "feldman-full-matrix").random((N, n, m)))
+    revs = [feldman_run_once(v, bundle, price).revenue for v in vals]
+    assert 0 < ref.mean < n * price
+    assert ref.mean == pytest.approx(np.mean(revs), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m, price", [(2, 64, 60.0), (2, 64, 75.0), (1, 8, 12.0), (3, 48, 30.0),
+                                         (2, 16, 12.0)])
+def test_feldman_walk_has_the_full_matrix_law(n, m, price):
+    # the walk draws n k uniforms per run, the oracle all n m values, from
+    # independent streams; at these prices some bundles sell and some do not
+    est = feldman_posted_price(n, m, 40_000, seed=5, price=price)
+    ref = feldman_full_matrix(n, m, 40_000, seed=5, price=price)
+    assert 0 < ref.mean < n * price
+    assert abs(est.mean - ref.mean) <= 4 * est.combined_stderr(ref)
+
+
+def test_top_order_walk_has_the_sorted_law():
+    # two counts R in one walk: each row's j-th value against the j-th
+    # largest of R uniforms sorted
+    size, k = 20_000, 5
+    R = np.repeat([7.0, 40.0], size)
+    walk = [u.copy() for u in _top_order_walk(substream(6, "walk"), R, k)]
+    rng = substream(6, "walk-sorted")
+    for half, r in enumerate((7, 40)):
+        ref = np.sort(rng.random((size, r)), axis=1)[:, ::-1]
+        rows = slice(half * size, (half + 1) * size)
+        for j in range(k):
+            assert np.all(walk[j][rows] <= (walk[j - 1][rows] if j else 1.0))
+            _, pval = stats.ks_2samp(walk[j][rows], ref[:, j])
+            assert pval > 1e-3, (r, j, pval)
 
 
 @pytest.mark.parametrize("n, m, price", [(2, 64, 60.0), (4, 1024, 6000.0)])
 def test_feldman_blocks_keep_the_one_shot_bits(n, m, price):
-    # many full blocks and a partial one; at these prices only some bundles
+    # three full blocks and a partial one; at these prices only some bundles
     # sell (at (4, 1024) and price 700 every run sells all four)
-    block = max(1, BLOCK // (n * m))
-    N = 2 * (10**6 // (n * m)) + 3 * block + 5
+    N = 3 * (BLOCK // _FELDMAN_WIDTH) + 5
     est = feldman_posted_price(n, m, N, seed=3, price=price)
     assert 0 < est.mean < n * price
     assert est == feldman_one_shot(n, m, N, seed=3, price=price)
 
 
 def test_feldman_peak_memory_independent_of_N():
-    # a block of BLOCK values at a time; (7812, 2, 64) values at once and
-    # their masks peaked at 31.5 MiB
+    # a constant number of run-length arrays per block, whatever N and m:
+    # about 0.6 MiB here. Drawing and masking each run's n m values peaked
+    # at 2.1 MiB at m = 64, and at 4.1 MiB for a single run at m = 2^16,
+    # whose values alone fill 1 MiB
     feldman_posted_price(2, 64, 100, seed=4)
-    tracemalloc.start()
-    try:
-        feldman_posted_price(2, 64, 200_000, seed=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20, peak / 2**20
+    for n, m, N in [(2, 64, 200_000), (2, 2**16, 64)]:
+        tracemalloc.start()
+        try:
+            feldman_posted_price(n, m, N, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, (m, peak / 2**20)
 
 
 def test_mechanism_outcome_invariants():
