@@ -257,8 +257,19 @@ def _log_gap_cdf(t, sharpness: float, integrand) -> np.ndarray | float:
 def _j_tail(k: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """J_k(x) = integral_0^x y^k / (1 - y) dy = sum_{i > k} x^i / i, v = log(1 - x).
 
-    -log(1 - x) - sum_{i <= k} x^i / i cancels where x is small, so there
-    the series x^(k+1) sum_j x^j / (k + 1 + j) is summed instead.
+    The difference -log(1 - x) - sum_{i <= k} x^i / i cancels where J_k is
+    small against -log(1 - x). So for x <= 1/2 the series
+    x^(k+1) sum_j x^j / (k + 1 + j) is summed, and above 1/2, where
+    s = (k + 1)(1 - x) >= 1 and the difference is below -log(1 - x) / 256,
+    J_k = x^(k+1) Phi(x, 1, k + 1), with 1/Phi from ``_lerch_cf``. Where the
+    difference stays it loses at most 8 bits: J_k >= -log(1 - x) / 256 there,
+    or s < 1, where J_k >= E_1((k + 1) log(1/x)), about E_1(1) = 0.22, while
+    -log(1 - x) < log(k + 1) (8 bits at k = 10^20).
+
+    The fraction converges at a rate set by sqrt(1 - x) = sqrt(s / (k + 1)),
+    so it is taken in bands of s, [1, 4), [4, 16), ..., each at the depth
+    16 sqrt((k + 1) / s_lo) of its lowest s: a pure function of k and the
+    point, so a point's bits do not depend on the points beside it.
     """
     if k == 0:
         return -v
@@ -274,6 +285,34 @@ def _j_tail(k: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         tail *= xs
         tail += 1.0 / (k + 1 + j)
     out[small] = xs ** (k + 1) * tail
+    if k > 1:  # at k = 1, s >= 1 means x <= 1/2
+        s = (k + 1) * (1.0 - x)
+        left = (x > 0.5) & (s >= 1.0) & (256.0 * out < -v)
+        s_lo = 1.0
+        while left.any():
+            band = left & (s < 4.0 * s_lo)
+            xb = x[band]
+            out[band] = xb ** (k + 1) / _lerch_cf(k + 1, xb, math.ceil(16.0 * math.sqrt((k + 1) / s_lo)))
+            left &= ~band
+            s_lo *= 4.0
+    return out
+
+
+def _lerch_cf(a: int, x: np.ndarray, depth: int) -> np.ndarray:
+    """1 / Phi(x, 1, a) = 1 / sum_j x^j / (a + j), by Gauss's continued
+    fraction for the hypergeometric 2F1(1, a; a + 1; x) = a Phi:
+    a - u_1 x / (a + 1 - u_2 x / (a + 2 - ...)), u_2i+1 = (a + i)^2,
+    u_2i = i^2, cut at ``depth`` and evaluated from the bottom. Its error
+    falls geometrically in depth sqrt(1 - x): against a ``math.fsum``
+    series, 14 sqrt(a) levels reach rounding at x = 1 - 1/a for a = 2 to
+    1001, and 12 sqrt(a) leave 7e-13.
+    """
+    out = np.full_like(x, float(a + depth))
+    for j in range(depth, 0, -1):
+        u = (a + j // 2) ** 2 if j % 2 else (j // 2) ** 2
+        np.divide(x, out, out=out)
+        out *= -u
+        out += a + j - 1
     return out
 
 

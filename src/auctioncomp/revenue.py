@@ -3,7 +3,9 @@ mechanisms (sequential posted-bundle and three-tier).
 
 Single-item optimal revenue E[(phi_bar(max))^+] and VCG (the second-highest
 value) are exact: the mean of a score with a closed-form CDF, integrated by
-``_score_estimate`` (as are the benchmark and ``obs1_bound``). Monte Carlo is
+``_score_estimate`` (as are the benchmark and ``obs1_bound``), which reads the
+CDF once per point of a memoized grid, piece by piece, and brackets the mean
+between the rectangles at each cell's two ends. Monte Carlo is
 hopeless here for heavy tails: at p = 10^4 the truncated equal-revenue curve
 has all of its virtual value in an atom of mass 1/p, so the naive estimator
 has ~10% relative error at a million samples. A sum over items integrates
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
-from .rng import batch_moments, fill_pieces, map_batches, mean_stderr, need_samples
+from .rng import PIECE, batch_moments, map_batches, mean_stderr, need_samples
 from .virtual import iron
 
 __all__ = [
@@ -84,26 +86,30 @@ def _per_item(fn, marginals):
 @functools.lru_cache(maxsize=8)
 def _score_points(d: SingleDist, n: int, cells: int) -> np.ndarray:
     """Sorted, read-only grid from min(0, support_lo) to the top of the support
-    (Q(1 - 2^-53) if unbounded): the support edges, 0, the atoms, the ironed
-    step levels, Q on a ``cells``-cell quantile grid and on its n-th root
-    (where the top of n lives), and a geometric grid. Memoized per
-    (d, n, cells); the bracket holds on any grid, the points only narrow it.
+    (Q(1 - 2^-53) if unbounded): the support edges, 0, the atoms and the
+    ironed step levels, where a score's CDF may jump, each with the float
+    below it; Q on a ``cells``-cell quantile grid and on its n-th root (where
+    the top of n lives); and a geometric grid. Memoized per (d, n, cells);
+    the bracket holds on any grid, the points only narrow it.
     """
     lo, hi = d.support_lo, d.support_hi
     levels = iron(d).levels
     top = hi if math.isfinite(hi) else float(d.quantile(np.nextafter(1.0, 0.0)))
     top = max(top, float(levels[-1]))  # a hull slope may pass v by rounding
     bps = d.quantile_breakpoints()
+    jumps = np.concatenate([[min(0.0, lo), 0.0, top], levels, d.quantile(bps)])
     u = np.linspace(0.0, 1.0, cells + 1)
     t = np.concatenate([
-        [min(0.0, lo), 0.0, top],
-        levels,
-        d.quantile(np.concatenate([bps, np.nextafter(bps, 1.0)])),
+        jumps,
+        np.nextafter(jumps, -np.inf),  # one-ulp cells left of each known jump
+        d.quantile(np.nextafter(bps, 1.0)),
         d.quantile(u),
         d.quantile(u ** (1.0 / n)),
         lo + (top - lo) * np.geomspace(2.0**-20, 1.0, cells // 4),
     ])
-    t = np.sort(t[(t >= min(0.0, lo)) & (t <= top)])  # drops Q(1) = inf; repeats add 0
+    t.sort()  # in place: no second grid-length copy
+    # drops Q(1) = inf and the float below min(0, lo); repeats add 0
+    t = t[np.searchsorted(t, min(0.0, lo)):np.searchsorted(t, top, "right")]
     t.flags.writeable = False
     return t
 
@@ -113,22 +119,31 @@ def _score_estimate(d: SingleDist, n: int, cdf, samples: int, seed: int) -> Reve
     min(0, support_lo) of item d with CDF H = ``cdf``.
 
     Bracketed by rectangles on ``_score_points`` with ``_QUAD_CELLS`` cells
-    (read at the call): on each cell [t_k, t_k+1) the nondecreasing H lies
-    between H(t_k) and its left limit at t_k+1, read at the next float below. Past the last point T every score here has
-    1 - H <= n (1 - F), which adds n * d.tail_integral(T) to the upper end.
-    Returns the bracket's midpoint, with its half-width as the stderr.
+    (read at the call). On each cell [t_k, t_k+1) the nondecreasing H lies
+    between H(t_k) and its left limit at t_k+1, and that left limit is at
+    most H(t_k+1) (H is right-continuous), so dt (1 - H(t_k)) bounds the
+    cell's area from above and dt (1 - H(t_k+1)) from below: one read of H
+    per point serves both ends, wherever H jumps. The grid puts a one-ulp
+    cell left of each jump it knows, so the lower end loses almost nothing
+    there. Past the last point T every score here has 1 - H <= n (1 - F),
+    which adds n * d.tail_integral(T) to the upper end. Returns the
+    bracket's midpoint, with its half-width as the stderr.
 
-    Working set: the memoized grid and one buffer of its cells' rectangle
-    areas, which both passes fill piece by piece (``rng.fill_pieces``), so
-    ``cdf`` and its temporaries see one piece of points at a time.
+    Working set: the memoized grid and temporaries of one piece: the grid is
+    walked in pieces of ``PIECE`` cells, each sharing its last point with
+    the next, and each piece's two rectangle sums are added in piece order.
     """
     t = _score_points(d, n, _QUAD_CELLS)
-    areas = np.empty(len(t) - 1)
-    # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
-    fill_pieces(areas, lambda a, b: (b - a) * (1.0 - cdf(a)), t[:-1], t[1:])
-    upper = float(t[0] + np.sum(areas)) + n * d.tail_integral(t[-1])
-    fill_pieces(areas, lambda a, b: (b - a) * (1.0 - cdf(np.nextafter(b, -np.inf))), t[:-1], t[1:])
-    lower = float(t[0] + np.sum(areas))
+    upper = lower = 0.0
+    for i in range(0, len(t) - 1, PIECE):
+        x = t[i:i + PIECE + 1]
+        tail = 1.0 - cdf(x)
+        dt = x[1:] - x[:-1]
+        # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
+        upper += float(np.sum(dt * tail[:-1]))
+        lower += float(np.sum(dt * tail[1:]))
+    upper = float(t[0] + upper) + n * d.tail_integral(t[-1])
+    lower = float(t[0] + lower)
     mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
     return RevenueEstimate(mean=mean, stderr=half_width, samples=samples, seed=seed)
 

@@ -16,10 +16,13 @@ A Monte Carlo mean never holds its N samples: each block is reduced to
 ``batch_moments`` and ``mean_stderr`` folds those in block order, and a hit
 rate is a count (``hit_rate``).
 
-An exact integrand on a long grid is evaluated piece by piece
-(``fill_pieces``): elementwise arithmetic gives the same bits on any slice,
-so a kernel keeps its full-length reductions and the bits of its one-shot
-form, with temporaries of ``PIECE`` values.
+An exact integrand on a long grid is evaluated in pieces of ``PIECE``
+values: elementwise arithmetic gives the same bits on any slice. The chain
+kernels fill a grid-length array piece by piece (``fill_pieces``), so they
+keep their full-length reductions and the bits of their one-shot form. The
+score kernel (``revenue._score_estimate``) keeps no such array: it sums each
+piece as it goes and adds the piece sums in order, a fold fixed by the
+constant ``PIECE``, not by the CPU count.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ blocks. The ironing construction with its hull loop
 indexing numpy arrays element by element, and ``np.unique`` for the grid, is
 the reference for the one over Python floats in the package. The exact
 kernels evaluated on their whole grid at once are the references for the
-piecewise ones in the package.
+piecewise ones in the package, and the two-pass score bracket, which reads
+each cell's left limit on its own, is the bound on the one-pass width.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from auctioncomp.revenue import (
 )
 from auctioncomp.rng import (
     BLOCK,
+    PIECE,
     batch_moments,
     batch_sizes,
     hit_rate,
@@ -289,7 +291,27 @@ def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
 
 
 def score_estimate_one_shot(d: SingleDist, n: int, cdf, samples: int, seed: int) -> RevenueEstimate:
-    """``revenue._score_estimate`` with ``cdf`` read on the whole grid at once."""
+    """``revenue._score_estimate`` with ``cdf`` read on the whole grid at once;
+    the rectangle sums are folded over ``PIECE``-cell slices, as the package
+    folds its pieces."""
+    t = _score_points(d, n, revenue_mod._QUAD_CELLS)
+    tail = 1.0 - cdf(t)
+    left, right, dt = tail[:-1], tail[1:], np.diff(t)
+    upper = lower = 0.0
+    for i in range(0, len(dt), PIECE):
+        upper += float(np.sum(dt[i:i + PIECE] * left[i:i + PIECE]))
+        lower += float(np.sum(dt[i:i + PIECE] * right[i:i + PIECE]))
+    upper = float(t[0] + upper) + n * d.tail_integral(t[-1])
+    lower = float(t[0] + lower)
+    mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
+    return RevenueEstimate(mean=mean, stderr=half_width, samples=samples, seed=seed)
+
+
+def score_estimate_two_pass(d: SingleDist, n: int, cdf, samples: int, seed: int) -> RevenueEstimate:
+    """The two-pass bracket: ``cdf`` read at every t_k for the upper
+    rectangles and again at the float below every t_k+1 (its left limit)
+    for the lower ones, each sum taken whole. The one-pass bracket of
+    ``revenue._score_estimate`` must be as tight, up to rounding."""
     t = _score_points(d, n, revenue_mod._QUAD_CELLS)
     dt = np.diff(t)
     upper = float(t[0] + np.sum(dt * (1.0 - cdf(t[:-1])))) + n * d.tail_integral(t[-1])

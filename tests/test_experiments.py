@@ -7,6 +7,7 @@ from scipy import integrate, stats
 
 from auctioncomp.experiments import (
     DominanceReport,
+    _j_tail,
     _top_or_exceeder,
     dkw_epsilon,
     dominance_test,
@@ -390,6 +391,31 @@ def test_exact_cdfs_monotone_with_linear_tail(kind, n, k):
     D = 2 * n + k - 1 if kind == "xl" else n * k / (k - 1)
     g = 1.0 - np.geomspace(0.5, 1e-7, 60)
     assert np.max((1.0 - cdf(n, k, g)) / (1.0 - g)) <= D
+
+
+def _j_tail_fsum(k, x):
+    """sum_{i > k} x^i / i by math.fsum over 3000 terms: x^3000 < 2^-130 at x <= 0.97."""
+    return math.fsum(x**i / i for i in range(k + 1, k + 3001))
+
+
+@pytest.mark.parametrize("k", [1, 14, 30, 62, 198])
+def test_j_tail_relative_error(k):
+    # -log(1 - x) - sum_{i <= k} x^i / i alone loses 1e-6 relative at k = 30
+    # and all of it at k = 62 (x = 0.55); every branch must hold 1e-12
+    x = np.concatenate([np.linspace(0.05, 0.97, 47), [0.5, np.nextafter(0.5, 1.0), 1.0 - 1.0 / (k + 1)]])
+    x = np.unique(x[(x <= 0.97) & (x ** (k + 1) > 1e-280)])
+    got = _j_tail(k, x, np.log1p(-x))
+    want = np.array([_j_tail_fsum(k, float(xi)) for xi in x])
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("n,m", [(64, 4), (32, 4)])
+def test_xl_cdf_below_top_order_cdf(n, m):
+    # X_L >= x1 = max of n uniforms, so F(t) <= t^n; a cancelling J_{n-2}
+    # read 4.6e-16 at (64, 4, 0.55), where the CDF is 1.53e-19 < t^64
+    t = np.linspace(0.05, 0.95, 91)
+    assert np.all(xl_cdf(n, m, t) <= t**n)
+    assert xl_cdf(64, 4, 0.55) == pytest.approx(1.5328e-19, rel=1e-4)
 
 
 def test_exact_cdfs_reject_bad_sizes():

@@ -1,8 +1,12 @@
-"""The exact kernels evaluate their integrands piece by piece (``rng.fill_pieces``).
-They must return the bits of the one-shot references in ``oracles``, and keep
-a working set of a few grid-length arrays whatever the grid size."""
+"""The exact kernels evaluate their integrands piece by piece. They must
+return the bits of the one-shot references in ``oracles``, and keep a working
+set of a few grid-length arrays whatever the grid size (the score kernel: no
+grid-length array but its grid). The one-pass score bracket must be as tight
+as the two-pass one and hold the exact means of atomic items."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +16,17 @@ from auctioncomp import experiments as experiments_mod
 from auctioncomp import repro as repro_mod
 from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import efftw_bound, obs1_bound, xb_chain_bound, xl_chain_bound
-from auctioncomp.distributions import ProductDist, Uniform, parse_dist
+from auctioncomp.distributions import PointMass, ProductDist, TruncatedEqualRevenue, Uniform, parse_dist
 from auctioncomp.experiments import xb_cdf, xl_cdf
 from auctioncomp.repro import er_order_stat
-from auctioncomp.revenue import srev, vcg
+from auctioncomp.revenue import _score_estimate, myerson_item_revenue, srev, vcg, vcg_item_revenue
 from auctioncomp.rng import PIECE, fill_pieces
-from oracles import log_gap_cdf_one_shot, phi_at_experiment_one_shot, score_estimate_one_shot
+from oracles import (
+    log_gap_cdf_one_shot,
+    phi_at_experiment_one_shot,
+    score_estimate_one_shot,
+    score_estimate_two_pass,
+)
 
 IRREGULAR = "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"
 ZOO = ["uniform:0,1", "uniform:-1,1", "exp:1", "exp:0.3", "er:p=10000", "er:p=100", "point:5",
@@ -67,6 +76,85 @@ def test_score_estimates_same_bits_as_one_shot(spec, cells, monkeypatch):
             mp.setattr(mod, "_score_estimate", score_estimate_one_shot)
         want = estimates()
     assert _bits(got) == _bits(want)
+
+
+def _item_estimates(d):
+    """Every score kernel on item d alone: (d, d) integrates d once."""
+    pd = ProductDist((d, d))
+    out = []
+    for n in (1, 2, 5):
+        out += [efftw_bound(pd, n, 1, 0), myerson_item_revenue(d, n), vcg_item_revenue(d, n, 1, 0)]
+        if n > 1:
+            out.append(obs1_bound(pd, n, 1, 0))
+    if isinstance(d, TruncatedEqualRevenue):
+        out += [er_order_stat(x, y, 1, 0, d.p) for x, y in ((2, 5), (4, 12), (12, 12))]
+    return out
+
+
+@pytest.mark.parametrize("spec", ZOO)
+def test_one_pass_bracket_as_tight_as_two_pass(spec, cells, monkeypatch):
+    # the lower end reads H(t_k+1), not its left limit; the one-ulp cells left
+    # of the known jumps keep the width that of the two-pass bracket
+    d = parse_dist(spec)
+    got = _item_estimates(d)
+    with monkeypatch.context() as mp:
+        for mod in (revenue_mod, benchmark_mod, repro_mod):
+            mp.setattr(mod, "_score_estimate", score_estimate_two_pass)
+        want = _item_estimates(d)
+    for g, w in zip(got, want):
+        rounding = 8 * math.ulp(g.mean)
+        assert g.stderr <= (1 + 1e-9) * w.stderr + rounding, (g, w)
+        assert abs(g.mean - w.mean) <= g.stderr + w.stderr + rounding, (g, w)
+
+
+def _exact_law(d):
+    """(values, CDF at each value) of an atomic item, as the decimals written."""
+    if isinstance(d, PointMass):
+        return [Fraction(repr(float(d.v)))], [Fraction(1)]
+    values = [Fraction(repr(float(v))) for v in d.values]
+    probs = [Fraction(repr(float(p))) for p in d.probs]
+    assert sum(probs) == 1
+    return values, [sum(probs[:i + 1]) for i in range(len(probs))]
+
+
+def _without_ulp_cells(score_points):
+    """A grid maker that drops every point one ulp below another: the score
+    CDF's jumps are then unknown to the grid."""
+    def points(d, n, cells):
+        t = score_points(d, n, cells)
+        return t[~np.isin(np.nextafter(t, np.inf), t)]
+    return points
+
+
+@pytest.mark.parametrize("thin", [False, True], ids=["grid", "jumps-unknown"])
+@pytest.mark.parametrize("spec", ["point:5", "point:-2"] + [s for s in ZOO if s.startswith("discrete:")])
+def test_atomic_brackets_hold_exact_order_stats(spec, thin, cells, monkeypatch):
+    # a bracket read at H(t_k+1) holds wherever H jumps; the allowance is
+    # the float CDF's and the sums' rounding (the worst miss seen is 1.7 ulp)
+    if thin:
+        monkeypatch.setattr(revenue_mod, "_score_points", _without_ulp_cells(revenue_mod._score_points))
+    d = parse_dist(spec)
+    values, cum = _exact_law(d)
+    rounding = 4 * Fraction(math.ulp(max(abs(v) for v in values)))
+
+    def mean_of(law):
+        out, prev = Fraction(0), Fraction(0)
+        for v, F in zip(values, cum):
+            out += v * (law(F) - prev)
+            prev = law(F)
+        return out
+
+    widths = []
+    for n in (1, 2, 5):
+        cases = [(lambda F: F**n, _score_estimate(d, n, lambda t: d.cdf(t) ** n, 1, 0))]
+        if n > 1:
+            cases.append((lambda F: F**n + n * F ** (n - 1) * (1 - F), vcg_item_revenue(d, n, 1, 0)))
+        for law, est in cases:
+            exact, mid, half = mean_of(law), Fraction(est.mean), Fraction(est.stderr)
+            assert mid - half - rounding <= exact <= mid + half + rounding, (n, float(exact), est)
+            widths.append(est.stderr)
+    if thin and len(values) > 1:
+        assert max(widths) > 1e-6  # the thinned grid does read the jumps late
 
 
 @pytest.mark.parametrize("name", list(PRODUCTS))
@@ -123,9 +211,11 @@ U16 = ProductDist((Uniform(0, 1),) * 16)
 
 # tracemalloc peaks measured on numpy 2.4 with a bound about 25% above. The
 # one-shot kernels peak at 4.1 and 32.2 MB (efftw) and 5.4 and 16.0 MB (xl).
+# efftw peaks at 0.45 MB at both sizes: a grid-length buffer (1.03 MB at 2^15
+# cells, 4.98 MB at 2^18) fails both rows.
 @pytest.mark.parametrize(
     "bound,cells,limit_mb",
-    [("efftw", 1 << 15, 1.3), ("efftw", 1 << 18, 6.2), ("xl", 1 << 15, 1.4), ("xl", 1 << 18, 7.8)],
+    [("efftw", 1 << 15, 0.6), ("efftw", 1 << 18, 0.6), ("xl", 1 << 15, 1.4), ("xl", 1 << 18, 7.8)],
 )
 def test_exact_kernel_working_set(bound, cells, limit_mb, monkeypatch):
     # the score grids (efftw_bound), the ironed maps and the Gauss-Legendre
