@@ -121,9 +121,10 @@ def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
     def item_cdf(d, imap):
         def cdf(t):
             F = d.cdf(t)
-            in_region = n * F ** (n - 1) * np.maximum(imap.psi(t) ** m - F**m, 0.0) / m
-            off_only = -n * F ** (n + m - 1) / (n + m - 1)
-            return F**n + np.where(t < 0, off_only, in_region)
+            extra = n * F ** (n - 1) * np.maximum(imap.psi(t) ** m - F**m, 0.0) / m
+            below = t < 0  # only a support below 0 has such points
+            extra[below] = -n * F[below] ** (n + m - 1) / (n + m - 1)
+            return F**n + extra
 
         return cdf
 
@@ -135,13 +136,14 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
     ``cdf``, exact; no positive part. N and the seed are recorded.
 
     One quantile grid serves every item: ``_QUAD_CELLS`` uniform cells plus
-    each marginal's ironing knots and quantile breakpoints, where phi_bar
-    jumps. F = ``cdf`` is tabulated on it once, with F(0) = 0, F(1) = 1 and
-    running maxima, so every cell has mass dF_k >= 0. X has no atoms and
-    phi_bar is nondecreasing, so on cell (u_k, u_k+1) phi_bar(X) lies
-    between its right limit at u_k and its left limit at u_k+1, read at the
-    next float above and below. (The exact regular path is left-continuous
-    at a value atom: ER(p) reads 0 at its breakpoint and p just above.) The
+    where phi_bar jumps, the atomic marginals' ironing knots and every
+    marginal's quantile breakpoints. F = ``cdf`` is tabulated on it once,
+    with F(0) = 0, F(1) = 1 and running maxima, so every cell has mass
+    dF_k >= 0. X has no atoms and phi_bar is nondecreasing, so on cell
+    (u_k, u_k+1) phi_bar(X) lies between its right limit at u_k and its left
+    limit at u_k+1, read at the next float above and below (at u_k and u_k+1
+    if no float lies between). (The closed-form path is left-continuous at a
+    value atom: ER(p) reads 0 at its breakpoint and p just above.) The
     item's bracket is the midpoint, with its half-width as the stderr, and
     the items' half-widths add. A repeated marginal reuses its bracket
     (``revenue._per_item``); the sum still runs over the items in order.
@@ -173,13 +175,14 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
     def item(d: SingleDist):
         imap = imaps[d]
 
-        def weigh(toward):  # dF_k times phi_bar at the next float from x toward ``toward``
-            return lambda f, x: f * imap.at_quantile(np.nextafter(x, toward))
+        def weigh(f, x, y):  # dF_k times phi_bar at the next float from x toward y
+            inner = np.nextafter(x, y)  # or at x, if that float is y
+            return f * imap.at_quantile(np.where(inner == y, x, inner))
 
         # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
-        lower = float(np.sum(fill_pieces(prod, weigh(np.inf), dF, u[:-1])))
+        lower = float(np.sum(fill_pieces(prod, weigh, dF, u[:-1], u[1:])))
         top_cell = prod[-1]  # an unbounded item's top cell reads it for both ends
-        fill_pieces(prod, weigh(-np.inf), dF, u[1:])
+        fill_pieces(prod, weigh, dF, u[1:], u[:-1])
         tail = 0.0
         if not math.isfinite(d.support_hi):
             prod[-1] = top_cell

@@ -87,7 +87,7 @@ class SingleDist:
         return False
 
     def quantile_breakpoints(self):
-        """Quantile-space knots (atoms, kinks) the ironing grid must include."""
+        """Where the quantile jumps: Pr[X < a] for each atom a above support_lo."""
         return np.array([])
 
     def spec(self) -> str:

@@ -178,6 +178,7 @@ def sample_xl(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray
 MIN_NODES = 48  # Gauss-Legendre nodes per CDF value, at the least
 MAX_NODES = 1024  # built in ~0.05 s; beyond it accuracy degrades slowly
 _SERIES_TERMS = 54  # J_k by its series for x <= 1/2: the rest is below 2^-53
+_HEAD_ON_ALL = 8  # up to this k a gather costs _j_tail more than the passes it saves
 
 
 @functools.lru_cache(maxsize=16)
@@ -270,15 +271,21 @@ def _j_tail(k: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     so it is taken in bands of s, [1, 4), [4, 16), ..., each at the depth
     16 sqrt((k + 1) / s_lo) of its lowest s: a pure function of k and the
     point, so a point's bits do not depend on the points beside it.
+
+    The difference (k Horner passes) is kept only above 1/2, so past
+    k = ``_HEAD_ON_ALL`` it is formed on those nodes alone, gathered.
     """
     if k == 0:
         return -v
-    head = np.full_like(x, 1.0 / k)
-    for i in range(k - 1, 0, -1):
-        head *= x
-        head += 1.0 / i
-    out = -v - x * head
     small = x <= 0.5
+    kept = ~small if k > _HEAD_ON_ALL else slice(None)
+    xk = x[kept]
+    head = np.full_like(xk, 1.0 / k)
+    for i in range(k - 1, 0, -1):
+        head *= xk
+        head += 1.0 / i
+    out = np.empty_like(x)
+    out[kept] = -v[kept] - xk * head
     xs = x[small]
     tail = np.full_like(xs, 1.0 / (k + _SERIES_TERMS))
     for j in range(_SERIES_TERMS - 2, -1, -1):

@@ -86,16 +86,16 @@ def _per_item(fn, marginals):
 @functools.lru_cache(maxsize=8)
 def _score_points(d: SingleDist, n: int, cells: int) -> np.ndarray:
     """Sorted, read-only grid from min(0, support_lo) to the top of the support
-    (Q(1 - 2^-53) if unbounded): the support edges, 0, the atoms and the
-    ironed step levels, where a score's CDF may jump, each with the float
-    below it; Q on a ``cells``-cell quantile grid and on its n-th root (where
-    the top of n lives); and a geometric grid. Memoized per (d, n, cells);
-    the bracket holds on any grid, the points only narrow it.
+    (Q(1 - 2^-53) if unbounded): the support edges, 0, the atoms and an atomic
+    item's ironed step levels, where a score's CDF may jump, each with the
+    float below it; Q on a ``cells``-cell quantile grid and on its n-th root
+    (where the top of n lives); and a geometric grid. Memoized per (d, n,
+    cells); the bracket holds on any grid, the points only narrow it.
     """
     lo, hi = d.support_lo, d.support_hi
-    levels = iron(d).levels
+    levels = iron(d).levels  # empty for the kinds with a density
     top = hi if math.isfinite(hi) else float(d.quantile(np.nextafter(1.0, 0.0)))
-    top = max(top, float(levels[-1]))  # a hull slope may pass v by rounding
+    top = max([top, *levels[-1:].tolist()])  # a hull slope may pass v by rounding
     bps = d.quantile_breakpoints()
     jumps = np.concatenate([[min(0.0, lo), 0.0, top], levels, d.quantile(bps)])
     u = np.linspace(0.0, 1.0, cells + 1)

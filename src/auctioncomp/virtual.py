@@ -1,24 +1,15 @@
-"""Myerson virtual values, regularity detection, and ironing.
+"""Myerson virtual values, regularity detection, and ironing, with no grid.
 
-The ironed virtual value is built in quantile space: with u the value
-quantile, the revenue curve R(u) = (1 - u) * F^{-1}(u) is tabulated on a
-grid and its least concave majorant is taken. The (negated) slopes of the
-majorant's segments are the ironed virtual value phi_bar, a nondecreasing
-step function: ``IronedVirtualMap`` keeps only its steps, the hull vertices
-where the level changes (``knots``) and the level on each step (``levels``),
-so a four-point discrete item has at most four levels. Regular distributions
-that are not purely atomic (uniform, exponential, truncated equal-revenue)
-evaluate their exact raw virtual value (``SingleDist.raw_virtual``) instead;
-the grid is still built to drive the regularity check. ``psi`` inverts
-phi_bar^+ for the exact revenue and benchmark integrals.
-
-Finite discrete supports include their cumulative-probability breakpoints in
-the grid, so the hull construction there is exact, not approximate.
-
-The hull's monotone chain runs over Python floats (``tolist``), not numpy
-scalars: the arithmetic is the same IEEE-754 double arithmetic, so every
-vertex is the same, at about a third of the cost. The grid is deduplicated
-by ``_sorted_distinct``, not ``np.unique``, whose first call imports all of
+Kinds with a density (uniform, exponential, truncated equal-revenue) are
+regular in closed form: phi_bar is their nondecreasing raw virtual value
+(``SingleDist.raw_virtual``), which ``raw_virtual_cdf`` inverts. A purely
+atomic kind (point mass, finite discrete) has a revenue curve
+R(u) = (1 - u) * F^{-1}(u) that is linear between its breakpoints, so its
+least concave majorant is the hull of the corners {0, interior breakpoints,
+1}, and phi_bar is the (negated) slope of the hull's segments: a step
+function with at most one level per atom. ``psi`` inverts phi_bar^+ for the
+exact revenue and benchmark integrals. Corners are deduplicated by
+``_sorted_distinct``, not ``np.unique``, whose first call imports all of
 ``numpy.ma``.
 """
 
@@ -34,18 +25,18 @@ from .distributions import SingleDist
 __all__ = ["IronedVirtualMap", "iron"]
 
 REGULARITY_TOL = 1e-9
-DEFAULT_GRID = 4096
-IRON_CACHE_SIZE = 32  # ironed maps kept per process, keyed by (distribution, K)
+IRON_CACHE_SIZE = 32  # ironed maps kept per process, one per distribution
 
 
 @dataclass(frozen=True)
 class IronedVirtualMap:
-    """The ironed virtual value phi_bar in quantile space, as a step function.
+    """The ironed virtual value phi_bar in quantile space.
 
-    phi_bar(u) is ``levels[searchsorted(knots, u, "right")]``: ``knots`` are
-    the ascending quantiles where it changes and ``levels`` its value on each
-    of the ``len(knots) + 1`` steps. Maps are shared between callers (see
-    ``iron``), so both arrays are read-only.
+    For a purely atomic ``dist``, phi_bar(u) is ``levels[searchsorted(knots,
+    u, "right")]``: ``knots`` are the ascending quantiles where it changes and
+    ``levels`` its value on each of the ``len(knots) + 1`` steps. Other kinds
+    read their raw virtual value and have no steps. Maps are shared between
+    callers (see ``iron``), so both arrays are read-only.
     """
 
     dist: SingleDist
@@ -57,19 +48,19 @@ class IronedVirtualMap:
         """Ironed virtual value of the value at quantile u."""
         u = np.asarray(u, dtype=float)
         d = self.dist
-        if self.regular and not d.purely_atomic:
+        if not d.purely_atomic:
             return d.raw_virtual(d.quantile(u))
         return self.levels[np.searchsorted(self.knots, u, side="right")]
 
     def psi(self, t):
         """sup{u : phi_bar(u)^+ <= t}, the CDF of phi_bar(U)^+ for uniform U.
 
-        Mirrors ``at_quantile``: the exact path inverts the raw virtual value
-        (``SingleDist.raw_virtual_cdf``), the grid path reads the steps.
+        Mirrors ``at_quantile``: kinds with a density invert the raw virtual
+        value (``SingleDist.raw_virtual_cdf``), atomic kinds read the steps.
         """
         t = np.asarray(t, dtype=float)
         d = self.dist
-        if self.regular and not d.purely_atomic:
+        if not d.purely_atomic:
             u = d.raw_virtual_cdf(t)
         else:
             edges = np.concatenate([[0.0], self.knots, [1.0]])
@@ -107,42 +98,33 @@ def _upper_concave_envelope(u: np.ndarray, r: np.ndarray) -> list[int]:
     return hull
 
 
-def iron(d: SingleDist, K: int = DEFAULT_GRID) -> IronedVirtualMap:
-    """The ironed virtual value map of d on a K-cell quantile grid.
+def iron(d: SingleDist) -> IronedVirtualMap:
+    """The ironed virtual value map of d.
 
-    Distributions are frozen and hashable, so maps are memoized per (d, K):
+    Distributions are frozen and hashable, so maps are memoized per d:
     repeated calls return the same read-only map.
     """
-    if K < 2:
-        raise ValueError("grid size must be >= 2")
-    return _iron_cached(d, K)
+    return _iron_cached(d)
+
+
+_NO_STEPS = np.empty(0)
+_NO_STEPS.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=IRON_CACHE_SIZE)
-def _iron_cached(d: SingleDist, K: int) -> IronedVirtualMap:
-    grid = np.linspace(0.0, 1.0, K + 1)
+def _iron_cached(d: SingleDist) -> IronedVirtualMap:
+    if not d.purely_atomic:
+        return IronedVirtualMap(dist=d, knots=_NO_STEPS, levels=_NO_STEPS, regular=True)
+
     bps = d.quantile_breakpoints()
-    if bps.size:
-        grid = _sorted_distinct(np.concatenate([grid, bps[(bps > 0) & (bps < 1)]]))
+    corners = _sorted_distinct(np.concatenate([[0.0, 1.0], bps[(bps > 0) & (bps < 1)]]))
+    # the quantile read right-continuously: at a breakpoint the revenue point
+    # is the upper corner of the jump, the one the hull must see
+    revenue = (1.0 - corners) * d.quantile(np.nextafter(corners, 1.0))
 
-    # evaluate the quantile right-continuously, so at a discrete breakpoint the
-    # revenue point is the segment's upper corner (the one the hull must see)
-    vals = d.quantile(np.minimum(np.nextafter(grid, 1.0), 1.0))
-    with np.errstate(invalid="ignore"):
-        revenue = (1.0 - grid) * vals
-    revenue[-1] = 0.0 if not np.isfinite(vals[-1]) else (1.0 - grid[-1]) * vals[-1]
-
-    hull_idx = _upper_concave_envelope(grid, revenue)
-    hull_u = grid[hull_idx]
-    hull_r = revenue[hull_idx]
-    hull_on_grid = np.interp(grid, hull_u, hull_r)
-    gap = hull_on_grid - revenue
-    if d.purely_atomic:
-        # between atoms the quantile is flat and the tabulated "curve" is not
-        # the revenue of any price; regularity is decided at the vertices only
-        vertex = np.isin(grid, np.concatenate([[0.0, 1.0], bps]))
-        gap = gap[vertex]
-    regular = bool(np.max(gap) <= REGULARITY_TOL)
+    hull_idx = _upper_concave_envelope(corners, revenue)
+    hull_u, hull_r = corners[hull_idx], revenue[hull_idx]
+    regular = bool(np.max(np.interp(corners, hull_u, hull_r) - revenue) <= REGULARITY_TOL)
 
     # one slope per hull segment; bit-equal neighbours are one step
     slopes = np.maximum.accumulate(-np.diff(hull_r) / np.diff(hull_u))  # absorb fp noise only

@@ -9,9 +9,10 @@ posted-bundle mechanism run greedily on every bidder's values on all m items
 (``feldman_full_matrix``, checked against ``feldman_run_once`` one profile at
 a time) is the law the package's order-statistic walk must match, and that
 walk replayed on all N runs' uniforms at once is the reference for its
-blocks. The ironing construction with its hull loop
-indexing numpy arrays element by element, and ``np.unique`` for the grid, is
-the reference for the one over Python floats in the package. The exact
+blocks. The ironing construction with its hull loop indexing numpy arrays
+element by element, and ``np.unique`` for the corners, is the reference for
+the one over Python floats in the package; the same hull of the revenue
+tabulated on a K-cell grid is the construction the corners replace. The exact
 kernels evaluated on their whole grid at once are the references for the
 piecewise ones in the package, and the two-pass score bracket, which reads
 each cell's left limit on its own, is the bound on the one-pass width.
@@ -67,8 +68,9 @@ def upper_concave_envelope_indexed(u: np.ndarray, r: np.ndarray) -> list[int]:
 
 
 def revenue_curve(d: SingleDist, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The quantile grid of ``virtual.iron(d, K)`` (np.unique of K + 1
-    uniform points and d's interior breakpoints) and the revenue on it."""
+    """A K-cell quantile grid (np.unique of K + 1 uniform points and d's
+    interior breakpoints) and the revenue (1 - u) Q(u+) on it, with R(1) = 0
+    where Q(1) is infinite."""
     grid = np.linspace(0.0, 1.0, K + 1)
     bps = d.quantile_breakpoints()
     if bps.size:
@@ -80,20 +82,41 @@ def revenue_curve(d: SingleDist, K: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, revenue
 
 
-def iron_reference(d: SingleDist, K: int, tol: float = 1e-9):
-    """(knots, levels, regular) of ``virtual.iron(d, K)``, built on
-    ``revenue_curve`` with ``upper_concave_envelope_indexed``."""
-    grid, revenue = revenue_curve(d, K)
-    hull_idx = upper_concave_envelope_indexed(grid, revenue)
-    hull_u, hull_r = grid[hull_idx], revenue[hull_idx]
-    gap = np.interp(grid, hull_u, hull_r) - revenue
-    if d.purely_atomic:
-        gap = gap[np.isin(grid, np.concatenate([[0.0, 1.0], d.quantile_breakpoints()]))]
-    regular = bool(np.max(gap) <= tol)
+def _hull_steps(u: np.ndarray, r: np.ndarray, vertex: np.ndarray, tol: float):
+    """(knots, levels, regular) of the least concave majorant of (u, r), by
+    ``upper_concave_envelope_indexed``: regular when no point where
+    ``vertex`` holds lies more than tol below it; one level per run of
+    bit-equal segment slopes."""
+    hull_idx = upper_concave_envelope_indexed(u, r)
+    hull_u, hull_r = u[hull_idx], r[hull_idx]
+    regular = bool(np.max((np.interp(u, hull_u, hull_r) - r)[vertex]) <= tol)
     slopes = np.maximum.accumulate(-np.diff(hull_r) / np.diff(hull_u))
     bits = slopes.view(np.int64)
     change = np.flatnonzero(bits[1:] != bits[:-1]) + 1
     return hull_u[change], np.concatenate([slopes[:1], slopes[change]]), regular
+
+
+def iron_reference(d: SingleDist, tol: float = 1e-9):
+    """(knots, levels, regular) of ``virtual.iron(d)``: no steps and regular
+    for a kind with a density; for a purely atomic d, the hull of its
+    revenue corners (``np.unique`` of 0, 1 and the interior breakpoints)."""
+    if not d.purely_atomic:
+        return np.empty(0), np.empty(0), True
+    bps = d.quantile_breakpoints()
+    corners = np.unique(np.concatenate([[0.0, 1.0], bps[(bps > 0) & (bps < 1)]]))
+    revenue = (1.0 - corners) * d.quantile(np.minimum(np.nextafter(corners, 1.0), 1.0))
+    return _hull_steps(corners, revenue, np.ones(corners.size, dtype=bool), tol)
+
+
+def iron_on_grid(d: SingleDist, K: int, tol: float = 1e-9):
+    """(knots, levels, regular) of the hull of ``revenue_curve(d, K)``, the
+    tabulated construction: a purely atomic d is judged at its corners only,
+    since between them the tabulated curve is no price's revenue."""
+    grid, revenue = revenue_curve(d, K)
+    vertex = np.ones(grid.size, dtype=bool)
+    if d.purely_atomic:
+        vertex = np.isin(grid, np.concatenate([[0.0, 1.0], d.quantile_breakpoints()]))
+    return _hull_steps(grid, revenue, vertex, tol)
 
 
 def fact1_check(d: SingleDist, v: float, N: int, seed: int) -> tuple[float, float]:

@@ -218,6 +218,16 @@ def test_chain_bounds_exact_on_step_items():
         assert xb_chain_bound(pd, 3, 2, 1, seed=0).stderr == 0.0
 
 
+def test_chain_bracket_ordered_on_a_cell_with_no_float_inside():
+    # ER(1e16) breaks at 1 - 1e-16, which rounds to 1 - 2^-53: the grid's top
+    # cell (1 - 2^-53, 1) holds no float, and phi_bar jumps from 0 to p in it
+    # (read at the ends: 0 at the breakpoint, p at 1). Read toward the other
+    # end, the two reads would swap and the bracket would turn over.
+    pd = ProductDist((parse_dist("er:1e16"),))
+    for est in (xl_chain_bound(pd, 2, 1, seed=0), xb_chain_bound(pd, 6, 2, 1, seed=0)):
+        assert est.stderr > 0.0 and est.mean - est.stderr == 0.0  # phi_bar >= 0
+
+
 def test_xl_chain_peak_memory():
     # one CDF table on ~33k quantiles, evaluated in blocks of BLOCK floats;
     # 10^6 Monte Carlo draws per item peaked at 39 MB

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from auctioncomp import benchmark as bench_mod
+from auctioncomp import cli as cli_mod
 from auctioncomp.cli import (
     EXIT_CLAIM,
     EXIT_OK,
@@ -87,6 +88,31 @@ def test_subcommands_run_without_scipy(argv):
     )
     assert out.returncode == EXIT_OK, out.stderr
     assert json.loads(out.stdout)["results"]
+
+
+def test_one_parser_writes_what_fresh_parsers_write(tmp_path):
+    # main builds its parser once per process; a subcommand's options must
+    # not leak into the next call's artifact
+    runs = [
+        ["virtual", "--dist", "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05", "--seed", "1"],
+        ["revenue", "--mech", "myerson", "--dist", "exp:1", "-n", "3", "--seed", "2"],
+        ["virtual", "--dist", "uniform:0,1", "--quantile", "0.3", "--out", "csv", "--seed", "3"],
+        ["benchmark", "--dist", "uniform:0,1", "uniform:0,1", "-n", "2", "--seed", "4"],
+    ]
+
+    def artifact(argv, name):
+        path = tmp_path / name
+        assert main(argv + ["--output", str(path)]) == EXIT_OK
+        return path.read_bytes()
+
+    cli_mod._parser.cache_clear()
+    shared = [artifact(argv, f"shared{i}") for i, argv in enumerate(runs)]
+    assert cli_mod._parser.cache_info().misses == 1
+    fresh = []
+    for i, argv in enumerate(runs):
+        cli_mod._parser.cache_clear()
+        fresh.append(artifact(argv, f"fresh{i}"))
+    assert shared == fresh
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from auctioncomp.distributions import (
     parse_dist,
 )
 from auctioncomp.revenue import _QUAD_CELLS
-from auctioncomp.virtual import DEFAULT_GRID, _sorted_distinct, _upper_concave_envelope, iron
+from auctioncomp.virtual import _sorted_distinct, _upper_concave_envelope, iron
 from oracles import (
     fact1_check,
+    iron_on_grid,
     iron_reference,
     revenue_curve,
     upper_concave_envelope_indexed,
@@ -130,34 +132,38 @@ def test_ironed_map_monotone(d):
 
 
 def test_iron_memoized_read_only():
-    # equal distributions share one map, whatever form K is passed in
+    # equal distributions share one map; a kind with a density has no steps
     d = FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1))
     imap = iron(d)
-    assert iron(FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1)), K=DEFAULT_GRID) is imap
-    assert iron(d, 64) is not imap and iron(d, 64) is iron(d, 64)
+    assert iron(FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1))) is imap
     for arr in (imap.knots, imap.levels):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    smooth = iron(Exponential(2.0))
+    assert smooth is iron(Exponential(2.0)) and smooth.regular
+    for arr in (smooth.knots, smooth.levels):
+        assert arr.size == 0 and not arr.flags.writeable
 
 
 @pytest.mark.parametrize(
     "d,K",
     [
-        (FiniteDiscrete((1.0, 3.0, 4.0, 20.0), (0.4, 0.3, 0.25, 0.05)), DEFAULT_GRID),
+        (FiniteDiscrete((1.0, 3.0, 4.0, 20.0), (0.4, 0.3, 0.25, 0.05)), 4096),
         (FiniteDiscrete((1.0, 3.0, 4.0, 20.0), (0.4, 0.3, 0.25, 0.05)), 64),
-        (FiniteDiscrete((2.0, 3.0, 7.0, 8.0, 30.0), (0.1, 0.3, 0.3, 0.2, 0.1)), DEFAULT_GRID),
+        (FiniteDiscrete((2.0, 3.0, 7.0, 8.0, 30.0), (0.1, 0.3, 0.3, 0.2, 0.1)), 4096),
         (FiniteDiscrete((1.0, 2.0), (0.5, 0.5)), 7),
-        (FiniteDiscrete((-2.0, -1.0, 1.0), (0.3, 0.3, 0.4)), DEFAULT_GRID),
+        (FiniteDiscrete((-2.0, -1.0, 1.0), (0.3, 0.3, 0.4)), 4096),
         (FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1)), 64),
-        (PointMass(5.0), DEFAULT_GRID),
+        (PointMass(5.0), 4096),
     ],
     ids=lambda x: x.spec() if hasattr(x, "spec") else str(x),
 )
 def test_at_quantile_equals_brute_force_ironing(d, K):
-    # the steps against the brute-force hull, not against the map's own arrays
-    imap = iron(d, K)
+    # the steps against the brute-force hull, not against the map's own
+    # arrays, probed densely and on a K-cell grid of quantiles
+    imap = iron(d)
     knots, levels = imap.knots, imap.levels
-    assert len(levels) == len(knots) + 1
+    assert len(levels) == len(knots) + 1 <= len(getattr(d, "values", (d,)))
     assert np.all(np.diff(knots) > 0) and np.all(np.diff(levels) > 0)
     for arr in (knots, levels):
         with pytest.raises(ValueError):
@@ -165,6 +171,7 @@ def test_at_quantile_equals_brute_force_ironing(d, K):
     bps = d.quantile_breakpoints()
     u = np.concatenate([
         np.linspace(0.0, 1.0, 20_001),
+        np.linspace(0.0, 1.0, K + 1),
         bps,
         np.nextafter(bps, 0.0),
         np.nextafter(bps, 1.0),
@@ -223,7 +230,7 @@ def _collinear_point_sets():
 
 
 @pytest.mark.parametrize("spec", IRON_ZOO)
-@pytest.mark.parametrize("K", [17, DEFAULT_GRID])
+@pytest.mark.parametrize("K", [17, 4096])
 def test_hull_matches_indexed_loop_on_revenue_curves(spec, K):
     grid, revenue = revenue_curve(parse_dist(spec), K)
     assert _upper_concave_envelope(grid, revenue) == upper_concave_envelope_indexed(grid, revenue)
@@ -239,7 +246,7 @@ def test_hull_matches_indexed_loop_on_point_sets(points):
 
 @pytest.mark.parametrize(
     "points",
-    [revenue_curve(parse_dist(spec), DEFAULT_GRID) for spec in IRON_ZOO]
+    [revenue_curve(parse_dist(spec), 4096) for spec in IRON_ZOO]
     + [*_random_point_sets(), *_collinear_point_sets()],
 )
 def test_hull_is_a_least_concave_majorant(points):
@@ -258,22 +265,40 @@ def test_hull_is_a_least_concave_majorant(points):
 
 
 @pytest.mark.parametrize("spec", IRON_ZOO)
-@pytest.mark.parametrize("K", [2, 3, 17, DEFAULT_GRID])
+@pytest.mark.parametrize("K", [2, 3, 17, 4096])
 def test_iron_bit_equal_to_reference_construction(spec, K):
+    # bit for bit against the reference construction; the hull of the
+    # revenue tabulated on a K-cell grid reads the same phi_bar up to rounding
     d = parse_dist(spec)
-    imap = iron(d, K)
-    knots, levels, regular = iron_reference(d, K)
+    imap = iron(d)
+    knots, levels, regular = iron_reference(d)
     assert imap.knots.tobytes() == knots.tobytes()
     assert imap.levels.tobytes() == levels.tobytes()
     assert imap.regular is regular
+    grid = revenue_curve(d, K)[0]
+    grid_knots, grid_levels, grid_regular = iron_on_grid(d, K)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(grid_levels))))
+    if d.purely_atomic:
+        # the grid adds only points on the linear pieces between the corners
+        assert grid_regular is regular
+        u = np.concatenate([np.linspace(0.0, 1.0, 20_001), grid])
+        on_grid = grid_levels[np.searchsorted(grid_knots, u, side="right")]
+        assert np.allclose(imap.at_quantile(u), on_grid, rtol=0, atol=tol)
+    else:
+        # R is concave, so the chord over a cell has a slope between phi_bar
+        # at the cell's two ends
+        on_cell = grid_levels[np.searchsorted(grid_knots, 0.5 * (grid[:-1] + grid[1:]), "right")]
+        assert np.all(imap.at_quantile(grid[:-1]) - tol <= on_cell)
+        assert np.all(on_cell <= imap.at_quantile(grid[1:]) + tol)
 
 
 def _dedupe_inputs():
-    # what ``iron`` and ``benchmark._phi_at_experiment`` actually dedupe
+    # grids like the one ``benchmark._phi_at_experiment`` dedupes, at several
+    # sizes, and the corners that ``iron`` dedupes
     dists = [parse_dist(spec) for spec in IRON_ZOO]
     for d in dists:
         bps = d.quantile_breakpoints()
-        for K in (2, 3, 17, DEFAULT_GRID):
+        for K in (2, 3, 17, 4096):
             yield np.concatenate([np.linspace(0.0, 1.0, K + 1), bps[(bps > 0) & (bps < 1)]])
     yield np.concatenate(
         [np.linspace(0.0, 1.0, _QUAD_CELLS + 1)]
@@ -284,9 +309,100 @@ def _dedupe_inputs():
     yield np.array([0.5])
     yield np.full(7, 0.25)
     yield np.array([1.0, -0.0, 0.0, 1.0, 0.5])
+    for d in dists:
+        if d.purely_atomic:
+            bps = d.quantile_breakpoints()
+            yield np.concatenate([[0.0, 1.0], bps[(bps > 0) & (bps < 1)]])
 
 
 @pytest.mark.parametrize("x", [*_dedupe_inputs()], ids=lambda x: f"size{x.size}")
 def test_sorted_distinct_equals_np_unique(x):
     got, want = _sorted_distinct(x), np.unique(x)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# (knots, levels) of the atomic items as the tabulated construction on its
+# default 4096-cell grid built them, little-endian float64 bytes in hex
+GRID_MAPS = {
+    "point:5": ("", "0000000000001440"),
+    "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05": (
+        "9a9999999999d93f666666666666ee3f",
+        "feffffffffffffbf3e175d74d145f73f0000000000003440",
+    ),
+    "discrete:v=-2,-1,1;p=0.3,0.3,0.4": (
+        "333333333333d33f333333333333e33f",
+        "56555555555511c05655555555550dc0000000000000f03f",
+    ),
+    "discrete:v=1,1.2,10;p=0.5,0.4,0.1": ("cdccccccccccec3f", "721cc7711cc7b13c0000000000002440"),
+    "discrete:v=2,3,7,8,30;p=0.1,0.3,0.3,0.2,0.1": (
+        "9a9999999999b93f9a9999999999d93fccccccccccccec3f",
+        "0200000000001cc0ffffffffffff13c029333333333303400000000000003e40",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", list(GRID_MAPS))
+def test_atomic_maps_equal_recorded_grid_maps(spec):
+    imap = iron(parse_dist(spec))
+    assert (imap.knots.tobytes().hex(), imap.levels.tobytes().hex()) == GRID_MAPS[spec]
+
+
+def _random_discrete_specs(count: int):
+    """Seeded ``discrete:`` specs of 1 to 8 atoms, values in [-10, 30]."""
+    rng = np.random.default_rng(2017)
+    specs = ["point:-3", "discrete:v=-2.5;p=1"]
+    while len(specs) < count:
+        k = int(rng.integers(1, 9))
+        values = np.unique(rng.uniform(-10.0, 30.0, k))
+        if rng.random() < 0.3:  # short decimals: ties between revenue corners are likelier
+            values = np.unique(np.round(values, 1))
+        probs = rng.dirichlet(np.ones(values.size))
+        specs.append(
+            "discrete:v=" + ",".join(repr(float(v)) for v in values)
+            + ";p=" + ",".join(repr(float(q)) for q in probs / probs.sum())
+        )
+    return specs
+
+
+def _exact_upper_hull(points):
+    """Vertices of the upper hull of (u, r) points sorted by u, by brute
+    force in exact arithmetic: a point is a vertex unless it lies on or
+    below the chord of some point to its left and some point to its right."""
+    hull = []
+    for i, (ui, ri) in enumerate(points):
+        covered = any(
+            (ub - ua) * (ri - ra) <= (ui - ua) * (rb - ra)
+            for ua, ra in points[:i]
+            for ub, rb in points[i + 1:]
+        )
+        if not covered:
+            hull.append((ui, ri))
+    return hull
+
+
+@pytest.mark.parametrize("spec", _random_discrete_specs(320))
+def test_iron_matches_exact_hull_of_revenue_corners(spec):
+    # the corners in exact arithmetic: u the float breakpoints as the
+    # distribution sums them, R = (1 - u) v with no rounding
+    d = parse_dist(spec)
+    values = d.values if isinstance(d, FiniteDiscrete) else (d.v,)
+    probs = d.probs if isinstance(d, FiniteDiscrete) else (1.0,)
+    cum = np.cumsum(probs)[:-1].tolist()
+    corners = [(Fraction(0), Fraction(values[0]))]
+    for u, v in zip(cum, values[1:]):
+        if 0.0 < u < 1.0:
+            corners.append((Fraction(u), (1 - Fraction(u)) * Fraction(v)))
+    corners.append((Fraction(1), Fraction(0)))
+    hull = _exact_upper_hull(corners)
+    slopes = [-(r1 - r0) / (u1 - u0) for (u0, r0), (u1, r1) in itertools.pairwise(hull)]
+
+    imap = iron(d)
+    assert imap.knots.tolist() == [float(u) for u, _ in hull[1:-1]]
+    assert np.all(np.diff(imap.levels) > 0) and len(imap.levels) <= len(values)
+    assert np.allclose(imap.levels, [float(s) for s in slopes], rtol=1e-12, atol=1e-12)
+    below = max(
+        (r1 - r0) / (u1 - u0) * (u - u0) + r0 - r
+        for (u0, r0), (u1, r1) in itertools.pairwise(hull)
+        for u, r in corners if u0 <= u <= u1
+    )
+    assert imap.regular is (below <= 1e-9)
