@@ -16,9 +16,9 @@ whatever the marginals, so each item's scores are i.i.d. across bidders with
 a closed-form CDF: the benchmark and ``obs1_bound`` are exact 1-D integrals
 (``revenue._score_estimate``). The chain bounds are exact too: the CDF of
 the experiment (``experiments.xl_cdf`` / ``xb_cdf``) is tabulated once per
-call on a quantile grid, and each item's E[phi_bar(X)] is bracketed by
-rectangles on it. ``assign_regions`` is the region rule of the Monte Carlo
-oracles in the tests.
+call on a quantile grid, and each item's E[phi_bar(X)] is bracketed on it by
+the score integrals' rule (``revenue._stieltjes``). ``assign_regions`` is
+the region rule of the Monte Carlo oracles in the tests.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 from .distributions import ProductDist, SingleDist
 from .experiments import xb_cdf, xl_cdf
 from . import revenue
-from .revenue import RevenueEstimate, _per_item, _score_estimate, _sum_estimates
-from .rng import fill_pieces, need_samples
-from .virtual import _sorted_distinct, iron
+from .revenue import RevenueEstimate, _per_item, _score_estimate, _stieltjes, _sum_estimates
+from .rng import need_samples
+from .virtual import iron
 
 __all__ = [
     "assign_regions",
@@ -131,63 +131,55 @@ def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
     return _exact_bound(pd, n, N, seed, item_cdf)
 
 
+def _quantile_grid(marginals) -> np.ndarray:
+    """The chain bounds' grid on [0, 1]: ``_QUAD_CELLS`` uniform cells plus
+    where phi_bar may jump, the atomic items' ironing knots and every item's
+    breakpoints, each with the float on either side of it."""
+    steps = np.concatenate([np.append(iron(d).knots, d.quantile_breakpoints()) for d in marginals])
+    u = np.concatenate([np.linspace(0.0, 1.0, revenue._QUAD_CELLS + 1), steps,
+                        np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)])
+    u.sort()  # in place: no second grid-length copy
+    u = u[np.searchsorted(u, 0.0):np.searchsorted(u, 1.0, "right")]
+    return u[np.append(True, u[1:] != u[:-1])]  # distinct
+
+
 def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> RevenueEstimate:
     """Sum over items of E[phi_bar_j(X)] for an experiment quantile X with CDF
     ``cdf``, exact; no positive part. N and the seed are recorded.
 
-    One quantile grid serves every item: ``_QUAD_CELLS`` uniform cells plus
-    where phi_bar jumps, the atomic marginals' ironing knots and every
-    marginal's quantile breakpoints. F = ``cdf`` is tabulated on it once,
-    with F(0) = 0, F(1) = 1 and running maxima, so every cell has mass
-    dF_k >= 0. X has no atoms and phi_bar is nondecreasing, so on cell
-    (u_k, u_k+1) phi_bar(X) lies between its right limit at u_k and its left
-    limit at u_k+1, read at the next float above and below (at u_k and u_k+1
-    if no float lies between). (The closed-form path is left-continuous at a
-    value atom: ER(p) reads 0 at its breakpoint and p just above.) The
-    item's bracket is the midpoint, with its half-width as the stderr, and
-    the items' half-widths add. A repeated marginal reuses its bracket
+    One grid serves every item (``_quantile_grid``). F = ``cdf`` is
+    tabulated on it once, with F(0) = 0, F(1) = 1 and running maxima, so
+    every cell has mass dF_k >= 0. X has no atoms and phi_bar is
+    nondecreasing, so on cell (u_k, u_k+1) phi_bar(X) lies between
+    phi_bar(u_k) and phi_bar(u_k+1), wherever it jumps: ``revenue._stieltjes``
+    with W = F and g = phi_bar brackets the cells below u_K; a jump costs
+    its size times the F-mass of the one-ulp cells beside it. The item's
+    bracket is the midpoint, with its half-width as the stderr, and the
+    items' half-widths add. A repeated marginal reuses its bracket
     (``revenue._per_item``); the sum still runs over the items in order.
 
-    phi_bar is unbounded only for ``Exponential``, where it is Q - 1/rate.
-    There the top cell (u_K, 1) takes phi_bar(u_K) dF_K plus
-    integral_{s > Q(u_K)} Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)),
-    given 1 - F(u) <= D (1 - u) for every u.
-
-    Working set: three grid-length arrays, u, dF (written over F) and one
-    product buffer, plus temporaries the size of one piece: each item's two
-    reads of phi_bar fill the buffer piece by piece (``rng.fill_pieces``).
+    The top cell (u_K, 1) reads phi_bar(u_K) and phi_bar(1). phi_bar(1) is
+    infinite only for ``Exponential``, where phi_bar is Q - 1/rate; there
+    the upper end takes phi_bar(u_K) dF_K plus integral_{s > Q(u_K)}
+    Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)), given 1 - F(u) <= D (1 - u)
+    for every u. Working set: u, F and the temporaries of one piece.
     """
     need_samples(N)
-    imaps = {d: iron(d) for d in pd.marginals}  # one per distinct marginal
-    u = _sorted_distinct(np.concatenate(
-        [np.linspace(0.0, 1.0, revenue._QUAD_CELLS + 1)]
-        + [imap.knots for imap in imaps.values()]
-        + [d.quantile_breakpoints() for d in imaps]
-    ))
+    u = _quantile_grid(pd.marginals)
     F = cdf(u)
     F[0], F[-1] = 0.0, 1.0
     np.maximum.accumulate(F, out=F)
-    # dF_k = F_k+1 - F_k over F, front first: a piece reads F_k+1 before the
-    # next piece writes it
-    dF = fill_pieces(F[:-1], np.subtract, F[1:], F[:-1])
-    prod = np.empty_like(dF)
+    top = float(F[-1] - F[-2])
 
     def item(d: SingleDist):
-        imap = imaps[d]
-
-        def weigh(f, x, y):  # dF_k times phi_bar at the next float from x toward y
-            inner = np.nextafter(x, y)  # or at x, if that float is y
-            return f * imap.at_quantile(np.where(inner == y, x, inner))
-
-        # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
-        lower = float(np.sum(fill_pieces(prod, weigh, dF, u[:-1], u[1:])))
-        top_cell = prod[-1]  # an unbounded item's top cell reads it for both ends
-        fill_pieces(prod, weigh, dF, u[1:], u[:-1])
-        tail = 0.0
-        if not math.isfinite(d.support_hi):
-            prod[-1] = top_cell
-            tail = D * d.tail_integral(float(d.quantile(np.nextafter(u[-2], np.inf))))
-        upper = float(np.sum(prod)) + tail
+        imap = iron(d)
+        lower, upper = _stieltjes(u[:-1], F[:-1], imap.at_quantile)
+        at_top, at_one = imap.at_quantile(u[-2:]).tolist()
+        lower += top * at_top
+        if math.isfinite(d.support_hi):
+            upper += top * at_one
+        else:
+            upper += top * at_top + D * d.tail_integral(float(d.quantile(u[-2])))
         mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
         return RevenueEstimate(mean=mean, stderr=half_width, samples=N, seed=seed)
 

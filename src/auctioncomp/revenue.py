@@ -3,9 +3,9 @@ mechanisms (sequential posted-bundle and three-tier).
 
 Single-item optimal revenue E[(phi_bar(max))^+] and VCG (the second-highest
 value) are exact: the mean of a score with a closed-form CDF, integrated by
-``_score_estimate`` (as are the benchmark and ``obs1_bound``), which reads the
-CDF once per point of a memoized grid, piece by piece, and brackets the mean
-between the rectangles at each cell's two ends. Monte Carlo is
+``_score_estimate`` (as are the benchmark and ``obs1_bound``) on a memoized
+grid by ``_stieltjes``, the bracket rule that every exact integral here
+shares: the integrand is read once per grid point. Monte Carlo is
 hopeless here for heavy tails: at p = 10^4 the truncated equal-revenue curve
 has all of its virtual value in an atom of mass 1/p, so the naive estimator
 has ~10% relative error at a million samples. A sum over items integrates
@@ -114,34 +114,40 @@ def _score_points(d: SingleDist, n: int, cells: int) -> np.ndarray:
     return t
 
 
+def _stieltjes(x: np.ndarray, W: np.ndarray, g) -> tuple[float, float]:
+    """sum_k dW_k g(x_k) and sum_k dW_k g(x_k+1), dW_k = W_k+1 - W_k: for a
+    monotone g they bracket the integral of g dW over [x_0, x_K]. Walks x in
+    pieces of ``PIECE`` cells that share their end points, reads g once per
+    point of a piece and adds the pieces' sums in order."""
+    left = right = 0.0
+    for i in range(0, len(x) - 1, PIECE):
+        gx = g(x[i:i + PIECE + 1])
+        w = W[i:i + PIECE + 1]
+        dW = w[1:] - w[:-1]
+        # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
+        left += float(np.sum(dW * gx[:-1]))
+        right += float(np.sum(dW * gx[1:]))
+    return left, right
+
+
 def _score_estimate(d: SingleDist, n: int, cdf, samples: int, seed: int) -> RevenueEstimate:
     """E[S] = L + integral over t >= L of 1 - H(t), for a score S >= L =
     min(0, support_lo) of item d with CDF H = ``cdf``.
 
     Bracketed by rectangles on ``_score_points`` with ``_QUAD_CELLS`` cells
-    (read at the call). On each cell [t_k, t_k+1) the nondecreasing H lies
-    between H(t_k) and its left limit at t_k+1, and that left limit is at
-    most H(t_k+1) (H is right-continuous), so dt (1 - H(t_k)) bounds the
-    cell's area from above and dt (1 - H(t_k+1)) from below: one read of H
-    per point serves both ends, wherever H jumps. The grid puts a one-ulp
-    cell left of each jump it knows, so the lower end loses almost nothing
-    there. Past the last point T every score here has 1 - H <= n (1 - F),
-    which adds n * d.tail_integral(T) to the upper end. Returns the
-    bracket's midpoint, with its half-width as the stderr.
-
-    Working set: the memoized grid and temporaries of one piece: the grid is
-    walked in pieces of ``PIECE`` cells, each sharing its last point with
-    the next, and each piece's two rectangle sums are added in piece order.
+    (read at the call), summed by ``_stieltjes`` with W = t and g = 1 - H.
+    On each cell [t_k, t_k+1) the nondecreasing H lies between H(t_k) and
+    its left limit at t_k+1, and that left limit is at most H(t_k+1) (H is
+    right-continuous), so dt (1 - H(t_k)) bounds the cell's area from above
+    and dt (1 - H(t_k+1)) from below: one read of H per point serves both
+    ends, wherever H jumps. The grid puts a one-ulp cell left of each jump
+    it knows, so the lower end loses almost nothing there. Past the last
+    point T every score here has 1 - H <= n (1 - F), which adds
+    n * d.tail_integral(T) to the upper end. Returns the bracket's midpoint,
+    with its half-width as the stderr.
     """
     t = _score_points(d, n, _QUAD_CELLS)
-    upper = lower = 0.0
-    for i in range(0, len(t) - 1, PIECE):
-        x = t[i:i + PIECE + 1]
-        tail = 1.0 - cdf(x)
-        dt = x[1:] - x[:-1]
-        # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
-        upper += float(np.sum(dt * tail[:-1]))
-        lower += float(np.sum(dt * tail[1:]))
+    upper, lower = _stieltjes(t, t, lambda x: 1.0 - cdf(x))
     upper = float(t[0] + upper) + n * d.tail_integral(t[-1])
     lower = float(t[0] + lower)
     mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)

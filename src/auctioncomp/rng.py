@@ -17,12 +17,12 @@ A Monte Carlo mean never holds its N samples: each block is reduced to
 rate is a count (``hit_rate``).
 
 An exact integrand on a long grid is evaluated in pieces of ``PIECE``
-values: elementwise arithmetic gives the same bits on any slice. The chain
-kernels fill a grid-length array piece by piece (``fill_pieces``), so they
-keep their full-length reductions and the bits of their one-shot form. The
-score kernel (``revenue._score_estimate``) keeps no such array: it sums each
-piece as it goes and adds the piece sums in order, a fold fixed by the
-constant ``PIECE``, not by the CPU count.
+values: elementwise arithmetic gives the same bits on any slice. The one
+bracket kernel of the exact integrals (``revenue._stieltjes``) keeps no
+grid-length array of its own: it sums each piece as it goes and adds the
+piece sums in order, a fold fixed by the constant ``PIECE``, not by the CPU
+count. The X_L and X_B CDFs, a quadrature per row, fill their output piece
+by piece (``fill_pieces``), with the bits of their one-shot form.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ element by element, and ``np.unique`` for the corners, is the reference for
 the one over Python floats in the package; the same hull of the revenue
 tabulated on a K-cell grid is the construction the corners replace. The exact
 kernels evaluated on their whole grid at once are the references for the
-piecewise ones in the package, and the two-pass score bracket, which reads
-each cell's left limit on its own, is the bound on the one-pass width.
+piecewise ones in the package. The two-pass score bracket, which reads each
+cell's left limit on its own, is the bound on the one-pass width; the
+two-read chain bracket, which reads phi_bar at the float inside each end of
+a cell, is the bound on the one-read chain width.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from auctioncomp import revenue as revenue_mod
+from auctioncomp.benchmark import _quantile_grid
 from auctioncomp.distributions import ProductDist, SingleDist, TruncatedEqualRevenue
 from auctioncomp.experiments import MIN_NODES, _gauss_legendre, _node_count, top_order_stats
 from auctioncomp.revenue import (
@@ -313,17 +316,22 @@ def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
+def _fold_pieces(dW: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """The two rectangle sums of ``revenue._stieltjes`` from g read on the
+    whole grid, folded over ``PIECE``-cell slices as the package folds them."""
+    left = right = 0.0
+    for i in range(0, len(dW), PIECE):
+        left += float(np.sum(dW[i:i + PIECE] * g[:-1][i:i + PIECE]))
+        right += float(np.sum(dW[i:i + PIECE] * g[1:][i:i + PIECE]))
+    return left, right
+
+
 def score_estimate_one_shot(d: SingleDist, n: int, cdf, samples: int, seed: int) -> RevenueEstimate:
     """``revenue._score_estimate`` with ``cdf`` read on the whole grid at once;
     the rectangle sums are folded over ``PIECE``-cell slices, as the package
     folds its pieces."""
     t = _score_points(d, n, revenue_mod._QUAD_CELLS)
-    tail = 1.0 - cdf(t)
-    left, right, dt = tail[:-1], tail[1:], np.diff(t)
-    upper = lower = 0.0
-    for i in range(0, len(dt), PIECE):
-        upper += float(np.sum(dt[i:i + PIECE] * left[i:i + PIECE]))
-        lower += float(np.sum(dt[i:i + PIECE] * right[i:i + PIECE]))
+    upper, lower = _fold_pieces(np.diff(t), 1.0 - cdf(t))
     upper = float(t[0] + upper) + n * d.tail_integral(t[-1])
     lower = float(t[0] + lower)
     mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
@@ -366,6 +374,34 @@ def log_gap_cdf_one_shot(t, sharpness: float, integrand):
 
 def phi_at_experiment_one_shot(pd: ProductDist, cdf, D: float, N: int, seed: int) -> RevenueEstimate:
     """``benchmark._phi_at_experiment`` with phi_bar read on the whole grid at once."""
+    u = _quantile_grid(pd.marginals)
+    F = cdf(u)
+    F[0], F[-1] = 0.0, 1.0
+    F = np.maximum.accumulate(F)
+    dF = np.diff(F)
+
+    def item(d: SingleDist):
+        imap = iron(d)
+        phi = imap.at_quantile(u)
+        lower, upper = _fold_pieces(dF[:-1], phi[:-1])
+        lower += float(dF[-1] * phi[-2])
+        if math.isfinite(d.support_hi):
+            upper += float(dF[-1] * phi[-1])
+        else:
+            upper += float(dF[-1] * phi[-2]) + D * d.tail_integral(float(d.quantile(u[-2])))
+        mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
+        return RevenueEstimate(mean=mean, stderr=half_width, samples=N, seed=seed)
+
+    return _sum_estimates(_per_item(item, pd.marginals), N, seed)
+
+
+def phi_at_experiment_two_read(pd: ProductDist, cdf, D: float, N: int, seed: int) -> RevenueEstimate:
+    """The two-read chain bracket: uniform cells, knots and breakpoints, with
+    no one-ulp cells beside them; phi_bar read at the float above each
+    cell's left end for the lower rectangles and at the float below its
+    right end for the upper ones, each sum taken whole. The one-read bracket
+    of ``benchmark._phi_at_experiment`` must be as tight, up to its one-ulp
+    cells at the jumps."""
     imaps = {d: iron(d) for d in pd.marginals}
     u = _sorted_distinct(np.concatenate(
         [np.linspace(0.0, 1.0, revenue_mod._QUAD_CELLS + 1)]
@@ -391,3 +427,17 @@ def phi_at_experiment_one_shot(pd: ProductDist, cdf, D: float, N: int, seed: int
         return RevenueEstimate(mean=mean, stderr=half_width, samples=N, seed=seed)
 
     return _sum_estimates(_per_item(item, pd.marginals), N, seed)
+
+
+def jump_allowance(pd: ProductDist, cdf) -> float:
+    """Sum over the items' knots and breakpoints of phi_bar's jump there
+    times the mass, under ``cdf``, of the one-ulp cells on each side of it:
+    the width that the one-read chain bracket may keep on a step item."""
+    out = 0.0
+    for d in pd.marginals:
+        imap = iron(d)
+        steps = np.concatenate([imap.knots, d.quantile_breakpoints()])
+        below, above = np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)
+        jump = imap.at_quantile(above) - imap.at_quantile(below)
+        out += float(np.sum(jump * (cdf(above) - cdf(below))))
+    return out

@@ -22,8 +22,10 @@ from auctioncomp.repro import er_order_stat
 from auctioncomp.revenue import _score_estimate, myerson_item_revenue, srev, vcg, vcg_item_revenue
 from auctioncomp.rng import PIECE, fill_pieces
 from oracles import (
+    jump_allowance,
     log_gap_cdf_one_shot,
     phi_at_experiment_one_shot,
+    phi_at_experiment_two_read,
     score_estimate_one_shot,
     score_estimate_two_pass,
 )
@@ -172,6 +174,30 @@ def test_chain_bounds_same_bits_as_one_shot(name, cells, monkeypatch):
     assert _bits(got) == _bits(want)
 
 
+@pytest.mark.parametrize("name", list(PRODUCTS))
+def test_one_read_chain_bracket_as_tight_as_two_read(name, cells, monkeypatch):
+    # phi_bar read once per point, at the cells' own ends, keeps the width of
+    # reading the float inside each end, but for the one-ulp cells beside
+    # each jump, which the grid adds
+    pd = ProductDist(tuple(parse_dist(s) for s in PRODUCTS[name]))
+    phi_at_experiment = benchmark_mod._phi_at_experiment
+    pairs = []
+
+    def both(pd, cdf, D, N, seed):
+        got = phi_at_experiment(pd, cdf, D, N, seed)
+        pairs.append((got, phi_at_experiment_two_read(pd, cdf, D, N, seed), jump_allowance(pd, cdf)))
+        return got
+
+    monkeypatch.setattr(benchmark_mod, "_phi_at_experiment", both)
+    xl_chain_bound(pd, 2, 1, 0), xl_chain_bound(pd, 9, 1, 0)
+    xb_chain_bound(pd, 3, 2, 1, 0), xb_chain_bound(pd, 6, 6, 1, 0)
+    assert len(pairs) == 4
+    for got, want, allowance in pairs:
+        slack = allowance + 4 * math.ulp(got.mean)
+        assert got.stderr <= (1 + 1e-9) * want.stderr + slack, (got, want, allowance)
+        assert abs(got.mean - want.mean) <= got.stderr + want.stderr + slack, (got, want)
+
+
 def _probes():
     rng = np.random.default_rng(3)
     grid = np.linspace(0.0, 1.0, 5_001)  # blocks of 1365 rows at 48 nodes, pieces of 170
@@ -210,12 +236,13 @@ U16 = ProductDist((Uniform(0, 1),) * 16)
 
 
 # tracemalloc peaks measured on numpy 2.4 with a bound about 25% above. The
-# one-shot kernels peak at 4.1 and 32.2 MB (efftw) and 5.4 and 16.0 MB (xl).
+# one-shot kernels peak at 4.1 and 32.2 MB (efftw) and 1.3 and 10.0 MB (xl).
 # efftw peaks at 0.45 MB at both sizes: a grid-length buffer (1.03 MB at 2^15
-# cells, 4.98 MB at 2^18) fails both rows.
+# cells, 4.98 MB at 2^18) fails both rows. xl peaks at 1.09 and 4.58 MB; a
+# third grid-length array (6.32 MB at 2^18) fails its 2^18 row.
 @pytest.mark.parametrize(
     "bound,cells,limit_mb",
-    [("efftw", 1 << 15, 0.6), ("efftw", 1 << 18, 0.6), ("xl", 1 << 15, 1.4), ("xl", 1 << 18, 7.8)],
+    [("efftw", 1 << 15, 0.6), ("efftw", 1 << 18, 0.6), ("xl", 1 << 15, 1.4), ("xl", 1 << 18, 5.8)],
 )
 def test_exact_kernel_working_set(bound, cells, limit_mb, monkeypatch):
     # the score grids (efftw_bound), the ironed maps and the Gauss-Legendre
