@@ -32,8 +32,12 @@ expressions, so the draws are the same bits), which keeps a call to
 once per block of ``BLOCK // 4`` rows, so ``sample_xl`` and ``sample_xb``
 hold about ``BLOCK`` floats there.
 
-``xl_cdf`` and ``xb_cdf`` are the exact CDFs of X_L and X_B, as 1-D integrals
-over one order statistic taken by Gauss-Legendre quadrature in
+``xl_cdf`` and ``xb_cdf`` are the exact CDFs of X_L and X_B. ``xl_cdf``
+needs no quadrature: above t = 1/2 it is a closed form in one
+J_{n-2}(t) = sum_{i > n-2} t^i / i (``_j_tail``), whose terms would cancel
+below 1/2, where it sums instead a power series in t with nonnegative
+coefficients; at 1/2 the series gains a bit per term. ``xb_cdf`` is a 1-D
+integral over one order statistic taken by Gauss-Legendre quadrature in
 v = log(1 - x). That variable turns the pole of (t - x)/(1 - x), a distance
 1 - t past the end of [0, t], into a smooth boundary layer, so a rule whose
 node count grows with -log(1 - t) holds ~1e-13 up to t = 1 - 2^-15 and
@@ -177,8 +181,7 @@ def sample_xl(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray
 
 MIN_NODES = 48  # Gauss-Legendre nodes per CDF value, at the least
 MAX_NODES = 1024  # built in ~0.05 s; beyond it accuracy degrades slowly
-_SERIES_TERMS = 54  # J_k by its series for x <= 1/2: the rest is below 2^-53
-_HEAD_ON_ALL = 8  # up to this k a gather costs _j_tail more than the passes it saves
+_SERIES_TERMS = 54  # a series in t <= 1/2 whose terms fall like 2^-j: the rest is below 2^-53
 
 
 @functools.lru_cache(maxsize=16)
@@ -255,72 +258,111 @@ def _log_gap_cdf(t, sharpness: float, integrand) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j c[j] x^j by Horner's rule, in a new array."""
+    out = np.full_like(x, c[-1])
+    for a in c[-2::-1]:
+        out *= x
+        out += a
+    return out
+
+
 def _j_tail(k: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """J_k(x) = integral_0^x y^k / (1 - y) dy = sum_{i > k} x^i / i, v = log(1 - x).
+    """J_k(x) = integral_0^x y^k / (1 - y) dy = sum_{i > k} x^i / i for
+    0 < x < 1, v = log(1 - x).
 
-    The difference -log(1 - x) - sum_{i <= k} x^i / i cancels where J_k is
-    small against -log(1 - x). So for x <= 1/2 the series
-    x^(k+1) sum_j x^j / (k + 1 + j) is summed, and above 1/2, where
-    s = (k + 1)(1 - x) >= 1 and the difference is below -log(1 - x) / 256,
-    J_k = x^(k+1) Phi(x, 1, k + 1), with 1/Phi from ``_lerch_cf``. Where the
-    difference stays it loses at most 8 bits: J_k >= -log(1 - x) / 256 there,
-    or s < 1, where J_k >= E_1((k + 1) log(1/x)), about E_1(1) = 0.22, while
-    -log(1 - x) < log(k + 1) (8 bits at k = 10^20).
+    Where s = (k + 1)(1 - x) >= 1, J_k = x^(k+1) / (s D), with D from
+    ``_lerch_cf``. Its depth falls with s, so it is taken in bands of s,
+    [1, 4), [4, 16), ..., each at the depth 16 sqrt(min(k + 1, 256) / s_lo)
+    of its lowest s: a pure function of k and the point, so a point's bits
+    do not depend on the points beside it. Against 30-digit mpmath this
+    holds 2.7e-16 relative for k = 2 to 16382.
 
-    The fraction converges at a rate set by sqrt(1 - x) = sqrt(s / (k + 1)),
-    so it is taken in bands of s, [1, 4), [4, 16), ..., each at the depth
-    16 sqrt((k + 1) / s_lo) of its lowest s: a pure function of k and the
-    point, so a point's bits do not depend on the points beside it.
-
-    The difference (k Horner passes) is kept only above 1/2, so past
-    k = ``_HEAD_ON_ALL`` it is formed on those nodes alone, gathered.
+    Where s < 1 the difference -log(1 - x) - sum_{i <= k} x^i / i is taken.
+    It loses what J_k is small against -log(1 - x), and there
+    J_k >= E_1((k + 1) log(1/x)), about E_1(1) = 0.22, while
+    -log(1 - x) < log(k + 1): 3.6 bits at k = 14, 5.2 at k = 4094.
     """
     if k == 0:
         return -v
-    small = x <= 0.5
-    kept = ~small if k > _HEAD_ON_ALL else slice(None)
-    xk = x[kept]
-    head = np.full_like(xk, 1.0 / k)
-    for i in range(k - 1, 0, -1):
-        head *= xk
-        head += 1.0 / i
     out = np.empty_like(x)
-    out[kept] = -v[kept] - xk * head
-    xs = x[small]
-    tail = np.full_like(xs, 1.0 / (k + _SERIES_TERMS))
-    for j in range(_SERIES_TERMS - 2, -1, -1):
-        tail *= xs
-        tail += 1.0 / (k + 1 + j)
-    out[small] = xs ** (k + 1) * tail
-    if k > 1:  # at k = 1, s >= 1 means x <= 1/2
-        s = (k + 1) * (1.0 - x)
-        left = (x > 0.5) & (s >= 1.0) & (256.0 * out < -v)
-        s_lo = 1.0
-        while left.any():
-            band = left & (s < 4.0 * s_lo)
+    s = (k + 1) * (1.0 - x)
+    near = s < 1.0  # every x > 1/2 at k = 1
+    if near.any():
+        xn = x[near]
+        out[near] = -v[near] - xn * _horner(1.0 / np.arange(1, k + 1), xn)
+    left = ~near
+    s_lo = 1.0
+    while left.any():
+        band = left & (s < 4.0 * s_lo)
+        if band.any():
             xb = x[band]
-            out[band] = xb ** (k + 1) / _lerch_cf(k + 1, xb, math.ceil(16.0 * math.sqrt((k + 1) / s_lo)))
+            depth = math.ceil(16.0 * math.sqrt(min(k + 1, 256) / s_lo))
+            out[band] = xb ** (k + 1) / (s[band] * _lerch_cf(k + 1, xb, depth))
             left &= ~band
-            s_lo *= 4.0
+        s_lo *= 4.0
     return out
 
 
 def _lerch_cf(a: int, x: np.ndarray, depth: int) -> np.ndarray:
-    """1 / Phi(x, 1, a) = 1 / sum_j x^j / (a + j), by Gauss's continued
-    fraction for the hypergeometric 2F1(1, a; a + 1; x) = a Phi:
-    a - u_1 x / (a + 1 - u_2 x / (a + 2 - ...)), u_2i+1 = (a + i)^2,
-    u_2i = i^2, cut at ``depth`` and evaluated from the bottom. Its error
-    falls geometrically in depth sqrt(1 - x): against a ``math.fsum``
-    series, 14 sqrt(a) levels reach rounding at x = 1 - 1/a for a = 2 to
-    1001, and 12 sqrt(a) leave 7e-13.
+    """D with a (1 - x) Phi(x, 1, a) = 1 / D, Phi(x, 1, a) = sum_j x^j / (a + j).
+
+    Pfaff's transformation takes a Phi = 2F1(1, a; a + 1; x) to
+    2F1(1, 1; a + 1; -w) / (1 - x), w = x / (1 - x), and Gauss's continued
+    fraction for that is 1 / D,
+    D = 1 + k_1 w / (1 + k_2 w / (1 + ...)),
+    k_(2i+1) = (i + 1)(a + i) / ((a + 2i)(a + 2i + 1)),
+    k_(2i+2) = (i + 1)(a + i) / ((a + 2i + 1)(a + 2i + 2)),
+    cut at ``depth`` and evaluated from the bottom. Every level adds
+    positive terms, so none cancels, and the depth that reaches rounding
+    depends on a (1 - x), not on a alone.
     """
-    out = np.full_like(x, float(a + depth))
+    w = x / (1.0 - x)
+    out = np.ones_like(x)
     for j in range(depth, 0, -1):
-        u = (a + j // 2) ** 2 if j % 2 else (j // 2) ** 2
-        np.divide(x, out, out=out)
-        out *= -u
-        out += a + j - 1
+        i, even = divmod(j - 1, 2)
+        np.divide(w, out, out=out)
+        out *= (i + 1) * (a + i) / ((a + 2 * i + even) * (a + 2 * i + 1 + even))
+        out += 1.0
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _xl_coefficients(n: int, m: int):
+    """(e0, C, h1, h2, g), read-only, for ``xl_cdf``: the series
+    F(t) = t^(n + e0) sum_j C[j] t^j below 1/2, and the polynomials
+    h1, h2 and g of the closed form above it.
+
+    C[j] is the coefficient of t^(n + e0 + j), a sum of expectations of
+    nonnegative quantities over the top two (y1, y2) of n uniforms:
+    E[y1^i (1 - y1) y2^k (1 - y2)] = n (n-1) (2p + q + 2) / (p (p+1) q (q+1) (q+2))
+    with p = n - 1 + k, q = n + i + k, for each i + k + 2 = e0 + j, i <= m - 2;
+    and D(m - 1, k) = E[y1^(m-1) y2^k (1 - y2)]
+    = n (n-1) (p + q + 1) / (p q (p+1) (q+1)) with q = n + m - 1 + k,
+    for k = e0 + j - m. Every coefficient is at most (m - 1) C[0] + D(0, 0)
+    and from t^m on they do not grow, so the terms dropped past
+    t^(_SERIES_TERMS + 14 + bit_length(n + m)) weigh below 2^-60 of the sum
+    at t = 1/2, and less below it.
+    """
+    nn = float(n * (n - 1))
+    e0 = 1 if m == 1 else 2
+    e = np.arange(e0, _SERIES_TERMS + 14 + (n + m).bit_length(), dtype=float)
+    i = np.arange(min(m - 1, len(e)), dtype=float)[:, None]
+    k = e - 2 - i
+    p, q = n - 1 + np.maximum(k, 0.0), n - 2 + e
+    C = np.sum(np.where(k >= 0, nn * (2 * p + q + 2) / (p * (p + 1) * q * (q + 1) * (q + 2)), 0.0), axis=0)
+    k = np.maximum(e - m, 0.0)
+    p, q = n - 1 + k, n + m - 1 + k
+    C += np.where(e >= m, nn * (p + q + 1) / (p * q * (p + 1) * (q + 1)), 0.0)
+    # r[l] = sum of 1/s over max(2, l + 1) <= s <= m - 1
+    tails = np.cumsum(1.0 / np.arange(m - 1, 1, -1))
+    r = np.concatenate((tails[-1:], tails[::-1])) if m > 2 else np.zeros(m - 1)
+    h1 = 1.0 / (n + np.arange(m - 1, dtype=float))
+    h1[:1] = 1.0
+    coefficients = (C, h1, r / (n - 1 + np.arange(m - 1, dtype=float)), r)
+    for a in coefficients:
+        a.flags.writeable = False
+    return (e0,) + coefficients
 
 
 def xl_cdf(n: int, m: int, t) -> np.ndarray | float:
@@ -331,23 +373,62 @@ def xl_cdf(n: int, m: int, t) -> np.ndarray | float:
 
         F(t) = integral_0^t a_t(x1) g_t(x1) dx1,
         a_t(x) = x^(m-1) + (1 - x^(m-1)) (t - x) / (1 - x)
+               = t - (1 - t) sum_{i=1}^{m-2} x^i  (m >= 2; a_t = 1 at m = 1)
                  (X'_L is x1, or uniform on [x1, 1]),
         g_t(x) = n x^(n-1) - n (n-1) (1 - t) J_{n-2}(x)
                  (the x2 integral of (t - x2)/(1 - x2) below x1),
 
-    with J_k from ``_j_tail``. The integral is taken in v = log(1 - x1).
+    with J_k from ``_j_tail``. No quadrature is needed: swapping the two
+    integrals leaves, with J = J_{n-2}(t), d = 1 - t and the polynomials of
+    ``_xl_coefficients``,
+
+        F = t^n (t - n d h1(t)) + n (n-1) d^2 (t^(n-1) h2(t) + J (t - d g(t))),
+        F = t^(n-1) (t - n d) + n (n-1) d^2 J                      (m = 1),
+
+    h1 = 1 + sum_{i=1}^{m-2} t^i / (n+i), h2 = sum_j r_j t^j / (n-1+j),
+    g = sum_j r_j t^j, r_j = sum of 1/s over max(2, j+1) <= s <= m - 1.
+    Its terms are of order n d t^n at most, so it holds F to a few ulps of
+    1 (1.8e-15 at n = 4096 against mpmath), but they cancel to a far
+    smaller F as t falls. Below 1/2 F is summed instead from a series with
+    no cancellation: with x = t y, F = t^n E[A B] over the top two (y1, y2)
+    of n uniforms, A = (t y1)^(m-1) + t (1 - y1) sum_{i<m-1} (t y1)^i and
+    B = t (1 - y2) sum_k (t y2)^k, a power series in t whose coefficients
+    (``_xl_coefficients``) are all nonnegative, so Horner's rule holds F to
+    a few ulps of itself. The split sits at 1/2 because there the series
+    still gains a bit per term, so ~70 terms reach rounding, while that
+    count grows like 1/(1 - t) above it. The series also takes the t above
+    1/2 where t^(n-1) is below the smallest normal float: there F < t^n is
+    too, and the closed form's rounding is no longer relative.
+
+    F is 0 for t <= 0 (and NaN), 1 for t >= 1. The points are taken in
+    pieces of ``PIECE`` (``rng.fill_pieces``), each point by its own branch,
+    so a point's bits do not depend on the points beside it.
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2, m >= 1")
+    e0, C, h1, h2, g = _xl_coefficients(n, m)
+    split = max(0.5, 2.0 ** (-1022.0 / (n - 1)))  # t^(n-1) is normal above it
 
-    def integrand(d, v, g):
-        x = -np.expm1(v)
-        xm = x ** (m - 1)
-        a = xm + (1.0 - xm) * -np.expm1(g)  # (t - x)/(1 - x) = 1 - e^g
-        top = n * x ** (n - 1) - n * (n - 1) * d * _j_tail(n - 2, x, v)
-        return a * top * np.exp(v)  # dx1 = e^v dv
+    def series(x):
+        return x ** (n + e0) * _horner(C, x)
 
-    return _log_gap_cdf(t, 2.0, integrand)
+    def closed_form(x):
+        d, xn1 = 1.0 - x, x ** (n - 1)
+        w, J = n * (n - 1) * d * d, _j_tail(n - 2, x, np.log1p(-x))
+        if m == 1:
+            return xn1 * (x - n * d) + w * J
+        return xn1 * x * (x - n * d * _horner(h1, x)) + w * (xn1 * _horner(h2, x) + J * (x - d * _horner(g, x)))
+
+    def piece(x):
+        out = np.where(x >= 1.0, 1.0, 0.0)
+        for part, branch in (((x > 0.0) & (x <= split), series), ((x > split) & (x < 1.0), closed_form)):
+            if part.any():  # a Horner loop over no points still costs its numpy calls
+                out[part] = branch(x[part])
+        return out
+
+    t = np.asarray(t, dtype=float)
+    out = fill_pieces(np.empty(t.size), piece, t.ravel()).reshape(t.shape)
+    return out if out.ndim else float(out)
 
 
 def xb_cdf(n: int, ell: int, t) -> np.ndarray | float:

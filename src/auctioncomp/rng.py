@@ -21,8 +21,9 @@ values: elementwise arithmetic gives the same bits on any slice. The one
 bracket kernel of the exact integrals (``revenue._stieltjes``) keeps no
 grid-length array of its own: it sums each piece as it goes and adds the
 piece sums in order, a fold fixed by the constant ``PIECE``, not by the CPU
-count. The X_L and X_B CDFs, a quadrature per row, fill their output piece
-by piece (``fill_pieces``), with the bits of their one-shot form.
+count. The X_L and X_B CDFs, a closed form or a series per point and a
+quadrature per point, fill their output piece by piece (``fill_pieces``),
+so a point's bits do not depend on the points beside it.
 """
 
 from __future__ import annotations

@@ -14,10 +14,11 @@ element by element, and ``np.unique`` for the corners, is the reference for
 the one over Python floats in the package; the same hull of the revenue
 tabulated on a K-cell grid is the construction the corners replace. The exact
 kernels evaluated on their whole grid at once are the references for the
-piecewise ones in the package. The two-pass score bracket, which reads each
-cell's left limit on its own, is the bound on the one-pass width; the
-two-read chain bracket, which reads phi_bar at the float inside each end of
-a cell, is the bound on the one-read chain width.
+piecewise ones in the package, and X_L's CDF as a quadrature over the top
+bidder draw is the reference for its closed form. The two-pass score
+bracket, which reads each cell's left limit on its own, is the bound on the
+one-pass width; the two-read chain bracket, which reads phi_bar at the float
+inside each end of a cell, is the bound on the one-read chain width.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ import numpy as np
 from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import _quantile_grid
 from auctioncomp.distributions import ProductDist, SingleDist, TruncatedEqualRevenue
-from auctioncomp.experiments import MIN_NODES, _gauss_legendre, _node_count, top_order_stats
+from auctioncomp.experiments import (
+    MIN_NODES,
+    _gauss_legendre,
+    _j_tail,
+    _log_gap_cdf,
+    _node_count,
+    top_order_stats,
+)
 from auctioncomp.revenue import (
     RevenueEstimate,
     _per_item,
@@ -349,6 +357,23 @@ def score_estimate_two_pass(d: SingleDist, n: int, cdf, samples: int, seed: int)
     lower = float(t[0] + np.sum(dt * (1.0 - cdf(np.nextafter(t[1:], -np.inf)))))
     mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
     return RevenueEstimate(mean=mean, stderr=half_width, samples=samples, seed=seed)
+
+
+def xl_cdf_quadrature(n: int, m: int, t) -> np.ndarray | float:
+    """The CDF of X_L(n, m) as the 1-D integral over x1 that ``xl_cdf``
+    solves in closed form, F(t) = integral_0^t a_t(x1) g_t(x1) dx1 with
+    a_t(x) = x^(m-1) + (1 - x^(m-1)) (t - x) / (1 - x) and
+    g_t(x) = n x^(n-1) - n (n-1) (1 - t) J_{n-2}(x), taken by
+    ``experiments._log_gap_cdf`` in v = log(1 - x1)."""
+
+    def integrand(d, v, g):
+        x = -np.expm1(v)
+        xm = x ** (m - 1)
+        a = xm + (1.0 - xm) * -np.expm1(g)  # (t - x)/(1 - x) = 1 - e^g
+        top = n * x ** (n - 1) - n * (n - 1) * d * _j_tail(n - 2, x, v)
+        return a * top * np.exp(v)  # dx1 = e^v dv
+
+    return _log_gap_cdf(t, 2.0, integrand)
 
 
 def log_gap_cdf_one_shot(t, sharpness: float, integrand):

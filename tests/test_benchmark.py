@@ -228,13 +228,15 @@ def test_chain_bounds_exact_on_step_items():
 
 def test_xl_chain_brackets_the_er_closed_form():
     # one ER(p) item at n = 2: E[phi_bar(X_L)] = p Pr[X_L > 1 - 1/p]
-    # = 4 - 3/p - 2 ln(p)/p. The two-read bracket missed it by 1.2e-14. At
-    # p = 1e4 both miss: the float F_X's error, times p, passes the width.
-    p = 100.0
-    est = xl_chain_bound(ProductDist((TruncatedEqualRevenue(p),)), 2, 1, seed=0)
-    exact = 4.0 - 3.0 / p - 2.0 * math.log(p) / p
-    assert est.stderr < 1e-9
-    assert abs(est.mean - exact) <= est.stderr, (est, exact)
+    # = 4 - 3/p - 2 ln(p)/p. The two-read bracket missed it by 1.2e-14 at
+    # p = 100. F_X's error, times p, must stay inside the width: the
+    # quadrature's missed it by 7.1e-12 at p = 1e4; the closed form's is
+    # 1.2e-12 inside at p = 1e4 and 1.9e-8 inside at p = 1e8
+    for p in (100.0, 1e4, 1e8):
+        est = xl_chain_bound(ProductDist((TruncatedEqualRevenue(p),)), 2, 1, seed=0)
+        exact = 4.0 - 3.0 / p - 2.0 * math.log(p) / p
+        assert est.stderr < 1e-15 * p
+        assert abs(est.mean - exact) <= est.stderr, (p, est, exact)
 
 
 def test_chain_bracket_ordered_on_a_cell_with_no_float_inside():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from auctioncomp.experiments import (
     ystar_conditional_mc,
     ystar_tail,
 )
+from auctioncomp.benchmark import _quantile_grid
+from auctioncomp.distributions import Uniform
 from auctioncomp.rng import BLOCK, substream
-from oracles import prop_key_conditional
+from oracles import prop_key_conditional, xl_cdf_quadrature
 
 N = 200_000
 N_XL = 400_000
@@ -353,6 +356,63 @@ def test_xl_cdf_matches_dblquad(n, m):
     assert np.max(np.abs(got - ref)) <= 1e-10, got - ref
 
 
+# the chain grid, and 200 points up to 1 - 1e-12, where the quadrature
+# takes up to 1024 nodes
+XL_GRID = np.unique(np.concatenate([_quantile_grid((Uniform(0, 1),)), 1.0 - np.geomspace(0.5, 1e-12, 200)]))
+
+
+@pytest.mark.parametrize(
+    "n,m", [(n, m) for n in (2, 3, 10, 64, 200, 1024) for m in (1, 2, 4, 16, 64, 256)] + [(4096, 4)]
+)
+def test_xl_cdf_closed_form_matches_quadrature(n, m):
+    F = xl_cdf(n, m, XL_GRID)
+    Q = xl_cdf_quadrature(n, m, XL_GRID)
+    assert np.max(np.abs(F - Q)) <= 1e-13
+    # X_L >= X_(1), the top of n uniforms, so 0 <= F(t) <= t^n <= 1
+    assert np.all(F >= 0.0) and np.all(F <= XL_GRID**n)
+    # monotone wherever the quadrature is, and steps back no further elsewhere
+    dF, dQ = np.diff(F), np.diff(Q)
+    assert np.all(dF[dQ >= 0.0] >= 0.0)
+    assert np.min(dF) >= min(np.min(dQ), 0.0)
+
+
+def _xl_cdf_fraction(n, m, t):
+    """F(t) = t^n E[A B] over the top two (y1, y2) of n uniforms, with
+    A = (t y1)^(m-1) + t (1 - y1) sum_{i<m-1} (t y1)^i and
+    B = t (1 - y2) sum_k (t y2)^k, summed in exact rationals through the
+    powers t^(n+150), from D(a, k) = E[y1^a y2^k (1 - y2)]."""
+
+    def D(a, k):
+        p, q = n - 1 + k, n + a + k
+        return Fraction(n * (n - 1) * (p + q + 1), p * q * (p + 1) * (q + 1))
+
+    top = 150
+    coef = [Fraction(0)] * (top + 1)
+    for k in range(top):
+        if m == 1:
+            coef[k + 1] += D(0, k)
+            continue
+        if k + m <= top:
+            coef[k + m] += D(m - 1, k)
+        for i in range(min(m - 1, top - k - 1)):
+            coef[k + i + 2] += D(i, k) - D(i + 1, k)
+    x = Fraction(t)
+    acc = Fraction(0)
+    for c in reversed(coef):
+        acc = acc * x + c
+    return float(x**n * acc)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 4), (3, 2), (3, 16), (5, 3), (8, 1), (8, 64)])
+def test_xl_cdf_series_matches_exact_rationals(n, m):
+    # below 1/2 the closed form's t^n terms cancel; the series keeps F to a
+    # few ulps of itself (the quadrature is off by up to 3.1e-13 there)
+    t = np.concatenate([np.geomspace(1e-3, 0.5, 13), [0.3, np.nextafter(0.5, 0.0)]])
+    got = xl_cdf(n, m, t)
+    want = np.array([_xl_cdf_fraction(n, m, float(x)) for x in t])
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
 @pytest.mark.parametrize("n,ell", [(19, 4), (10, 3), (5, 2), (200, 5), (4, 4)])
 def test_xb_cdf_matches_quad(n, ell):
     got = xb_cdf(n, ell, CDF_PROBES)
@@ -401,12 +461,14 @@ def _j_tail_fsum(k, x):
 @pytest.mark.parametrize("k", [1, 14, 30, 62, 198])
 def test_j_tail_relative_error(k):
     # -log(1 - x) - sum_{i <= k} x^i / i alone loses 1e-6 relative at k = 30
-    # and all of it at k = 62 (x = 0.55); every branch must hold 1e-12
+    # and all of it at k = 62 (x = 0.55); the continued fraction holds a few
+    # ulps, and the difference, kept where (k + 1)(1 - x) < 1, loses at most
+    # 4 bits on these points
     x = np.concatenate([np.linspace(0.05, 0.97, 47), [0.5, np.nextafter(0.5, 1.0), 1.0 - 1.0 / (k + 1)]])
     x = np.unique(x[(x <= 0.97) & (x ** (k + 1) > 1e-280)])
     got = _j_tail(k, x, np.log1p(-x))
     want = np.array([_j_tail_fsum(k, float(xi)) for xi in x])
-    assert np.max(np.abs(got - want) / want) <= 1e-12
+    assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
 @pytest.mark.parametrize("n,m", [(64, 4), (32, 4)])
