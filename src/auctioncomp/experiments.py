@@ -32,16 +32,15 @@ expressions, so the draws are the same bits), which keeps a call to
 once per block of ``BLOCK // 4`` rows, so ``sample_xl`` and ``sample_xb``
 hold about ``BLOCK`` floats there.
 
-``xl_cdf`` and ``xb_cdf`` are the exact CDFs of X_L and X_B. ``xl_cdf``
-needs no quadrature: above t = 1/2 it is a closed form in one
-J_{n-2}(t) = sum_{i > n-2} t^i / i (``_j_tail``), whose terms would cancel
-below 1/2, where it sums instead a power series in t with nonnegative
-coefficients; at 1/2 the series gains a bit per term. ``xb_cdf`` is a 1-D
-integral over one order statistic taken by Gauss-Legendre quadrature in
-v = log(1 - x). That variable turns the pole of (t - x)/(1 - x), a distance
-1 - t past the end of [0, t], into a smooth boundary layer, so a rule whose
-node count grows with -log(1 - t) holds ~1e-13 up to t = 1 - 2^-15 and
-beyond.
+``xl_cdf`` and ``xb_cdf`` are the exact CDFs of X_L and X_B, and neither
+needs a quadrature. Below t = 1/2 each sums a power series in t with
+nonnegative coefficients, which gains a bit per term there. Above it
+``xl_cdf`` is a closed form in one J_{n-2}(t) = sum_{i > n-2} t^i / i
+(``_j_tail``), whose terms would cancel below 1/2. ``xb_cdf`` is
+t^(n+1) (ell/(n+1)) 2F1(1, n - ell + 1; n + 2; t): above 1/2 a continued
+fraction with positive terms (``_gauss_cf``) where (n + 1)(1 - t) >= 1,
+and nearer 1 a recurrence over ell that damps its errors there. Each
+point's value is a pure function of the point (``_piecewise_cdf``).
 
 Dominance between two samplers is decided empirically on a uniform probe
 grid with a two-sided DKW allowance. Determinism model: each Monte Carlo
@@ -179,83 +178,8 @@ def sample_xl(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray
     return np.maximum(out, w2, out=out)
 
 
-MIN_NODES = 48  # Gauss-Legendre nodes per CDF value, at the least
-MAX_NODES = 1024  # built in ~0.05 s; beyond it accuracy degrades slowly
 _SERIES_TERMS = 54  # a series in t <= 1/2 whose terms fall like 2^-j: the rest is below 2^-53
-
-
-@functools.lru_cache(maxsize=16)
-def _gauss_legendre(k: int):
-    """(r, 1 - r, w): k Gauss-Legendre nodes on [0, 1], their mirror images
-    and weights, read-only.
-
-    Newton's method on the Legendre recurrence from Tricomi's guesses, as in
-    Numerical Recipes' gauleg: ``numpy.polynomial.legendre.leggauss`` gives
-    the same nodes to 1e-16, but importing ``numpy.polynomial`` adds ~1.6 MB
-    of resident memory to every process that builds a chain bound.
-    """
-    z = np.cos(np.pi * (np.arange(k) + 0.75) / (k + 0.5))
-    for _ in range(100):
-        p0, p1 = np.ones_like(z), z
-        for j in range(2, k + 1):
-            p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
-        slope = k * (z * p1 - p0) / (z * z - 1.0)  # P_k'(z)
-        step = p1 / slope
-        z = z - step
-        if np.max(np.abs(step)) <= 1e-15:
-            break
-    w = 2.0 / ((1.0 - z * z) * slope * slope)
-    nodes = ((1.0 + z) / 2.0, (1.0 - z) / 2.0, w / 2.0)
-    for a in nodes:
-        a.flags.writeable = False
-    return nodes
-
-
-def _node_count(t: float, sharpness: float) -> int:
-    """Gauss-Legendre nodes for an interval of length L = -log(1 - t) in v:
-    4 L sqrt(sharpness), within [MIN_NODES, MAX_NODES]. The integrands'
-    narrowest features are about 1/sqrt(sharpness) wide in v."""
-    return min(MAX_NODES, max(MIN_NODES, math.ceil(-4.0 * math.log1p(-t) * math.sqrt(sharpness))))
-
-
-def _log_gap_cdf(t, sharpness: float, integrand) -> np.ndarray | float:
-    """A CDF on [0, 1] given as F(t) = integral over v in [log(1 - t), 0] of
-    ``integrand(d, v, g)``, with d = 1 - t, v the node and g = log(1 - t) - v.
-
-    F is 0 for t <= 0 and 1 for t >= 1. The t are taken in ascending blocks
-    of about ``BLOCK`` floats, each with the node count of its largest t.
-    Nodes are summed with ``np.sum``, not a BLAS dot, whose threaded sum
-    order follows the CPU count.
-
-    Working set: the output, plus a sorting permutation and sorted copy of
-    the t unless they are ascending already, plus temporaries the size of one
-    piece: a block's rows are integrated in pieces of ``PIECE`` floats
-    (``rng.fill_pieces``), and a row's value does not depend on the rows
-    beside it.
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.where(t >= 1.0, 1.0, 0.0)
-    flat_t, flat_out = t.ravel(), out.ravel()
-    # ascending t (a grid) need no sort; NaN fails the test and sorts last
-    order = None if np.all(flat_t[1:] >= flat_t[:-1]) else np.argsort(flat_t, kind="stable")
-    ts = flat_t if order is None else flat_t[order]
-    start, end = int(np.searchsorted(ts, 0.0, "right")), int(np.searchsorted(ts, 1.0, "left"))
-    while start < end:
-        # as many rows as the node count of a full-size block's last t allows
-        widest = ts[min(start + BLOCK // MIN_NODES, end) - 1]
-        stop = min(end, start + max(1, BLOCK // _node_count(widest, sharpness)))
-        tb = ts[start:stop]
-        k = _node_count(tb[-1], sharpness)
-        r, rc, w = _gauss_legendre(k)
-
-        def rows(x):
-            lo = np.log1p(-x)[:, None]
-            return -lo[:, 0] * np.sum(integrand((1.0 - x)[:, None], lo * r, lo * rc) * w, axis=1)
-
-        dest = slice(start, stop) if order is None else order[start:stop]
-        flat_out[dest] = fill_pieces(np.empty(len(tb)), rows, tb, size=max(1, PIECE // k))
-        start = stop
-    return out if out.ndim else float(out)
+_NEAR_ONE_TERMS = 29  # a series in y < 1 whose terms fall like y^j / (j j!): the rest is below 2^-100
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -267,19 +191,35 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _near_one_coefficients(k: int) -> np.ndarray:
+    """a_j = (-1)^j S_(j-1)(k) / (k^j j!), S_p(k) = sum_{i <= k} i^p (so
+    a_0 = H_k), read-only: with u = -log x, sum_{i <= k} x^i / i
+    = sum_{i <= k} e^(-iu) / i = sum_j a_j (k u)^j."""
+    r = np.arange(1, k + 1) / k
+    power = np.ones(k)  # (i / k)^(j - 1)
+    a = np.empty(_NEAR_ONE_TERMS)
+    a[0] = math.fsum(1.0 / np.arange(1, k + 1))
+    for j in range(1, _NEAR_ONE_TERMS):
+        a[j] = (-1) ** j * float(np.sum(power)) / (k * math.factorial(j))
+        power *= r
+    a.flags.writeable = False
+    return a
+
+
 def _j_tail(k: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """J_k(x) = integral_0^x y^k / (1 - y) dy = sum_{i > k} x^i / i for
     0 < x < 1, v = log(1 - x).
 
-    Where s = (k + 1)(1 - x) >= 1, J_k = x^(k+1) / (s D), with D from
-    ``_lerch_cf``. Its depth falls with s, so it is taken in bands of s,
-    [1, 4), [4, 16), ..., each at the depth 16 sqrt(min(k + 1, 256) / s_lo)
-    of its lowest s: a pure function of k and the point, so a point's bits
-    do not depend on the points beside it. Against 30-digit mpmath this
-    holds 2.7e-16 relative for k = 2 to 16382.
+    Where s = (k + 1)(1 - x) >= 1, J_k = x^(k+1) 2F1(1, 1; k + 2; -w) / s,
+    w = x / (1 - x), by Pfaff's transformation of
+    J_k = x^(k+1) 2F1(1, k + 1; k + 2; x) / (k + 1), and ``_gauss_cf``
+    takes it. Against 30-digit mpmath this holds 2.7e-16 relative for k = 2
+    to 16382.
 
-    Where s < 1 the difference -log(1 - x) - sum_{i <= k} x^i / i is taken.
-    It loses what J_k is small against -log(1 - x), and there
+    Where s < 1 the difference -log(1 - x) - sum_{i <= k} x^i / i is taken,
+    the sum as a series in y = -k log x < 1 (``_near_one_coefficients``):
+    29 numpy passes, whatever k is. It loses what J_k is small against -log(1 - x), and there
     J_k >= E_1((k + 1) log(1/x)), about E_1(1) = 0.22, while
     -log(1 - x) < log(k + 1): 3.6 bits at k = 14, 5.2 at k = 4094.
     """
@@ -289,42 +229,67 @@ def _j_tail(k: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     s = (k + 1) * (1.0 - x)
     near = s < 1.0  # every x > 1/2 at k = 1
     if near.any():
-        xn = x[near]
-        out[near] = -v[near] - xn * _horner(1.0 / np.arange(1, k + 1), xn)
-    left = ~near
+        out[near] = -v[near] - _horner(_near_one_coefficients(k), k * -np.log(x[near]))
+    far = ~near
+    out[far] = _gauss_cf(1, k + 2, x[far], s[far])
+    return out
+
+
+def _gauss_cf(alpha: int, gamma: int, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x^(gamma-1) 2F1(1, alpha; gamma; -w) / s for w = x / (1 - x) and
+    s = (gamma - 1)(1 - x) >= 1, with 1 <= alpha < gamma.
+
+    Gauss's continued fraction gives 2F1(1, alpha; gamma; -w) = 1 / D,
+    D = 1 + k_1 w / (1 + k_2 w / (1 + ...)),
+    k_(2i+1) = (alpha + i)(gamma - 1 + i) / ((gamma - 1 + 2i)(gamma + 2i)),
+    k_(2i+2) = (i + 1)(gamma - alpha + i) / ((gamma + 2i)(gamma + 1 + 2i)),
+    evaluated from the bottom. Every level adds positive terms, so none
+    cancels, and the depth that reaches rounding falls with s, not with
+    gamma alone. So the points are taken in bands of s, [1, 4), [4, 16),
+    ..., each cut at the depth 16 sqrt(min(gamma - 1, 256) / s_lo) of its
+    lowest s: a pure function of (alpha, gamma) and the point, so a point's
+    bits do not depend on the points beside it.
+    """
+    out = np.empty_like(x)
+    left = np.ones(len(x), dtype=bool)
     s_lo = 1.0
     while left.any():
         band = left & (s < 4.0 * s_lo)
         if band.any():
             xb = x[band]
-            depth = math.ceil(16.0 * math.sqrt(min(k + 1, 256) / s_lo))
-            out[band] = xb ** (k + 1) / (s[band] * _lerch_cf(k + 1, xb, depth))
+            w, D = xb / (1.0 - xb), np.ones_like(xb)
+            for j in range(math.ceil(16.0 * math.sqrt(min(gamma - 1, 256) / s_lo)), 0, -1):
+                i, even = divmod(j - 1, 2)
+                top = (i + 1) * (gamma - alpha + i) if even else (alpha + i) * (gamma - 1 + i)
+                np.divide(w, D, out=D)
+                D *= top / ((gamma + j - 2) * (gamma + j - 1))
+                D += 1.0
+            out[band] = xb ** (gamma - 1) / (s[band] * D)
             left &= ~band
         s_lo *= 4.0
     return out
 
 
-def _lerch_cf(a: int, x: np.ndarray, depth: int) -> np.ndarray:
-    """D with a (1 - x) Phi(x, 1, a) = 1 / D, Phi(x, 1, a) = sum_j x^j / (a + j).
+def _piecewise_cdf(t, branches) -> np.ndarray | float:
+    """A CDF of the shape of t (a float for a scalar): 0 for t <= 0 (and
+    NaN), 1 for t >= 1, and at 0 < x < 1 fn(x) of the first (test, fn) of
+    ``branches`` whose test(x) holds. It runs in pieces of ``PIECE``
+    (``rng.fill_pieces``), each point by its own branch, so a point's bits
+    are those of the point alone."""
 
-    Pfaff's transformation takes a Phi = 2F1(1, a; a + 1; x) to
-    2F1(1, 1; a + 1; -w) / (1 - x), w = x / (1 - x), and Gauss's continued
-    fraction for that is 1 / D,
-    D = 1 + k_1 w / (1 + k_2 w / (1 + ...)),
-    k_(2i+1) = (i + 1)(a + i) / ((a + 2i)(a + 2i + 1)),
-    k_(2i+2) = (i + 1)(a + i) / ((a + 2i + 1)(a + 2i + 2)),
-    cut at ``depth`` and evaluated from the bottom. Every level adds
-    positive terms, so none cancels, and the depth that reaches rounding
-    depends on a (1 - x), not on a alone.
-    """
-    w = x / (1.0 - x)
-    out = np.ones_like(x)
-    for j in range(depth, 0, -1):
-        i, even = divmod(j - 1, 2)
-        np.divide(w, out, out=out)
-        out *= (i + 1) * (a + i) / ((a + 2 * i + even) * (a + 2 * i + 1 + even))
-        out += 1.0
-    return out
+    def piece(x):
+        out = np.where(x >= 1.0, 1.0, 0.0)
+        left = (x > 0.0) & (x < 1.0)
+        for test, fn in branches:
+            part = left & test(x)
+            if part.any():  # a Horner loop over no points still costs its numpy calls
+                out[part] = fn(x[part])
+            left &= ~part
+        return out
+
+    t = np.asarray(t, dtype=float)
+    out = fill_pieces(np.empty(t.size), piece, t.ravel()).reshape(t.shape)
+    return out if out.ndim else float(out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -400,9 +365,7 @@ def xl_cdf(n: int, m: int, t) -> np.ndarray | float:
     1/2 where t^(n-1) is below the smallest normal float: there F < t^n is
     too, and the closed form's rounding is no longer relative.
 
-    F is 0 for t <= 0 (and NaN), 1 for t >= 1. The points are taken in
-    pieces of ``PIECE`` (``rng.fill_pieces``), each point by its own branch,
-    so a point's bits do not depend on the points beside it.
+    F is 0 for t <= 0 (and NaN), 1 for t >= 1 (``_piecewise_cdf``).
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2, m >= 1")
@@ -419,37 +382,64 @@ def xl_cdf(n: int, m: int, t) -> np.ndarray | float:
             return xn1 * (x - n * d) + w * J
         return xn1 * x * (x - n * d * _horner(h1, x)) + w * (xn1 * _horner(h2, x) + J * (x - d * _horner(g, x)))
 
-    def piece(x):
-        out = np.where(x >= 1.0, 1.0, 0.0)
-        for part, branch in (((x > 0.0) & (x <= split), series), ((x > split) & (x < 1.0), closed_form)):
-            if part.any():  # a Horner loop over no points still costs its numpy calls
-                out[part] = branch(x[part])
-        return out
+    return _piecewise_cdf(t, ((lambda x: x <= split, series), (lambda x: x > split, closed_form)))
 
-    t = np.asarray(t, dtype=float)
-    out = fill_pieces(np.empty(t.size), piece, t.ravel()).reshape(t.shape)
-    return out if out.ndim else float(out)
+
+@functools.lru_cache(maxsize=16)
+def _xb_coefficients(n: int, ell: int) -> np.ndarray:
+    """c_0 = ell / (n + 1), c_(j+1) = c_j (n - ell + 1 + j) / (n + 2 + j),
+    read-only: X_B's series F(t) = t^(n+1) sum_j c_j t^j, through as many
+    powers as ``xl_cdf``'s."""
+    j = np.arange(_SERIES_TERMS + 13 + (n + ell).bit_length(), dtype=float)
+    c = np.cumprod(np.concatenate(([ell / (n + 1)], (n - ell + 1 + j) / (n + 2 + j))))
+    c.flags.writeable = False
+    return c
 
 
 def xb_cdf(n: int, ell: int, t) -> np.ndarray | float:
     """Exact CDF of X_B(n, ell) (the law ``sample_xb`` draws).
 
     Given X_(1) <= t the n draws are i.i.d. on [0, t], so X_(ell) = t Y with
-    Y ~ Beta(n - ell + 1, ell), and F(t) = t^n E[(t - tY)/(1 - tY)]. With
-    s = tY this is C integral_0^t s^(n-ell) (t - s)^ell / (1 - s) ds,
-    C = n! / ((n-ell)! (ell-1)!), taken in v = log(1 - s), where it reads
-    C integral (1 - e^v)^(n-ell) (e^v - (1 - t))^ell dv, in logs.
+    Y ~ Beta(a + 1, ell), a = n - ell, and with d = 1 - t
+
+        F(t) = t^n E[(t - tY)/(1 - tY)] = t^(n+1) (ell/(n+1)) 2F1(1, a + 1; n + 2; t),
+
+    taken with no quadrature, each point (``_piecewise_cdf``) by one of:
+
+    * t <= 1/2, or t^(n+1) subnormal: the series t^(n+1) sum_j c_j t^j
+      (``_xb_coefficients``), whose positive terms fall by t per step or
+      faster; above 1/2 its length would grow like 1/d.
+    * s = (n + 1) d >= 1: by Pfaff, F = ell t^(n+1) 2F1(1, ell + 1; n + 2; -t/d) / s,
+      and Gauss's fraction for it with positive terms (``_gauss_cf``).
+    * s < 1, where the fraction would need its greatest depth: the
+      recurrence F_1 = t^(a+1) - (a + 1) d J_a(t) (``_j_tail``),
+      F_l = t^(a+l) - d (a + l) / (l - 1) F_(l-1), F = F_ell. Each step
+      scales an error by d (a + l) / (l - 1) <= s < 1, and carried as F_l
+      rather than as n!/(a! (ell-1)!) times an integral it cannot overflow.
     """
     if not 2 <= ell <= n:
         raise ValueError("need 2 <= ell <= n")
-    log_c = math.lgamma(n + 1) - math.lgamma(n - ell + 1) - math.lgamma(ell)
+    a, c = n - ell, _xb_coefficients(n, ell)
+    split = max(0.5, 2.0 ** (-1022.0 / (n + 1)))  # t^(n+1) is normal above it
 
-    def integrand(d, v, g):
-        # e^v - (1 - t) = (1 - t) expm1(-g) >= 0, exact near the end of [0, t]
-        log_gap = np.log(d) + np.log(np.expm1(-g))
-        return np.exp(log_c + (n - ell) * np.log(-np.expm1(v)) + ell * log_gap)
+    def series(x):
+        return x ** (n + 1) * _horner(c, x)
 
-    return _log_gap_cdf(t, float(ell), integrand)
+    def fraction(x):
+        return ell * _gauss_cf(ell + 1, n + 2, x, (n + 1) * (1.0 - x))
+
+    def recurrence(x):
+        d = 1.0 - x
+        out = x ** (a + 1) - (a + 1) * d * _j_tail(a, x, np.log1p(-x))
+        for l in range(2, ell + 1):
+            out = x ** (a + l) - d * (a + l) / (l - 1) * out
+        return out
+
+    return _piecewise_cdf(t, (
+        (lambda x: x <= split, series),
+        (lambda x: (n + 1) * (1.0 - x) >= 1.0, fraction),
+        (lambda x: (n + 1) * (1.0 - x) < 1.0, recurrence),
+    ))
 
 
 def ystar_tail(n: int, m: int, p) -> np.ndarray | float:

@@ -14,8 +14,9 @@ element by element, and ``np.unique`` for the corners, is the reference for
 the one over Python floats in the package; the same hull of the revenue
 tabulated on a K-cell grid is the construction the corners replace. The exact
 kernels evaluated on their whole grid at once are the references for the
-piecewise ones in the package, and X_L's CDF as a quadrature over the top
-bidder draw is the reference for its closed form. The two-pass score
+piecewise ones in the package. X_L's CDF as a Gauss-Legendre quadrature
+over the top bidder draw, and X_B's as one over its ell-th order statistic,
+are the references for their closed forms. The two-pass score
 bracket, which reads each cell's left limit on its own, is the bound on the
 one-pass width; the two-read chain bracket, which reads phi_bar at the float
 inside each end of a cell, is the bound on the one-read chain width.
@@ -23,6 +24,7 @@ inside each end of a cell, is the bound on the one-read chain width.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,14 +33,7 @@ import numpy as np
 from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import _quantile_grid
 from auctioncomp.distributions import ProductDist, SingleDist, TruncatedEqualRevenue
-from auctioncomp.experiments import (
-    MIN_NODES,
-    _gauss_legendre,
-    _j_tail,
-    _log_gap_cdf,
-    _node_count,
-    top_order_stats,
-)
+from auctioncomp.experiments import _j_tail, top_order_stats
 from auctioncomp.revenue import (
     RevenueEstimate,
     _per_item,
@@ -359,26 +354,54 @@ def score_estimate_two_pass(d: SingleDist, n: int, cdf, samples: int, seed: int)
     return RevenueEstimate(mean=mean, stderr=half_width, samples=samples, seed=seed)
 
 
-def xl_cdf_quadrature(n: int, m: int, t) -> np.ndarray | float:
-    """The CDF of X_L(n, m) as the 1-D integral over x1 that ``xl_cdf``
-    solves in closed form, F(t) = integral_0^t a_t(x1) g_t(x1) dx1 with
-    a_t(x) = x^(m-1) + (1 - x^(m-1)) (t - x) / (1 - x) and
-    g_t(x) = n x^(n-1) - n (n-1) (1 - t) J_{n-2}(x), taken by
-    ``experiments._log_gap_cdf`` in v = log(1 - x1)."""
-
-    def integrand(d, v, g):
-        x = -np.expm1(v)
-        xm = x ** (m - 1)
-        a = xm + (1.0 - xm) * -np.expm1(g)  # (t - x)/(1 - x) = 1 - e^g
-        top = n * x ** (n - 1) - n * (n - 1) * d * _j_tail(n - 2, x, v)
-        return a * top * np.exp(v)  # dx1 = e^v dv
-
-    return _log_gap_cdf(t, 2.0, integrand)
+MIN_NODES = 48  # Gauss-Legendre nodes per CDF value, at the least
+MAX_NODES = 1024  # built in ~0.05 s; beyond it accuracy degrades slowly
 
 
-def log_gap_cdf_one_shot(t, sharpness: float, integrand):
-    """``experiments._log_gap_cdf`` with each block's rows integrated at once
-    and the t in (0, 1) always put in order by a stable argsort."""
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(k: int):
+    """(r, 1 - r, w): k Gauss-Legendre nodes on [0, 1], their mirror images
+    and weights, read-only.
+
+    Newton's method on the Legendre recurrence from Tricomi's guesses, as in
+    Numerical Recipes' gauleg: ``numpy.polynomial.legendre.leggauss`` gives
+    the same nodes to 1e-16.
+    """
+    z = np.cos(np.pi * (np.arange(k) + 0.75) / (k + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(z), z
+        for j in range(2, k + 1):
+            p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
+        slope = k * (z * p1 - p0) / (z * z - 1.0)  # P_k'(z)
+        step = p1 / slope
+        z = z - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    w = 2.0 / ((1.0 - z * z) * slope * slope)
+    nodes = ((1.0 + z) / 2.0, (1.0 - z) / 2.0, w / 2.0)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
+def _node_count(t: float, sharpness: float) -> int:
+    """Gauss-Legendre nodes for an interval of length L = -log(1 - t) in v:
+    4 L sqrt(sharpness), within [MIN_NODES, MAX_NODES]. The integrands'
+    narrowest features are about 1/sqrt(sharpness) wide in v."""
+    return min(MAX_NODES, max(MIN_NODES, math.ceil(-4.0 * math.log1p(-t) * math.sqrt(sharpness))))
+
+
+def _log_gap_cdf(t, sharpness: float, integrand) -> np.ndarray | float:
+    """A CDF on [0, 1] given as F(t) = integral over v in [log(1 - t), 0] of
+    ``integrand(d, v, g)``, with d = 1 - t, v the node and g = log(1 - t) - v.
+
+    Gauss-Legendre quadrature in v = log(1 - x) turns the pole of
+    (t - x)/(1 - x), a distance 1 - t past the end of [0, t], into a smooth
+    boundary layer, so a rule whose node count grows with -log(1 - t) holds
+    ~1e-13 up to t = 1 - 2^-15 and beyond. F is 0 for t <= 0 and 1 for
+    t >= 1. The t in (0, 1) are taken in ascending blocks of about ``BLOCK``
+    floats, each with the node count of its largest t.
+    """
     t = np.asarray(t, dtype=float)
     out = np.where(t >= 1.0, 1.0, 0.0)
     flat_t, flat_out = t.ravel(), out.ravel()
@@ -395,6 +418,40 @@ def log_gap_cdf_one_shot(t, sharpness: float, integrand):
         flat_out[block] = -lo[:, 0] * np.sum(f * w, axis=1)
         start += len(block)
     return out if out.ndim else float(out)
+
+
+def xl_cdf_quadrature(n: int, m: int, t) -> np.ndarray | float:
+    """The CDF of X_L(n, m) as the 1-D integral over x1 that ``xl_cdf``
+    solves in closed form, F(t) = integral_0^t a_t(x1) g_t(x1) dx1 with
+    a_t(x) = x^(m-1) + (1 - x^(m-1)) (t - x) / (1 - x) and
+    g_t(x) = n x^(n-1) - n (n-1) (1 - t) J_{n-2}(x), taken by
+    ``_log_gap_cdf`` in v = log(1 - x1)."""
+
+    def integrand(d, v, g):
+        x = -np.expm1(v)
+        xm = x ** (m - 1)
+        a = xm + (1.0 - xm) * -np.expm1(g)  # (t - x)/(1 - x) = 1 - e^g
+        top = n * x ** (n - 1) - n * (n - 1) * d * _j_tail(n - 2, x, v)
+        return a * top * np.exp(v)  # dx1 = e^v dv
+
+    return _log_gap_cdf(t, 2.0, integrand)
+
+
+def xb_cdf_quadrature(n: int, ell: int, t) -> np.ndarray | float:
+    """The CDF of X_B(n, ell) as the 1-D integral over s = t X_(ell) that
+    ``xb_cdf`` solves in closed form,
+    F(t) = C integral_0^t s^(n-ell) (t - s)^ell / (1 - s) ds,
+    C = n! / ((n-ell)! (ell-1)!), taken by ``_log_gap_cdf`` in
+    v = log(1 - s), where it reads
+    C integral (1 - e^v)^(n-ell) (e^v - (1 - t))^ell dv, in logs."""
+    log_c = math.lgamma(n + 1) - math.lgamma(n - ell + 1) - math.lgamma(ell)
+
+    def integrand(d, v, g):
+        # e^v - (1 - t) = (1 - t) expm1(-g) >= 0, exact near the end of [0, t]
+        log_gap = np.log(d) + np.log(np.expm1(-g))
+        return np.exp(log_c + (n - ell) * np.log(-np.expm1(v)) + ell * log_gap)
+
+    return _log_gap_cdf(t, float(ell), integrand)
 
 
 def phi_at_experiment_one_shot(pd: ProductDist, cdf, D: float, N: int, seed: int) -> RevenueEstimate:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 from fractions import Fraction
@@ -26,7 +27,7 @@ from auctioncomp.experiments import (
 from auctioncomp.benchmark import _quantile_grid
 from auctioncomp.distributions import Uniform
 from auctioncomp.rng import BLOCK, substream
-from oracles import prop_key_conditional, xl_cdf_quadrature
+from oracles import prop_key_conditional, xb_cdf_quadrature, xl_cdf_quadrature
 
 N = 200_000
 N_XL = 400_000
@@ -415,9 +416,54 @@ def test_xl_cdf_series_matches_exact_rationals(n, m):
 
 @pytest.mark.parametrize("n,ell", [(19, 4), (10, 3), (5, 2), (200, 5), (4, 4)])
 def test_xb_cdf_matches_quad(n, ell):
+    # 1e-10, not tighter: scipy's own error is 1.4e-11 at (10, 3); the
+    # rational series below is the tight reference
     got = xb_cdf(n, ell, CDF_PROBES)
     ref = [_xb_cdf_quad(n, ell, t) for t in CDF_PROBES]
     assert np.max(np.abs(got - ref)) <= 1e-10, got - ref
+
+
+def _xb_cdf_fraction(n, ell, t):
+    """F(t) = t^(n+1) sum_k c_k t^k, c_0 = ell/(n+1),
+    c_(k+1) = c_k (n - ell + 1 + k)/(n + 2 + k), summed in exact rationals
+    until the tail, at most c_K t^K / (1 - t) since the c_k fall, is below
+    1e-20 of the sum."""
+    x = Fraction(t)
+    c, power, acc, k = Fraction(ell, n + 1), Fraction(1), Fraction(0), 0
+    while c * power / (1 - x) > acc / 10**20:
+        acc += c * power
+        c, power, k = c * (n - ell + 1 + k) / (n + 2 + k), power * x, k + 1
+    return float(x ** (n + 1) * acc)
+
+
+XB_SMALL = [(2, 2), (3, 2), (3, 3), (5, 2), (5, 4), (8, 2), (8, 5), (8, 8)]
+
+
+@pytest.mark.parametrize("n,ell", XB_SMALL)
+def test_xb_cdf_series_matches_exact_rationals(n, ell):
+    # the series below 1/2 and, above it, the continued fraction (s >= 1)
+    # and the recurrence (s < 1), each to a few ulps of F itself: 2.9e-16 at
+    # worst, where the quadrature read 8.4e-15
+    t = np.concatenate([np.geomspace(1e-3, 0.5, 13), [0.3, np.nextafter(0.5, 0.0), 0.6, 0.75, 0.9]])
+    got = xb_cdf(n, ell, t)
+    want = np.array([_xb_cdf_fraction(n, ell, float(x)) for x in t])
+    assert np.max(np.abs(got - want) / want) <= 2e-15
+
+
+def test_xb_cdf_2_2_closed_form():
+    # n = ell = 2: F = 1 - 4d + 3d^2 - 2d^2 log d, d = 1 - t; the fraction
+    # takes t <= 2/3 and the recurrence the rest (1.5e-16 at worst; the
+    # quadrature read 7.1e-15)
+    t = np.concatenate([np.linspace(0.5, 1.0, 1001)[:-1], 1.0 - np.geomspace(1e-3, 1e-15, 25)])
+    d = 1.0 - t  # exact for t >= 1/2
+    want = np.array([math.fsum([1.0, -4.0 * e, 3.0 * e * e, -2.0 * e * e * math.log(e)]) for e in d])
+    assert np.max(np.abs(xb_cdf(2, 2, t) - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("n,ell", [(3, 2), (19, 4), (64, 64), (200, 8), (4096, 33), (16384, 2)])
+def test_xb_cdf_closed_form_matches_quadrature(n, ell):
+    u = _quantile_grid((Uniform(0, 1),))
+    assert np.max(np.abs(xb_cdf(n, ell, u) - xb_cdf_quadrature(n, ell, u))) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -469,6 +515,29 @@ def test_j_tail_relative_error(k):
     got = _j_tail(k, x, np.log1p(-x))
     want = np.array([_j_tail_fsum(k, float(xi)) for xi in x])
     assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def _j_tail_decimal(k, x):
+    """-log(1 - x) - sum_{i <= k} x^i / i in 50-digit decimal arithmetic,
+    the sum by Horner's rule: J_k near 1 keeps 47 of its digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        X, acc = decimal.Decimal(x), decimal.Decimal(0)
+        for i in range(k, 0, -1):
+            acc = (acc + decimal.Decimal(1) / i) * X
+        return float(-(1 - X).ln() - acc)
+
+
+@pytest.mark.parametrize("k", [1, 14, 255, 4094, 16382])
+def test_j_tail_near_one_matches_decimal(k):
+    # where (k + 1)(1 - x) < 1, J_k is the difference -log(1 - x) minus a
+    # sum taken as a series in y = -k log x < 1: 2.2e-15 relative at worst,
+    # where a Horner loop over the k terms x^i / i read 1.6e-14 at k = 4094
+    # and 3.1e-14 at k = 16382
+    x = 1.0 - np.geomspace(1e-12, 0.999, 12) / (k + 1)
+    got = _j_tail(k, x, np.log1p(-x))
+    want = np.array([_j_tail_decimal(k, float(xi)) for xi in x])
+    assert np.max(np.abs(got - want) / want) <= 5e-15
 
 
 @pytest.mark.parametrize("n,m", [(64, 4), (32, 4)])

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from auctioncomp import benchmark as benchmark_mod
-from auctioncomp import experiments as experiments_mod
 from auctioncomp import repro as repro_mod
 from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import efftw_bound, obs1_bound, xb_chain_bound, xl_chain_bound
@@ -26,7 +25,6 @@ from auctioncomp.revenue import _score_estimate, myerson_item_revenue, srev, vcg
 from auctioncomp.rng import PIECE, fill_pieces
 from oracles import (
     jump_allowance,
-    log_gap_cdf_one_shot,
     phi_at_experiment_one_shot,
     phi_at_experiment_two_read,
     score_estimate_one_shot,
@@ -203,8 +201,8 @@ def test_one_read_chain_bracket_as_tight_as_two_read(name, cells, monkeypatch):
 
 def _probes():
     rng = np.random.default_rng(3)
-    grid = np.linspace(0.0, 1.0, 5_001)  # blocks of 1365 rows at 48 nodes, pieces of 170
-    near_one = 1.0 - np.geomspace(0.5, 1e-15, 3_001)  # up to 1024 nodes: pieces of 8 rows
+    grid = np.linspace(0.0, 1.0, 5_001)  # every branch of each CDF
+    near_one = 1.0 - np.geomspace(0.5, 1e-15, 3_001)  # the branches within 1/(n + 1) of 1
     edges = np.array([0.7, np.nan, -0.0, 0.0, 1.0, 1.5, -0.5, 5e-324, np.nextafter(1.0, 0.0)])
     return {
         "single": 0.7,
@@ -223,53 +221,55 @@ def _probes():
     "cdf,n,k", [(xl_cdf, 2, 16), (xl_cdf, 200, 4), (xl_cdf, 3, 1), (xb_cdf, 19, 4), (xb_cdf, 2000, 2)],
     ids=["xl-2-16", "xl-200-4", "xl-3-1", "xb-19-4", "xb-2000-2"],
 )
-def test_exact_cdfs_same_bits_as_one_shot(cdf, n, k, probe, monkeypatch):
+def test_exact_cdfs_same_bits_as_one_shot(cdf, n, k, probe):
+    # a series, a closed form or a recurrence per point: its bits are the
+    # scalar call's
     t = _probes()[probe]
-    with np.errstate(divide="ignore"):  # X_B's log gap at t = 5e-324
-        got = cdf(n, k, t)
-        if cdf is xl_cdf:
-            # a closed form or a series per point: its bits are the scalar call's
-            want = _xl_cdf_point_by_point(n, k, t)
-        else:
-            with monkeypatch.context() as mp:
-                mp.setattr(experiments_mod, "_log_gap_cdf", log_gap_cdf_one_shot)
-                want = cdf(n, k, t)
+    got = cdf(n, k, t)
+    want = _cdf_point_by_point(cdf, n, k, t)
     assert type(got) is type(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @functools.lru_cache(maxsize=None)
-def _xl_cdf_at(n, m, t):
-    return xl_cdf(n, m, t)
+def _cdf_at(cdf, n, k, t):
+    return cdf(n, k, t)
 
 
-def _xl_cdf_point_by_point(n, m, t):
+def _cdf_point_by_point(cdf, n, k, t):
     if np.ndim(t) == 0:
-        return _xl_cdf_at(n, m, float(t))
-    return np.array([_xl_cdf_at(n, m, float(x)) for x in np.ravel(t)]).reshape(np.shape(t))
+        return _cdf_at(cdf, n, k, float(t))
+    return np.array([_cdf_at(cdf, n, k, float(x)) for x in np.ravel(t)]).reshape(np.shape(t))
 
 
 IRREGULAR_PRODUCT = ProductDist(tuple(parse_dist(s) for s in PRODUCTS["irregular"]))
 U16 = ProductDist((Uniform(0, 1),) * 16)
+U2 = ProductDist((Uniform(0, 1),) * 2)
 
 
 # tracemalloc peaks measured on numpy 2.4 with a bound about 25% above. The
 # one-shot kernels peak at 4.1 and 32.2 MB (efftw) and 1.3 and 10.0 MB (xl).
 # efftw peaks at 0.45 MB at both sizes: a grid-length buffer (1.03 MB at 2^15
 # cells, 4.98 MB at 2^18) fails both rows. xl peaks at 1.09 and 4.58 MB; a
-# third grid-length array (6.32 MB at 2^18) fails its 2^18 row.
+# third grid-length array (6.32 MB at 2^18) fails its 2^18 row. xb (X_B at
+# n' = 19, ell = 4) peaks at 1.16 and 4.72 MB, and peaked at 0.90 and 4.39 MB
+# when X_B's CDF was a quadrature.
 @pytest.mark.parametrize(
     "bound,cells,limit_mb",
-    [("efftw", 1 << 15, 0.6), ("efftw", 1 << 18, 0.6), ("xl", 1 << 15, 1.4), ("xl", 1 << 18, 5.8)],
+    [("efftw", 1 << 15, 0.6), ("efftw", 1 << 18, 0.6), ("xl", 1 << 15, 1.4), ("xl", 1 << 18, 5.8),
+     ("xb", 1 << 15, 1.4), ("xb", 1 << 18, 5.8)],
 )
 def test_exact_kernel_working_set(bound, cells, limit_mb, monkeypatch):
-    # the score grids (efftw_bound), the ironed maps and the Gauss-Legendre
-    # nodes are memoized: a first call builds them outside the measurement
+    # the score grids (efftw_bound), the ironed maps and the series
+    # coefficients are memoized: a first call builds them outside the
+    # measurement
     monkeypatch.setattr(revenue_mod, "_QUAD_CELLS", cells)
     if bound == "efftw":
         call = lambda: efftw_bound(IRREGULAR_PRODUCT, 4, 1, seed=0)
-    else:
+    elif bound == "xl":
         call = lambda: xl_chain_bound(U16, 2, 1, seed=0)
+    else:
+        call = lambda: xb_chain_bound(U2, 16, 4, 1, 0)
     call()
     tracemalloc.start()
     try:
