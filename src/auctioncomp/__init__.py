@@ -12,7 +12,6 @@ reproduction drivers for the lower-bound computations.
 from .distributions import (
     Exponential,
     FiniteDiscrete,
-    PointMass,
     ProductDist,
     SingleDist,
     TruncatedEqualRevenue,

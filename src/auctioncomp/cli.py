@@ -49,8 +49,11 @@ def _emit(payload: dict, rows: list[dict], args) -> None:
                 writer.writerow(row)
         text = buf.getvalue()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise ValueError(f"cannot write the artifact to {args.output!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

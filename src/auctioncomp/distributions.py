@@ -6,11 +6,11 @@ with its quantile U: at point masses U lies in ``[Pr[X < x], Pr[X <= x]]``,
 so quantiles are randomized at atoms and stay uniform on [0, 1].
 
 Supported kinds: uniform, exponential, equal-revenue truncated at p (CDF
-1 - 1/x on [1, p) with an atom of mass 1/p at p), point mass, and finite
-discrete. Each kind also carries its raw Myerson virtual value
-(``raw_virtual``), in closed form where one exists, and the regular ones its
-CDF (``raw_virtual_cdf``). Instances are immutable and safe to share
-across threads.
+1 - 1/x on [1, p) with an atom of mass 1/p at p), and finite discrete, of
+which a point mass (``point:v``) is the one-atom case. Each kind also
+carries its raw Myerson virtual value (``raw_virtual``), in closed form
+where one exists, and the regular ones its CDF (``raw_virtual_cdf``).
+Instances are immutable and safe to share across threads.
 
 ``ProductDist.sample_profiles`` returns valuation profiles item-major, with
 shape (m, n_bidders, n_profiles): each item's (bidder, profile) slab is
@@ -29,7 +29,6 @@ __all__ = [
     "Uniform",
     "Exponential",
     "TruncatedEqualRevenue",
-    "PointMass",
     "FiniteDiscrete",
     "ProductDist",
     "parse_dist",
@@ -53,10 +52,6 @@ class SingleDist:
     def cdf(self, x):
         """Pr[X <= x]; clamps to 0/1 outside the support."""
         raise NotImplementedError
-
-    def cdf_left(self, x):
-        """Pr[X < x]; differs from cdf only at atoms."""
-        return self.cdf(x)
 
     def quantile(self, q):
         """Generalized inverse: inf{x : cdf(x) >= q}. Requires q in [0, 1]."""
@@ -180,11 +175,6 @@ class TruncatedEqualRevenue(SingleDist):
         out = np.where(x < 1, 0.0, 1.0 - 1.0 / np.maximum(x, 1.0))
         return np.where(x >= self.p, 1.0, out)
 
-    def cdf_left(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < 1, 0.0, 1.0 - 1.0 / np.maximum(x, 1.0))
-        return np.where(x > self.p, 1.0, np.minimum(out, 1.0 - 1.0 / self.p))
-
     def _quantile(self, q):
         cutoff = 1.0 - 1.0 / self.p
         with np.errstate(divide="ignore"):
@@ -205,34 +195,6 @@ class TruncatedEqualRevenue(SingleDist):
 
     def spec(self):
         return f"er:p={_fmt(self.p)}"
-
-
-@dataclass(frozen=True)
-class PointMass(SingleDist):
-    v: float
-
-    def __post_init__(self):
-        _need_finite(self.v)
-        object.__setattr__(self, "support_lo", self.v)
-        object.__setattr__(self, "support_hi", self.v)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= self.v, 1.0, 0.0)
-
-    def cdf_left(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > self.v, 1.0, 0.0)
-
-    def _quantile(self, q):
-        return np.full_like(np.asarray(q, dtype=float), self.v)
-
-    @property
-    def purely_atomic(self):
-        return True
-
-    def spec(self):
-        return f"point:{_fmt(self.v)}"
 
 
 @dataclass(frozen=True)
@@ -260,12 +222,6 @@ class FiniteDiscrete(SingleDist):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self._vals, x, side="right")
-        cum = np.concatenate([[0.0], self._cum])
-        return cum[idx]
-
-    def cdf_left(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._vals, x, side="left")
         cum = np.concatenate([[0.0], self._cum])
         return cum[idx]
 
@@ -330,8 +286,8 @@ def _fmt(x) -> str:
 def parse_dist(spec: str) -> SingleDist:
     """Parse a compact distribution spec string.
 
-    Grammar: ``uniform:0,1``, ``er:p=10000``, ``exp:1``, ``point:5``,
-    ``discrete:v=1,2;p=0.5,0.5``.
+    Grammar: ``uniform:0,1``, ``er:p=10000``, ``exp:1``,
+    ``discrete:v=1,2;p=0.5,0.5``, and ``point:5``, which is ``discrete:v=5;p=1``.
     """
     spec = spec.strip()
     try:
@@ -347,7 +303,7 @@ def parse_dist(spec: str) -> SingleDist:
                 arg = arg[2:]
             return TruncatedEqualRevenue(float(arg))
         if kind == "point":
-            return PointMass(float(arg))
+            return FiniteDiscrete((float(arg),), (1.0,))
         if kind == "discrete":
             parts = dict(tok.split("=", 1) for tok in arg.split(";"))
             vals = tuple(float(t) for t in parts["v"].split(","))

@@ -12,8 +12,10 @@ competition-complexity analysis to comparing random variables on [0, 1]:
   taken, maxed with a fresh draw from [X_(2), 1].
 
 Order statistics of uniforms are generated top-down via the ratio recursion
-X_(k+1) = X_(k) * U^(1/(n-k)), so only the needed top-k values are drawn and
-only X_(1) and the current one are held.
+X_(k+1) = X_(k) * U^(1/(n-k)) (``top_order_walk``), so only the needed top-k
+values are drawn and only X_(1) and the current one are held. The same walk,
+with one count per row, draws the bidders' bundles of the sequential
+posted-bundle mechanism (``revenue.feldman_posted_price``).
 
 ``X_L`` is sampled conditionally on X_(1) = x, in O(1) per draw whatever m
 is: the item draws are independent of x, so none of them exceeds x with
@@ -77,25 +79,35 @@ __all__ = [
 DEFAULT_GRID_SIZE = 199
 
 
-def top_order_stats(n: int, k: int, rng: np.random.Generator, size: int):
-    """(X_(1), X_(k)) of n i.i.d. uniforms, each of shape (size,).
-
-    The recursion walks down from the top carrying only the current order
-    statistic, so memory does not grow with k.
+def top_order_walk(rng: np.random.Generator, R: int | np.ndarray, k: int, size: int):
+    """Yield U_(1) >= ... >= U_(k), the top k of R i.i.d. uniforms, each of
+    shape (size,), by U_(1) = V^(1/R), U_(j+1) = U_(j) V^(1/(R-j)). R is one
+    count, whose exponents stay scalar (numpy's power with an array of one
+    exponent can differ in the last bit), or an array of one count per row.
+    Each value is yielded in one buffer, which the next step overwrites.
     """
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    top = rng.random(size)
-    np.power(top, 1.0 / n, out=top)
-    if k == 1:
-        return top, top
-    kth = np.empty_like(top)
-    step = np.empty_like(top)
+    u = rng.random(size)
+    np.power(u, 1.0 / R, out=u)
+    yield u
+    step = np.empty_like(u)
     for j in range(1, k):
         rng.random(out=step)
-        if n - j > 1:  # U ** 1.0 is U
-            np.power(step, 1.0 / (n - j), out=step)
-        np.multiply(top if j == 1 else kth, step, out=kth)
+        np.power(step, 1.0 / (R - j), out=step)
+        np.multiply(u, step, out=u)
+        yield u
+
+
+def top_order_stats(n: int, k: int, rng: np.random.Generator, size: int):
+    """(X_(1), X_(k)) of n i.i.d. uniforms, each of shape (size,), the first
+    and last values of ``top_order_walk``."""
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    walk = top_order_walk(rng, n, k, size)
+    top = next(walk)
+    if k == 1:
+        return top, top
+    top = top.copy()  # the walk steps in place
+    *_, kth = walk
     return top, kth
 
 

@@ -15,10 +15,11 @@ Of the explicit mechanisms, the three-tier one is exact: its revenue depends
 only on the tier counts (``three_tier_revenue``). The sequential posted-bundle
 mechanism is seeded Monte Carlo: a bidder's bundle is the top k of the items
 still unsold, so each run walks down the top k order statistics of each
-bidder's values (``_top_order_walk``), n k draws per run whatever m.
-Determinism model: it draws one seeded stream in blocks of
-``BLOCK // _FELDMAN_WIDTH`` runs (``rng.map_batches``), a constant width, so
-a block holds a few run-length arrays for any n and m.
+bidder's values, n k draws per run whatever m. The walk is the one of the
+quantile experiments (``experiments.top_order_walk``), with one count of
+unsold items per run. Determinism model: it draws one seeded stream in
+blocks of ``BLOCK // _FELDMAN_WIDTH`` runs (``rng.map_batches``), a
+constant width, so a block holds a few run-length arrays for any n and m.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
+from .experiments import top_order_walk
 from .rng import PIECE, batch_moments, map_batches, mean_stderr, need_samples
 from .virtual import iron
 
@@ -206,27 +208,6 @@ def feldman_params(n: int, m: int) -> tuple[int, float]:
     return m // (4 * n), (m / 8.0) * (math.log(m / n) + 1.0)
 
 
-def _top_order_walk(rng: np.random.Generator, R: np.ndarray, k: int):
-    """Yield U_(1) >= ... >= U_(k), the top k of R[i] i.i.d. uniforms in row i.
-
-    U_(1) = V_1^(1/R) and U_(j+1) = U_(j) V_(j+1)^(1/(R-j)), one fresh
-    uniform array per step: the recursion of ``experiments.top_order_stats``
-    with a count per row. Every value is yielded in the one buffer, which
-    the next step overwrites; the walk holds three row-length arrays.
-    """
-    u = rng.random(len(R))
-    expo = np.divide(1.0, R)
-    np.power(u, expo, out=u)
-    yield u
-    step = np.empty_like(u)
-    for j in range(1, k):
-        rng.random(out=step)
-        np.divide(1.0, np.subtract(R, j, out=expo), out=expo)
-        np.power(step, expo, out=step)
-        np.multiply(u, step, out=u)
-        yield u
-
-
 # floats held per run: sold, the walk's unsold count, order statistic, step
 # and exponent, the bundle value, and the quantile's temporaries
 _FELDMAN_WIDTH = 8
@@ -242,10 +223,10 @@ def feldman_posted_price(
     items are i.i.d. ER(p) whichever items they are, since that set depends
     only on earlier bidders, so her bundle value has the law of the sum of
     Q(U_(j)) over the top k order statistics of R uniforms, which
-    ``_top_order_walk`` draws. She buys iff it meets the price; a sale
-    takes R down by k. Ties at the atom p do not change the sum. Blocks of
-    ``BLOCK // _FELDMAN_WIDTH`` runs draw n k uniforms per run and are
-    reduced to the ``batch_moments`` of price times the bundles sold.
+    ``experiments.top_order_walk`` draws. She buys iff it meets the price;
+    a sale takes R down by k. Ties at the atom p do not change the sum.
+    Blocks of ``BLOCK // _FELDMAN_WIDTH`` runs draw n k uniforms per run and
+    are reduced to the ``batch_moments`` of price times the bundles sold.
     """
     bundle, default_price = feldman_params(n, m)
     price = default_price if price is None else price
@@ -258,7 +239,7 @@ def feldman_posted_price(
         for _ in range(n):
             unsold = m - bundle * sold
             value = np.zeros(r)
-            for u in _top_order_walk(rng, unsold, bundle):
+            for u in top_order_walk(rng, unsold, bundle, r):
                 value += dist.quantile(u)
             sold += value >= price
         return batch_moments(price * sold)

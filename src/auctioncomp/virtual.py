@@ -3,7 +3,7 @@
 Kinds with a density (uniform, exponential, truncated equal-revenue) are
 regular in closed form: phi_bar is their nondecreasing raw virtual value
 (``SingleDist.raw_virtual``), which ``raw_virtual_cdf`` inverts. A purely
-atomic kind (point mass, finite discrete) has a revenue curve
+atomic kind (finite discrete, a point mass among them) has a revenue curve
 R(u) = (1 - u) * F^{-1}(u) that is linear between its breakpoints, so its
 least concave majorant is the hull of the corners {0, interior breakpoints,
 1}, and phi_bar is the (negated) slope of the hull's segments: a step
@@ -98,21 +98,17 @@ def _upper_concave_envelope(u: np.ndarray, r: np.ndarray) -> list[int]:
     return hull
 
 
+_NO_STEPS = np.empty(0)
+_NO_STEPS.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=IRON_CACHE_SIZE)
 def iron(d: SingleDist) -> IronedVirtualMap:
     """The ironed virtual value map of d.
 
     Distributions are frozen and hashable, so maps are memoized per d:
     repeated calls return the same read-only map.
     """
-    return _iron_cached(d)
-
-
-_NO_STEPS = np.empty(0)
-_NO_STEPS.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=IRON_CACHE_SIZE)
-def _iron_cached(d: SingleDist) -> IronedVirtualMap:
     if not d.purely_atomic:
         return IronedVirtualMap(dist=d, knots=_NO_STEPS, levels=_NO_STEPS, regular=True)
 

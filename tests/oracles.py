@@ -133,7 +133,7 @@ def fact1_check(d: SingleDist, v: float, N: int, seed: int) -> tuple[float, floa
     """
     if v > d.support_hi:
         raise ValueError("conditioning value above the support")
-    qlo = float(d.cdf_left(np.asarray(v)))
+    qlo = float(d.cdf(np.nextafter(v, -np.inf)))  # Pr[X < v]
     if qlo >= 1.0:
         raise ValueError("conditioning event has probability zero")
     rng = substream(seed, "fact1")

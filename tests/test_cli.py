@@ -358,3 +358,16 @@ def test_output_file_roundtrip(tmp_path, capsys):
     assert code == EXIT_OK and out == ""
     doc = json.loads(path.read_text())
     assert doc["config"]["seed"] == 9
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_output_exits_3_without_traceback(where, tmp_path):
+    # a path in a missing directory, or a directory itself, is bad input:
+    # exit 3 with the path named, not an OSError's traceback and exit 1
+    path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code = "import sys; from auctioncomp.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["virtual", "--dist", "uniform:0,1", "--seed", "1", "--output", str(path)]
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert out.returncode == EXIT_PRECONDITION, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "precondition violated" in out.stderr and str(path) in out.stderr

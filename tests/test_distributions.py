@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from auctioncomp.distributions import (
     Exponential,
     FiniteDiscrete,
-    PointMass,
     ProductDist,
     TruncatedEqualRevenue,
     Uniform,
     parse_dist,
 )
+from auctioncomp.benchmark import efftw_bound
 from auctioncomp.experiments import dkw_epsilon
+from auctioncomp.revenue import srev, vcg
 from auctioncomp.rng import substream
 
 DISTS = [
@@ -22,7 +23,7 @@ DISTS = [
     Exponential(0.5),
     TruncatedEqualRevenue(100.0),
     TruncatedEqualRevenue(1e4),
-    PointMass(3.0),
+    pytest.param(FiniteDiscrete((3.0,), (1.0,)), id="point:3"),
     FiniteDiscrete((1.0, 2.0, 4.0), (0.25, 0.5, 0.25)),
 ]
 
@@ -51,10 +52,10 @@ def test_quantile_of_uniform_draws_follows_the_cdf(d):
 @pytest.mark.parametrize("d", DISTS, ids=lambda d: d.spec())
 def test_drawing_uniform_is_a_quantile_of_its_value(d):
     # the uniform that drew a value is a quantile of it, also at atoms:
-    # Pr[X < v] <= u <= Pr[X <= v]
+    # Pr[X < v] <= u <= Pr[X <= v], Pr[X < v] read at the float below v
     u = substream(12, "couple", d.spec()).random(1000)
     v = d.quantile(u)
-    assert np.all(d.cdf_left(v) <= u + 1e-12) and np.all(u <= d.cdf(v) + 1e-12)
+    assert np.all(d.cdf(np.nextafter(v, -np.inf)) <= u + 1e-12) and np.all(u <= d.cdf(v) + 1e-12)
     assert np.all(v >= d.support_lo) and np.all(v <= d.support_hi)
 
 
@@ -74,7 +75,7 @@ def test_er_atom_mass():
     freq = np.count_nonzero(v == 4.0) / N
     assert abs(freq - 0.25) <= 3 * np.sqrt(0.25 * 0.75 / N)
     assert d.cdf(4.0) == 1.0
-    assert d.cdf_left(4.0) == 0.75
+    assert d.cdf(np.nextafter(4.0, -np.inf)) == 0.75  # Pr[X < 4]
 
 
 def test_er_body_cdf():
@@ -130,7 +131,7 @@ def test_quantile_domain_validated():
         ("exp:1", Exponential),
         ("er:p=10000", TruncatedEqualRevenue),
         ("er:100", TruncatedEqualRevenue),
-        ("point:5", PointMass),
+        ("point:5", FiniteDiscrete),
         ("discrete:v=1,2;p=0.5,0.5", FiniteDiscrete),
     ],
 )
@@ -138,6 +139,19 @@ def test_parse_dist_roundtrip(spec, cls):
     d = parse_dist(spec)
     assert isinstance(d, cls)
     assert parse_dist(d.spec()).spec() == d.spec()
+
+
+@pytest.mark.parametrize("v", ["5", "-2", "0", "3.7"])
+def test_point_spec_is_the_one_atom_discrete(v):
+    # point:v parses to the discrete law with one atom, and so reads the
+    # same bits wherever the discrete spec is read
+    point, discrete = parse_dist(f"point:{v}"), parse_dist(f"discrete:v={v};p=1")
+    assert point == discrete == FiniteDiscrete((float(v),), (1.0,))
+    for n in (1, 2, 5):
+        for fn in (srev, vcg, efftw_bound):
+            got, want = (fn(ProductDist((d, Uniform(0.0, 1.0))), n, 1, 0) for d in (point, discrete))
+            bits = [float(x).hex() for x in (got.mean, got.stderr, want.mean, want.stderr)]
+            assert bits[:2] == bits[2:], (fn.__name__, n)
 
 
 @pytest.mark.parametrize("bad", ["gamma:1", "uniform:1", "er:p=0.5", "discrete:v=1;p=2"])
@@ -164,8 +178,8 @@ def test_parse_dist_rejects_non_finite_parameters(bad):
         lambda x: Uniform(-x, 0.0),
         lambda x: Exponential(x),
         lambda x: TruncatedEqualRevenue(x),
-        lambda x: PointMass(x),
-        lambda x: PointMass(-x),
+        lambda x: FiniteDiscrete((x,), (1.0,)),
+        lambda x: FiniteDiscrete((-x,), (1.0,)),
         lambda x: FiniteDiscrete((1.0, x), (0.5, 0.5)),
         lambda x: FiniteDiscrete((1.0, 2.0), (x, 0.5)),
     ],
@@ -183,17 +197,3 @@ def test_er_quantile_in_support(p, q):
     d = TruncatedEqualRevenue(p)
     v = float(np.asarray(d.quantile(q)))
     assert 1.0 <= v <= p
-
-
-@given(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=6))
-@settings(max_examples=50, deadline=None)
-def test_discrete_cdf_left_le_cdf(weights):
-    w = np.asarray(weights)
-    probs = tuple(w / w.sum())
-    vals = tuple(float(x) for x in range(1, len(weights) + 1))
-    try:
-        d = FiniteDiscrete(vals, probs)
-    except ValueError:
-        return  # fp normalization can miss the tolerance; not the property under test
-    x = np.linspace(0.0, len(weights) + 1.0, 57)
-    assert np.all(np.asarray(d.cdf_left(x)) <= np.asarray(d.cdf(x)) + 1e-12)

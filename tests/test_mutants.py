@@ -77,12 +77,12 @@ UNCOVERED = ["posted-price-x1.5", "xl_cdf-m+1"]
 
 def _failed_claims():
     revenue_mod._score_points.cache_clear()
-    virtual_mod._iron_cached.cache_clear()
+    virtual_mod.iron.cache_clear()
     try:
         results = run_all(42)
     finally:
         revenue_mod._score_points.cache_clear()
-        virtual_mod._iron_cached.cache_clear()
+        virtual_mod.iron.cache_clear()
     return {name for name, r in zip(sorted(CLAIMS), results) if not r.passed}
 
 

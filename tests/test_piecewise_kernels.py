@@ -18,7 +18,7 @@ from auctioncomp import benchmark as benchmark_mod
 from auctioncomp import repro as repro_mod
 from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import efftw_bound, obs1_bound, xb_chain_bound, xl_chain_bound
-from auctioncomp.distributions import PointMass, ProductDist, TruncatedEqualRevenue, Uniform, parse_dist
+from auctioncomp.distributions import ProductDist, TruncatedEqualRevenue, Uniform, parse_dist
 from auctioncomp.experiments import xb_cdf, xl_cdf
 from auctioncomp.repro import er_order_stat
 from auctioncomp.revenue import _score_estimate, myerson_item_revenue, srev, vcg, vcg_item_revenue
@@ -112,8 +112,6 @@ def test_one_pass_bracket_as_tight_as_two_pass(spec, cells, monkeypatch):
 
 def _exact_law(d):
     """(values, CDF at each value) of an atomic item, as the decimals written."""
-    if isinstance(d, PointMass):
-        return [Fraction(repr(float(d.v)))], [Fraction(1)]
     values = [Fraction(repr(float(v))) for v in d.values]
     probs = [Fraction(repr(float(p))) for p in d.probs]
     assert sum(probs) == 1

@@ -12,13 +12,13 @@ from auctioncomp.distributions import (
     Uniform,
     parse_dist,
 )
+from auctioncomp.experiments import top_order_walk
 from auctioncomp.repro import two_item_sum_tail
 from auctioncomp.revenue import (
     RevenueEstimate,
     er2_sum_tail_truncated,
     feldman_params,
     _FELDMAN_WIDTH,
-    _top_order_walk,
     feldman_posted_price,
     myerson_item_revenue,
     srev,
@@ -64,7 +64,7 @@ def virtual_max_estimate(d, n, N, seed):
 def _posted_price_oracle(d, lo, hi):
     """Best posted-price revenue max_r r*(1 - F(r)) by grid search."""
     r = np.linspace(lo, hi, 20001)
-    return float(np.max(r * (1.0 - np.asarray(d.cdf_left(r)))))
+    return float(np.max(r * (1.0 - np.asarray(d.cdf(np.nextafter(r, -np.inf))))))  # r Pr[X >= r]
 
 
 def test_myerson_uniform_matches_posted_price_oracle():
@@ -293,7 +293,7 @@ def test_top_order_walk_has_the_sorted_law():
     # largest of R uniforms sorted
     size, k = 20_000, 5
     R = np.repeat([7.0, 40.0], size)
-    walk = [u.copy() for u in _top_order_walk(substream(6, "walk"), R, k)]
+    walk = [u.copy() for u in top_order_walk(substream(6, "walk"), R, k, len(R))]
     rng = substream(6, "walk-sorted")
     for half, r in enumerate((7, 40)):
         ref = np.sort(rng.random((size, r)), axis=1)[:, ::-1]

@@ -7,7 +7,6 @@ import pytest
 from auctioncomp.distributions import (
     Exponential,
     FiniteDiscrete,
-    PointMass,
     TruncatedEqualRevenue,
     Uniform,
     parse_dist,
@@ -44,7 +43,7 @@ def test_raw_virtual_closed_forms():
 
 
 def test_raw_virtual_rejects_atoms_and_out_of_support():
-    for d in (FiniteDiscrete((1.0, 2.0), (0.5, 0.5)), PointMass(5.0)):
+    for d in (FiniteDiscrete((1.0, 2.0), (0.5, 0.5)), FiniteDiscrete((5.0,), (1.0,))):
         with pytest.raises(ValueError, match="undefined at atoms"):
             d.raw_virtual(np.asarray(1.0))
     with pytest.raises(ValueError):
@@ -154,7 +153,7 @@ def test_iron_memoized_read_only():
         (FiniteDiscrete((1.0, 2.0), (0.5, 0.5)), 7),
         (FiniteDiscrete((-2.0, -1.0, 1.0), (0.3, 0.3, 0.4)), 4096),
         (FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1)), 64),
-        (PointMass(5.0), 4096),
+        pytest.param(FiniteDiscrete((5.0,), (1.0,)), 4096, id="point:5-4096"),
     ],
     ids=lambda x: x.spec() if hasattr(x, "spec") else str(x),
 )
@@ -163,7 +162,7 @@ def test_at_quantile_equals_brute_force_ironing(d, K):
     # arrays, probed densely and on a K-cell grid of quantiles
     imap = iron(d)
     knots, levels = imap.knots, imap.levels
-    assert len(levels) == len(knots) + 1 <= len(getattr(d, "values", (d,)))
+    assert len(levels) == len(knots) + 1 <= len(d.values)
     assert np.all(np.diff(knots) > 0) and np.all(np.diff(levels) > 0)
     for arr in (knots, levels):
         with pytest.raises(ValueError):
@@ -293,7 +292,7 @@ def test_iron_bit_equal_to_reference_construction(spec, K):
 
 
 def _dedupe_inputs():
-    # grids like the one ``benchmark._phi_at_experiment`` dedupes, at several
+    # grids like the one ``benchmark._quantile_grid`` dedupes, at several
     # sizes, and the corners that ``iron`` dedupes
     dists = [parse_dist(spec) for spec in IRON_ZOO]
     for d in dists:
