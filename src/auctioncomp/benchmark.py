@@ -19,6 +19,11 @@ the experiment (``experiments.xl_cdf`` / ``xb_cdf``) is tabulated once per
 call on a quantile grid, and each item's E[phi_bar(X)] is bracketed on it by
 the score integrals' rule (``revenue._stieltjes``). ``assign_regions`` is
 the region rule of the Monte Carlo oracles in the tests.
+
+No bound reads a sample count or a seed. ``efftw_bound``, ``obs1_bound``
+and ``xl_chain_bound`` take a trailing ``N`` and ``seed``, unread, since
+``bench/workloads.py`` passes them by position and ``bench/tracer.py`` reads
+``N`` by name, so callers here pass ``N`` to the first two.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ import numpy as np
 from .distributions import ProductDist, SingleDist
 from .experiments import xb_cdf, xl_cdf
 from . import revenue
-from .revenue import RevenueEstimate, _per_item, _score_estimate, _stieltjes, _sum_estimates
-from .rng import need_samples
+from .revenue import RevenueEstimate, _item_sum, _score_estimate, _stieltjes
 from .virtual import iron
 
 __all__ = [
@@ -80,25 +84,19 @@ def _region_max_cdf(d: SingleDist, m: int, n: int, psi):
     return cdf
 
 
-def _exact_bound(pd: ProductDist, n: int, N: int, seed: int, item_cdf) -> RevenueEstimate:
-    """Sum over items of the exact mean of a score with CDF ``item_cdf(d, imap)``,
-    integrated once per distinct marginal and added in item order."""
-    need_samples(N)
-    ests = _per_item(lambda d: _score_estimate(d, n, item_cdf(d, iron(d)), N, seed), pd.marginals)
-    return _sum_estimates(ests, N, seed)
-
-
-def efftw_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
-    """The quantile-region revenue benchmark, exact; N and the seed are recorded.
+def efftw_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
+    """The quantile-region revenue benchmark, exact.
 
     Region terms are phi_bar^+, whose law ``IronedVirtualMap.psi`` gives.
+    N and the seed are not read (see the module docstring).
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _exact_bound(pd, n, N, seed, lambda d, imap: _region_max_cdf(d, pd.m, n, imap.psi))
+    return _item_sum(pd.marginals,
+                     lambda d: _score_estimate(d, n, _region_max_cdf(d, pd.m, n, iron(d).psi)))
 
 
-def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
+def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
     """First relaxation of the benchmark, per item j:
 
     E[ max { v_(1)j * I(top bidder not in R_j), phi_bar_j(v_(1)j), v_(2)j } ]
@@ -113,12 +111,15 @@ def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
     Exact: as phi_bar <= v, the quantity is v_(1) off the region and
     max(phi_bar^+, v_(2)) in it. Its CDF is F^n + n F^(n-1) (psi^m - F^m)/m
     for t >= 0 (where psi >= F) and F^n - n F^(n+m-1)/(n+m-1) for t < 0.
+    N and the seed are not read (see the module docstring).
     """
     if n < 2:
         raise ValueError("need n >= 2 (uses the second-highest value)")
     m = pd.m
 
-    def item_cdf(d, imap):
+    def item(d):
+        imap = iron(d)
+
         def cdf(t):
             F = d.cdf(t)
             extra = n * F ** (n - 1) * np.maximum(imap.psi(t) ** m - F**m, 0.0) / m
@@ -126,9 +127,9 @@ def obs1_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
             extra[below] = -n * F[below] ** (n + m - 1) / (n + m - 1)
             return F**n + extra
 
-        return cdf
+        return _score_estimate(d, n, cdf)
 
-    return _exact_bound(pd, n, N, seed, item_cdf)
+    return _item_sum(pd.marginals, item)
 
 
 def _quantile_grid(marginals) -> np.ndarray:
@@ -143,9 +144,9 @@ def _quantile_grid(marginals) -> np.ndarray:
     return u[np.append(True, u[1:] != u[:-1])]  # distinct
 
 
-def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> RevenueEstimate:
+def _phi_at_experiment(pd: ProductDist, cdf, D: float) -> RevenueEstimate:
     """Sum over items of E[phi_bar_j(X)] for an experiment quantile X with CDF
-    ``cdf``, exact; no positive part. N and the seed are recorded.
+    ``cdf``, exact; no positive part.
 
     One grid serves every item (``_quantile_grid``). F = ``cdf`` is
     tabulated on it once, with F(0) = 0, F(1) = 1 and running maxima, so
@@ -156,7 +157,7 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
     its size times the F-mass of the one-ulp cells beside it. The item's
     bracket is the midpoint, with its half-width as the stderr, and the
     items' half-widths add. A repeated marginal reuses its bracket
-    (``revenue._per_item``); the sum still runs over the items in order.
+    (``revenue._item_sum``); the sum still runs over the items in order.
 
     The top cell (u_K, 1) reads phi_bar(u_K) and phi_bar(1). phi_bar(1) is
     infinite only for ``Exponential``, where phi_bar is Q - 1/rate; there
@@ -164,7 +165,6 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
     Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)), given 1 - F(u) <= D (1 - u)
     for every u. Working set: u, F and the temporaries of one piece.
     """
-    need_samples(N)
     u = _quantile_grid(pd.marginals)
     F = cdf(u)
     F[0], F[-1] = 0.0, 1.0
@@ -180,27 +180,27 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float, N: int, seed: int) -> Rev
             upper += top * at_one
         else:
             upper += top * at_top + D * d.tail_integral(float(d.quantile(u[-2])))
-        mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
-        return RevenueEstimate(mean=mean, stderr=half_width, samples=N, seed=seed)
+        return RevenueEstimate(mean=0.5 * (lower + upper), stderr=0.5 * (upper - lower))
 
-    return _sum_estimates(_per_item(item, pd.marginals), N, seed)
+    return _item_sum(pd.marginals, item)
 
 
-def xl_chain_bound(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
+def xl_chain_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
     """Sum over items of E[phi_bar_j at the little-n experiment quantile X_L(n, m)].
 
     Exact (``_phi_at_experiment``), with D = 2n + m - 1: X_L > u needs
     x1 > u (probability 1 - u^n <= n (1 - u)), or x1 <= u with X'_L > u
     (at most (1 - x1^(m-1)) (1 - u)/(1 - x1) <= (m - 1)(1 - u)), or x1 <= u
     with W_2 > u (at most E[(1 - u)/(1 - X_(2))] = n (1 - u)).
+    N and the seed are not read (see the module docstring).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     m = pd.m
-    return _phi_at_experiment(pd, lambda u: xl_cdf(n, m, u), 2 * n + m - 1, N, seed)
+    return _phi_at_experiment(pd, lambda u: xl_cdf(n, m, u), 2 * n + m - 1)
 
 
-def xb_chain_bound(pd: ProductDist, n: int, ell: int, N: int, seed: int) -> RevenueEstimate:
+def xb_chain_bound(pd: ProductDist, n: int, ell: int) -> RevenueEstimate:
     """Sum over items of E[phi_bar_j at X_B(n', ell)] with n' = n + (m-1)(ell-1).
 
     Exact (``_phi_at_experiment``), with D = n' ell / (ell - 1): X_B > u needs
@@ -211,4 +211,4 @@ def xb_chain_bound(pd: ProductDist, n: int, ell: int, N: int, seed: int) -> Reve
         raise ValueError("need 2 <= ell <= n")
     n_prime = n + (pd.m - 1) * (ell - 1)
     D = n_prime * ell / (ell - 1)
-    return _phi_at_experiment(pd, lambda u: xb_cdf(n_prime, ell, u), D, N, seed)
+    return _phi_at_experiment(pd, lambda u: xb_cdf(n_prime, ell, u), D)

@@ -27,6 +27,7 @@ from . import experiments as exp_mod
 from . import repro as repro_mod
 from . import revenue as rev_mod
 from .distributions import ProductDist, parse_dist
+from .rng import need_samples
 from .virtual import iron
 
 EXIT_OK = 0
@@ -35,9 +36,19 @@ EXIT_PRECONDITION = 3
 
 
 def _emit(payload: dict, rows: list[dict], args) -> None:
-    """Write the artifact as JSON (config + rows) or CSV (rows only)."""
+    """Write the artifact as JSON (config + rows) or CSV (rows only).
+
+    Strict JSON has no NaN or Infinity, so neither format carries one: a
+    non-finite number is a precondition violation, never an artifact.
+    """
+    for row in rows:
+        for key, val in row.items():
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValueError(f"non-finite {key} {val} in the artifact")
     if args.out == "json":
-        text = json.dumps({"config": payload, "results": rows}, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(
+            {"config": payload, "results": rows}, sort_keys=True, indent=2, allow_nan=False
+        ) + "\n"
     else:
         buf = io.StringIO()
         if rows:
@@ -64,8 +75,8 @@ def _config(args, **extra) -> dict:
     return cfg
 
 
-def _est_row(name: str, est: rev_mod.RevenueEstimate) -> dict:
-    return {"name": name, "mean": est.mean, "stderr": est.stderr, "samples": est.samples}
+def _est_row(name: str, est: rev_mod.RevenueEstimate, args) -> dict:
+    return {"name": name, "mean": est.mean, "stderr": est.stderr, "samples": args.samples}
 
 
 # ---------------------------------------------------------------------------
@@ -95,34 +106,35 @@ def cmd_virtual(args) -> int:
 def cmd_revenue(args) -> int:
     n, N, seed = args.n, args.samples, args.seed
     if args.mech == "myerson":
-        est = rev_mod.myerson_item_revenue(parse_dist(args.dist), n, N, seed)
+        est = rev_mod.myerson_item_revenue(parse_dist(args.dist), n)
     elif args.mech in ("vcg", "srev"):
         pd = ProductDist(tuple(parse_dist(args.dist) for _ in range(args.m)))
-        est = (rev_mod.vcg if args.mech == "vcg" else rev_mod.srev)(pd, n, N, seed)
+        est = (rev_mod.vcg if args.mech == "vcg" else rev_mod.srev)(pd, n)
     elif args.mech == "feldman":
         est = rev_mod.feldman_posted_price(n, args.m, N, seed, p=args.trunc, price=args.price)
     else:  # three-tier
-        est = rev_mod.three_tier_mechanism(n, args.medium_price, args.high_price, N, seed)
-    _emit(_config(args), [_est_row(args.mech, est)], args)
+        est = rev_mod.three_tier_mechanism(n, args.medium_price, args.high_price)
+    _emit(_config(args), [_est_row(args.mech, est, args)], args)
     return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:
     marginals = tuple(parse_dist(s) for s in args.dist)
     pd = ProductDist(marginals)
-    n, m, N, seed = args.n, pd.m, args.samples, args.seed
-    rows = [_est_row("efftw", bench_mod.efftw_bound(pd, n, N, seed))]
+    n, m, N = args.n, pd.m, args.samples
+    # the bounds read no N; bench/tracer.py counts the N passed to efftw and obs1
+    rows = [_est_row("efftw", bench_mod.efftw_bound(pd, n, N), args)]
     links_ok = True
     if args.chain == "little":
         c = args.c if args.c is not None else math.ceil(n * (2.0 + math.log(1.0 + m / n)))
-        rows.append(_est_row("obs1", bench_mod.obs1_bound(pd, n, N, seed)))
-        rows.append(_est_row("xl_chain", bench_mod.xl_chain_bound(pd, n, N, seed)))
-        rows.append(_est_row(f"srev_n+{c}", rev_mod.srev(pd, n + c, N, seed)))
+        rows.append(_est_row("obs1", bench_mod.obs1_bound(pd, n, N), args))
+        rows.append(_est_row("xl_chain", bench_mod.xl_chain_bound(pd, n), args))
+        rows.append(_est_row(f"srev_n+{c}", rev_mod.srev(pd, n + c), args))
     elif args.chain == "big":
         ell = args.l if args.l is not None else math.ceil(math.sqrt(n / m)) + 1
         c = args.c if args.c is not None else math.ceil(5.0 * math.sqrt(n * m) + 4.0 * (m - 1))
-        rows.append(_est_row(f"xb_chain_l{ell}", bench_mod.xb_chain_bound(pd, n, ell, N, seed)))
-        rows.append(_est_row(f"srev_n+{c}", rev_mod.srev(pd, n + c, N, seed)))
+        rows.append(_est_row(f"xb_chain_l{ell}", bench_mod.xb_chain_bound(pd, n, ell), args))
+        rows.append(_est_row(f"srev_n+{c}", rev_mod.srev(pd, n + c), args))
     # every row is an exact bracket: its half-width is certified, so the
     # slack of a link is the sum of the two, not a multiple of sigma
     for lo, hi in zip(rows, rows[1:]):
@@ -201,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write artifact to this path instead of stdout")
 
     def sampled(p):
-        # only the subcommands whose estimators take a sample budget N
+        # dominance and feldman draw N samples; the exact estimators read none,
+        # but bench/workloads.py passes --samples to benchmark and revenue
         p.add_argument("--samples", type=int, default=1_000_000)
         common(p)
 
@@ -262,6 +275,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if "samples" in vars(args):  # the one check of --samples, whichever estimator reads it
+            need_samples(args.samples)
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

@@ -101,6 +101,9 @@ class Uniform(SingleDist):
         _need_finite(self.lo, self.hi)
         if not self.hi > self.lo:
             raise ValueError("uniform needs hi > lo")
+        # the virtual value 2v - hi, at v = lo and at v = hi, and so hi - lo
+        if not (math.isfinite(2.0 * self.lo - self.hi) and math.isfinite(2.0 * self.hi)):
+            raise ValueError("uniform's virtual value 2v - hi overflows on [lo, hi]")
         object.__setattr__(self, "support_lo", self.lo)
         object.__setattr__(self, "support_hi", self.hi)
 
@@ -131,6 +134,9 @@ class Exponential(SingleDist):
         _need_finite(self.rate)
         if not self.rate > 0:
             raise ValueError("exponential rate must be positive")
+        # the exact integrals read Q(1 - 2^-53) = 53 ln(2) / rate
+        if not math.isfinite(53.0 * math.log(2.0) / self.rate):
+            raise ValueError("exponential rate too small: 53 ln(2) / rate overflows")
         object.__setattr__(self, "support_lo", 0.0)
         object.__setattr__(self, "support_hi", math.inf)
 
@@ -208,6 +214,9 @@ class FiniteDiscrete(SingleDist):
         if vals.ndim != 1 or pr.shape != vals.shape or vals.size == 0:
             raise ValueError("values and probs must be equal-length 1-d sequences")
         _need_finite(*vals, *pr)
+        # so the span of the values, and the two ends of a bracket, add without overflow
+        if not math.isfinite(2.0 * max(map(abs, vals.tolist()))):
+            raise ValueError("discrete values need 2 max |v| finite")
         if np.any(np.diff(vals) <= 0):
             raise ValueError("values must be strictly ascending")
         if np.any(pr < 0) or abs(pr.sum() - 1.0) > _PROB_TOL:

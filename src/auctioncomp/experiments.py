@@ -53,6 +53,7 @@ with about ``BLOCK`` floats of draws alive at a time, whatever N and m.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -207,14 +208,26 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _near_one_coefficients(k: int) -> np.ndarray:
     """a_j = (-1)^j S_(j-1)(k) / (k^j j!), S_p(k) = sum_{i <= k} i^p (so
     a_0 = H_k), read-only: with u = -log x, sum_{i <= k} x^i / i
-    = sum_{i <= k} e^(-iu) / i = sum_j a_j (k u)^j."""
-    r = np.arange(1, k + 1) / k
-    power = np.ones(k)  # (i / k)^(j - 1)
+    = sum_{i <= k} e^(-iu) / i = sum_j a_j (k u)^j.
+
+    The sums run over i in pieces of ``PIECE``, so a call holds a few
+    piece-length arrays for any k; the piece sums of each S add in order, and
+    H_k is one ``math.fsum`` of all k terms, fed piece by piece."""
+    def pieces():
+        for lo in range(1, k + 1, PIECE):
+            yield np.arange(lo, min(lo + PIECE, k + 1))
+
+    sums = [0.0] * _NEAR_ONE_TERMS  # sums[j] = S_(j-1)(k) / k^(j-1)
+    for i in pieces():
+        r = i / k
+        power = np.ones(i.size)  # (i / k)^(j - 1)
+        for j in range(1, _NEAR_ONE_TERMS):
+            sums[j] += float(np.sum(power))
+            power *= r
     a = np.empty(_NEAR_ONE_TERMS)
-    a[0] = math.fsum(1.0 / np.arange(1, k + 1))
+    a[0] = math.fsum(itertools.chain.from_iterable((1.0 / i).tolist() for i in pieces()))
     for j in range(1, _NEAR_ONE_TERMS):
-        a[j] = (-1) ** j * float(np.sum(power)) / (k * math.factorial(j))
-        power *= r
+        a[j] = (-1) ** j * sums[j] / (k * math.factorial(j))
     a.flags.writeable = False
     return a
 

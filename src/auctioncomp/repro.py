@@ -27,8 +27,8 @@ from .benchmark import _region_max_cdf, efftw_bound
 from .distributions import ProductDist, TruncatedEqualRevenue
 from .revenue import (
     RevenueEstimate,
+    _item_sum,
     _score_estimate,
-    _sum_estimates,
     er2_sum_tail_truncated,
     feldman_params,
     feldman_posted_price,
@@ -36,7 +36,7 @@ from .revenue import (
     three_tier_revenue,
     vcg,
 )
-from .rng import need_samples, substream
+from .rng import substream
 
 __all__ = [
     "ReproResult",
@@ -66,41 +66,39 @@ class ReproResult:
     details: dict = field(default_factory=dict)
 
 
-def er_order_stat(x: int, y: int, N: int, seed: int, p: float = 1e4) -> RevenueEstimate:
+def er_order_stat(x: int, y: int, p: float = 1e4) -> RevenueEstimate:
     """E[x-th highest of y i.i.d. ER(p) draws], exact; the untruncated mean is y/(x-1).
 
     The x-th highest is below t iff fewer than x draws exceed t, so its CDF
     is Pr[Bin(y, 1 - F(t)) < x], integrated by ``_score_estimate``: the
     midpoint, with the certified half-width as the stderr. The highest draw
-    has infinite untruncated mean (rejected). N and the seed are recorded.
+    has infinite untruncated mean (rejected).
     """
     if x == 1:
         raise ValueError("the highest equal-revenue draw has infinite expectation")
     if not 2 <= x <= y:
         raise ValueError("need 2 <= x <= y")
-    need_samples(N)
     d = TruncatedEqualRevenue(p)
 
     def cdf(t):
         F = d.cdf(t)
         return sum(math.comb(y, j) * (1.0 - F) ** j * F ** (y - j) for j in range(x))
 
-    return _score_estimate(d, y, cdf, N, seed)
+    return _score_estimate(d, y, cdf)
 
 
-def er_offregion_items(n: int, m: int, N: int, seed: int, p: float) -> list[RevenueEstimate]:
+def er_offregion_items(n: int, m: int, p: float) -> list[RevenueEstimate]:
     """Per-item E[max_i v_ij * I(bidder i not in region j)] on ER(p)^m, exact.
 
     The off-region term is the benchmark score with 0 as the region term
     (psi = 1 on t >= 0). The items are i.i.d., so all m estimates are one.
     """
-    need_samples(N)
     d = TruncatedEqualRevenue(p)
     cdf = _region_max_cdf(d, m, n, lambda t: (t >= 0).astype(float))
-    return [_score_estimate(d, n, cdf, N, seed)] * m
+    return [_score_estimate(d, n, cdf)] * m
 
 
-def er_benchmark_decomposition(n: int, m: int, N: int, seed: int, p: float):
+def er_benchmark_decomposition(n: int, m: int, p: float):
     """(benchmark, nm + off-region sum, relative gap) for ER(p)^m.
 
     The benchmark decomposes, as p grows, into n*m (the in-region virtual
@@ -110,14 +108,14 @@ def er_benchmark_decomposition(n: int, m: int, N: int, seed: int, p: float):
     if n < 1 or m < 1:
         raise ValueError("need n >= 1, m >= 1")
     pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
-    bench = efftw_bound(pd, n, N, seed)
-    off = _sum_estimates(er_offregion_items(n, m, N, seed, p), N, seed)
-    approx = RevenueEstimate(mean=n * m + off.mean, stderr=off.stderr, samples=N, seed=seed)
+    bench = efftw_bound(pd, n, N=0)  # N is unread (see ``benchmark``'s docstring)
+    off = _item_sum(er_offregion_items(n, m, p), lambda est: est)
+    approx = RevenueEstimate(mean=n * m + off.mean, stderr=off.stderr)
     gap = abs(bench.mean - approx.mean) / max(abs(bench.mean), 1e-12)
     return bench, approx, gap
 
 
-def bign_tightness(n: int, m: int, c: int, N: int, seed: int, p: float = 1e4) -> ReproResult:
+def bign_tightness(n: int, m: int, c: int, p: float = 1e4) -> ReproResult:
     """Check that VCG with c extra bidders covers the benchmark on ER(p)^m.
 
     Both are exact brackets, so the claim passes iff VCG_{n+c} plus its
@@ -133,9 +131,9 @@ def bign_tightness(n: int, m: int, c: int, N: int, seed: int, p: float = 1e4) ->
     if n < 4 * m:
         raise ValueError("need n >= 4m")
     pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
-    vcg_est = vcg(pd, n + c, N, seed)
-    vcg_n = vcg(pd, n, N, seed)
-    bench = efftw_bound(pd, n, N, seed)
+    vcg_est = vcg(pd, n + c)
+    vcg_n = vcg(pd, n)
+    bench = efftw_bound(pd, n, N=0)  # N is unread (see ``benchmark``'s docstring)
     tol = vcg_est.stderr + bench.stderr
     implied_c = (bench.mean - vcg_n.mean) / m
     return ReproResult(
@@ -239,7 +237,7 @@ def _within(name: str, computed: float, target: float, tol: float, **details):
 
 def _claim_er_order(x: int, y: int, p: float):
     def run(seed: int) -> ReproResult:
-        est = er_order_stat(x, y, 200_000, seed, p=p)
+        est = er_order_stat(x, y, p=p)
         # truncation at p lowers the mean by at most the integral over s > p
         # of Pr[X_(x) > s] <= C(y, x) s^-x for the untruncated draws
         bias = math.comb(y, x) * p ** (1 - x) / (x - 1)
@@ -253,7 +251,7 @@ def _claim_decomposition(seed: int) -> ReproResult:
     # the exact relative gap is 2.54/p, so 3/p sits 18% above the effect; with
     # the two certified half-widths added, |gap| / tolerance reads 0.76
     p = 1e4
-    bench, approx, gap = er_benchmark_decomposition(4, 2, 1_000_000, seed, p=p)
+    bench, approx, gap = er_benchmark_decomposition(4, 2, p=p)
     return _within(
         "er-benchmark-decomposition-n4-m2", bench.mean, approx.mean,
         3.0 * bench.mean / p + bench.stderr + approx.stderr, relative_gap=gap,
@@ -274,7 +272,7 @@ CLAIMS = {
     "er-order-stat-4-12": _claim_er_order(4, 12, 1e6),
     "er-order-stat-12-12": _claim_er_order(12, 12, 1e6),
     "er-benchmark-decomposition": _claim_decomposition,
-    "bign-tightness": lambda seed: bign_tightness(16, 4, 9, 100_000, seed),
+    "bign-tightness": lambda seed: bign_tightness(16, 4, 9),
     "two-item-sum-tail": _claim_sum_tail,
     "appendix-b-revenue": lambda seed: appendix_b_revenue(10_000),
     "little-n-tightness": lambda seed: little_n_tightness(2, 64, 20_000, seed),

@@ -8,8 +8,9 @@ grid by ``_stieltjes``, the bracket rule that every exact integral here
 shares: the integrand is read once per grid point. Monte Carlo is
 hopeless here for heavy tails: at p = 10^4 the truncated equal-revenue curve
 has all of its virtual value in an atom of mass 1/p, so the naive estimator
-has ~10% relative error at a million samples. A sum over items integrates
-each distinct marginal once (``_per_item``) and adds the items in order.
+has ~10% relative error at a million samples. An exact value takes no
+sample count and no seed. A sum over items integrates each distinct
+marginal once and adds the items in order (``_item_sum``).
 
 Of the explicit mechanisms, the three-tier one is exact: its revenue depends
 only on the tier counts (``three_tier_revenue``). The sequential posted-bundle
@@ -32,7 +33,7 @@ import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
 from .experiments import top_order_walk
-from .rng import PIECE, batch_moments, map_batches, mean_stderr, need_samples
+from .rng import PIECE, batch_moments, map_batches, mean_stderr
 from .virtual import iron
 
 __all__ = [
@@ -58,31 +59,24 @@ class RevenueEstimate:
 
     mean: float
     stderr: float
-    samples: int
-    seed: int
 
     def combined_stderr(self, other: "RevenueEstimate") -> float:
         return math.hypot(self.stderr, other.stderr)
 
 
-def _sum_estimates(ests, samples: int, seed: int) -> RevenueEstimate:
-    """Sum of exact brackets, added in order; their half-widths add."""
-    mean = err = 0.0
-    for est in ests:
-        mean += est.mean
-        err += est.stderr
-    return RevenueEstimate(mean=mean, stderr=err, samples=samples, seed=seed)
-
-
-def _per_item(fn, marginals):
-    """Yield ``fn(d)`` for each marginal in order, computing it once per
-    distinct (frozen, hashable) marginal; a repeat yields the first result.
-    The caller's in-order sum keeps the bits of one call per item."""
+def _item_sum(marginals, fn) -> RevenueEstimate:
+    """Sum over items of the exact bracket ``fn(d)``, added in item order;
+    the half-widths add. ``fn`` runs once per distinct (frozen, hashable)
+    marginal and a repeat adds the first result, so the sum has the bits of
+    one call per item."""
     done = {}
+    mean = err = 0.0
     for d in marginals:
         if d not in done:
             done[d] = fn(d)
-        yield done[d]
+        mean += done[d].mean
+        err += done[d].stderr
+    return RevenueEstimate(mean=mean, stderr=err)
 
 
 @functools.lru_cache(maxsize=8)
@@ -132,7 +126,7 @@ def _stieltjes(x: np.ndarray, W: np.ndarray, g) -> tuple[float, float]:
     return left, right
 
 
-def _score_estimate(d: SingleDist, n: int, cdf, samples: int, seed: int) -> RevenueEstimate:
+def _score_estimate(d: SingleDist, n: int, cdf) -> RevenueEstimate:
     """E[S] = L + integral over t >= L of 1 - H(t), for a score S >= L =
     min(0, support_lo) of item d with CDF H = ``cdf``.
 
@@ -152,48 +146,44 @@ def _score_estimate(d: SingleDist, n: int, cdf, samples: int, seed: int) -> Reve
     upper, lower = _stieltjes(t, t, lambda x: 1.0 - cdf(x))
     upper = float(t[0] + upper) + n * d.tail_integral(t[-1])
     lower = float(t[0] + lower)
-    mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
-    return RevenueEstimate(mean=mean, stderr=half_width, samples=samples, seed=seed)
+    return RevenueEstimate(mean=0.5 * (lower + upper), stderr=0.5 * (upper - lower))
 
 
-def myerson_item_revenue(d: SingleDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
+def myerson_item_revenue(d: SingleDist, n: int) -> RevenueEstimate:
     """Optimal single-item revenue with n i.i.d. bidders, E[(phi_bar(max))^+].
 
     The top quantile has CDF u^n, so phi_bar(max)^+ has CDF psi(t)^n
-    (``IronedVirtualMap.psi``). N is recorded but unused.
+    (``IronedVirtualMap.psi``).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     imap = iron(d)
-    return _score_estimate(d, n, lambda t: imap.psi(t) ** n, N, seed)
+    return _score_estimate(d, n, lambda t: imap.psi(t) ** n)
 
 
-def vcg_item_revenue(d: SingleDist, n: int, N: int, seed: int) -> RevenueEstimate:
+def vcg_item_revenue(d: SingleDist, n: int) -> RevenueEstimate:
     """Second-price (no reserve) revenue on one item: E[second-highest of n],
     whose CDF is F^n + n F^(n-1) (1 - F)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    need_samples(N)
     if n == 1:
-        return RevenueEstimate(mean=0.0, stderr=0.0, samples=N, seed=seed)
+        return RevenueEstimate(mean=0.0, stderr=0.0)
 
     def cdf(t):
         F = d.cdf(t)
         return F**n + n * F ** (n - 1) * (1.0 - F)
 
-    return _score_estimate(d, n, cdf, N, seed)
+    return _score_estimate(d, n, cdf)
 
 
-def srev(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
+def srev(pd: ProductDist, n: int) -> RevenueEstimate:
     """Myerson run separately per item: sum of single-item optimal revenues."""
-    ests = _per_item(lambda d: myerson_item_revenue(d, n, N, seed), pd.marginals)
-    return _sum_estimates(ests, N, seed)
+    return _item_sum(pd.marginals, lambda d: myerson_item_revenue(d, n))
 
 
-def vcg(pd: ProductDist, n: int, N: int, seed: int) -> RevenueEstimate:
+def vcg(pd: ProductDist, n: int) -> RevenueEstimate:
     """Second-price auction per item, summed over the items."""
-    ests = _per_item(lambda d: vcg_item_revenue(d, n, N, seed), pd.marginals)
-    return _sum_estimates(ests, N, seed)
+    return _item_sum(pd.marginals, lambda d: vcg_item_revenue(d, n))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +235,7 @@ def feldman_posted_price(
         return batch_moments(price * sold)
 
     mean, stderr = mean_stderr(map_batches(seed, "feldman", N, block, _FELDMAN_WIDTH))
-    return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
+    return RevenueEstimate(mean=mean, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +296,16 @@ def three_tier_params(n: int, q: float, p: float) -> dict:
     return {"k": k, "p_high": p_high, "p_med": p_med}
 
 
-def three_tier_mechanism(n: int, q: float, p: float, N: int, seed: int) -> RevenueEstimate:
+def three_tier_mechanism(n: int, q: float, p: float) -> RevenueEstimate:
     """Revenue of the three-tier (high/medium/low) mechanism on ER^2 bidders.
 
     Bidders play the explicit threshold profile: high iff v1+v2 >= p*k/(k-1)
     with k the concentration value n/q + n*ln(q)/(8 q^2), medium iff
     v1+v2 >= 2q, else low. The first processed high bidder takes both items
     for p; otherwise up to two medium bidders each take one item for q. The
-    revenue is exact (``three_tier_revenue``), with stderr 0; N and the seed
-    are recorded.
+    revenue is exact (``three_tier_revenue``), with stderr 0.
     """
-    _check_three_tier(n, q, p)
-    need_samples(N)
-    return RevenueEstimate(mean=three_tier_revenue(n, q, p), stderr=0.0, samples=N, seed=seed)
+    return RevenueEstimate(mean=three_tier_revenue(n, q, p), stderr=0.0)
 
 
 def _check_three_tier(n: int, q: float, p: float) -> None:

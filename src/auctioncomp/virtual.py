@@ -123,7 +123,10 @@ def iron(d: SingleDist) -> IronedVirtualMap:
     regular = bool(np.max(np.interp(corners, hull_u, hull_r) - revenue) <= REGULARITY_TOL)
 
     # one slope per hull segment; bit-equal neighbours are one step
-    slopes = np.maximum.accumulate(-np.diff(hull_r) / np.diff(hull_u))  # absorb fp noise only
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        slopes = np.maximum.accumulate(-np.diff(hull_r) / np.diff(hull_u))  # absorb fp noise only
+    if not np.isfinite(slopes).all():
+        raise ValueError(f"ironing {d.spec()} overflows: a hull slope is not finite")
     bits = slopes.view(np.int64)
     change = np.flatnonzero(bits[1:] != bits[:-1]) + 1
     knots = hull_u[change]

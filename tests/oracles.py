@@ -36,9 +36,8 @@ from auctioncomp.distributions import ProductDist, SingleDist, TruncatedEqualRev
 from auctioncomp.experiments import _j_tail, top_order_stats
 from auctioncomp.revenue import (
     RevenueEstimate,
-    _per_item,
+    _item_sum,
     _score_points,
-    _sum_estimates,
     feldman_params,
     myerson_item_revenue,
     three_tier_params,
@@ -145,7 +144,7 @@ def fact1_check(d: SingleDist, v: float, N: int, seed: int) -> tuple[float, floa
     return est, stderr
 
 
-def bulow_klemperer_check(d: SingleDist, n: int, N: int, seed: int):
+def bulow_klemperer_check(d: SingleDist, n: int):
     """(VCG_{n+1}, Rev_n, margin) for a regular distribution.
 
     The margin is vcg.mean - rev.mean; the classical guarantee asks it to be
@@ -153,8 +152,8 @@ def bulow_klemperer_check(d: SingleDist, n: int, N: int, seed: int):
     """
     if not iron(d).regular:
         raise ValueError("Bulow-Klemperer requires a regular distribution")
-    vcg_est = vcg_item_revenue(d, n + 1, N, seed)
-    rev_est = myerson_item_revenue(d, n, N, seed)
+    vcg_est = vcg_item_revenue(d, n + 1)
+    rev_est = myerson_item_revenue(d, n)
     return vcg_est, rev_est, vcg_est.mean - rev_est.mean
 
 
@@ -174,7 +173,7 @@ def three_tier_mc(n: int, q: float, p: float, N: int, seed: int) -> RevenueEstim
         return batch_moments(runs)
 
     mean, stderr = mean_stderr(map_batches(seed, "three-tier", N, batch))
-    return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
+    return RevenueEstimate(mean=mean, stderr=stderr)
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,7 @@ def feldman_full_matrix(
         return batch_moments(price * sold)
 
     mean, stderr = mean_stderr(map_batches(seed, "feldman-full-matrix", N, block, n * m))
-    return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
+    return RevenueEstimate(mean=mean, stderr=stderr)
 
 
 def feldman_one_shot(
@@ -273,7 +272,7 @@ def feldman_one_shot(
         sold += value >= price
     revenue = price * sold
     mean, stderr = mean_stderr(batch_moments(revenue[i:i + runs]) for i in range(0, N, runs))
-    return RevenueEstimate(mean=mean, stderr=stderr, samples=N, seed=seed)
+    return RevenueEstimate(mean=mean, stderr=stderr)
 
 
 def two_item_sum_tail_mc(q: float, N: int, seed: int, p: float = 1e6) -> tuple[float, float]:
@@ -329,7 +328,7 @@ def _fold_pieces(dW: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     return left, right
 
 
-def score_estimate_one_shot(d: SingleDist, n: int, cdf, samples: int, seed: int) -> RevenueEstimate:
+def score_estimate_one_shot(d: SingleDist, n: int, cdf) -> RevenueEstimate:
     """``revenue._score_estimate`` with ``cdf`` read on the whole grid at once;
     the rectangle sums are folded over ``PIECE``-cell slices, as the package
     folds its pieces."""
@@ -338,10 +337,10 @@ def score_estimate_one_shot(d: SingleDist, n: int, cdf, samples: int, seed: int)
     upper = float(t[0] + upper) + n * d.tail_integral(t[-1])
     lower = float(t[0] + lower)
     mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
-    return RevenueEstimate(mean=mean, stderr=half_width, samples=samples, seed=seed)
+    return RevenueEstimate(mean=mean, stderr=half_width)
 
 
-def score_estimate_two_pass(d: SingleDist, n: int, cdf, samples: int, seed: int) -> RevenueEstimate:
+def score_estimate_two_pass(d: SingleDist, n: int, cdf) -> RevenueEstimate:
     """The two-pass bracket: ``cdf`` read at every t_k for the upper
     rectangles and again at the float below every t_k+1 (its left limit)
     for the lower ones, each sum taken whole. The one-pass bracket of
@@ -351,7 +350,7 @@ def score_estimate_two_pass(d: SingleDist, n: int, cdf, samples: int, seed: int)
     upper = float(t[0] + np.sum(dt * (1.0 - cdf(t[:-1])))) + n * d.tail_integral(t[-1])
     lower = float(t[0] + np.sum(dt * (1.0 - cdf(np.nextafter(t[1:], -np.inf)))))
     mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
-    return RevenueEstimate(mean=mean, stderr=half_width, samples=samples, seed=seed)
+    return RevenueEstimate(mean=mean, stderr=half_width)
 
 
 MIN_NODES = 48  # Gauss-Legendre nodes per CDF value, at the least
@@ -454,7 +453,7 @@ def xb_cdf_quadrature(n: int, ell: int, t) -> np.ndarray | float:
     return _log_gap_cdf(t, float(ell), integrand)
 
 
-def phi_at_experiment_one_shot(pd: ProductDist, cdf, D: float, N: int, seed: int) -> RevenueEstimate:
+def phi_at_experiment_one_shot(pd: ProductDist, cdf, D: float) -> RevenueEstimate:
     """``benchmark._phi_at_experiment`` with phi_bar read on the whole grid at once."""
     u = _quantile_grid(pd.marginals)
     F = cdf(u)
@@ -472,12 +471,12 @@ def phi_at_experiment_one_shot(pd: ProductDist, cdf, D: float, N: int, seed: int
         else:
             upper += float(dF[-1] * phi[-2]) + D * d.tail_integral(float(d.quantile(u[-2])))
         mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
-        return RevenueEstimate(mean=mean, stderr=half_width, samples=N, seed=seed)
+        return RevenueEstimate(mean=mean, stderr=half_width)
 
-    return _sum_estimates(_per_item(item, pd.marginals), N, seed)
+    return _item_sum(pd.marginals, item)
 
 
-def phi_at_experiment_two_read(pd: ProductDist, cdf, D: float, N: int, seed: int) -> RevenueEstimate:
+def phi_at_experiment_two_read(pd: ProductDist, cdf, D: float) -> RevenueEstimate:
     """The two-read chain bracket: uniform cells, knots and breakpoints, with
     no one-ulp cells beside them; phi_bar read at the float above each
     cell's left end for the lower rectangles and at the float below its
@@ -506,9 +505,9 @@ def phi_at_experiment_two_read(pd: ProductDist, cdf, D: float, N: int, seed: int
         lower = float(np.sum(dF * lo_phi))
         upper = float(np.sum(dF * hi_phi)) + tail
         mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
-        return RevenueEstimate(mean=mean, stderr=half_width, samples=N, seed=seed)
+        return RevenueEstimate(mean=mean, stderr=half_width)
 
-    return _sum_estimates(_per_item(item, pd.marginals), N, seed)
+    return _item_sum(pd.marginals, item)
 
 
 def jump_allowance(pd: ProductDist, cdf) -> float:

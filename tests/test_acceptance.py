@@ -62,16 +62,16 @@ def test_criterion_02_bulow_klemperer():
     dists = [Uniform(0, 1), Exponential(1.0), TruncatedEqualRevenue(1e4)]
     for d in dists:
         for n in (1, 2, 5):
-            vcg_est, rev_est, margin = bulow_klemperer_check(d, n, 1_000_000, seed=2000 + n)
+            vcg_est, rev_est, margin = bulow_klemperer_check(d, n)
             # both are exact brackets: the slack is the sum of their half-widths
             assert margin >= -(vcg_est.stderr + rev_est.stderr), (d.spec(), n, margin)
     _report("criterion 2 (one extra bidder beats optimal)",
-            "3 distributions x n in {1,2,5} at N=1e6")
+            "3 distributions x n in {1,2,5}, exact brackets")
 
 
 def test_criterion_03_er_folklore_revenue():
     for n in (1, 5, 10):
-        est = myerson_item_revenue(TruncatedEqualRevenue(1e4), n, 1_000_000, seed=3000)
+        est = myerson_item_revenue(TruncatedEqualRevenue(1e4), n)
         assert abs(est.mean - n) <= 0.02 * n, (n, est.mean)
     _report("criterion 3 (equal-revenue optimal revenue = n)",
             "n in {1,5,10} within 2%")
@@ -80,7 +80,7 @@ def test_criterion_03_er_folklore_revenue():
 def test_criterion_04_er_order_statistics():
     for x, y in [(4, 12), (5, 20), (12, 12)]:
         p = 1e6
-        est = er_order_stat(x, y, 1_000_000, seed=4000 + x, p=p)
+        est = er_order_stat(x, y, p=p)
         target = y / (x - 1)
         # the exact bracket's half-width plus the truncation bias bound
         bias = math.comb(y, x) * p ** (1 - x) / (x - 1)
@@ -148,8 +148,6 @@ def test_criterion_07_ystar_closed_form():
 
 
 def test_criterion_08_inequality_chains():
-    N, seed = 400_000, 8000
-
     def link(lo, hi, label):
         # every bound is an exact bracket: the slack is the sum of half-widths
         assert lo.mean <= hi.mean + lo.stderr + hi.stderr, (label, lo.mean, hi.mean)
@@ -158,10 +156,10 @@ def test_criterion_08_inequality_chains():
     pd = ProductDist(tuple(Uniform(0, 1) for _ in range(4)))
     n, m = 2, 4
     c = math.ceil(n * (2 + math.log(1 + m / n)))
-    e = efftw_bound(pd, n, N, seed)
-    o = obs1_bound(pd, n, N, seed)  # common random numbers with e
-    x = xl_chain_bound(pd, n, N, seed)
-    s = srev(pd, n + c, N, seed)
+    e = efftw_bound(pd, n)
+    o = obs1_bound(pd, n)
+    x = xl_chain_bound(pd, n)
+    s = srev(pd, n + c)
     link(e, o, "efftw<=obs1")
     link(o, x, "obs1<=xl")
     link(x, s, f"xl<=srev_{n + c}")
@@ -171,9 +169,9 @@ def test_criterion_08_inequality_chains():
     n2, m2 = 16, 2
     ell = math.ceil(math.sqrt(n2 / m2)) + 1
     c2 = math.ceil(5 * math.sqrt(n2 * m2) + 4 * (m2 - 1))
-    e2 = efftw_bound(pd2, n2, N, seed)
-    xb = xb_chain_bound(pd2, n2, ell, N, seed)
-    s2 = srev(pd2, n2 + c2, N, seed)
+    e2 = efftw_bound(pd2, n2)
+    xb = xb_chain_bound(pd2, n2, ell)
+    s2 = srev(pd2, n2 + c2)
     link(e2, xb, "efftw<=xb")
     link(xb, s2, f"xb<=srev_{n2 + c2}")
     _report("criterion 8 (benchmark relaxation chains)",
@@ -183,12 +181,11 @@ def test_criterion_08_inequality_chains():
 def test_criterion_09_er_benchmark_tightness():
     n, m, p = 16, 4, 1e5
     bound = math.sqrt(n * m) / 14.0
-    ests = er_offregion_items(n, m, 200_000, seed=9000, p=p)
+    ests = er_offregion_items(n, m, p=p)
     for est in ests:
         assert est.mean >= bound - 3 * est.stderr, (est.mean, bound)
     c = 8
-    vcg_est = vcg(ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m))),
-                  n + c, 1_000_000, seed=9100)
+    vcg_est = vcg(ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m))), n + c)
     target = m * (n + c)
     assert abs(vcg_est.mean - target) <= 0.02 * target, (vcg_est.mean, target)
     _report("criterion 9 (off-region term and VCG scaling)",
@@ -197,7 +194,7 @@ def test_criterion_09_er_benchmark_tightness():
 
 def test_criterion_10_three_tier_identity_and_sum_tail():
     n, q, p, N = 10_000, 100.0, 1e8, 100_000
-    exact = three_tier_mechanism(n, q, p, N, seed=10_000).mean
+    exact = three_tier_mechanism(n, q, p).mean
     mc = three_tier_mc(n, q, p, N, seed=10_000)
     params = three_tier_params(n, q, p)
     k = params["k"]

@@ -27,13 +27,12 @@ from auctioncomp.distributions import (
 )
 from auctioncomp.experiments import sample_xb, sample_xl, xb_cdf, xl_cdf
 from auctioncomp.repro import er_offregion_items
-from auctioncomp.revenue import RevenueEstimate, _sum_estimates, myerson_item_revenue, srev, vcg
+from auctioncomp.revenue import RevenueEstimate, _item_sum, myerson_item_revenue, srev, vcg
 from auctioncomp.rng import PIECE, batch_moments, batch_sizes, map_batches, mean_stderr, substream
 from auctioncomp.virtual import IronedVirtualMap, iron
 from oracles import jump_allowance
 from test_virtual import _brute_force_ironed
 
-N = 100_000
 REF_BATCH = 1_000_000  # floats per reference batch of profiles
 IRREGULAR = "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05"
 
@@ -102,7 +101,7 @@ def _ref_estimates(pd, n, N, seed, kernels):
     for key, c in chunks.items():
         x = np.concatenate(c)
         stderr = float(np.std(x, ddof=1) / math.sqrt(N))
-        out[key] = RevenueEstimate(mean=float(np.mean(x)), stderr=stderr, samples=N, seed=seed)
+        out[key] = RevenueEstimate(mean=float(np.mean(x)), stderr=stderr)
     return out
 
 
@@ -146,14 +145,12 @@ def test_exact_bounds_agree_with_monte_carlo_oracles(case):
     pd = ProductDist(tuple(parse_dist(s) for s in specs))
     samples, seed = 1_000_000, 70 + len(case)
     kernels = {"efftw": _ref_efftw, "obs1": _ref_obs1}
-    got = {"efftw": efftw_bound(pd, n, samples, seed), "obs1": obs1_bound(pd, n, samples, seed)}
+    got = {"efftw": efftw_bound(pd, n), "obs1": obs1_bound(pd, n)}
     if case.startswith("er"):
         kernels["off"] = _ref_offregion
-        off = er_offregion_items(n, pd.m, samples, seed, 1e4)
-        got["off"] = _sum_estimates(off, samples, seed)
+        got["off"] = _item_sum(er_offregion_items(n, pd.m, 1e4), lambda est: est)
     ref = _ref_estimates(pd, n, samples, seed, kernels)
     for key, est in got.items():
-        assert est.samples == samples and est.seed == seed
         assert est.stderr < 1e-4 * abs(est.mean)  # the certified half-width
         z = (est.mean - ref[key].mean) / ref[key].stderr
         assert abs(z) <= 4, (key, est.mean, ref[key].mean, ref[key].stderr)
@@ -172,7 +169,7 @@ def _ref_phi_at_experiment(pd, sampler, N, seed, label):
         item_mean, item_stderr = mean_stderr(map_batches(seed, (label, j), N, kernel))
         mean += item_mean
         var += item_stderr**2
-    return RevenueEstimate(mean=mean, stderr=math.sqrt(var), samples=N, seed=seed)
+    return RevenueEstimate(mean=mean, stderr=math.sqrt(var))
 
 
 # (specs, chain, n, ell): wide uniform, ER^2 (phi_bar jumps from 0 to p at
@@ -196,14 +193,13 @@ def test_chain_bounds_agree_with_monte_carlo_oracle(case):
     pd = ProductDist(tuple(parse_dist(s) for s in specs))
     samples, seed = 1_000_000, 80 + len(case)
     if chain == "xl":
-        est = xl_chain_bound(pd, n, samples, seed)
+        est = xl_chain_bound(pd, n)
         sampler = lambda rng, b: sample_xl(n, pd.m, rng, b)
     else:
         n_prime = n + (pd.m - 1) * (ell - 1)
-        est = xb_chain_bound(pd, n, ell, samples, seed)
+        est = xb_chain_bound(pd, n, ell)
         sampler = lambda rng, b: sample_xb(n_prime, ell, rng, b)
     ref = _ref_phi_at_experiment(pd, sampler, samples, seed, f"{chain}-chain")
-    assert est.samples == samples and est.seed == seed
     # the certified half-width is below the oracle's noise at the same N
     assert est.stderr <= ref.stderr, (est.stderr, ref.stderr)
     z = (est.mean - ref.mean) / ref.stderr
@@ -219,8 +215,8 @@ def test_chain_bounds_exact_on_step_items():
     for specs in (["er:p=10000"] * 2, [IRREGULAR, "discrete:v=1,1.2,10;p=0.5,0.4,0.1"]):
         pd = ProductDist(tuple(parse_dist(s) for s in specs))
         n_prime = n + (pd.m - 1) * (ell - 1)
-        for est, cdf in [(xl_chain_bound(pd, n, 1, seed=0), lambda u: xl_cdf(n, pd.m, u)),
-                         (xb_chain_bound(pd, n, ell, 1, seed=0), lambda u: xb_cdf(n_prime, ell, u))]:
+        for est, cdf in [(xl_chain_bound(pd, n), lambda u: xl_cdf(n, pd.m, u)),
+                         (xb_chain_bound(pd, n, ell), lambda u: xb_cdf(n_prime, ell, u))]:
             allowance = jump_allowance(pd, cdf)
             assert 0.0 < allowance < 1e-10, allowance  # a grid without the cells reads ~2
             assert est.stderr <= allowance + 4 * math.ulp(est.mean), (est, allowance)
@@ -233,7 +229,7 @@ def test_xl_chain_brackets_the_er_closed_form():
     # quadrature's missed it by 7.1e-12 at p = 1e4; the closed form's is
     # 1.2e-12 inside at p = 1e4 and 1.9e-8 inside at p = 1e8
     for p in (100.0, 1e4, 1e8):
-        est = xl_chain_bound(ProductDist((TruncatedEqualRevenue(p),)), 2, 1, seed=0)
+        est = xl_chain_bound(ProductDist((TruncatedEqualRevenue(p),)), 2)
         exact = 4.0 - 3.0 / p - 2.0 * math.log(p) / p
         assert est.stderr < 1e-15 * p
         assert abs(est.mean - exact) <= est.stderr, (p, est, exact)
@@ -246,7 +242,7 @@ def test_chain_bracket_ordered_on_a_cell_with_no_float_inside():
     # the jump; read at the inner floats, the two reads would swap and the
     # bracket would turn over.
     pd = ProductDist((parse_dist("er:1e16"),))
-    for est in (xl_chain_bound(pd, 2, 1, seed=0), xb_chain_bound(pd, 6, 2, 1, seed=0)):
+    for est in (xl_chain_bound(pd, 2), xb_chain_bound(pd, 6, 2)):
         assert est.stderr > 0.0 and est.mean - est.stderr == 0.0  # phi_bar >= 0
 
 
@@ -254,10 +250,10 @@ def test_xl_chain_peak_memory():
     # one CDF table on ~33k quantiles, evaluated in blocks of BLOCK floats;
     # 10^6 Monte Carlo draws per item peaked at 39 MB
     pd = ProductDist((Uniform(0, 1),) * 16)
-    xl_chain_bound(pd, 2, 1, seed=0)  # iron and build the nodes outside the measurement
+    xl_chain_bound(pd, 2)  # iron and build the nodes outside the measurement
     tracemalloc.start()
     try:
-        xl_chain_bound(pd, 2, 1_000_000, seed=0)
+        xl_chain_bound(pd, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -269,7 +265,7 @@ def test_exact_estimates_same_bits_for_any_blas_thread_count():
     # make the artifact depend on the CPU count
     code = (
         "from auctioncomp import *; pd = ProductDist((TruncatedEqualRevenue(1e4),) * 4); "
-        "print(repr(efftw_bound(pd, 16, 1, 0)), repr(vcg(pd, 25, 1, 0)))"
+        "print(repr(efftw_bound(pd, 16)), repr(vcg(pd, 25)))"
     )
     outs = [
         subprocess.run(
@@ -311,7 +307,7 @@ def test_regions_uniform_under_iid_marginals():
     # chi-square at significance 1e-3 over m equiprobable regions
     m, n = 4, 3
     pd = ProductDist(tuple(TruncatedEqualRevenue(100.0) for _ in range(m)))
-    _, q = pd.sample_profiles(substream(20, "chi"), n, N)
+    _, q = pd.sample_profiles(substream(20, "chi"), n, 100_000)
     regions = assign_regions(q).ravel()
     counts = np.bincount(regions, minlength=m)
     _, pval = stats.chisquare(counts)
@@ -324,11 +320,11 @@ REPEATS = ProductDist((Uniform(0, 1), Exponential(1.0), Uniform(0, 2), parse_dis
                        Uniform(0, 1)))
 PER_ITEM_SUMS = {
     "srev": lambda pd: srev(pd, 3),
-    "vcg": lambda pd: vcg(pd, 3, 1000, 0),
-    "efftw": lambda pd: efftw_bound(pd, 3, 1000, 0),
-    "obs1": lambda pd: obs1_bound(pd, 3, 1000, 0),
-    "xl_chain": lambda pd: xl_chain_bound(pd, 3, 1000, 0),
-    "xb_chain": lambda pd: xb_chain_bound(pd, 3, 2, 1000, 0),
+    "vcg": lambda pd: vcg(pd, 3),
+    "efftw": lambda pd: efftw_bound(pd, 3),
+    "obs1": lambda pd: obs1_bound(pd, 3),
+    "xl_chain": lambda pd: xl_chain_bound(pd, 3),
+    "xb_chain": lambda pd: xb_chain_bound(pd, 3, 2),
 }
 
 
@@ -338,11 +334,16 @@ def test_repeated_marginals_keep_the_in_order_sum(name, monkeypatch):
     # the same bits as estimating every item
     got = PER_ITEM_SUMS[name](REPEATS)
 
-    def every_item(fn, marginals):
-        return (fn(d) for d in marginals)
+    def every_item(marginals, fn):
+        mean = err = 0.0
+        for d in marginals:
+            est = fn(d)
+            mean += est.mean
+            err += est.stderr
+        return RevenueEstimate(mean=mean, stderr=err)
 
-    monkeypatch.setattr(revenue_mod, "_per_item", every_item)
-    monkeypatch.setattr(benchmark_mod, "_per_item", every_item)
+    monkeypatch.setattr(revenue_mod, "_item_sum", every_item)
+    monkeypatch.setattr(benchmark_mod, "_item_sum", every_item)
     assert PER_ITEM_SUMS[name](REPEATS) == got
 
 
@@ -382,7 +383,7 @@ def test_each_distinct_marginal_estimated_once(monkeypatch):
 def test_efftw_single_item_equals_myerson():
     for d, n in [(Uniform(0, 1), 3), (Exponential(1.0), 2), (TruncatedEqualRevenue(100.0), 4)]:
         pd = ProductDist((d,))
-        bench = efftw_bound(pd, n, N, seed=21)
+        bench = efftw_bound(pd, n)
         quad = myerson_item_revenue(d, n)
         assert abs(bench.mean - quad.mean) <= bench.stderr + quad.stderr
 
@@ -390,7 +391,7 @@ def test_efftw_single_item_equals_myerson():
 def test_efftw_upper_bounds_srev():
     pd = ProductDist((Uniform(0, 1), Uniform(0, 1)))
     n = 1
-    bench = efftw_bound(pd, n, N, seed=22)
+    bench = efftw_bound(pd, n)
     s = srev(pd, n)
     assert bench.mean >= s.mean - (bench.stderr + s.stderr)
 
@@ -398,8 +399,8 @@ def test_efftw_upper_bounds_srev():
 def test_efftw_item_permutation_invariant():
     pd1 = ProductDist((Uniform(0, 1), Exponential(1.0)))
     pd2 = ProductDist((Exponential(1.0), Uniform(0, 1)))
-    b1 = efftw_bound(pd1, 3, N, seed=23)
-    b2 = efftw_bound(pd2, 3, N, seed=24)
+    b1 = efftw_bound(pd1, 3)
+    b2 = efftw_bound(pd2, 3)
     assert abs(b1.mean - b2.mean) <= b1.stderr + b2.stderr
 
 
@@ -408,57 +409,41 @@ def test_obs1_dominates_efftw():
         ProductDist((Uniform(0, 1), Uniform(0, 1), Uniform(0, 1))),
         ProductDist((TruncatedEqualRevenue(100.0), TruncatedEqualRevenue(100.0))),
     ]:
-        e = efftw_bound(pd, 2, N, seed=25)
-        o = obs1_bound(pd, 2, N, seed=25)
+        e = efftw_bound(pd, 2)
+        o = obs1_bound(pd, 2)
         assert o.mean >= e.mean - (e.stderr + o.stderr)
 
 
 def test_obs1_requires_two_bidders():
     pd = ProductDist((Uniform(0, 1),))
     with pytest.raises(ValueError):
-        obs1_bound(pd, 1, 1000, seed=0)
-
-
-@pytest.mark.parametrize("bound", [efftw_bound, obs1_bound])
-@pytest.mark.parametrize("samples", [0, -5])
-def test_profile_bounds_need_samples(bound, samples):
-    pd = ProductDist((Uniform(0, 1), Uniform(0, 1)))
-    with pytest.raises(ValueError, match="N >= 1"):
-        bound(pd, 2, samples, seed=0)
-
-
-def test_chain_bounds_need_samples():
-    pd = ProductDist((Uniform(0, 1), Uniform(0, 1)))
-    with pytest.raises(ValueError, match="need N >= 1 samples"):
-        xl_chain_bound(pd, 2, 0, seed=0)
-    with pytest.raises(ValueError, match="need N >= 1 samples"):
-        xb_chain_bound(pd, 2, 2, 0, seed=0)
+        obs1_bound(pd, 1)
 
 
 def test_efftw_peak_memory_independent_of_N():
-    # exact: a grid of ~10^5 points per item, whatever N (N = 10^12 profiles
-    # would be 64 TB as Monte Carlo draws)
+    # exact: a grid of ~10^5 points per item, and the trailing N is unread
+    # (N = 10^12 profiles would be 64 TB as Monte Carlo draws)
     pd = ProductDist((TruncatedEqualRevenue(1e4), TruncatedEqualRevenue(1e4)))
-    efftw_bound(pd, 4, 1000, seed=0)  # iron outside the measurement
+    efftw_bound(pd, 4)  # iron outside the measurement
     tracemalloc.start()
     try:
-        est = efftw_bound(pd, 4, 10**12, seed=0)
+        est = efftw_bound(pd, 4, 10**12, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert est.samples == 10**12
+    assert est == efftw_bound(pd, 4)
     assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_xl_chain_peak_memory_independent_of_N():
-    # exact: one CDF table per call, whatever N
+    # exact: one CDF table per call, and the trailing N is unread
     pd = ProductDist((Uniform(0, 1),))
-    xl_chain_bound(pd, 2, 1000, seed=0)  # iron outside the measurement
+    xl_chain_bound(pd, 2)  # iron outside the measurement
     peaks = []
     for samples in (10**6, 4 * 10**6):
         tracemalloc.start()
         try:
-            xl_chain_bound(pd, 2, samples, seed=0)
+            xl_chain_bound(pd, 2, samples, 0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -469,7 +454,7 @@ def test_obs1_direct_resimulation_oracle():
     # independent evaluation of the Observation-1 quantity for U(0,1)^3, n=2:
     # per item, max{v1*I(off), 2*v1-1, v2} with uniform values == quantiles
     pd = ProductDist(tuple(Uniform(0, 1) for _ in range(3)))
-    est = obs1_bound(pd, 2, 400_000, seed=26)
+    est = obs1_bound(pd, 2)
     rng = substream(99, "oracle")
     v = rng.random((400_000, 2, 3))
     region = np.argmax(v, axis=2)
@@ -491,15 +476,15 @@ def test_xl_chain_m1_bounds_myerson():
     d = Uniform(0, 1)
     pd = ProductDist((d,))
     n = 3
-    x = xl_chain_bound(pd, n, N, seed=27)
+    x = xl_chain_bound(pd, n)
     quad = myerson_item_revenue(d, n)
     assert x.mean >= quad.mean - (x.stderr + quad.stderr)
 
 
 def test_xl_chain_dominates_efftw_er():
     pd = ProductDist((TruncatedEqualRevenue(1e4), TruncatedEqualRevenue(1e4)))
-    e = efftw_bound(pd, 2, 400_000, seed=28)
-    x = xl_chain_bound(pd, 2, 400_000, seed=28)
+    e = efftw_bound(pd, 2)
+    x = xl_chain_bound(pd, 2)
     assert x.mean >= e.mean - (e.stderr + x.stderr)
 
 
@@ -507,7 +492,7 @@ def test_xb_chain_m1_bounds_myerson():
     d = Exponential(1.0)
     pd = ProductDist((d,))
     n, ell = 4, 2
-    x = xb_chain_bound(pd, n, ell, N, seed=29)
+    x = xb_chain_bound(pd, n, ell)
     quad = myerson_item_revenue(d, n)
     assert x.mean >= quad.mean - (x.stderr + quad.stderr)
 
@@ -515,14 +500,14 @@ def test_xb_chain_m1_bounds_myerson():
 def test_xb_chain_dominates_efftw():
     pd = ProductDist((Uniform(0, 1), Uniform(0, 1)))
     n, ell = 4, 2  # n' = 5
-    e = efftw_bound(pd, n, N, seed=30)
-    x = xb_chain_bound(pd, n, ell, N, seed=30)
+    e = efftw_bound(pd, n)
+    x = xb_chain_bound(pd, n, ell)
     assert x.mean >= e.mean - (e.stderr + x.stderr)
 
 
 def test_xb_chain_validates_ell():
     pd = ProductDist((Uniform(0, 1),))
     with pytest.raises(ValueError):
-        xb_chain_bound(pd, 4, 1, 1000, seed=0)
+        xb_chain_bound(pd, 4, 1)
     with pytest.raises(ValueError):
-        xb_chain_bound(pd, 4, 5, 1000, seed=0)
+        xb_chain_bound(pd, 4, 5)

@@ -29,7 +29,7 @@ def test_chain_bounds_do_not_load_numpy_polynomial():
     # ~5 ms to import and ~1.6 MB of resident memory
     code = (
         "import sys, auctioncomp as a; pd = a.ProductDist((a.Uniform(0, 1),) * 2); "
-        "a.xl_chain_bound(pd, 2, 1, 0); a.xb_chain_bound(pd, 2, 2, 1, 0); "
+        "a.xl_chain_bound(pd, 2); a.xb_chain_bound(pd, 2, 2); "
         "print('numpy.polynomial' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -212,9 +212,9 @@ def test_benchmark_links_use_certified_slack(monkeypatch, capsys):
     # the rows are exact brackets, so a link's slack is the sum of the two
     # half-widths: a chain row 1.5e-3 below obs1 with half-width 1e-3 passes
     # 3 * hypot(stderr) but breaks the link
-    def low_chain(pd, n, N, seed):
-        obs1 = bench_mod.obs1_bound(pd, n, N, seed)
-        return bench_mod.RevenueEstimate(mean=obs1.mean - 1.5e-3, stderr=1e-3, samples=N, seed=seed)
+    def low_chain(pd, n):
+        obs1 = bench_mod.obs1_bound(pd, n)
+        return bench_mod.RevenueEstimate(mean=obs1.mean - 1.5e-3, stderr=1e-3)
 
     monkeypatch.setattr(bench_mod, "xl_chain_bound", low_chain)
     code, out = run_cli(
@@ -228,24 +228,46 @@ def test_benchmark_links_use_certified_slack(monkeypatch, capsys):
     assert code == EXIT_CLAIM
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["benchmark", "--dist", "uniform:0,1", "-n", "2"],
-        ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "2"],
-        ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "2", "-m", "3"],
-        ["revenue", "--mech", "feldman", "-n", "1", "-m", "8"],
-        ["revenue", "--mech", "three-tier", "-n", "10000"],
-        # one bidder: VCG revenue is 0 without sampling, but N is still checked
-        ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "1"],
-        ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "1", "-m", "3"],
-    ],
-    ids=["benchmark", "vcg", "vcg-m3", "feldman", "three-tier", "vcg-n1", "vcg-n1-m3"],
-)
+SAMPLED = {
+    "benchmark": ["benchmark", "--dist", "uniform:0,1", "-n", "2"],
+    "myerson": ["revenue", "--mech", "myerson", "--dist", "uniform:0,1", "-n", "2"],
+    "srev": ["revenue", "--mech", "srev", "--dist", "uniform:0,1", "-n", "2", "-m", "3"],
+    "vcg": ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "2"],
+    "vcg-m3": ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "2", "-m", "3"],
+    "feldman": ["revenue", "--mech", "feldman", "-n", "1", "-m", "8"],
+    "three-tier": ["revenue", "--mech", "three-tier", "-n", "10000"],
+    # one bidder: VCG revenue is 0 with no integral, but --samples is still checked
+    "vcg-n1": ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "1"],
+    "vcg-n1-m3": ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "1", "-m", "3"],
+    "dominance": ["dominance", "--pair", "xs-xl", "-n", "2", "-m", "4", "-c", "7"],
+}
+
+
+@pytest.mark.parametrize("argv", list(SAMPLED.values()), ids=list(SAMPLED))
 def test_benchmark_without_samples_exit_3(argv, capsys):
+    # main checks --samples once for every subcommand that takes it, before
+    # any estimator runs, exact or not
     code = main(argv + ["--samples", "0", "--seed", "3"])
     assert code == EXIT_PRECONDITION
-    assert "need N >= 1 samples" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "precondition violated: need N >= 1 samples\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for name, argv in SAMPLED.items() if name != "dominance"]
+    + [["benchmark", "--dist", "uniform:0,1", "uniform:0,1", "-n", "2", "--chain", "little"],
+       ["benchmark", "--dist", "uniform:0,1", "uniform:0,1", "-n", "4", "--chain", "big"]],
+    ids=[name for name in SAMPLED if name != "dominance"] + ["little", "big"],
+)
+def test_estimate_rows_report_the_samples_option(argv, capsys):
+    # exact estimators read no sample count; every row still reports --samples
+    code, out = run_cli(argv + ["--samples", "77", "--seed", "3"], capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["config"]["samples"] == 77
+    assert doc["results"] and all(row["samples"] == 77 for row in doc["results"])
 
 
 @pytest.mark.parametrize(
@@ -278,6 +300,52 @@ def test_degenerate_sizes_exit_3(argv, message, capsys):
     code = main(argv + ["--seed", "1", "--samples", "20000"])
     assert code == EXIT_PRECONDITION
     assert message in capsys.readouterr().err
+
+
+OVERFLOWING = {
+    # 53 ln(2) / rate, the top of the exact integrals' grid, overflows (1/rate too)
+    "exp:1e-310": ["myerson", "vcg", "virtual", "benchmark"],
+    # hi - lo overflows
+    "uniform:-1e308,1e308": ["myerson", "vcg"],
+    # the virtual value 2v - hi overflows at v = hi
+    "uniform:1e308,1.7e308": ["vcg", "virtual", "benchmark"],
+    # the span of the values, and the hull slope 3e308, overflow
+    "discrete:v=-1e308,1e308;p=0.5,0.5": ["virtual", "benchmark"],
+}
+COMMANDS = {
+    "myerson": ["revenue", "--mech", "myerson", "-n", "2", "--dist"],
+    "vcg": ["revenue", "--mech", "vcg", "-n", "2", "--dist"],
+    "virtual": ["virtual", "--dist"],
+    "benchmark": ["benchmark", "-n", "2", "--chain", "little", "--dist"],
+}
+
+
+@pytest.mark.parametrize(
+    "spec,command",
+    [(spec, command) for spec, commands in OVERFLOWING.items() for command in commands],
+)
+def test_overflowing_specs_exit_3(spec, command, capsys):
+    # a finite spec whose scale overflows once was written as NaN or
+    # Infinity, or failed a chain link (exit 1); it is bad input
+    code = main(COMMANDS[command] + [spec, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PRECONDITION
+    assert captured.out == ""
+    assert captured.err.startswith("precondition violated:") and spec in captured.err
+
+
+@pytest.mark.parametrize("out", ["json", "csv"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_artifact_never_carries_a_non_finite_number(value, out, monkeypatch, capsys):
+    # strict JSON parsers reject NaN and Infinity, so neither format writes one
+    monkeypatch.setattr(
+        cli_mod.rev_mod, "srev", lambda pd, n: cli_mod.rev_mod.RevenueEstimate(value, 0.0)
+    )
+    code = main(["revenue", "--mech", "srev", "-n", "2", "--seed", "1", "--out", out])
+    captured = capsys.readouterr()
+    assert code == EXIT_PRECONDITION
+    assert captured.out == ""
+    assert "non-finite mean" in captured.err
 
 
 def test_dominance_above_threshold_true(capsys):

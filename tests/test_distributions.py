@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,7 +151,7 @@ def test_point_spec_is_the_one_atom_discrete(v):
     assert point == discrete == FiniteDiscrete((float(v),), (1.0,))
     for n in (1, 2, 5):
         for fn in (srev, vcg, efftw_bound):
-            got, want = (fn(ProductDist((d, Uniform(0.0, 1.0))), n, 1, 0) for d in (point, discrete))
+            got, want = (fn(ProductDist((d, Uniform(0.0, 1.0))), n) for d in (point, discrete))
             bits = [float(x).hex() for x in (got.mean, got.stderr, want.mean, want.stderr)]
             assert bits[:2] == bits[2:], (fn.__name__, n)
 
@@ -158,6 +160,25 @@ def test_point_spec_is_the_one_atom_discrete(v):
 def test_parse_dist_rejects(bad):
     with pytest.raises(ValueError):
         parse_dist(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["exp:1e-310", "exp:1e-307", "uniform:-1e308,1e308", "uniform:1e308,1.7e308",
+     "uniform:-8e307,8e307", "discrete:v=-1e308,1e308;p=0.5,0.5", "point:1e308"],
+)
+def test_parse_dist_rejects_a_scale_that_overflows(bad):
+    # finite parameters whose exact integrals would overflow: 53 ln(2)/rate,
+    # the virtual value 2v - hi at either end, twice the largest |value|
+    with pytest.raises(ValueError, match=re.escape(f"bad distribution spec {bad!r}")):
+        parse_dist(bad)
+
+
+@pytest.mark.parametrize(
+    "good", ["exp:1e-306", "uniform:0,8e307", "uniform:-5e307,5e307", "discrete:v=-8e307,8e307;p=0.9,0.1"]
+)
+def test_parse_dist_keeps_the_largest_scales_that_fit(good):
+    parse_dist(good)
 
 
 NON_FINITE_SPECS = ["point:nan", "point:inf", "uniform:0,inf", "exp:inf", "uniform:-inf,0",

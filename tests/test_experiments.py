@@ -8,8 +8,10 @@ import pytest
 from scipy import integrate, stats
 
 from auctioncomp.experiments import (
+    _NEAR_ONE_TERMS,
     DominanceReport,
     _j_tail,
+    _near_one_coefficients,
     _top_or_exceeder,
     dkw_epsilon,
     dominance_test,
@@ -26,7 +28,7 @@ from auctioncomp.experiments import (
 )
 from auctioncomp.benchmark import _quantile_grid
 from auctioncomp.distributions import Uniform
-from auctioncomp.rng import BLOCK, substream
+from auctioncomp.rng import BLOCK, PIECE, substream
 from oracles import prop_key_conditional, xb_cdf_quadrature, xl_cdf_quadrature
 
 N = 200_000
@@ -538,6 +540,52 @@ def test_j_tail_near_one_matches_decimal(k):
     got = _j_tail(k, x, np.log1p(-x))
     want = np.array([_j_tail_decimal(k, float(xi)) for xi in x])
     assert np.max(np.abs(got - want) / want) <= 5e-15
+
+
+def _near_one_coefficients_one_array(k):
+    """The coefficients from k-length arrays held at once: the reference
+    whose bits the piecewise sums keep for k <= PIECE."""
+    r = np.arange(1, k + 1) / k
+    power = np.ones(k)
+    a = np.empty(_NEAR_ONE_TERMS)
+    a[0] = math.fsum(1.0 / np.arange(1, k + 1))
+    for j in range(1, _NEAR_ONE_TERMS):
+        a[j] = (-1) ** j * float(np.sum(power)) / (k * math.factorial(j))
+        power *= r
+    return a
+
+
+@pytest.mark.parametrize("k", [1, 2, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE])
+def test_near_one_coefficients_exact_and_same_bits_within_a_piece(k):
+    got = _near_one_coefficients(k)
+    if k <= PIECE:
+        assert got.tobytes() == _near_one_coefficients_one_array(k).tobytes()
+    # a_0 = H_k is one fsum of the k rounded terms 1/i, in any pieces
+    assert got[0] == math.fsum(1.0 / i for i in range(1, k + 1))
+    # a_j = (-1)^j S_(j-1)(k) / (k^j j!), S_p(k) = sum_{i <= k} i^p, exactly
+    sums = [0] * (_NEAR_ONE_TERMS - 1)
+    for i in range(1, k + 1):
+        power = 1
+        for p in range(len(sums)):
+            sums[p] += power
+            power *= i
+    want = [float(Fraction((-1) ** j * sums[j - 1], k**j * math.factorial(j)))
+            for j in range(1, _NEAR_ONE_TERMS)]
+    assert np.max(np.abs(got[1:] - want) / np.abs(want)) <= 1e-14
+
+
+def test_near_one_coefficients_peak_memory():
+    # k-length arrays held at once peaked at 30.6 MiB at k = 10^6; pieces of
+    # PIECE terms hold a few hundred KiB whatever k
+    _near_one_coefficients.cache_clear()
+    tracemalloc.start()
+    try:
+        _near_one_coefficients(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _near_one_coefficients.cache_clear()
+    assert peak < 2 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("n,m", [(64, 4), (32, 4)])

@@ -37,8 +37,8 @@ def _sum_tail_raised(t, trunc):
     return 1.01 * er2_sum_tail_truncated(t, trunc)
 
 
-def _vcg_one_bidder_short(pd, n, N, seed):
-    return vcg(pd, n - 1, N, seed)
+def _vcg_one_bidder_short(pd, n):
+    return vcg(pd, n - 1)
 
 
 def _three_tier_params_p_high_doubled(n, q, p):

@@ -66,11 +66,11 @@ def test_score_estimates_same_bits_as_one_shot(spec, cells, monkeypatch):
     def estimates():
         out = []
         for n in (1, 2, 5):
-            out += [efftw_bound(pd, n, 1, 0), srev(pd, n), vcg(pd, n, 1, 0)]
+            out += [efftw_bound(pd, n), srev(pd, n), vcg(pd, n)]
             if n > 1:
-                out.append(obs1_bound(pd, n, 1, 0))
+                out.append(obs1_bound(pd, n))
         if spec.startswith("er:"):
-            out += [er_order_stat(x, y, 1, 0, d.p) for x, y in ((2, 5), (4, 12), (12, 12))]
+            out += [er_order_stat(x, y, d.p) for x, y in ((2, 5), (4, 12), (12, 12))]
         return out
 
     got = estimates()
@@ -86,11 +86,11 @@ def _item_estimates(d):
     pd = ProductDist((d, d))
     out = []
     for n in (1, 2, 5):
-        out += [efftw_bound(pd, n, 1, 0), myerson_item_revenue(d, n), vcg_item_revenue(d, n, 1, 0)]
+        out += [efftw_bound(pd, n), myerson_item_revenue(d, n), vcg_item_revenue(d, n)]
         if n > 1:
-            out.append(obs1_bound(pd, n, 1, 0))
+            out.append(obs1_bound(pd, n))
     if isinstance(d, TruncatedEqualRevenue):
-        out += [er_order_stat(x, y, 1, 0, d.p) for x, y in ((2, 5), (4, 12), (12, 12))]
+        out += [er_order_stat(x, y, d.p) for x, y in ((2, 5), (4, 12), (12, 12))]
     return out
 
 
@@ -147,9 +147,9 @@ def test_atomic_brackets_hold_exact_order_stats(spec, thin, cells, monkeypatch):
 
     widths = []
     for n in (1, 2, 5):
-        cases = [(lambda F: F**n, _score_estimate(d, n, lambda t: d.cdf(t) ** n, 1, 0))]
+        cases = [(lambda F: F**n, _score_estimate(d, n, lambda t: d.cdf(t) ** n))]
         if n > 1:
-            cases.append((lambda F: F**n + n * F ** (n - 1) * (1 - F), vcg_item_revenue(d, n, 1, 0)))
+            cases.append((lambda F: F**n + n * F ** (n - 1) * (1 - F), vcg_item_revenue(d, n)))
         for law, est in cases:
             exact, mid, half = mean_of(law), Fraction(est.mean), Fraction(est.stderr)
             assert mid - half - rounding <= exact <= mid + half + rounding, (n, float(exact), est)
@@ -163,8 +163,8 @@ def test_chain_bounds_same_bits_as_one_shot(name, cells, monkeypatch):
     pd = ProductDist(tuple(parse_dist(s) for s in PRODUCTS[name]))
 
     def estimates():
-        return [xl_chain_bound(pd, 2, 1, 0), xl_chain_bound(pd, 9, 1, 0),
-                xb_chain_bound(pd, 3, 2, 1, 0), xb_chain_bound(pd, 6, 6, 1, 0)]
+        return [xl_chain_bound(pd, 2), xl_chain_bound(pd, 9),
+                xb_chain_bound(pd, 3, 2), xb_chain_bound(pd, 6, 6)]
 
     got = estimates()
     with monkeypatch.context() as mp:
@@ -182,14 +182,14 @@ def test_one_read_chain_bracket_as_tight_as_two_read(name, cells, monkeypatch):
     phi_at_experiment = benchmark_mod._phi_at_experiment
     pairs = []
 
-    def both(pd, cdf, D, N, seed):
-        got = phi_at_experiment(pd, cdf, D, N, seed)
-        pairs.append((got, phi_at_experiment_two_read(pd, cdf, D, N, seed), jump_allowance(pd, cdf)))
+    def both(pd, cdf, D):
+        got = phi_at_experiment(pd, cdf, D)
+        pairs.append((got, phi_at_experiment_two_read(pd, cdf, D), jump_allowance(pd, cdf)))
         return got
 
     monkeypatch.setattr(benchmark_mod, "_phi_at_experiment", both)
-    xl_chain_bound(pd, 2, 1, 0), xl_chain_bound(pd, 9, 1, 0)
-    xb_chain_bound(pd, 3, 2, 1, 0), xb_chain_bound(pd, 6, 6, 1, 0)
+    xl_chain_bound(pd, 2), xl_chain_bound(pd, 9)
+    xb_chain_bound(pd, 3, 2), xb_chain_bound(pd, 6, 6)
     assert len(pairs) == 4
     for got, want, allowance in pairs:
         slack = allowance + 4 * math.ulp(got.mean)
@@ -263,11 +263,11 @@ def test_exact_kernel_working_set(bound, cells, limit_mb, monkeypatch):
     # measurement
     monkeypatch.setattr(revenue_mod, "_QUAD_CELLS", cells)
     if bound == "efftw":
-        call = lambda: efftw_bound(IRREGULAR_PRODUCT, 4, 1, seed=0)
+        call = lambda: efftw_bound(IRREGULAR_PRODUCT, 4)
     elif bound == "xl":
-        call = lambda: xl_chain_bound(U16, 2, 1, seed=0)
+        call = lambda: xl_chain_bound(U16, 2)
     else:
-        call = lambda: xb_chain_bound(U2, 16, 4, 1, 0)
+        call = lambda: xb_chain_bound(U2, 16, 4)
     call()
     tracemalloc.start()
     try:

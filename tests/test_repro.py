@@ -24,39 +24,38 @@ from oracles import two_item_sum_tail_mc
 
 def test_er_order_stat_identity():
     # E[x-th highest of y] = y/(x-1)
-    est = er_order_stat(4, 12, 300_000, seed=31, p=1e6)
+    est = er_order_stat(4, 12, p=1e6)
     assert abs(est.mean - 4.0) <= 3 * est.stderr
 
 
 def test_er_order_stat_minimum():
     # x=y is the minimum; mean y/(y-1)
-    est = er_order_stat(12, 12, 300_000, seed=32, p=1e6)
+    est = er_order_stat(12, 12, p=1e6)
     assert abs(est.mean - 12.0 / 11.0) <= 3 * est.stderr
 
 
 def test_er_order_stat_peak_memory_independent_of_N():
-    # an exact integral draws nothing: 4 N samples peak where N do
-    er_order_stat(4, 12, 1_000, seed=0)
+    # an exact integral takes no sample count and draws nothing: its peak is
+    # a piece of the score integral's temporaries, whatever p or y
+    er_order_stat(4, 12)  # build the grid outside the measurement
     peaks = []
-    for samples in (200_000, 800_000):
+    for x, y, p in ((4, 12, 1e4), (4, 12, 1e9), (12, 48, 1e4)):
         tracemalloc.start()
         try:
-            er_order_stat(4, 12, samples, seed=0)
+            er_order_stat(x, y, p=p)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.25 * peaks[0], [p / 2**20 for p in peaks]
+    assert max(peaks) <= 4 * 2**20, [p / 2**20 for p in peaks]
 
 
 def test_er_order_stat_heavy_tail_flagged():
     with pytest.raises(ValueError):
-        er_order_stat(1, 5, 1000, seed=0)
-    with pytest.raises(ValueError, match="need N >= 1 samples"):
-        er_order_stat(2, 5, 0, seed=0)
+        er_order_stat(1, 5)
     # the second highest has infinite variance but a finite mean; truncation
     # at p lowers it by at most C(5, 2) / p
     for p in (1e4, 1e9):
-        est = er_order_stat(2, 5, 300_000, seed=33, p=p)
+        est = er_order_stat(2, 5, p=p)
         assert abs(est.mean - 5.0) <= est.stderr + 10.0 / p, (p, est)
         assert est.stderr < 1e-3
 
@@ -67,7 +66,7 @@ def test_er_order_claim_rejects_the_next_order_statistic(x, y):
     # 4, and 1.2 against 12/11, each far outside the claim's tolerance
     res = run_claim(f"er-order-stat-{x}-{y}", seed=42)
     assert res.passed
-    wrong = er_order_stat(x - 1, y, 200_000, seed=42, p=1e6)
+    wrong = er_order_stat(x - 1, y, p=1e6)
     assert abs(wrong.mean - y / (x - 2)) <= wrong.stderr + 1e-9
     assert abs(wrong.mean - res.target) > 100 * res.tolerance
 
@@ -76,7 +75,7 @@ def test_benchmark_decomposition_gap_shrinks_with_p():
     # exact: the benchmark falls short of nm + off-region by 2.54/p relative
     # (2.569, 2.545, 2.543 and 2.543 times 1/p at p = 1e2 .. 1e5)
     for p in (1e3, 1e4):
-        bench, approx, gap = er_benchmark_decomposition(4, 2, 1_000_000, seed=34, p=p)
+        bench, approx, gap = er_benchmark_decomposition(4, 2, p=p)
         signed = (bench.mean - approx.mean) / bench.mean
         assert 2.5 <= -signed * p <= 2.6, (p, signed * p)
         assert gap == abs(signed)
@@ -92,14 +91,14 @@ def test_decomposition_claim_tolerance_fits_the_effect():
 
 
 def test_decomposition_single_item_degenerates():
-    bench, approx, _ = er_benchmark_decomposition(3, 1, 100_000, seed=35, p=1e4)
+    bench, approx, _ = er_benchmark_decomposition(3, 1, p=1e4)
     # off-region term vanishes with one item; benchmark is the n*1 structure
     assert approx.mean == pytest.approx(3.0)
     assert abs(bench.mean - 3.0) <= 3 * bench.stderr + 0.05
 
 
 def test_offregion_items_positive_and_symmetric():
-    ests = er_offregion_items(16, 4, 100_000, seed=36, p=1e5)
+    ests = er_offregion_items(16, 4, p=1e5)
     means = [e.mean for e in ests]
     assert all(m > 0 for m in means)
     # i.i.d. items: per-item terms agree within their two half-widths
@@ -111,7 +110,7 @@ def test_bign_tightness_pass_and_fail_branches():
     # the exact benchmark on ER(1e4)^4 at n = 16 is 97.49 and VCG_16 is
     # 63.95, so the implied c* is 8.38: VCG_25 = 99.88 covers the benchmark,
     # VCG_24 = 95.89 does not
-    ok = bign_tightness(16, 4, 9, 100_000, seed=37)
+    ok = bign_tightness(16, 4, 9)
     assert ok.passed
     assert ok.computed == pytest.approx(99.88, abs=0.01)
     assert ok.target == pytest.approx(97.487, abs=0.001)
@@ -119,7 +118,7 @@ def test_bign_tightness_pass_and_fail_branches():
     assert ok.details["vcg_n"] == pytest.approx(63.95, abs=0.01)
     assert ok.details["implied_min_c"] == pytest.approx(8.38, abs=0.01)
     assert ok.details["implied_min_c_over_sqrt_nm"] == pytest.approx(8.38 / 8, abs=0.01)
-    low_c = bign_tightness(16, 4, 8, 100_000, seed=37)
+    low_c = bign_tightness(16, 4, 8)
     assert not low_c.passed  # VCG_24 < benchmark: direction check exercised
     assert low_c.computed == pytest.approx(95.89, abs=0.01)
 
@@ -129,7 +128,7 @@ def test_bign_tightness_judges_the_exact_values_at_large_n(c, covers):
     # at n = 4096 near p = 1e4 VCG_{n+c} sits far below m(n + c) (13 808
     # against 16 936 at c = 138), so only the exact values judge coverage;
     # they cross between c = 137 and c = 138
-    res = bign_tightness(4096, 4, c, 100_000, seed=37)
+    res = bign_tightness(4096, 4, c)
     assert res.passed is covers
     assert res.target == pytest.approx(13808.76, abs=0.01)
 
@@ -139,7 +138,7 @@ def test_bign_implied_min_c_not_negative(n):
     # the benchmark is at least VCG_n, so c* >= 0 up to its half-width; at
     # n = 4096, p = 1e4 VCG_n is 13 444, far below nm = 16 384
     m = 4
-    res = bign_tightness(n, m, 100, 100_000, seed=37)
+    res = bign_tightness(n, m, 100)
     assert res.details["implied_min_c"] >= -res.details["benchmark_stderr"] / m
 
 

@@ -44,11 +44,11 @@ from oracles import (
 # ---------------------------------------------------------------------------
 
 
-def _mc_estimate(values: np.ndarray, samples: int, seed: int) -> RevenueEstimate:
+def _mc_estimate(values: np.ndarray) -> RevenueEstimate:
     """Mean and standard error of the whole sample, held in memory at once."""
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return RevenueEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
+    return RevenueEstimate(mean=mean, stderr=stderr)
 
 
 def virtual_max_estimate(d, n, N, seed):
@@ -58,7 +58,7 @@ def virtual_max_estimate(d, n, N, seed):
         rng = substream(seed, "virt-max", bi)
         u1 = rng.random(b) ** (1.0 / n)
         chunks.append(d.raw_virtual(d.quantile(u1)))
-    return _mc_estimate(np.concatenate(chunks), N, seed)
+    return _mc_estimate(np.concatenate(chunks))
 
 
 def _posted_price_oracle(d, lo, hi):
@@ -118,27 +118,18 @@ def _vcg2_uniform_oracle():
 def test_vcg_uniform_two_bidders():
     oracle = _vcg2_uniform_oracle()
     assert oracle == pytest.approx(1.0 / 3.0, abs=1e-8)
-    est = vcg_item_revenue(Uniform(0, 1), 2, 300_000, seed=1)
+    est = vcg_item_revenue(Uniform(0, 1), 2)
     assert abs(est.mean - oracle) <= 3 * est.stderr
 
 
 def test_vcg_single_bidder_is_zero():
-    est = vcg_item_revenue(TruncatedEqualRevenue(1e4), 1, 1000, seed=0)
+    est = vcg_item_revenue(TruncatedEqualRevenue(1e4), 1)
     assert est.mean == 0.0 and est.stderr == 0.0
-
-
-def test_shortcut_estimates_still_need_samples():
-    # neither answer needs draws, but N < 1 is still an error, as it is for
-    # every estimator
-    with pytest.raises(ValueError, match="need N >= 1 samples"):
-        vcg_item_revenue(Uniform(0, 1), 1, 0, seed=0)
-    with pytest.raises(ValueError, match="need N >= 1 samples"):
-        three_tier_mechanism(10_000, 100.0, 1e8, 0, seed=0)
 
 
 def test_vcg_er_second_highest_mean():
     # second-highest of n equal-revenue draws has mean n (x=2, y=n identity)
-    est = vcg_item_revenue(TruncatedEqualRevenue(1e4), 6, 400_000, seed=2)
+    est = vcg_item_revenue(TruncatedEqualRevenue(1e4), 6)
     assert abs(est.mean - 6.0) <= 0.02 * 6.0
 
 
@@ -148,7 +139,7 @@ def test_virtual_max_cross_check():
     for d in [Uniform(0, 1), Exponential(1.0)]:
         for n in (1, 3):
             mc = virtual_max_estimate(d, n, 400_000, seed=4)
-            second = vcg_item_revenue(d, n, 400_000, seed=4)
+            second = vcg_item_revenue(d, n)
             assert abs(mc.mean - second.mean) <= 3 * mc.combined_stderr(second)
 
 
@@ -162,13 +153,13 @@ def test_srev_dominates_vcg():
     pd = ProductDist((Uniform(0, 1), Exponential(1.0)))
     for n in (2, 4):
         s = srev(pd, n)
-        v = vcg(pd, n, 200_000, seed=5)
+        v = vcg(pd, n)
         assert s.mean >= v.mean - 3 * v.stderr
 
 
 def test_vcg_product_n1_zero():
     pd = ProductDist((Uniform(0, 1), Exponential(1.0)))
-    assert vcg(pd, 1, 1000, seed=0).mean == 0.0
+    assert vcg(pd, 1).mean == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -178,20 +169,20 @@ def test_vcg_product_n1_zero():
 def test_vcg_single_item_product_equals_item_revenue(spec, n):
     # the CLI runs `--mech vcg` through vcg() for every m, m = 1 included
     d = parse_dist(spec)
-    assert vcg(ProductDist((d,)), n, 1000, seed=3) == vcg_item_revenue(d, n, 1000, seed=3)
+    assert vcg(ProductDist((d,)), n) == vcg_item_revenue(d, n)
 
 
 def test_vcg_er_product_scales_with_bidders():
     m, n = 3, 8
     pd = ProductDist(tuple(TruncatedEqualRevenue(1e4) for _ in range(m)))
-    est = vcg(pd, n, 400_000, seed=6)
+    est = vcg(pd, n)
     assert abs(est.mean - m * n) <= 0.02 * m * n
 
 
 @pytest.mark.parametrize("d,n", [(Uniform(0, 1), 1), (Exponential(1.0), 1),
                                  (TruncatedEqualRevenue(1e4), 3)])
 def test_bulow_klemperer(d, n):
-    vcg_est, rev_est, margin = bulow_klemperer_check(d, n, 400_000, seed=7)
+    vcg_est, rev_est, margin = bulow_klemperer_check(d, n)
     assert margin >= -(vcg_est.stderr + rev_est.stderr)
 
 
@@ -200,7 +191,7 @@ def test_bulow_klemperer_rejects_irregular():
 
     d = FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1))
     with pytest.raises(ValueError):
-        bulow_klemperer_check(d, 2, 1000, seed=0)
+        bulow_klemperer_check(d, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +361,11 @@ def test_er2_sum_tail_truncated_equals_closed_form_below_the_atom(scale):
 
 def test_three_tier_validates_window():
     with pytest.raises(ValueError):
-        three_tier_mechanism(100, 100.0, 1e8, 100, seed=0)  # q > sqrt(n)
+        three_tier_mechanism(100, 100.0, 1e8)  # q > sqrt(n)
     with pytest.raises(ValueError):
-        three_tier_mechanism(10_000, 99.0, 1e8, 100, seed=0)  # q < 100
+        three_tier_mechanism(10_000, 99.0, 1e8)  # q < 100
     with pytest.raises(ValueError):
-        three_tier_mechanism(10_000, 100.0, 500.0, 100, seed=0)  # p not >> q
+        three_tier_mechanism(10_000, 100.0, 500.0)  # p not >> q
 
 
 def test_three_tier_medium_count_concentrates():
@@ -387,8 +378,7 @@ def test_three_tier_medium_count_concentrates():
 def test_three_tier_exact_matches_mechanism():
     n, q, p = 10_000, 100.0, 1e8
     exact = three_tier_revenue(n, q, p)
-    est = three_tier_mechanism(n, q, p, 1_000_000, seed=13)
-    assert (est.mean, est.stderr, est.samples, est.seed) == (exact, 0.0, 1_000_000, 13)
+    assert three_tier_mechanism(n, q, p) == RevenueEstimate(mean=exact, stderr=0.0)
     mc = three_tier_mc(n, q, p, 1_000_000, seed=13)
     assert abs(mc.mean - exact) <= 4 * mc.stderr, (exact, mc.mean, mc.stderr)
     with pytest.raises(ValueError):
@@ -397,5 +387,5 @@ def test_three_tier_exact_matches_mechanism():
 
 def test_three_tier_revenue_cap():
     n, q, p = 10_000, 100.0, 1e8
-    est = three_tier_mechanism(n, q, p, 20_000, seed=11)
+    est = three_tier_mechanism(n, q, p)
     assert est.mean <= n * max(p, 2 * q)

@@ -71,6 +71,14 @@ def test_two_point_mass_is_regular():
     assert iron(d).regular
 
 
+def test_iron_rejects_a_hull_slope_that_overflows():
+    # the first hull segment climbs by 1e300 over a quantile width of 1e-10:
+    # its slope, an ironed virtual value, would be 1e310
+    d = FiniteDiscrete((0.0, 1e300), (1e-10, 1.0 - 1e-10))
+    with pytest.raises(ValueError, match="ironing .*1e\\+300.* overflows"):
+        iron(d)
+
+
 def _brute_force_ironed(d, u) -> np.ndarray:
     """Independent oracle for a purely atomic d: gift-wrap the concave hull of
     the exact revenue vertices (b_j, (1-b_j)*values[j]) plus (1, 0), then read
