@@ -38,11 +38,10 @@ from .benchmark import (
 )
 from .experiments import (
     DominanceReport,
+    XB,
+    XL,
     dominance_test,
-    sample_xb,
-    sample_xl,
     sample_xs,
-    sample_w,
     ystar_tail,
 )
 from .repro import (

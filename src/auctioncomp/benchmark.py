@@ -15,9 +15,9 @@ A bidder with quantile u on item j is in R_j with probability u^(m-1),
 whatever the marginals, so each item's scores are i.i.d. across bidders with
 a closed-form CDF: the benchmark and ``obs1_bound`` are exact 1-D integrals
 (``revenue._score_estimate``). The chain bounds are exact too: the CDF of
-the experiment (``experiments.xl_cdf`` / ``xb_cdf``) is tabulated once per
-call on a quantile grid, and each item's E[phi_bar(X)] is bracketed on it by
-the score integrals' rule (``revenue._stieltjes``). ``assign_regions`` is
+the experiment (``experiments.XL`` / ``XB``) is tabulated once per call on
+a quantile grid, and each item's E[phi_bar(X)] is bracketed on it by the
+score integrals' rule (``revenue._stieltjes``). ``assign_regions`` is
 the region rule of the Monte Carlo oracles in the tests.
 
 No bound reads a sample count or a seed. ``efftw_bound``, ``obs1_bound``
@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .distributions import ProductDist, SingleDist
-from .experiments import xb_cdf, xl_cdf
+from .experiments import XB, XL
 from . import revenue
 from .revenue import RevenueEstimate, _item_sum, _score_estimate, _stieltjes
 from .virtual import iron
@@ -144,11 +144,11 @@ def _quantile_grid(marginals) -> np.ndarray:
     return u[np.append(True, u[1:] != u[:-1])]  # distinct
 
 
-def _phi_at_experiment(pd: ProductDist, cdf, D: float) -> RevenueEstimate:
-    """Sum over items of E[phi_bar_j(X)] for an experiment quantile X with CDF
-    ``cdf``, exact; no positive part.
+def _phi_at_experiment(pd: ProductDist, law) -> RevenueEstimate:
+    """Sum over items of E[phi_bar_j(X)] for an experiment quantile X of
+    ``law`` (an ``XL`` or ``XB``), exact; no positive part.
 
-    One grid serves every item (``_quantile_grid``). F = ``cdf`` is
+    One grid serves every item (``_quantile_grid``). F = ``law.cdf`` is
     tabulated on it once, with F(0) = 0, F(1) = 1 and running maxima, so
     every cell has mass dF_k >= 0. X has no atoms and phi_bar is
     nondecreasing, so on cell (u_k, u_k+1) phi_bar(X) lies between
@@ -162,11 +162,11 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float) -> RevenueEstimate:
     The top cell (u_K, 1) reads phi_bar(u_K) and phi_bar(1). phi_bar(1) is
     infinite only for ``Exponential``, where phi_bar is Q - 1/rate; there
     the upper end takes phi_bar(u_K) dF_K plus integral_{s > Q(u_K)}
-    Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)), given 1 - F(u) <= D (1 - u)
-    for every u. Working set: u, F and the temporaries of one piece.
+    Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)), D = ``law.tail_constant``.
+    Working set: u, F and the temporaries of one piece.
     """
     u = _quantile_grid(pd.marginals)
-    F = cdf(u)
+    F = law.cdf(u)
     F[0], F[-1] = 0.0, 1.0
     np.maximum.accumulate(F, out=F)
     top = float(F[-1] - F[-2])
@@ -179,36 +179,21 @@ def _phi_at_experiment(pd: ProductDist, cdf, D: float) -> RevenueEstimate:
         if math.isfinite(d.support_hi):
             upper += top * at_one
         else:
-            upper += top * at_top + D * d.tail_integral(float(d.quantile(u[-2])))
+            upper += top * at_top + law.tail_constant * d.tail_integral(float(d.quantile(u[-2])))
         return RevenueEstimate(mean=0.5 * (lower + upper), stderr=0.5 * (upper - lower))
 
     return _item_sum(pd.marginals, item)
 
 
 def xl_chain_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
-    """Sum over items of E[phi_bar_j at the little-n experiment quantile X_L(n, m)].
-
-    Exact (``_phi_at_experiment``), with D = 2n + m - 1: X_L > u needs
-    x1 > u (probability 1 - u^n <= n (1 - u)), or x1 <= u with X'_L > u
-    (at most (1 - x1^(m-1)) (1 - u)/(1 - x1) <= (m - 1)(1 - u)), or x1 <= u
-    with W_2 > u (at most E[(1 - u)/(1 - X_(2))] = n (1 - u)).
-    N and the seed are not read (see the module docstring).
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    m = pd.m
-    return _phi_at_experiment(pd, lambda u: xl_cdf(n, m, u), 2 * n + m - 1)
+    """Sum over items of E[phi_bar_j at X_L(n, m)], exact (``_phi_at_experiment``),
+    for n >= 2. N and the seed are not read (see the module docstring)."""
+    return _phi_at_experiment(pd, XL(n, pd.m))
 
 
 def xb_chain_bound(pd: ProductDist, n: int, ell: int) -> RevenueEstimate:
-    """Sum over items of E[phi_bar_j at X_B(n', ell)] with n' = n + (m-1)(ell-1).
-
-    Exact (``_phi_at_experiment``), with D = n' ell / (ell - 1): X_B > u needs
-    X_(1) > u (at most n' (1 - u)) or W > u >= X_(1) (at most
-    E[(1 - u)/(1 - X_(ell))] = n' (1 - u) / (ell - 1)).
-    """
-    if not 2 <= ell <= n:
+    """Sum over items of E[phi_bar_j at X_B(n', ell)] with n' = n + (m-1)(ell-1),
+    exact (``_phi_at_experiment``). It keeps its ell <= n: ``XB`` takes ell up to n'."""
+    if ell > n:
         raise ValueError("need 2 <= ell <= n")
-    n_prime = n + (pd.m - 1) * (ell - 1)
-    D = n_prime * ell / (ell - 1)
-    return _phi_at_experiment(pd, lambda u: xb_cdf(n_prime, ell, u), D)
+    return _phi_at_experiment(pd, XB(n + (pd.m - 1) * (ell - 1), ell))

@@ -118,15 +118,22 @@ def cmd_revenue(args) -> int:
     return EXIT_OK
 
 
+def _little_n_extra(n: int, m: int) -> float:
+    """The paper's count of extra bidders for little n: n (2 + ln(1 + m/n))."""
+    return n * (2.0 + math.log(1.0 + m / n))
+
+
 def cmd_benchmark(args) -> int:
     marginals = tuple(parse_dist(s) for s in args.dist)
+    if args.chain and min(d.support_lo for d in marginals) < 0:
+        raise ValueError("--chain needs every item's support_lo >= 0; below 0 the chain need not hold")
     pd = ProductDist(marginals)
     n, m, N = args.n, pd.m, args.samples
     # the bounds read no N; bench/tracer.py counts the N passed to efftw and obs1
     rows = [_est_row("efftw", bench_mod.efftw_bound(pd, n, N), args)]
     links_ok = True
     if args.chain == "little":
-        c = args.c if args.c is not None else math.ceil(n * (2.0 + math.log(1.0 + m / n)))
+        c = args.c if args.c is not None else math.ceil(_little_n_extra(n, m))
         rows.append(_est_row("obs1", bench_mod.obs1_bound(pd, n, N), args))
         rows.append(_est_row("xl_chain", bench_mod.xl_chain_bound(pd, n), args))
         rows.append(_est_row(f"srev_n+{c}", rev_mod.srev(pd, n + c), args))
@@ -145,20 +152,18 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK if links_ok else EXIT_CLAIM
 
 
+# --pair -> (the law X_S(n, c) must dominate, the paper's c for it); the law checks its sizes first
+PAIRS = {
+    "xs-xb": lambda args: (exp_mod.XB(args.n, args.l), 4.0 * args.n / (args.l - 1)),
+    "xs-xl": lambda args: (exp_mod.XL(args.n, args.m), _little_n_extra(args.n, args.m)),
+}
+
+
 def cmd_dominance(args) -> int:
-    n, m, ell, c = args.n, args.m, args.l, args.c
-    xb = args.pair == "xs-xb"
-    if xb:
-        sampler_b = lambda rng, b: exp_mod.sample_xb(n, ell, rng, b)
-    else:  # xs-xl
-        sampler_b = lambda rng, b: exp_mod.sample_xl(n, m, rng, b)
-    sampler_a = lambda rng, b: exp_mod.sample_xs(n, c, rng, b)
-    # the samplers check n, m and ell before the threshold formulas divide by them
-    report = exp_mod.dominance_test(
-        sampler_a, sampler_b, args.samples, delta=args.delta, seed=args.seed
-    )
-    threshold = 4.0 * n / (ell - 1) if xb else n * (2.0 + math.log(1.0 + m / n))
-    expected = c >= threshold
+    law, threshold = PAIRS[args.pair](args)
+    report = exp_mod.dominance_test(lambda rng, b: exp_mod.sample_xs(args.n, args.c, rng, b), law,
+                                    args.samples, delta=args.delta, seed=args.seed)
+    expected = args.c >= threshold
     rows = [
         {
             "pair": args.pair,
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("dominance", help="empirical stochastic dominance of quantile experiments")
-    p.add_argument("--pair", choices=["xs-xb", "xs-xl"], required=True)
+    p.add_argument("--pair", choices=list(PAIRS), required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, default=1)
     p.add_argument("-l", type=int, default=2)

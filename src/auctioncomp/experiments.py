@@ -5,9 +5,9 @@ competition-complexity analysis to comparing random variables on [0, 1]:
 
 * ``X_S(n, c)``: the maximum of n + c i.i.d. uniforms (selling with c extra
   bidders).
-* ``X_B(n, l)``: max of the top uniform and a fresh uniform draw from
+* ``XB(n, l)``: max of the top uniform and a fresh uniform draw from
   [X_(l), 1] (the big-n benchmark experiment).
-* ``X_L(n, m)``: the little-n benchmark experiment, where a uniformly random
+* ``XL(n, m)``: the little-n benchmark experiment, where a uniformly random
   one of the m - 1 "item" draws exceeding the top "bidder" draw (if any) is
   taken, maxed with a fresh draw from [X_(2), 1].
 
@@ -17,7 +17,7 @@ values are drawn and only X_(1) and the current one are held. The same walk,
 with one count per row, draws the bidders' bundles of the sequential
 posted-bundle mechanism (``revenue.feldman_posted_price``).
 
-``X_L`` is sampled conditionally on X_(1) = x, in O(1) per draw whatever m
+``XL`` is sampled conditionally on X_(1) = x, in O(1) per draw whatever m
 is: the item draws are independent of x, so none of them exceeds x with
 probability x^(m-1), and otherwise a uniformly chosen exceeder is uniform on
 [x, 1]. ``ystar_conditional_mc`` still simulates all m - 1 item draws,
@@ -29,16 +29,15 @@ Each item draw is read at its bit cost: its top byte, drawn item-major as
 remainder below it only when the byte ties the byte of X_(1) or of p.
 
 The samplers compute in place (``out=`` arithmetic in the order of the plain
-expressions, so the draws are the same bits), which keeps a call to
-``sample_xl`` at four arrays of its size. ``dominance_test`` calls a sampler
-once per block of ``BLOCK // 4`` rows, so ``sample_xl`` and ``sample_xb``
-hold about ``BLOCK`` floats there.
+expressions, so the draws are the same bits), which keeps a draw of ``XL``
+or ``XB`` at four arrays of its size (see ``dominance_test``).
 
-``xl_cdf`` and ``xb_cdf`` are the exact CDFs of X_L and X_B, and neither
-needs a quadrature. Below t = 1/2 each sums a power series in t with
+``XB`` and ``XL`` each hold their law's parameter check, sampler
+(``law(rng, size)``), exact CDF (``law.cdf``) and tail constant D. The CDFs
+need no quadrature. Below t = 1/2 each sums a power series in t with
 nonnegative coefficients, which gains a bit per term there. Above it
-``xl_cdf`` is a closed form in one J_{n-2}(t) = sum_{i > n-2} t^i / i
-(``_j_tail``), whose terms would cancel below 1/2. ``xb_cdf`` is
+``XL.cdf`` is a closed form in one J_{n-2}(t) = sum_{i > n-2} t^i / i
+(``_j_tail``), whose terms would cancel below 1/2. ``XB.cdf`` is
 t^(n+1) (ell/(n+1)) 2F1(1, n - ell + 1; n + 2; t): above 1/2 a continued
 fraction with positive terms (``_gauss_cf``) where (n + 1)(1 - t) >= 1,
 and nearer 1 a recurrence over ell that damps its errors there. Each
@@ -64,13 +63,9 @@ from .rng import BLOCK, PIECE, fill_pieces, hit_rate, map_batches
 
 __all__ = [
     "DominanceReport",
+    "XB",
+    "XL",
     "sample_xs",
-    "sample_w",
-    "sample_xb",
-    "sample_xl",
-    "sample_xl_prime",
-    "xl_cdf",
-    "xb_cdf",
     "ystar_tail",
     "ystar_conditional_mc",
     "dominance_test",
@@ -134,24 +129,8 @@ def sample_xs(n: int, c: int, rng: np.random.Generator, size: int) -> np.ndarray
     return np.power(x, 1.0 / (n + c), out=x)
 
 
-def sample_w(n: int, ell: int, rng: np.random.Generator, size: int):
-    """Draw (W_{ell,n}, X_(1), X_(ell)); W is uniform on [X_(ell), 1]."""
-    if not 1 <= ell <= n:
-        raise ValueError("need 1 <= ell <= n")
-    x1, xl = top_order_stats(n, ell, rng, size)
-    return _uniform_above(xl, rng), x1, xl
-
-
-def sample_xb(n: int, ell: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """X_B(n, ell) = max(X_(1), W_{ell,n})."""
-    if not 2 <= ell <= n:
-        raise ValueError("need 2 <= ell <= n")
-    w, x1, _ = sample_w(n, ell, rng, size)
-    return np.maximum(x1, w, out=w)
-
-
 def _top_or_exceeder(x1: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """X'_L given X_(1) = x1, from two uniforms per row (see ``sample_xl_prime``).
+    """X'_L given X_(1) = x1, from two uniforms per row (see ``XL``).
 
     m = 1 has no item draws and consumes no randomness.
     """
@@ -159,36 +138,6 @@ def _top_or_exceeder(x1: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
         return x1
     has = rng.random(len(x1)) >= x1 ** (m - 1)
     return _uniform_above(x1, rng, where=has)
-
-
-def sample_xl_prime(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """X'_L(n, m): X_(1) if no item draw exceeds it, else a random exceeder.
-
-    The m - 1 item draws are not materialized: given X_(1) = x, the output
-    is x with probability x^(m-1) and uniform on [x, 1] otherwise, so each
-    draw costs O(1) whatever m is.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1, m >= 1")
-    x1, _ = top_order_stats(n, 1, rng, size)
-    return _top_or_exceeder(x1, m, rng)
-
-
-def sample_xl(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """The little-n benchmark experiment X_L(n, m) = max(X'_L(n, m), W_{2,n}).
-
-    X'_L is sampled conditionally on X_(1) as in ``sample_xl_prime``, in O(1)
-    per draw. For n = 1 there is no second order statistic and the
-    single-bidder variant (no W draw) is used.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1, m >= 1")
-    if n == 1:
-        return sample_xl_prime(1, m, rng, size)
-    x1, w2 = top_order_stats(n, 2, rng, size)
-    w2 = _uniform_above(w2, rng)  # rebinding frees X_(2): four arrays at most
-    out = _top_or_exceeder(x1, m, rng)
-    return np.maximum(out, w2, out=out)
 
 
 _SERIES_TERMS = 54  # a series in t <= 1/2 whose terms fall like 2^-j: the rest is below 2^-53
@@ -319,7 +268,7 @@ def _piecewise_cdf(t, branches) -> np.ndarray | float:
 
 @functools.lru_cache(maxsize=16)
 def _xl_coefficients(n: int, m: int):
-    """(e0, C, h1, h2, g), read-only, for ``xl_cdf``: the series
+    """(e0, C, h1, h2, g), read-only, for ``XL.cdf``: the series
     F(t) = t^(n + e0) sum_j C[j] t^j below 1/2, and the polynomials
     h1, h2 and g of the closed form above it.
 
@@ -355,116 +304,177 @@ def _xl_coefficients(n: int, m: int):
     return (e0,) + coefficients
 
 
-def xl_cdf(n: int, m: int, t) -> np.ndarray | float:
-    """Exact CDF of X_L(n, m) for n >= 2 (the law ``sample_xl`` draws).
+@dataclass(frozen=True)
+class XL:
+    """X_L(n, m) = max(X'_L, W_2) over the top two X_(1) >= X_(2) of n uniforms:
+    X'_L is a random one of m - 1 item draws above X_(1), or X_(1) if none is
+    (``_top_or_exceeder``), and W_2 is uniform on [X_(2), 1]; at n = 1, X'_L."""
 
-    With (x1, x2) the top two of n uniforms (joint density
-    n (n-1) x2^(n-2)), X_L <= t when x1 <= t, X'_L <= t and W_2 <= t:
+    n: int
+    m: int
 
-        F(t) = integral_0^t a_t(x1) g_t(x1) dx1,
-        a_t(x) = x^(m-1) + (1 - x^(m-1)) (t - x) / (1 - x)
-               = t - (1 - t) sum_{i=1}^{m-2} x^i  (m >= 2; a_t = 1 at m = 1)
-                 (X'_L is x1, or uniform on [x1, 1]),
-        g_t(x) = n x^(n-1) - n (n-1) (1 - t) J_{n-2}(x)
-                 (the x2 integral of (t - x2)/(1 - x2) below x1),
+    def __post_init__(self):
+        if self.n < 1 or self.m < 1:
+            raise ValueError("need n >= 1, m >= 1")
 
-    with J_k from ``_j_tail``. No quadrature is needed: swapping the two
-    integrals leaves, with J = J_{n-2}(t), d = 1 - t and the polynomials of
-    ``_xl_coefficients``,
+    @property
+    def tail_constant(self) -> int:
+        """D = 2n + m - 1, so that 1 - F(u) <= D (1 - u) for every u: X_L > u
+        needs x1 > u (probability 1 - u^n <= n (1 - u)), or x1 <= u with
+        X'_L > u (at most (1 - x1^(m-1)) (1 - u)/(1 - x1) <= (m - 1)(1 - u)),
+        or x1 <= u with W_2 > u (at most E[(1 - u)/(1 - X_(2))] = n (1 - u))."""
+        return 2 * self.n + self.m - 1
 
-        F = t^n (t - n d h1(t)) + n (n-1) d^2 (t^(n-1) h2(t) + J (t - d g(t))),
-        F = t^(n-1) (t - n d) + n (n-1) d^2 J                      (m = 1),
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self.n == 1:
+            return _top_or_exceeder(top_order_stats(1, 1, rng, size)[0], self.m, rng)
+        x1, w2 = top_order_stats(self.n, 2, rng, size)
+        w2 = _uniform_above(w2, rng)  # rebinding frees X_(2): four arrays at most
+        return np.maximum(_top_or_exceeder(x1, self.m, rng), w2, out=w2)
 
-    h1 = 1 + sum_{i=1}^{m-2} t^i / (n+i), h2 = sum_j r_j t^j / (n-1+j),
-    g = sum_j r_j t^j, r_j = sum of 1/s over max(2, j+1) <= s <= m - 1.
-    Its terms are of order n d t^n at most, so it holds F to a few ulps of
-    1 (1.8e-15 at n = 4096 against mpmath), but they cancel to a far
-    smaller F as t falls. Below 1/2 F is summed instead from a series with
-    no cancellation: with x = t y, F = t^n E[A B] over the top two (y1, y2)
-    of n uniforms, A = (t y1)^(m-1) + t (1 - y1) sum_{i<m-1} (t y1)^i and
-    B = t (1 - y2) sum_k (t y2)^k, a power series in t whose coefficients
-    (``_xl_coefficients``) are all nonnegative, so Horner's rule holds F to
-    a few ulps of itself. The split sits at 1/2 because there the series
-    still gains a bit per term, so ~70 terms reach rounding, while that
-    count grows like 1/(1 - t) above it. The series also takes the t above
-    1/2 where t^(n-1) is below the smallest normal float: there F < t^n is
-    too, and the closed form's rounding is no longer relative.
+    def cdf(self, t) -> np.ndarray | float:
+        """Exact CDF of X_L(n, m), for n >= 2.
 
-    F is 0 for t <= 0 (and NaN), 1 for t >= 1 (``_piecewise_cdf``).
-    """
-    if n < 2 or m < 1:
-        raise ValueError("need n >= 2, m >= 1")
-    e0, C, h1, h2, g = _xl_coefficients(n, m)
-    split = max(0.5, 2.0 ** (-1022.0 / (n - 1)))  # t^(n-1) is normal above it
+        With (x1, x2) the top two of n uniforms (joint density
+        n (n-1) x2^(n-2)), X_L <= t when x1 <= t, X'_L <= t and W_2 <= t:
 
-    def series(x):
-        return x ** (n + e0) * _horner(C, x)
+            F(t) = integral_0^t a_t(x1) g_t(x1) dx1,
+            a_t(x) = x^(m-1) + (1 - x^(m-1)) (t - x) / (1 - x)
+                   = t - (1 - t) sum_{i=1}^{m-2} x^i  (m >= 2; a_t = 1 at m = 1)
+                     (X'_L is x1, or uniform on [x1, 1]),
+            g_t(x) = n x^(n-1) - n (n-1) (1 - t) J_{n-2}(x)
+                     (the x2 integral of (t - x2)/(1 - x2) below x1),
 
-    def closed_form(x):
-        d, xn1 = 1.0 - x, x ** (n - 1)
-        w, J = n * (n - 1) * d * d, _j_tail(n - 2, x, np.log1p(-x))
-        if m == 1:
-            return xn1 * (x - n * d) + w * J
-        return xn1 * x * (x - n * d * _horner(h1, x)) + w * (xn1 * _horner(h2, x) + J * (x - d * _horner(g, x)))
+        with J_k from ``_j_tail``. No quadrature is needed: swapping the two
+        integrals leaves, with J = J_{n-2}(t), d = 1 - t and the polynomials of
+        ``_xl_coefficients``,
 
-    return _piecewise_cdf(t, ((lambda x: x <= split, series), (lambda x: x > split, closed_form)))
+            F = t^n (t - n d h1(t)) + n (n-1) d^2 (t^(n-1) h2(t) + J (t - d g(t))),
+            F = t^(n-1) (t - n d) + n (n-1) d^2 J                      (m = 1),
+
+        h1 = 1 + sum_{i=1}^{m-2} t^i / (n+i), h2 = sum_j r_j t^j / (n-1+j),
+        g = sum_j r_j t^j, r_j = sum of 1/s over max(2, j+1) <= s <= m - 1.
+        Its terms are of order n d t^n at most, so it holds F to a few ulps of
+        1 (1.8e-15 at n = 4096 against mpmath), but they cancel to a far
+        smaller F as t falls. Below 1/2 F is summed instead from a series with
+        no cancellation: with x = t y, F = t^n E[A B] over the top two (y1, y2)
+        of n uniforms, A = (t y1)^(m-1) + t (1 - y1) sum_{i<m-1} (t y1)^i and
+        B = t (1 - y2) sum_k (t y2)^k, a power series in t whose coefficients
+        (``_xl_coefficients``) are all nonnegative, so Horner's rule holds F to
+        a few ulps of itself. The split sits at 1/2 because there the series
+        still gains a bit per term, so ~70 terms reach rounding, while that
+        count grows like 1/(1 - t) above it. The series also takes the t above
+        1/2 where t^(n-1) is below the smallest normal float: there F < t^n is
+        too, and the closed form's rounding is no longer relative.
+
+        F is 0 for t <= 0 (and NaN), 1 for t >= 1 (``_piecewise_cdf``).
+        """
+        n, m = self.n, self.m
+        if n < 2:
+            raise ValueError("need n >= 2 for the CDF of X_L")
+        e0, C, h1, h2, g = _xl_coefficients(n, m)
+        split = max(0.5, 2.0 ** (-1022.0 / (n - 1)))  # t^(n-1) is normal above it
+
+        def series(x):
+            return x ** (n + e0) * _horner(C, x)
+
+        def closed_form(x):
+            d, xn1 = 1.0 - x, x ** (n - 1)
+            w, J = n * (n - 1) * d * d, _j_tail(n - 2, x, np.log1p(-x))
+            if m == 1:
+                return xn1 * (x - n * d) + w * J
+            return xn1 * x * (x - n * d * _horner(h1, x)) + w * (xn1 * _horner(h2, x) + J * (x - d * _horner(g, x)))
+
+        return _piecewise_cdf(t, ((lambda x: x <= split, series), (lambda x: x > split, closed_form)))
+
+
+def sample_xl(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``XL(n, m)(rng, size)``, under the name the benchmark harness binds."""
+    return XL(n, m)(rng, size)
 
 
 @functools.lru_cache(maxsize=16)
 def _xb_coefficients(n: int, ell: int) -> np.ndarray:
     """c_0 = ell / (n + 1), c_(j+1) = c_j (n - ell + 1 + j) / (n + 2 + j),
     read-only: X_B's series F(t) = t^(n+1) sum_j c_j t^j, through as many
-    powers as ``xl_cdf``'s."""
+    powers as X_L's."""
     j = np.arange(_SERIES_TERMS + 13 + (n + ell).bit_length(), dtype=float)
     c = np.cumprod(np.concatenate(([ell / (n + 1)], (n - ell + 1 + j) / (n + 2 + j))))
     c.flags.writeable = False
     return c
 
 
-def xb_cdf(n: int, ell: int, t) -> np.ndarray | float:
-    """Exact CDF of X_B(n, ell) (the law ``sample_xb`` draws).
+@dataclass(frozen=True)
+class XB:
+    """X_B(n, ell) = max(X_(1), W) over the top X_(1) and the ell-th X_(ell)
+    of n uniforms, with W uniform on [X_(ell), 1]."""
 
-    Given X_(1) <= t the n draws are i.i.d. on [0, t], so X_(ell) = t Y with
-    Y ~ Beta(a + 1, ell), a = n - ell, and with d = 1 - t
+    n: int
+    ell: int
 
-        F(t) = t^n E[(t - tY)/(1 - tY)] = t^(n+1) (ell/(n+1)) 2F1(1, a + 1; n + 2; t),
+    def __post_init__(self):
+        if not 2 <= self.ell <= self.n:
+            raise ValueError("need 2 <= ell <= n")
 
-    taken with no quadrature, each point (``_piecewise_cdf``) by one of:
+    @property
+    def tail_constant(self) -> float:
+        """D = n ell / (ell - 1), so that 1 - F(u) <= D (1 - u) for every u:
+        X_B > u needs X_(1) > u (at most n (1 - u)) or W > u >= X_(1) (at
+        most E[(1 - u)/(1 - X_(ell))] = n (1 - u) / (ell - 1))."""
+        return self.n * self.ell / (self.ell - 1)
 
-    * t <= 1/2, or t^(n+1) subnormal: the series t^(n+1) sum_j c_j t^j
-      (``_xb_coefficients``), whose positive terms fall by t per step or
-      faster; above 1/2 its length would grow like 1/d.
-    * s = (n + 1) d >= 1: by Pfaff, F = ell t^(n+1) 2F1(1, ell + 1; n + 2; -t/d) / s,
-      and Gauss's fraction for it with positive terms (``_gauss_cf``).
-    * s < 1, where the fraction would need its greatest depth: the
-      recurrence F_1 = t^(a+1) - (a + 1) d J_a(t) (``_j_tail``),
-      F_l = t^(a+l) - d (a + l) / (l - 1) F_(l-1), F = F_ell. Each step
-      scales an error by d (a + l) / (l - 1) <= s < 1, and carried as F_l
-      rather than as n!/(a! (ell-1)!) times an integral it cannot overflow.
-    """
-    if not 2 <= ell <= n:
-        raise ValueError("need 2 <= ell <= n")
-    a, c = n - ell, _xb_coefficients(n, ell)
-    split = max(0.5, 2.0 ** (-1022.0 / (n + 1)))  # t^(n+1) is normal above it
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        x1, xl = top_order_stats(self.n, self.ell, rng, size)
+        return np.maximum(x1, _uniform_above(xl, rng), out=x1)
 
-    def series(x):
-        return x ** (n + 1) * _horner(c, x)
+    def cdf(self, t) -> np.ndarray | float:
+        """Exact CDF of X_B(n, ell).
 
-    def fraction(x):
-        return ell * _gauss_cf(ell + 1, n + 2, x, (n + 1) * (1.0 - x))
+        Given X_(1) <= t the n draws are i.i.d. on [0, t], so X_(ell) = t Y with
+        Y ~ Beta(a + 1, ell), a = n - ell, and with d = 1 - t
 
-    def recurrence(x):
-        d = 1.0 - x
-        out = x ** (a + 1) - (a + 1) * d * _j_tail(a, x, np.log1p(-x))
-        for l in range(2, ell + 1):
-            out = x ** (a + l) - d * (a + l) / (l - 1) * out
-        return out
+            F(t) = t^n E[(t - tY)/(1 - tY)] = t^(n+1) (ell/(n+1)) 2F1(1, a + 1; n + 2; t),
 
-    return _piecewise_cdf(t, (
-        (lambda x: x <= split, series),
-        (lambda x: (n + 1) * (1.0 - x) >= 1.0, fraction),
-        (lambda x: (n + 1) * (1.0 - x) < 1.0, recurrence),
-    ))
+        taken with no quadrature, each point (``_piecewise_cdf``) by one of:
+
+        * t <= 1/2, or t^(n+1) subnormal: the series t^(n+1) sum_j c_j t^j
+          (``_xb_coefficients``), whose positive terms fall by t per step or
+          faster; above 1/2 its length would grow like 1/d.
+        * s = (n + 1) d >= 1: by Pfaff, F = ell t^(n+1) 2F1(1, ell + 1; n + 2; -t/d) / s,
+          and Gauss's fraction for it with positive terms (``_gauss_cf``).
+        * s < 1, where the fraction would need its greatest depth: the
+          recurrence F_1 = t^(a+1) - (a + 1) d J_a(t) (``_j_tail``),
+          F_l = t^(a+l) - d (a + l) / (l - 1) F_(l-1), F = F_ell. Each step
+          scales an error by d (a + l) / (l - 1) <= s < 1, and carried as F_l
+          rather than as n!/(a! (ell-1)!) times an integral it cannot overflow.
+        """
+        n, ell = self.n, self.ell
+        a, c = n - ell, _xb_coefficients(n, ell)
+        split = max(0.5, 2.0 ** (-1022.0 / (n + 1)))  # t^(n+1) is normal above it
+
+        def series(x):
+            return x ** (n + 1) * _horner(c, x)
+
+        def fraction(x):
+            return ell * _gauss_cf(ell + 1, n + 2, x, (n + 1) * (1.0 - x))
+
+        def recurrence(x):
+            d = 1.0 - x
+            out = x ** (a + 1) - (a + 1) * d * _j_tail(a, x, np.log1p(-x))
+            for l in range(2, ell + 1):
+                out = x ** (a + l) - d * (a + l) / (l - 1) * out
+            return out
+
+        return _piecewise_cdf(t, (
+            (lambda x: x <= split, series),
+            (lambda x: (n + 1) * (1.0 - x) >= 1.0, fraction),
+            (lambda x: (n + 1) * (1.0 - x) < 1.0, recurrence),
+        ))
+
+
+def sample_xb(n: int, ell: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``XB(n, ell)(rng, size)``, under the name the benchmark harness binds."""
+    return XB(n, ell)(rng, size)
 
 
 def ystar_tail(n: int, m: int, p) -> np.ndarray | float:
@@ -491,7 +501,7 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
     Conditioned on X_(1),n < p the bidder draws are i.i.d. uniform on [0, p],
     so the conditional law is sampled exactly (no rejection). The m - 1 item
     draws are simulated directly, so this stays independent of both
-    ``ystar_tail`` and the conditional construction in ``sample_xl``.
+    ``ystar_tail`` and the conditional construction in ``XL``.
 
     Y* is the exceeder of rank floor(U k) among the k item draws above X_(1),
     taken largest first; the h draws above p > X_(1) lead that order, so
@@ -583,10 +593,10 @@ def dominance_test(
 
     Each sampler draws its own stream (``rng.map_batches``, labels ``dom-a``
     and ``dom-b``), called once per block of ``BLOCK // 4`` rows, since
-    ``sample_xl`` and ``sample_xb`` compute in four arrays of their size: a
-    block holds about ``BLOCK`` floats. The block is sorted in place, so a
-    sampler must return a fresh array, and its counts at or below the grid
-    are added up as integers. Sampler B is first called for zero draws, so
+    ``XL`` and ``XB``, themselves samplers, compute in four arrays of their
+    size: a block holds about ``BLOCK`` floats. The block is sorted in place,
+    so a sampler must return a fresh array, and its counts at or below the
+    grid are added up as integers. Sampler B is first called for zero draws, so
     its argument checks fire before sampler A's pass rather than after it.
     """
     if N < 10_000:

@@ -420,7 +420,7 @@ def _log_gap_cdf(t, sharpness: float, integrand) -> np.ndarray | float:
 
 
 def xl_cdf_quadrature(n: int, m: int, t) -> np.ndarray | float:
-    """The CDF of X_L(n, m) as the 1-D integral over x1 that ``xl_cdf``
+    """The CDF of X_L(n, m) as the 1-D integral over x1 that ``XL.cdf``
     solves in closed form, F(t) = integral_0^t a_t(x1) g_t(x1) dx1 with
     a_t(x) = x^(m-1) + (1 - x^(m-1)) (t - x) / (1 - x) and
     g_t(x) = n x^(n-1) - n (n-1) (1 - t) J_{n-2}(x), taken by
@@ -438,7 +438,7 @@ def xl_cdf_quadrature(n: int, m: int, t) -> np.ndarray | float:
 
 def xb_cdf_quadrature(n: int, ell: int, t) -> np.ndarray | float:
     """The CDF of X_B(n, ell) as the 1-D integral over s = t X_(ell) that
-    ``xb_cdf`` solves in closed form,
+    ``XB.cdf`` solves in closed form,
     F(t) = C integral_0^t s^(n-ell) (t - s)^ell / (1 - s) ds,
     C = n! / ((n-ell)! (ell-1)!), taken by ``_log_gap_cdf`` in
     v = log(1 - s), where it reads
@@ -453,10 +453,10 @@ def xb_cdf_quadrature(n: int, ell: int, t) -> np.ndarray | float:
     return _log_gap_cdf(t, float(ell), integrand)
 
 
-def phi_at_experiment_one_shot(pd: ProductDist, cdf, D: float) -> RevenueEstimate:
+def phi_at_experiment_one_shot(pd: ProductDist, law) -> RevenueEstimate:
     """``benchmark._phi_at_experiment`` with phi_bar read on the whole grid at once."""
     u = _quantile_grid(pd.marginals)
-    F = cdf(u)
+    F = law.cdf(u)
     F[0], F[-1] = 0.0, 1.0
     F = np.maximum.accumulate(F)
     dF = np.diff(F)
@@ -469,14 +469,14 @@ def phi_at_experiment_one_shot(pd: ProductDist, cdf, D: float) -> RevenueEstimat
         if math.isfinite(d.support_hi):
             upper += float(dF[-1] * phi[-1])
         else:
-            upper += float(dF[-1] * phi[-2]) + D * d.tail_integral(float(d.quantile(u[-2])))
+            upper += float(dF[-1] * phi[-2]) + law.tail_constant * d.tail_integral(float(d.quantile(u[-2])))
         mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
         return RevenueEstimate(mean=mean, stderr=half_width)
 
     return _item_sum(pd.marginals, item)
 
 
-def phi_at_experiment_two_read(pd: ProductDist, cdf, D: float) -> RevenueEstimate:
+def phi_at_experiment_two_read(pd: ProductDist, law) -> RevenueEstimate:
     """The two-read chain bracket: uniform cells, knots and breakpoints, with
     no one-ulp cells beside them; phi_bar read at the float above each
     cell's left end for the lower rectangles and at the float below its
@@ -489,7 +489,7 @@ def phi_at_experiment_two_read(pd: ProductDist, cdf, D: float) -> RevenueEstimat
         + [imap.knots for imap in imaps.values()]
         + [d.quantile_breakpoints() for d in imaps]
     ))
-    F = cdf(u)
+    F = law.cdf(u)
     F[0], F[-1] = 0.0, 1.0
     dF = np.diff(np.maximum.accumulate(F))
     above, below = np.nextafter(u[:-1], np.inf), np.nextafter(u[1:], -np.inf)
@@ -501,7 +501,7 @@ def phi_at_experiment_two_read(pd: ProductDist, cdf, D: float) -> RevenueEstimat
         tail = 0.0
         if not math.isfinite(d.support_hi):
             hi_phi[-1] = lo_phi[-1]
-            tail = D * d.tail_integral(float(d.quantile(above[-1])))
+            tail = law.tail_constant * d.tail_integral(float(d.quantile(above[-1])))
         lower = float(np.sum(dF * lo_phi))
         upper = float(np.sum(dF * hi_phi)) + tail
         mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)

@@ -21,10 +21,10 @@ from auctioncomp.distributions import (
     Uniform,
 )
 from auctioncomp.experiments import (
+    XB,
+    XL,
     dkw_epsilon,
     dominance_test,
-    sample_xb,
-    sample_xl,
     sample_xs,
     ystar_conditional_mc,
     ystar_tail,
@@ -95,14 +95,14 @@ def test_criterion_05_dominance_extra_bidders_vs_xb():
         c = math.ceil(4 * n / (ell - 1))
         rep = dominance_test(
             lambda rng, b: sample_xs(n, c, rng, b),
-            lambda rng, b: sample_xb(n, ell, rng, b),
+            XB(n, ell),
             N, seed=5000 + n,
         )
         assert rep.dominates, (n, ell, c, rep.max_violation)
     # threshold is meaningful: far below it the verdict flips
     rep = dominance_test(
         lambda rng, b: sample_xs(10, 1, rng, b),
-        lambda rng, b: sample_xb(10, 3, rng, b),
+        XB(10, 3),
         N, seed=5100,
     )
     assert not rep.dominates
@@ -116,7 +116,7 @@ def test_criterion_06_dominance_extra_bidders_vs_xl():
         c = math.ceil(n * (2 + math.log(1 + m / n)))
         rep = dominance_test(
             lambda rng, b: sample_xs(n, c, rng, b),
-            lambda rng, b: sample_xl(n, m, rng, b),
+            XL(n, m),
             N, seed=6000 + n,
         )
         assert rep.dominates, (n, m, c, rep.max_violation)
@@ -124,7 +124,7 @@ def test_criterion_06_dominance_extra_bidders_vs_xl():
         c = math.ceil(2 + math.log(m + 1))
         rep = dominance_test(
             lambda rng, b: sample_xs(1, c, rng, b),
-            lambda rng, b: sample_xl(1, m, rng, b),
+            XL(1, m),
             N, seed=6100 + m,
         )
         assert rep.dominates, (m, c, rep.max_violation)

@@ -25,7 +25,7 @@ from auctioncomp.distributions import (
     Uniform,
     parse_dist,
 )
-from auctioncomp.experiments import sample_xb, sample_xl, xb_cdf, xl_cdf
+from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import er_offregion_items
 from auctioncomp.revenue import RevenueEstimate, _item_sum, myerson_item_revenue, srev, vcg
 from auctioncomp.rng import PIECE, batch_moments, batch_sizes, map_batches, mean_stderr, substream
@@ -194,11 +194,11 @@ def test_chain_bounds_agree_with_monte_carlo_oracle(case):
     samples, seed = 1_000_000, 80 + len(case)
     if chain == "xl":
         est = xl_chain_bound(pd, n)
-        sampler = lambda rng, b: sample_xl(n, pd.m, rng, b)
+        sampler = XL(n, pd.m)
     else:
         n_prime = n + (pd.m - 1) * (ell - 1)
         est = xb_chain_bound(pd, n, ell)
-        sampler = lambda rng, b: sample_xb(n_prime, ell, rng, b)
+        sampler = XB(n_prime, ell)
     ref = _ref_phi_at_experiment(pd, sampler, samples, seed, f"{chain}-chain")
     # the certified half-width is below the oracle's noise at the same N
     assert est.stderr <= ref.stderr, (est.stderr, ref.stderr)
@@ -215,8 +215,8 @@ def test_chain_bounds_exact_on_step_items():
     for specs in (["er:p=10000"] * 2, [IRREGULAR, "discrete:v=1,1.2,10;p=0.5,0.4,0.1"]):
         pd = ProductDist(tuple(parse_dist(s) for s in specs))
         n_prime = n + (pd.m - 1) * (ell - 1)
-        for est, cdf in [(xl_chain_bound(pd, n), lambda u: xl_cdf(n, pd.m, u)),
-                         (xb_chain_bound(pd, n, ell), lambda u: xb_cdf(n_prime, ell, u))]:
+        for est, cdf in [(xl_chain_bound(pd, n), XL(n, pd.m).cdf),
+                         (xb_chain_bound(pd, n, ell), XB(n_prime, ell).cdf)]:
             allowance = jump_allowance(pd, cdf)
             assert 0.0 < allowance < 1e-10, allowance  # a grid without the cells reads ~2
             assert est.stderr <= allowance + 4 * math.ulp(est.mean), (est, allowance)

@@ -228,6 +228,32 @@ def test_benchmark_links_use_certified_slack(monkeypatch, capsys):
     assert code == EXIT_CLAIM
 
 
+@pytest.mark.parametrize(
+    "dist,n,chain",
+    [
+        (["uniform:-8,-7"], 2, "little"),
+        (["discrete:v=-8,8;p=0.9,0.1"], 2, "little"),
+        (["uniform:-1,1"], 2, "little"),
+        (["uniform:-8,-7", "uniform:-8,-7"], 16, "big"),
+        # its links held, with exit 0, though the chain need not bound the benchmark there
+        (["uniform:-1,1", "uniform:0,1"], 16, "big"),
+    ],
+    ids=["little-below-0", "little-atom-below-0", "little-across-0", "big-below-0", "big-one-item-across-0"],
+)
+def test_chain_on_support_below_0_exits_3(dist, n, chain, capsys):
+    # the chain is an upper bound on the benchmark only where every item's
+    # support_lo >= 0; the first four failed a link (exit 1) on valid items
+    code = main(["benchmark", "--dist", *dist, "-n", str(n), "--chain", chain, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PRECONDITION and captured.out == ""
+    assert captured.err == (
+        "precondition violated: --chain needs every item's support_lo >= 0; below 0 the chain need not hold\n"
+    )
+    # the benchmark alone still runs there
+    code, out = run_cli(["benchmark", "--dist", *dist, "-n", str(n), "--seed", "1"], capsys)
+    assert code == EXIT_OK and [r["name"] for r in json.loads(out)["results"]] == ["efftw"]
+
+
 SAMPLED = {
     "benchmark": ["benchmark", "--dist", "uniform:0,1", "-n", "2"],
     "myerson": ["revenue", "--mech", "myerson", "--dist", "uniform:0,1", "-n", "2"],
@@ -274,6 +300,7 @@ def test_estimate_rows_report_the_samples_option(argv, capsys):
     "argv,message",
     [
         (["dominance", "--pair", "xs-xb", "-n", "3", "-l", "1", "-c", "1"], "need 2 <= ell <= n"),
+        (["dominance", "--pair", "xs-xb", "-n", "2", "-l", "5", "-c", "7"], "need 2 <= ell <= n"),
         (["dominance", "--pair", "xs-xl", "-n", "0", "-m", "2", "-c", "1"], "need n >= 1"),
         (["revenue", "--mech", "feldman", "-n", "0", "-m", "8"], "need n >= 1"),
         (["revenue", "--mech", "vcg", "-n", "2", "-m", "0"], "need at least one marginal"),
@@ -288,7 +315,7 @@ def test_estimate_rows_report_the_samples_option(argv, capsys):
         (["revenue", "--mech", "three-tier", "-n", "1000000", "--medium-price", "1000",
           "--high-price", "inf"], "high price p must be finite"),
     ],
-    ids=["xs-xb-ell1", "xs-xl-n0", "feldman-n0", "vcg-m0", "feldman-price-nan",
+    ids=["xs-xb-ell1", "xs-xb-ell-above-n", "xs-xl-n0", "feldman-n0", "vcg-m0", "feldman-price-nan",
          "feldman-price-inf", "feldman-price-negative", "three-tier-high-nan",
          "three-tier-high-inf"],
 )

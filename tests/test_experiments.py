@@ -10,19 +10,18 @@ from scipy import integrate, stats
 from auctioncomp.experiments import (
     _NEAR_ONE_TERMS,
     DominanceReport,
+    XB,
+    XL,
     _j_tail,
     _near_one_coefficients,
     _top_or_exceeder,
+    _uniform_above,
     dkw_epsilon,
     dominance_test,
-    sample_w,
     sample_xb,
     sample_xl,
-    sample_xl_prime,
     sample_xs,
     top_order_stats,
-    xb_cdf,
-    xl_cdf,
     ystar_conditional_mc,
     ystar_tail,
 )
@@ -94,6 +93,20 @@ def ref_sample_xl(n, m, rng, size):
     y = rng.random((size, m - 1))
     chosen, has = _ref_pick_exceeder(y, x1, rng)
     return np.maximum(np.where(has, chosen, x1), w2)
+
+
+# The pieces of the laws: X'_L, the little-n experiment before its max with
+# W_2, and W_{ell,n}, uniform on [X_(ell), 1], which X_B maxes with X_(1).
+
+
+def xl_prime(n, m, rng, size):
+    return _top_or_exceeder(top_order_stats(n, 1, rng, size)[0], m, rng)
+
+
+def draw_w(n, ell, rng, size):
+    """(W_{ell,n}, X_(1), X_(ell)), the draws of XB(n, ell) in its order."""
+    x1, xl = top_order_stats(n, ell, rng, size)
+    return _uniform_above(xl, rng), x1, xl
 
 
 # The samplers as plain expressions, before they computed in place. The
@@ -172,22 +185,16 @@ def test_xs_mean_and_cdf():
 
 def test_w_mean_and_bounds():
     n, ell = 7, 3
-    w, x1, xl = sample_w(n, ell, substream(2, "w"), N)
+    w, x1, xl = draw_w(n, ell, substream(2, "w"), N)
     assert np.all(w >= xl) and np.all(x1 >= xl)
     # E[W_{l,n}] = 1 - l/(2(n+1))
     assert abs(w.mean() - (1 - ell / (2 * (n + 1)))) <= 3 * w.std() / math.sqrt(N)
 
 
-def test_w1_single_draw_mean():
-    # n=1, l=1: W uniform on [X,1] has mean E[(1+U)/2] = 3/4
-    w, _, _ = sample_w(1, 1, substream(3, "w1"), N)
-    assert abs(w.mean() - 0.75) <= 3 * w.std() / math.sqrt(N)
-
-
 def test_w2_identically_distributed_as_top():
     # marginal of W_{2,n} equals the law of the maximum (two-sample KS)
     n = 5
-    w, x1, _ = sample_w(n, 2, substream(4, "w2"), N)
+    w, x1, _ = draw_w(n, 2, substream(4, "w2"), N)
     x_other = sample_xs(n, 0, substream(5, "w2b"), N)
     _, pval = stats.ks_2samp(w, x_other)
     assert pval > 1e-3
@@ -196,7 +203,7 @@ def test_w2_identically_distributed_as_top():
 def test_xb_pathwise_and_ell2_law():
     n = 5
     rng = substream(6, "xb")
-    w, x1, _ = sample_w(n, 2, rng, N)
+    w, x1, _ = draw_w(n, 2, rng, N)
     xb = np.maximum(x1, w)
     assert np.all(xb >= x1)
     # W2 and X_(1) are dependent, so the CDF of their max is NOT p^(2n); the
@@ -204,7 +211,7 @@ def test_xb_pathwise_and_ell2_law():
     # Pr[X_B(n,2) <= p] = n(n-1) * int_0^p s^(n-2) (p-s)^2 / (1-s) ds
     from scipy import integrate
 
-    xb2 = sample_xb(n, 2, substream(7, "xb2"), N)
+    xb2 = XB(n, 2)(substream(7, "xb2"), N)
     for p in (0.5, 0.8, 0.95):
         exact, _ = integrate.quad(
             lambda s: n * (n - 1) * s ** (n - 2) * (p - s) ** 2 / (1 - s), 0, p
@@ -217,30 +224,29 @@ def test_xb_pathwise_and_ell2_law():
 
 def test_xb_mean_lower_bound():
     n, ell = 10, 4
-    xb = sample_xb(n, ell, substream(8, "xbm"), N)
+    xb = XB(n, ell)(substream(8, "xbm"), N)
     jensen = max(1 - 1 / (n + 1), 1 - ell / (2 * (n + 1)))
     assert xb.mean() >= jensen - 3 * xb.std() / math.sqrt(N)
 
 
 def test_xl_m1_degenerates():
     n = 4
-    xl = sample_xl(n, 1, substream(9, "xl1"), N)
-    # an identically-seeded generator replays the same draws: X_L(n,1) = max{X_(1), W_2}
-    w, x1, _ = sample_w(n, 2, substream(9, "xl1"), N)
-    assert np.array_equal(xl, np.maximum(x1, w))
+    xl = XL(n, 1)(substream(9, "xl1"), N)
+    # an identically-seeded generator replays the same draws: X_L(n,1) = max{X_(1), W_2} = X_B(n, 2)
+    assert np.array_equal(xl, XB(n, 2)(substream(9, "xl1"), N))
 
 
 def test_xl_bounds_and_n1_variant():
-    xl = sample_xl(1, 4, substream(10, "xln1"), N)
+    xl = XL(1, 4)(substream(10, "xln1"), N)
     assert np.all((xl >= 0) & (xl <= 1))
-    xlp = sample_xl_prime(1, 4, substream(10, "xln1"), N)
+    xlp = xl_prime(1, 4, substream(10, "xln1"), N)
     assert np.array_equal(xl, xlp)  # n=1 has no W draw
 
 
 @pytest.mark.parametrize("n,m", XL_CASES)
 @pytest.mark.parametrize(
     "sampler,reference",
-    [(sample_xl_prime, ref_sample_xl_prime), (sample_xl, ref_sample_xl)],
+    [(xl_prime, ref_sample_xl_prime), (lambda n, m, rng, size: XL(n, m)(rng, size), ref_sample_xl)],
     ids=["xl_prime", "xl"],
 )
 def test_xl_matches_sort_reference(sampler, reference, n, m):
@@ -252,7 +258,7 @@ def test_xl_matches_sort_reference(sampler, reference, n, m):
 
 @pytest.mark.parametrize("n,m", XL_CASES)
 def test_xl_prime_closed_form_cdf(n, m):
-    x = sample_xl_prime(n, m, substream(19, "xl-cdf", n, m), N_XL)
+    x = xl_prime(n, m, substream(19, "xl-cdf", n, m), N_XL)
     assert _xl_prime_cdf_gap(x, n, m) <= dkw_epsilon(N_XL, 1e-3)
 
 
@@ -273,7 +279,7 @@ def test_xl_memory_independent_of_m():
     rng = substream(21, "xl-mem")
     tracemalloc.start()
     try:
-        sample_xl(2, 512, rng, 20_000)
+        XL(2, 512)(rng, 20_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -291,14 +297,17 @@ def test_top_order_stats_match_matrix_reference(n, k):
 def test_in_place_samplers_same_bits_as_plain_expressions(n, m):
     size = 10_001
     draw = lambda label: substream(24, label, n, m)
+    # sample_xl and sample_xb, the names bench/ binds, draw the laws' bits
     ref = _plain_sample_xl(n, m, draw("xl"), size)
+    assert np.array_equal(XL(n, m)(draw("xl"), size), ref)
     assert np.array_equal(sample_xl(n, m, draw("xl"), size), ref)
-    got = sample_w(n, n, draw("w"), size)
+    got = draw_w(n, n, draw("w"), size)
     ref = _plain_sample_w(n, n, draw("w"), size)
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
-    if n >= 2:
-        ref = np.maximum(*_plain_sample_w(n, 2, draw("xb"), size)[1::-1])
-        assert np.array_equal(sample_xb(n, 2, draw("xb"), size), ref)
+    for ell in sorted({2, n}) if n >= 2 else []:
+        ref = np.maximum(*_plain_sample_w(n, ell, draw("xb"), size)[1::-1])
+        assert np.array_equal(XB(n, ell)(draw("xb"), size), ref)
+        assert np.array_equal(sample_xb(n, ell, draw("xb"), size), ref)
     ref = draw("xs").random(size) ** (1.0 / (n + m))
     assert np.array_equal(sample_xs(n, m, draw("xs"), size), ref)
     # the last step of a full walk has exponent 1 / (n - (n - 1)) = 1
@@ -315,10 +324,10 @@ def test_xl_sampler_peak_memory():
     # X_(1), W_2 and two arrays of temporaries: 4 x 8 MB and a boolean mask;
     # the plain expressions peak at 39 MB
     rng = substream(25, "xl-peak")
-    sample_xl(2, 16, rng, 10)
+    XL(2, 16)(rng, 10)
     tracemalloc.start()
     try:
-        sample_xl(2, 16, rng, 1_000_000)
+        XL(2, 16)(rng, 1_000_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -354,7 +363,7 @@ def _xb_cdf_quad(n, ell, t):
 
 @pytest.mark.parametrize("n,m", [(2, 16), (2, 4), (4, 4), (8, 2), (3, 1)])
 def test_xl_cdf_matches_dblquad(n, m):
-    got = xl_cdf(n, m, CDF_PROBES)
+    got = XL(n, m).cdf(CDF_PROBES)
     ref = [_xl_cdf_dblquad(n, m, t) for t in CDF_PROBES]
     assert np.max(np.abs(got - ref)) <= 1e-10, got - ref
 
@@ -368,7 +377,7 @@ XL_GRID = np.unique(np.concatenate([_quantile_grid((Uniform(0, 1),)), 1.0 - np.g
     "n,m", [(n, m) for n in (2, 3, 10, 64, 200, 1024) for m in (1, 2, 4, 16, 64, 256)] + [(4096, 4)]
 )
 def test_xl_cdf_closed_form_matches_quadrature(n, m):
-    F = xl_cdf(n, m, XL_GRID)
+    F = XL(n, m).cdf(XL_GRID)
     Q = xl_cdf_quadrature(n, m, XL_GRID)
     assert np.max(np.abs(F - Q)) <= 1e-13
     # X_L >= X_(1), the top of n uniforms, so 0 <= F(t) <= t^n <= 1
@@ -411,7 +420,7 @@ def test_xl_cdf_series_matches_exact_rationals(n, m):
     # below 1/2 the closed form's t^n terms cancel; the series keeps F to a
     # few ulps of itself (the quadrature is off by up to 3.1e-13 there)
     t = np.concatenate([np.geomspace(1e-3, 0.5, 13), [0.3, np.nextafter(0.5, 0.0)]])
-    got = xl_cdf(n, m, t)
+    got = XL(n, m).cdf(t)
     want = np.array([_xl_cdf_fraction(n, m, float(x)) for x in t])
     assert np.max(np.abs(got - want) / want) <= 1e-14
 
@@ -420,7 +429,7 @@ def test_xl_cdf_series_matches_exact_rationals(n, m):
 def test_xb_cdf_matches_quad(n, ell):
     # 1e-10, not tighter: scipy's own error is 1.4e-11 at (10, 3); the
     # rational series below is the tight reference
-    got = xb_cdf(n, ell, CDF_PROBES)
+    got = XB(n, ell).cdf(CDF_PROBES)
     ref = [_xb_cdf_quad(n, ell, t) for t in CDF_PROBES]
     assert np.max(np.abs(got - ref)) <= 1e-10, got - ref
 
@@ -447,7 +456,7 @@ def test_xb_cdf_series_matches_exact_rationals(n, ell):
     # and the recurrence (s < 1), each to a few ulps of F itself: 2.9e-16 at
     # worst, where the quadrature read 8.4e-15
     t = np.concatenate([np.geomspace(1e-3, 0.5, 13), [0.3, np.nextafter(0.5, 0.0), 0.6, 0.75, 0.9]])
-    got = xb_cdf(n, ell, t)
+    got = XB(n, ell).cdf(t)
     want = np.array([_xb_cdf_fraction(n, ell, float(x)) for x in t])
     assert np.max(np.abs(got - want) / want) <= 2e-15
 
@@ -459,13 +468,13 @@ def test_xb_cdf_2_2_closed_form():
     t = np.concatenate([np.linspace(0.5, 1.0, 1001)[:-1], 1.0 - np.geomspace(1e-3, 1e-15, 25)])
     d = 1.0 - t  # exact for t >= 1/2
     want = np.array([math.fsum([1.0, -4.0 * e, 3.0 * e * e, -2.0 * e * e * math.log(e)]) for e in d])
-    assert np.max(np.abs(xb_cdf(2, 2, t) - want)) <= 1e-15
+    assert np.max(np.abs(XB(2, 2).cdf(t) - want)) <= 1e-15
 
 
 @pytest.mark.parametrize("n,ell", [(3, 2), (19, 4), (64, 64), (200, 8), (4096, 33), (16384, 2)])
 def test_xb_cdf_closed_form_matches_quadrature(n, ell):
     u = _quantile_grid((Uniform(0, 1),))
-    assert np.max(np.abs(xb_cdf(n, ell, u) - xb_cdf_quadrature(n, ell, u))) <= 1e-11
+    assert np.max(np.abs(XB(n, ell).cdf(u) - xb_cdf_quadrature(n, ell, u))) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -474,11 +483,11 @@ def test_xb_cdf_closed_form_matches_quadrature(n, ell):
      ("xb", 19, 4), ("xb", 10, 3), ("xb", 5, 2), ("xb", 2000, 2), ("xb", 200, 5)],
 )
 def test_exact_cdfs_within_dkw_of_samplers(kind, n, k):
-    sampler, cdf = (sample_xl, xl_cdf) if kind == "xl" else (sample_xb, xb_cdf)
+    law = (XL if kind == "xl" else XB)(n, k)
     samples = 1_000_000
-    x = np.sort(sampler(n, k, substream(26, kind, n, k), samples))
+    x = np.sort(law(substream(26, kind, n, k), samples))
     probe = np.concatenate([np.linspace(0.005, 0.995, 199), 1.0 - np.geomspace(1e-2, 1e-5, 31)])
-    gap = np.max(np.abs(np.searchsorted(x, probe, "right") / samples - cdf(n, k, probe)))
+    gap = np.max(np.abs(np.searchsorted(x, probe, "right") / samples - law.cdf(probe)))
     assert gap <= dkw_epsilon(samples, 1e-3), gap
 
 
@@ -487,18 +496,18 @@ def test_exact_cdfs_within_dkw_of_samplers(kind, n, k):
                  ("xb", 19, 4), ("xb", 2000, 2), ("xb", 4, 4)]
 )
 def test_exact_cdfs_monotone_with_linear_tail(kind, n, k):
-    cdf = xl_cdf if kind == "xl" else xb_cdf
+    law = (XL if kind == "xl" else XB)(n, k)
     u = np.linspace(0.0, 1.0, 2**15 + 1)
     u = np.unique(np.concatenate([u, 1.0 - np.geomspace(0.5, 1e-9, 200)]))
-    F = cdf(n, k, u)
+    F = law.cdf(u)
     assert F[0] == 0.0 and F[-1] == 1.0
     # rounding: F is accurate to ~1e-13 at n = 200, below 1e-14 elsewhere
     assert np.all(np.diff(F) >= -1e-12)
     # 1 - F(u) <= D (1 - u), the bound that caps the chain's unbounded tail;
     # D is tight as u -> 1 for m <= 2 and for X_B
-    D = 2 * n + k - 1 if kind == "xl" else n * k / (k - 1)
+    assert law.tail_constant == (2 * n + k - 1 if kind == "xl" else n * k / (k - 1))
     g = 1.0 - np.geomspace(0.5, 1e-7, 60)
-    assert np.max((1.0 - cdf(n, k, g)) / (1.0 - g)) <= D
+    assert np.max((1.0 - law.cdf(g)) / (1.0 - g)) <= law.tail_constant
 
 
 def _j_tail_fsum(k, x):
@@ -593,16 +602,18 @@ def test_xl_cdf_below_top_order_cdf(n, m):
     # X_L >= x1 = max of n uniforms, so F(t) <= t^n; a cancelling J_{n-2}
     # read 4.6e-16 at (64, 4, 0.55), where the CDF is 1.53e-19 < t^64
     t = np.linspace(0.05, 0.95, 91)
-    assert np.all(xl_cdf(n, m, t) <= t**n)
-    assert xl_cdf(64, 4, 0.55) == pytest.approx(1.5328e-19, rel=1e-4)
+    assert np.all(XL(n, m).cdf(t) <= t**n)
+    assert XL(64, 4).cdf(0.55) == pytest.approx(1.5328e-19, rel=1e-4)
 
 
 def test_exact_cdfs_reject_bad_sizes():
-    with pytest.raises(ValueError, match="need n >= 2"):
-        xl_cdf(1, 4, 0.5)
-    with pytest.raises(ValueError, match="need 2 <= ell <= n"):
-        xb_cdf(3, 1, 0.5)
-    assert xl_cdf(2, 3, -0.5) == 0.0 and xb_cdf(3, 2, 1.5) == 1.0
+    # each law checks its sizes once, when it is made; X_L(1, m) draws but has no CDF here
+    for make, message in [(lambda: XL(0, 4), "need n >= 1, m >= 1"), (lambda: XL(2, 0), "need n >= 1, m >= 1"),
+                          (lambda: XB(3, 1), "need 2 <= ell <= n"), (lambda: XB(3, 4), "need 2 <= ell <= n"),
+                          (lambda: XL(1, 4).cdf(0.5), "need n >= 2")]:
+        with pytest.raises(ValueError, match=message):
+            make()
+    assert XL(2, 3).cdf(-0.5) == 0.0 and XB(3, 2).cdf(1.5) == 1.0
 
 
 def test_xb_memory_independent_of_ell():
@@ -610,7 +621,7 @@ def test_xb_memory_independent_of_ell():
     rng = substream(23, "xb-mem")
     tracemalloc.start()
     try:
-        sample_xb(20_000, 5_000, rng, 2_000)
+        XB(20_000, 5_000)(rng, 2_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -788,8 +799,7 @@ def test_dominance_batching_invariance():
     # one sorted draw of all N from substream(seed, "dom-a"), bit for bit
     n, c, seed = 2, 9, 14
     rep = dominance_test(
-        lambda rng, b: sample_xs(n, c, rng, b), lambda rng, b: sample_xl(n, 16, rng, b),
-        N_BLOCKED, seed=seed,
+        lambda rng, b: sample_xs(n, c, rng, b), XL(n, 16), N_BLOCKED, seed=seed,
     )
     x = np.sort(sample_xs(n, c, substream(seed, "dom-a"), N_BLOCKED))
     assert np.array_equal(rep.cdf_a, np.searchsorted(x, rep.grid, "right") / N_BLOCKED)
@@ -799,12 +809,9 @@ def test_dominance_batching_invariance():
 def test_dominance_blocked_draws_follow_the_exact_law(kind, n, k):
     # X_L and X_B draw several arrays per block, so the blocked sample is a
     # new one; its CDF must still sit within the DKW band of the exact CDF
-    sampler, cdf = (sample_xl, xl_cdf) if kind == "xl" else (sample_xb, xb_cdf)
-    rep = dominance_test(
-        lambda rng, b: sample_xs(n, 1, rng, b), lambda rng, b: sampler(n, k, rng, b),
-        N_BLOCKED, seed=15,
-    )
-    gap = np.max(np.abs(rep.cdf_b - cdf(n, k, rep.grid)))
+    law = (XL if kind == "xl" else XB)(n, k)
+    rep = dominance_test(lambda rng, b: sample_xs(n, 1, rng, b), law, N_BLOCKED, seed=15)
+    gap = np.max(np.abs(rep.cdf_b - law.cdf(rep.grid)))
     assert gap <= dkw_epsilon(N_BLOCKED, 1e-6), gap
 
 
@@ -812,7 +819,7 @@ def test_dominance_peak_memory_independent_of_N():
     # one block of X_L draws, four arrays of BLOCK // 4 rows (512 KiB), at a
     # time; blocks of BLOCK rows peak at 2.07 MiB, 10^6 rows at once at 31.5 MiB
     xs = lambda rng, b: sample_xs(2, 9, rng, b)
-    xl = lambda rng, b: sample_xl(2, 16, rng, b)
+    xl = XL(2, 16)
     dominance_test(xs, xl, 10_000, seed=16)
     peaks = []
     for samples in (10**6, 4 * 10**6):

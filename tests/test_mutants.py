@@ -2,7 +2,8 @@
 
 Each mutant breaks one formula the claims rest on, patched at every module
 binding of it (``from .revenue import vcg`` copies ``vcg`` into ``repro``,
-so patching only the defining module would miss that call), with the memo
+so patching only the defining module would miss that call), or on its class
+for a method such as ``XL.cdf``, with the memo
 caches of the score grids and the ironed maps cleared around the run. The
 table lists, per mutant, the claims of ``run_all(42)`` that must fail; a
 mutant that no claim catches is listed in ``UNCOVERED``, so a change that
@@ -17,7 +18,7 @@ import pytest
 import auctioncomp
 from auctioncomp import revenue as revenue_mod
 from auctioncomp import virtual as virtual_mod
-from auctioncomp.experiments import xl_cdf
+from auctioncomp.experiments import XL
 from auctioncomp.repro import CLAIMS, run_all
 from auctioncomp.revenue import er2_sum_tail_truncated, feldman_params, three_tier_params, vcg
 
@@ -52,8 +53,11 @@ def _feldman_params_price_raised(n, m):
     return bundle, 1.5 * price
 
 
-def _xl_cdf_one_item_more(n, m, t):
-    return xl_cdf(n, m + 1, t)
+_XL_CDF = XL.cdf
+
+
+def _xl_cdf_one_item_more(law, t):
+    return _XL_CDF(XL(law.n, law.m + 1), t)
 
 
 # mutant id -> (patched name, defining module, replacement, claims that fail)
@@ -67,7 +71,7 @@ MUTANTS = {
     "three-tier-p_high-x2": ("three_tier_params", "revenue", _three_tier_params_p_high_doubled,
                              {"appendix-b-revenue"}),
     "posted-price-x1.5": ("feldman_params", "revenue", _feldman_params_price_raised, set()),
-    "xl_cdf-m+1": ("xl_cdf", "experiments", _xl_cdf_one_item_more, set()),
+    "xl_cdf-m+1": ("XL.cdf", "experiments", _xl_cdf_one_item_more, set()),
 }
 
 # no registered claim reads the posted price's size or X_L's law (ROADMAP
@@ -93,11 +97,16 @@ def test_unmutated_run_passes_every_claim():
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_mutant_fails_exactly_its_claims(mutant, monkeypatch):
     name, home, replacement, expected = MUTANTS[mutant]
-    original = getattr(importlib.import_module(f"auctioncomp.{home}"), name)
-    bindings = [mod for mod in MODULES if getattr(mod, name, None) is original]
-    assert bindings, name
-    for mod in bindings:
-        monkeypatch.setattr(mod, name, replacement)
+    home = importlib.import_module(f"auctioncomp.{home}")
+    if "." in name:  # a method: every binding of its class shares it
+        cls, method = name.split(".")
+        monkeypatch.setattr(getattr(home, cls), method, replacement)
+    else:
+        original = getattr(home, name)
+        bindings = [mod for mod in MODULES if getattr(mod, name, None) is original]
+        assert bindings, name
+        for mod in bindings:
+            monkeypatch.setattr(mod, name, replacement)
     assert _failed_claims() == expected
 
 

@@ -19,7 +19,7 @@ from auctioncomp import repro as repro_mod
 from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import efftw_bound, obs1_bound, xb_chain_bound, xl_chain_bound
 from auctioncomp.distributions import ProductDist, TruncatedEqualRevenue, Uniform, parse_dist
-from auctioncomp.experiments import xb_cdf, xl_cdf
+from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import er_order_stat
 from auctioncomp.revenue import _score_estimate, myerson_item_revenue, srev, vcg, vcg_item_revenue
 from auctioncomp.rng import PIECE, fill_pieces
@@ -182,9 +182,9 @@ def test_one_read_chain_bracket_as_tight_as_two_read(name, cells, monkeypatch):
     phi_at_experiment = benchmark_mod._phi_at_experiment
     pairs = []
 
-    def both(pd, cdf, D):
-        got = phi_at_experiment(pd, cdf, D)
-        pairs.append((got, phi_at_experiment_two_read(pd, cdf, D), jump_allowance(pd, cdf)))
+    def both(pd, law):
+        got = phi_at_experiment(pd, law)
+        pairs.append((got, phi_at_experiment_two_read(pd, law), jump_allowance(pd, law.cdf)))
         return got
 
     monkeypatch.setattr(benchmark_mod, "_phi_at_experiment", both)
@@ -216,28 +216,28 @@ def _probes():
 
 @pytest.mark.parametrize("probe", list(_probes()))
 @pytest.mark.parametrize(
-    "cdf,n,k", [(xl_cdf, 2, 16), (xl_cdf, 200, 4), (xl_cdf, 3, 1), (xb_cdf, 19, 4), (xb_cdf, 2000, 2)],
+    "law,n,k", [(XL, 2, 16), (XL, 200, 4), (XL, 3, 1), (XB, 19, 4), (XB, 2000, 2)],
     ids=["xl-2-16", "xl-200-4", "xl-3-1", "xb-19-4", "xb-2000-2"],
 )
-def test_exact_cdfs_same_bits_as_one_shot(cdf, n, k, probe):
+def test_exact_cdfs_same_bits_as_one_shot(law, n, k, probe):
     # a series, a closed form or a recurrence per point: its bits are the
     # scalar call's
     t = _probes()[probe]
-    got = cdf(n, k, t)
-    want = _cdf_point_by_point(cdf, n, k, t)
+    got = law(n, k).cdf(t)
+    want = _cdf_point_by_point(law, n, k, t)
     assert type(got) is type(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @functools.lru_cache(maxsize=None)
-def _cdf_at(cdf, n, k, t):
-    return cdf(n, k, t)
+def _cdf_at(law, n, k, t):
+    return law(n, k).cdf(t)
 
 
-def _cdf_point_by_point(cdf, n, k, t):
+def _cdf_point_by_point(law, n, k, t):
     if np.ndim(t) == 0:
-        return _cdf_at(cdf, n, k, float(t))
-    return np.array([_cdf_at(cdf, n, k, float(x)) for x in np.ravel(t)]).reshape(np.shape(t))
+        return _cdf_at(law, n, k, float(t))
+    return np.array([_cdf_at(law, n, k, float(x)) for x in np.ravel(t)]).reshape(np.shape(t))
 
 
 IRREGULAR_PRODUCT = ProductDist(tuple(parse_dist(s) for s in PRODUCTS["irregular"]))
