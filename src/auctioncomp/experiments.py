@@ -34,14 +34,16 @@ or ``XB`` at four arrays of its size (see ``dominance_test``).
 
 ``XB`` and ``XL`` each hold their law's parameter check, sampler
 (``law(rng, size)``), exact CDF (``law.cdf``) and tail constant D. The CDFs
-need no quadrature. Below t = 1/2 each sums a power series in t with
-nonnegative coefficients, which gains a bit per term there. Above it
-``XL.cdf`` is a closed form in one J_{n-2}(t) = sum_{i > n-2} t^i / i
-(``_j_tail``), whose terms would cancel below 1/2. ``XB.cdf`` is
-t^(n+1) (ell/(n+1)) 2F1(1, n - ell + 1; n + 2; t): above 1/2 a continued
-fraction with positive terms (``_gauss_cf``) where (n + 1)(1 - t) >= 1,
-and nearer 1 a recurrence over ell that damps its errors there. Each
-point's value is a pure function of the point (``_piecewise_cdf``).
+need no quadrature, and both stand on one kernel, ``_hyp(K, ell, x)``, of
+x^K 2F1(1, K - ell; K + 1; x): J_k(t) = sum_{i > k} t^i / i at ell = 0,
+and X_B's CDF at ell >= 2. Where s = K (1 - x) >= 1 it is Gauss's
+continued fraction with positive terms (``_gauss_cf``), and nearer 1 one
+series in s (DLMF 15.8.10) of a few dozen terms, whatever K and ell are.
+``XB.cdf`` is the kernel alone. ``XL.cdf`` sums a power series in t with
+nonnegative coefficients below t = 1/2, which gains a bit per term there,
+and above it a closed form in one J_{n-2}(t), whose terms would cancel
+below 1/2. Each point's value is a pure function of the point
+(``_piecewise_cdf``).
 
 Dominance between two samplers is decided empirically on a uniform probe
 grid with a two-sided DKW allowance. Determinism model: each Monte Carlo
@@ -52,14 +54,13 @@ with about ``BLOCK`` floats of draws alive at a time, whatever N and m.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .rng import BLOCK, PIECE, fill_pieces, hit_rate, map_batches
+from .rng import BLOCK, fill_pieces, hit_rate, map_batches
 
 __all__ = [
     "DominanceReport",
@@ -141,10 +142,10 @@ def _top_or_exceeder(x1: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
 
 
 _SERIES_TERMS = 54  # a series in t <= 1/2 whose terms fall like 2^-j: the rest is below 2^-53
-_NEAR_ONE_TERMS = 29  # a series in y < 1 whose terms fall like y^j / (j j!): the rest is below 2^-100
+_LOG_TERMS = 30  # past it a term of _hyp's finite sum, and its log part beside the sum, is below 1/30!
 
 
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _horner(c, x: np.ndarray) -> np.ndarray:
     """sum_j c[j] x^j by Horner's rule, in a new array."""
     out = np.full_like(x, c[-1])
     for a in c[-2::-1]:
@@ -153,59 +154,71 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _near_one_coefficients(k: int) -> np.ndarray:
-    """a_j = (-1)^j S_(j-1)(k) / (k^j j!), S_p(k) = sum_{i <= k} i^p (so
-    a_0 = H_k), read-only: with u = -log x, sum_{i <= k} x^i / i
-    = sum_{i <= k} e^(-iu) / i = sum_j a_j (k u)^j.
-
-    The sums run over i in pieces of ``PIECE``, so a call holds a few
-    piece-length arrays for any k; the piece sums of each S add in order, and
-    H_k is one ``math.fsum`` of all k terms, fed piece by piece."""
-    def pieces():
-        for lo in range(1, k + 1, PIECE):
-            yield np.arange(lo, min(lo + PIECE, k + 1))
-
-    sums = [0.0] * _NEAR_ONE_TERMS  # sums[j] = S_(j-1)(k) / k^(j-1)
-    for i in pieces():
-        r = i / k
-        power = np.ones(i.size)  # (i / k)^(j - 1)
-        for j in range(1, _NEAR_ONE_TERMS):
-            sums[j] += float(np.sum(power))
-            power *= r
-    a = np.empty(_NEAR_ONE_TERMS)
-    a[0] = math.fsum(itertools.chain.from_iterable((1.0 / i).tolist() for i in pieces()))
-    for j in range(1, _NEAR_ONE_TERMS):
-        a[j] = (-1) ** j * sums[j] / (k * math.factorial(j))
-    a.flags.writeable = False
-    return a
+def _psi_minus_log(K: int) -> float:
+    """psi(K) - log K for an integer K >= 1: psi's asymptotic series at
+    z = max(K, 16) (DLMF 5.11.2, through z^-14, below 2^-60 of it there),
+    shifted down to K by psi(z) = psi(K) + sum_{K <= i < z} 1/i."""
+    z = max(K, 16)
+    w = 1.0 / (z * z)
+    series = -0.5 / z - w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w * (1 / 132 - w * (691 / 32760 - w / 12))))))
+    return math.fsum([series, math.log(z / K)] + [-1.0 / i for i in range(K, z)])
 
 
-def _j_tail(k: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """J_k(x) = integral_0^x y^k / (1 - y) dy = sum_{i > k} x^i / i for
-    0 < x < 1, v = log(1 - x).
+def _hyp(K: int, ell: int, x: np.ndarray) -> np.ndarray:
+    """max(ell, 1)/K x^K 2F1(1, K - ell; K + 1; x) for 0 < x < 1 and
+    0 <= ell < K: J_(K-1)(x) = sum_{i >= K} x^i / i at ell = 0, and the CDF
+    of X_B(K - 1, ell) at ell >= 2 (see ``XB.cdf``).
 
-    Where s = (k + 1)(1 - x) >= 1, J_k = x^(k+1) 2F1(1, 1; k + 2; -w) / s,
-    w = x / (1 - x), by Pfaff's transformation of
-    J_k = x^(k+1) 2F1(1, k + 1; k + 2; x) / (k + 1), and ``_gauss_cf``
-    takes it. Against 30-digit mpmath this holds 2.7e-16 relative for k = 2
-    to 16382.
+    J_0 is -log(1 - x). Otherwise, with d = 1 - x and s = K d:
 
-    Where s < 1 the difference -log(1 - x) - sum_{i <= k} x^i / i is taken,
-    the sum as a series in y = -k log x < 1 (``_near_one_coefficients``):
-    29 numpy passes, whatever k is. It loses what J_k is small against -log(1 - x), and there
-    J_k >= E_1((k + 1) log(1/x)), about E_1(1) = 0.22, while
-    -log(1 - x) < log(k + 1): 3.6 bits at k = 14, 5.2 at k = 4094.
+    * s >= 1: by Pfaff, max(ell, 1) x^K 2F1(1, ell + 1; K + 1; -x/d) / s,
+      Gauss's fraction with positive terms (``_gauss_cf``).
+    * s < 1: c - a - b = ell is an integer, and DLMF 15.8.10 gives
+      x^K [P - (K - ell)_ell / (ell - 1)! (-d)^ell S] (at ell = 0 the
+      prefactor is 1 and P = 0), with
+      P = sum_{k < ell} T_k, T_0 = 1, T_(k+1) = -T_k (K - ell + k) d / (ell - 1 - k),
+      S = sum_j (K)_j d^j / j! [L + sum_{i<j} 1/(K+i) - H_j],
+      L = log s + gamma + (psi(K) - log K),
+      each by Horner's rule in s. The terms of S fall like s^j / j! for
+      large K and like j 2^-j at K = 2, and are summed until below 2^-60.
+      L keeps log s apart from the small psi(K) - log K
+      (``_psi_minus_log``): log d and H_(K-1) added apart cancel to it
+      and lose about log2(log K) bits, 3 at K = 16383. Past ell = 30 the terms of P past
+      T_29 and the whole log part are below 1/30! of P and are dropped.
+      J is within 8.9e-16 relative of 50-digit mpmath here for K up to 10^7.
+
+    Each point's value is a pure function of (K, ell) and the point.
     """
-    if k == 0:
-        return -v
+    if K == 1:
+        return -np.log1p(-x)
     out = np.empty_like(x)
-    s = (k + 1) * (1.0 - x)
-    near = s < 1.0  # every x > 1/2 at k = 1
-    if near.any():
-        out[near] = -v[near] - _horner(_near_one_coefficients(k), k * -np.log(x[near]))
-    far = ~near
-    out[far] = _gauss_cf(1, k + 2, x[far], s[far])
+    s = K * (1.0 - x)
+    far = s >= 1.0  # every x <= 1/2 at K = 2
+    if far.any():
+        out[far] = max(ell, 1) * _gauss_cf(ell + 1, K + 1, x[far], s[far])
+    near = ~far
+    if not near.any():
+        return out
+    x, s = x[near], s[near]
+    T = [1.0]  # T_k / s^k
+    for k in range(min(ell, _LOG_TERMS) - 1):
+        T.append(-T[-1] * (K - ell + k) / (K * (ell - 1 - k)))
+    P = _horner(T, s) if ell else np.zeros_like(s)
+    if ell <= _LOG_TERMS:
+        L = np.log(s) + (np.euler_gamma + _psi_minus_log(K))
+        terms, a, h, j = [(1.0, 0.0)], 1.0, 0.0, 0  # a = (K)_j / (j! K^j), h = sum_{i<j} 1/(K+i) - H_j
+        while a * (1.0 + abs(h)) >= 2.0**-60:
+            j += 1
+            a *= (K + j - 1) / (K * j)
+            h += 1.0 / (K + j - 1) - 1.0 / j
+            terms.append((a, a * h))
+        S = np.zeros_like(s)
+        for a, ah in reversed(terms):
+            S *= s
+            S += a * L + ah
+        prefactor = math.prod((K - ell + i) / K for i in range(ell)) / math.factorial(max(ell - 1, 0))
+        P -= prefactor * (-s) ** ell * S
+    out[near] = x**K * P
     return out
 
 
@@ -345,9 +358,9 @@ class XL:
             g_t(x) = n x^(n-1) - n (n-1) (1 - t) J_{n-2}(x)
                      (the x2 integral of (t - x2)/(1 - x2) below x1),
 
-        with J_k from ``_j_tail``. No quadrature is needed: swapping the two
-        integrals leaves, with J = J_{n-2}(t), d = 1 - t and the polynomials of
-        ``_xl_coefficients``,
+        with J_k = ``_hyp(k + 1, 0, .)``. No quadrature is needed: swapping
+        the two integrals leaves, with J = J_{n-2}(t), d = 1 - t and the
+        polynomials of ``_xl_coefficients``,
 
             F = t^n (t - n d h1(t)) + n (n-1) d^2 (t^(n-1) h2(t) + J (t - d g(t))),
             F = t^(n-1) (t - n d) + n (n-1) d^2 J                      (m = 1),
@@ -355,10 +368,11 @@ class XL:
         h1 = 1 + sum_{i=1}^{m-2} t^i / (n+i), h2 = sum_j r_j t^j / (n-1+j),
         g = sum_j r_j t^j, r_j = sum of 1/s over max(2, j+1) <= s <= m - 1.
         Its terms are of order n d t^n at most, so it holds F to a few ulps of
-        1 (1.8e-15 at n = 4096 against mpmath), but they cancel to a far
-        smaller F as t falls. Below 1/2 F is summed instead from a series with
-        no cancellation: with x = t y, F = t^n E[A B] over the top two (y1, y2)
-        of n uniforms, A = (t y1)^(m-1) + t (1 - y1) sum_{i<m-1} (t y1)^i and
+        1 (within 2.2e-16 above 1/2 for n = 64 to 4096, against 60-digit
+        mpmath), but they cancel to a far smaller F as t falls. Below 1/2 F
+        is summed instead from a series with no cancellation: with x = t y,
+        F = t^n E[A B] over the top two (y1, y2) of n uniforms,
+        A = (t y1)^(m-1) + t (1 - y1) sum_{i<m-1} (t y1)^i and
         B = t (1 - y2) sum_k (t y2)^k, a power series in t whose coefficients
         (``_xl_coefficients``) are all nonnegative, so Horner's rule holds F to
         a few ulps of itself. The split sits at 1/2 because there the series
@@ -380,7 +394,7 @@ class XL:
 
         def closed_form(x):
             d, xn1 = 1.0 - x, x ** (n - 1)
-            w, J = n * (n - 1) * d * d, _j_tail(n - 2, x, np.log1p(-x))
+            w, J = n * (n - 1) * d * d, _hyp(n - 1, 0, x)
             if m == 1:
                 return xn1 * (x - n * d) + w * J
             return xn1 * x * (x - n * d * _horner(h1, x)) + w * (xn1 * _horner(h2, x) + J * (x - d * _horner(g, x)))
@@ -391,17 +405,6 @@ class XL:
 def sample_xl(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """``XL(n, m)(rng, size)``, under the name the benchmark harness binds."""
     return XL(n, m)(rng, size)
-
-
-@functools.lru_cache(maxsize=16)
-def _xb_coefficients(n: int, ell: int) -> np.ndarray:
-    """c_0 = ell / (n + 1), c_(j+1) = c_j (n - ell + 1 + j) / (n + 2 + j),
-    read-only: X_B's series F(t) = t^(n+1) sum_j c_j t^j, through as many
-    powers as X_L's."""
-    j = np.arange(_SERIES_TERMS + 13 + (n + ell).bit_length(), dtype=float)
-    c = np.cumprod(np.concatenate(([ell / (n + 1)], (n - ell + 1 + j) / (n + 2 + j))))
-    c.flags.writeable = False
-    return c
 
 
 @dataclass(frozen=True)
@@ -435,41 +438,17 @@ class XB:
 
             F(t) = t^n E[(t - tY)/(1 - tY)] = t^(n+1) (ell/(n+1)) 2F1(1, a + 1; n + 2; t),
 
-        taken with no quadrature, each point (``_piecewise_cdf``) by one of:
-
-        * t <= 1/2, or t^(n+1) subnormal: the series t^(n+1) sum_j c_j t^j
-          (``_xb_coefficients``), whose positive terms fall by t per step or
-          faster; above 1/2 its length would grow like 1/d.
-        * s = (n + 1) d >= 1: by Pfaff, F = ell t^(n+1) 2F1(1, ell + 1; n + 2; -t/d) / s,
-          and Gauss's fraction for it with positive terms (``_gauss_cf``).
-        * s < 1, where the fraction would need its greatest depth: the
-          recurrence F_1 = t^(a+1) - (a + 1) d J_a(t) (``_j_tail``),
-          F_l = t^(a+l) - d (a + l) / (l - 1) F_(l-1), F = F_ell. Each step
-          scales an error by d (a + l) / (l - 1) <= s < 1, and carried as F_l
-          rather than as n!/(a! (ell-1)!) times an integral it cannot overflow.
+        taken with no quadrature as ``_hyp(n + 1, ell, t)``, each point on its
+        own (``_piecewise_cdf``). Where s = (n + 1) d >= 1, by Pfaff,
+        F = ell t^(n+1) 2F1(1, ell + 1; n + 2; -t/d) / s, Gauss's fraction
+        with positive terms; where s < 1, where the fraction would need its
+        greatest depth, a series in s whose length does not grow with n or
+        ell. Against 40-digit mpmath it holds 4.2e-16 relative for n up to
+        16384 and t from 0.01 to 1 - 1e-8/(n + 1). Where t^(n+1) is
+        subnormal, F is too, and is held to absolute, not relative, rounding.
         """
         n, ell = self.n, self.ell
-        a, c = n - ell, _xb_coefficients(n, ell)
-        split = max(0.5, 2.0 ** (-1022.0 / (n + 1)))  # t^(n+1) is normal above it
-
-        def series(x):
-            return x ** (n + 1) * _horner(c, x)
-
-        def fraction(x):
-            return ell * _gauss_cf(ell + 1, n + 2, x, (n + 1) * (1.0 - x))
-
-        def recurrence(x):
-            d = 1.0 - x
-            out = x ** (a + 1) - (a + 1) * d * _j_tail(a, x, np.log1p(-x))
-            for l in range(2, ell + 1):
-                out = x ** (a + l) - d * (a + l) / (l - 1) * out
-            return out
-
-        return _piecewise_cdf(t, (
-            (lambda x: x <= split, series),
-            (lambda x: (n + 1) * (1.0 - x) >= 1.0, fraction),
-            (lambda x: (n + 1) * (1.0 - x) < 1.0, recurrence),
-        ))
+        return _piecewise_cdf(t, ((lambda x: True, lambda x: _hyp(n + 1, ell, x)),))
 
 
 def sample_xb(n: int, ell: int, rng: np.random.Generator, size: int) -> np.ndarray:

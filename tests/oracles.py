@@ -16,14 +16,18 @@ tabulated on a K-cell grid is the construction the corners replace. The exact
 kernels evaluated on their whole grid at once are the references for the
 piecewise ones in the package. X_L's CDF as a Gauss-Legendre quadrature
 over the top bidder draw, and X_B's as one over its ell-th order statistic,
-are the references for their closed forms. The two-pass score
-bracket, which reads each cell's left limit on its own, is the bound on the
-one-pass width; the two-read chain bracket, which reads phi_bar at the float
-inside each end of a cell, is the bound on the one-read chain width.
+are the references for their closed forms. Within 1/(n + 1) of 1, X_B's
+CDF by a recurrence over ell in 50-digit decimals, from J_k as the
+difference -log(1 - x) - sum_{i <= k} x^i / i, is the reference for the
+series there. The two-pass score bracket, which reads each cell's left
+limit on its own, is the bound on the one-pass width; the two-read chain
+bracket, which reads phi_bar at the float inside each end of a cell, is
+the bound on the one-read chain width.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -33,7 +37,7 @@ import numpy as np
 from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import _quantile_grid
 from auctioncomp.distributions import ProductDist, SingleDist, TruncatedEqualRevenue
-from auctioncomp.experiments import _j_tail, top_order_stats
+from auctioncomp.experiments import _hyp, top_order_stats
 from auctioncomp.revenue import (
     RevenueEstimate,
     _item_sum,
@@ -430,7 +434,7 @@ def xl_cdf_quadrature(n: int, m: int, t) -> np.ndarray | float:
         x = -np.expm1(v)
         xm = x ** (m - 1)
         a = xm + (1.0 - xm) * -np.expm1(g)  # (t - x)/(1 - x) = 1 - e^g
-        top = n * x ** (n - 1) - n * (n - 1) * d * _j_tail(n - 2, x, v)
+        top = n * x ** (n - 1) - n * (n - 1) * d * _hyp(n - 1, 0, x)
         return a * top * np.exp(v)  # dx1 = e^v dv
 
     return _log_gap_cdf(t, 2.0, integrand)
@@ -451,6 +455,38 @@ def xb_cdf_quadrature(n: int, ell: int, t) -> np.ndarray | float:
         return np.exp(log_c + (n - ell) * np.log(-np.expm1(v)) + ell * log_gap)
 
     return _log_gap_cdf(t, float(ell), integrand)
+
+
+def _j_tail_in_decimals(k: int, X: decimal.Decimal) -> decimal.Decimal:
+    """J_k(X) = sum_{i > k} X^i / i as -log(1 - X) - sum_{i <= k} X^i / i in
+    the current decimal context, the sum by Horner's rule."""
+    acc = decimal.Decimal(0)
+    for i in range(k, 0, -1):
+        acc = (acc + decimal.Decimal(1) / i) * X
+    return -(1 - X).ln() - acc
+
+
+def j_tail_decimal(k: int, x: float) -> float:
+    """J_k(x) in 50-digit decimal arithmetic: within 1/(k + 1) of 1, where
+    J_k >= E_1(1) and -log(1 - x) < 2 + log(k + 1), it keeps 47 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return float(_j_tail_in_decimals(k, decimal.Decimal(x)))
+
+
+def xb_cdf_near_one_decimal(n: int, ell: int, t: float) -> float:
+    """The CDF of X_B(n, ell) at (n + 1)(1 - t) < 1 by the recurrence over
+    ell in 50-digit decimal arithmetic: with a = n - ell and d = 1 - t,
+    F_1 = t^(a+1) - (a + 1) d J_a(t), F_l = t^(a+l) - d (a + l)/(l - 1) F_(l-1),
+    F = F_ell. Each step scales an error by d (a + l)/(l - 1) <= (n + 1) d < 1."""
+    a = n - ell
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        T = decimal.Decimal(t)
+        F = T ** (a + 1) - (a + 1) * (1 - T) * _j_tail_in_decimals(a, T)
+        for l in range(2, ell + 1):
+            F = T ** (a + l) - (1 - T) * (a + l) / (l - 1) * F
+        return float(F)
 
 
 def phi_at_experiment_one_shot(pd: ProductDist, law) -> RevenueEstimate:

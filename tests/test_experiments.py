@@ -8,12 +8,11 @@ import pytest
 from scipy import integrate, stats
 
 from auctioncomp.experiments import (
-    _NEAR_ONE_TERMS,
     DominanceReport,
     XB,
     XL,
-    _j_tail,
-    _near_one_coefficients,
+    _hyp,
+    _psi_minus_log,
     _top_or_exceeder,
     _uniform_above,
     dkw_epsilon,
@@ -27,8 +26,14 @@ from auctioncomp.experiments import (
 )
 from auctioncomp.benchmark import _quantile_grid
 from auctioncomp.distributions import Uniform
-from auctioncomp.rng import BLOCK, PIECE, substream
-from oracles import prop_key_conditional, xb_cdf_quadrature, xl_cdf_quadrature
+from auctioncomp.rng import BLOCK, substream
+from oracles import (
+    j_tail_decimal,
+    prop_key_conditional,
+    xb_cdf_near_one_decimal,
+    xb_cdf_quadrature,
+    xl_cdf_quadrature,
+)
 
 N = 200_000
 N_XL = 400_000
@@ -452,9 +457,9 @@ XB_SMALL = [(2, 2), (3, 2), (3, 3), (5, 2), (5, 4), (8, 2), (8, 5), (8, 8)]
 
 @pytest.mark.parametrize("n,ell", XB_SMALL)
 def test_xb_cdf_series_matches_exact_rationals(n, ell):
-    # the series below 1/2 and, above it, the continued fraction (s >= 1)
-    # and the recurrence (s < 1), each to a few ulps of F itself: 2.9e-16 at
-    # worst, where the quadrature read 8.4e-15
+    # the continued fraction where s = (n + 1)(1 - t) >= 1 and the series in
+    # s below it, each to a few ulps of F itself, where the quadrature read
+    # 8.4e-15
     t = np.concatenate([np.geomspace(1e-3, 0.5, 13), [0.3, np.nextafter(0.5, 0.0), 0.6, 0.75, 0.9]])
     got = XB(n, ell).cdf(t)
     want = np.array([_xb_cdf_fraction(n, ell, float(x)) for x in t])
@@ -463,8 +468,8 @@ def test_xb_cdf_series_matches_exact_rationals(n, ell):
 
 def test_xb_cdf_2_2_closed_form():
     # n = ell = 2: F = 1 - 4d + 3d^2 - 2d^2 log d, d = 1 - t; the fraction
-    # takes t <= 2/3 and the recurrence the rest (1.5e-16 at worst; the
-    # quadrature read 7.1e-15)
+    # takes t <= 2/3 and the series in s the rest (the quadrature read
+    # 7.1e-15)
     t = np.concatenate([np.linspace(0.5, 1.0, 1001)[:-1], 1.0 - np.geomspace(1e-3, 1e-15, 25)])
     d = 1.0 - t  # exact for t >= 1/2
     want = np.array([math.fsum([1.0, -4.0 * e, 3.0 * e * e, -2.0 * e * e * math.log(e)]) for e in d])
@@ -523,77 +528,68 @@ def test_j_tail_relative_error(k):
     # 4 bits on these points
     x = np.concatenate([np.linspace(0.05, 0.97, 47), [0.5, np.nextafter(0.5, 1.0), 1.0 - 1.0 / (k + 1)]])
     x = np.unique(x[(x <= 0.97) & (x ** (k + 1) > 1e-280)])
-    got = _j_tail(k, x, np.log1p(-x))
+    got = _hyp(k + 1, 0, x)
     want = np.array([_j_tail_fsum(k, float(xi)) for xi in x])
     assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
-def _j_tail_decimal(k, x):
-    """-log(1 - x) - sum_{i <= k} x^i / i in 50-digit decimal arithmetic,
-    the sum by Horner's rule: J_k near 1 keeps 47 of its digits."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        X, acc = decimal.Decimal(x), decimal.Decimal(0)
-        for i in range(k, 0, -1):
-            acc = (acc + decimal.Decimal(1) / i) * X
-        return float(-(1 - X).ln() - acc)
-
-
-@pytest.mark.parametrize("k", [1, 14, 255, 4094, 16382])
+@pytest.mark.parametrize("k", [1, 14, 255, 4094, 16382, 10**5])
 def test_j_tail_near_one_matches_decimal(k):
-    # where (k + 1)(1 - x) < 1, J_k is the difference -log(1 - x) minus a
-    # sum taken as a series in y = -k log x < 1: 2.2e-15 relative at worst,
-    # where a Horner loop over the k terms x^i / i read 1.6e-14 at k = 4094
-    # and 3.1e-14 at k = 16382
-    x = 1.0 - np.geomspace(1e-12, 0.999, 12) / (k + 1)
-    got = _j_tail(k, x, np.log1p(-x))
-    want = np.array([_j_tail_decimal(k, float(xi)) for xi in x])
+    # where (k + 1)(1 - x) < 1, J_k is DLMF 15.8.10's series in s, with
+    # log s and psi(k + 1) - log(k + 1) kept apart: 8.9e-16 relative at
+    # worst up to k = 10^6 against 50-digit mpmath, where a sum of 28 power
+    # sums over the k terms read 7.5e-15; the points stay below 1 in
+    # floating point
+    s = np.geomspace(max(1e-12, (k + 1) * 2.0**-52), 0.999, 12)
+    x = 1.0 - s / (k + 1)
+    assert np.all(x < 1.0)
+    got = _hyp(k + 1, 0, x)
+    want = np.array([j_tail_decimal(k, float(xi)) for xi in x])
     assert np.max(np.abs(got - want) / want) <= 5e-15
 
 
-def _near_one_coefficients_one_array(k):
-    """The coefficients from k-length arrays held at once: the reference
-    whose bits the piecewise sums keep for k <= PIECE."""
-    r = np.arange(1, k + 1) / k
-    power = np.ones(k)
-    a = np.empty(_NEAR_ONE_TERMS)
-    a[0] = math.fsum(1.0 / np.arange(1, k + 1))
-    for j in range(1, _NEAR_ONE_TERMS):
-        a[j] = (-1) ** j * float(np.sum(power)) / (k * math.factorial(j))
-        power *= r
-    return a
+def _psi_minus_log_decimal(K):
+    """psi(K) - log K = H_(K-1) - gamma - log K in 40-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        gamma = decimal.Decimal("0.5772156649015328606065120900824024310422")
+        harmonic = sum((decimal.Decimal(1) / i for i in range(1, K)), decimal.Decimal(0))
+        return float(harmonic - gamma - decimal.Decimal(K).ln())
 
 
-@pytest.mark.parametrize("k", [1, 2, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE])
-def test_near_one_coefficients_exact_and_same_bits_within_a_piece(k):
-    got = _near_one_coefficients(k)
-    if k <= PIECE:
-        assert got.tobytes() == _near_one_coefficients_one_array(k).tobytes()
-    # a_0 = H_k is one fsum of the k rounded terms 1/i, in any pieces
-    assert got[0] == math.fsum(1.0 / i for i in range(1, k + 1))
-    # a_j = (-1)^j S_(j-1)(k) / (k^j j!), S_p(k) = sum_{i <= k} i^p, exactly
-    sums = [0] * (_NEAR_ONE_TERMS - 1)
-    for i in range(1, k + 1):
-        power = 1
-        for p in range(len(sums)):
-            sums[p] += power
-            power *= i
-    want = [float(Fraction((-1) ** j * sums[j - 1], k**j * math.factorial(j)))
-            for j in range(1, _NEAR_ONE_TERMS)]
-    assert np.max(np.abs(got[1:] - want) / np.abs(want)) <= 1e-14
+@pytest.mark.parametrize("K", [1, 2, 15, 16, 17, 4096, 10**5])
+def test_psi_minus_log_matches_decimal(K):
+    # the asymptotic series at 16 and above, shifted down below it
+    assert _psi_minus_log(K) == pytest.approx(_psi_minus_log_decimal(K), rel=1e-15, abs=0.0)
 
 
-def test_near_one_coefficients_peak_memory():
-    # k-length arrays held at once peaked at 30.6 MiB at k = 10^6; pieces of
-    # PIECE terms hold a few hundred KiB whatever k
-    _near_one_coefficients.cache_clear()
+XB_NEAR_ONE = [(3, 2), (19, 4), (268, 13)] + [(4096, ell) for ell in (2, 30, 31, 47, 4096)] + [(16384, 2), (16384, 16384)]
+
+
+@pytest.mark.parametrize("n,ell", XB_NEAR_ONE)
+def test_xb_cdf_near_one_matches_decimal(n, ell):
+    # within 1/(n + 1) of 1, the series of DLMF 15.8.10: its finite sum,
+    # and up to ell = 30 its log part, against the recurrence over ell in
+    # decimals; ell = 30, 31 sit on either side of the log part's cut
+    # (2.5e-16 at worst)
+    s = np.array([1e-9, 1e-3, 0.5, 0.999])
+    t = 1.0 - s / (n + 1)
+    got = XB(n, ell).cdf(t)
+    want = np.array([xb_cdf_near_one_decimal(n, ell, float(x)) for x in t])
+    assert np.max(np.abs(got - want) / want) <= 2e-15
+
+
+def test_xl_cdf_near_one_peak_memory():
+    # J near 1 is a series of a few dozen terms whatever n is: no array of
+    # length n, only the temporaries of one piece
+    n = 10**7
+    t = 1.0 - np.arange(1, 2**14 + 1) / (2**14 * (n - 1))
     tracemalloc.start()
     try:
-        _near_one_coefficients(10**6)
+        XL(n, 2).cdf(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _near_one_coefficients.cache_clear()
     assert peak < 2 * 2**20, peak / 2**20
 
 

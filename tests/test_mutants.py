@@ -18,7 +18,7 @@ import pytest
 import auctioncomp
 from auctioncomp import revenue as revenue_mod
 from auctioncomp import virtual as virtual_mod
-from auctioncomp.experiments import XL
+from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import CLAIMS, run_all
 from auctioncomp.revenue import er2_sum_tail_truncated, feldman_params, three_tier_params, vcg
 
@@ -60,6 +60,13 @@ def _xl_cdf_one_item_more(law, t):
     return _XL_CDF(XL(law.n, law.m + 1), t)
 
 
+_XB_CDF = XB.cdf
+
+
+def _xb_cdf_ell_one_more(law, t):
+    return _XB_CDF(XB(law.n, law.ell + 1), t)
+
+
 # mutant id -> (patched name, defining module, replacement, claims that fail)
 MUTANTS = {
     # the benchmark and the off-region terms both move, so the decomposition
@@ -72,11 +79,12 @@ MUTANTS = {
                              {"appendix-b-revenue"}),
     "posted-price-x1.5": ("feldman_params", "revenue", _feldman_params_price_raised, set()),
     "xl_cdf-m+1": ("XL.cdf", "experiments", _xl_cdf_one_item_more, set()),
+    "xb_cdf-ell+1": ("XB.cdf", "experiments", _xb_cdf_ell_one_more, set()),
 }
 
-# no registered claim reads the posted price's size or X_L's law (ROADMAP
-# items 3 and 4 register claims that do)
-UNCOVERED = ["posted-price-x1.5", "xl_cdf-m+1"]
+# no registered claim reads the posted price's size or the laws of X_L and
+# X_B (ROADMAP item 9's exact dominance thresholds register claims that do)
+UNCOVERED = ["posted-price-x1.5", "xl_cdf-m+1", "xb_cdf-ell+1"]
 
 
 def _failed_claims():
