@@ -16,8 +16,9 @@ whatever the marginals, so each item's scores are i.i.d. across bidders with
 a closed-form CDF: the benchmark and ``obs1_bound`` are exact 1-D integrals
 (``revenue._score_estimate``). The chain bounds are exact too: the CDF of
 the experiment (``experiments.XL`` / ``XB``) is tabulated once per call on
-a quantile grid, and each item's E[phi_bar(X)] is bracketed on it by the
-score integrals' rule (``revenue._stieltjes``). ``assign_regions`` is
+a quantile grid of the score integrals' rule (``revenue._Grid``), and each
+item's E[phi_bar(X)] is bracketed on it by that rule's sums
+(``revenue._stieltjes``). ``assign_regions`` is
 the region rule of the Monte Carlo oracles in the tests.
 
 No bound reads a sample count or a seed. ``efftw_bound``, ``obs1_bound``
@@ -34,8 +35,8 @@ import numpy as np
 
 from .distributions import ProductDist, SingleDist
 from .experiments import XB, XL
-from . import revenue
-from .revenue import RevenueEstimate, _item_sum, _score_estimate, _stieltjes
+from .revenue import _COARSE_U, RevenueEstimate, _Grid, _item_sum, _score_estimate, _stieltjes
+from .rng import fill_pieces
 from .virtual import iron
 
 __all__ = [
@@ -132,48 +133,50 @@ def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEst
     return _item_sum(pd.marginals, item)
 
 
-def _quantile_grid(marginals) -> np.ndarray:
-    """The chain bounds' grid on [0, 1]: ``_QUAD_CELLS`` uniform cells plus
-    where phi_bar may jump, the atomic items' ironing knots and every item's
-    breakpoints, each with the float on either side of it."""
-    steps = np.concatenate([np.append(iron(d).knots, d.quantile_breakpoints()) for d in marginals])
-    u = np.concatenate([np.linspace(0.0, 1.0, revenue._QUAD_CELLS + 1), steps,
-                        np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)])
-    u.sort()  # in place: no second grid-length copy
-    u = u[np.searchsorted(u, 0.0):np.searchsorted(u, 1.0, "right")]
-    return u[np.append(True, u[1:] != u[:-1])]  # distinct
+def _chain_grid(marginals, law) -> tuple[np.ndarray, np.ndarray]:
+    """(u, F): the chain bounds' ``revenue._Grid`` on [0, 1], made whole a
+    piece at a time, and F = ``law.cdf`` on it (0 at u = 0, 1 at u = 1) with
+    running maxima. Its table is ``_COARSE_U`` and where phi_bar
+    may jump, the atomic items' ironing knots and every item's
+    breakpoints, with the floats beside them; W = F and g is the sum of the
+    distinct items' phi_bar, read up to the float below 1."""
+    imaps = [iron(d) for d in dict.fromkeys(marginals)]
+    steps = np.concatenate([np.append(imap.knots, imap.dist.quantile_breakpoints()) for imap in imaps])
+    grid = _Grid(_COARSE_U, steps, 0.0, 1.0, law.cdf,
+                 lambda u: sum(imap.at_quantile(np.minimum(u, np.nextafter(1.0, 0.0))) for imap in imaps))
+    u = fill_pieces(np.empty(grid.size), np.asarray, grid)
+    F = law.cdf(u)
+    return u, np.maximum.accumulate(F, out=F)
 
 
 def _phi_at_experiment(pd: ProductDist, law) -> RevenueEstimate:
     """Sum over items of E[phi_bar_j(X)] for an experiment quantile X of
     ``law`` (an ``XL`` or ``XB``), exact; no positive part.
 
-    One grid serves every item (``_quantile_grid``). F = ``law.cdf`` is
-    tabulated on it once, with F(0) = 0, F(1) = 1 and running maxima, so
-    every cell has mass dF_k >= 0. X has no atoms and phi_bar is
-    nondecreasing, so on cell (u_k, u_k+1) phi_bar(X) lies between
-    phi_bar(u_k) and phi_bar(u_k+1), wherever it jumps: ``revenue._stieltjes``
-    with W = F and g = phi_bar brackets the cells below u_K; a jump costs
-    its size times the F-mass of the one-ulp cells beside it. The item's
+    One grid serves every item (``_chain_grid``), its points spread by
+    sqrt(dF dphi_bar), with F = ``law.cdf`` tabulated on it once, so every
+    cell has mass dF_k >= 0. X has no atoms and phi_bar is nondecreasing,
+    so on cell (u_k, u_k+1) phi_bar(X) lies between phi_bar(u_k) and
+    phi_bar(u_k+1), wherever it jumps: ``revenue._stieltjes`` with W = F
+    and g = phi_bar brackets the cells below u_K; a jump costs its size
+    times the F-mass of the one-ulp cells beside it. The item's
     bracket is the midpoint, with its half-width as the stderr, and the
     items' half-widths add. A repeated marginal reuses its bracket
     (``revenue._item_sum``); the sum still runs over the items in order.
 
-    The top cell (u_K, 1) reads phi_bar(u_K) and phi_bar(1). phi_bar(1) is
-    infinite only for ``Exponential``, where phi_bar is Q - 1/rate; there
-    the upper end takes phi_bar(u_K) dF_K plus integral_{s > Q(u_K)}
-    Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)), D = ``law.tail_constant``.
+    The top cell (u_K, 1), u_K = 1 - 2^-53, reads phi_bar(u_K) and
+    phi_bar(1). phi_bar(1) is infinite only for ``Exponential``, where
+    phi_bar is Q - 1/rate; there the upper end takes phi_bar(u_K) dF_K
+    plus integral_{s > Q(u_K)} Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)),
+    D = ``law.tail_constant``.
     Working set: u, F and the temporaries of one piece.
     """
-    u = _quantile_grid(pd.marginals)
-    F = law.cdf(u)
-    F[0], F[-1] = 0.0, 1.0
-    np.maximum.accumulate(F, out=F)
+    u, F = _chain_grid(pd.marginals, law)
     top = float(F[-1] - F[-2])
 
     def item(d: SingleDist):
         imap = iron(d)
-        lower, upper = _stieltjes(u[:-1], F[:-1], imap.at_quantile)
+        lower, upper = _stieltjes(u[:-1], imap.at_quantile, F[:-1])
         at_top, at_one = imap.at_quantile(u[-2:]).tolist()
         lower += top * at_top
         if math.isfinite(d.support_hi):

@@ -251,7 +251,8 @@ def _gauss_cf(alpha: int, gamma: int, x: np.ndarray, s: np.ndarray) -> np.ndarra
                 np.divide(w, D, out=D)
                 D *= top / ((gamma + j - 2) * (gamma + j - 1))
                 D += 1.0
-            out[band] = xb ** (gamma - 1) / (s[band] * D)
+            D *= s[band]  # in place: the bits of xb^(gamma-1) / (s D), two temporaries fewer
+            out[band] = np.divide(xb ** (gamma - 1), D, out=D)
             left &= ~band
         s_lo *= 4.0
     return out

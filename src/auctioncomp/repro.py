@@ -125,7 +125,7 @@ def bign_tightness(n: int, m: int, c: int, p: float = 1e4) -> ReproResult:
     also over sqrt(nm), the scale of the paper's O(sqrt(nm)) bound. It takes
     each extra bidder to add about one per item, so it undercounts as n
     nears p: at (n, m, p) = (4096, 4, 1e4) it reads 91.2, while VCG_{n+c}
-    first covers the benchmark within the tolerance at c = 138. VCG_n falls
+    first covers the benchmark within the tolerance at c = 139. VCG_n falls
     below nm there, so nm in its place would read c < 0.
     """
     if n < 4 * m:

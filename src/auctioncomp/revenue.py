@@ -3,12 +3,14 @@ mechanisms (sequential posted-bundle and three-tier).
 
 Single-item optimal revenue E[(phi_bar(max))^+] and VCG (the second-highest
 value) are exact: the mean of a score with a closed-form CDF, integrated by
-``_score_estimate`` (as are the benchmark and ``obs1_bound``) on a memoized
-grid by ``_stieltjes``, the bracket rule that every exact integral here
-shares: the integrand is read once per grid point. Monte Carlo is
-hopeless here for heavy tails: at p = 10^4 the truncated equal-revenue curve
-has all of its virtual value in an atom of mass 1/p, so the naive estimator
-has ~10% relative error at a million samples. An exact value takes no
+``_score_estimate`` (as are the benchmark and ``obs1_bound``) by
+``_stieltjes``, the bracket rule that every exact integral here shares:
+the integrand is read once per point of a ``_Grid``, whose points spread
+by sqrt(dW dg) from a coarse table and are made piece by piece, with no
+memo. Monte Carlo is hopeless here for heavy tails: at p = 10^4 the
+truncated equal-revenue curve has all of its virtual value in an atom of
+mass 1/p, so the naive estimator has ~10% relative error at a million
+samples. An exact value takes no
 sample count and no seed. A sum over items integrates each distinct
 marginal once and adds the items in order (``_item_sum``).
 
@@ -25,7 +27,6 @@ constant width, so a block holds a few run-length arrays for any n and m.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ import numpy as np
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
 from .experiments import top_order_walk
 from .rng import PIECE, batch_moments, map_batches, mean_stderr
-from .virtual import iron
+from .virtual import _sorted_distinct, iron
 
 __all__ = [
     "RevenueEstimate",
@@ -49,7 +50,7 @@ __all__ = [
     "three_tier_revenue",
 ]
 
-_QUAD_CELLS = 1 << 15
+_QUAD_CELLS = 50_000
 
 
 @dataclass(frozen=True)
@@ -79,73 +80,98 @@ def _item_sum(marginals, fn) -> RevenueEstimate:
     return RevenueEstimate(mean=mean, stderr=err)
 
 
-@functools.lru_cache(maxsize=8)
-def _score_points(d: SingleDist, n: int, cells: int) -> np.ndarray:
-    """Sorted, read-only grid from min(0, support_lo) to the top of the support
-    (Q(1 - 2^-53) if unbounded): the support edges, 0, the atoms and an atomic
-    item's ironed step levels, where a score's CDF may jump, each with the
-    float below it; Q on a ``cells``-cell quantile grid and on its n-th root
-    (where the top of n lives); and a geometric grid. Memoized per (d, n,
-    cells); the bracket holds on any grid, the points only narrow it.
+# the coarse table's quantiles: 1 025 uniform points and 8 per octave of
+# 1 - u, down to 1 - 2^-53
+_COARSE_U = np.concatenate([np.linspace(0.0, 1.0, 1025), 1.0 - np.exp2(-np.arange(8 * 53 + 1) / 8)])
+
+
+class _Grid:
+    """The grid of every exact bracket, from a coarse table: the sorted
+    distinct points of x and of each known jump with the float on either
+    side of it, cut to [lo, hi], with W and g read on its nodes. Cell
+    [x_k, x_k+1) of the table gets its left node and its share of
+    ``_QUAD_CELLS`` points in proportion to sqrt(|dW_k| |dg_k|), spaced
+    evenly; the last point is the table's last. A K-cell rectangle bracket
+    of the integral of g dW is at least (integral of sqrt(W' g'))^2 / K
+    wide, and points spread evenly in sqrt(dW dg) come near it. A table
+    whose weights have no finite, positive sum (g constant) keeps its nodes
+    alone.
+
+    ``grid[i:j]`` makes points i..j-1 of its ``size``: point i is
+    x_k + (i - first_k) step_k in its cell k, a pure function of i and the
+    table, so pieces of any size join into the same nondecreasing grid
+    (k step_k stays below the cell's width, so no point passes x_k+1).
+    Nothing grid-length is held.
     """
-    lo, hi = d.support_lo, d.support_hi
-    levels = iron(d).levels  # empty for the kinds with a density
-    top = hi if math.isfinite(hi) else float(d.quantile(np.nextafter(1.0, 0.0)))
-    top = max([top, *levels[-1:].tolist()])  # a hull slope may pass v by rounding
-    bps = d.quantile_breakpoints()
-    jumps = np.concatenate([[min(0.0, lo), 0.0, top], levels, d.quantile(bps)])
-    u = np.linspace(0.0, 1.0, cells + 1)
-    t = np.concatenate([
-        jumps,
-        np.nextafter(jumps, -np.inf),  # one-ulp cells left of each known jump
-        d.quantile(np.nextafter(bps, 1.0)),
-        d.quantile(u),
-        d.quantile(u ** (1.0 / n)),
-        lo + (top - lo) * np.geomspace(2.0**-20, 1.0, cells // 4),
-    ])
-    t.sort()  # in place: no second grid-length copy
-    # drops Q(1) = inf and the float below min(0, lo); repeats add 0
-    t = t[np.searchsorted(t, min(0.0, lo)):np.searchsorted(t, top, "right")]
-    t.flags.writeable = False
-    return t
+
+    def __init__(self, x: np.ndarray, jumps: np.ndarray, lo: float, hi: float, W, g):
+        x = _sorted_distinct(np.concatenate([x, jumps, np.nextafter(jumps, -np.inf), np.nextafter(jumps, np.inf)]))
+        self.x = x = x[np.searchsorted(x, lo):np.searchsorted(x, hi, "right")]
+        cum = np.cumsum(np.append(0.0, np.sqrt(np.abs(np.diff(W(x)) * np.diff(g(x))))))
+        scale = _QUAD_CELLS / cum[-1] if 0.0 < cum[-1] < math.inf else 0.0
+        count = np.diff(np.floor(cum * scale)) + 1.0
+        self._step = np.append(np.diff(x) / count, 0.0)
+        self._first = np.cumsum(np.append(0.0, count))  # the last node closes the grid
+        self.size = int(self._first[-1]) + 1
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        p = np.arange(*s.indices(self.size), dtype=float)
+        k = np.searchsorted(self._first[1:], p, "right")
+        p -= self._first[k]
+        p *= self._step[k]
+        return np.add(p, self.x[k], out=p)
 
 
-def _stieltjes(x: np.ndarray, W: np.ndarray, g) -> tuple[float, float]:
-    """sum_k dW_k g(x_k) and sum_k dW_k g(x_k+1), dW_k = W_k+1 - W_k: for a
-    monotone g they bracket the integral of g dW over [x_0, x_K]. Walks x in
-    pieces of ``PIECE`` cells that share their end points, reads g once per
-    point of a piece and adds the pieces' sums in order."""
+def _stieltjes(x, g, W=None) -> tuple[float, float]:
+    """sum_k dW_k g(x_k) and sum_k dW_k g(x_k+1), dW_k = W_k+1 - W_k (W = x
+    when W is None): for a monotone g they bracket the integral of g dW over
+    [x_0, x_K]. Walks x (an array or a ``_Grid``) in pieces of ``PIECE``
+    cells that share their end points, reads g once per point of a piece
+    and adds the pieces' sums in order."""
     left = right = 0.0
-    for i in range(0, len(x) - 1, PIECE):
-        gx = g(x[i:i + PIECE + 1])
-        w = W[i:i + PIECE + 1]
-        dW = w[1:] - w[:-1]
+    for i in range(0, x.size - 1, PIECE):
+        xs = x[i:i + PIECE + 1]
+        gx = g(xs)
+        dW = np.diff(xs if W is None else W[i:i + PIECE + 1])
         # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
         left += float(np.sum(dW * gx[:-1]))
         right += float(np.sum(dW * gx[1:]))
+        del xs, gx, dW  # so the next piece is made and read without them
     return left, right
+
+
+def _score_grid(d: SingleDist, cdf) -> _Grid:
+    """The ``_Grid`` of a score of item d with CDF H = ``cdf``, with W = t
+    and g = H, from min(0, support_lo) to the top of the support
+    (Q(1 - 2^-53) if unbounded), or to the float above the last jump of H
+    where that lies higher. Its table is Q at ``_COARSE_U`` and where H may
+    jump: 0, the atoms and an atomic item's ironed step levels (the top
+    level may pass the top value by rounding)."""
+    bps = d.quantile_breakpoints()
+    jumps = np.concatenate([[0.0], iron(d).levels, d.quantile(np.concatenate([bps, np.nextafter(bps, 1.0)]))])
+    # cut at the largest float: drops Q(1) = inf of an unbounded item
+    return _Grid(d.quantile(_COARSE_U), jumps, min(0.0, d.support_lo), np.finfo(float).max, lambda t: t, cdf)
 
 
 def _score_estimate(d: SingleDist, n: int, cdf) -> RevenueEstimate:
     """E[S] = L + integral over t >= L of 1 - H(t), for a score S >= L =
     min(0, support_lo) of item d with CDF H = ``cdf``.
 
-    Bracketed by rectangles on ``_score_points`` with ``_QUAD_CELLS`` cells
-    (read at the call), summed by ``_stieltjes`` with W = t and g = 1 - H.
-    On each cell [t_k, t_k+1) the nondecreasing H lies between H(t_k) and
-    its left limit at t_k+1, and that left limit is at most H(t_k+1) (H is
-    right-continuous), so dt (1 - H(t_k)) bounds the cell's area from above
-    and dt (1 - H(t_k+1)) from below: one read of H per point serves both
-    ends, wherever H jumps. The grid puts a one-ulp cell left of each jump
-    it knows, so the lower end loses almost nothing there. Past the last
-    point T every score here has 1 - H <= n (1 - F), which adds
-    n * d.tail_integral(T) to the upper end. Returns the bracket's midpoint,
-    with its half-width as the stderr.
+    Bracketed by rectangles on ``_score_grid``, streamed through
+    ``_stieltjes`` with W = t and g = 1 - H. On each cell [t_k, t_k+1) the
+    nondecreasing H lies between H(t_k) and its left limit at t_k+1, and
+    that left limit is at most H(t_k+1) (H is right-continuous), so
+    dt (1 - H(t_k)) bounds the cell's area from above and dt (1 - H(t_k+1))
+    from below: one read of H per point serves both ends, wherever H jumps.
+    The grid puts a one-ulp cell left of each jump it knows, so the lower
+    end loses almost nothing there. Past the last point T every score here
+    has 1 - H <= n (1 - F), which adds n * d.tail_integral(T) to the upper
+    end. Returns the bracket's midpoint, with its half-width as the stderr.
     """
-    t = _score_points(d, n, _QUAD_CELLS)
-    upper, lower = _stieltjes(t, t, lambda x: 1.0 - cdf(x))
-    upper = float(t[0] + upper) + n * d.tail_integral(t[-1])
-    lower = float(t[0] + lower)
+    t = _score_grid(d, cdf)
+    upper, lower = _stieltjes(t, lambda x: 1.0 - cdf(x))
+    upper = float(t.x[0] + upper) + n * d.tail_integral(t.x[-1])
+    lower = float(t.x[0] + lower)
     return RevenueEstimate(mean=0.5 * (lower + upper), stderr=0.5 * (upper - lower))
 
 

@@ -35,13 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from auctioncomp import revenue as revenue_mod
-from auctioncomp.benchmark import _quantile_grid
+from auctioncomp.benchmark import _chain_grid
 from auctioncomp.distributions import ProductDist, SingleDist, TruncatedEqualRevenue
 from auctioncomp.experiments import _hyp, top_order_stats
 from auctioncomp.revenue import (
     RevenueEstimate,
     _item_sum,
-    _score_points,
+    _score_grid,
     feldman_params,
     myerson_item_revenue,
     three_tier_params,
@@ -336,7 +336,7 @@ def score_estimate_one_shot(d: SingleDist, n: int, cdf) -> RevenueEstimate:
     """``revenue._score_estimate`` with ``cdf`` read on the whole grid at once;
     the rectangle sums are folded over ``PIECE``-cell slices, as the package
     folds its pieces."""
-    t = _score_points(d, n, revenue_mod._QUAD_CELLS)
+    t = _score_grid(d, cdf)[:]
     upper, lower = _fold_pieces(np.diff(t), 1.0 - cdf(t))
     upper = float(t[0] + upper) + n * d.tail_integral(t[-1])
     lower = float(t[0] + lower)
@@ -349,7 +349,7 @@ def score_estimate_two_pass(d: SingleDist, n: int, cdf) -> RevenueEstimate:
     rectangles and again at the float below every t_k+1 (its left limit)
     for the lower ones, each sum taken whole. The one-pass bracket of
     ``revenue._score_estimate`` must be as tight, up to rounding."""
-    t = _score_points(d, n, revenue_mod._QUAD_CELLS)
+    t = _score_grid(d, cdf)[:]
     dt = np.diff(t)
     upper = float(t[0] + np.sum(dt * (1.0 - cdf(t[:-1])))) + n * d.tail_integral(t[-1])
     lower = float(t[0] + np.sum(dt * (1.0 - cdf(np.nextafter(t[1:], -np.inf)))))
@@ -491,7 +491,7 @@ def xb_cdf_near_one_decimal(n: int, ell: int, t: float) -> float:
 
 def phi_at_experiment_one_shot(pd: ProductDist, law) -> RevenueEstimate:
     """``benchmark._phi_at_experiment`` with phi_bar read on the whole grid at once."""
-    u = _quantile_grid(pd.marginals)
+    u, _ = _chain_grid(pd.marginals, law)
     F = law.cdf(u)
     F[0], F[-1] = 0.0, 1.0
     F = np.maximum.accumulate(F)
@@ -513,22 +513,24 @@ def phi_at_experiment_one_shot(pd: ProductDist, law) -> RevenueEstimate:
 
 
 def phi_at_experiment_two_read(pd: ProductDist, law) -> RevenueEstimate:
-    """The two-read chain bracket: uniform cells, knots and breakpoints, with
-    no one-ulp cells beside them; phi_bar read at the float above each
-    cell's left end for the lower rectangles and at the float below its
-    right end for the upper ones, each sum taken whole. The one-read bracket
-    of ``benchmark._phi_at_experiment`` must be as tight, up to its one-ulp
+    """The two-read chain bracket: the chain grid with no one-ulp cells beside
+    the knots and breakpoints; phi_bar read at the float above each cell's
+    left end for the lower rectangles and at the float below its right end
+    for the upper ones, each sum taken whole. The one-read bracket of
+    ``benchmark._phi_at_experiment`` must be as tight, up to its one-ulp
     cells at the jumps."""
     imaps = {d: iron(d) for d in pd.marginals}
-    u = _sorted_distinct(np.concatenate(
-        [np.linspace(0.0, 1.0, revenue_mod._QUAD_CELLS + 1)]
-        + [imap.knots for imap in imaps.values()]
-        + [d.quantile_breakpoints() for d in imaps]
-    ))
+    steps = np.concatenate([np.append(imap.knots, d.quantile_breakpoints()) for d, imap in imaps.items()])
+    u = _sorted_distinct(_chain_grid(pd.marginals, law)[0])
+    beside = np.concatenate([np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)])
+    u = u[~np.isin(u, beside) | np.isin(u, steps)]
     F = law.cdf(u)
     F[0], F[-1] = 0.0, 1.0
     dF = np.diff(np.maximum.accumulate(F))
-    above, below = np.nextafter(u[:-1], np.inf), np.nextafter(u[1:], -np.inf)
+    # the float above each left end, up to the float below 1 (the grid's last
+    # left end), where an unbounded phi_bar is finite
+    above = np.minimum(np.nextafter(u[:-1], np.inf), np.nextafter(1.0, 0.0))
+    below = np.nextafter(u[1:], -np.inf)
 
     def item(d: SingleDist):
         imap = imaps[d]

@@ -365,19 +365,25 @@ def test_each_distinct_marginal_estimated_once(monkeypatch):
     monkeypatch.setattr(revenue_mod, "_score_estimate", counted_score_estimate)
     monkeypatch.setattr(benchmark_mod, "_score_estimate", counted_score_estimate)
     monkeypatch.setattr(IronedVirtualMap, "at_quantile", counted_at_quantile)
-    # a chain bound reads phi_bar once per point of its grid below the top,
+    # a chain bound reads phi_bar once per node of its grid's table (the
+    # builder's g, T nodes), then once per point of its grid below the top,
     # a piece at a time, where pieces share their end points; then at the
     # top cell's two ends
-    points = len(benchmark_mod._quantile_grid(distinct))
-    reads = points + math.ceil((points - 2) / PIECE)
-    assert reads == 32_783  # 32 778 points in 5 pieces
-    for name, per_marginal in [("srev", 1), ("vcg", 1), ("efftw", 1), ("obs1", 1),
-                               ("xl_chain", reads), ("xb_chain", reads)]:
+    for name, law in [("xl_chain", XL(3, REPEATS.m)), ("xb_chain", XB(3 + (REPEATS.m - 1), 2))]:
+        points = len(benchmark_mod._chain_grid(distinct, law)[0])
+        reads = points + math.ceil((points - 2) / PIECE)
+        calls.clear()
+        PER_ITEM_SUMS[name](REPEATS)
+        runs = [(d, sum(k for _, k in run)) for d, run in groupby(calls, key=lambda c: c[0])]
+        table = runs[0][1]
+        assert abs(points - table - revenue_mod._QUAD_CELLS) <= 1, (name, points, table)
+        assert runs == [(d, table) for d in distinct] + [(d, reads) for d in distinct], name
+    for name in ["srev", "vcg", "efftw", "obs1"]:
         calls.clear()
         PER_ITEM_SUMS[name](REPEATS)
         # one unbroken run of reads per distinct marginal
         runs = [(d, sum(k for _, k in run)) for d, run in groupby(calls, key=lambda c: c[0])]
-        assert runs == [(d, per_marginal) for d in distinct], name
+        assert runs == [(d, 1) for d in distinct], name
 
 
 def test_efftw_single_item_equals_myerson():

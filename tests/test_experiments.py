@@ -24,7 +24,6 @@ from auctioncomp.experiments import (
     ystar_conditional_mc,
     ystar_tail,
 )
-from auctioncomp.benchmark import _quantile_grid
 from auctioncomp.distributions import Uniform
 from auctioncomp.rng import BLOCK, substream
 from oracles import (
@@ -373,9 +372,10 @@ def test_xl_cdf_matches_dblquad(n, m):
     assert np.max(np.abs(got - ref)) <= 1e-10, got - ref
 
 
-# the chain grid, and 200 points up to 1 - 1e-12, where the quadrature
+# 2^15 uniform cells, and 200 points up to 1 - 1e-12, where the quadrature
 # takes up to 1024 nodes
-XL_GRID = np.unique(np.concatenate([_quantile_grid((Uniform(0, 1),)), 1.0 - np.geomspace(0.5, 1e-12, 200)]))
+UNIFORM_GRID = np.linspace(0.0, 1.0, 2**15 + 1)
+XL_GRID = np.unique(np.concatenate([UNIFORM_GRID, 1.0 - np.geomspace(0.5, 1e-12, 200)]))
 
 
 @pytest.mark.parametrize(
@@ -478,7 +478,7 @@ def test_xb_cdf_2_2_closed_form():
 
 @pytest.mark.parametrize("n,ell", [(3, 2), (19, 4), (64, 64), (200, 8), (4096, 33), (16384, 2)])
 def test_xb_cdf_closed_form_matches_quadrature(n, ell):
-    u = _quantile_grid((Uniform(0, 1),))
+    u = UNIFORM_GRID
     assert np.max(np.abs(XB(n, ell).cdf(u) - xb_cdf_quadrature(n, ell, u))) <= 1e-11
 
 

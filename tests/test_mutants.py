@@ -16,7 +16,6 @@ import pkgutil
 import pytest
 
 import auctioncomp
-from auctioncomp import revenue as revenue_mod
 from auctioncomp import virtual as virtual_mod
 from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import CLAIMS, run_all
@@ -88,12 +87,10 @@ UNCOVERED = ["posted-price-x1.5", "xl_cdf-m+1", "xb_cdf-ell+1"]
 
 
 def _failed_claims():
-    revenue_mod._score_points.cache_clear()
     virtual_mod.iron.cache_clear()
     try:
         results = run_all(42)
     finally:
-        revenue_mod._score_points.cache_clear()
         virtual_mod.iron.cache_clear()
     return {name for name, r in zip(sorted(CLAIMS), results) if not r.passed}
 

@@ -23,6 +23,7 @@ from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import er_order_stat
 from auctioncomp.revenue import _score_estimate, myerson_item_revenue, srev, vcg, vcg_item_revenue
 from auctioncomp.rng import PIECE, fill_pieces
+from auctioncomp.virtual import iron
 from oracles import (
     jump_allowance,
     phi_at_experiment_one_shot,
@@ -37,7 +38,7 @@ ZOO = ["uniform:0,1", "uniform:-1,1", "exp:1", "exp:0.3", "er:p=10000", "er:p=10
 PRODUCTS = {
     "irregular": [IRREGULAR, "exp:1", "uniform:0,1"],
     "er2": ["er:p=10000"] * 2,
-    "u2": ["uniform:0,1"] * 2,  # 2^15 cells and no knots: a whole number of pieces
+    "u2": ["uniform:0,1"] * 2,
     "mixed": ["exp:0.3", "er:p=100", "point:5", "discrete:v=1,1.2,10;p=0.5,0.4,0.1"],
 }
 
@@ -48,8 +49,7 @@ def _bits(estimates):
 
 @pytest.fixture(params=[64, revenue_mod._QUAD_CELLS], ids=["short-grid", "default-grid"])
 def cells(request, monkeypatch):
-    # the score grids are memoized per cell count and the benchmark reads the
-    # count at the call, so one patch sets every grid
+    # every grid reads the count at the call, so one patch sets them all
     monkeypatch.setattr(revenue_mod, "_QUAD_CELLS", request.param)
     return request.param
 
@@ -59,8 +59,8 @@ def test_score_estimates_same_bits_as_one_shot(spec, cells, monkeypatch):
     d = parse_dist(spec)
     pd = ProductDist((d, parse_dist(IRREGULAR)))
     for n in (1, 2, 5):
-        areas = len(revenue_mod._score_points(d, n, cells)) - 1
-        # 64 cells: shorter than one piece; 2^15: several, the last one partial
+        areas = revenue_mod._score_grid(d, lambda t: iron(d).psi(t) ** n).size - 1
+        # 64 cells: shorter than one piece; the default: several, the last one partial
         assert (areas < PIECE) == (cells < PIECE) and areas % PIECE != 0
 
     def estimates():
@@ -118,13 +118,13 @@ def _exact_law(d):
     return values, [sum(probs[:i + 1]) for i in range(len(probs))]
 
 
-def _without_ulp_cells(score_points):
-    """A grid maker that drops every point one ulp below another: the score
-    CDF's jumps are then unknown to the grid."""
-    def points(d, n, cells):
-        t = score_points(d, n, cells)
-        return t[~np.isin(np.nextafter(t, np.inf), t)]
-    return points
+class _WithoutUlpCells(revenue_mod._Grid):
+    """The grid with the jumps as plain points of its table, without the
+    floats beside them: the score CDF's jumps are then known to the grid
+    only as nodes, and the lower end reads each one a cell late."""
+
+    def __init__(self, x, jumps, lo, hi, W, g):
+        super().__init__(np.concatenate([x, jumps]), np.empty(0), lo, hi, W, g)
 
 
 @pytest.mark.parametrize("thin", [False, True], ids=["grid", "jumps-unknown"])
@@ -133,7 +133,7 @@ def test_atomic_brackets_hold_exact_order_stats(spec, thin, cells, monkeypatch):
     # a bracket read at H(t_k+1) holds wherever H jumps; the allowance is
     # the float CDF's and the sums' rounding (the worst miss seen is 1.7 ulp)
     if thin:
-        monkeypatch.setattr(revenue_mod, "_score_points", _without_ulp_cells(revenue_mod._score_points))
+        monkeypatch.setattr(revenue_mod, "_Grid", _WithoutUlpCells)
     d = parse_dist(spec)
     values, cum = _exact_law(d)
     rounding = 4 * Fraction(math.ulp(max(abs(v) for v in values)))
@@ -258,8 +258,7 @@ U2 = ProductDist((Uniform(0, 1),) * 2)
      ("xb", 1 << 15, 1.4), ("xb", 1 << 18, 5.8)],
 )
 def test_exact_kernel_working_set(bound, cells, limit_mb, monkeypatch):
-    # the score grids (efftw_bound), the ironed maps and the series
-    # coefficients are memoized: a first call builds them outside the
+    # the ironed maps are memoized: a first call builds them outside the
     # measurement
     monkeypatch.setattr(revenue_mod, "_QUAD_CELLS", cells)
     if bound == "efftw":

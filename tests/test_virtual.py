@@ -11,7 +11,7 @@ from auctioncomp.distributions import (
     Uniform,
     parse_dist,
 )
-from auctioncomp.revenue import _QUAD_CELLS
+from auctioncomp.revenue import _COARSE_U
 from auctioncomp.virtual import _sorted_distinct, _upper_concave_envelope, iron
 from oracles import (
     fact1_check,
@@ -300,18 +300,16 @@ def test_iron_bit_equal_to_reference_construction(spec, K):
 
 
 def _dedupe_inputs():
-    # grids like the one ``benchmark._quantile_grid`` dedupes, at several
-    # sizes, and the corners that ``iron`` dedupes
+    # grids at several sizes, the tables that ``revenue._Grid`` dedupes,
+    # and the corners that ``iron`` dedupes
     dists = [parse_dist(spec) for spec in IRON_ZOO]
     for d in dists:
         bps = d.quantile_breakpoints()
         for K in (2, 3, 17, 4096):
             yield np.concatenate([np.linspace(0.0, 1.0, K + 1), bps[(bps > 0) & (bps < 1)]])
-    yield np.concatenate(
-        [np.linspace(0.0, 1.0, _QUAD_CELLS + 1)]
-        + [iron(d).knots for d in dists]
-        + [d.quantile_breakpoints() for d in dists]
-    )
+    steps = np.concatenate([iron(d).knots for d in dists] + [d.quantile_breakpoints() for d in dists])
+    yield np.concatenate([_COARSE_U, steps, np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)])
+    yield np.concatenate([d.quantile(_COARSE_U) for d in dists])
     yield np.array([])
     yield np.array([0.5])
     yield np.full(7, 0.25)
