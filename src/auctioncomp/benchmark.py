@@ -190,7 +190,10 @@ def _phi_at_experiment(pd: ProductDist, law) -> RevenueEstimate:
 
 def xl_chain_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
     """Sum over items of E[phi_bar_j at X_L(n, m)], exact (``_phi_at_experiment``),
-    for n >= 2. N and the seed are not read (see the module docstring)."""
+    for n >= 2: the chain's first link, ``obs1_bound``, needs a second
+    bidder. N and the seed are not read (see the module docstring)."""
+    if n < 2:
+        raise ValueError("need n >= 2 for the little-n chain")
     return _phi_at_experiment(pd, XL(n, pd.m))
 
 

@@ -347,10 +347,18 @@ class XL:
         return np.maximum(_top_or_exceeder(x1, self.m, rng), w2, out=w2)
 
     def cdf(self, t) -> np.ndarray | float:
-        """Exact CDF of X_L(n, m), for n >= 2.
+        """Exact CDF of X_L(n, m).
 
-        With (x1, x2) the top two of n uniforms (joint density
-        n (n-1) x2^(n-2)), X_L <= t when x1 <= t, X'_L <= t and W_2 <= t:
+        At n = 1, X_L = X'_L over one uniform x1, so F(t) is the integral
+        over x1 <= t of a_t(x1) below,
+
+            F = t^m/m + sum_{i=0}^{m-2} t^(i+2) / ((i+1) (i+2))
+              = t^2 - (1 - t) sum_{i=1}^{m-2} t^(i+1) / (i+1),
+
+        a polynomial with nonnegative coefficients (t at m = 1), summed by
+        Horner's rule. For n >= 2, with (x1, x2) the top two of n uniforms
+        (joint density n (n-1) x2^(n-2)), X_L <= t when x1 <= t, X'_L <= t
+        and W_2 <= t:
 
             F(t) = integral_0^t a_t(x1) g_t(x1) dx1,
             a_t(x) = x^(m-1) + (1 - x^(m-1)) (t - x) / (1 - x)
@@ -385,8 +393,11 @@ class XL:
         F is 0 for t <= 0 (and NaN), 1 for t >= 1 (``_piecewise_cdf``).
         """
         n, m = self.n, self.m
-        if n < 2:
-            raise ValueError("need n >= 2 for the CDF of X_L")
+        if n == 1:
+            k = np.arange(2.0, m + 1.0)
+            c = np.append([0.0, 0.0], 1.0 / (k * (k - 1.0)))
+            c[m] = 1.0 / max(m - 1, 1)  # t^m/m + t^m/(m (m-1)) = t^m/(m-1); t at m = 1
+            return _piecewise_cdf(t, ((lambda x: x > 0.0, lambda x: _horner(c, x)),))
         e0, C, h1, h2, g = _xl_coefficients(n, m)
         split = max(0.5, 2.0 ** (-1022.0 / (n - 1)))  # t^(n-1) is normal above it
 

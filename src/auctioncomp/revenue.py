@@ -6,13 +6,14 @@ value) are exact: the mean of a score with a closed-form CDF, integrated by
 ``_score_estimate`` (as are the benchmark and ``obs1_bound``) by
 ``_stieltjes``, the bracket rule that every exact integral here shares:
 the integrand is read once per point of a ``_Grid``, whose points spread
-by sqrt(dW dg) from a coarse table and are made piece by piece, with no
-memo. Monte Carlo is hopeless here for heavy tails: at p = 10^4 the
-truncated equal-revenue curve has all of its virtual value in an atom of
-mass 1/p, so the naive estimator has ~10% relative error at a million
-samples. An exact value takes no
-sample count and no seed. A sum over items integrates each distinct
-marginal once and adds the items in order (``_item_sum``).
+by sqrt(dW dg) from a coarse table, at most one per float of a cell, and
+are made piece by piece, each cell's run at once, with no memo. Monte
+Carlo is hopeless here for heavy tails: at p = 10^4 the truncated
+equal-revenue curve has all of its virtual value in an atom of mass 1/p,
+so the naive estimator has ~10% relative error at a million samples. An
+exact value takes no sample count and no seed. A sum over items
+integrates each distinct marginal once and adds the items in order
+(``_item_sum``).
 
 Of the explicit mechanisms, the three-tier one is exact: its revenue depends
 only on the tier counts (``three_tier_revenue``). The sequential posted-bundle
@@ -91,16 +92,21 @@ class _Grid:
     side of it, cut to [lo, hi], with W and g read on its nodes. Cell
     [x_k, x_k+1) of the table gets its left node and its share of
     ``_QUAD_CELLS`` points in proportion to sqrt(|dW_k| |dg_k|), spaced
-    evenly; the last point is the table's last. A K-cell rectangle bracket
-    of the integral of g dW is at least (integral of sqrt(W' g'))^2 / K
-    wide, and points spread evenly in sqrt(dW dg) come near it. A table
-    whose weights have no finite, positive sum (g constant) keeps its nodes
-    alone.
+    evenly, but never more points than it holds floats; the last point is
+    the table's last. A K-cell rectangle bracket of the integral of g dW is
+    at least (integral of sqrt(W' g'))^2 / K wide, and points spread evenly
+    in sqrt(dW dg) come near it. A step function g has all of its weight in
+    the one-ulp cells beside its jumps, which hold one float each, so its
+    grid is its table, with no point read twice; the points a cell cannot
+    hold go to no other cell. A table whose weights have no finite,
+    positive sum (g constant) keeps its nodes alone.
 
     ``grid[i:j]`` makes points i..j-1 of its ``size``: point i is
     x_k + (i - first_k) step_k in its cell k, a pure function of i and the
     table, so pieces of any size join into the same nondecreasing grid
     (k step_k stays below the cell's width, so no point passes x_k+1).
+    A cell's points are consecutive, so a slice finds its first and last
+    cell by binary search and gives each cell between its run of points.
     Nothing grid-length is held.
     """
 
@@ -109,17 +115,27 @@ class _Grid:
         self.x = x = x[np.searchsorted(x, lo):np.searchsorted(x, hi, "right")]
         cum = np.cumsum(np.append(0.0, np.sqrt(np.abs(np.diff(W(x)) * np.diff(g(x))))))
         scale = _QUAD_CELLS / cum[-1] if 0.0 < cum[-1] < math.inf else 0.0
-        count = np.diff(np.floor(cum * scale)) + 1.0
+        # the floats in each cell: the difference of the nodes' order-preserving
+        # int64 images (the bits, negated below 0), read as unsigned past 2^63
+        bits = x.view(np.int64)
+        floats = np.diff(np.where(bits < 0, np.int64(-2**63) - bits, bits)).view(np.uint64)
+        count = np.minimum(np.diff(np.floor(cum * scale)) + 1.0, floats)
         self._step = np.append(np.diff(x) / count, 0.0)
         self._first = np.cumsum(np.append(0.0, count))  # the last node closes the grid
         self.size = int(self._first[-1]) + 1
 
     def __getitem__(self, s: slice) -> np.ndarray:
-        p = np.arange(*s.indices(self.size), dtype=float)
-        k = np.searchsorted(self._first[1:], p, "right")
-        p -= self._first[k]
-        p *= self._step[k]
-        return np.add(p, self.x[k], out=p)
+        i, j, _ = s.indices(self.size)
+        p = np.arange(i, j, dtype=float)
+        if not p.size:
+            return p
+        # the cells of points i..j-1 and their runs of points within the slice
+        a, b = np.searchsorted(self._first, [i, j - 1], "right") - 1
+        first = self._first[a:b + 1]
+        runs = (np.append(first[1:], j) - np.maximum(first, i)).astype(np.intp)
+        p -= np.repeat(first, runs)
+        p *= np.repeat(self._step[a:b + 1], runs)
+        return np.add(p, np.repeat(self.x[a:b + 1], runs), out=p)
 
 
 def _stieltjes(x, g, W=None) -> tuple[float, float]:

@@ -14,10 +14,11 @@ element by element, and ``np.unique`` for the corners, is the reference for
 the one over Python floats in the package; the same hull of the revenue
 tabulated on a K-cell grid is the construction the corners replace. The exact
 kernels evaluated on their whole grid at once are the references for the
-piecewise ones in the package. X_L's CDF as a Gauss-Legendre quadrature
-over the top bidder draw, and X_B's as one over its ell-th order statistic,
-are the references for their closed forms. Within 1/(n + 1) of 1, X_B's
-CDF by a recurrence over ell in 50-digit decimals, from J_k as the
+piecewise ones in the package, and the grid's points, each one's cell found
+by binary search, for its run-length lookup. X_L's CDF as a Gauss-Legendre
+quadrature over the top bidder draw, and X_B's as one over its ell-th order
+statistic, are the references for their closed forms. Within 1/(n + 1) of
+1, X_B's CDF by a recurrence over ell in 50-digit decimals, from J_k as the
 difference -log(1 - x) - sum_{i <= k} x^i / i, is the reference for the
 series there. The two-pass score bracket, which reads each cell's left
 limit on its own, is the bound on the one-pass width; the two-read chain
@@ -320,6 +321,16 @@ def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
 # The exact kernels in one shot: each integrand is evaluated on its whole grid
 # (or a whole block of rows) at once
 # ---------------------------------------------------------------------------
+
+
+def grid_points_by_search(grid, s: slice) -> np.ndarray:
+    """``grid[s]`` of a ``revenue._Grid`` with each point's cell found by a
+    binary search of the cells' first points."""
+    p = np.arange(*s.indices(grid.size), dtype=float)
+    k = np.searchsorted(grid._first[1:], p, "right")
+    p -= grid._first[k]
+    p *= grid._step[k]
+    return np.add(p, grid.x[k], out=p)
 
 
 def _fold_pieces(dW: np.ndarray, g: np.ndarray) -> tuple[float, float]:

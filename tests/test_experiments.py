@@ -24,7 +24,8 @@ from auctioncomp.experiments import (
     ystar_conditional_mc,
     ystar_tail,
 )
-from auctioncomp.distributions import Uniform
+from auctioncomp.benchmark import xl_chain_bound
+from auctioncomp.distributions import ProductDist, Uniform
 from auctioncomp.rng import BLOCK, substream
 from oracles import (
     j_tail_decimal,
@@ -420,6 +421,19 @@ def _xl_cdf_fraction(n, m, t):
     return float(x**n * acc)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 16])
+def test_xl_cdf_at_n1_matches_exact_rationals(m):
+    # X_L(1, m) = X'_L: F = t^2 - (1 - t) sum_{i=1}^{m-2} t^(i+1)/(i+1), t at m = 1
+    t = np.concatenate([np.geomspace(1e-6, 0.5, 13), np.linspace(0.55, 0.95, 9), 1.0 - np.geomspace(1e-3, 1e-15, 5)])
+
+    def exact(x):
+        x = Fraction(x)
+        return float(x if m == 1 else x**2 - (1 - x) * sum(x ** (i + 1) / (i + 1) for i in range(1, m - 1)))
+
+    want = np.array([exact(float(x)) for x in t])
+    assert np.max(np.abs(XL(1, m).cdf(t) - want) / want) <= 1e-15
+
+
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 4), (3, 2), (3, 16), (5, 3), (8, 1), (8, 64)])
 def test_xl_cdf_series_matches_exact_rationals(n, m):
     # below 1/2 the closed form's t^n terms cancel; the series keeps F to a
@@ -484,7 +498,8 @@ def test_xb_cdf_closed_form_matches_quadrature(n, ell):
 
 @pytest.mark.parametrize(
     "kind,n,k",
-    [("xl", 2, 16), ("xl", 2, 4), ("xl", 4, 4), ("xl", 8, 2), ("xl", 200, 4), ("xl", 50, 8),
+    [("xl", 1, 1), ("xl", 1, 2), ("xl", 1, 3), ("xl", 1, 5), ("xl", 1, 16),
+     ("xl", 2, 16), ("xl", 2, 4), ("xl", 4, 4), ("xl", 8, 2), ("xl", 200, 4), ("xl", 50, 8),
      ("xb", 19, 4), ("xb", 10, 3), ("xb", 5, 2), ("xb", 2000, 2), ("xb", 200, 5)],
 )
 def test_exact_cdfs_within_dkw_of_samplers(kind, n, k):
@@ -497,7 +512,7 @@ def test_exact_cdfs_within_dkw_of_samplers(kind, n, k):
 
 
 @pytest.mark.parametrize(
-    "kind,n,k", [("xl", 2, 16), ("xl", 2, 1), ("xl", 3, 1), ("xl", 200, 4), ("xl", 50, 8),
+    "kind,n,k", [("xl", 1, 4), ("xl", 2, 16), ("xl", 2, 1), ("xl", 3, 1), ("xl", 200, 4), ("xl", 50, 8),
                  ("xb", 19, 4), ("xb", 2000, 2), ("xb", 4, 4)]
 )
 def test_exact_cdfs_monotone_with_linear_tail(kind, n, k):
@@ -603,10 +618,11 @@ def test_xl_cdf_below_top_order_cdf(n, m):
 
 
 def test_exact_cdfs_reject_bad_sizes():
-    # each law checks its sizes once, when it is made; X_L(1, m) draws but has no CDF here
+    # each law checks its sizes once, when it is made; X_L(1, m) has a CDF,
+    # but the little-n chain starts from a second bidder
     for make, message in [(lambda: XL(0, 4), "need n >= 1, m >= 1"), (lambda: XL(2, 0), "need n >= 1, m >= 1"),
                           (lambda: XB(3, 1), "need 2 <= ell <= n"), (lambda: XB(3, 4), "need 2 <= ell <= n"),
-                          (lambda: XL(1, 4).cdf(0.5), "need n >= 2")]:
+                          (lambda: xl_chain_bound(ProductDist((Uniform(0.0, 1.0),)), 1), "need n >= 2")]:
         with pytest.raises(ValueError, match=message):
             make()
     assert XL(2, 3).cdf(-0.5) == 0.0 and XB(3, 2).cdf(1.5) == 1.0

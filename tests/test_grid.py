@@ -1,5 +1,10 @@
 """The one grid of every exact bracket (``revenue._Grid``): its points, their
-count, and the widths it reaches where the integrand lives near u = 1."""
+count, their lookup, and the widths it reaches where the integrand lives
+near u = 1."""
+
+import functools
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,12 +12,12 @@ import pytest
 from auctioncomp import benchmark as benchmark_mod
 from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import _region_max_cdf, efftw_bound, xl_chain_bound
-from auctioncomp.distributions import ProductDist, parse_dist
+from auctioncomp.distributions import Exponential, FiniteDiscrete, ProductDist, Uniform, parse_dist
 from auctioncomp.experiments import XB, XL
-from auctioncomp.revenue import _COARSE_U, _QUAD_CELLS, _Grid, _score_grid, _stieltjes
+from auctioncomp.revenue import _COARSE_U, _QUAD_CELLS, _Grid, _score_grid, _stieltjes, myerson_item_revenue
 from auctioncomp.rng import PIECE
 from auctioncomp.virtual import iron
-from oracles import _fold_pieces
+from oracles import _fold_pieces, grid_points_by_search
 
 ZOO = ["uniform:0,1", "uniform:-1,1", "exp:1", "exp:0.3", "er:p=10000", "er:p=100", "point:5",
        "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05", "discrete:v=-2,-1,1;p=0.3,0.3,0.4",
@@ -24,11 +29,44 @@ PRODUCTS = {
 }
 
 
+def _score_cdfs(d, n):
+    """The score CDFs of the benchmark on two items, of Myerson and of VCG."""
+    psi = iron(d).psi
+
+    def vcg(t):
+        F = d.cdf(t)
+        return F**n + n * F ** (n - 1) * (1.0 - F)
+
+    return {"efftw": _region_max_cdf(d, 2, n, psi), "myerson": lambda t: psi(t) ** n, "vcg": vcg}
+
+
 def _score_grids():
     for spec in ZOO:
         d = parse_dist(spec)
-        for n in (1, 2, 5):
-            yield spec, n, d, _score_grid(d, _region_max_cdf(d, 2, n, iron(d).psi))
+        for n in (1, 2, 5, 4096):
+            for name, cdf in _score_cdfs(d, n).items():
+                yield (spec, n, name), d, cdf, _score_grid(d, cdf)
+
+
+@functools.cache
+def _chain_grids():
+    """((product, law), grid): the ``_Grid`` that ``_chain_grid`` makes for
+    each of ``PRODUCTS`` under X_L(2, m), X_L(4096, m) and X_B(19, 4)."""
+    made = []
+
+    class Kept(_Grid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(benchmark_mod, "_Grid", Kept)
+        for name, specs in PRODUCTS.items():
+            marginals = tuple(parse_dist(s) for s in specs)
+            for law in (XL(2, len(specs)), XL(4096, len(specs)), XB(19, 4)):
+                benchmark_mod._chain_grid(marginals, law)
+                made[-1] = ((name, law), made[-1])
+    return tuple(made)
 
 
 def _score_jumps(d):
@@ -44,11 +82,11 @@ def _holds_with_neighbours(points, jumps, lo, hi):
 
 
 def test_score_grids_are_nondecreasing_and_hold_every_jump():
-    for spec, n, d, grid in _score_grids():
+    for label, d, _, grid in _score_grids():
         t = grid[:]
-        assert np.all(np.diff(t) >= 0.0), (spec, n)
-        assert t[0] == min(0.0, d.support_lo) and np.isfinite(t[-1]), (spec, n)
-        assert _holds_with_neighbours(t, _score_jumps(d), t[0], t[-1]), (spec, n)
+        assert np.all(np.diff(t) >= 0.0), label
+        assert t[0] == min(0.0, d.support_lo) and np.isfinite(t[-1]), label
+        assert _holds_with_neighbours(t, _score_jumps(d), t[0], t[-1]), label
 
 
 @pytest.mark.parametrize("name", list(PRODUCTS))
@@ -64,14 +102,89 @@ def test_chain_grids_are_nondecreasing_and_hold_every_jump(name):
 
 @pytest.mark.parametrize("size", [64, PIECE])
 def test_point_bits_do_not_depend_on_the_piece_size(size):
-    for spec, n, _, grid in _score_grids():
+    for label, _, _, grid in _score_grids():
         pieces = np.concatenate([grid[i:i + size] for i in range(0, grid.size, size)])
-        assert pieces.tobytes() == grid[:].tobytes(), (spec, n)
+        assert pieces.tobytes() == grid[:].tobytes(), label
+
+
+def _slices(grid):
+    """Empty, one point, the last point, slices from and up to a middle
+    cell's first point f, pieces of 1 about f, and pieces of 64 and
+    ``PIECE`` over the whole grid."""
+    size = grid.size
+    f = int(grid._first[(grid.x.size - 1) // 2])
+    out = [slice(f, f), slice(f, f + 1), slice(size - 1, size), slice(f, size), slice(0, f), slice(0, f + 1),
+           slice(None)]
+    out += [slice(i, i + 1) for i in range(max(f - 64, 0), min(f + 64, size))]
+    return out + [slice(i, i + piece) for piece in (64, PIECE) for i in range(0, size, piece)]
+
+
+def test_run_length_lookup_same_bits_as_binary_search():
+    grids = [(label, grid) for label, _, _, grid in _score_grids()] + list(_chain_grids())
+    for label, grid in grids:
+        want = grid_points_by_search(grid, slice(None))  # each point by itself
+        for s in _slices(grid):
+            assert grid[s].tobytes() == want[s].tobytes(), (label, s)
+
+
+def test_no_grid_repeats_a_point():
+    # a cell holds at most as many points as floats: a step-function score
+    # (an atomic item's) has all of its weight in one-ulp cells, so its grid
+    # is its table
+    for label, d, _, grid in _score_grids():
+        t = grid[:]
+        assert np.all(np.diff(t) > 0.0), label
+        if isinstance(d, FiniteDiscrete):
+            assert t.tobytes() == grid.x.tobytes(), label
+    for label, grid in _chain_grids():
+        assert np.all(np.diff(grid[:]) > 0.0), label
+
+
+def test_myerson_on_er_reads_its_score_cdf_once_per_table_point(monkeypatch):
+    # psi^n of ER is a step function, so its grid is its table: the CDF is
+    # read on the table to spread the points, then once per point to bracket
+    # them (52 256 reads when the one-ulp cells held 50 000 repeated points)
+    d, n = parse_dist("er:p=10000"), 5
+    reads, tables = [], []
+    score_estimate = revenue_mod._score_estimate
+
+    def counted(d, n, cdf):
+        tables.append(_score_grid(d, cdf).x.size)
+
+        def read(t):
+            reads.append(np.size(t))
+            return cdf(t)
+
+        return score_estimate(d, n, read)
+
+    monkeypatch.setattr(revenue_mod, "_score_estimate", counted)
+    myerson_item_revenue(d, n)
+    assert sum(reads) <= 2 * tables[0], (sum(reads), tables)
+
+
+def _floats_inside(a: float, b: float) -> int:
+    """The count of floats strictly between a < b, from their IEEE bits."""
+
+    def key(x):
+        i = struct.unpack("<q", struct.pack("<d", x))[0]
+        return i if i >= 0 else -(i & (2**63 - 1))
+
+    return key(b) - key(a) - 1
 
 
 def test_point_count_is_the_cells_plus_the_table():
-    for spec, n, _, grid in _score_grids():
-        assert abs(grid.size - grid.x.size - _QUAD_CELLS) <= 1, (spec, n, grid.size, grid.x.size)
+    # each cell adds its share of _QUAD_CELLS points in sqrt(dW dg), or the
+    # floats inside it where they are fewer, and none moves to another cell
+    for label, d, cdf, grid in _score_grids():
+        x = grid.x
+        cum = np.cumsum(np.append(0.0, np.sqrt(np.abs(np.diff(x) * np.diff(cdf(x))))))
+        scale = _QUAD_CELLS / cum[-1] if 0.0 < cum[-1] < math.inf else 0.0
+        share = np.diff(np.floor(cum * scale))
+        added = sum(min(int(k), _floats_inside(a, b)) for k, a, b in zip(share, x[:-1].tolist(), x[1:].tolist()))
+        assert grid.size == x.size + added, (label, grid.size, x.size, added)
+        # a continuous item's cells hold floats enough for their share
+        if isinstance(d, (Uniform, Exponential)) and cum[-1] > 0.0:
+            assert abs(grid.size - x.size - _QUAD_CELLS) <= 1, (label, grid.size, x.size)
     # a constant g has no weight to share: the table's nodes alone
     flat = _Grid(_COARSE_U, np.empty(0), 0.0, 1.0, lambda u: u, np.zeros_like)
     assert flat.size == flat.x.size and flat[:].tobytes() == flat.x.tobytes()
