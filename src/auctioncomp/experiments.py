@@ -42,13 +42,15 @@ series in s (DLMF 15.8.10) of a few dozen terms, whatever K and ell are.
 ``XB.cdf`` is the kernel alone. ``XL.cdf`` sums a power series in t with
 nonnegative coefficients below t = 1/2, which gains a bit per term there,
 and above it a closed form in one J_{n-2}(t), whose terms would cancel
-below 1/2. Each point's value is a pure function of the point
+below 1/2. X_L(n, 1) is X_B(n, 2), so for n >= 2 ``XL(n, 1).cdf`` is
+``XB(n, 2).cdf``. Each point's value is a pure function of the point
 (``_piecewise_cdf``).
 
 Dominance between two samplers is decided empirically on a uniform probe
 grid with a two-sided DKW allowance. Determinism model: each Monte Carlo
 loop here is ``rng.map_batches``, one seeded stream drawn block by block,
-with about ``BLOCK`` floats of draws alive at a time, whatever N and m.
+with about ``BLOCK`` floats of draws alive at a time, whatever N and m; each
+block returns integer counts, which the loop adds.
 """
 
 from __future__ import annotations
@@ -282,24 +284,23 @@ def _piecewise_cdf(t, branches) -> np.ndarray | float:
 
 @functools.lru_cache(maxsize=16)
 def _xl_coefficients(n: int, m: int):
-    """(e0, C, h1, h2, g), read-only, for ``XL.cdf``: the series
-    F(t) = t^(n + e0) sum_j C[j] t^j below 1/2, and the polynomials
+    """(C, h1, h2, g), read-only, for ``XL.cdf`` at n, m >= 2: the series
+    F(t) = t^(n + 2) sum_j C[j] t^j below 1/2, and the polynomials
     h1, h2 and g of the closed form above it.
 
-    C[j] is the coefficient of t^(n + e0 + j), a sum of expectations of
+    C[j] is the coefficient of t^(n + 2 + j), a sum of expectations of
     nonnegative quantities over the top two (y1, y2) of n uniforms:
     E[y1^i (1 - y1) y2^k (1 - y2)] = n (n-1) (2p + q + 2) / (p (p+1) q (q+1) (q+2))
-    with p = n - 1 + k, q = n + i + k, for each i + k + 2 = e0 + j, i <= m - 2;
+    with p = n - 1 + k, q = n + i + k, for each i + k = j, i <= m - 2;
     and D(m - 1, k) = E[y1^(m-1) y2^k (1 - y2)]
     = n (n-1) (p + q + 1) / (p q (p+1) (q+1)) with q = n + m - 1 + k,
-    for k = e0 + j - m. Every coefficient is at most (m - 1) C[0] + D(0, 0)
+    for k = j + 2 - m. Every coefficient is at most (m - 1) C[0] + D(0, 0)
     and from t^m on they do not grow, so the terms dropped past
     t^(_SERIES_TERMS + 14 + bit_length(n + m)) weigh below 2^-60 of the sum
     at t = 1/2, and less below it.
     """
     nn = float(n * (n - 1))
-    e0 = 1 if m == 1 else 2
-    e = np.arange(e0, _SERIES_TERMS + 14 + (n + m).bit_length(), dtype=float)
+    e = np.arange(2, _SERIES_TERMS + 14 + (n + m).bit_length(), dtype=float)
     i = np.arange(min(m - 1, len(e)), dtype=float)[:, None]
     k = e - 2 - i
     p, q = n - 1 + np.maximum(k, 0.0), n - 2 + e
@@ -315,7 +316,7 @@ def _xl_coefficients(n: int, m: int):
     coefficients = (C, h1, r / (n - 1 + np.arange(m - 1, dtype=float)), r)
     for a in coefficients:
         a.flags.writeable = False
-    return (e0,) + coefficients
+    return coefficients
 
 
 @dataclass(frozen=True)
@@ -356,13 +357,15 @@ class XL:
               = t^2 - (1 - t) sum_{i=1}^{m-2} t^(i+1) / (i+1),
 
         a polynomial with nonnegative coefficients (t at m = 1), summed by
-        Horner's rule. For n >= 2, with (x1, x2) the top two of n uniforms
+        Horner's rule. X_L(n, 1) is X_B(n, 2): for n >= 2 and m = 1, X'_L is
+        X_(1), so X_L = max(X_(1), W_2), and F is ``XB(n, 2).cdf``. For
+        n, m >= 2, with (x1, x2) the top two of n uniforms
         (joint density n (n-1) x2^(n-2)), X_L <= t when x1 <= t, X'_L <= t
         and W_2 <= t:
 
             F(t) = integral_0^t a_t(x1) g_t(x1) dx1,
             a_t(x) = x^(m-1) + (1 - x^(m-1)) (t - x) / (1 - x)
-                   = t - (1 - t) sum_{i=1}^{m-2} x^i  (m >= 2; a_t = 1 at m = 1)
+                   = t - (1 - t) sum_{i=1}^{m-2} x^i
                      (X'_L is x1, or uniform on [x1, 1]),
             g_t(x) = n x^(n-1) - n (n-1) (1 - t) J_{n-2}(x)
                      (the x2 integral of (t - x2)/(1 - x2) below x1),
@@ -372,7 +375,6 @@ class XL:
         polynomials of ``_xl_coefficients``,
 
             F = t^n (t - n d h1(t)) + n (n-1) d^2 (t^(n-1) h2(t) + J (t - d g(t))),
-            F = t^(n-1) (t - n d) + n (n-1) d^2 J                      (m = 1),
 
         h1 = 1 + sum_{i=1}^{m-2} t^i / (n+i), h2 = sum_j r_j t^j / (n-1+j),
         g = sum_j r_j t^j, r_j = sum of 1/s over max(2, j+1) <= s <= m - 1.
@@ -398,17 +400,17 @@ class XL:
             c = np.append([0.0, 0.0], 1.0 / (k * (k - 1.0)))
             c[m] = 1.0 / max(m - 1, 1)  # t^m/m + t^m/(m (m-1)) = t^m/(m-1); t at m = 1
             return _piecewise_cdf(t, ((lambda x: x > 0.0, lambda x: _horner(c, x)),))
-        e0, C, h1, h2, g = _xl_coefficients(n, m)
+        if m == 1:
+            return XB(n, 2).cdf(t)
+        C, h1, h2, g = _xl_coefficients(n, m)
         split = max(0.5, 2.0 ** (-1022.0 / (n - 1)))  # t^(n-1) is normal above it
 
         def series(x):
-            return x ** (n + e0) * _horner(C, x)
+            return x ** (n + 2) * _horner(C, x)
 
         def closed_form(x):
             d, xn1 = 1.0 - x, x ** (n - 1)
             w, J = n * (n - 1) * d * d, _hyp(n - 1, 0, x)
-            if m == 1:
-                return xn1 * (x - n * d) + w * J
             return xn1 * x * (x - n * d * _horner(h1, x)) + w * (xn1 * _horner(h2, x) + J * (x - d * _horner(g, x)))
 
         return _piecewise_cdf(t, ((lambda x: x <= split, series), (lambda x: x > split, closed_form)))

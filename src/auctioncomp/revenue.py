@@ -23,7 +23,9 @@ bidder's values, n k draws per run whatever m. The walk is the one of the
 quantile experiments (``experiments.top_order_walk``), with one count of
 unsold items per run. Determinism model: it draws one seeded stream in
 blocks of ``BLOCK // _FELDMAN_WIDTH`` runs (``rng.map_batches``), a
-constant width, so a block holds a few run-length arrays for any n and m.
+constant width, so a block holds a few run-length arrays for any n and m,
+and its estimate is a function of the integer totals of the bundles sold,
+which the blocks add exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
 from .experiments import top_order_walk
-from .rng import PIECE, batch_moments, map_batches, mean_stderr
+from .rng import PIECE, map_batches
 from .virtual import _sorted_distinct, iron
 
 __all__ = [
@@ -258,7 +260,9 @@ def feldman_posted_price(
     ``experiments.top_order_walk`` draws. She buys iff it meets the price;
     a sale takes R down by k. Ties at the atom p do not change the sum.
     Blocks of ``BLOCK // _FELDMAN_WIDTH`` runs draw n k uniforms per run and
-    are reduced to the ``batch_moments`` of price times the bundles sold.
+    return the integer totals (S1, S2) of the bundles sold and of their
+    squares, which add exactly over the blocks: the mean is price S1 / N and
+    the standard error price sqrt((N S2 - S1^2) / (N^2 (N - 1))), 0 at N = 1.
     """
     bundle, default_price = feldman_params(n, m)
     price = default_price if price is None else price
@@ -267,17 +271,19 @@ def feldman_posted_price(
     dist = TruncatedEqualRevenue(p)
 
     def block(rng, r):
-        sold = np.zeros(r)  # bundles sold in each run
+        sold = np.zeros(r, dtype=np.int64)  # bundles sold in each run
         for _ in range(n):
             unsold = m - bundle * sold
             value = np.zeros(r)
             for u in top_order_walk(rng, unsold, bundle, r):
                 value += dist.quantile(u)
             sold += value >= price
-        return batch_moments(price * sold)
+        runs = np.bincount(sold).tolist()  # runs[k]: the runs that sold k bundles
+        return sum(k * c for k, c in enumerate(runs)), sum(k * k * c for k, c in enumerate(runs))
 
-    mean, stderr = mean_stderr(map_batches(seed, "feldman", N, block, _FELDMAN_WIDTH))
-    return RevenueEstimate(mean=mean, stderr=stderr)
+    s1, s2 = map(sum, zip(*map_batches(seed, "feldman", N, block, _FELDMAN_WIDTH)))
+    stderr = math.sqrt((N * s2 - s1 * s1) / (N * N * (N - 1))) if N > 1 else 0.0
+    return RevenueEstimate(mean=price * (s1 / N), stderr=price * stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Seed derivation, the one Monte Carlo loop and the fold of its block means.
+"""Seed derivation and the one Monte Carlo loop.
 
 Every estimator in this package takes a single integer master seed. Sub-tasks
 (per-item streams, named experiment stages) derive their own independent
@@ -12,9 +12,11 @@ result is a pure function of ``(seed, label, N)``. ``width`` counts the
 floats a kernel holds per row: the row's own draws, or one per block-sized
 array the kernel keeps alive, so a block holds about ``BLOCK`` floats.
 
-A Monte Carlo mean never holds its N samples: each block is reduced to
-``batch_moments`` and ``mean_stderr`` folds those in block order, and a hit
-rate is a count (``hit_rate``).
+A Monte Carlo estimate never holds its N samples: each block returns
+integer counts and the loop adds them, exactly, so no estimate depends on
+the order in which its blocks are added. A hit rate is a count
+(``hit_rate``); a mean over runs that each earn a count times one price is
+a function of the integer totals of the counts and of their squares.
 
 An exact integrand on a long grid is evaluated in pieces of ``PIECE``
 values: elementwise arithmetic gives the same bits on any slice. The one
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -78,9 +80,9 @@ def map_batches(
     N rows are split into blocks of ``max(1, BLOCK // width)`` rows (the last
     takes the remainder); ``width`` is the number of floats the kernel holds
     per row, counting each block-sized array it keeps alive at once.
-    N is checked at the call; the caller sums or folds the outputs as they
-    come, so one block's draws are alive at a time as long as the kernel
-    returns a reduction of them.
+    N is checked at the call; the caller adds the outputs as they come, so
+    one block's draws are alive at a time as long as the kernel returns a
+    reduction of them.
     """
     need_samples(N)
     labels = (label,) if isinstance(label, str) else tuple(label)
@@ -88,40 +90,13 @@ def map_batches(
     return (kernel(rng, r) for r in batch_sizes(N, max(1, BLOCK // max(1, width))))
 
 
-def fill_pieces(out: np.ndarray, fn: Callable, *arrays: np.ndarray, size: int = PIECE) -> np.ndarray:
+def fill_pieces(out: np.ndarray, fn: Callable, *arrays: np.ndarray) -> np.ndarray:
     """``out[i:j] = fn(*(a[i:j] for a in arrays))`` for consecutive pieces of
-    ``size`` rows; returns ``out``. ``fn`` must act row by row, so ``out``
+    ``PIECE`` rows; returns ``out``. ``fn`` must act row by row, so ``out``
     holds the bits of ``fn(*arrays)`` with one piece of temporaries alive."""
-    for i in range(0, len(out), size):
-        out[i:i + size] = fn(*(a[i:i + size] for a in arrays))
+    for i in range(0, len(out), PIECE):
+        out[i:i + PIECE] = fn(*(a[i:i + PIECE] for a in arrays))
     return out
-
-
-def batch_moments(x: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, M2) of one block, M2 being the sum of squared deviations
-    from its mean (``np.sum``, not a BLAS dot, whose threaded sum order
-    follows the CPU count)."""
-    mean = np.mean(x)
-    return len(x), float(mean), float(np.sum((x - mean) ** 2))
-
-
-def mean_stderr(moments: Iterable[tuple[int, float, float]]) -> tuple[float, float]:
-    """Mean of all samples and its standard error, from the blocks'
-    ``batch_moments`` folded in order (Chan, Golub & LeVeque's pairwise update).
-
-    One block gives ``np.mean`` and ``np.std(ddof=1) / sqrt(N)`` of its
-    samples bit for bit; a single sample has stderr 0.
-    """
-    moments = iter(moments)
-    count, mean, m2 = next(moments)
-    for n_b, mean_b, m2_b in moments:
-        total = count + n_b
-        delta = mean_b - mean
-        mean += delta * n_b / total
-        m2 += m2_b + delta * delta * count * n_b / total
-        count = total
-    stderr = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
-    return mean, stderr
 
 
 def hit_rate(hits: int, N: int) -> tuple[float, float]:

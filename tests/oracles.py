@@ -48,16 +48,7 @@ from auctioncomp.revenue import (
     three_tier_params,
     vcg_item_revenue,
 )
-from auctioncomp.rng import (
-    BLOCK,
-    PIECE,
-    batch_moments,
-    batch_sizes,
-    hit_rate,
-    map_batches,
-    mean_stderr,
-    substream,
-)
+from auctioncomp.rng import BLOCK, PIECE, batch_sizes, hit_rate, map_batches, substream
 from auctioncomp.virtual import _sorted_distinct, iron
 
 
@@ -162,6 +153,13 @@ def bulow_klemperer_check(d: SingleDist, n: int):
     return vcg_est, rev_est, vcg_est.mean - rev_est.mean
 
 
+def sample_estimate(x: np.ndarray) -> RevenueEstimate:
+    """``np.mean`` of the run values and ``np.std(ddof=1) / sqrt(N)``, 0 for
+    one run."""
+    stderr = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+    return RevenueEstimate(mean=float(np.mean(x)), stderr=stderr)
+
+
 def three_tier_mc(n: int, q: float, p: float, N: int, seed: int) -> RevenueEstimate:
     """Monte Carlo revenue of the three-tier mechanism over N runs.
 
@@ -174,11 +172,9 @@ def three_tier_mc(n: int, q: float, p: float, N: int, seed: int) -> RevenueEstim
 
     def batch(rng, b):
         counts = rng.multinomial(n, [p_high, p_med, 1.0 - p_high - p_med], size=b)
-        runs = np.where(counts[:, 0] >= 1, p, q * np.minimum(counts[:, 1], 2))
-        return batch_moments(runs)
+        return np.where(counts[:, 0] >= 1, p, q * np.minimum(counts[:, 1], 2))
 
-    mean, stderr = mean_stderr(map_batches(seed, "three-tier", N, batch))
-    return RevenueEstimate(mean=mean, stderr=stderr)
+    return sample_estimate(np.concatenate(list(map_batches(seed, "three-tier", N, batch))))
 
 
 @dataclass(frozen=True)
@@ -239,18 +235,17 @@ def feldman_full_matrix(
             buy = bundle_val >= price
             sold += buy
             avail[np.flatnonzero(buy)[:, None], idx[buy]] = False
-        return batch_moments(price * sold)
+        return price * sold
 
-    mean, stderr = mean_stderr(map_batches(seed, "feldman-full-matrix", N, block, n * m))
-    return RevenueEstimate(mean=mean, stderr=stderr)
+    return sample_estimate(np.concatenate(list(map_batches(seed, "feldman-full-matrix", N, block, n * m))))
 
 
-def feldman_one_shot(
+def feldman_one_shot_sold(
     n: int, m: int, N: int, seed: int, p: float = 1e4, price: float | None = None
-) -> RevenueEstimate:
-    """``revenue.feldman_posted_price`` with the uniforms of all N runs drawn
-    at once and walked on all runs together; the revenues are folded over
-    ``BLOCK // _FELDMAN_WIDTH``-run slices, as the package folds its blocks.
+) -> tuple[float, np.ndarray]:
+    """(price, bundles sold in each run) of ``revenue.feldman_posted_price``,
+    with the uniforms of all N runs drawn at once and walked on all runs
+    together, the unsold counts held as floats.
 
     A block of r runs draws, bidder by bidder and step by step, n k arrays
     of r uniforms, so the stream cut block by block into (n, k, r) slabs and
@@ -275,9 +270,19 @@ def feldman_one_shot(
             u = u * draws[i, j] ** (1.0 / (unsold - j))
             value = value + dist.quantile(u)
         sold += value >= price
-    revenue = price * sold
-    mean, stderr = mean_stderr(batch_moments(revenue[i:i + runs]) for i in range(0, N, runs))
-    return RevenueEstimate(mean=mean, stderr=stderr)
+    return price, sold
+
+
+def feldman_one_shot(
+    n: int, m: int, N: int, seed: int, p: float = 1e4, price: float | None = None
+) -> RevenueEstimate:
+    """``revenue.feldman_posted_price`` from ``feldman_one_shot_sold``, the
+    counts of all N runs reduced to their totals (S1, S2) at once."""
+    price, sold = feldman_one_shot_sold(n, m, N, seed, p, price)
+    k = sold.astype(np.int64)
+    s1, s2 = int(np.sum(k)), int(np.sum(k * k))
+    stderr = math.sqrt((N * s2 - s1 * s1) / (N * N * (N - 1))) if N > 1 else 0.0
+    return RevenueEstimate(mean=price * (s1 / N), stderr=price * stderr)
 
 
 def two_item_sum_tail_mc(q: float, N: int, seed: int, p: float = 1e6) -> tuple[float, float]:

@@ -28,9 +28,9 @@ from auctioncomp.distributions import (
 from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import er_offregion_items
 from auctioncomp.revenue import RevenueEstimate, _item_sum, myerson_item_revenue, srev, vcg
-from auctioncomp.rng import PIECE, batch_moments, batch_sizes, map_batches, mean_stderr, substream
+from auctioncomp.rng import PIECE, batch_sizes, map_batches, substream
 from auctioncomp.virtual import IronedVirtualMap, iron
-from oracles import jump_allowance
+from oracles import jump_allowance, sample_estimate
 from test_virtual import _brute_force_ironed
 
 REF_BATCH = 1_000_000  # floats per reference batch of profiles
@@ -97,12 +97,7 @@ def _ref_estimates(pd, n, N, seed, kernels):
     for batch in _ref_batches(pd, n, N, seed):
         for key, kernel in kernels.items():
             chunks[key].append(kernel(imaps, *batch))
-    out = {}
-    for key, c in chunks.items():
-        x = np.concatenate(c)
-        stderr = float(np.std(x, ddof=1) / math.sqrt(N))
-        out[key] = RevenueEstimate(mean=float(np.mean(x)), stderr=stderr)
-    return out
+    return {key: sample_estimate(np.concatenate(c)) for key, c in chunks.items()}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -165,10 +160,10 @@ def _ref_phi_at_experiment(pd, sampler, N, seed, label):
     mean = var = 0.0
     for j, d in enumerate(pd.marginals):
         imap = iron(d)
-        kernel = lambda rng, b: batch_moments(imap.at_quantile(sampler(rng, b)))
-        item_mean, item_stderr = mean_stderr(map_batches(seed, (label, j), N, kernel))
-        mean += item_mean
-        var += item_stderr**2
+        kernel = lambda rng, b: imap.at_quantile(sampler(rng, b))
+        item = sample_estimate(np.concatenate(list(map_batches(seed, (label, j), N, kernel))))
+        mean += item.mean
+        var += item.stderr**2
     return RevenueEstimate(mean=mean, stderr=math.sqrt(var))
 
 

@@ -235,10 +235,13 @@ def test_xb_mean_lower_bound():
 
 
 def test_xl_m1_degenerates():
-    n = 4
-    xl = XL(n, 1)(substream(9, "xl1"), N)
-    # an identically-seeded generator replays the same draws: X_L(n,1) = max{X_(1), W_2} = X_B(n, 2)
-    assert np.array_equal(xl, XB(n, 2)(substream(9, "xl1"), N))
+    for n in (2, 4, 5, 64):
+        xl = XL(n, 1)(substream(9, "xl1"), N)
+        # an identically-seeded generator replays the same draws: X_L(n,1) = max{X_(1), W_2} = X_B(n, 2)
+        assert xl.tobytes() == XB(n, 2)(substream(9, "xl1"), N).tobytes()
+        assert XL(n, 1).tail_constant == XB(n, 2).tail_constant
+        # one law, one CDF: XL(n, 1).cdf is XB(n, 2)'s kernel
+        assert XL(n, 1).cdf(XL_GRID).tobytes() == XB(n, 2).cdf(XL_GRID).tobytes()
 
 
 def test_xl_bounds_and_n1_variant():

@@ -295,5 +295,3 @@ def test_fill_pieces_equals_one_call(length):
     out = fill_pieces(np.empty(length), fn, x, x[::-1])
     assert out.tobytes() == (np.exp(x) * x[::-1] - 1.0).tobytes()
     assert sizes == [min(PIECE, length - i) for i in range(0, length, PIECE)]
-    rows = fill_pieces(np.empty(length), lambda a: a * 2.0, x, size=7)
-    assert rows.tobytes() == (x * 2.0).tobytes()

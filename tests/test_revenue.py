@@ -34,21 +34,15 @@ from oracles import (
     bulow_klemperer_check,
     feldman_full_matrix,
     feldman_one_shot,
+    feldman_one_shot_sold,
     feldman_run_once,
+    sample_estimate,
     three_tier_mc,
 )
 
 # ---------------------------------------------------------------------------
-# Oracles: the mean of all samples held at once and the other side of
-# Myerson's identity.
+# Oracle: the other side of Myerson's identity, its samples held at once.
 # ---------------------------------------------------------------------------
-
-
-def _mc_estimate(values: np.ndarray) -> RevenueEstimate:
-    """Mean and standard error of the whole sample, held in memory at once."""
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return RevenueEstimate(mean=mean, stderr=stderr)
 
 
 def virtual_max_estimate(d, n, N, seed):
@@ -58,7 +52,7 @@ def virtual_max_estimate(d, n, N, seed):
         rng = substream(seed, "virt-max", bi)
         u1 = rng.random(b) ** (1.0 / n)
         chunks.append(d.raw_virtual(d.quantile(u1)))
-    return _mc_estimate(np.concatenate(chunks))
+    return sample_estimate(np.concatenate(chunks))
 
 
 def _posted_price_oracle(d, lo, hi):
@@ -303,6 +297,21 @@ def test_feldman_blocks_keep_the_one_shot_bits(n, m, price):
     est = feldman_posted_price(n, m, N, seed=3, price=price)
     assert 0 < est.mean < n * price
     assert est == feldman_one_shot(n, m, N, seed=3, price=price)
+
+
+def test_feldman_estimate_is_exact_in_its_integer_totals():
+    # every run of this seed sells both bundles at the default price, so
+    # the revenue is 2 price in every run and its stderr exactly 0
+    _, price = feldman_params(2, 64)
+    assert feldman_posted_price(2, 64, 20_000, seed=12345) == RevenueEstimate(mean=2 * price, stderr=0.0)
+    # where runs sell one bundle or two, the totals (S1, S2) give the mean
+    # and np.std(ddof=1) / sqrt(N) of the whole sample's revenues
+    N = BLOCK // _FELDMAN_WIDTH + 5
+    price, sold = feldman_one_shot_sold(2, 64, N, seed=3, price=60.0)
+    assert set(np.unique(sold)) == {1.0, 2.0}
+    est, ref = feldman_posted_price(2, 64, N, seed=3, price=60.0), sample_estimate(price * sold)
+    assert est.mean == pytest.approx(ref.mean, rel=1e-14, abs=0)
+    assert est.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=0)
 
 
 def test_feldman_peak_memory_independent_of_N():

@@ -1,15 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from auctioncomp.rng import (
-    BLOCK,
-    batch_moments,
-    map_batches,
-    mean_stderr,
-    substream,
-)
+from auctioncomp.rng import BLOCK, map_batches, substream
 
 
 def _draw(rng, b):
@@ -48,21 +40,3 @@ def test_map_batches_needs_samples(N):
     with pytest.raises(ValueError, match="need N >= 1 samples"):
         map_batches(0, "x", N, lambda rng, b: calls.append(b))
     assert calls == []
-
-
-@pytest.mark.parametrize("sizes", [[1], [2], [70_001], [1, 1], [3, 1, 2], [300_000, 300_000, 7]])
-def test_mean_stderr_folds_batches_like_the_whole_sample(sizes):
-    # heavy-tailed draws (equal revenue, truncated at 1e6) make the fold's
-    # rounding show; one batch must give the whole-sample numbers bit for bit
-    u = substream(8, "fold").random(sum(sizes))
-    x = np.minimum(1.0 / (1.0 - u), 1e6)
-    chunks = np.split(x, np.cumsum(sizes)[:-1])
-    mean, stderr = mean_stderr(batch_moments(c) for c in chunks)
-    want_mean = float(np.mean(x))
-    want_stderr = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
-    if len(sizes) == 1:
-        assert (mean, stderr) == (want_mean, want_stderr)
-    else:
-        assert mean == pytest.approx(want_mean, rel=1e-13, abs=0)
-        assert stderr == pytest.approx(want_stderr, rel=1e-12, abs=0)
-
