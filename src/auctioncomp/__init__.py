@@ -20,7 +20,7 @@ from .distributions import (
 )
 from .virtual import IronedVirtualMap, iron
 from .revenue import (
-    RevenueEstimate,
+    Bracket,
     feldman_posted_price,
     myerson_item_revenue,
     srev,

@@ -35,7 +35,7 @@ import numpy as np
 
 from .distributions import ProductDist, SingleDist
 from .experiments import XB, XL
-from .revenue import _COARSE_U, RevenueEstimate, _Grid, _item_sum, _score_estimate, _stieltjes
+from .revenue import _COARSE_U, Bracket, _Grid, _item_sum, _score_estimate, _stieltjes
 from .rng import fill_pieces
 from .virtual import iron
 
@@ -85,7 +85,7 @@ def _region_max_cdf(d: SingleDist, m: int, n: int, psi):
     return cdf
 
 
-def efftw_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
+def efftw_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     """The quantile-region revenue benchmark, exact.
 
     Region terms are phi_bar^+, whose law ``IronedVirtualMap.psi`` gives.
@@ -97,7 +97,7 @@ def efftw_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEs
                      lambda d: _score_estimate(d, n, _region_max_cdf(d, pd.m, n, iron(d).psi)))
 
 
-def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
+def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     """First relaxation of the benchmark, per item j:
 
     E[ max { v_(1)j * I(top bidder not in R_j), phi_bar_j(v_(1)j), v_(2)j } ]
@@ -149,7 +149,7 @@ def _chain_grid(marginals, law) -> tuple[np.ndarray, np.ndarray]:
     return u, np.maximum.accumulate(F, out=F)
 
 
-def _phi_at_experiment(pd: ProductDist, law) -> RevenueEstimate:
+def _phi_at_experiment(pd: ProductDist, law) -> Bracket:
     """Sum over items of E[phi_bar_j(X)] for an experiment quantile X of
     ``law`` (an ``XL`` or ``XB``), exact; no positive part.
 
@@ -159,10 +159,9 @@ def _phi_at_experiment(pd: ProductDist, law) -> RevenueEstimate:
     so on cell (u_k, u_k+1) phi_bar(X) lies between phi_bar(u_k) and
     phi_bar(u_k+1), wherever it jumps: ``revenue._stieltjes`` with W = F
     and g = phi_bar brackets the cells below u_K; a jump costs its size
-    times the F-mass of the one-ulp cells beside it. The item's
-    bracket is the midpoint, with its half-width as the stderr, and the
-    items' half-widths add. A repeated marginal reuses its bracket
-    (``revenue._item_sum``); the sum still runs over the items in order.
+    times the F-mass of the one-ulp cells beside it. The items' brackets
+    add end by end; a repeated marginal reuses its bracket
+    (``revenue._item_sum``), and the sum still runs over the items in order.
 
     The top cell (u_K, 1), u_K = 1 - 2^-53, reads phi_bar(u_K) and
     phi_bar(1). phi_bar(1) is infinite only for ``Exponential``, where
@@ -183,12 +182,12 @@ def _phi_at_experiment(pd: ProductDist, law) -> RevenueEstimate:
             upper += top * at_one
         else:
             upper += top * at_top + law.tail_constant * d.tail_integral(float(d.quantile(u[-2])))
-        return RevenueEstimate(mean=0.5 * (lower + upper), stderr=0.5 * (upper - lower))
+        return Bracket(lower, upper)
 
     return _item_sum(pd.marginals, item)
 
 
-def xl_chain_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> RevenueEstimate:
+def xl_chain_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     """Sum over items of E[phi_bar_j at X_L(n, m)], exact (``_phi_at_experiment``),
     for n >= 2: the chain's first link, ``obs1_bound``, needs a second
     bidder. N and the seed are not read (see the module docstring)."""
@@ -197,7 +196,7 @@ def xl_chain_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Revenu
     return _phi_at_experiment(pd, XL(n, pd.m))
 
 
-def xb_chain_bound(pd: ProductDist, n: int, ell: int) -> RevenueEstimate:
+def xb_chain_bound(pd: ProductDist, n: int, ell: int) -> Bracket:
     """Sum over items of E[phi_bar_j at X_B(n', ell)] with n' = n + (m-1)(ell-1),
     exact (``_phi_at_experiment``). It keeps its ell <= n: ``XB`` takes ell up to n'."""
     if ell > n:

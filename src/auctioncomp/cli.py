@@ -75,10 +75,6 @@ def _config(args, **extra) -> dict:
     return cfg
 
 
-def _est_row(name: str, est: rev_mod.RevenueEstimate, args) -> dict:
-    return {"name": name, "mean": est.mean, "stderr": est.stderr, "samples": args.samples}
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -104,17 +100,20 @@ def cmd_virtual(args) -> int:
 
 
 def cmd_revenue(args) -> int:
-    n, N, seed = args.n, args.samples, args.seed
+    # an exact revenue's row is its bracket (lo, hi); the one Monte Carlo
+    # revenue's is its mean and stderr over --samples runs
+    n = args.n
     if args.mech == "myerson":
-        est = rev_mod.myerson_item_revenue(parse_dist(args.dist), n)
+        row = vars(rev_mod.myerson_item_revenue(parse_dist(args.dist), n))
     elif args.mech in ("vcg", "srev"):
         pd = ProductDist(tuple(parse_dist(args.dist) for _ in range(args.m)))
-        est = (rev_mod.vcg if args.mech == "vcg" else rev_mod.srev)(pd, n)
+        row = vars((rev_mod.vcg if args.mech == "vcg" else rev_mod.srev)(pd, n))
     elif args.mech == "feldman":
-        est = rev_mod.feldman_posted_price(n, args.m, N, seed, p=args.trunc, price=args.price)
+        mean, stderr = rev_mod.feldman_posted_price(n, args.m, args.samples, args.seed, p=args.trunc, price=args.price)
+        row = {"mean": mean, "stderr": stderr, "samples": args.samples}
     else:  # three-tier
-        est = rev_mod.three_tier_mechanism(n, args.medium_price, args.high_price)
-    _emit(_config(args), [_est_row(args.mech, est, args)], args)
+        row = vars(rev_mod.three_tier_mechanism(n, args.medium_price, args.high_price))
+    _emit(_config(args), [{"name": args.mech, **row}], args)
     return EXIT_OK
 
 
@@ -130,26 +129,24 @@ def cmd_benchmark(args) -> int:
     pd = ProductDist(marginals)
     n, m, N = args.n, pd.m, args.samples
     # the bounds read no N; bench/tracer.py counts the N passed to efftw and obs1
-    rows = [_est_row("efftw", bench_mod.efftw_bound(pd, n, N), args)]
-    links_ok = True
+    chain = [("efftw", bench_mod.efftw_bound(pd, n, N))]
     if args.chain == "little":
         c = args.c if args.c is not None else math.ceil(_little_n_extra(n, m))
-        rows.append(_est_row("obs1", bench_mod.obs1_bound(pd, n, N), args))
-        rows.append(_est_row("xl_chain", bench_mod.xl_chain_bound(pd, n), args))
-        rows.append(_est_row(f"srev_n+{c}", rev_mod.srev(pd, n + c), args))
+        chain.append(("obs1", bench_mod.obs1_bound(pd, n, N)))
+        chain.append(("xl_chain", bench_mod.xl_chain_bound(pd, n)))
+        chain.append((f"srev_n+{c}", rev_mod.srev(pd, n + c)))
     elif args.chain == "big":
         ell = args.l if args.l is not None else math.ceil(math.sqrt(n / m)) + 1
         c = args.c if args.c is not None else math.ceil(5.0 * math.sqrt(n * m) + 4.0 * (m - 1))
-        rows.append(_est_row(f"xb_chain_l{ell}", bench_mod.xb_chain_bound(pd, n, ell), args))
-        rows.append(_est_row(f"srev_n+{c}", rev_mod.srev(pd, n + c), args))
-    # every row is an exact bracket: its half-width is certified, so the
-    # slack of a link is the sum of the two, not a multiple of sigma
-    for lo, hi in zip(rows, rows[1:]):
-        ok = lo["mean"] <= hi["mean"] + lo["stderr"] + hi["stderr"]
-        hi["link_ok"] = ok
-        links_ok = links_ok and ok
+        chain.append((f"xb_chain_l{ell}", bench_mod.xb_chain_bound(pd, n, ell)))
+        chain.append((f"srev_n+{c}", rev_mod.srev(pd, n + c)))
+    rows = [{"name": name, **vars(b)} for name, b in chain]
+    # each link holds unless the two brackets refute it
+    links = [a.le(b) is not False for (_, a), (_, b) in zip(chain, chain[1:])]
+    for row, ok in zip(rows[1:], links):
+        row["link_ok"] = ok
     _emit(_config(args), rows, args)
-    return EXIT_OK if links_ok else EXIT_CLAIM
+    return EXIT_OK if all(links) else EXIT_CLAIM
 
 
 # --pair -> (the law X_S(n, c) must dominate, the paper's c for it); the law checks its sizes first
@@ -187,15 +184,7 @@ def cmd_reproduce(args) -> int:
     for r in results:
         # runtime deliberately excluded: artifacts must be byte-identical
         print(f"{r.name}: {r.runtime:.2f}s", file=sys.stderr)
-        rows.append(
-            {
-                "name": r.name,
-                "computed": r.computed,
-                "target": r.target,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-            }
-        )
+        rows.append({key: getattr(r, key) for key in ("name", "computed", "target", "tolerance", "passed")})
     _emit(_config(args), rows, args)
     return EXIT_OK if all(r.passed for r in results) else EXIT_CLAIM
 

@@ -225,8 +225,10 @@ class FiniteDiscrete(SingleDist):
         object.__setattr__(self, "probs", tuple(pr))
         object.__setattr__(self, "_vals", vals)
         object.__setattr__(self, "_cum", np.cumsum(pr))
-        object.__setattr__(self, "support_lo", float(vals[0]))
-        object.__setattr__(self, "support_hi", float(vals[-1]))
+        # the atoms with mass: a top atom of mass 0 made tail_integral infinite
+        held = vals[pr > 0]
+        object.__setattr__(self, "support_lo", float(held[0]))
+        object.__setattr__(self, "support_hi", float(held[-1]))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

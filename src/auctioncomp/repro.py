@@ -26,8 +26,7 @@ from dataclasses import dataclass, field, replace
 from .benchmark import _region_max_cdf, efftw_bound
 from .distributions import ProductDist, TruncatedEqualRevenue
 from .revenue import (
-    RevenueEstimate,
-    _item_sum,
+    Bracket,
     _score_estimate,
     er2_sum_tail_truncated,
     feldman_params,
@@ -66,13 +65,12 @@ class ReproResult:
     details: dict = field(default_factory=dict)
 
 
-def er_order_stat(x: int, y: int, p: float = 1e4) -> RevenueEstimate:
+def er_order_stat(x: int, y: int, p: float = 1e4) -> Bracket:
     """E[x-th highest of y i.i.d. ER(p) draws], exact; the untruncated mean is y/(x-1).
 
     The x-th highest is below t iff fewer than x draws exceed t, so its CDF
-    is Pr[Bin(y, 1 - F(t)) < x], integrated by ``_score_estimate``: the
-    midpoint, with the certified half-width as the stderr. The highest draw
-    has infinite untruncated mean (rejected).
+    is Pr[Bin(y, 1 - F(t)) < x], bracketed by ``_score_estimate``. The
+    highest draw has infinite untruncated mean (rejected).
     """
     if x == 1:
         raise ValueError("the highest equal-revenue draw has infinite expectation")
@@ -87,11 +85,11 @@ def er_order_stat(x: int, y: int, p: float = 1e4) -> RevenueEstimate:
     return _score_estimate(d, y, cdf)
 
 
-def er_offregion_items(n: int, m: int, p: float) -> list[RevenueEstimate]:
+def er_offregion_items(n: int, m: int, p: float) -> list[Bracket]:
     """Per-item E[max_i v_ij * I(bidder i not in region j)] on ER(p)^m, exact.
 
     The off-region term is the benchmark score with 0 as the region term
-    (psi = 1 on t >= 0). The items are i.i.d., so all m estimates are one.
+    (psi = 1 on t >= 0). The items are i.i.d., so all m brackets are one.
     """
     d = TruncatedEqualRevenue(p)
     cdf = _region_max_cdf(d, m, n, lambda t: (t >= 0).astype(float))
@@ -99,7 +97,8 @@ def er_offregion_items(n: int, m: int, p: float) -> list[RevenueEstimate]:
 
 
 def er_benchmark_decomposition(n: int, m: int, p: float):
-    """(benchmark, nm + off-region sum, relative gap) for ER(p)^m.
+    """(benchmark, nm + off-region sum, relative gap) for ER(p)^m; the
+    first two are brackets, the gap is of their midpoints.
 
     The benchmark decomposes, as p grows, into n*m (the in-region virtual
     contribution) plus the sum over items of the off-region expected maximum;
@@ -109,19 +108,18 @@ def er_benchmark_decomposition(n: int, m: int, p: float):
         raise ValueError("need n >= 1, m >= 1")
     pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
     bench = efftw_bound(pd, n, N=0)  # N is unread (see ``benchmark``'s docstring)
-    off = _item_sum(er_offregion_items(n, m, p), lambda est: est)
-    approx = RevenueEstimate(mean=n * m + off.mean, stderr=off.stderr)
-    gap = abs(bench.mean - approx.mean) / max(abs(bench.mean), 1e-12)
+    approx = sum(er_offregion_items(n, m, p), Bracket(0.0, 0.0)) + _point(n * m)
+    gap = abs(bench.mid - approx.mid) / max(abs(bench.mid), 1e-12)
     return bench, approx, gap
 
 
 def bign_tightness(n: int, m: int, c: int, p: float = 1e4) -> ReproResult:
     """Check that VCG with c extra bidders covers the benchmark on ER(p)^m.
 
-    Both are exact brackets, so the claim passes iff VCG_{n+c} plus its
-    certified half-width reaches the benchmark minus its own: the tolerance
-    is the sum of the two half-widths. The implied minimum c,
-    (benchmark - VCG_n)/m with the exact VCG_n, is reported in the details,
+    Both are exact brackets, so the claim passes unless they refute
+    benchmark <= VCG_{n+c} (``Bracket.le``): the tolerance is the sum of the
+    two half-widths. The implied minimum c, (benchmark - VCG_n)/m between
+    the midpoints, is reported in the details,
     also over sqrt(nm), the scale of the paper's O(sqrt(nm)) bound. It takes
     each extra bidder to add about one per item, so it undercounts as n
     nears p: at (n, m, p) = (4096, 4, 1e4) it reads 91.2, while VCG_{n+c}
@@ -131,23 +129,22 @@ def bign_tightness(n: int, m: int, c: int, p: float = 1e4) -> ReproResult:
     if n < 4 * m:
         raise ValueError("need n >= 4m")
     pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
-    vcg_est = vcg(pd, n + c)
+    vcg_c = vcg(pd, n + c)
     vcg_n = vcg(pd, n)
     bench = efftw_bound(pd, n, N=0)  # N is unread (see ``benchmark``'s docstring)
-    tol = vcg_est.stderr + bench.stderr
-    implied_c = (bench.mean - vcg_n.mean) / m
+    implied_c = (bench.mid - vcg_n.mid) / m
     return ReproResult(
         name=f"bign-tightness-n{n}-m{m}-c{c}",
-        computed=vcg_est.mean,
-        target=bench.mean,
-        tolerance=tol,
-        passed=bool(vcg_est.mean >= bench.mean - tol),
+        computed=vcg_c.mid,
+        target=bench.mid,
+        tolerance=vcg_c.half + bench.half,
+        passed=bench.le(vcg_c) is not False,
         details={
-            "benchmark_stderr": bench.stderr,
+            "benchmark_half": bench.half,
             "implied_min_c": implied_c,
             "implied_min_c_over_sqrt_nm": implied_c / math.sqrt(n * m),
-            "vcg_n": vcg_n.mean,
-            "vcg_stderr": vcg_est.stderr,
+            "vcg_n": vcg_n.mid,
+            "vcg_half": vcg_c.half,
         },
     )
 
@@ -178,19 +175,10 @@ def appendix_b_revenue(n: int) -> ReproResult:
     exact = three_tier_revenue(n, q, p)
     params = three_tier_params(n, q, p)
     k = params["k"]
-    target = 2.0 * n * (1.0 - 1.0 / k) + 2.0 * q
-    tol = p * (n * params["p_high"]) ** 2
-    return ReproResult(
-        name=f"appendix-b-revenue-n{n}",
-        computed=exact,
-        target=target,
-        tolerance=tol,
-        passed=bool(abs(exact - target) <= tol),
-        details={
-            "k": k,
-            "surplus_over_2n": exact - 2.0 * n,
-            "log_n_over_10": math.log(n) / 10.0,
-        },
+    return _within(
+        f"appendix-b-revenue-n{n}", _point(exact), _point(2.0 * n * (1.0 - 1.0 / k) + 2.0 * q),
+        p * (n * params["p_high"]) ** 2,
+        k=k, surplus_over_2n=exact - 2.0 * n, log_n_over_10=math.log(n) / 10.0,
     )
 
 
@@ -205,17 +193,16 @@ def little_n_tightness(n: int, m: int, N: int, seed: int, p: float = 1e4) -> Rep
     never all n m values.
     """
     _, price = feldman_params(n, m)
-    est = feldman_posted_price(n, m, N, seed, p=p)
-    # raw (possibly negative) so the growth trend in m stays visible
-    implied_c = est.mean / m - n
+    mean, stderr = feldman_posted_price(n, m, N, seed, p=p)
     cap = n * price
     return ReproResult(
         name=f"little-n-tightness-n{n}-m{m}",
-        computed=est.mean,
+        computed=mean,
         target=cap,
         tolerance=0.0,
-        passed=bool(est.mean <= cap + 1e-9),
-        details={"implied_min_c": implied_c, "price": price, "stderr": est.stderr},
+        passed=bool(mean <= cap + 1e-9),
+        # raw (possibly negative) so the growth trend in m stays visible
+        details={"implied_min_c": mean / m - n, "price": price, "stderr": stderr},
     )
 
 
@@ -224,13 +211,22 @@ def little_n_tightness(n: int, m: int, N: int, seed: int, p: float = 1e4) -> Rep
 # ---------------------------------------------------------------------------
 
 
-def _within(name: str, computed: float, target: float, tol: float, **details):
+def _point(x: float) -> Bracket:
+    return Bracket(x, x)
+
+
+def _within(name: str, computed: Bracket, target: Bracket, slack: float, **details) -> ReproResult:
+    """computed = target up to ``slack``: it passes unless the brackets
+    refute it, that is unless computed widened by slack on each side lies
+    wholly above or wholly below target (``Bracket.le`` reads False). The
+    row reports the midpoints, and slack plus the two half-widths."""
+    wide = computed + Bracket(-slack, slack)
     return ReproResult(
         name=name,
-        computed=computed,
-        target=target,
-        tolerance=tol,
-        passed=bool(abs(computed - target) <= tol),
+        computed=computed.mid,
+        target=target.mid,
+        tolerance=slack + computed.half + target.half,
+        passed=wide.le(target) is not False and target.le(wide) is not False,
         details=details,
     )
 
@@ -241,9 +237,7 @@ def _claim_er_order(x: int, y: int, p: float):
         # truncation at p lowers the mean by at most the integral over s > p
         # of Pr[X_(x) > s] <= C(y, x) s^-x for the untruncated draws
         bias = math.comb(y, x) * p ** (1 - x) / (x - 1)
-        return _within(
-            f"er-order-stat-{x}-{y}", est.mean, y / (x - 1), est.stderr + bias, stderr=est.stderr
-        )
+        return _within(f"er-order-stat-{x}-{y}", est, _point(y / (x - 1)), bias, half=est.half)
     return run
 
 
@@ -252,10 +246,7 @@ def _claim_decomposition(seed: int) -> ReproResult:
     # the two certified half-widths added, |gap| / tolerance reads 0.76
     p = 1e4
     bench, approx, gap = er_benchmark_decomposition(4, 2, p=p)
-    return _within(
-        "er-benchmark-decomposition-n4-m2", bench.mean, approx.mean,
-        3.0 * bench.mean / p + bench.stderr + approx.stderr, relative_gap=gap,
-    )
+    return _within("er-benchmark-decomposition-n4-m2", bench, approx, 3.0 * bench.mid / p, relative_gap=gap)
 
 
 def _claim_sum_tail(seed: int) -> ReproResult:
@@ -264,7 +255,7 @@ def _claim_sum_tail(seed: int) -> ReproResult:
     q, p = 5.0, 1e6
     target = two_item_sum_tail(q)
     return _within(
-        f"two-item-sum-tail-q{q:g}", er2_sum_tail_truncated(2.0 * q, p), target, 1e-12 * target
+        f"two-item-sum-tail-q{q:g}", _point(er2_sum_tail_truncated(2.0 * q, p)), _point(target), 1e-12 * target
     )
 
 

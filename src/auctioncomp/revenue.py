@@ -11,9 +11,9 @@ are made piece by piece, each cell's run at once, with no memo. Monte
 Carlo is hopeless here for heavy tails: at p = 10^4 the truncated
 equal-revenue curve has all of its virtual value in an atom of mass 1/p,
 so the naive estimator has ~10% relative error at a million samples. An
-exact value takes no sample count and no seed. A sum over items
-integrates each distinct marginal once and adds the items in order
-(``_item_sum``).
+exact value takes no sample count and no seed, and is a ``Bracket``.
+A sum over items integrates each distinct marginal once and adds the
+items' brackets in order (``_item_sum``).
 
 Of the explicit mechanisms, the three-tier one is exact: its revenue depends
 only on the tier counts (``three_tier_revenue``). The sequential posted-bundle
@@ -25,7 +25,7 @@ unsold items per run. Determinism model: it draws one seeded stream in
 blocks of ``BLOCK // _FELDMAN_WIDTH`` runs (``rng.map_batches``), a
 constant width, so a block holds a few run-length arrays for any n and m,
 and its estimate is a function of the integer totals of the bundles sold,
-which the blocks add exactly.
+which the blocks add exactly, as (mean, standard error).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .rng import PIECE, map_batches
 from .virtual import _sorted_distinct, iron
 
 __all__ = [
-    "RevenueEstimate",
+    "Bracket",
     "myerson_item_revenue",
     "vcg_item_revenue",
     "srev",
@@ -57,30 +57,44 @@ _QUAD_CELLS = 50_000
 
 
 @dataclass(frozen=True)
-class RevenueEstimate:
-    """Revenue with its standard error: Monte Carlo, or an exact integral's
-    midpoint with the bracket's certified half-width."""
+class Bracket:
+    """An exact value known to lie in [lo, hi] (Moore's interval
+    arithmetic): brackets add end by end, and compare by ``le``."""
 
-    mean: float
-    stderr: float
+    lo: float
+    hi: float
 
-    def combined_stderr(self, other: "RevenueEstimate") -> float:
-        return math.hypot(self.stderr, other.stderr)
+    def __add__(self, other: "Bracket") -> "Bracket":
+        return Bracket(self.lo + other.lo, self.hi + other.hi)
+
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def half(self) -> float:
+        return 0.5 * (self.hi - self.lo)
+
+    def le(self, other: "Bracket") -> bool | None:
+        """Whether self <= other: True when self.hi <= other.lo, False when
+        self.lo > other.hi, None (undecided) when the two overlap."""
+        return True if self.hi <= other.lo else False if self.lo > other.hi else None
+
+    # the names bench/workloads.py reads; nothing in the package does
+    mean = mid
+    stderr = half
+
+    def combined_stderr(self, other: "Bracket") -> float:
+        return math.hypot(self.half, other.half)
 
 
-def _item_sum(marginals, fn) -> RevenueEstimate:
-    """Sum over items of the exact bracket ``fn(d)``, added in item order;
-    the half-widths add. ``fn`` runs once per distinct (frozen, hashable)
-    marginal and a repeat adds the first result, so the sum has the bits of
-    one call per item."""
-    done = {}
-    mean = err = 0.0
-    for d in marginals:
-        if d not in done:
-            done[d] = fn(d)
-        mean += done[d].mean
-        err += done[d].stderr
-    return RevenueEstimate(mean=mean, stderr=err)
+def _item_sum(marginals, fn) -> Bracket:
+    """Sum over items of the exact bracket ``fn(d)``, added end by end in
+    item order. ``fn`` runs once per distinct (frozen, hashable) marginal
+    and a repeat adds the first result, so the sum has the bits of one call
+    per item."""
+    done = {d: fn(d) for d in dict.fromkeys(marginals)}
+    return sum((done[d] for d in marginals), Bracket(0.0, 0.0))
 
 
 # the coarse table's quantiles: 1 025 uniform points and 8 per octave of
@@ -171,7 +185,7 @@ def _score_grid(d: SingleDist, cdf) -> _Grid:
     return _Grid(d.quantile(_COARSE_U), jumps, min(0.0, d.support_lo), np.finfo(float).max, lambda t: t, cdf)
 
 
-def _score_estimate(d: SingleDist, n: int, cdf) -> RevenueEstimate:
+def _score_estimate(d: SingleDist, n: int, cdf) -> Bracket:
     """E[S] = L + integral over t >= L of 1 - H(t), for a score S >= L =
     min(0, support_lo) of item d with CDF H = ``cdf``.
 
@@ -184,16 +198,14 @@ def _score_estimate(d: SingleDist, n: int, cdf) -> RevenueEstimate:
     The grid puts a one-ulp cell left of each jump it knows, so the lower
     end loses almost nothing there. Past the last point T every score here
     has 1 - H <= n (1 - F), which adds n * d.tail_integral(T) to the upper
-    end. Returns the bracket's midpoint, with its half-width as the stderr.
+    end.
     """
     t = _score_grid(d, cdf)
     upper, lower = _stieltjes(t, lambda x: 1.0 - cdf(x))
-    upper = float(t.x[0] + upper) + n * d.tail_integral(t.x[-1])
-    lower = float(t.x[0] + lower)
-    return RevenueEstimate(mean=0.5 * (lower + upper), stderr=0.5 * (upper - lower))
+    return Bracket(float(t.x[0] + lower), float(t.x[0] + upper) + n * d.tail_integral(t.x[-1]))
 
 
-def myerson_item_revenue(d: SingleDist, n: int) -> RevenueEstimate:
+def myerson_item_revenue(d: SingleDist, n: int) -> Bracket:
     """Optimal single-item revenue with n i.i.d. bidders, E[(phi_bar(max))^+].
 
     The top quantile has CDF u^n, so phi_bar(max)^+ has CDF psi(t)^n
@@ -205,13 +217,13 @@ def myerson_item_revenue(d: SingleDist, n: int) -> RevenueEstimate:
     return _score_estimate(d, n, lambda t: imap.psi(t) ** n)
 
 
-def vcg_item_revenue(d: SingleDist, n: int) -> RevenueEstimate:
+def vcg_item_revenue(d: SingleDist, n: int) -> Bracket:
     """Second-price (no reserve) revenue on one item: E[second-highest of n],
     whose CDF is F^n + n F^(n-1) (1 - F)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return RevenueEstimate(mean=0.0, stderr=0.0)
+        return Bracket(0.0, 0.0)
 
     def cdf(t):
         F = d.cdf(t)
@@ -220,12 +232,12 @@ def vcg_item_revenue(d: SingleDist, n: int) -> RevenueEstimate:
     return _score_estimate(d, n, cdf)
 
 
-def srev(pd: ProductDist, n: int) -> RevenueEstimate:
+def srev(pd: ProductDist, n: int) -> Bracket:
     """Myerson run separately per item: sum of single-item optimal revenues."""
     return _item_sum(pd.marginals, lambda d: myerson_item_revenue(d, n))
 
 
-def vcg(pd: ProductDist, n: int) -> RevenueEstimate:
+def vcg(pd: ProductDist, n: int) -> Bracket:
     """Second-price auction per item, summed over the items."""
     return _item_sum(pd.marginals, lambda d: vcg_item_revenue(d, n))
 
@@ -249,8 +261,9 @@ _FELDMAN_WIDTH = 8
 
 def feldman_posted_price(
     n: int, m: int, N: int, seed: int, p: float = 1e4, price: float | None = None
-) -> RevenueEstimate:
-    """Revenue of the sequential posted-bundle mechanism on ER(p)^m.
+) -> tuple[float, float]:
+    """Revenue of the sequential posted-bundle mechanism on ER(p)^m, as
+    (mean, standard error).
 
     Greedy bundle choice (the bidder's k = m//(4n) highest-value unsold
     items) maximizes her purchase probability. Her values on the R unsold
@@ -283,7 +296,7 @@ def feldman_posted_price(
 
     s1, s2 = map(sum, zip(*map_batches(seed, "feldman", N, block, _FELDMAN_WIDTH)))
     stderr = math.sqrt((N * s2 - s1 * s1) / (N * N * (N - 1))) if N > 1 else 0.0
-    return RevenueEstimate(mean=price * (s1 / N), stderr=price * stderr)
+    return price * (s1 / N), price * stderr
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +335,8 @@ def er2_sum_tail_truncated(t: float, trunc: float) -> float:
     part_mixed = 0.0
     if x1 > x0:
         def F(x: float, gap: float) -> float:
-            return math.log(x / gap) / t**2 - 1.0 / (t * x)
+            # t * t reads inf past t ~ 1.3e154, where t**2 raises; the terms read 0
+            return math.log(x / gap) / (t * t) - 1.0 / (t * x)
         part_mixed = F(x1, g1) - F(x0, g0) - a * (1.0 / x0 - 1.0 / x1)
     part_flat = (1.0 - a) * (1.0 / x1 - 1.0 / P) if P > x1 else 0.0
     return both_atoms + one_atom + part_mixed + part_flat
@@ -339,28 +353,29 @@ def three_tier_params(n: int, q: float, p: float) -> dict:
     trunc = 1e4 * p
     k = n / q + n * math.log(q) / (8.0 * q**2)
     t_high = p * k / (k - 1.0)
+    if not math.isfinite(1e4 * t_high):  # so trunc = 10^4 p and t_high are finite
+        raise ValueError("high price p must be finite, and so must 10^4 p k/(k-1)")
     p_high = er2_sum_tail_truncated(t_high, trunc)
     p_med = max(er2_sum_tail_truncated(2.0 * q, trunc) - p_high, 0.0)
     return {"k": k, "p_high": p_high, "p_med": p_med}
 
 
-def three_tier_mechanism(n: int, q: float, p: float) -> RevenueEstimate:
+def three_tier_mechanism(n: int, q: float, p: float) -> Bracket:
     """Revenue of the three-tier (high/medium/low) mechanism on ER^2 bidders.
 
     Bidders play the explicit threshold profile: high iff v1+v2 >= p*k/(k-1)
     with k the concentration value n/q + n*ln(q)/(8 q^2), medium iff
     v1+v2 >= 2q, else low. The first processed high bidder takes both items
     for p; otherwise up to two medium bidders each take one item for q. The
-    revenue is exact (``three_tier_revenue``), with stderr 0.
+    revenue is exact (``three_tier_revenue``): a point bracket.
     """
-    return RevenueEstimate(mean=three_tier_revenue(n, q, p), stderr=0.0)
+    r = three_tier_revenue(n, q, p)
+    return Bracket(r, r)
 
 
 def _check_three_tier(n: int, q: float, p: float) -> None:
     if not 100.0 <= q <= math.sqrt(n):
         raise ValueError("q must satisfy 100 <= q <= sqrt(n)")
-    if not math.isfinite(p):
-        raise ValueError("high price p must be finite")
     if p < 100.0 * q:
         raise ValueError("high price p must be >> q")
 

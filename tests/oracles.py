@@ -40,7 +40,7 @@ from auctioncomp.benchmark import _chain_grid
 from auctioncomp.distributions import ProductDist, SingleDist, TruncatedEqualRevenue
 from auctioncomp.experiments import _hyp, top_order_stats
 from auctioncomp.revenue import (
-    RevenueEstimate,
+    Bracket,
     _item_sum,
     _score_grid,
     feldman_params,
@@ -143,25 +143,25 @@ def fact1_check(d: SingleDist, v: float, N: int, seed: int) -> tuple[float, floa
 def bulow_klemperer_check(d: SingleDist, n: int):
     """(VCG_{n+1}, Rev_n, margin) for a regular distribution.
 
-    The margin is vcg.mean - rev.mean; the classical guarantee asks it to be
-    nonnegative. Both estimates are exact brackets.
+    The margin is vcg.mid - rev.mid; the classical guarantee asks it to be
+    nonnegative. Both are exact brackets.
     """
     if not iron(d).regular:
         raise ValueError("Bulow-Klemperer requires a regular distribution")
     vcg_est = vcg_item_revenue(d, n + 1)
     rev_est = myerson_item_revenue(d, n)
-    return vcg_est, rev_est, vcg_est.mean - rev_est.mean
+    return vcg_est, rev_est, vcg_est.mid - rev_est.mid
 
 
-def sample_estimate(x: np.ndarray) -> RevenueEstimate:
-    """``np.mean`` of the run values and ``np.std(ddof=1) / sqrt(N)``, 0 for
-    one run."""
+def sample_estimate(x: np.ndarray) -> tuple[float, float]:
+    """(``np.mean`` of the run values, ``np.std(ddof=1) / sqrt(N)``), the
+    second 0 for one run."""
     stderr = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
-    return RevenueEstimate(mean=float(np.mean(x)), stderr=stderr)
+    return float(np.mean(x)), stderr
 
 
-def three_tier_mc(n: int, q: float, p: float, N: int, seed: int) -> RevenueEstimate:
-    """Monte Carlo revenue of the three-tier mechanism over N runs.
+def three_tier_mc(n: int, q: float, p: float, N: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo revenue of the three-tier mechanism over N runs, as (mean, stderr).
 
     A run's tier counts are drawn multinomially from the exact tier
     probabilities (``three_tier_params``); it earns p if some bidder is high,
@@ -215,8 +215,8 @@ def feldman_run_once(values, bundle_size, price):
 
 def feldman_full_matrix(
     n: int, m: int, N: int, seed: int, p: float = 1e4, price: float | None = None
-) -> RevenueEstimate:
-    """Revenue of the sequential posted-bundle mechanism on ER(p)^m, each run
+) -> tuple[float, float]:
+    """(mean, stderr) revenue of the sequential posted-bundle mechanism on ER(p)^m, each run
     drawing all n m values (stream ``"feldman-full-matrix"``) and each bidder
     taking her top ``feldman_params`` bundle among the unsold items by
     ``argpartition``. Blocks of ``BLOCK // (n m)`` runs (at least one)."""
@@ -275,14 +275,14 @@ def feldman_one_shot_sold(
 
 def feldman_one_shot(
     n: int, m: int, N: int, seed: int, p: float = 1e4, price: float | None = None
-) -> RevenueEstimate:
+) -> tuple[float, float]:
     """``revenue.feldman_posted_price`` from ``feldman_one_shot_sold``, the
     counts of all N runs reduced to their totals (S1, S2) at once."""
     price, sold = feldman_one_shot_sold(n, m, N, seed, p, price)
     k = sold.astype(np.int64)
     s1, s2 = int(np.sum(k)), int(np.sum(k * k))
     stderr = math.sqrt((N * s2 - s1 * s1) / (N * N * (N - 1))) if N > 1 else 0.0
-    return RevenueEstimate(mean=price * (s1 / N), stderr=price * stderr)
+    return price * (s1 / N), price * stderr
 
 
 def two_item_sum_tail_mc(q: float, N: int, seed: int, p: float = 1e6) -> tuple[float, float]:
@@ -348,19 +348,16 @@ def _fold_pieces(dW: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     return left, right
 
 
-def score_estimate_one_shot(d: SingleDist, n: int, cdf) -> RevenueEstimate:
+def score_estimate_one_shot(d: SingleDist, n: int, cdf) -> Bracket:
     """``revenue._score_estimate`` with ``cdf`` read on the whole grid at once;
     the rectangle sums are folded over ``PIECE``-cell slices, as the package
     folds its pieces."""
     t = _score_grid(d, cdf)[:]
     upper, lower = _fold_pieces(np.diff(t), 1.0 - cdf(t))
-    upper = float(t[0] + upper) + n * d.tail_integral(t[-1])
-    lower = float(t[0] + lower)
-    mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
-    return RevenueEstimate(mean=mean, stderr=half_width)
+    return Bracket(float(t[0] + lower), float(t[0] + upper) + n * d.tail_integral(t[-1]))
 
 
-def score_estimate_two_pass(d: SingleDist, n: int, cdf) -> RevenueEstimate:
+def score_estimate_two_pass(d: SingleDist, n: int, cdf) -> Bracket:
     """The two-pass bracket: ``cdf`` read at every t_k for the upper
     rectangles and again at the float below every t_k+1 (its left limit)
     for the lower ones, each sum taken whole. The one-pass bracket of
@@ -369,8 +366,7 @@ def score_estimate_two_pass(d: SingleDist, n: int, cdf) -> RevenueEstimate:
     dt = np.diff(t)
     upper = float(t[0] + np.sum(dt * (1.0 - cdf(t[:-1])))) + n * d.tail_integral(t[-1])
     lower = float(t[0] + np.sum(dt * (1.0 - cdf(np.nextafter(t[1:], -np.inf)))))
-    mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
-    return RevenueEstimate(mean=mean, stderr=half_width)
+    return Bracket(lower, upper)
 
 
 MIN_NODES = 48  # Gauss-Legendre nodes per CDF value, at the least
@@ -505,7 +501,7 @@ def xb_cdf_near_one_decimal(n: int, ell: int, t: float) -> float:
         return float(F)
 
 
-def phi_at_experiment_one_shot(pd: ProductDist, law) -> RevenueEstimate:
+def phi_at_experiment_one_shot(pd: ProductDist, law) -> Bracket:
     """``benchmark._phi_at_experiment`` with phi_bar read on the whole grid at once."""
     u, _ = _chain_grid(pd.marginals, law)
     F = law.cdf(u)
@@ -522,13 +518,12 @@ def phi_at_experiment_one_shot(pd: ProductDist, law) -> RevenueEstimate:
             upper += float(dF[-1] * phi[-1])
         else:
             upper += float(dF[-1] * phi[-2]) + law.tail_constant * d.tail_integral(float(d.quantile(u[-2])))
-        mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
-        return RevenueEstimate(mean=mean, stderr=half_width)
+        return Bracket(lower, upper)
 
     return _item_sum(pd.marginals, item)
 
 
-def phi_at_experiment_two_read(pd: ProductDist, law) -> RevenueEstimate:
+def phi_at_experiment_two_read(pd: ProductDist, law) -> Bracket:
     """The two-read chain bracket: the chain grid with no one-ulp cells beside
     the knots and breakpoints; phi_bar read at the float above each cell's
     left end for the lower rectangles and at the float below its right end
@@ -558,8 +553,7 @@ def phi_at_experiment_two_read(pd: ProductDist, law) -> RevenueEstimate:
             tail = law.tail_constant * d.tail_integral(float(d.quantile(above[-1])))
         lower = float(np.sum(dF * lo_phi))
         upper = float(np.sum(dF * hi_phi)) + tail
-        mean, half_width = 0.5 * (lower + upper), 0.5 * (upper - lower)
-        return RevenueEstimate(mean=mean, stderr=half_width)
+        return Bracket(lower, upper)
 
     return _item_sum(pd.marginals, item)
 

@@ -27,7 +27,7 @@ from auctioncomp.distributions import (
 )
 from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import er_offregion_items
-from auctioncomp.revenue import RevenueEstimate, _item_sum, myerson_item_revenue, srev, vcg
+from auctioncomp.revenue import Bracket, _item_sum, myerson_item_revenue, srev, vcg
 from auctioncomp.rng import PIECE, batch_sizes, map_batches, substream
 from auctioncomp.virtual import IronedVirtualMap, iron
 from oracles import jump_allowance, sample_estimate
@@ -143,12 +143,12 @@ def test_exact_bounds_agree_with_monte_carlo_oracles(case):
     got = {"efftw": efftw_bound(pd, n), "obs1": obs1_bound(pd, n)}
     if case.startswith("er"):
         kernels["off"] = _ref_offregion
-        got["off"] = _item_sum(er_offregion_items(n, pd.m, 1e4), lambda est: est)
+        got["off"] = _item_sum(er_offregion_items(n, pd.m, 1e4), lambda b: b)
     ref = _ref_estimates(pd, n, samples, seed, kernels)
-    for key, est in got.items():
-        assert est.stderr < 1e-4 * abs(est.mean)  # the certified half-width
-        z = (est.mean - ref[key].mean) / ref[key].stderr
-        assert abs(z) <= 4, (key, est.mean, ref[key].mean, ref[key].stderr)
+    for key, b in got.items():
+        assert b.half < 1e-4 * abs(b.mid)  # the certified half-width
+        mean, se = ref[key]
+        assert abs(b.mid - mean) <= 4 * se, (key, b, mean, se)
 
 
 # The chain bounds' Monte Carlo oracle: the per-item estimator they replaced,
@@ -156,15 +156,16 @@ def test_exact_bounds_agree_with_monte_carlo_oracles(case):
 
 
 def _ref_phi_at_experiment(pd, sampler, N, seed, label):
-    # the items draw independent streams, so their stderrs add in quadrature
+    # the items draw independent streams, so their stderrs add in quadrature;
+    # returns (mean, stderr)
     mean = var = 0.0
     for j, d in enumerate(pd.marginals):
         imap = iron(d)
         kernel = lambda rng, b: imap.at_quantile(sampler(rng, b))
-        item = sample_estimate(np.concatenate(list(map_batches(seed, (label, j), N, kernel))))
-        mean += item.mean
-        var += item.stderr**2
-    return RevenueEstimate(mean=mean, stderr=math.sqrt(var))
+        item_mean, item_se = sample_estimate(np.concatenate(list(map_batches(seed, (label, j), N, kernel))))
+        mean += item_mean
+        var += item_se**2
+    return mean, math.sqrt(var)
 
 
 # (specs, chain, n, ell): wide uniform, ER^2 (phi_bar jumps from 0 to p at
@@ -194,11 +195,10 @@ def test_chain_bounds_agree_with_monte_carlo_oracle(case):
         n_prime = n + (pd.m - 1) * (ell - 1)
         est = xb_chain_bound(pd, n, ell)
         sampler = XB(n_prime, ell)
-    ref = _ref_phi_at_experiment(pd, sampler, samples, seed, f"{chain}-chain")
+    mean, se = _ref_phi_at_experiment(pd, sampler, samples, seed, f"{chain}-chain")
     # the certified half-width is below the oracle's noise at the same N
-    assert est.stderr <= ref.stderr, (est.stderr, ref.stderr)
-    z = (est.mean - ref.mean) / ref.stderr
-    assert abs(z) <= 4, (est.mean, ref.mean, ref.stderr)
+    assert est.half <= se, (est, se)
+    assert abs(est.mid - mean) <= 4 * se, (est, mean, se)
 
 
 def test_chain_bounds_exact_on_step_items():
@@ -214,7 +214,7 @@ def test_chain_bounds_exact_on_step_items():
                          (xb_chain_bound(pd, n, ell), XB(n_prime, ell).cdf)]:
             allowance = jump_allowance(pd, cdf)
             assert 0.0 < allowance < 1e-10, allowance  # a grid without the cells reads ~2
-            assert est.stderr <= allowance + 4 * math.ulp(est.mean), (est, allowance)
+            assert est.half <= allowance + 4 * math.ulp(est.mid), (est, allowance)
 
 
 def test_xl_chain_brackets_the_er_closed_form():
@@ -226,8 +226,8 @@ def test_xl_chain_brackets_the_er_closed_form():
     for p in (100.0, 1e4, 1e8):
         est = xl_chain_bound(ProductDist((TruncatedEqualRevenue(p),)), 2)
         exact = 4.0 - 3.0 / p - 2.0 * math.log(p) / p
-        assert est.stderr < 1e-15 * p
-        assert abs(est.mean - exact) <= est.stderr, (p, est, exact)
+        assert est.half < 1e-15 * p
+        assert est.lo <= exact <= est.hi, (p, est, exact)
 
 
 def test_chain_bracket_ordered_on_a_cell_with_no_float_inside():
@@ -238,7 +238,7 @@ def test_chain_bracket_ordered_on_a_cell_with_no_float_inside():
     # bracket would turn over.
     pd = ProductDist((parse_dist("er:1e16"),))
     for est in (xl_chain_bound(pd, 2), xb_chain_bound(pd, 6, 2)):
-        assert est.stderr > 0.0 and est.mean - est.stderr == 0.0  # phi_bar >= 0
+        assert est.hi > 0.0 and est.lo == 0.0  # phi_bar >= 0
 
 
 def test_xl_chain_peak_memory():
@@ -269,7 +269,16 @@ def test_exact_estimates_same_bits_for_any_blas_thread_count():
         ).stdout
         for threads in ("1", "4")
     ]
-    assert outs[0] == outs[1] and "RevenueEstimate" in outs[0]
+    assert outs[0] == outs[1] and "Bracket" in outs[0]
+
+
+def test_bounds_keep_the_names_bench_reads():
+    # bench/workloads.py reads mean, stderr and combined_stderr on the
+    # bounds' results: the midpoint, the half-width and hypot of two of them
+    pd = ProductDist((parse_dist(IRREGULAR), Exponential(1.0)))
+    e, s = efftw_bound(pd, 4), srev(pd, 4)
+    assert (e.mean, e.stderr) == (e.mid, e.half) and e.half > 0.0
+    assert e.combined_stderr(s) == math.hypot(e.half, s.half)
 
 
 def test_obs1_region_quantile_dominates_value_quantile():
@@ -330,12 +339,10 @@ def test_repeated_marginals_keep_the_in_order_sum(name, monkeypatch):
     got = PER_ITEM_SUMS[name](REPEATS)
 
     def every_item(marginals, fn):
-        mean = err = 0.0
+        total = Bracket(0.0, 0.0)
         for d in marginals:
-            est = fn(d)
-            mean += est.mean
-            err += est.stderr
-        return RevenueEstimate(mean=mean, stderr=err)
+            total += fn(d)
+        return total
 
     monkeypatch.setattr(revenue_mod, "_item_sum", every_item)
     monkeypatch.setattr(benchmark_mod, "_item_sum", every_item)
@@ -386,7 +393,7 @@ def test_efftw_single_item_equals_myerson():
         pd = ProductDist((d,))
         bench = efftw_bound(pd, n)
         quad = myerson_item_revenue(d, n)
-        assert abs(bench.mean - quad.mean) <= bench.stderr + quad.stderr
+        assert bench.le(quad) is not False and quad.le(bench) is not False
 
 
 def test_efftw_upper_bounds_srev():
@@ -394,7 +401,7 @@ def test_efftw_upper_bounds_srev():
     n = 1
     bench = efftw_bound(pd, n)
     s = srev(pd, n)
-    assert bench.mean >= s.mean - (bench.stderr + s.stderr)
+    assert s.le(bench) is not False
 
 
 def test_efftw_item_permutation_invariant():
@@ -402,7 +409,7 @@ def test_efftw_item_permutation_invariant():
     pd2 = ProductDist((Exponential(1.0), Uniform(0, 1)))
     b1 = efftw_bound(pd1, 3)
     b2 = efftw_bound(pd2, 3)
-    assert abs(b1.mean - b2.mean) <= b1.stderr + b2.stderr
+    assert b1.le(b2) is not False and b2.le(b1) is not False
 
 
 def test_obs1_dominates_efftw():
@@ -412,7 +419,7 @@ def test_obs1_dominates_efftw():
     ]:
         e = efftw_bound(pd, 2)
         o = obs1_bound(pd, 2)
-        assert o.mean >= e.mean - (e.stderr + o.stderr)
+        assert e.le(o) is not False
 
 
 def test_obs1_requires_two_bidders():
@@ -470,7 +477,7 @@ def test_obs1_direct_resimulation_oracle():
         total += np.maximum(np.maximum(np.where(off, v1, 0.0), 2 * v1 - 1), v2)
     oracle = total.mean()
     se = total.std(ddof=1) / np.sqrt(len(v))
-    assert abs(est.mean - oracle) <= 3 * np.hypot(est.stderr, se)
+    assert abs(est.mid - oracle) <= 3 * np.hypot(est.half, se)
 
 
 def test_xl_chain_m1_bounds_myerson():
@@ -479,14 +486,14 @@ def test_xl_chain_m1_bounds_myerson():
     n = 3
     x = xl_chain_bound(pd, n)
     quad = myerson_item_revenue(d, n)
-    assert x.mean >= quad.mean - (x.stderr + quad.stderr)
+    assert quad.le(x) is not False
 
 
 def test_xl_chain_dominates_efftw_er():
     pd = ProductDist((TruncatedEqualRevenue(1e4), TruncatedEqualRevenue(1e4)))
     e = efftw_bound(pd, 2)
     x = xl_chain_bound(pd, 2)
-    assert x.mean >= e.mean - (e.stderr + x.stderr)
+    assert e.le(x) is not False
 
 
 def test_xb_chain_m1_bounds_myerson():
@@ -495,7 +502,7 @@ def test_xb_chain_m1_bounds_myerson():
     n, ell = 4, 2
     x = xb_chain_bound(pd, n, ell)
     quad = myerson_item_revenue(d, n)
-    assert x.mean >= quad.mean - (x.stderr + quad.stderr)
+    assert quad.le(x) is not False
 
 
 def test_xb_chain_dominates_efftw():
@@ -503,7 +510,7 @@ def test_xb_chain_dominates_efftw():
     n, ell = 4, 2  # n' = 5
     e = efftw_bound(pd, n)
     x = xb_chain_bound(pd, n, ell)
-    assert x.mean >= e.mean - (e.stderr + x.stderr)
+    assert e.le(x) is not False
 
 
 def test_xb_chain_validates_ell():

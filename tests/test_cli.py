@@ -16,6 +16,7 @@ from auctioncomp.cli import (
     build_parser,
     main,
 )
+from auctioncomp.revenue import Bracket
 
 
 def run_cli(argv, capsys):
@@ -153,7 +154,7 @@ def test_revenue_vcg_single_bidder_zero(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["results"][0]["mean"] == 0.0
+    assert doc["results"][0]["lo"] == doc["results"][0]["hi"] == 0.0
 
 
 def test_revenue_myerson_csv(capsys):
@@ -164,7 +165,17 @@ def test_revenue_myerson_csv(capsys):
     )
     assert code == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert float(rows[0]["mean"]) == pytest.approx(1.0, rel=1e-6)
+    assert float(rows[0]["lo"]) == pytest.approx(1.0, rel=1e-6)
+    assert float(rows[0]["hi"]) == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("price", ["1e155", "1e160", "1e200"])
+def test_three_tier_high_price_past_the_square_root_of_the_largest_float(price, capsys):
+    # the sum tail squared the high tier's threshold and raised OverflowError
+    code, out = run_cli(["revenue", "--mech", "three-tier", "-n", "1000000", "--medium-price", "100",
+                         "--high-price", price, "--seed", "1"], capsys)
+    row = json.loads(out)["results"][0]
+    assert code == EXIT_OK and row["lo"] == row["hi"] == pytest.approx(2.0e6, rel=1e-5)
 
 
 def test_revenue_precondition_exit_3(capsys):
@@ -202,19 +213,19 @@ def test_benchmark_csv_header_is_union_of_row_keys(argv, capsys):
     code, out = run_cli(["benchmark", *argv, "--seed", "1", "--out", "csv"], capsys)
     assert code == EXIT_OK
     reader = csv.DictReader(io.StringIO(out))
-    assert reader.fieldnames == ["name", "mean", "stderr", "samples", "link_ok"]
+    assert reader.fieldnames == ["name", "lo", "hi", "link_ok"]
     rows = list(reader)
     assert rows[0]["name"] == "efftw" and rows[0]["link_ok"] == ""
     assert len(rows) > 2 and all(row["link_ok"] == "True" for row in rows[1:])
 
 
 def test_benchmark_links_use_certified_slack(monkeypatch, capsys):
-    # the rows are exact brackets, so a link's slack is the sum of the two
-    # half-widths: a chain row 1.5e-3 below obs1 with half-width 1e-3 passes
-    # 3 * hypot(stderr) but breaks the link
+    # the rows are exact brackets, so a link fails where they refute it: a
+    # chain row 1.5e-3 below obs1 with half-width 1e-3 passes
+    # 3 * hypot(half-widths) but breaks the link
     def low_chain(pd, n):
         obs1 = bench_mod.obs1_bound(pd, n)
-        return bench_mod.RevenueEstimate(mean=obs1.mean - 1.5e-3, stderr=1e-3)
+        return Bracket(obs1.mid - 2.5e-3, obs1.mid - 0.5e-3)
 
     monkeypatch.setattr(bench_mod, "xl_chain_bound", low_chain)
     code, out = run_cli(
@@ -222,10 +233,28 @@ def test_benchmark_links_use_certified_slack(monkeypatch, capsys):
          "--chain", "little", "--samples", "1000", "--seed", "3"],
         capsys,
     )
-    obs1, chain = json.loads(out)["results"][1:3]
-    assert obs1["mean"] <= chain["mean"] + 3 * math.hypot(obs1["stderr"], chain["stderr"])
-    assert chain["link_ok"] is False
+    rows = json.loads(out)["results"][1:3]
+    obs1, chain = (Bracket(r["lo"], r["hi"]) for r in rows)
+    assert obs1.mid <= chain.mid + 3 * math.hypot(obs1.half, chain.half)
+    assert rows[1]["link_ok"] is False
     assert code == EXIT_CLAIM
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dist", "uniform:0,1", "uniform:0,1", "-n", "2", "--chain", "little"],
+        ["--dist", "uniform:0,1", "uniform:0,1", "-n", "16", "--chain", "big"],
+    ],
+    ids=["little", "big"],
+)
+def test_benchmark_links_read_bracket_le(argv, monkeypatch, capsys):
+    # the one comparison decides every link: refuted, each link fails
+    monkeypatch.setattr(Bracket, "le", lambda self, other: False)
+    code, out = run_cli(["benchmark", *argv, "--seed", "1"], capsys)
+    rows = json.loads(out)["results"]
+    assert code == EXIT_CLAIM
+    assert len(rows) > 2 and all(row["link_ok"] is False for row in rows[1:])
 
 
 @pytest.mark.parametrize(
@@ -288,12 +317,19 @@ def test_benchmark_without_samples_exit_3(argv, capsys):
     ids=[name for name in SAMPLED if name != "dominance"] + ["little", "big"],
 )
 def test_estimate_rows_report_the_samples_option(argv, capsys):
-    # exact estimators read no sample count; every row still reports --samples
+    # the config records --samples; the Monte Carlo row reports it with its
+    # mean and stderr, and an exact row is a bracket that reads no sample count
     code, out = run_cli(argv + ["--samples", "77", "--seed", "3"], capsys)
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["config"]["samples"] == 77
-    assert doc["results"] and all(row["samples"] == 77 for row in doc["results"])
+    monte_carlo = {"name", "mean", "stderr", "samples"}
+    for row in doc["results"]:
+        if row["name"] == "feldman":
+            assert set(row) == monte_carlo and row["samples"] == 77
+        else:
+            assert set(row) - {"link_ok"} == {"name", "lo", "hi"} and row["lo"] <= row["hi"]
+    assert doc["results"]
 
 
 @pytest.mark.parametrize(
@@ -366,13 +402,13 @@ def test_overflowing_specs_exit_3(spec, command, capsys):
 def test_artifact_never_carries_a_non_finite_number(value, out, monkeypatch, capsys):
     # strict JSON parsers reject NaN and Infinity, so neither format writes one
     monkeypatch.setattr(
-        cli_mod.rev_mod, "srev", lambda pd, n: cli_mod.rev_mod.RevenueEstimate(value, 0.0)
+        cli_mod.rev_mod, "srev", lambda pd, n: Bracket(value, value)
     )
     code = main(["revenue", "--mech", "srev", "-n", "2", "--seed", "1", "--out", out])
     captured = capsys.readouterr()
     assert code == EXIT_PRECONDITION
     assert captured.out == ""
-    assert "non-finite mean" in captured.err
+    assert "non-finite lo" in captured.err
 
 
 def test_dominance_above_threshold_true(capsys):

@@ -13,9 +13,9 @@ from auctioncomp.distributions import (
     Uniform,
     parse_dist,
 )
-from auctioncomp.benchmark import efftw_bound
+from auctioncomp.benchmark import efftw_bound, obs1_bound, xl_chain_bound
 from auctioncomp.experiments import dkw_epsilon
-from auctioncomp.revenue import srev, vcg
+from auctioncomp.revenue import myerson_item_revenue, srev, vcg, vcg_item_revenue
 from auctioncomp.rng import substream
 
 DISTS = [
@@ -152,8 +152,25 @@ def test_point_spec_is_the_one_atom_discrete(v):
     for n in (1, 2, 5):
         for fn in (srev, vcg, efftw_bound):
             got, want = (fn(ProductDist((d, Uniform(0.0, 1.0))), n) for d in (point, discrete))
-            bits = [float(x).hex() for x in (got.mean, got.stderr, want.mean, want.stderr)]
+            bits = [float(x).hex() for x in (got.lo, got.hi, want.lo, want.hi)]
             assert bits[:2] == bits[2:], (fn.__name__, n)
+
+
+@pytest.mark.parametrize("spec", ["discrete:v=1,2;p=1,0", "discrete:v=0,1;p=0,1", "discrete:v=0,1,2;p=0,1,0"])
+def test_zero_mass_atoms_leave_the_support(spec):
+    # an atom of mass 0 is no value of the law: its support, and every exact
+    # bracket, is that of the point mass at 1 (a top atom of mass 0 made the
+    # tail past the grid, and so each upper end, infinite)
+    d, point = parse_dist(spec), parse_dist("point:1")
+    assert (d.support_lo, d.support_hi) == (1.0, 1.0)
+    for n in (1, 3):
+        assert myerson_item_revenue(d, n) == myerson_item_revenue(point, n)
+        assert vcg_item_revenue(d, n) == vcg_item_revenue(point, n)
+        product, point_product = (ProductDist((x, Exponential(1.0))) for x in (d, point))
+        for fn in (efftw_bound, obs1_bound, xl_chain_bound) if n > 1 else (efftw_bound,):
+            assert fn(product, n) == fn(point_product, n), (fn.__name__, n)
+    assert myerson_item_revenue(d, 3).lo <= 1.0 <= myerson_item_revenue(d, 3).hi
+    assert vcg_item_revenue(d, 3).lo <= 1.0 <= vcg_item_revenue(d, 3).hi
 
 
 @pytest.mark.parametrize("bad", ["gamma:1", "uniform:1", "er:p=0.5", "discrete:v=1;p=2"])

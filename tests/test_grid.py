@@ -221,7 +221,7 @@ WIDTHS = {
 @pytest.mark.parametrize("row", list(WIDTHS))
 def test_large_n_widths(row):
     bound, width = WIDTHS[row]
-    assert bound().stderr <= width
+    assert bound().half <= width
 
 
 @pytest.mark.parametrize("spec", ["uniform:0,1", "exp:1"])
@@ -235,5 +235,5 @@ def test_chain_width_near_the_cauchy_schwarz_floor(spec):
     u = np.unique(u)[:-1]
     floor = m * np.sum(np.sqrt(np.diff(law.cdf(u)) * np.diff(phi(u)))) ** 2
     cells = len(benchmark_mod._chain_grid((parse_dist(spec),), law)[0]) - 2
-    half_width = xl_chain_bound(_pd(spec, m), n).stderr
+    half_width = xl_chain_bound(_pd(spec, m), n).half
     assert floor / (2 * cells) <= half_width <= 1.05 * floor / (2 * cells)

@@ -79,6 +79,11 @@ MUTANTS = {
     "posted-price-x1.5": ("feldman_params", "revenue", _feldman_params_price_raised, set()),
     "xl_cdf-m+1": ("XL.cdf", "experiments", _xl_cdf_one_item_more, set()),
     "xb_cdf-ell+1": ("XB.cdf", "experiments", _xb_cdf_ell_one_more, set()),
+    # every bracket verdict reads the one comparison; the posted-bundle cap
+    # is a Monte Carlo mean, not a bracket
+    "bracket-le-false": ("Bracket.le", "revenue", lambda self, other: False,
+                         {"appendix-b-revenue", "bign-tightness", "er-benchmark-decomposition",
+                          "er-order-stat-12-12", "er-order-stat-4-12", "two-item-sum-tail"}),
 }
 
 # no registered claim reads the posted price's size or the laws of X_L and

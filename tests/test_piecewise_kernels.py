@@ -44,7 +44,7 @@ PRODUCTS = {
 
 
 def _bits(estimates):
-    return [(e.mean.hex(), e.stderr.hex()) for e in estimates]
+    return [(e.lo.hex(), e.hi.hex()) for e in estimates]
 
 
 @pytest.fixture(params=[64, revenue_mod._QUAD_CELLS], ids=["short-grid", "default-grid"])
@@ -111,9 +111,9 @@ def test_one_pass_bracket_as_tight_as_two_pass(spec, cells, monkeypatch):
             mp.setattr(mod, "_score_estimate", score_estimate_two_pass)
         want = _item_estimates(d)
     for g, w in zip(got, want):
-        rounding = 8 * math.ulp(g.mean)
-        assert g.stderr <= (1 + 1e-9) * w.stderr + rounding, (g, w)
-        assert abs(g.mean - w.mean) <= g.stderr + w.stderr + rounding, (g, w)
+        rounding = 8 * math.ulp(g.mid)
+        assert g.half <= (1 + 1e-9) * w.half + rounding, (g, w)
+        assert g.lo - rounding <= w.hi and w.lo <= g.hi + rounding, (g, w)
 
 
 def _exact_law(d):
@@ -157,9 +157,9 @@ def test_atomic_brackets_hold_exact_order_stats(spec, thin, cells, monkeypatch):
         if n > 1:
             cases.append((lambda F: F**n + n * F ** (n - 1) * (1 - F), vcg_item_revenue(d, n)))
         for law, est in cases:
-            exact, mid, half = mean_of(law), Fraction(est.mean), Fraction(est.stderr)
-            assert mid - half - rounding <= exact <= mid + half + rounding, (n, float(exact), est)
-            widths.append(est.stderr)
+            exact = mean_of(law)
+            assert Fraction(est.lo) - rounding <= exact <= Fraction(est.hi) + rounding, (n, float(exact), est)
+            widths.append(est.half)
     if thin and len(values) > 1:
         assert max(widths) > 1e-6  # the thinned grid does read the jumps late
 
@@ -198,9 +198,9 @@ def test_one_read_chain_bracket_as_tight_as_two_read(name, cells, monkeypatch):
     xb_chain_bound(pd, 3, 2), xb_chain_bound(pd, 6, 6)
     assert len(pairs) == 4
     for got, want, allowance in pairs:
-        slack = allowance + 4 * math.ulp(got.mean)
-        assert got.stderr <= (1 + 1e-9) * want.stderr + slack, (got, want, allowance)
-        assert abs(got.mean - want.mean) <= got.stderr + want.stderr + slack, (got, want)
+        slack = allowance + 4 * math.ulp(got.mid)
+        assert got.half <= (1 + 1e-9) * want.half + slack, (got, want, allowance)
+        assert got.lo - slack <= want.hi and want.lo <= got.hi + slack, (got, want)
 
 
 def _probes():

@@ -25,13 +25,13 @@ from oracles import two_item_sum_tail_mc
 def test_er_order_stat_identity():
     # E[x-th highest of y] = y/(x-1)
     est = er_order_stat(4, 12, p=1e6)
-    assert abs(est.mean - 4.0) <= 3 * est.stderr
+    assert abs(est.mid - 4.0) <= 3 * est.half
 
 
 def test_er_order_stat_minimum():
     # x=y is the minimum; mean y/(y-1)
     est = er_order_stat(12, 12, p=1e6)
-    assert abs(est.mean - 12.0 / 11.0) <= 3 * est.stderr
+    assert abs(est.mid - 12.0 / 11.0) <= 3 * est.half
 
 
 def test_er_order_stat_peak_memory_independent_of_N():
@@ -56,8 +56,8 @@ def test_er_order_stat_heavy_tail_flagged():
     # at p lowers it by at most C(5, 2) / p
     for p in (1e4, 1e9):
         est = er_order_stat(2, 5, p=p)
-        assert abs(est.mean - 5.0) <= est.stderr + 10.0 / p, (p, est)
-        assert est.stderr < 1e-3
+        assert est.lo <= 5.0 <= est.hi + 10.0 / p, (p, est)
+        assert est.half < 1e-3
 
 
 @pytest.mark.parametrize("x, y", [(4, 12), (12, 12)])
@@ -67,8 +67,8 @@ def test_er_order_claim_rejects_the_next_order_statistic(x, y):
     res = run_claim(f"er-order-stat-{x}-{y}", seed=42)
     assert res.passed
     wrong = er_order_stat(x - 1, y, p=1e6)
-    assert abs(wrong.mean - y / (x - 2)) <= wrong.stderr + 1e-9
-    assert abs(wrong.mean - res.target) > 100 * res.tolerance
+    assert wrong.lo - 1e-9 <= y / (x - 2) <= wrong.hi + 1e-9
+    assert abs(wrong.mid - res.target) > 100 * res.tolerance
 
 
 def test_benchmark_decomposition_gap_shrinks_with_p():
@@ -76,10 +76,11 @@ def test_benchmark_decomposition_gap_shrinks_with_p():
     # (2.569, 2.545, 2.543 and 2.543 times 1/p at p = 1e2 .. 1e5)
     for p in (1e3, 1e4):
         bench, approx, gap = er_benchmark_decomposition(4, 2, p=p)
-        signed = (bench.mean - approx.mean) / bench.mean
+        signed = (bench.mid - approx.mid) / bench.mid
         assert 2.5 <= -signed * p <= 2.6, (p, signed * p)
         assert gap == abs(signed)
-        assert bench.stderr + approx.stderr < 0.2 * abs(bench.mean - approx.mean)
+        assert bench.half + approx.half < 0.2 * abs(bench.mid - approx.mid)
+        assert bench.le(approx) is True  # the brackets decide the sign
 
 
 def test_decomposition_claim_tolerance_fits_the_effect():
@@ -93,17 +94,16 @@ def test_decomposition_claim_tolerance_fits_the_effect():
 def test_decomposition_single_item_degenerates():
     bench, approx, _ = er_benchmark_decomposition(3, 1, p=1e4)
     # off-region term vanishes with one item; benchmark is the n*1 structure
-    assert approx.mean == pytest.approx(3.0)
-    assert abs(bench.mean - 3.0) <= 3 * bench.stderr + 0.05
+    assert approx.mid == pytest.approx(3.0)
+    assert abs(bench.mid - 3.0) <= 3 * bench.half + 0.05
 
 
 def test_offregion_items_positive_and_symmetric():
     ests = er_offregion_items(16, 4, p=1e5)
-    means = [e.mean for e in ests]
-    assert all(m > 0 for m in means)
-    # i.i.d. items: per-item terms agree within their two half-widths
+    assert all(e.lo > 0 for e in ests)
+    # i.i.d. items: no two per-item brackets refute their equality
     for a, b in zip(ests, ests[1:]):
-        assert abs(a.mean - b.mean) <= a.stderr + b.stderr
+        assert a.le(b) is not False and b.le(a) is not False
 
 
 def test_bign_tightness_pass_and_fail_branches():
@@ -114,7 +114,7 @@ def test_bign_tightness_pass_and_fail_branches():
     assert ok.passed
     assert ok.computed == pytest.approx(99.88, abs=0.01)
     assert ok.target == pytest.approx(97.487, abs=0.001)
-    assert ok.tolerance == ok.details["vcg_stderr"] + ok.details["benchmark_stderr"]
+    assert ok.tolerance == ok.details["vcg_half"] + ok.details["benchmark_half"]
     assert ok.details["vcg_n"] == pytest.approx(63.95, abs=0.01)
     assert ok.details["implied_min_c"] == pytest.approx(8.38, abs=0.01)
     assert ok.details["implied_min_c_over_sqrt_nm"] == pytest.approx(8.38 / 8, abs=0.01)
@@ -142,7 +142,7 @@ def test_bign_implied_min_c_not_negative(n):
     # n = 4096, p = 1e4 VCG_n is 13 444, far below nm = 16 384
     m = 4
     res = bign_tightness(n, m, 100)
-    assert res.details["implied_min_c"] >= -res.details["benchmark_stderr"] / m
+    assert res.details["implied_min_c"] >= -res.details["benchmark_half"] / m
 
 
 def test_two_item_sum_tail_closed_form():

@@ -15,7 +15,7 @@ from auctioncomp.distributions import (
 from auctioncomp.experiments import top_order_walk
 from auctioncomp.repro import two_item_sum_tail
 from auctioncomp.revenue import (
-    RevenueEstimate,
+    Bracket,
     er2_sum_tail_truncated,
     feldman_params,
     _FELDMAN_WIDTH,
@@ -61,13 +61,35 @@ def _posted_price_oracle(d, lo, hi):
     return float(np.max(r * (1.0 - np.asarray(d.cdf(np.nextafter(r, -np.inf))))))  # r Pr[X >= r]
 
 
+def test_bracket_adds_end_by_end():
+    assert Bracket(1.0, 2.0) + Bracket(-0.5, 4.0) == Bracket(0.5, 6.0)
+    assert sum([Bracket(1.0, 3.0)] * 3, Bracket(0.0, 0.0)) == Bracket(3.0, 9.0)
+    b = Bracket(1.0, 3.0)
+    assert (b.mid, b.half) == (2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        ((0.0, 1.0), (2.0, 3.0), True),  # wholly below
+        ((0.0, 1.0), (1.0, 3.0), True),  # touching ends: hi == other.lo
+        ((1.0, 1.0), (1.0, 1.0), True),  # one point
+        ((2.0, 3.0), (0.0, 1.0), False),  # wholly above
+        ((0.0, 2.0), (1.0, 3.0), None),  # overlapping
+        ((1.0, 3.0), (0.0, 1.0), None),  # touching from above: lo == other.hi
+    ],
+)
+def test_bracket_le_reads_true_false_or_undecided(a, b, want):
+    assert Bracket(*a).le(Bracket(*b)) is want
+
+
 def test_myerson_uniform_matches_posted_price_oracle():
     # oracle: max over r of r*(1-r) = 0.25 at r = 0.5
     oracle = _posted_price_oracle(Uniform(0, 1), 0.0, 1.0)
     assert oracle == pytest.approx(0.25, abs=1e-6)
     est = myerson_item_revenue(Uniform(0, 1), 1)
-    assert est.mean == pytest.approx(oracle, abs=1e-4)
-    assert abs(est.mean - 0.25) <= est.stderr <= 1e-5
+    assert est.mid == pytest.approx(oracle, abs=1e-4)
+    assert est.lo <= 0.25 <= est.hi and est.half <= 1e-5
 
 
 @pytest.mark.parametrize("rate", [1.0, 2.0])
@@ -75,8 +97,8 @@ def test_myerson_exponential_within_its_half_width(rate):
     # exact value e^-1 / rate: the posted price 1/rate sells with probability
     # e^-1; the integral reaches the log-singular top of the quantile range
     est = myerson_item_revenue(Exponential(rate), 1)
-    assert abs(est.mean - math.exp(-1.0) / rate) <= est.stderr
-    assert est.stderr <= 1e-4 / rate
+    assert est.lo <= math.exp(-1.0) / rate <= est.hi
+    assert est.half <= 1e-4 / rate
 
 
 def test_myerson_exponential_single_bidder():
@@ -84,7 +106,7 @@ def test_myerson_exponential_single_bidder():
     oracle = _posted_price_oracle(Exponential(1.0), 0.0, 20.0)
     assert oracle == pytest.approx(math.exp(-1.0), abs=1e-6)
     est = myerson_item_revenue(Exponential(1.0), 1)
-    assert est.mean == pytest.approx(oracle, abs=2e-3)
+    assert est.mid == pytest.approx(oracle, abs=2e-3)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -93,12 +115,12 @@ def test_myerson_er_near_n(n):
     p = 1e4
     exact = p * (1.0 - (1.0 - 1.0 / p) ** n)
     est = myerson_item_revenue(TruncatedEqualRevenue(p), n)
-    assert est.mean == pytest.approx(exact, rel=1e-6)
+    assert est.mid == pytest.approx(exact, rel=1e-6)
 
 
 def test_myerson_monotone_in_n():
     d = Exponential(1.0)
-    means = [myerson_item_revenue(d, n).mean for n in range(1, 8)]
+    means = [myerson_item_revenue(d, n).mid for n in range(1, 8)]
     assert all(b >= a - 1e-9 for a, b in zip(means, means[1:]))
 
 
@@ -113,18 +135,18 @@ def test_vcg_uniform_two_bidders():
     oracle = _vcg2_uniform_oracle()
     assert oracle == pytest.approx(1.0 / 3.0, abs=1e-8)
     est = vcg_item_revenue(Uniform(0, 1), 2)
-    assert abs(est.mean - oracle) <= 3 * est.stderr
+    assert abs(est.mid - oracle) <= 3 * est.half
 
 
 def test_vcg_single_bidder_is_zero():
     est = vcg_item_revenue(TruncatedEqualRevenue(1e4), 1)
-    assert est.mean == 0.0 and est.stderr == 0.0
+    assert est == Bracket(0.0, 0.0)
 
 
 def test_vcg_er_second_highest_mean():
     # second-highest of n equal-revenue draws has mean n (x=2, y=n identity)
     est = vcg_item_revenue(TruncatedEqualRevenue(1e4), 6)
-    assert abs(est.mean - 6.0) <= 0.02 * 6.0
+    assert abs(est.mid - 6.0) <= 0.02 * 6.0
 
 
 def test_virtual_max_cross_check():
@@ -132,15 +154,15 @@ def test_virtual_max_cross_check():
     # i.e. second-price with no reserve, for regular d
     for d in [Uniform(0, 1), Exponential(1.0)]:
         for n in (1, 3):
-            mc = virtual_max_estimate(d, n, 400_000, seed=4)
+            mc, se = virtual_max_estimate(d, n, 400_000, seed=4)
             second = vcg_item_revenue(d, n)
-            assert abs(mc.mean - second.mean) <= 3 * mc.combined_stderr(second)
+            assert abs(mc - second.mid) <= 3 * math.hypot(se, second.half)
 
 
 def test_srev_sums_items():
     pd = ProductDist((Uniform(0, 1), Uniform(0, 1)))
     est = srev(pd, 1)
-    assert est.mean == pytest.approx(0.5, abs=2e-4)
+    assert est.mid == pytest.approx(0.5, abs=2e-4)
 
 
 def test_srev_dominates_vcg():
@@ -148,12 +170,12 @@ def test_srev_dominates_vcg():
     for n in (2, 4):
         s = srev(pd, n)
         v = vcg(pd, n)
-        assert s.mean >= v.mean - 3 * v.stderr
+        assert s.mid >= v.mid - 3 * v.half
 
 
 def test_vcg_product_n1_zero():
     pd = ProductDist((Uniform(0, 1), Exponential(1.0)))
-    assert vcg(pd, 1).mean == 0.0
+    assert vcg(pd, 1) == Bracket(0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -170,14 +192,14 @@ def test_vcg_er_product_scales_with_bidders():
     m, n = 3, 8
     pd = ProductDist(tuple(TruncatedEqualRevenue(1e4) for _ in range(m)))
     est = vcg(pd, n)
-    assert abs(est.mean - m * n) <= 0.02 * m * n
+    assert abs(est.mid - m * n) <= 0.02 * m * n
 
 
 @pytest.mark.parametrize("d,n", [(Uniform(0, 1), 1), (Exponential(1.0), 1),
                                  (TruncatedEqualRevenue(1e4), 3)])
 def test_bulow_klemperer(d, n):
     vcg_est, rev_est, margin = bulow_klemperer_check(d, n)
-    assert margin >= -(vcg_est.stderr + rev_est.stderr)
+    assert rev_est.le(vcg_est) is not False, margin
 
 
 def test_bulow_klemperer_rejects_irregular():
@@ -204,14 +226,13 @@ def test_feldman_params():
 def test_feldman_revenue_window():
     n, m = 2, 64
     _, price = feldman_params(n, m)
-    est = feldman_posted_price(n, m, 20_000, seed=8)
-    assert est.mean <= n * price + 1e-9
-    assert est.mean >= n * price / 2  # per-buyer purchase probability >= 1/2
+    mean, _ = feldman_posted_price(n, m, 20_000, seed=8)
+    assert mean <= n * price + 1e-9
+    assert mean >= n * price / 2  # per-buyer purchase probability >= 1/2
 
 
 def test_feldman_huge_price_gives_zero():
-    est = feldman_posted_price(1, 4, 1000, seed=9, p=1e4, price=1e9)
-    assert est.mean == 0.0
+    assert feldman_posted_price(1, 4, 1000, seed=9, p=1e4, price=1e9) == (0.0, 0.0)
 
 
 def test_feldman_run_once_trace():
@@ -231,7 +252,7 @@ def test_feldman_posted_price_matches_per_profile_oracle():
     # sale walks the order statistics of fewer items
     n, m, N, seed, price = 2, 16, 400, 12, 12.0
     bundle, _ = feldman_params(n, m)
-    est = feldman_posted_price(n, m, N, seed, p=1e4, price=price)
+    mean, _ = feldman_posted_price(n, m, N, seed, p=1e4, price=price)
     draws = substream(seed, "feldman").random((n, bundle, N))
     dist = TruncatedEqualRevenue(1e4)
     revs = []
@@ -247,19 +268,19 @@ def test_feldman_posted_price_matches_per_profile_oracle():
                 unsold -= bundle
         revs.append(revenue)
     assert 0 < np.mean(revs) < n * price
-    assert est.mean == pytest.approx(np.mean(revs), rel=1e-12)
+    assert mean == pytest.approx(np.mean(revs), rel=1e-12)
 
 
 def test_feldman_full_matrix_oracle_matches_run_once():
     # the law oracle's vectorized greedy choice, one traced run at a time
     n, m, N, seed, price = 2, 16, 400, 12, 12.0
     bundle, _ = feldman_params(n, m)
-    ref = feldman_full_matrix(n, m, N, seed, p=1e4, price=price)
+    ref, _ = feldman_full_matrix(n, m, N, seed, p=1e4, price=price)
     vals = TruncatedEqualRevenue(1e4).quantile(
         substream(seed, "feldman-full-matrix").random((N, n, m)))
     revs = [feldman_run_once(v, bundle, price).revenue for v in vals]
-    assert 0 < ref.mean < n * price
-    assert ref.mean == pytest.approx(np.mean(revs), rel=1e-12)
+    assert 0 < ref < n * price
+    assert ref == pytest.approx(np.mean(revs), rel=1e-12)
 
 
 @pytest.mark.parametrize("n, m, price", [(2, 64, 60.0), (2, 64, 75.0), (1, 8, 12.0), (3, 48, 30.0),
@@ -267,10 +288,10 @@ def test_feldman_full_matrix_oracle_matches_run_once():
 def test_feldman_walk_has_the_full_matrix_law(n, m, price):
     # the walk draws n k uniforms per run, the oracle all n m values, from
     # independent streams; at these prices some bundles sell and some do not
-    est = feldman_posted_price(n, m, 40_000, seed=5, price=price)
-    ref = feldman_full_matrix(n, m, 40_000, seed=5, price=price)
-    assert 0 < ref.mean < n * price
-    assert abs(est.mean - ref.mean) <= 4 * est.combined_stderr(ref)
+    est, se = feldman_posted_price(n, m, 40_000, seed=5, price=price)
+    ref, ref_se = feldman_full_matrix(n, m, 40_000, seed=5, price=price)
+    assert 0 < ref < n * price
+    assert abs(est - ref) <= 4 * math.hypot(se, ref_se)
 
 
 def test_top_order_walk_has_the_sorted_law():
@@ -295,7 +316,7 @@ def test_feldman_blocks_keep_the_one_shot_bits(n, m, price):
     # sell (at (4, 1024) and price 700 every run sells all four)
     N = 3 * (BLOCK // _FELDMAN_WIDTH) + 5
     est = feldman_posted_price(n, m, N, seed=3, price=price)
-    assert 0 < est.mean < n * price
+    assert 0 < est[0] < n * price
     assert est == feldman_one_shot(n, m, N, seed=3, price=price)
 
 
@@ -303,15 +324,15 @@ def test_feldman_estimate_is_exact_in_its_integer_totals():
     # every run of this seed sells both bundles at the default price, so
     # the revenue is 2 price in every run and its stderr exactly 0
     _, price = feldman_params(2, 64)
-    assert feldman_posted_price(2, 64, 20_000, seed=12345) == RevenueEstimate(mean=2 * price, stderr=0.0)
+    assert feldman_posted_price(2, 64, 20_000, seed=12345) == (2 * price, 0.0)
     # where runs sell one bundle or two, the totals (S1, S2) give the mean
     # and np.std(ddof=1) / sqrt(N) of the whole sample's revenues
     N = BLOCK // _FELDMAN_WIDTH + 5
     price, sold = feldman_one_shot_sold(2, 64, N, seed=3, price=60.0)
     assert set(np.unique(sold)) == {1.0, 2.0}
     est, ref = feldman_posted_price(2, 64, N, seed=3, price=60.0), sample_estimate(price * sold)
-    assert est.mean == pytest.approx(ref.mean, rel=1e-14, abs=0)
-    assert est.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=0)
+    assert est[0] == pytest.approx(ref[0], rel=1e-14, abs=0)
+    assert est[1] == pytest.approx(ref[1], rel=1e-12, abs=0)
 
 
 def test_feldman_peak_memory_independent_of_N():
@@ -368,6 +389,24 @@ def test_er2_sum_tail_truncated_equals_closed_form_below_the_atom(scale):
         assert er2_sum_tail_truncated(t, scale * t) == pytest.approx(closed, rel=1e-15, abs=0)
 
 
+@pytest.mark.parametrize("p", [1e155, 1e160, 1e200, 1e300])
+def test_three_tier_finite_past_the_square_of_the_high_price(p):
+    # t**2 raised OverflowError past t ~ 1.3e154; t * t reads inf there, and
+    # the terms it divides fall below the smallest normal float
+    n, q = 1_000_000, 100.0
+    k = three_tier_params(n, q, p)["k"]
+    assert er2_sum_tail_truncated(p * k / (k - 1), 1e4 * p) == pytest.approx(2 * (k - 1) / (k * p), rel=1e-12)
+    est = three_tier_mechanism(n, q, p)
+    assert est.lo == est.hi == pytest.approx(three_tier_revenue(n, q, 1e100), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1e305, 1.7e308, math.inf, math.nan])
+def test_three_tier_rejects_a_high_price_whose_threshold_overflows(p):
+    # 10^4 p or p k/(k-1) past the largest float made the tier law NaN
+    with pytest.raises(ValueError, match="high price p must be finite"):
+        three_tier_mechanism(1_000_000, 100.0, p)
+
+
 def test_three_tier_validates_window():
     with pytest.raises(ValueError):
         three_tier_mechanism(100, 100.0, 1e8)  # q > sqrt(n)
@@ -387,9 +426,9 @@ def test_three_tier_medium_count_concentrates():
 def test_three_tier_exact_matches_mechanism():
     n, q, p = 10_000, 100.0, 1e8
     exact = three_tier_revenue(n, q, p)
-    assert three_tier_mechanism(n, q, p) == RevenueEstimate(mean=exact, stderr=0.0)
-    mc = three_tier_mc(n, q, p, 1_000_000, seed=13)
-    assert abs(mc.mean - exact) <= 4 * mc.stderr, (exact, mc.mean, mc.stderr)
+    assert three_tier_mechanism(n, q, p) == Bracket(exact, exact)
+    mc, se = three_tier_mc(n, q, p, 1_000_000, seed=13)
+    assert abs(mc - exact) <= 4 * se, (exact, mc, se)
     with pytest.raises(ValueError):
         three_tier_revenue(100, 100.0, 1e8)  # q > sqrt(n)
 
@@ -397,4 +436,4 @@ def test_three_tier_exact_matches_mechanism():
 def test_three_tier_revenue_cap():
     n, q, p = 10_000, 100.0, 1e8
     est = three_tier_mechanism(n, q, p)
-    assert est.mean <= n * max(p, 2 * q)
+    assert est.hi <= n * max(p, 2 * q)
