@@ -226,9 +226,10 @@ class FiniteDiscrete(SingleDist):
         object.__setattr__(self, "_vals", vals)
         object.__setattr__(self, "_cum", np.cumsum(pr))
         # the atoms with mass: a top atom of mass 0 made tail_integral infinite
-        held = vals[pr > 0]
-        object.__setattr__(self, "support_lo", float(held[0]))
-        object.__setattr__(self, "support_hi", float(held[-1]))
+        held = np.flatnonzero(pr > 0)
+        object.__setattr__(self, "_held", (held[0], held[-1]))
+        object.__setattr__(self, "support_lo", float(vals[held[0]]))
+        object.__setattr__(self, "support_hi", float(vals[held[-1]]))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -239,8 +240,7 @@ class FiniteDiscrete(SingleDist):
     def _quantile(self, q):
         # Right-continuous inverse; ties broken toward the smaller value.
         idx = np.searchsorted(self._cum, q, side="left")
-        idx = np.minimum(idx, len(self._vals) - 1)
-        return self._vals[idx]
+        return self._vals[np.clip(idx, *self._held)]
 
     @property
     def purely_atomic(self):

@@ -108,7 +108,7 @@ def er_benchmark_decomposition(n: int, m: int, p: float):
         raise ValueError("need n >= 1, m >= 1")
     pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
     bench = efftw_bound(pd, n, N=0)  # N is unread (see ``benchmark``'s docstring)
-    approx = sum(er_offregion_items(n, m, p), Bracket(0.0, 0.0)) + _point(n * m)
+    approx = sum(er_offregion_items(n, m, p), Bracket.point(0.0)) + Bracket.point(n * m)
     gap = abs(bench.mid - approx.mid) / max(abs(bench.mid), 1e-12)
     return bench, approx, gap
 
@@ -176,7 +176,7 @@ def appendix_b_revenue(n: int) -> ReproResult:
     params = three_tier_params(n, q, p)
     k = params["k"]
     return _within(
-        f"appendix-b-revenue-n{n}", _point(exact), _point(2.0 * n * (1.0 - 1.0 / k) + 2.0 * q),
+        f"appendix-b-revenue-n{n}", Bracket.point(exact), Bracket.point(2.0 * n * (1.0 - 1.0 / k) + 2.0 * q),
         p * (n * params["p_high"]) ** 2,
         k=k, surplus_over_2n=exact - 2.0 * n, log_n_over_10=math.log(n) / 10.0,
     )
@@ -211,10 +211,6 @@ def little_n_tightness(n: int, m: int, N: int, seed: int, p: float = 1e4) -> Rep
 # ---------------------------------------------------------------------------
 
 
-def _point(x: float) -> Bracket:
-    return Bracket(x, x)
-
-
 def _within(name: str, computed: Bracket, target: Bracket, slack: float, **details) -> ReproResult:
     """computed = target up to ``slack``: it passes unless the brackets
     refute it, that is unless computed widened by slack on each side lies
@@ -237,7 +233,7 @@ def _claim_er_order(x: int, y: int, p: float):
         # truncation at p lowers the mean by at most the integral over s > p
         # of Pr[X_(x) > s] <= C(y, x) s^-x for the untruncated draws
         bias = math.comb(y, x) * p ** (1 - x) / (x - 1)
-        return _within(f"er-order-stat-{x}-{y}", est, _point(y / (x - 1)), bias, half=est.half)
+        return _within(f"er-order-stat-{x}-{y}", est, Bracket.point(y / (x - 1)), bias, half=est.half)
     return run
 
 
@@ -253,10 +249,9 @@ def _claim_sum_tail(seed: int) -> ReproResult:
     # for 2q <= p + 1 a draw at the atom p already reaches 2q, so truncating
     # at p leaves the event unchanged and only rounding separates the forms
     q, p = 5.0, 1e6
-    target = two_item_sum_tail(q)
-    return _within(
-        f"two-item-sum-tail-q{q:g}", _point(er2_sum_tail_truncated(2.0 * q, p)), _point(target), 1e-12 * target
-    )
+    target = Bracket.point(two_item_sum_tail(q))
+    computed = Bracket.point(er2_sum_tail_truncated(2.0 * q, p))
+    return _within(f"two-item-sum-tail-q{q:g}", computed, target, 1e-12 * target.mid)
 
 
 CLAIMS = {

@@ -64,6 +64,10 @@ class Bracket:
     lo: float
     hi: float
 
+    @staticmethod
+    def point(x: float) -> "Bracket":
+        return Bracket(x, x)
+
     def __add__(self, other: "Bracket") -> "Bracket":
         return Bracket(self.lo + other.lo, self.hi + other.hi)
 
@@ -76,9 +80,11 @@ class Bracket:
         return 0.5 * (self.hi - self.lo)
 
     def le(self, other: "Bracket") -> bool | None:
-        """Whether self <= other: True when self.hi <= other.lo, False when
-        self.lo > other.hi, None (undecided) when the two overlap."""
-        return True if self.hi <= other.lo else False if self.lo > other.hi else None
+        """Whether self <= other: True when self.hi <= other.lo, None
+        (undecided) when the two overlap, else False; a NaN end reads False."""
+        if any(map(math.isnan, (self.lo, self.hi, other.lo, other.hi))):
+            return False
+        return True if self.hi <= other.lo else None if self.lo <= other.hi else False
 
     # the names bench/workloads.py reads; nothing in the package does
     mean = mid
@@ -94,7 +100,7 @@ def _item_sum(marginals, fn) -> Bracket:
     and a repeat adds the first result, so the sum has the bits of one call
     per item."""
     done = {d: fn(d) for d in dict.fromkeys(marginals)}
-    return sum((done[d] for d in marginals), Bracket(0.0, 0.0))
+    return sum((done[d] for d in marginals), Bracket.point(0.0))
 
 
 # the coarse table's quantiles: 1 025 uniform points and 8 per octave of
@@ -223,7 +229,7 @@ def vcg_item_revenue(d: SingleDist, n: int) -> Bracket:
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return Bracket(0.0, 0.0)
+        return Bracket.point(0.0)
 
     def cdf(t):
         F = d.cdf(t)
@@ -369,8 +375,7 @@ def three_tier_mechanism(n: int, q: float, p: float) -> Bracket:
     for p; otherwise up to two medium bidders each take one item for q. The
     revenue is exact (``three_tier_revenue``): a point bracket.
     """
-    r = three_tier_revenue(n, q, p)
-    return Bracket(r, r)
+    return Bracket.point(three_tier_revenue(n, q, p))
 
 
 def _check_three_tier(n: int, q: float, p: float) -> None:

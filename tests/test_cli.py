@@ -146,6 +146,15 @@ def test_virtual_nan_quantile_exit_3(capsys):
     assert out == ""
 
 
+def test_virtual_skips_a_leading_zero_mass_atom(capsys):
+    # the atom at -5 has no mass, so quantile 0 is the law's support_lo, 1
+    code, out = run_cli(
+        ["virtual", "--dist", "discrete:v=-5,1;p=0,1", "--quantile", "0", "--seed", "1"], capsys
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["results"][0]["value"] == 1.0
+
+
 def test_revenue_vcg_single_bidder_zero(capsys):
     code, out = run_cli(
         ["revenue", "--mech", "vcg", "--dist", "uniform:0,1", "-n", "1",

@@ -156,13 +156,17 @@ def test_point_spec_is_the_one_atom_discrete(v):
             assert bits[:2] == bits[2:], (fn.__name__, n)
 
 
-@pytest.mark.parametrize("spec", ["discrete:v=1,2;p=1,0", "discrete:v=0,1;p=0,1", "discrete:v=0,1,2;p=0,1,0"])
+@pytest.mark.parametrize(
+    "spec", ["discrete:v=1,2;p=1,0", "discrete:v=0,1;p=0,1", "discrete:v=-5,1;p=0,1", "discrete:v=0,1,2;p=0,1,0"]
+)
 def test_zero_mass_atoms_leave_the_support(spec):
-    # an atom of mass 0 is no value of the law: its support, and every exact
-    # bracket, is that of the point mass at 1 (a top atom of mass 0 made the
-    # tail past the grid, and so each upper end, infinite)
+    # an atom of mass 0 is no value of the law: its support, its quantile at
+    # either end, and every exact bracket, are those of the point mass at 1
+    # (a top atom of mass 0 made the tail past the grid, and so each upper
+    # end, infinite)
     d, point = parse_dist(spec), parse_dist("point:1")
     assert (d.support_lo, d.support_hi) == (1.0, 1.0)
+    assert d.quantile(np.array([0.0, 0.5, 1.0])).tolist() == [1.0, 1.0, 1.0]
     for n in (1, 3):
         assert myerson_item_revenue(d, n) == myerson_item_revenue(point, n)
         assert vcg_item_revenue(d, n) == vcg_item_revenue(point, n)

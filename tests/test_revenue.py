@@ -63,7 +63,8 @@ def _posted_price_oracle(d, lo, hi):
 
 def test_bracket_adds_end_by_end():
     assert Bracket(1.0, 2.0) + Bracket(-0.5, 4.0) == Bracket(0.5, 6.0)
-    assert sum([Bracket(1.0, 3.0)] * 3, Bracket(0.0, 0.0)) == Bracket(3.0, 9.0)
+    assert sum([Bracket(1.0, 3.0)] * 3, Bracket.point(0.0)) == Bracket(3.0, 9.0)
+    assert Bracket.point(2.5) == Bracket(2.5, 2.5)
     b = Bracket(1.0, 3.0)
     assert (b.mid, b.half) == (2.0, 1.0)
 
@@ -77,6 +78,15 @@ def test_bracket_adds_end_by_end():
         ((2.0, 3.0), (0.0, 1.0), False),  # wholly above
         ((0.0, 2.0), (1.0, 3.0), None),  # overlapping
         ((1.0, 3.0), (0.0, 1.0), None),  # touching from above: lo == other.hi
+        # a NaN end refutes whatever the other ends read, so a check fails closed
+        ((math.nan, 1.0), (2.0, 3.0), False),
+        ((math.nan, 1.0), (0.5, 3.0), False),
+        ((0.0, 1.0), (math.nan, 0.5), False),
+        ((-math.inf, math.inf), (0.0, 1.0), None),  # unbounded, yet no NaN
+        ((0.0, math.nan), (2.0, 3.0), False),
+        ((0.0, 1.0), (math.nan, 3.0), False),
+        ((0.0, 1.0), (2.0, math.nan), False),
+        ((math.nan, math.nan), (math.nan, math.nan), False),
     ],
 )
 def test_bracket_le_reads_true_false_or_undecided(a, b, want):
