@@ -13,13 +13,17 @@ where the underlying inequality does.
 
 A bidder with quantile u on item j is in R_j with probability u^(m-1),
 whatever the marginals, so each item's scores are i.i.d. across bidders with
-a closed-form CDF: the benchmark and ``obs1_bound`` are exact 1-D integrals
-(``revenue._score_estimate``). The chain bounds are exact too: the CDF of
+a closed-form CDF (``_region_score_cdf``): the benchmark is the mean of
+their highest, and ``obs1_bound`` of the value's rank-2 rule with its own
+chance of passing; both are exact 1-D integrals of the one order-statistic
+rule (``revenue._order_stat``).
+``obs1_bound`` takes no item with support_lo < 0, where it need not bound
+the benchmark. The chain bounds are exact too: the CDF of
 the experiment (``experiments.XL`` / ``XB``) is tabulated once per call on
 a quantile grid of the score integrals' rule (``revenue._Grid``), and each
 item's E[phi_bar(X)] is bracketed on it by that rule's sums
-(``revenue._stieltjes``). ``assign_regions`` is
-the region rule of the Monte Carlo oracles in the tests.
+(``revenue._stieltjes``). ``assign_regions``, an argmax over the items,
+is the region rule of the Monte Carlo oracles in the tests.
 
 No bound reads a sample count or a seed. ``efftw_bound``, ``obs1_bound``
 and ``xl_chain_bound`` take a trailing ``N`` and ``seed``, unread, since
@@ -35,7 +39,7 @@ import numpy as np
 
 from .distributions import ProductDist, SingleDist
 from .experiments import XB, XL
-from .revenue import _COARSE_U, Bracket, _Grid, _item_sum, _score_estimate, _stieltjes
+from .revenue import _COARSE_U, Bracket, _Grid, _item_sum, _order_stat, _stieltjes
 from .rng import fill_pieces
 from .virtual import iron
 
@@ -59,42 +63,33 @@ def assign_regions(quantiles: np.ndarray) -> np.ndarray:
     quantiles = np.asarray(quantiles)
     if quantiles.ndim < 1 or quantiles.shape[0] < 1:
         raise ValueError("need at least one item")
-    m = quantiles.shape[0]
-    region = np.zeros(quantiles.shape[1:], dtype=np.intp)
-    best = quantiles[0]
-    for j in range(1, m):
-        np.copyto(region, j, where=quantiles[j] > best)  # strict: ties keep the first item
-        if j < m - 1:
-            best = np.maximum(best, quantiles[j])
-    return region
+    return np.argmax(quantiles, axis=0)
 
 
-def _region_max_cdf(d: SingleDist, m: int, n: int, psi):
-    """CDF of the largest of n i.i.d. bidder scores on item d of m.
+def _region_score_cdf(d: SingleDist, m: int, psi):
+    """CDF of one bidder's score on item d of m.
 
     A bidder with quantile u is in the item's region with probability
     u^(m-1). Outside it the score (the value) is at most t for quantiles up
     to F(t); inside it the region term is at most t for quantiles up to
-    psi(t). So one score has CDF G = F - F^m/m + psi^m/m, and the largest G^n.
+    psi(t). So the score has CDF G = F - F^m/m + psi^m/m.
     """
 
     def cdf(t):
         F = d.cdf(t)
-        return (F - F**m / m + psi(t) ** m / m) ** n
+        return F - F**m / m + psi(t) ** m / m
 
     return cdf
 
 
 def efftw_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
-    """The quantile-region revenue benchmark, exact.
+    """The quantile-region revenue benchmark, exact: per item, the highest
+    of n scores ``_region_score_cdf``, whose region terms are phi_bar^+, with
+    the law ``IronedVirtualMap.psi``.
 
-    Region terms are phi_bar^+, whose law ``IronedVirtualMap.psi`` gives.
     N and the seed are not read (see the module docstring).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _item_sum(pd.marginals,
-                     lambda d: _score_estimate(d, n, _region_max_cdf(d, pd.m, n, iron(d).psi)))
+    return _item_sum(pd.marginals, lambda d: _order_stat(d, n, _region_score_cdf(d, pd.m, iron(d).psi)))
 
 
 def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
@@ -104,31 +99,27 @@ def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
 
     where v_(1)j, v_(2)j are the two highest values for item j and the top
     bidder is the one with the highest quantile for item j; quantiles are
-    randomized at atoms, so that bidder holds v_(1)j. Weakly exceeds the
-    benchmark when support_lo >= 0; below 0 it need not (on
-    ``discrete:v=-2,-1,1;p=0.3,0.3,0.4`` squared with n = 3 the benchmark
-    is 1.38666 and obs1 1.28855).
+    randomized at atoms, so that bidder holds v_(1)j. It weakly exceeds the
+    benchmark only where every item's support_lo >= 0, so an item below 0
+    is rejected: on ``discrete:v=-2,-1,1;p=0.3,0.3,0.4`` squared with n = 3
+    the benchmark is 1.38666 and this quantity 1.28855.
 
     Exact: as phi_bar <= v, the quantity is v_(1) off the region and
-    max(phi_bar^+, v_(2)) in it. Its CDF is F^n + n F^(n-1) (psi^m - F^m)/m
-    for t >= 0 (where psi >= F) and F^n - n F^(n+m-1)/(n+m-1) for t < 0.
+    max(phi_bar^+, v_(2)) in it. It is at most t >= 0 iff no value passes
+    t, or one does and that bidder is in the region with phi_bar^+ <= t, so
+    its CDF is the second-highest's rule with a = max(psi^m - F^m, 0)/m for
+    the chance that one bidder passes (psi >= F there; ``_order_stat``).
     N and the seed are not read (see the module docstring).
     """
     if n < 2:
         raise ValueError("need n >= 2 (uses the second-highest value)")
+    if min(d.support_lo for d in pd.marginals) < 0:
+        raise ValueError("obs1 needs every item's support_lo >= 0; below 0 it need not bound the benchmark")
     m = pd.m
 
     def item(d):
-        imap = iron(d)
-
-        def cdf(t):
-            F = d.cdf(t)
-            extra = n * F ** (n - 1) * np.maximum(imap.psi(t) ** m - F**m, 0.0) / m
-            below = t < 0  # only a support below 0 has such points
-            extra[below] = -n * F[below] ** (n + m - 1) / (n + m - 1)
-            return F**n + extra
-
-        return _score_estimate(d, n, cdf)
+        psi = iron(d).psi
+        return _order_stat(d, n, d.cdf, k=2, accept=lambda t, F: np.maximum(psi(t) ** m - F**m, 0.0) / m)
 
     return _item_sum(pd.marginals, item)
 

@@ -26,7 +26,7 @@ from . import benchmark as bench_mod
 from . import experiments as exp_mod
 from . import repro as repro_mod
 from . import revenue as rev_mod
-from .distributions import ProductDist, parse_dist
+from .distributions import ProductDist, TruncatedEqualRevenue, parse_dist
 from .rng import need_samples
 from .virtual import iron
 
@@ -109,7 +109,10 @@ def cmd_revenue(args) -> int:
         pd = ProductDist(tuple(parse_dist(args.dist) for _ in range(args.m)))
         row = vars((rev_mod.vcg if args.mech == "vcg" else rev_mod.srev)(pd, n))
     elif args.mech == "feldman":
-        mean, stderr = rev_mod.feldman_posted_price(n, args.m, args.samples, args.seed, p=args.trunc, price=args.price)
+        d = parse_dist(args.dist)
+        if not isinstance(d, TruncatedEqualRevenue):
+            raise ValueError(f"--mech feldman runs on equal-revenue items (er:p=...), not {args.dist!r}")
+        mean, stderr = rev_mod.feldman_posted_price(n, args.m, args.samples, args.seed, p=d.p, price=args.price)
         row = {"mean": mean, "stderr": stderr, "samples": args.samples}
     else:  # three-tier
         row = vars(rev_mod.three_tier_mechanism(n, args.medium_price, args.high_price))
@@ -224,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default="er:p=10000")
     p.add_argument("-n", type=int, required=True, help="number of bidders")
     p.add_argument("-m", type=int, default=1, help="number of items")
-    p.add_argument("--trunc", type=float, default=1e4, help="value-support truncation point")
     p.add_argument("--price", type=float, help="override the posted bundle price")
     p.add_argument("--medium-price", type=float, default=100.0)
     p.add_argument("--high-price", type=float, default=1e8)

@@ -6,7 +6,8 @@ as finite-parameter identity checks (the proofs' intermediate formulas) plus
 monotone trend checks; the limits themselves are not desk-verifiable. Every
 value with a closed form is computed exactly: the equal-revenue order
 statistics and the benchmark-side values (benchmark, off-region terms, VCG)
-are exact brackets, so their claims carry certified half-widths, not 3-sigma
+are exact brackets of the one order-statistic rule (``revenue._order_stat``),
+so their claims carry certified half-widths, not 3-sigma
 noise, and the two-item sum tail and the three-tier revenue are closed forms.
 Only the sequential posted-bundle revenue (``little-n-tightness``) is seeded
 Monte Carlo: each of its runs walks down every bidder's top k order
@@ -23,11 +24,11 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .benchmark import _region_max_cdf, efftw_bound
+from .benchmark import _region_score_cdf, efftw_bound
 from .distributions import ProductDist, TruncatedEqualRevenue
 from .revenue import (
     Bracket,
-    _score_estimate,
+    _order_stat,
     er2_sum_tail_truncated,
     feldman_params,
     feldman_posted_price,
@@ -69,31 +70,27 @@ def er_order_stat(x: int, y: int, p: float = 1e4) -> Bracket:
     """E[x-th highest of y i.i.d. ER(p) draws], exact; the untruncated mean is y/(x-1).
 
     The x-th highest is below t iff fewer than x draws exceed t, so its CDF
-    is Pr[Bin(y, 1 - F(t)) < x], bracketed by ``_score_estimate``. The
-    highest draw has infinite untruncated mean (rejected).
+    is Pr[Bin(y, 1 - F(t)) < x], the order-statistic rule at rank x
+    (``revenue._order_stat``). The highest draw has infinite untruncated
+    mean (rejected).
     """
     if x == 1:
         raise ValueError("the highest equal-revenue draw has infinite expectation")
     if not 2 <= x <= y:
         raise ValueError("need 2 <= x <= y")
     d = TruncatedEqualRevenue(p)
-
-    def cdf(t):
-        F = d.cdf(t)
-        return sum(math.comb(y, j) * (1.0 - F) ** j * F ** (y - j) for j in range(x))
-
-    return _score_estimate(d, y, cdf)
+    return _order_stat(d, y, d.cdf, k=x)
 
 
 def er_offregion_items(n: int, m: int, p: float) -> list[Bracket]:
     """Per-item E[max_i v_ij * I(bidder i not in region j)] on ER(p)^m, exact.
 
-    The off-region term is the benchmark score with 0 as the region term
-    (psi = 1 on t >= 0). The items are i.i.d., so all m brackets are one.
+    The off-region term is the highest of n benchmark scores with 0 as the
+    region term (psi = 1 on t >= 0). The items are i.i.d., so all m
+    brackets are one.
     """
     d = TruncatedEqualRevenue(p)
-    cdf = _region_max_cdf(d, m, n, lambda t: (t >= 0).astype(float))
-    return [_score_estimate(d, n, cdf)] * m
+    return [_order_stat(d, n, _region_score_cdf(d, m, lambda t: (t >= 0).astype(float)))] * m
 
 
 def er_benchmark_decomposition(n: int, m: int, p: float):
@@ -118,34 +115,21 @@ def bign_tightness(n: int, m: int, c: int, p: float = 1e4) -> ReproResult:
 
     Both are exact brackets, so the claim passes unless they refute
     benchmark <= VCG_{n+c} (``Bracket.le``): the tolerance is the sum of the
-    two half-widths. The implied minimum c, (benchmark - VCG_n)/m between
-    the midpoints, is reported in the details,
-    also over sqrt(nm), the scale of the paper's O(sqrt(nm)) bound. It takes
-    each extra bidder to add about one per item, so it undercounts as n
-    nears p: at (n, m, p) = (4096, 4, 1e4) it reads 91.2, while VCG_{n+c}
-    first covers the benchmark within the tolerance at c = 139. VCG_n falls
-    below nm there, so nm in its place would read c < 0.
+    two half-widths, which the details report. At (n, m, p) =
+    (4096, 4, 1e4), VCG_{n+c} first covers the benchmark at c = 139.
     """
     if n < 4 * m:
         raise ValueError("need n >= 4m")
     pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
     vcg_c = vcg(pd, n + c)
-    vcg_n = vcg(pd, n)
     bench = efftw_bound(pd, n, N=0)  # N is unread (see ``benchmark``'s docstring)
-    implied_c = (bench.mid - vcg_n.mid) / m
     return ReproResult(
         name=f"bign-tightness-n{n}-m{m}-c{c}",
         computed=vcg_c.mid,
         target=bench.mid,
         tolerance=vcg_c.half + bench.half,
         passed=bench.le(vcg_c) is not False,
-        details={
-            "benchmark_half": bench.half,
-            "implied_min_c": implied_c,
-            "implied_min_c_over_sqrt_nm": implied_c / math.sqrt(n * m),
-            "vcg_n": vcg_n.mid,
-            "vcg_half": vcg_c.half,
-        },
+        details={"benchmark_half": bench.half, "vcg_half": vcg_c.half},
     )
 
 

@@ -2,9 +2,11 @@
 mechanisms (sequential posted-bundle and three-tier).
 
 Single-item optimal revenue E[(phi_bar(max))^+] and VCG (the second-highest
-value) are exact: the mean of a score with a closed-form CDF, integrated by
-``_score_estimate`` (as are the benchmark and ``obs1_bound``) by
-``_stieltjes``, the bracket rule that every exact integral here shares:
+value) are exact: each is the mean of an order statistic of n i.i.d.
+bidder scores, whose CDF one rule forms from one bidder's score CDF and
+the rank (``_order_stat``, which the benchmark, ``obs1_bound`` and the
+equal-revenue order statistics share). ``_score_estimate`` integrates it
+by ``_stieltjes``, the bracket rule that every exact integral here shares:
 the integrand is read once per point of a ``_Grid``, whose points spread
 by sqrt(dW dg) from a coarse table, at most one per float of a cell, and
 are made piece by piece, each cell's run at once, with no memo. Monte
@@ -211,31 +213,46 @@ def _score_estimate(d: SingleDist, n: int, cdf) -> Bracket:
     return Bracket(float(t.x[0] + lower), float(t.x[0] + upper) + n * d.tail_integral(t.x[-1]))
 
 
-def myerson_item_revenue(d: SingleDist, n: int) -> Bracket:
-    """Optimal single-item revenue with n i.i.d. bidders, E[(phi_bar(max))^+].
+def _order_stat(d: SingleDist, n: int, G, k: int = 1, accept=None) -> Bracket:
+    """E[S] for the k-th highest S of n i.i.d. bidder scores on item d, each
+    with CDF G: S <= t iff fewer than k scores pass t, so S has CDF
 
-    The top quantile has CDF u^n, so phi_bar(max)^+ has CDF psi(t)^n
-    (``IronedVirtualMap.psi``).
+        H = sum_{j < k} C(n, j) G^(n-j) a^j,
+
+    where a = ``accept(t, G(t))``, 1 - G by default, is the chance that one
+    bidder's score passes t; a score whose passes count only in part
+    (``benchmark.obs1_bound``) gives its own. k = 1 reads G(t) ** n. This
+    is the one order-statistic rule of every exact score: it checks n once
+    and hands H to ``_score_estimate``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    imap = iron(d)
-    return _score_estimate(d, n, lambda t: imap.psi(t) ** n)
+
+    def cdf(t):
+        g = G(t)
+        H = g**n
+        if k > 1:
+            a = 1.0 - g if accept is None else accept(t, g)
+            for j in range(1, k):
+                H += math.comb(n, j) * g ** (n - j) * a**j
+        return H
+
+    return _score_estimate(d, n, cdf)
+
+
+def myerson_item_revenue(d: SingleDist, n: int) -> Bracket:
+    """Optimal single-item revenue with n i.i.d. bidders, E[(phi_bar(max))^+],
+    the highest of the n scores phi_bar^+, whose CDF is
+    ``IronedVirtualMap.psi``."""
+    return _order_stat(d, n, iron(d).psi)
 
 
 def vcg_item_revenue(d: SingleDist, n: int) -> Bracket:
-    """Second-price (no reserve) revenue on one item: E[second-highest of n],
-    whose CDF is F^n + n F^(n-1) (1 - F)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    """Second-price (no reserve) revenue on one item: E[second-highest of n
+    values], 0 for one bidder."""
     if n == 1:
         return Bracket.point(0.0)
-
-    def cdf(t):
-        F = d.cdf(t)
-        return F**n + n * F ** (n - 1) * (1.0 - F)
-
-    return _score_estimate(d, n, cdf)
+    return _order_stat(d, n, d.cdf, k=2)
 
 
 def srev(pd: ProductDist, n: int) -> Bracket:

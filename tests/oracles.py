@@ -23,7 +23,12 @@ difference -log(1 - x) - sum_{i <= k} x^i / i, is the reference for the
 series there. The two-pass score bracket, which reads each cell's left
 limit on its own, is the bound on the one-pass width; the two-read chain
 bracket, which reads phi_bar at the float inside each end of a cell, is
-the bound on the one-read chain width.
+the bound on the one-read chain width. Each exact score's CDF, written
+out at its own site as the package once wrote it (Myerson's psi^n, VCG's
+F^n + n F^(n-1) (1 - F), the benchmark's G^n, obs1's and the equal-revenue
+order statistic's binomial sum), is the reference for the one
+order-statistic rule that now forms them all, and the running-maximum
+region loop is the reference for the region rule's argmax.
 """
 
 from __future__ import annotations
@@ -320,6 +325,73 @@ def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
 
     rhs, stderr = hit_rate(sum(map_batches(seed, "prop-key", N, batch)), N)
     return lhs, rhs, (0.0, stderr)
+
+
+def assign_regions_loop(quantiles: np.ndarray) -> np.ndarray:
+    """``benchmark.assign_regions`` as a running maximum over the items of
+    an item-major (m, ...) array: an item takes a bidder only when it beats
+    every earlier item strictly, so ties keep the first."""
+    region = np.zeros(quantiles.shape[1:], dtype=np.intp)
+    best = quantiles[0]
+    for j in range(1, quantiles.shape[0]):
+        np.copyto(region, j, where=quantiles[j] > best)
+        best = np.maximum(best, quantiles[j])
+    return region
+
+
+# ---------------------------------------------------------------------------
+# The score CDFs as each site wrote them
+# ---------------------------------------------------------------------------
+
+
+def myerson_cdf(d: SingleDist, n: int):
+    """psi(t)^n: the CDF of phi_bar(max)^+."""
+    psi = iron(d).psi
+    return lambda t: psi(t) ** n
+
+
+def vcg_cdf(d: SingleDist, n: int):
+    """F^n + n F^(n-1) (1 - F): the CDF of the second-highest of n values."""
+
+    def cdf(t):
+        F = d.cdf(t)
+        return F**n + n * F ** (n - 1) * (1.0 - F)
+
+    return cdf
+
+
+def region_max_cdf(d: SingleDist, m: int, n: int, psi):
+    """(F - F^m/m + psi^m/m)^n: the CDF of the largest of n benchmark
+    scores on item d of m, with region-term law psi."""
+
+    def cdf(t):
+        F = d.cdf(t)
+        return (F - F**m / m + psi(t) ** m / m) ** n
+
+    return cdf
+
+
+def obs1_cdf(d: SingleDist, m: int, n: int):
+    """F^n + n F^(n-1) max(psi^m - F^m, 0)/m: the CDF of obs1's quantity on
+    item d of m, for an item with support_lo >= 0."""
+    psi = iron(d).psi
+
+    def cdf(t):
+        F = d.cdf(t)
+        return F**n + n * F ** (n - 1) * np.maximum(psi(t) ** m - F**m, 0.0) / m
+
+    return cdf
+
+
+def er_order_stat_cdf(d: SingleDist, x: int, y: int):
+    """Pr[Bin(y, 1 - F(t)) < x]: the CDF of the x-th highest of y values,
+    summed as C(y, j) (1 - F)^j F^(y-j)."""
+
+    def cdf(t):
+        F = d.cdf(t)
+        return sum(math.comb(y, j) * (1.0 - F) ** j * F ** (y - j) for j in range(x))
+
+    return cdf
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from auctioncomp.repro import er_offregion_items
 from auctioncomp.revenue import Bracket, _item_sum, myerson_item_revenue, srev, vcg
 from auctioncomp.rng import PIECE, batch_sizes, map_batches, substream
 from auctioncomp.virtual import IronedVirtualMap, iron
-from oracles import jump_allowance, sample_estimate
+from oracles import assign_regions_loop, jump_allowance, sample_estimate
 from test_virtual import _brute_force_ironed
 
 REF_BATCH = 1_000_000  # floats per reference batch of profiles
@@ -139,8 +139,11 @@ def test_exact_bounds_agree_with_monte_carlo_oracles(case):
     specs, n = ORACLE_CASES[case]
     pd = ProductDist(tuple(parse_dist(s) for s in specs))
     samples, seed = 1_000_000, 70 + len(case)
-    kernels = {"efftw": _ref_efftw, "obs1": _ref_obs1}
-    got = {"efftw": efftw_bound(pd, n), "obs1": obs1_bound(pd, n)}
+    kernels = {"efftw": _ref_efftw}
+    got = {"efftw": efftw_bound(pd, n)}
+    if not case.startswith("negative"):  # obs1 takes no item below 0
+        kernels["obs1"] = _ref_obs1
+        got["obs1"] = obs1_bound(pd, n)
     if case.startswith("er"):
         kernels["off"] = _ref_offregion
         got["off"] = _item_sum(er_offregion_items(n, pd.m, 1e4), lambda b: b)
@@ -307,6 +310,14 @@ def test_assign_regions_basics():
         assign_regions(np.empty((0, 3)))
 
 
+def test_assign_regions_is_the_running_maximum_loop():
+    # 4 items x 3 bidders x 1000 profiles of quantiles on a coarse lattice,
+    # so many bidders tie between items
+    q = np.floor(substream(21, "ties").random((4, 3, 1000)) * 4.0) / 4.0
+    assert np.array_equal(assign_regions(q), assign_regions_loop(q))
+    assert np.count_nonzero(np.sum(q == q.max(axis=0), axis=0) > 1) > 1000
+
+
 def test_regions_uniform_under_iid_marginals():
     # chi-square at significance 1e-3 over m equiprobable regions
     m, n = 4, 3
@@ -365,7 +376,6 @@ def test_each_distinct_marginal_estimated_once(monkeypatch):
         return at_quantile(imap, u)
 
     monkeypatch.setattr(revenue_mod, "_score_estimate", counted_score_estimate)
-    monkeypatch.setattr(benchmark_mod, "_score_estimate", counted_score_estimate)
     monkeypatch.setattr(IronedVirtualMap, "at_quantile", counted_at_quantile)
     # a chain bound reads phi_bar once per node of its grid's table (the
     # builder's g, T nodes), then once per point of its grid below the top,
@@ -426,6 +436,15 @@ def test_obs1_requires_two_bidders():
     pd = ProductDist((Uniform(0, 1),))
     with pytest.raises(ValueError):
         obs1_bound(pd, 1)
+
+
+@pytest.mark.parametrize("spec", ["uniform:-1,1", "discrete:v=-2,-1,1;p=0.3,0.3,0.4", "uniform:-8,-7"])
+def test_obs1_rejects_an_item_below_0(spec):
+    # below 0 obs1 need not bound the benchmark: on the discrete item squared
+    # at n = 3 the benchmark is 1.38666 and the obs1 quantity 1.28855
+    pd = ProductDist((Uniform(0, 1), parse_dist(spec)))
+    with pytest.raises(ValueError, match="support_lo >= 0"):
+        obs1_bound(pd, 3)
 
 
 def test_efftw_peak_memory_independent_of_N():

@@ -9,6 +9,7 @@ import pytest
 
 from auctioncomp import benchmark as bench_mod
 from auctioncomp import cli as cli_mod
+from auctioncomp import revenue as rev_mod
 from auctioncomp.cli import (
     EXIT_CLAIM,
     EXIT_OK,
@@ -372,6 +373,38 @@ def test_degenerate_sizes_exit_3(argv, message, capsys):
     code = main(argv + ["--seed", "1", "--samples", "20000"])
     assert code == EXIT_PRECONDITION
     assert message in capsys.readouterr().err
+
+
+FELDMAN = ["revenue", "--mech", "feldman", "--price", "60", "-n", "2", "-m", "64", "--samples", "20000",
+           "--seed", "1"]
+
+
+def test_feldman_reads_its_items_from_dist(capsys):
+    # at price 60 some runs do not sell, so the truncation point shows: ER(10)
+    # reads 115.185 and the default ER(1e4) 119.238 at seed 1
+    rows = {}
+    for spec in ("er:p=10", None):
+        code, out = run_cli(FELDMAN + (["--dist", spec] if spec else []), capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["config"]["dist"] == (spec or "er:p=10000") and "trunc" not in doc["config"]
+        rows[spec] = doc["results"][0]
+    mean, stderr = rev_mod.feldman_posted_price(2, 64, 20_000, 1, p=10.0, price=60.0)
+    assert (rows["er:p=10"]["mean"], rows["er:p=10"]["stderr"]) == (mean, stderr)
+    assert rows[None]["mean"] == rev_mod.feldman_posted_price(2, 64, 20_000, 1, price=60.0)[0]
+    assert rows["er:p=10"]["mean"] != rows[None]["mean"]
+
+
+@pytest.mark.parametrize("spec", ["exp:1", "uniform:0,1", "point:5"])
+def test_feldman_on_other_items_exit_3(spec, capsys):
+    assert main(FELDMAN + ["--dist", spec]) == EXIT_PRECONDITION
+    assert "equal-revenue items" in capsys.readouterr().err
+
+
+def test_feldman_takes_no_trunc_option():
+    with pytest.raises(SystemExit) as exc:
+        main(FELDMAN + ["--trunc", "10"])
+    assert exc.value.code == 2
 
 
 OVERFLOWING = {

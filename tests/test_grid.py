@@ -11,13 +11,13 @@ import pytest
 
 from auctioncomp import benchmark as benchmark_mod
 from auctioncomp import revenue as revenue_mod
-from auctioncomp.benchmark import _region_max_cdf, efftw_bound, xl_chain_bound
+from auctioncomp.benchmark import efftw_bound, xl_chain_bound
 from auctioncomp.distributions import Exponential, FiniteDiscrete, ProductDist, Uniform, parse_dist
 from auctioncomp.experiments import XB, XL
 from auctioncomp.revenue import _COARSE_U, _QUAD_CELLS, _Grid, _score_grid, _stieltjes, myerson_item_revenue
 from auctioncomp.rng import PIECE
 from auctioncomp.virtual import iron
-from oracles import _fold_pieces, grid_points_by_search
+from oracles import _fold_pieces, grid_points_by_search, myerson_cdf, region_max_cdf, vcg_cdf
 
 ZOO = ["uniform:0,1", "uniform:-1,1", "exp:1", "exp:0.3", "er:p=10000", "er:p=100", "point:5",
        "discrete:v=1,3,4,20;p=0.4,0.3,0.25,0.05", "discrete:v=-2,-1,1;p=0.3,0.3,0.4",
@@ -31,13 +31,7 @@ PRODUCTS = {
 
 def _score_cdfs(d, n):
     """The score CDFs of the benchmark on two items, of Myerson and of VCG."""
-    psi = iron(d).psi
-
-    def vcg(t):
-        F = d.cdf(t)
-        return F**n + n * F ** (n - 1) * (1.0 - F)
-
-    return {"efftw": _region_max_cdf(d, 2, n, psi), "myerson": lambda t: psi(t) ** n, "vcg": vcg}
+    return {"efftw": region_max_cdf(d, 2, n, iron(d).psi), "myerson": myerson_cdf(d, n), "vcg": vcg_cdf(d, n)}
 
 
 def _score_grids():

@@ -24,11 +24,11 @@ from auctioncomp.revenue import er2_sum_tail_truncated, feldman_params, three_ti
 MODULES = [importlib.import_module(f"auctioncomp.{m.name}") for m in pkgutil.iter_modules(auctioncomp.__path__)]
 
 
-def _region_max_cdf_u_m(d, m, n, psi):
+def _region_score_cdf_u_m(d, m, psi):
     # in the region with probability u^m, not u^(m-1)
     def cdf(t):
         F = d.cdf(t)
-        return (F - F ** (m + 1) / (m + 1) + psi(t) ** (m + 1) / (m + 1)) ** n
+        return F - F ** (m + 1) / (m + 1) + psi(t) ** (m + 1) / (m + 1)
     return cdf
 
 
@@ -70,7 +70,7 @@ def _xb_cdf_ell_one_more(law, t):
 MUTANTS = {
     # the benchmark and the off-region terms both move, so the decomposition
     # holds; the raised benchmark is what VCG with c extra bidders misses
-    "region-u^m": ("_region_max_cdf", "benchmark", _region_max_cdf_u_m, {"bign-tightness"}),
+    "region-u^m": ("_region_score_cdf", "benchmark", _region_score_cdf_u_m, {"bign-tightness"}),
     "sum-tail-x1.01": ("er2_sum_tail_truncated", "revenue", _sum_tail_raised,
                        {"appendix-b-revenue", "two-item-sum-tail"}),
     "vcg-n-1": ("vcg", "revenue", _vcg_one_bidder_short, {"bign-tightness"}),

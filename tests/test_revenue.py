@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from auctioncomp.benchmark import _region_score_cdf, efftw_bound, obs1_bound
 from auctioncomp.distributions import (
     Exponential,
     ProductDist,
@@ -13,9 +14,11 @@ from auctioncomp.distributions import (
     parse_dist,
 )
 from auctioncomp.experiments import top_order_walk
-from auctioncomp.repro import two_item_sum_tail
+from auctioncomp.repro import er_offregion_items, er_order_stat, two_item_sum_tail
 from auctioncomp.revenue import (
     Bracket,
+    _order_stat,
+    _score_estimate,
     er2_sum_tail_truncated,
     feldman_params,
     _FELDMAN_WIDTH,
@@ -29,16 +32,23 @@ from auctioncomp.revenue import (
     vcg_item_revenue,
 )
 from auctioncomp.rng import BLOCK, batch_sizes, substream
+from auctioncomp.virtual import iron
 from oracles import (
     MechanismOutcome,
     bulow_klemperer_check,
+    er_order_stat_cdf,
     feldman_full_matrix,
     feldman_one_shot,
     feldman_one_shot_sold,
     feldman_run_once,
+    myerson_cdf,
+    obs1_cdf,
+    region_max_cdf,
     sample_estimate,
     three_tier_mc,
+    vcg_cdf,
 )
+from test_grid import ZOO
 
 # ---------------------------------------------------------------------------
 # Oracle: the other side of Myerson's identity, its samples held at once.
@@ -203,6 +213,60 @@ def test_vcg_er_product_scales_with_bidders():
     pd = ProductDist(tuple(TruncatedEqualRevenue(1e4) for _ in range(m)))
     est = vcg(pd, n)
     assert abs(est.mid - m * n) <= 0.02 * m * n
+
+
+# ---------------------------------------------------------------------------
+# The one order-statistic rule against the score CDFs as each site wrote them
+# ---------------------------------------------------------------------------
+
+
+def _score_sites(d, n):
+    """(site, the package's bracket, the bracket of the site's own CDF) for
+    every exact score on item d with n bidders; the benchmark and obs1 on
+    (d, d), which integrates d once and adds it twice."""
+    pd = ProductDist((d, d))
+    step = lambda t: (t >= 0).astype(float)  # the off-region term's psi: region terms are 0
+    yield "myerson", myerson_item_revenue(d, n), _score_estimate(d, n, myerson_cdf(d, n))
+    if n > 1:
+        yield "vcg", vcg_item_revenue(d, n), _score_estimate(d, n, vcg_cdf(d, n))
+    one = _score_estimate(d, n, region_max_cdf(d, 2, n, iron(d).psi))
+    yield "efftw", efftw_bound(pd, n), Bracket.point(0.0) + one + one
+    off = (er_offregion_items(n, 2, d.p)[0] if isinstance(d, TruncatedEqualRevenue)
+           else _order_stat(d, n, _region_score_cdf(d, 2, step)))
+    yield "off-region", off, _score_estimate(d, n, region_max_cdf(d, 2, n, step))
+    if n > 1 and d.support_lo >= 0:
+        one = _score_estimate(d, n, obs1_cdf(d, 2, n))
+        yield "obs1", obs1_bound(pd, n), Bracket.point(0.0) + one + one
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 4096])
+@pytest.mark.parametrize("spec", ZOO)
+def test_order_stat_rule_keeps_every_site_bit_for_bit(spec, n):
+    d = parse_dist(spec)
+    for site, got, want in _score_sites(d, n):
+        assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex()), site
+
+
+@pytest.mark.parametrize("p", [1e4, 1e6])
+@pytest.mark.parametrize("x, y", [(2, 5), (4, 12), (12, 12)])
+def test_er_order_stat_rule_matches_the_binomial_sum(x, y, p):
+    # the rule sums C(y, j) F^(y-j) (1 - F)^j, the site summed
+    # C(y, j) (1 - F)^j F^(y-j): the same x terms, rounded in another order,
+    # so the two H differ by a few x eps and their integrals over [0, p] by
+    # about x p eps (a tenth of it at (12, 12, 1e4), where 1 - H cancels)
+    got = er_order_stat(x, y, p)
+    d = TruncatedEqualRevenue(p)
+    want = _score_estimate(d, y, er_order_stat_cdf(d, x, y))
+    slack = x * p * np.finfo(float).eps
+    assert abs(got.lo - want.lo) <= slack and abs(got.hi - want.hi) <= slack, (got, want)
+
+
+def test_order_stat_rule_checks_n_once():
+    d = Uniform(0.0, 1.0)
+    for call in (lambda: myerson_item_revenue(d, 0), lambda: vcg_item_revenue(d, 0),
+                 lambda: efftw_bound(ProductDist((d,)), 0), lambda: _order_stat(d, -1, d.cdf, k=2)):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            call()
 
 
 @pytest.mark.parametrize("d,n", [(Uniform(0, 1), 1), (Exponential(1.0), 1),
