@@ -25,10 +25,9 @@ item's E[phi_bar(X)] is bracketed on it by that rule's sums
 (``revenue._stieltjes``). ``assign_regions``, an argmax over the items,
 is the region rule of the Monte Carlo oracles in the tests.
 
-No bound reads a sample count or a seed. ``efftw_bound``, ``obs1_bound``
-and ``xl_chain_bound`` take a trailing ``N`` and ``seed``, unread, since
-``bench/workloads.py`` passes them by position and ``bench/tracer.py`` reads
-``N`` by name, so callers here pass ``N`` to the first two.
+No bound reads a sample count or a seed; the trailing ``N`` and ``seed``
+of three of them are pinned by the benchmark harness (README, "Pinned by
+`bench/`").
 """
 
 from __future__ import annotations
@@ -85,10 +84,7 @@ def _region_score_cdf(d: SingleDist, m: int, psi):
 def efftw_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     """The quantile-region revenue benchmark, exact: per item, the highest
     of n scores ``_region_score_cdf``, whose region terms are phi_bar^+, with
-    the law ``IronedVirtualMap.psi``.
-
-    N and the seed are not read (see the module docstring).
-    """
+    the law ``IronedVirtualMap.psi``."""
     return _item_sum(pd.marginals, lambda d: _order_stat(d, n, _region_score_cdf(d, pd.m, iron(d).psi)))
 
 
@@ -109,7 +105,6 @@ def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     t, or one does and that bidder is in the region with phi_bar^+ <= t, so
     its CDF is the second-highest's rule with a = max(psi^m - F^m, 0)/m for
     the chance that one bidder passes (psi >= F there; ``_order_stat``).
-    N and the seed are not read (see the module docstring).
     """
     if n < 2:
         raise ValueError("need n >= 2 (uses the second-highest value)")
@@ -181,7 +176,7 @@ def _phi_at_experiment(pd: ProductDist, law) -> Bracket:
 def xl_chain_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     """Sum over items of E[phi_bar_j at X_L(n, m)], exact (``_phi_at_experiment``),
     for n >= 2: the chain's first link, ``obs1_bound``, needs a second
-    bidder. N and the seed are not read (see the module docstring)."""
+    bidder."""
     if n < 2:
         raise ValueError("need n >= 2 for the little-n chain")
     return _phi_at_experiment(pd, XL(n, pd.m))

@@ -131,7 +131,7 @@ def cmd_benchmark(args) -> int:
         raise ValueError("--chain needs every item's support_lo >= 0; below 0 the chain need not hold")
     pd = ProductDist(marginals)
     n, m, N = args.n, pd.m, args.samples
-    # the bounds read no N; bench/tracer.py counts the N passed to efftw and obs1
+    # the bounds read no N; the tracer counts it (README, "Pinned by `bench/`")
     chain = [("efftw", bench_mod.efftw_bound(pd, n, N))]
     if args.chain == "little":
         c = args.c if args.c is not None else math.ceil(_little_n_extra(n, m))
@@ -210,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write artifact to this path instead of stdout")
 
     def sampled(p):
-        # dominance and feldman draw N samples; the exact estimators read none,
-        # but bench/workloads.py passes --samples to benchmark and revenue
+        # dominance and feldman draw N samples; the exact estimators read none
+        # (README, "Pinned by `bench/`")
         p.add_argument("--samples", type=int, default=1_000_000)
         common(p)
 

@@ -165,7 +165,9 @@ class Exponential(SingleDist):
 
 @dataclass(frozen=True)
 class TruncatedEqualRevenue(SingleDist):
-    """Equal-revenue curve truncated at p: CDF 1 - 1/x on [1, p), atom 1/p at p."""
+    """Equal-revenue curve truncated at p: CDF 1 - 1/x on [1, p), atom 1/p at
+    p, which the quantile jumps to at 1 - 1/p. From p = 2^54 on that rounds
+    to 1 and no quantile reaches the atom, so such p is rejected."""
 
     p: float
 
@@ -173,6 +175,9 @@ class TruncatedEqualRevenue(SingleDist):
         _need_finite(self.p)
         if not self.p >= 1:
             raise ValueError("truncation point must be >= 1")
+        object.__setattr__(self, "_jump", 1.0 - 1.0 / self.p)
+        if self._jump == 1.0:
+            raise ValueError("truncation point too large: 1 - 1/p rounds to 1 (need p < 2^54)")
         object.__setattr__(self, "support_lo", 1.0)
         object.__setattr__(self, "support_hi", self.p)
 
@@ -182,10 +187,9 @@ class TruncatedEqualRevenue(SingleDist):
         return np.where(x >= self.p, 1.0, out)
 
     def _quantile(self, q):
-        cutoff = 1.0 - 1.0 / self.p
         with np.errstate(divide="ignore"):
-            body = 1.0 / (1.0 - np.minimum(q, cutoff))
-        return np.where(q > cutoff, self.p, np.minimum(body, self.p))
+            body = 1.0 / (1.0 - np.minimum(q, self._jump))
+        return np.where(q > self._jump, self.p, np.minimum(body, self.p))
 
     def raw_virtual(self, v):
         if np.any(v < 1) or np.any(v > self.p):
@@ -194,10 +198,10 @@ class TruncatedEqualRevenue(SingleDist):
         return np.where(v >= self.p, self.p, 0.0)
 
     def raw_virtual_cdf(self, t):
-        return np.where(t >= self.p, 1.0, np.where(t >= 0, 1.0 - 1.0 / self.p, 0.0))
+        return np.where(t >= self.p, 1.0, np.where(t >= 0, self._jump, 0.0))
 
     def quantile_breakpoints(self):
-        return np.array([1.0 - 1.0 / self.p])
+        return np.array([self._jump])
 
     def spec(self):
         return f"er:p={_fmt(self.p)}"

@@ -13,7 +13,8 @@ competition-complexity analysis to comparing random variables on [0, 1]:
 
 Order statistics of uniforms are generated top-down via the ratio recursion
 X_(k+1) = X_(k) * U^(1/(n-k)) (``top_order_walk``), so only the needed top-k
-values are drawn and only X_(1) and the current one are held. The same walk,
+values are drawn and only X_(1) and the current one are held; X_S and
+every sampler's X_(1) are its first step. The same walk,
 with one count per row, draws the bidders' bundles of the sequential
 posted-bundle mechanism (``revenue.feldman_posted_price``).
 
@@ -50,19 +51,18 @@ Dominance between two samplers is decided empirically on a uniform probe
 grid with a two-sided DKW allowance. Determinism model: each Monte Carlo
 loop here is ``rng.map_batches``, one seeded stream drawn block by block,
 with about ``BLOCK`` floats of draws alive at a time, whatever N and m; each
-block returns integer counts, which the loop adds.
+block returns integer counts, which the loop adds (``rng.estimate``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .rng import BLOCK, fill_pieces, hit_rate, map_batches
+from .rng import BLOCK, estimate, fill_pieces, map_batches
 
 __all__ = [
     "DominanceReport",
@@ -125,11 +125,10 @@ def _uniform_above(lo: np.ndarray, rng: np.random.Generator, where=None) -> np.n
 
 
 def sample_xs(n: int, c: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Max of n + c i.i.d. uniforms."""
+    """Max of n + c i.i.d. uniforms, the walk's first value (``top_order_stats``)."""
     if n + c < 1:
         raise ValueError("need n + c >= 1")
-    x = rng.random(size)
-    return np.power(x, 1.0 / (n + c), out=x)
+    return top_order_stats(n + c, 1, rng, size)[0]
 
 
 def _top_or_exceeder(x1: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -282,9 +281,8 @@ def _piecewise_cdf(t, branches) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-@functools.lru_cache(maxsize=16)
 def _xl_coefficients(n: int, m: int):
-    """(C, h1, h2, g), read-only, for ``XL.cdf`` at n, m >= 2: the series
+    """(C, h1, h2, g) for ``XL.cdf`` at n, m >= 2: the series
     F(t) = t^(n + 2) sum_j C[j] t^j below 1/2, and the polynomials
     h1, h2 and g of the closed form above it.
 
@@ -313,10 +311,7 @@ def _xl_coefficients(n: int, m: int):
     r = np.concatenate((tails[-1:], tails[::-1])) if m > 2 else np.zeros(m - 1)
     h1 = 1.0 / (n + np.arange(m - 1, dtype=float))
     h1[:1] = 1.0
-    coefficients = (C, h1, r / (n - 1 + np.arange(m - 1, dtype=float)), r)
-    for a in coefficients:
-        a.flags.writeable = False
-    return coefficients
+    return C, h1, r / (n - 1 + np.arange(m - 1, dtype=float)), r
 
 
 @dataclass(frozen=True)
@@ -417,7 +412,7 @@ class XL:
 
 
 def sample_xl(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``XL(n, m)(rng, size)``, under the name the benchmark harness binds."""
+    """``XL(n, m)(rng, size)`` (README, "Pinned by `bench/`")."""
     return XL(n, m)(rng, size)
 
 
@@ -466,7 +461,7 @@ class XB:
 
 
 def sample_xb(n: int, ell: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``XB(n, ell)(rng, size)``, under the name the benchmark harness binds."""
+    """``XB(n, ell)(rng, size)`` (README, "Pinned by `bench/`")."""
     return XB(n, ell)(rng, size)
 
 
@@ -475,16 +470,16 @@ def ystar_tail(n: int, m: int, p) -> np.ndarray | float:
 
     Y* is 0 when no item draw exceeds X_(1), and otherwise a uniformly random
     exceeding item draw. Equals
-    1 - n p^(m-1)/(n+m-2) - sum_{i=1}^{m-2} n p^i / ((n+i)(n+i-1)).
+    1 - n p^(m-1)/(n+m-2) - sum_{i=1}^{m-2} n p^i / ((n+i)(n+i-1)),
+    a polynomial in p summed by Horner's rule (``_horner``).
     """
     if m < 2:
         raise ValueError("need m >= 2")
     p = np.asarray(p, dtype=float)
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("p must lie in [0, 1]")
-    out = 1.0 - n * p ** (m - 1) / (n + m - 2)
-    for i in range(1, m - 1):
-        out = out - n * p**i / ((n + i) * (n + i - 1))
+    c = [1.0] + [-n / ((n + i) * (n + i - 1)) for i in range(1, m - 1)] + [-n / (n + m - 2)]
+    out = _horner(c, p)
     return out if out.ndim else float(out)
 
 
@@ -510,6 +505,9 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
     counts when V > 256 X_(1) - a (V > 256 p - p8), and both differences
     are exact in binary floating point. So only about 2/256 of the items
     draw a float.
+
+    Returns (rate, stderr) by ``rng.estimate``, with the hit count as both
+    totals (a hit is its own square): stderr 0 when no run hits, or all do.
     """
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")
@@ -521,7 +519,7 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
     p_rest = 256.0 * p - p8
 
     def block(rng, r):
-        x1 = p * rng.random(r) ** (1.0 / n)
+        x1 = p * top_order_stats(n, 1, rng, r)[0]
         x_scaled = 256.0 * x1
         a = x_scaled.astype(np.uint8)  # floor: 0 <= 256 x1 < 256
         words = rng.bit_generator.random_raw(-(-width * r // 8))
@@ -537,7 +535,8 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
         h = h + np.bincount(row[(byte == p8) & (v > p_rest)], minlength=r)
         return int(np.count_nonzero(rng.random(r) * k < h))
 
-    return hit_rate(sum(map_batches(seed, "ystar-mc", N, block, width)), N)
+    hits = sum(map_batches(seed, "ystar-mc", N, block, width))
+    return estimate(hits, hits, N)
 
 
 def dkw_epsilon(N: int, delta: float) -> float:

@@ -104,7 +104,7 @@ def er_benchmark_decomposition(n: int, m: int, p: float):
     if n < 1 or m < 1:
         raise ValueError("need n >= 1, m >= 1")
     pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
-    bench = efftw_bound(pd, n, N=0)  # N is unread (see ``benchmark``'s docstring)
+    bench = efftw_bound(pd, n, N=0)  # N=0 for the tracer (README, "Pinned by `bench/`")
     approx = sum(er_offregion_items(n, m, p), Bracket.point(0.0)) + Bracket.point(n * m)
     gap = abs(bench.mid - approx.mid) / max(abs(bench.mid), 1e-12)
     return bench, approx, gap
@@ -122,7 +122,7 @@ def bign_tightness(n: int, m: int, c: int, p: float = 1e4) -> ReproResult:
         raise ValueError("need n >= 4m")
     pd = ProductDist(tuple(TruncatedEqualRevenue(p) for _ in range(m)))
     vcg_c = vcg(pd, n + c)
-    bench = efftw_bound(pd, n, N=0)  # N is unread (see ``benchmark``'s docstring)
+    bench = efftw_bound(pd, n, N=0)  # N=0 for the tracer (README, "Pinned by `bench/`")
     return ReproResult(
         name=f"bign-tightness-n{n}-m{m}-c{c}",
         computed=vcg_c.mid,

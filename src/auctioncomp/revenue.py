@@ -39,7 +39,7 @@ import numpy as np
 
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
 from .experiments import top_order_walk
-from .rng import PIECE, map_batches
+from .rng import PIECE, estimate, map_batches
 from .virtual import _sorted_distinct, iron
 
 __all__ = [
@@ -88,7 +88,7 @@ class Bracket:
             return False
         return True if self.hi <= other.lo else None if self.lo <= other.hi else False
 
-    # the names bench/workloads.py reads; nothing in the package does
+    # pinned by the benchmark's workloads (README, "Pinned by `bench/`")
     mean = mid
     stderr = half
 
@@ -297,8 +297,8 @@ def feldman_posted_price(
     a sale takes R down by k. Ties at the atom p do not change the sum.
     Blocks of ``BLOCK // _FELDMAN_WIDTH`` runs draw n k uniforms per run and
     return the integer totals (S1, S2) of the bundles sold and of their
-    squares, which add exactly over the blocks: the mean is price S1 / N and
-    the standard error price sqrt((N S2 - S1^2) / (N^2 (N - 1))), 0 at N = 1.
+    squares, which add exactly over the blocks; ``rng.estimate`` turns them
+    into the mean and standard error of the bundles sold, times the price.
     """
     bundle, default_price = feldman_params(n, m)
     price = default_price if price is None else price
@@ -318,8 +318,8 @@ def feldman_posted_price(
         return sum(k * c for k, c in enumerate(runs)), sum(k * k * c for k, c in enumerate(runs))
 
     s1, s2 = map(sum, zip(*map_batches(seed, "feldman", N, block, _FELDMAN_WIDTH)))
-    stderr = math.sqrt((N * s2 - s1 * s1) / (N * N * (N - 1))) if N > 1 else 0.0
-    return price * (s1 / N), price * stderr
+    mean, stderr = estimate(s1, s2, N)
+    return price * mean, price * stderr
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ array the kernel keeps alive, so a block holds about ``BLOCK`` floats.
 
 A Monte Carlo estimate never holds its N samples: each block returns
 integer counts and the loop adds them, exactly, so no estimate depends on
-the order in which its blocks are added. A hit rate is a count
-(``hit_rate``); a mean over runs that each earn a count times one price is
-a function of the integer totals of the counts and of their squares.
+the order in which its blocks are added. One rule (``estimate``) turns the
+integer totals S1 and S2 of the per-run counts and of their squares into a
+mean and its standard error; a hit count is its own square, so a hit rate
+passes S2 = S1.
 
 An exact integrand on a long grid is evaluated in pieces of ``PIECE``
 values: elementwise arithmetic gives the same bits on any slice. The one
@@ -55,9 +56,7 @@ def substream(seed: int, *labels: str | int) -> np.random.Generator:
 
 
 def batch_sizes(total: int, batch: int) -> list[int]:
-    """Split ``total`` rows into blocks of at most ``batch``."""
-    if total <= 0:
-        return []
+    """Split ``total`` >= 0 rows into blocks of at most ``batch``."""
     full, rem = divmod(total, batch)
     out = [batch] * full
     if rem:
@@ -71,11 +70,9 @@ def need_samples(N: int) -> None:
         raise ValueError("need N >= 1 samples")
 
 
-def map_batches(
-    seed: int, label: str | tuple, N: int, kernel: Callable, width: int = 1
-) -> Iterator:
+def map_batches(seed: int, label: str, N: int, kernel: Callable, width: int = 1) -> Iterator:
     """``kernel(rng, r)`` for each block of r rows, lazily and in block order,
-    with the one generator ``rng = substream(seed, *label)``.
+    with the one generator ``rng = substream(seed, label)``.
 
     N rows are split into blocks of ``max(1, BLOCK // width)`` rows (the last
     takes the remainder); ``width`` is the number of floats the kernel holds
@@ -85,8 +82,7 @@ def map_batches(
     reduction of them.
     """
     need_samples(N)
-    labels = (label,) if isinstance(label, str) else tuple(label)
-    rng = substream(seed, *labels)
+    rng = substream(seed, label)
     return (kernel(rng, r) for r in batch_sizes(N, max(1, BLOCK // max(1, width))))
 
 
@@ -99,7 +95,10 @@ def fill_pieces(out: np.ndarray, fn: Callable, *arrays: np.ndarray) -> np.ndarra
     return out
 
 
-def hit_rate(hits: int, N: int) -> tuple[float, float]:
-    """Binomial rate estimate hits / N and its standard error."""
-    est = hits / N
-    return est, math.sqrt(max(est * (1 - est), 1e-300) / N)
+def estimate(s1: int, s2: int, N: int) -> tuple[float, float]:
+    """(mean, standard error) of N runs from the integer totals s1 and s2 of
+    their counts and of the counts' squares: S1 / N and
+    sqrt((N S2 - S1^2) / (N^2 (N - 1))), 0 at N = 1. The numerator and
+    denominator are exact integers, so runs that all agree read 0."""
+    stderr = math.sqrt((N * s2 - s1 * s1) / (N * N * (N - 1))) if N > 1 else 0.0
+    return s1 / N, stderr

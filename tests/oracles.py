@@ -53,7 +53,7 @@ from auctioncomp.revenue import (
     three_tier_params,
     vcg_item_revenue,
 )
-from auctioncomp.rng import BLOCK, PIECE, batch_sizes, hit_rate, map_batches, substream
+from auctioncomp.rng import BLOCK, PIECE, batch_sizes, map_batches, substream
 from auctioncomp.virtual import _sorted_distinct, iron
 
 
@@ -300,7 +300,8 @@ def two_item_sum_tail_mc(q: float, N: int, seed: int, p: float = 1e6) -> tuple[f
         v = dist.quantile(rng.random((r, 2)))
         return int(np.count_nonzero(v.sum(axis=1) >= 2.0 * q))
 
-    return hit_rate(sum(map_batches(seed, "sum-tail", N, block, 2)), N)
+    rate = sum(map_batches(seed, "sum-tail", N, block, 2)) / N
+    return rate, math.sqrt(max(rate * (1 - rate), 1e-300) / N)  # the binomial stderr
 
 
 def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
@@ -323,8 +324,8 @@ def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):
         w = xl + rng.random(b) * (1.0 - xl)  # W is uniform on [X_(ell), 1]
         return int(np.count_nonzero(w > p))
 
-    rhs, stderr = hit_rate(sum(map_batches(seed, "prop-key", N, batch)), N)
-    return lhs, rhs, (0.0, stderr)
+    rhs = sum(map_batches(seed, "prop-key", N, batch)) / N
+    return lhs, rhs, (0.0, math.sqrt(max(rhs * (1 - rhs), 1e-300) / N))  # the binomial stderr
 
 
 def assign_regions_loop(quantiles: np.ndarray) -> np.ndarray:

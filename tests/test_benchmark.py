@@ -28,7 +28,7 @@ from auctioncomp.distributions import (
 from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import er_offregion_items
 from auctioncomp.revenue import Bracket, _item_sum, myerson_item_revenue, srev, vcg
-from auctioncomp.rng import PIECE, batch_sizes, map_batches, substream
+from auctioncomp.rng import BLOCK, PIECE, batch_sizes, substream
 from auctioncomp.virtual import IronedVirtualMap, iron
 from oracles import assign_regions_loop, jump_allowance, sample_estimate
 from test_virtual import _brute_force_ironed
@@ -159,13 +159,13 @@ def test_exact_bounds_agree_with_monte_carlo_oracles(case):
 
 
 def _ref_phi_at_experiment(pd, sampler, N, seed, label):
-    # the items draw independent streams, so their stderrs add in quadrature;
-    # returns (mean, stderr)
+    # the items draw independent streams, substream(seed, label, j) in blocks
+    # of BLOCK rows, so their stderrs add in quadrature; returns (mean, stderr)
     mean = var = 0.0
     for j, d in enumerate(pd.marginals):
-        imap = iron(d)
-        kernel = lambda rng, b: imap.at_quantile(sampler(rng, b))
-        item_mean, item_se = sample_estimate(np.concatenate(list(map_batches(seed, (label, j), N, kernel))))
+        imap, rng = iron(d), substream(seed, label, j)
+        phi = [imap.at_quantile(sampler(rng, b)) for b in batch_sizes(N, BLOCK)]
+        item_mean, item_se = sample_estimate(np.concatenate(phi))
         mean += item_mean
         var += item_se**2
     return mean, math.sqrt(var)

@@ -395,6 +395,24 @@ def test_feldman_reads_its_items_from_dist(capsys):
     assert rows["er:p=10"]["mean"] != rows[None]["mean"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["revenue", "--mech", "myerson", "--dist", "er:p=1e300", "-n", "3", "--seed", "1"],
+        ["benchmark", "--dist", "er:p=1e300", "-n", "3", "--chain", "little", "--seed", "1"],
+        ["revenue", "--mech", "feldman", "--dist", "er:p=1e300", "-n", "2", "-m", "64", "--seed", "1"],
+    ],
+    ids=["myerson", "benchmark", "feldman"],
+)
+def test_er_past_2_54_exits_3(argv, capsys):
+    # there 1 - 1/p rounds to 1, so the atom left the quantile: Myerson read
+    # [0, 0], and the chain's efftw and srev rows [0, 0] with every link held
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_PRECONDITION and captured.out == ""
+    assert "bad distribution spec 'er:p=1e300'" in captured.err
+
+
 @pytest.mark.parametrize("spec", ["exp:1", "uniform:0,1", "point:5"])
 def test_feldman_on_other_items_exit_3(spec, capsys):
     assert main(FELDMAN + ["--dist", spec]) == EXIT_PRECONDITION

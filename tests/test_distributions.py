@@ -80,6 +80,24 @@ def test_er_atom_mass():
     assert d.cdf(np.nextafter(4.0, -np.inf)) == 0.75  # Pr[X < 4]
 
 
+def test_er_rejects_p_where_the_jump_to_the_atom_rounds_to_1():
+    # from p = 2^54 on, 1 - 1/p is 1.0: no quantile reached the atom, psi
+    # dropped it, and Myerson read [0, 0] on ER(1e300) against about 3
+    for p in (2.0**54, 1e17, 1e300):
+        with pytest.raises(ValueError, match="1 - 1/p rounds to 1"):
+            TruncatedEqualRevenue(p)
+        with pytest.raises(ValueError, match="bad distribution spec"):
+            parse_dist(f"er:p={p!r}")
+    # just below the cap the jump is the float below 1, and the top quantile
+    # reaches the atom
+    for p in (float(np.nextafter(2.0**54, 0.0)), 1e16):
+        d = TruncatedEqualRevenue(p)
+        jump = float(d.quantile_breakpoints()[0])
+        assert jump == 1.0 - 1.0 / p < 1.0
+        assert float(d.raw_virtual_cdf(0.0)) == jump
+        assert float(d.quantile(np.nextafter(jump, 2.0))) == p
+
+
 def test_er_body_cdf():
     d = TruncatedEqualRevenue(100.0)
     x = np.array([1.0, 2.0, 50.0])

@@ -26,7 +26,7 @@ from auctioncomp.experiments import (
 )
 from auctioncomp.benchmark import xl_chain_bound
 from auctioncomp.distributions import ProductDist, Uniform
-from auctioncomp.rng import BLOCK, substream
+from auctioncomp.rng import BLOCK, estimate, substream
 from oracles import (
     j_tail_decimal,
     prop_key_conditional,
@@ -690,6 +690,20 @@ def test_ystar_tail_endpoints_and_m2():
         ystar_tail(2, 3, 1.5)
 
 
+@pytest.mark.parametrize("n, m", [(2, 16), (3, 4), (64, 64), (4096, 4), (2, 512)])
+def test_ystar_tail_matches_exact_rationals(n, m):
+    # the polynomial on exact rationals at the float p: Horner's rule holds
+    # it to a few ulps of 1, at a point and on an array alike
+    ps = [0.0, 0.01, 0.3, 0.5, 0.9, 0.99, 1 - 1e-6, 1.0]
+    got = ystar_tail(n, m, np.array(ps))
+    for p, g in zip(ps, got):
+        q = Fraction(p)
+        want = 1 - Fraction(n) * q ** (m - 1) / (n + m - 2)
+        want -= sum(Fraction(n) * q**i / ((n + i) * (n + i - 1)) for i in range(1, m - 1))
+        assert abs(Fraction(float(g)) - want) <= 1e-15, (p, g, float(want))
+        assert ystar_tail(n, m, p) == g
+
+
 def test_ystar_tail_matches_conditional_mc():
     # the hit count is Bin(N, ystar_tail): a z-test with the exact variance,
     # also with p on a byte boundary (0.5) and with X_(1) mostly sharing the
@@ -748,7 +762,22 @@ def test_ystar_conditional_mc_equals_sort_based_pick(n, m, p):
     assert N % rows and 0 < hits < N
     if n == 400:
         assert shared > N // 2  # X_(1) and p mostly share a byte bucket
-    assert ystar_conditional_mc(n, m, p, N, seed)[0] == hits / N
+    # its stderr is the one estimate rule on the hit count, whose square is itself
+    assert ystar_conditional_mc(n, m, p, N, seed) == (hits / N, estimate(hits, hits, N)[1])
+
+
+def test_ystar_conditional_mc_with_no_hits_reads_stderr_zero():
+    # an item draw passes p = 1 - 10^-9 about once in 10^9: no run of 1 000
+    # hits, and a run of N equal outcomes has stderr 0
+    assert ystar_conditional_mc(1, 2, 1 - 1e-9, 1_000, seed=1) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n, c", [(2, 9), (10, 20), (1, 3), (4096, 139)])
+def test_sample_xs_is_one_uniform_to_the_one_over_n_plus_c(n, c):
+    # the walk's first step draws the bits of the plain expression
+    size = 10_001
+    ref = substream(26, "xs", n, c).random(size) ** (1 / (n + c))
+    assert np.array_equal(sample_xs(n, c, substream(26, "xs", n, c), size), ref)
 
 
 @pytest.mark.parametrize("m", [3, 16, 200])

@@ -409,6 +409,12 @@ def test_feldman_estimate_is_exact_in_its_integer_totals():
     assert est[1] == pytest.approx(ref[1], rel=1e-12, abs=0)
 
 
+def test_feldman_keeps_the_bits_of_the_ci_artifact():
+    # the posted-bundle artifact that CI replays on one CPU (n 4, m 1024,
+    # price 6000, 200 000 runs, seed 3): price times the one estimate rule
+    assert feldman_posted_price(4, 1024, 200_000, seed=3, price=6000.0) == (11290.44, 12.450823191540017)
+
+
 def test_feldman_peak_memory_independent_of_N():
     # a constant number of run-length arrays per block, whatever N and m:
     # about 0.6 MiB here. Drawing and masking each run's n m values peaked
