@@ -19,10 +19,10 @@ chance of passing; both are exact 1-D integrals of the one order-statistic
 rule (``revenue._order_stat``).
 ``obs1_bound`` takes no item with support_lo < 0, where it need not bound
 the benchmark. The chain bounds are exact too: the CDF of
-the experiment (``experiments.XL`` / ``XB``) is tabulated once per call on
-a quantile grid of the score integrals' rule (``revenue._Grid``), and each
-item's E[phi_bar(X)] is bracketed on it by that rule's sums
-(``revenue._stieltjes``). ``assign_regions``, an argmax over the items,
+the experiment (``experiments.XL`` / ``XB``) is tabulated once per distinct
+item, on that item's quantile grid of the score integrals' rule
+(``revenue._Grid``), and the item's E[phi_bar(X)] is bracketed on it by that
+rule's sums (``revenue._stieltjes``). ``assign_regions``, an argmax over the items,
 is the region rule of the Monte Carlo oracles in the tests.
 
 No bound reads a sample count or a seed; the trailing ``N`` and ``seed``
@@ -119,17 +119,15 @@ def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     return _item_sum(pd.marginals, item)
 
 
-def _chain_grid(marginals, law) -> tuple[np.ndarray, np.ndarray]:
-    """(u, F): the chain bounds' ``revenue._Grid`` on [0, 1], made whole a
+def _chain_grid(d: SingleDist, law) -> tuple[np.ndarray, np.ndarray]:
+    """(u, F): item d's chain ``revenue._Grid`` on [0, 1], made whole a
     piece at a time, and F = ``law.cdf`` on it (0 at u = 0, 1 at u = 1) with
-    running maxima. Its table is ``_COARSE_U`` and where phi_bar
-    may jump, the atomic items' ironing knots and every item's
-    breakpoints, with the floats beside them; W = F and g is the sum of the
-    distinct items' phi_bar, read up to the float below 1."""
-    imaps = [iron(d) for d in dict.fromkeys(marginals)]
-    steps = np.concatenate([np.append(imap.knots, imap.dist.quantile_breakpoints()) for imap in imaps])
-    grid = _Grid(_COARSE_U, steps, 0.0, 1.0, law.cdf,
-                 lambda u: sum(imap.at_quantile(np.minimum(u, np.nextafter(1.0, 0.0))) for imap in imaps))
+    running maxima. Its table is ``_COARSE_U`` and where phi_bar may jump,
+    d's ironing knots and breakpoints, with the floats beside them; W = F
+    and g is d's phi_bar, read up to the float below 1."""
+    imap = iron(d)
+    grid = _Grid(_COARSE_U, np.append(imap.knots, d.quantile_breakpoints()), 0.0, 1.0, law.cdf,
+                 lambda u: imap.at_quantile(np.minimum(u, np.nextafter(1.0, 0.0))))
     u = fill_pieces(np.empty(grid.size), np.asarray, grid)
     F = law.cdf(u)
     return u, np.maximum.accumulate(F, out=F)
@@ -139,28 +137,27 @@ def _phi_at_experiment(pd: ProductDist, law) -> Bracket:
     """Sum over items of E[phi_bar_j(X)] for an experiment quantile X of
     ``law`` (an ``XL`` or ``XB``), exact; no positive part.
 
-    One grid serves every item (``_chain_grid``), its points spread by
-    sqrt(dF dphi_bar), with F = ``law.cdf`` tabulated on it once, so every
-    cell has mass dF_k >= 0. X has no atoms and phi_bar is nondecreasing,
-    so on cell (u_k, u_k+1) phi_bar(X) lies between phi_bar(u_k) and
-    phi_bar(u_k+1), wherever it jumps: ``revenue._stieltjes`` with W = F
-    and g = phi_bar brackets the cells below u_K; a jump costs its size
-    times the F-mass of the one-ulp cells beside it. The items' brackets
-    add end by end; a repeated marginal reuses its bracket
-    (``revenue._item_sum``), and the sum still runs over the items in order.
+    Each distinct item is tabulated once (``_chain_grid``), on its own grid,
+    its points spread by sqrt(dF dphi_bar), with F = ``law.cdf`` tabulated
+    on it, so every cell has mass dF_k >= 0. X has no atoms and phi_bar is
+    nondecreasing, so on cell (u_k, u_k+1) phi_bar(X) lies between
+    phi_bar(u_k) and phi_bar(u_k+1), wherever it jumps: ``revenue._stieltjes``
+    with W = F and g = phi_bar brackets the cells below u_K; a jump costs its
+    size times the F-mass of the one-ulp cells beside it. The items'
+    brackets add end by end in item order (``revenue._item_sum``).
 
     The top cell (u_K, 1), u_K = 1 - 2^-53, reads phi_bar(u_K) and
     phi_bar(1). phi_bar(1) is infinite only for ``Exponential``, where
     phi_bar is Q - 1/rate; there the upper end takes phi_bar(u_K) dF_K
     plus integral_{s > Q(u_K)} Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)),
     D = ``law.tail_constant``.
-    Working set: u, F and the temporaries of one piece.
+    Working set: one item's u and F, and the temporaries of one piece.
     """
-    u, F = _chain_grid(pd.marginals, law)
-    top = float(F[-1] - F[-2])
 
     def item(d: SingleDist):
         imap = iron(d)
+        u, F = _chain_grid(d, law)
+        top = float(F[-1] - F[-2])
         lower, upper = _stieltjes(u[:-1], imap.at_quantile, F[:-1])
         at_top, at_one = imap.at_quantile(u[-2:]).tolist()
         lower += top * at_top

@@ -325,5 +325,5 @@ def parse_dist(spec: str) -> SingleDist:
             probs = tuple(float(t) for t in parts["p"].split(","))
             return FiniteDiscrete(vals, probs)
     except (ValueError, KeyError) as exc:
-        raise ValueError(f"bad distribution spec {spec!r}") from exc
+        raise ValueError(f"bad distribution spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown distribution kind in {spec!r}")

@@ -86,12 +86,12 @@ def top_order_walk(rng: np.random.Generator, R: int | np.ndarray, k: int, size: 
     Each value is yielded in one buffer, which the next step overwrites.
     """
     u = rng.random(size)
-    np.power(u, 1.0 / R, out=u)
+    u **= 1.0 / R
     yield u
     step = np.empty_like(u)
     for j in range(1, k):
         rng.random(out=step)
-        np.power(step, 1.0 / (R - j), out=step)
+        step **= 1.0 / (R - j)
         np.multiply(u, step, out=u)
         yield u
 

@@ -1,4 +1,6 @@
-"""Myerson virtual values, regularity detection, and ironing, with no grid.
+"""Myerson virtual values, regularity detection, and ironing, with no grid
+and no memo: ``iron`` builds its map on each call, and a sum over items
+reads each distinct item once (``revenue._item_sum``).
 
 Kinds with a density (uniform, exponential, truncated equal-revenue) are
 regular in closed form: phi_bar is their nondecreasing raw virtual value
@@ -15,7 +17,6 @@ exact revenue and benchmark integrals. Corners are deduplicated by
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from .distributions import SingleDist
 __all__ = ["IronedVirtualMap", "iron"]
 
 REGULARITY_TOL = 1e-9
-IRON_CACHE_SIZE = 32  # ironed maps kept per process, one per distribution
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class IronedVirtualMap:
     For a purely atomic ``dist``, phi_bar(u) is ``levels[searchsorted(knots,
     u, "right")]``: ``knots`` are the ascending quantiles where it changes and
     ``levels`` its value on each of the ``len(knots) + 1`` steps. Other kinds
-    read their raw virtual value and have no steps. Maps are shared between
-    callers (see ``iron``), so both arrays are read-only.
+    read their raw virtual value and have no steps. The map is frozen, so
+    both arrays are read-only.
     """
 
     dist: SingleDist
@@ -102,13 +102,9 @@ _NO_STEPS = np.empty(0)
 _NO_STEPS.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=IRON_CACHE_SIZE)
 def iron(d: SingleDist) -> IronedVirtualMap:
-    """The ironed virtual value map of d.
-
-    Distributions are frozen and hashable, so maps are memoized per d:
-    repeated calls return the same read-only map.
-    """
+    """The ironed virtual value map of d, built on each call; no map is
+    kept between calls."""
     if not d.purely_atomic:
         return IronedVirtualMap(dist=d, knots=_NO_STEPS, levels=_NO_STEPS, regular=True)
 

@@ -575,14 +575,14 @@ def xb_cdf_near_one_decimal(n: int, ell: int, t: float) -> float:
 
 
 def phi_at_experiment_one_shot(pd: ProductDist, law) -> Bracket:
-    """``benchmark._phi_at_experiment`` with phi_bar read on the whole grid at once."""
-    u, _ = _chain_grid(pd.marginals, law)
-    F = law.cdf(u)
-    F[0], F[-1] = 0.0, 1.0
-    F = np.maximum.accumulate(F)
-    dF = np.diff(F)
+    """``benchmark._phi_at_experiment`` with phi_bar read on each item's
+    whole grid at once."""
 
     def item(d: SingleDist):
+        u, _ = _chain_grid(d, law)
+        F = law.cdf(u)
+        F[0], F[-1] = 0.0, 1.0
+        dF = np.diff(np.maximum.accumulate(F))
         imap = iron(d)
         phi = imap.at_quantile(u)
         lower, upper = _fold_pieces(dF[:-1], phi[:-1])
@@ -603,21 +603,20 @@ def phi_at_experiment_two_read(pd: ProductDist, law) -> Bracket:
     for the upper ones, each sum taken whole. The one-read bracket of
     ``benchmark._phi_at_experiment`` must be as tight, up to its one-ulp
     cells at the jumps."""
-    imaps = {d: iron(d) for d in pd.marginals}
-    steps = np.concatenate([np.append(imap.knots, d.quantile_breakpoints()) for d, imap in imaps.items()])
-    u = _sorted_distinct(_chain_grid(pd.marginals, law)[0])
-    beside = np.concatenate([np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)])
-    u = u[~np.isin(u, beside) | np.isin(u, steps)]
-    F = law.cdf(u)
-    F[0], F[-1] = 0.0, 1.0
-    dF = np.diff(np.maximum.accumulate(F))
-    # the float above each left end, up to the float below 1 (the grid's last
-    # left end), where an unbounded phi_bar is finite
-    above = np.minimum(np.nextafter(u[:-1], np.inf), np.nextafter(1.0, 0.0))
-    below = np.nextafter(u[1:], -np.inf)
 
     def item(d: SingleDist):
-        imap = imaps[d]
+        imap = iron(d)
+        steps = np.append(imap.knots, d.quantile_breakpoints())
+        u = _sorted_distinct(_chain_grid(d, law)[0])
+        beside = np.concatenate([np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)])
+        u = u[~np.isin(u, beside) | np.isin(u, steps)]
+        F = law.cdf(u)
+        F[0], F[-1] = 0.0, 1.0
+        dF = np.diff(np.maximum.accumulate(F))
+        # the float above each left end, up to the float below 1 (the grid's
+        # last left end), where an unbounded phi_bar is finite
+        above = np.minimum(np.nextafter(u[:-1], np.inf), np.nextafter(1.0, 0.0))
+        below = np.nextafter(u[1:], -np.inf)
         lo_phi = imap.at_quantile(above)
         hi_phi = imap.at_quantile(below)
         tail = 0.0

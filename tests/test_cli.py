@@ -9,6 +9,7 @@ import pytest
 
 from auctioncomp import benchmark as bench_mod
 from auctioncomp import cli as cli_mod
+from auctioncomp import experiments as exp_mod
 from auctioncomp import revenue as rev_mod
 from auctioncomp.cli import (
     EXIT_CLAIM,
@@ -413,6 +414,22 @@ def test_er_past_2_54_exits_3(argv, capsys):
     assert "bad distribution spec 'er:p=1e300'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "spec,reason",
+    [
+        ("er:p=1e300", "truncation point too large: 1 - 1/p rounds to 1 (need p < 2^54)"),
+        ("uniform:1,0", "uniform needs hi > lo"),
+        ("exp:-1", "exponential rate must be positive"),
+    ],
+)
+def test_bad_spec_names_the_constructors_reason(spec, reason, capsys):
+    code = main(["revenue", "--mech", "srev", "-n", "2", "--dist", spec, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PRECONDITION and captured.out == ""
+    assert f"bad distribution spec {spec!r}: {reason}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("spec", ["exp:1", "uniform:0,1", "point:5"])
 def test_feldman_on_other_items_exit_3(spec, capsys):
     assert main(FELDMAN + ["--dist", spec]) == EXIT_PRECONDITION
@@ -493,6 +510,23 @@ def test_dominance_below_threshold_reports_without_failing(capsys):
     assert code == EXIT_OK  # below threshold: no contradiction either way
     doc = json.loads(out)
     assert doc["results"][0]["dominates"] is False
+
+
+DOMINANCE = ["dominance", "--pair", "xs-xb", "-n", "10", "-l", "3", "-c", "20", "--samples", "10000", "--seed", "7"]
+
+
+@pytest.mark.parametrize("delta", ["0", "1", "nan", "-0.5"])
+def test_dominance_delta_outside_0_1_exits_3(delta, capsys):
+    code = main(DOMINANCE + ["--delta", delta])
+    captured = capsys.readouterr()
+    assert code == EXIT_PRECONDITION and captured.out == ""
+    assert "delta must lie in (0, 1)" in captured.err and "Traceback" not in captured.err
+
+
+def test_dominance_delta_sets_the_dkw_allowance(capsys):
+    code, out = run_cli(DOMINANCE + ["--delta", "0.05"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["results"][0]["epsilon"] == exp_mod.dkw_epsilon(10_000, 0.05)
 
 
 def test_reproduce_single_claim_deterministic(capsys):

@@ -21,6 +21,7 @@ from auctioncomp.experiments import (
     sample_xl,
     sample_xs,
     top_order_stats,
+    top_order_walk,
     ystar_conditional_mc,
     ystar_tail,
 )
@@ -299,6 +300,21 @@ def test_top_order_stats_match_matrix_reference(n, k):
     top, kth = top_order_stats(n, k, substream(22, "tos", n, k), 1000)
     ref = ref_top_order_stats(n, k, substream(22, "tos", n, k), 1000)
     assert np.array_equal(top, ref[:, 0]) and np.array_equal(kth, ref[:, k - 1])
+
+
+@pytest.mark.parametrize("R", [2, 3, 11, 4096, "counts"])
+def test_top_order_walk_same_bits_as_np_power(R):
+    # the in-place ** takes numpy's square-root path at exponent 1/2; the
+    # draws keep the bits of np.power, for one count and for one per row
+    size, k = 10_001, 2
+    if R == "counts":
+        R = substream(25, "counts").integers(k, 64, size)
+    got = [u.copy() for u in top_order_walk(substream(25, "walk"), R, k, size)]
+    rng = substream(25, "walk")
+    ref = [np.power(rng.random(size), 1.0 / R)]
+    for j in range(1, k):
+        ref.append(ref[-1] * np.power(rng.random(size), 1.0 / (R - j)))
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
 
 
 @pytest.mark.parametrize("n,m", [(2, 16), (3, 1), (5, 4), (2, 2), (1, 4)])

@@ -44,8 +44,9 @@ def _score_grids():
 
 @functools.cache
 def _chain_grids():
-    """((product, law), grid): the ``_Grid`` that ``_chain_grid`` makes for
-    each of ``PRODUCTS`` under X_L(2, m), X_L(4096, m) and X_B(19, 4)."""
+    """((product, item, law), grid): the ``_Grid`` that ``_chain_grid`` makes
+    for each distinct item of ``PRODUCTS`` under X_L(2, m), X_L(4096, m) and
+    X_B(19, 4)."""
     made = []
 
     class Kept(_Grid):
@@ -56,10 +57,10 @@ def _chain_grids():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(benchmark_mod, "_Grid", Kept)
         for name, specs in PRODUCTS.items():
-            marginals = tuple(parse_dist(s) for s in specs)
-            for law in (XL(2, len(specs)), XL(4096, len(specs)), XB(19, 4)):
-                benchmark_mod._chain_grid(marginals, law)
-                made[-1] = ((name, law), made[-1])
+            for d in dict.fromkeys(parse_dist(s) for s in specs):
+                for law in (XL(2, len(specs)), XL(4096, len(specs)), XB(19, 4)):
+                    benchmark_mod._chain_grid(d, law)
+                    made[-1] = ((name, d.spec(), law), made[-1])
     return tuple(made)
 
 
@@ -86,12 +87,13 @@ def test_score_grids_are_nondecreasing_and_hold_every_jump():
 @pytest.mark.parametrize("name", list(PRODUCTS))
 def test_chain_grids_are_nondecreasing_and_hold_every_jump(name):
     pd = ProductDist(tuple(parse_dist(s) for s in PRODUCTS[name]))
-    steps = np.concatenate([np.append(iron(d).knots, d.quantile_breakpoints()) for d in pd.marginals])
-    for law in (XL(2, pd.m), XL(4096, pd.m), XB(19, 4)):
-        u, F = benchmark_mod._chain_grid(pd.marginals, law)
-        assert u[0] == 0.0 and u[-2] == np.nextafter(1.0, 0.0) and u[-1] == 1.0
-        assert np.all(np.diff(u) >= 0.0) and np.all(np.diff(F) >= 0.0)
-        assert _holds_with_neighbours(u, steps, 0.0, 1.0), (name, law)
+    for d in dict.fromkeys(pd.marginals):
+        steps = np.append(iron(d).knots, d.quantile_breakpoints())
+        for law in (XL(2, pd.m), XL(4096, pd.m), XB(19, 4)):
+            u, F = benchmark_mod._chain_grid(d, law)
+            assert u[0] == 0.0 and u[-2] == np.nextafter(1.0, 0.0) and u[-1] == 1.0
+            assert np.all(np.diff(u) >= 0.0) and np.all(np.diff(F) >= 0.0)
+            assert _holds_with_neighbours(u, steps, 0.0, 1.0), (name, d.spec(), law)
 
 
 @pytest.mark.parametrize("size", [64, PIECE])
@@ -228,6 +230,6 @@ def test_chain_width_near_the_cauchy_schwarz_floor(spec):
     u = np.concatenate([np.linspace(0.0, 1.0, 2**20 + 1), 1.0 - np.exp2(-np.arange(53 * 256 + 1) / 256)])
     u = np.unique(u)[:-1]
     floor = m * np.sum(np.sqrt(np.diff(law.cdf(u)) * np.diff(phi(u)))) ** 2
-    cells = len(benchmark_mod._chain_grid((parse_dist(spec),), law)[0]) - 2
+    cells = len(benchmark_mod._chain_grid(parse_dist(spec), law)[0]) - 2
     half_width = xl_chain_bound(_pd(spec, m), n).half
     assert floor / (2 * cells) <= half_width <= 1.05 * floor / (2 * cells)

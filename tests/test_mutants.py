@@ -3,11 +3,10 @@
 Each mutant breaks one formula the claims rest on, patched at every module
 binding of it (``from .revenue import vcg`` copies ``vcg`` into ``repro``,
 so patching only the defining module would miss that call), or on its class
-for a method such as ``XL.cdf``, with the memo
-caches of the score grids and the ironed maps cleared around the run. The
-table lists, per mutant, the claims of ``run_all(42)`` that must fail; a
-mutant that no claim catches is listed in ``UNCOVERED``, so a change that
-loses coverage, or gains it, fails here until the table says so.
+for a method such as ``XL.cdf``. The table lists, per mutant, the claims of
+``run_all(42)`` that must fail; a mutant that no claim catches is listed in
+``UNCOVERED``, so a change that loses coverage, or gains it, fails here
+until the table says so.
 """
 
 import importlib
@@ -16,7 +15,6 @@ import pkgutil
 import pytest
 
 import auctioncomp
-from auctioncomp import virtual as virtual_mod
 from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import CLAIMS, run_all
 from auctioncomp.revenue import er2_sum_tail_truncated, feldman_params, three_tier_params, vcg
@@ -92,12 +90,7 @@ UNCOVERED = ["posted-price-x1.5", "xl_cdf-m+1", "xb_cdf-ell+1"]
 
 
 def _failed_claims():
-    virtual_mod.iron.cache_clear()
-    try:
-        results = run_all(42)
-    finally:
-        virtual_mod.iron.cache_clear()
-    return {name for name, r in zip(sorted(CLAIMS), results) if not r.passed}
+    return {name for name, r in zip(sorted(CLAIMS), run_all(42)) if not r.passed}
 
 
 def test_unmutated_run_passes_every_claim():

@@ -20,7 +20,7 @@ from auctioncomp.benchmark import efftw_bound, obs1_bound, xb_chain_bound, xl_ch
 from auctioncomp.distributions import ProductDist, TruncatedEqualRevenue, Uniform, parse_dist
 from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import er_order_stat
-from auctioncomp.revenue import _score_estimate, myerson_item_revenue, srev, vcg, vcg_item_revenue
+from auctioncomp.revenue import Bracket, _score_estimate, myerson_item_revenue, srev, vcg, vcg_item_revenue
 from auctioncomp.rng import PIECE, fill_pieces
 from auctioncomp.virtual import iron
 from oracles import (
@@ -178,6 +178,20 @@ def test_chain_bounds_same_bits_as_one_shot(name, cells, monkeypatch):
 
 
 @pytest.mark.parametrize("name", list(PRODUCTS))
+def test_chain_bounds_are_the_in_order_sum_of_one_item_chains(name):
+    # each item is tabulated on its own grid: the product's bracket has the
+    # bits of adding its items' one-item brackets in item order
+    pd = ProductDist(tuple(parse_dist(s) for s in PRODUCTS[name]))
+    chains = [(xl_chain_bound(pd, n), XL(n, pd.m)) for n in (2, 9)]
+    chains += [(xb_chain_bound(pd, n, ell), XB(n + (pd.m - 1) * (ell - 1), ell)) for n, ell in [(3, 2), (6, 6)]]
+    for got, law in chains:
+        want = Bracket.point(0.0)
+        for d in pd.marginals:
+            want += benchmark_mod._phi_at_experiment(ProductDist((d,)), law)
+        assert _bits([got]) == _bits([want]), law
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS))
 def test_one_read_chain_bracket_as_tight_as_two_read(name, cells, monkeypatch):
     # phi_bar read once per point, at the cells' own ends, keeps the width of
     # reading the float inside each end, but for the one-ulp cells beside
@@ -262,7 +276,7 @@ U2 = ProductDist((Uniform(0, 1),) * 2)
      ("xb", 1 << 15, 1.4), ("xb", 1 << 18, 5.8)],
 )
 def test_exact_kernel_working_set(bound, cells, limit_mb, monkeypatch):
-    # the ironed maps are memoized: a first call builds them outside the
+    # a first call makes the imports and first-use allocations outside the
     # measurement
     monkeypatch.setattr(revenue_mod, "_QUAD_CELLS", cells)
     if bound == "efftw":
