@@ -16,14 +16,14 @@ whatever the marginals, so each item's scores are i.i.d. across bidders with
 a closed-form CDF (``_region_score_cdf``): the benchmark is the mean of
 their highest, and ``obs1_bound`` of the value's rank-2 rule with its own
 chance of passing; both are exact 1-D integrals of the one order-statistic
-rule (``revenue._order_stat``).
+rule (``revenue._order_stat``), each handed the item's one ironed map.
 ``obs1_bound`` takes no item with support_lo < 0, where it need not bound
-the benchmark. The chain bounds are exact too: the CDF of
-the experiment (``experiments.XL`` / ``XB``) is tabulated once per distinct
-item, on that item's quantile grid of the score integrals' rule
-(``revenue._Grid``), and the item's E[phi_bar(X)] is bracketed on it by that
-rule's sums (``revenue._stieltjes``). ``assign_regions``, an argmax over the items,
-is the region rule of the Monte Carlo oracles in the tests.
+the benchmark. The chain bounds are exact too: each distinct item's
+E[phi_bar(X)] is bracketed by the score integrals' rule (``revenue._Grid``
+and ``revenue._stieltjes``), walked piece by piece on the item's quantile
+grid with the CDF of the experiment (``experiments.XL`` / ``XB``) read on
+each piece. ``assign_regions``, an argmax over the items, is the region
+rule of the Monte Carlo oracles in the tests.
 
 No bound reads a sample count or a seed; the trailing ``N`` and ``seed``
 of three of them are pinned by the benchmark harness (README, "Pinned by
@@ -39,7 +39,6 @@ import numpy as np
 from .distributions import ProductDist, SingleDist
 from .experiments import XB, XL
 from .revenue import _COARSE_U, Bracket, _Grid, _item_sum, _order_stat, _stieltjes
-from .rng import fill_pieces
 from .virtual import iron
 
 __all__ = [
@@ -85,7 +84,12 @@ def efftw_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     """The quantile-region revenue benchmark, exact: per item, the highest
     of n scores ``_region_score_cdf``, whose region terms are phi_bar^+, with
     the law ``IronedVirtualMap.psi``."""
-    return _item_sum(pd.marginals, lambda d: _order_stat(d, n, _region_score_cdf(d, pd.m, iron(d).psi)))
+
+    def item(d):
+        imap = iron(d)
+        return _order_stat(imap, n, _region_score_cdf(d, pd.m, imap.psi))
+
+    return _item_sum(pd.marginals, item)
 
 
 def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
@@ -113,58 +117,46 @@ def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     m = pd.m
 
     def item(d):
-        psi = iron(d).psi
-        return _order_stat(d, n, d.cdf, k=2, accept=lambda t, F: np.maximum(psi(t) ** m - F**m, 0.0) / m)
+        imap = iron(d)
+        return _order_stat(imap, n, d.cdf, k=2, accept=lambda t, F: np.maximum(imap.psi(t) ** m - F**m, 0.0) / m)
 
     return _item_sum(pd.marginals, item)
-
-
-def _chain_grid(d: SingleDist, law) -> tuple[np.ndarray, np.ndarray]:
-    """(u, F): item d's chain ``revenue._Grid`` on [0, 1], made whole a
-    piece at a time, and F = ``law.cdf`` on it (0 at u = 0, 1 at u = 1) with
-    running maxima. Its table is ``_COARSE_U`` and where phi_bar may jump,
-    d's ironing knots and breakpoints, with the floats beside them; W = F
-    and g is d's phi_bar, read up to the float below 1."""
-    imap = iron(d)
-    grid = _Grid(_COARSE_U, np.append(imap.knots, d.quantile_breakpoints()), 0.0, 1.0, law.cdf,
-                 lambda u: imap.at_quantile(np.minimum(u, np.nextafter(1.0, 0.0))))
-    u = fill_pieces(np.empty(grid.size), np.asarray, grid)
-    F = law.cdf(u)
-    return u, np.maximum.accumulate(F, out=F)
 
 
 def _phi_at_experiment(pd: ProductDist, law) -> Bracket:
     """Sum over items of E[phi_bar_j(X)] for an experiment quantile X of
     ``law`` (an ``XL`` or ``XB``), exact; no positive part.
 
-    Each distinct item is tabulated once (``_chain_grid``), on its own grid,
-    its points spread by sqrt(dF dphi_bar), with F = ``law.cdf`` tabulated
-    on it, so every cell has mass dF_k >= 0. X has no atoms and phi_bar is
-    nondecreasing, so on cell (u_k, u_k+1) phi_bar(X) lies between
-    phi_bar(u_k) and phi_bar(u_k+1), wherever it jumps: ``revenue._stieltjes``
-    with W = F and g = phi_bar brackets the cells below u_K; a jump costs its
-    size times the F-mass of the one-ulp cells beside it. The items'
+    ``revenue._stieltjes`` walks each distinct item's ``revenue._Grid``
+    from 0 to u_K = 1 - 2^-53 (points spread by sqrt(dF dphi_bar) from
+    ``_COARSE_U`` and the item's ironing knots and breakpoints, with the
+    floats beside them) with g = phi_bar and W = F = ``law.cdf``, whose
+    running maximum gives every cell a mass dF_k >= 0. X has no atoms and
+    phi_bar is nondecreasing, so on cell (u_k, u_k+1) phi_bar(X) lies
+    between phi_bar(u_k) and phi_bar(u_k+1), wherever it jumps: a jump costs
+    its size times the F-mass of the one-ulp cells beside it. The items'
     brackets add end by end in item order (``revenue._item_sum``).
 
-    The top cell (u_K, 1), u_K = 1 - 2^-53, reads phi_bar(u_K) and
-    phi_bar(1). phi_bar(1) is infinite only for ``Exponential``, where
-    phi_bar is Q - 1/rate; there the upper end takes phi_bar(u_K) dF_K
-    plus integral_{s > Q(u_K)} Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)),
+    The top cell (u_K, 1), of mass law.cdf(1) - F_K, reads phi_bar(u_K)
+    and phi_bar(1). phi_bar(1) is infinite only for ``Exponential``, where
+    phi_bar is Q - 1/rate; there the upper end takes phi_bar(u_K) dF_K plus
+    integral_{s > Q(u_K)} Pr[Q(X) > s] ds <= D * tail_integral(Q(u_K)),
     D = ``law.tail_constant``.
-    Working set: one item's u and F, and the temporaries of one piece.
+    Working set: the grid's table and the temporaries of one piece.
     """
 
     def item(d: SingleDist):
         imap = iron(d)
-        u, F = _chain_grid(d, law)
-        top = float(F[-1] - F[-2])
-        lower, upper = _stieltjes(u[:-1], imap.at_quantile, F[:-1])
-        at_top, at_one = imap.at_quantile(u[-2:]).tolist()
+        u_K = np.nextafter(1.0, 0.0)
+        grid = _Grid(_COARSE_U, np.append(imap.knots, d.quantile_breakpoints()), 0.0, u_K, law.cdf, imap.at_quantile)
+        lower, upper, F_K = _stieltjes(grid, imap.at_quantile, law.cdf)
+        top = max(float(law.cdf(1.0)), F_K) - F_K
+        at_top, at_one = imap.at_quantile([u_K, 1.0]).tolist()
         lower += top * at_top
         if math.isfinite(d.support_hi):
             upper += top * at_one
         else:
-            upper += top * at_top + law.tail_constant * d.tail_integral(float(d.quantile(u[-2])))
+            upper += top * at_top + law.tail_constant * d.tail_integral(float(d.quantile(u_K)))
         return Bracket(lower, upper)
 
     return _item_sum(pd.marginals, item)

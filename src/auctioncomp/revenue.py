@@ -40,7 +40,7 @@ import numpy as np
 from .distributions import ProductDist, SingleDist, TruncatedEqualRevenue
 from .experiments import top_order_walk
 from .rng import PIECE, estimate, map_batches
-from .virtual import _sorted_distinct, iron
+from .virtual import IronedVirtualMap, _sorted_distinct, iron
 
 __all__ = [
     "Bracket",
@@ -162,40 +162,46 @@ class _Grid:
         return np.add(p, np.repeat(self.x[a:b + 1], runs), out=p)
 
 
-def _stieltjes(x, g, W=None) -> tuple[float, float]:
-    """sum_k dW_k g(x_k) and sum_k dW_k g(x_k+1), dW_k = W_k+1 - W_k (W = x
-    when W is None): for a monotone g they bracket the integral of g dW over
-    [x_0, x_K]. Walks x (an array or a ``_Grid``) in pieces of ``PIECE``
-    cells that share their end points, reads g once per point of a piece
-    and adds the pieces' sums in order."""
+def _stieltjes(x, g, W=None) -> tuple[float, float, float]:
+    """sum_k dW_k g(x_k), sum_k dW_k g(x_k+1) and W_K, dW_k = W_k+1 - W_k,
+    on x_0..x_K (a ``_Grid`` or an array): W_k is x_k when W is None, else
+    the running maximum of W(x) up to x_k, so for a monotone g the sums
+    bracket the integral of g dW over [x_0, x_K]. Walks x in pieces of
+    ``PIECE`` cells that share their end points, reads g and W once per
+    point (W on a piece's ``PIECE`` new points, the shared one's W_k
+    carried) and adds the pieces' sums in order."""
     left = right = 0.0
+    end = x[:1] if W is None else W(x[:1])
     for i in range(0, x.size - 1, PIECE):
         xs = x[i:i + PIECE + 1]
         gx = g(xs)
-        dW = np.diff(xs if W is None else W[i:i + PIECE + 1])
+        w = xs if W is None else np.maximum.accumulate(np.concatenate([end, W(xs[1:])]))
+        end = w[-1:]
+        dW = np.diff(w)
         # np.sum, not a BLAS dot, whose threaded sum order follows the CPU count
         left += float(np.sum(dW * gx[:-1]))
         right += float(np.sum(dW * gx[1:]))
-        del xs, gx, dW  # so the next piece is made and read without them
-    return left, right
+        del xs, gx, w, dW  # so the next piece is made and read without them
+    return left, right, float(end[0])
 
 
-def _score_grid(d: SingleDist, cdf) -> _Grid:
-    """The ``_Grid`` of a score of item d with CDF H = ``cdf``, with W = t
-    and g = H, from min(0, support_lo) to the top of the support
-    (Q(1 - 2^-53) if unbounded), or to the float above the last jump of H
-    where that lies higher. Its table is Q at ``_COARSE_U`` and where H may
-    jump: 0, the atoms and an atomic item's ironed step levels (the top
-    level may pass the top value by rounding)."""
+def _score_grid(imap: IronedVirtualMap, cdf) -> _Grid:
+    """The ``_Grid`` of a score of item d = ``imap.dist`` with CDF H =
+    ``cdf``, with W = t and g = H, from min(0, support_lo) to the top of
+    the support (Q(1 - 2^-53) if unbounded), or to the float above the last
+    jump of H where that lies higher. Its table is Q at ``_COARSE_U`` and
+    where H may jump: 0, the atoms and the map's ironed step levels (the
+    top level may pass the top value by rounding)."""
+    d = imap.dist
     bps = d.quantile_breakpoints()
-    jumps = np.concatenate([[0.0], iron(d).levels, d.quantile(np.concatenate([bps, np.nextafter(bps, 1.0)]))])
+    jumps = np.concatenate([[0.0], imap.levels, d.quantile(np.concatenate([bps, np.nextafter(bps, 1.0)]))])
     # cut at the largest float: drops Q(1) = inf of an unbounded item
     return _Grid(d.quantile(_COARSE_U), jumps, min(0.0, d.support_lo), np.finfo(float).max, lambda t: t, cdf)
 
 
-def _score_estimate(d: SingleDist, n: int, cdf) -> Bracket:
+def _score_estimate(imap: IronedVirtualMap, n: int, cdf) -> Bracket:
     """E[S] = L + integral over t >= L of 1 - H(t), for a score S >= L =
-    min(0, support_lo) of item d with CDF H = ``cdf``.
+    min(0, support_lo) of item d = ``imap.dist`` with CDF H = ``cdf``.
 
     Bracketed by rectangles on ``_score_grid``, streamed through
     ``_stieltjes`` with W = t and g = 1 - H. On each cell [t_k, t_k+1) the
@@ -208,14 +214,14 @@ def _score_estimate(d: SingleDist, n: int, cdf) -> Bracket:
     has 1 - H <= n (1 - F), which adds n * d.tail_integral(T) to the upper
     end.
     """
-    t = _score_grid(d, cdf)
-    upper, lower = _stieltjes(t, lambda x: 1.0 - cdf(x))
-    return Bracket(float(t.x[0] + lower), float(t.x[0] + upper) + n * d.tail_integral(t.x[-1]))
+    t = _score_grid(imap, cdf)
+    upper, lower, _ = _stieltjes(t, lambda x: 1.0 - cdf(x))
+    return Bracket(float(t.x[0] + lower), float(t.x[0] + upper) + n * imap.dist.tail_integral(t.x[-1]))
 
 
-def _order_stat(d: SingleDist, n: int, G, k: int = 1, accept=None) -> Bracket:
-    """E[S] for the k-th highest S of n i.i.d. bidder scores on item d, each
-    with CDF G: S <= t iff fewer than k scores pass t, so S has CDF
+def _order_stat(imap: IronedVirtualMap, n: int, G, k: int = 1, accept=None) -> Bracket:
+    """E[S] for the k-th highest S of n i.i.d. scores on item ``imap.dist``,
+    each with CDF G: S <= t iff fewer than k scores pass t, so S has CDF
 
         H = sum_{j < k} C(n, j) G^(n-j) a^j,
 
@@ -237,14 +243,15 @@ def _order_stat(d: SingleDist, n: int, G, k: int = 1, accept=None) -> Bracket:
                 H += math.comb(n, j) * g ** (n - j) * a**j
         return H
 
-    return _score_estimate(d, n, cdf)
+    return _score_estimate(imap, n, cdf)
 
 
 def myerson_item_revenue(d: SingleDist, n: int) -> Bracket:
     """Optimal single-item revenue with n i.i.d. bidders, E[(phi_bar(max))^+],
     the highest of the n scores phi_bar^+, whose CDF is
     ``IronedVirtualMap.psi``."""
-    return _order_stat(d, n, iron(d).psi)
+    imap = iron(d)
+    return _order_stat(imap, n, imap.psi)
 
 
 def vcg_item_revenue(d: SingleDist, n: int) -> Bracket:
@@ -252,7 +259,7 @@ def vcg_item_revenue(d: SingleDist, n: int) -> Bracket:
     values], 0 for one bidder."""
     if n == 1:
         return Bracket.point(0.0)
-    return _order_stat(d, n, d.cdf, k=2)
+    return _order_stat(iron(d), n, d.cdf, k=2)
 
 
 def srev(pd: ProductDist, n: int) -> Bracket:

@@ -41,11 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from auctioncomp import revenue as revenue_mod
-from auctioncomp.benchmark import _chain_grid
 from auctioncomp.distributions import ProductDist, SingleDist, TruncatedEqualRevenue
 from auctioncomp.experiments import _hyp, top_order_stats
 from auctioncomp.revenue import (
+    _COARSE_U,
     Bracket,
+    _Grid,
     _item_sum,
     _score_grid,
     feldman_params,
@@ -421,21 +422,22 @@ def _fold_pieces(dW: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     return left, right
 
 
-def score_estimate_one_shot(d: SingleDist, n: int, cdf) -> Bracket:
+def score_estimate_one_shot(imap, n: int, cdf) -> Bracket:
     """``revenue._score_estimate`` with ``cdf`` read on the whole grid at once;
     the rectangle sums are folded over ``PIECE``-cell slices, as the package
     folds its pieces."""
-    t = _score_grid(d, cdf)[:]
+    t = _score_grid(imap, cdf)[:]
     upper, lower = _fold_pieces(np.diff(t), 1.0 - cdf(t))
-    return Bracket(float(t[0] + lower), float(t[0] + upper) + n * d.tail_integral(t[-1]))
+    return Bracket(float(t[0] + lower), float(t[0] + upper) + n * imap.dist.tail_integral(t[-1]))
 
 
-def score_estimate_two_pass(d: SingleDist, n: int, cdf) -> Bracket:
+def score_estimate_two_pass(imap, n: int, cdf) -> Bracket:
     """The two-pass bracket: ``cdf`` read at every t_k for the upper
     rectangles and again at the float below every t_k+1 (its left limit)
     for the lower ones, each sum taken whole. The one-pass bracket of
     ``revenue._score_estimate`` must be as tight, up to rounding."""
-    t = _score_grid(d, cdf)[:]
+    d = imap.dist
+    t = _score_grid(imap, cdf)[:]
     dt = np.diff(t)
     upper = float(t[0] + np.sum(dt * (1.0 - cdf(t[:-1])))) + n * d.tail_integral(t[-1])
     lower = float(t[0] + np.sum(dt * (1.0 - cdf(np.nextafter(t[1:], -np.inf)))))
@@ -574,23 +576,35 @@ def xb_cdf_near_one_decimal(n: int, ell: int, t: float) -> float:
         return float(F)
 
 
+def chain_grid_points(d: SingleDist, law) -> np.ndarray:
+    """Every point of item d's chain grid on [0, 1] at once: the ``_Grid``
+    of ``benchmark._phi_at_experiment`` run on to u = 1, with phi_bar read
+    up to the float below 1 for its weights."""
+    imap = iron(d)
+    below_one = np.nextafter(1.0, 0.0)
+    grid = _Grid(_COARSE_U, np.append(imap.knots, d.quantile_breakpoints()), 0.0, 1.0, law.cdf,
+                 lambda u: imap.at_quantile(np.minimum(u, below_one)))
+    return grid[:]
+
+
 def phi_at_experiment_one_shot(pd: ProductDist, law) -> Bracket:
-    """``benchmark._phi_at_experiment`` with phi_bar read on each item's
-    whole grid at once."""
+    """``benchmark._phi_at_experiment`` as the whole-grid rule: each item's
+    grid on [0, 1] made at once (``chain_grid_points``), F the running
+    maximum of ``law.cdf`` on it, the rectangle sums on all points but 1
+    folded over ``PIECE``-cell slices, and the top cell (u_K, 1) added."""
 
     def item(d: SingleDist):
-        u, _ = _chain_grid(d, law)
-        F = law.cdf(u)
-        F[0], F[-1] = 0.0, 1.0
-        dF = np.diff(np.maximum.accumulate(F))
+        u = chain_grid_points(d, law)
+        F = np.maximum.accumulate(law.cdf(u))
+        top = float(F[-1] - F[-2])
         imap = iron(d)
         phi = imap.at_quantile(u)
-        lower, upper = _fold_pieces(dF[:-1], phi[:-1])
-        lower += float(dF[-1] * phi[-2])
+        lower, upper = _fold_pieces(np.diff(F[:-1]), phi[:-1])
+        lower += top * float(phi[-2])
         if math.isfinite(d.support_hi):
-            upper += float(dF[-1] * phi[-1])
+            upper += top * float(phi[-1])
         else:
-            upper += float(dF[-1] * phi[-2]) + law.tail_constant * d.tail_integral(float(d.quantile(u[-2])))
+            upper += top * float(phi[-2]) + law.tail_constant * d.tail_integral(float(d.quantile(u[-2])))
         return Bracket(lower, upper)
 
     return _item_sum(pd.marginals, item)
@@ -607,7 +621,7 @@ def phi_at_experiment_two_read(pd: ProductDist, law) -> Bracket:
     def item(d: SingleDist):
         imap = iron(d)
         steps = np.append(imap.knots, d.quantile_breakpoints())
-        u = _sorted_distinct(_chain_grid(d, law)[0])
+        u = _sorted_distinct(chain_grid_points(d, law))
         beside = np.concatenate([np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)])
         u = u[~np.isin(u, beside) | np.isin(u, steps)]
         F = law.cdf(u)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import auctioncomp.cli  # noqa: F401  (binds iron, which the count must see)
 from auctioncomp import benchmark as benchmark_mod
 from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import (
@@ -244,18 +245,36 @@ def test_chain_bracket_ordered_on_a_cell_with_no_float_inside():
         assert est.hi > 0.0 and est.lo == 0.0  # phi_bar >= 0
 
 
-def test_xl_chain_peak_memory():
-    # one CDF table on ~33k quantiles, evaluated in blocks of BLOCK floats;
-    # 10^6 Monte Carlo draws per item peaked at 39 MB
-    pd = ProductDist((Uniform(0, 1),) * 16)
-    xl_chain_bound(pd, 2)  # iron and build the nodes outside the measurement
+def _traced_peak(fn):
+    fn()  # build what a first call builds outside the measurement
     tracemalloc.start()
     try:
-        xl_chain_bound(pd, 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("chain", ["xl", "xb"])
+def test_chain_working_set_does_not_depend_on_the_point_count(chain, monkeypatch):
+    # the chain is walked piece by piece: its grid's table and one piece of
+    # temporaries, whatever the count of points (a whole-grid u and F table
+    # grew 2.5x from 50 000 to 200 000 cells)
+    pd = ProductDist((Uniform(0, 1),) * 4)
+    bound = (lambda: xl_chain_bound(pd, 2)) if chain == "xl" else (lambda: xb_chain_bound(pd, 2, 2))
+    peaks = []
+    for cells in (50_000, 200_000):
+        monkeypatch.setattr(revenue_mod, "_QUAD_CELLS", cells)
+        peaks.append(_traced_peak(bound))
+    assert peaks[1] <= 1.1 * peaks[0], [p / 2**20 for p in peaks]
+
+
+def test_xl_chain_peak_memory():
+    # the grid's table and the temporaries of one piece of PIECE points;
+    # 10^6 Monte Carlo draws per item peaked at 39 MB
+    pd = ProductDist((Uniform(0, 1),) * 16)
+    peak = _traced_peak(lambda: xl_chain_bound(pd, 2))
+    assert peak <= 2 * 2**20, peak / 2**20
 
 
 def test_exact_estimates_same_bits_for_any_blas_thread_count():
@@ -367,9 +386,9 @@ def test_each_distinct_marginal_estimated_once(monkeypatch):
     score_estimate = revenue_mod._score_estimate
     at_quantile = IronedVirtualMap.at_quantile
 
-    def counted_score_estimate(d, *args):
-        calls.append(d)
-        return score_estimate(d, *args)
+    def counted_score_estimate(imap, *args):
+        calls.append(imap.dist)
+        return score_estimate(imap, *args)
 
     def counted_at_quantile(imap, u):
         calls.append(imap.dist)
@@ -382,6 +401,31 @@ def test_each_distinct_marginal_estimated_once(monkeypatch):
         PER_ITEM_SUMS[name](REPEATS)
         # one unbroken run of reads per distinct marginal
         assert [d for d, _ in groupby(calls)] == distinct, name
+
+
+def test_each_distinct_item_ironed_once_per_call(monkeypatch):
+    # a sum over items irons each distinct item once and passes its map
+    # down to every integral that reads it
+    pd = ProductDist(tuple(parse_dist(s) for s in (IRREGULAR, "exp:1", "uniform:0,1")))
+    ironed = []
+
+    def counted(d):
+        ironed.append(d)
+        return iron(d)
+
+    bindings = [m for name, m in sys.modules.items() if name.split(".")[0] == "auctioncomp"
+                and getattr(m, "iron", None) is iron]
+    assert {m.__name__ for m in bindings} >= {"auctioncomp.virtual", "auctioncomp.revenue",
+                                              "auctioncomp.benchmark", "auctioncomp.cli"}
+    for m in bindings:
+        monkeypatch.setattr(m, "iron", counted)
+    calls = {"efftw": lambda: efftw_bound(pd, 4), "obs1": lambda: obs1_bound(pd, 4), "srev": lambda: srev(pd, 4),
+             "vcg": lambda: vcg(pd, 4), "xl_chain": lambda: xl_chain_bound(pd, 4),
+             "xb_chain": lambda: xb_chain_bound(pd, 4, 2)}
+    for name, call in calls.items():
+        ironed.clear()
+        call()
+        assert ironed == list(pd.marginals), name
 
 
 def test_efftw_single_item_equals_myerson():

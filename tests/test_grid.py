@@ -39,14 +39,12 @@ def _score_grids():
         d = parse_dist(spec)
         for n in (1, 2, 5, 4096):
             for name, cdf in _score_cdfs(d, n).items():
-                yield (spec, n, name), d, cdf, _score_grid(d, cdf)
+                yield (spec, n, name), d, cdf, _score_grid(iron(d), cdf)
 
 
-@functools.cache
-def _chain_grids():
-    """((product, item, law), grid): the ``_Grid`` that ``_chain_grid`` makes
-    for each distinct item of ``PRODUCTS`` under X_L(2, m), X_L(4096, m) and
-    X_B(19, 4)."""
+def _chain_grid(d, law):
+    """The ``_Grid`` that ``benchmark._phi_at_experiment`` makes for item d
+    under ``law``."""
     made = []
 
     class Kept(_Grid):
@@ -56,11 +54,20 @@ def _chain_grids():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(benchmark_mod, "_Grid", Kept)
-        for name, specs in PRODUCTS.items():
-            for d in dict.fromkeys(parse_dist(s) for s in specs):
-                for law in (XL(2, len(specs)), XL(4096, len(specs)), XB(19, 4)):
-                    benchmark_mod._chain_grid(d, law)
-                    made[-1] = ((name, d.spec(), law), made[-1])
+        benchmark_mod._phi_at_experiment(ProductDist((d,)), law)
+    (grid,) = made
+    return grid
+
+
+@functools.cache
+def _chain_grids():
+    """((product, item, law), grid): the chain ``_Grid`` of each distinct
+    item of ``PRODUCTS`` under X_L(2, m), X_L(4096, m) and X_B(19, 4)."""
+    made = []
+    for name, specs in PRODUCTS.items():
+        for d in dict.fromkeys(parse_dist(s) for s in specs):
+            for law in (XL(2, len(specs)), XL(4096, len(specs)), XB(19, 4)):
+                made.append(((name, d.spec(), law), _chain_grid(d, law)))
     return tuple(made)
 
 
@@ -87,13 +94,14 @@ def test_score_grids_are_nondecreasing_and_hold_every_jump():
 @pytest.mark.parametrize("name", list(PRODUCTS))
 def test_chain_grids_are_nondecreasing_and_hold_every_jump(name):
     pd = ProductDist(tuple(parse_dist(s) for s in PRODUCTS[name]))
+    u_K = np.nextafter(1.0, 0.0)
     for d in dict.fromkeys(pd.marginals):
         steps = np.append(iron(d).knots, d.quantile_breakpoints())
         for law in (XL(2, pd.m), XL(4096, pd.m), XB(19, 4)):
-            u, F = benchmark_mod._chain_grid(d, law)
-            assert u[0] == 0.0 and u[-2] == np.nextafter(1.0, 0.0) and u[-1] == 1.0
-            assert np.all(np.diff(u) >= 0.0) and np.all(np.diff(F) >= 0.0)
-            assert _holds_with_neighbours(u, steps, 0.0, 1.0), (name, d.spec(), law)
+            u = _chain_grid(d, law)[:]
+            assert u[0] == 0.0 and u[-1] == u_K  # the walk stops below the top cell
+            assert np.all(np.diff(u) >= 0.0)
+            assert _holds_with_neighbours(u, steps, 0.0, u_K), (name, d.spec(), law)
 
 
 @pytest.mark.parametrize("size", [64, PIECE])
@@ -144,14 +152,14 @@ def test_myerson_on_er_reads_its_score_cdf_once_per_table_point(monkeypatch):
     reads, tables = [], []
     score_estimate = revenue_mod._score_estimate
 
-    def counted(d, n, cdf):
-        tables.append(_score_grid(d, cdf).x.size)
+    def counted(imap, n, cdf):
+        tables.append(_score_grid(imap, cdf).x.size)
 
         def read(t):
             reads.append(np.size(t))
             return cdf(t)
 
-        return score_estimate(d, n, read)
+        return score_estimate(imap, n, read)
 
     monkeypatch.setattr(revenue_mod, "_score_estimate", counted)
     myerson_item_revenue(d, n)
@@ -187,11 +195,15 @@ def test_point_count_is_the_cells_plus_the_table():
 
 
 def test_stieltjes_over_a_whole_number_of_pieces_equals_one_shot():
+    # W is made monotone by its running maximum, carried across the pieces:
+    # the sums and W_K of reading it on the whole array at once
     rng = np.random.default_rng(5)
     x = np.sort(rng.random(2 * PIECE + 1))
-    W = np.cumsum(rng.random(x.size))
-    got = _stieltjes(x, np.exp, W)
-    assert got == _fold_pieces(np.diff(W), np.exp(x))
+    W = lambda t: np.sin(40.0 * t) + t
+    want_W = np.maximum.accumulate(W(x))
+    assert np.any(np.diff(W(x)) < 0.0)
+    assert _stieltjes(x, np.exp, W) == _fold_pieces(np.diff(want_W), np.exp(x)) + (want_W[-1],)
+    assert _stieltjes(x, np.exp) == _fold_pieces(np.diff(x), np.exp(x)) + (x[-1],)
 
 
 def _pd(spec, m):
@@ -230,6 +242,6 @@ def test_chain_width_near_the_cauchy_schwarz_floor(spec):
     u = np.concatenate([np.linspace(0.0, 1.0, 2**20 + 1), 1.0 - np.exp2(-np.arange(53 * 256 + 1) / 256)])
     u = np.unique(u)[:-1]
     floor = m * np.sum(np.sqrt(np.diff(law.cdf(u)) * np.diff(phi(u)))) ** 2
-    cells = len(benchmark_mod._chain_grid(parse_dist(spec), law)[0]) - 2
+    cells = _chain_grid(parse_dist(spec), law).size - 1
     half_width = xl_chain_bound(_pd(spec, m), n).half
     assert floor / (2 * cells) <= half_width <= 1.05 * floor / (2 * cells)

@@ -58,7 +58,7 @@ def test_score_estimates_same_bits_as_one_shot(spec, cells, monkeypatch):
     d = parse_dist(spec)
     pd = ProductDist((d, parse_dist(IRREGULAR)))
     for n in (1, 2, 5):
-        grid = revenue_mod._score_grid(d, lambda t: iron(d).psi(t) ** n)
+        grid = revenue_mod._score_grid(iron(d), lambda t: iron(d).psi(t) ** n)
         if spec.startswith(("er:", "point:", "discrete:")):
             # psi^n is a step function: its weight sits in one-ulp cells, so
             # its grid is its table
@@ -151,7 +151,7 @@ def test_atomic_brackets_hold_exact_order_stats(spec, thin, cells, monkeypatch):
 
     widths = []
     for n in (1, 2, 5):
-        cases = [(lambda F: F**n, _score_estimate(d, n, lambda t: d.cdf(t) ** n))]
+        cases = [(lambda F: F**n, _score_estimate(iron(d), n, lambda t: d.cdf(t) ** n))]
         if n > 1:
             cases.append((lambda F: F**n + n * F ** (n - 1) * (1 - F), vcg_item_revenue(d, n)))
         for law, est in cases:
@@ -162,13 +162,16 @@ def test_atomic_brackets_hold_exact_order_stats(spec, thin, cells, monkeypatch):
         assert max(widths) > 1e-6  # the thinned grid does read the jumps late
 
 
-@pytest.mark.parametrize("name", list(PRODUCTS))
+@pytest.mark.parametrize("name", list(PRODUCTS) + ["er:1e16"])
 def test_chain_bounds_same_bits_as_one_shot(name, cells, monkeypatch):
-    pd = ProductDist(tuple(parse_dist(s) for s in PRODUCTS[name]))
+    # the chain walks its grid piece by piece up to u_K = 1 - 2^-53, carrying
+    # F's running maximum; the whole-grid rule makes u on [0, 1] and its F
+    # table at once: the brackets are equal, bit for bit
+    pd = ProductDist(tuple(parse_dist(s) for s in PRODUCTS.get(name, [name])))
 
     def estimates():
-        return [xl_chain_bound(pd, 2), xl_chain_bound(pd, 9),
-                xb_chain_bound(pd, 3, 2), xb_chain_bound(pd, 6, 6)]
+        return ([xl_chain_bound(pd, n) for n in (2, 9, 64, 4096)]
+                + [xb_chain_bound(pd, n, ell) for n, ell in [(3, 2), (6, 6), (6, 2), (20, 3), (4096, 47)]])
 
     got = estimates()
     with monkeypatch.context() as mp:
