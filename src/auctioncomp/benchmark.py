@@ -16,13 +16,14 @@ whatever the marginals, so each item's scores are i.i.d. across bidders with
 a closed-form CDF (``_region_score_cdf``): the benchmark is the mean of
 their highest, and ``obs1_bound`` of the value's rank-2 rule with its own
 chance of passing; both are exact 1-D integrals of the one order-statistic
-rule (``revenue._order_stat``), each handed the item's one ironed map.
-``obs1_bound`` takes no item with support_lo < 0, where it need not bound
-the benchmark. The chain bounds are exact too: each distinct item's
-E[phi_bar(X)] is bracketed by the score integrals' rule (``revenue._Grid``
-and ``revenue._stieltjes``), walked piece by piece on the item's quantile
-grid with the CDF of the experiment (``experiments.XL`` / ``XB``) read on
-each piece. ``assign_regions``, an argmax over the items, is the region
+rule (``revenue._order_stat``), each reading the item's own psi
+(``SingleDist.psi``). ``obs1_bound`` and the chain bounds take no item
+with support_lo < 0, where they need not bound the benchmark; one check
+(``_need_support_at_least_0``) serves the three. The chain bounds are
+exact too: each distinct item's E[phi_bar(X)] is bracketed by the score
+integrals' rule (``revenue._Grid`` and ``revenue._stieltjes``), walked
+piece by piece on the item's quantile grid with the CDF of the experiment
+(``experiments.XL`` / ``XB``) read on each piece. ``assign_regions``, an argmax over the items, is the region
 rule of the Monte Carlo oracles in the tests.
 
 No bound reads a sample count or a seed; the trailing ``N`` and ``seed``
@@ -39,7 +40,6 @@ import numpy as np
 from .distributions import ProductDist, SingleDist
 from .experiments import XB, XL
 from .revenue import _COARSE_U, Bracket, _Grid, _item_sum, _order_stat, _stieltjes
-from .virtual import iron
 
 __all__ = [
     "assign_regions",
@@ -83,13 +83,15 @@ def _region_score_cdf(d: SingleDist, m: int, psi):
 def efftw_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     """The quantile-region revenue benchmark, exact: per item, the highest
     of n scores ``_region_score_cdf``, whose region terms are phi_bar^+, with
-    the law ``IronedVirtualMap.psi``."""
+    the law ``SingleDist.psi``."""
+    return _item_sum(pd.marginals, lambda d: _order_stat(d, n, _region_score_cdf(d, pd.m, d.psi)))
 
-    def item(d):
-        imap = iron(d)
-        return _order_stat(imap, n, _region_score_cdf(d, pd.m, imap.psi))
 
-    return _item_sum(pd.marginals, item)
+def _need_support_at_least_0(pd: ProductDist) -> None:
+    """Reject an item with support_lo < 0, where the chain past the
+    benchmark need not bound it."""
+    if min(d.support_lo for d in pd.marginals) < 0:
+        raise ValueError("the chain needs every item's support_lo >= 0; below 0 it need not bound the benchmark")
 
 
 def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
@@ -112,20 +114,19 @@ def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     """
     if n < 2:
         raise ValueError("need n >= 2 (uses the second-highest value)")
-    if min(d.support_lo for d in pd.marginals) < 0:
-        raise ValueError("obs1 needs every item's support_lo >= 0; below 0 it need not bound the benchmark")
+    _need_support_at_least_0(pd)
     m = pd.m
 
     def item(d):
-        imap = iron(d)
-        return _order_stat(imap, n, d.cdf, k=2, accept=lambda t, F: np.maximum(imap.psi(t) ** m - F**m, 0.0) / m)
+        return _order_stat(d, n, d.cdf, k=2, accept=lambda t, F: np.maximum(d.psi(t) ** m - F**m, 0.0) / m)
 
     return _item_sum(pd.marginals, item)
 
 
 def _phi_at_experiment(pd: ProductDist, law) -> Bracket:
     """Sum over items of E[phi_bar_j(X)] for an experiment quantile X of
-    ``law`` (an ``XL`` or ``XB``), exact; no positive part.
+    ``law`` (an ``XL`` or ``XB``), exact; no positive part. Every item's
+    support_lo must be >= 0 (``_need_support_at_least_0``).
 
     ``revenue._stieltjes`` walks each distinct item's ``revenue._Grid``
     from 0 to u_K = 1 - 2^-53 (points spread by sqrt(dF dphi_bar) from
@@ -144,14 +145,14 @@ def _phi_at_experiment(pd: ProductDist, law) -> Bracket:
     D = ``law.tail_constant``.
     Working set: the grid's table and the temporaries of one piece.
     """
+    _need_support_at_least_0(pd)
 
     def item(d: SingleDist):
-        imap = iron(d)
         u_K = np.nextafter(1.0, 0.0)
-        grid = _Grid(_COARSE_U, np.append(imap.knots, d.quantile_breakpoints()), 0.0, u_K, law.cdf, imap.at_quantile)
-        lower, upper, F_K = _stieltjes(grid, imap.at_quantile, law.cdf)
+        grid = _Grid(_COARSE_U, np.append(d.knots, d.quantile_breakpoints()), 0.0, u_K, law.cdf, d.phi_bar)
+        lower, upper, F_K = _stieltjes(grid, d.phi_bar, law.cdf)
         top = max(float(law.cdf(1.0)), F_K) - F_K
-        at_top, at_one = imap.at_quantile([u_K, 1.0]).tolist()
+        at_top, at_one = d.phi_bar([u_K, 1.0]).tolist()
         lower += top * at_top
         if math.isfinite(d.support_hi):
             upper += top * at_one

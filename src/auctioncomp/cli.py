@@ -28,7 +28,6 @@ from . import repro as repro_mod
 from . import revenue as rev_mod
 from .distributions import ProductDist, TruncatedEqualRevenue, parse_dist
 from .rng import need_samples
-from .virtual import iron
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -82,7 +81,6 @@ def _config(args, **extra) -> dict:
 
 def cmd_virtual(args) -> int:
     d = parse_dist(args.dist)
-    imap = iron(d)
     if args.quantile is not None:
         probes = [args.quantile]
     else:
@@ -91,11 +89,11 @@ def cmd_virtual(args) -> int:
         {
             "quantile": u,
             "value": float(np.asarray(d.quantile(u))),
-            "phi_bar": float(np.asarray(imap.at_quantile(u))),
+            "phi_bar": float(np.asarray(d.phi_bar(u))),
         }
         for u in probes
     ]
-    _emit(_config(args, regular=imap.regular), rows, args)
+    _emit(_config(args, regular=d.regular), rows, args)
     return EXIT_OK
 
 
@@ -106,7 +104,7 @@ def cmd_revenue(args) -> int:
     if args.mech == "myerson":
         row = vars(rev_mod.myerson_item_revenue(parse_dist(args.dist), n))
     elif args.mech in ("vcg", "srev"):
-        pd = ProductDist(tuple(parse_dist(args.dist) for _ in range(args.m)))
+        pd = ProductDist((parse_dist(args.dist),) * args.m)
         row = vars((rev_mod.vcg if args.mech == "vcg" else rev_mod.srev)(pd, n))
     elif args.mech == "feldman":
         d = parse_dist(args.dist)
@@ -126,10 +124,7 @@ def _little_n_extra(n: int, m: int) -> float:
 
 
 def cmd_benchmark(args) -> int:
-    marginals = tuple(parse_dist(s) for s in args.dist)
-    if args.chain and min(d.support_lo for d in marginals) < 0:
-        raise ValueError("--chain needs every item's support_lo >= 0; below 0 the chain need not hold")
-    pd = ProductDist(marginals)
+    pd = ProductDist(tuple(parse_dist(s) for s in args.dist))
     n, m, N = args.n, pd.m, args.samples
     # the bounds read no N; the tracer counts it (README, "Pinned by `bench/`")
     chain = [("efftw", bench_mod.efftw_bound(pd, n, N))]
@@ -185,9 +180,11 @@ def cmd_reproduce(args) -> int:
         results = [repro_mod.run_claim(args.claim, args.seed)]
     rows = []
     for r in results:
-        # runtime deliberately excluded: artifacts must be byte-identical
+        # the verdict's five keys, then the claim's details; runtime
+        # deliberately excluded: artifacts must be byte-identical
         print(f"{r.name}: {r.runtime:.2f}s", file=sys.stderr)
-        rows.append({key: getattr(r, key) for key in ("name", "computed", "target", "tolerance", "passed")})
+        rows.append({**{key: getattr(r, key) for key in ("name", "computed", "target", "tolerance", "passed")},
+                     **r.details})
     _emit(_config(args), rows, args)
     return EXIT_OK if all(r.passed for r in results) else EXIT_CLAIM
 

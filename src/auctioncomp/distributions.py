@@ -7,10 +7,21 @@ so quantiles are randomized at atoms and stay uniform on [0, 1].
 
 Supported kinds: uniform, exponential, equal-revenue truncated at p (CDF
 1 - 1/x on [1, p) with an atom of mass 1/p at p), and finite discrete, of
-which a point mass (``point:v``) is the one-atom case. Each kind also
-carries its raw Myerson virtual value (``raw_virtual``), in closed form
-where one exists, and the regular ones its CDF (``raw_virtual_cdf``).
-Instances are immutable and safe to share across threads.
+which a point mass (``point:v``) is the one-atom case. Instances are
+immutable and safe to share across threads.
+
+Each kind also carries its ironed Myerson virtual value in quantile space,
+``phi_bar(u)``, and ``psi(t)``, the CDF of phi_bar(U)^+ for a uniform U,
+which the exact revenue and benchmark integrals read. Kinds with a density
+are regular in closed form: phi_bar is their nondecreasing raw virtual
+value v - (1 - F(v)) / f(v) at v = Q(u), and psi inverts it. A finite
+discrete kind has a revenue curve R(u) = (1 - u) * Q(u) that is linear
+between its breakpoints, so its least concave majorant is the hull of the
+corners {0, interior breakpoints, 1}, built once by the constructor, and
+phi_bar is the (negated) slope of the hull's segments: a step function with
+at most one level per atom, ``levels[searchsorted(knots, u, "right")]``.
+Corners are deduplicated by ``_sorted_distinct``, not ``np.unique``, whose
+first call imports all of ``numpy.ma``.
 
 ``ProductDist.sample_profiles`` returns valuation profiles item-major, with
 shape (m, n_bidders, n_profiles): each item's (bidder, profile) slab is
@@ -35,6 +46,10 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+REGULARITY_TOL = 1e-9
+
+_NO_STEPS = np.empty(0)
+_NO_STEPS.flags.writeable = False
 
 
 def _need_finite(*params) -> None:
@@ -44,10 +59,17 @@ def _need_finite(*params) -> None:
 
 
 class SingleDist:
-    """Base class for one-dimensional value distributions."""
+    """Base class for one-dimensional value distributions.
+
+    ``knots`` and ``levels`` are the steps of phi_bar, read-only, and
+    ``regular`` says whether the revenue curve is concave; a kind with a
+    density has no steps and is regular.
+    """
 
     support_lo: float
     support_hi: float
+    knots = levels = _NO_STEPS
+    regular = True
 
     def cdf(self, x):
         """Pr[X <= x]; clamps to 0/1 outside the support."""
@@ -64,22 +86,21 @@ class SingleDist:
     def _quantile(self, q):
         raise NotImplementedError
 
-    def raw_virtual(self, v):
-        """Raw virtual value v - (1 - F(v)) / f(v), elementwise.
+    def phi_bar(self, u):
+        """Ironed virtual value of the value at quantile u."""
+        raise NotImplementedError
 
-        Every kind with a density overrides it in closed form; the atoms of
-        purely atomic distributions have none.
-        """
-        raise ValueError("raw virtual value undefined at atoms of discrete distributions")
+    def psi(self, t):
+        """sup{u : phi_bar(u)^+ <= t}, the CDF of phi_bar(U)^+ for uniform U."""
+        t = np.asarray(t, dtype=float)
+        return np.where(t < 0, 0.0, self._psi(t))
+
+    def _psi(self, t):
+        raise NotImplementedError
 
     def tail_integral(self, t: float) -> float:
         """Integral of Pr[X > s] over s >= t; unbounded kinds override it."""
         return 0.0 if t >= self.support_hi else math.inf
-
-    @property
-    def purely_atomic(self) -> bool:
-        """True when all mass sits on atoms (quantile is a step function)."""
-        return False
 
     def quantile_breakpoints(self):
         """Where the quantile jumps: Pr[X < a] for each atom a above support_lo."""
@@ -114,12 +135,10 @@ class Uniform(SingleDist):
     def _quantile(self, q):
         return self.lo + q * (self.hi - self.lo)
 
-    def raw_virtual(self, v):
-        if np.any(v < self.lo) or np.any(v > self.hi):
-            raise ValueError("value outside support")
-        return 2.0 * v - self.hi
+    def phi_bar(self, u):
+        return 2.0 * self.quantile(u) - self.hi
 
-    def raw_virtual_cdf(self, t):
+    def _psi(self, t):
         return self.cdf((t + self.hi) / 2.0)
 
     def spec(self):
@@ -148,12 +167,10 @@ class Exponential(SingleDist):
         with np.errstate(divide="ignore"):
             return -np.log1p(-q) / self.rate
 
-    def raw_virtual(self, v):
-        if np.any(v < 0):
-            raise ValueError("value outside support")
-        return v - 1.0 / self.rate
+    def phi_bar(self, u):
+        return self.quantile(u) - 1.0 / self.rate
 
-    def raw_virtual_cdf(self, t):
+    def _psi(self, t):
         return self.cdf(t + 1.0 / self.rate)
 
     def tail_integral(self, t: float) -> float:  # for t >= 0
@@ -191,13 +208,11 @@ class TruncatedEqualRevenue(SingleDist):
             body = 1.0 / (1.0 - np.minimum(q, self._jump))
         return np.where(q > self._jump, self.p, np.minimum(body, self.p))
 
-    def raw_virtual(self, v):
-        if np.any(v < 1) or np.any(v > self.p):
-            raise ValueError("value outside support")
-        # 0 on the continuous part, p at the truncation atom.
-        return np.where(v >= self.p, self.p, 0.0)
+    def phi_bar(self, u):
+        # 0 on the continuous part, p at the truncation atom
+        return np.where(self.quantile(u) >= self.p, self.p, 0.0)
 
-    def raw_virtual_cdf(self, t):
+    def _psi(self, t):
         return np.where(t >= self.p, 1.0, np.where(t >= 0, self._jump, 0.0))
 
     def quantile_breakpoints(self):
@@ -234,6 +249,35 @@ class FiniteDiscrete(SingleDist):
         object.__setattr__(self, "_held", (held[0], held[-1]))
         object.__setattr__(self, "support_lo", float(vals[held[0]]))
         object.__setattr__(self, "support_hi", float(vals[held[-1]]))
+        self._hull()
+
+    def _hull(self) -> None:
+        """Set ``knots``, ``levels`` and ``regular`` from the hull of the
+        revenue corners; reject a hull slope that overflows."""
+        bps = self.quantile_breakpoints()
+        corners = _sorted_distinct(np.concatenate([[0.0, 1.0], bps[(bps > 0) & (bps < 1)]]))
+        # the quantile read right-continuously: at a breakpoint the revenue point
+        # is the upper corner of the jump, the one the hull must see
+        revenue = (1.0 - corners) * self.quantile(np.nextafter(corners, 1.0))
+
+        hull_idx = _upper_concave_envelope(corners, revenue)
+        hull_u, hull_r = corners[hull_idx], revenue[hull_idx]
+        regular = bool(np.max(np.interp(corners, hull_u, hull_r) - revenue) <= REGULARITY_TOL)
+
+        # one slope per hull segment; bit-equal neighbours are one step
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            slopes = np.maximum.accumulate(-np.diff(hull_r) / np.diff(hull_u))  # absorb fp noise only
+        if not np.isfinite(slopes).all():
+            raise ValueError(f"ironing {self.spec()} overflows: a hull slope is not finite")
+        bits = slopes.view(np.int64)
+        change = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        knots = hull_u[change]
+        levels = np.concatenate([slopes[:1], slopes[change]])
+        knots.flags.writeable = False
+        levels.flags.writeable = False
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "regular", regular)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -246,9 +290,12 @@ class FiniteDiscrete(SingleDist):
         idx = np.searchsorted(self._cum, q, side="left")
         return self._vals[np.clip(idx, *self._held)]
 
-    @property
-    def purely_atomic(self):
-        return True
+    def phi_bar(self, u):
+        return self.levels[np.searchsorted(self.knots, np.asarray(u, dtype=float), side="right")]
+
+    def _psi(self, t):
+        edges = np.concatenate([[0.0], self.knots, [1.0]])
+        return edges[np.searchsorted(self.levels, t, side="right")]
 
     def quantile_breakpoints(self):
         return self._cum[:-1].copy()
@@ -289,6 +336,36 @@ class ProductDist:
         for j, d in enumerate(self.marginals):
             v[j] = d.quantile(q[j])
         return v, q
+
+
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a NaN-free x, as ``np.unique`` gives
+    them, without the import of ``numpy.ma`` that ``np.unique`` makes."""
+    x = np.sort(x)
+    if x.size:
+        x = x[np.concatenate([[True], x[1:] != x[:-1]])]
+    return x
+
+
+def _upper_concave_envelope(u: np.ndarray, r: np.ndarray) -> list[int]:
+    """Indices of the vertices of the least concave majorant of (u, r).
+
+    Runs over Python floats: the same IEEE-754 double arithmetic as numpy
+    scalars, without the cost of indexing an array one element at a time.
+    """
+    u, r = u.tolist(), r.tolist()
+    hull: list[int] = []
+    for i, (ui, ri) in enumerate(zip(u, r)):
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            # drop i1 if it lies (weakly) below chord i0 -> i
+            cross = (u[i1] - u[i0]) * (ri - r[i0]) - (ui - u[i0]) * (r[i1] - r[i0])
+            if cross >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
 
 
 def _fmt(x) -> str:

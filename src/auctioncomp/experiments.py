@@ -56,6 +56,7 @@ block returns integer counts, which the loop adds (``rng.estimate``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -335,6 +336,11 @@ class XL:
         or x1 <= u with W_2 > u (at most E[(1 - u)/(1 - X_(2))] = n (1 - u))."""
         return 2 * self.n + self.m - 1
 
+    @functools.cached_property
+    def _coefficients(self):
+        """``_xl_coefficients(n, m)``, built once per law."""
+        return _xl_coefficients(self.n, self.m)
+
     def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.n == 1:
             return _top_or_exceeder(top_order_stats(1, 1, rng, size)[0], self.m, rng)
@@ -397,7 +403,7 @@ class XL:
             return _piecewise_cdf(t, ((lambda x: x > 0.0, lambda x: _horner(c, x)),))
         if m == 1:
             return XB(n, 2).cdf(t)
-        C, h1, h2, g = _xl_coefficients(n, m)
+        C, h1, h2, g = self._coefficients
         split = max(0.5, 2.0 ** (-1022.0 / (n - 1)))  # t^(n-1) is normal above it
 
         def series(x):

@@ -37,7 +37,6 @@ from .revenue import (
     vcg,
 )
 from .rng import substream
-from .virtual import iron
 
 __all__ = [
     "ReproResult",
@@ -80,7 +79,7 @@ def er_order_stat(x: int, y: int, p: float = 1e4) -> Bracket:
     if not 2 <= x <= y:
         raise ValueError("need 2 <= x <= y")
     d = TruncatedEqualRevenue(p)
-    return _order_stat(iron(d), y, d.cdf, k=x)
+    return _order_stat(d, y, d.cdf, k=x)
 
 
 def er_offregion_items(n: int, m: int, p: float) -> list[Bracket]:
@@ -91,7 +90,7 @@ def er_offregion_items(n: int, m: int, p: float) -> list[Bracket]:
     brackets are one.
     """
     d = TruncatedEqualRevenue(p)
-    return [_order_stat(iron(d), n, _region_score_cdf(d, m, lambda t: (t >= 0).astype(float)))] * m
+    return [_order_stat(d, n, _region_score_cdf(d, m, lambda t: (t >= 0).astype(float)))] * m
 
 
 def er_benchmark_decomposition(n: int, m: int, p: float):

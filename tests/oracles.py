@@ -28,7 +28,11 @@ out at its own site as the package once wrote it (Myerson's psi^n, VCG's
 F^n + n F^(n-1) (1 - F), the benchmark's G^n, obs1's and the equal-revenue
 order statistic's binomial sum), is the reference for the one
 order-statistic rule that now forms them all, and the running-maximum
-region loop is the reference for the region rule's argmax.
+region loop is the reference for the region rule's argmax. The raw virtual
+value v - (1 - F(v)) / f(v) of each kind with a density, and its CDF, in
+closed form (``raw_virtual``, ``raw_virtual_cdf``), with the steps of the
+reference hull for an atomic kind, are the reference for each item's own
+``phi_bar`` and ``psi``.
 """
 
 from __future__ import annotations
@@ -41,7 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from auctioncomp import revenue as revenue_mod
-from auctioncomp.distributions import ProductDist, SingleDist, TruncatedEqualRevenue
+from auctioncomp.distributions import (
+    Exponential,
+    FiniteDiscrete,
+    ProductDist,
+    SingleDist,
+    TruncatedEqualRevenue,
+    Uniform,
+    _sorted_distinct,
+)
 from auctioncomp.experiments import _hyp, top_order_stats
 from auctioncomp.revenue import (
     _COARSE_U,
@@ -55,7 +67,6 @@ from auctioncomp.revenue import (
     vcg_item_revenue,
 )
 from auctioncomp.rng import BLOCK, PIECE, batch_sizes, map_batches, substream
-from auctioncomp.virtual import _sorted_distinct, iron
 
 
 def upper_concave_envelope_indexed(u: np.ndarray, r: np.ndarray) -> list[int]:
@@ -104,10 +115,10 @@ def _hull_steps(u: np.ndarray, r: np.ndarray, vertex: np.ndarray, tol: float):
 
 
 def iron_reference(d: SingleDist, tol: float = 1e-9):
-    """(knots, levels, regular) of ``virtual.iron(d)``: no steps and regular
-    for a kind with a density; for a purely atomic d, the hull of its
-    revenue corners (``np.unique`` of 0, 1 and the interior breakpoints)."""
-    if not d.purely_atomic:
+    """(knots, levels, regular) of d: no steps and regular for a kind with a
+    density; for a finite discrete d, the hull of its revenue corners
+    (``np.unique`` of 0, 1 and the interior breakpoints)."""
+    if not isinstance(d, FiniteDiscrete):
         return np.empty(0), np.empty(0), True
     bps = d.quantile_breakpoints()
     corners = np.unique(np.concatenate([[0.0, 1.0], bps[(bps > 0) & (bps < 1)]]))
@@ -117,13 +128,60 @@ def iron_reference(d: SingleDist, tol: float = 1e-9):
 
 def iron_on_grid(d: SingleDist, K: int, tol: float = 1e-9):
     """(knots, levels, regular) of the hull of ``revenue_curve(d, K)``, the
-    tabulated construction: a purely atomic d is judged at its corners only,
-    since between them the tabulated curve is no price's revenue."""
+    tabulated construction: a finite discrete d is judged at its corners
+    only, since between them the tabulated curve is no price's revenue."""
     grid, revenue = revenue_curve(d, K)
     vertex = np.ones(grid.size, dtype=bool)
-    if d.purely_atomic:
+    if isinstance(d, FiniteDiscrete):
         vertex = np.isin(grid, np.concatenate([[0.0, 1.0], d.quantile_breakpoints()]))
     return _hull_steps(grid, revenue, vertex, tol)
+
+
+def raw_virtual(d: SingleDist, v):
+    """The raw virtual value v - (1 - F(v)) / f(v) of a kind with a density,
+    in closed form, elementwise; the atoms of a discrete kind have none."""
+    if isinstance(d, Uniform):
+        return 2.0 * v - d.hi
+    if isinstance(d, Exponential):
+        return v - 1.0 / d.rate
+    if isinstance(d, TruncatedEqualRevenue):
+        # 0 on the continuous part, p at the truncation atom
+        return np.where(v >= d.p, d.p, 0.0)
+    raise ValueError("raw virtual value undefined at atoms of discrete distributions")
+
+
+def raw_virtual_cdf(d: SingleDist, t):
+    """Pr[phi(Q(U)) <= t] for the raw virtual value phi of a regular kind
+    with a density, in closed form."""
+    if isinstance(d, Uniform):
+        return d.cdf((t + d.hi) / 2.0)
+    if isinstance(d, Exponential):
+        return d.cdf(t + 1.0 / d.rate)
+    if isinstance(d, TruncatedEqualRevenue):
+        return np.where(t >= d.p, 1.0, np.where(t >= 0, 1.0 - 1.0 / d.p, 0.0))
+    raise ValueError("raw virtual value undefined at atoms of discrete distributions")
+
+
+def phi_bar_reference(d: SingleDist, u) -> np.ndarray:
+    """phi_bar at quantiles u: the raw virtual value at Q(u) for a kind with
+    a density, the steps of ``iron_reference`` for a discrete one."""
+    u = np.asarray(u, dtype=float)
+    if not isinstance(d, FiniteDiscrete):
+        return raw_virtual(d, d.quantile(u))
+    knots, levels, _ = iron_reference(d)
+    return levels[np.searchsorted(knots, u, side="right")]
+
+
+def psi_reference(d: SingleDist, t) -> np.ndarray:
+    """The CDF of phi_bar(U)^+: 0 below t = 0, else ``raw_virtual_cdf`` for
+    a kind with a density and the steps' quantile edges for a discrete one."""
+    t = np.asarray(t, dtype=float)
+    if not isinstance(d, FiniteDiscrete):
+        u = raw_virtual_cdf(d, t)
+    else:
+        knots, levels, _ = iron_reference(d)
+        u = np.concatenate([[0.0], knots, [1.0]])[np.searchsorted(levels, t, side="right")]
+    return np.where(t < 0, 0.0, u)
 
 
 def fact1_check(d: SingleDist, v: float, N: int, seed: int) -> tuple[float, float]:
@@ -140,7 +198,7 @@ def fact1_check(d: SingleDist, v: float, N: int, seed: int) -> tuple[float, floa
     rng = substream(seed, "fact1")
     u = qlo + rng.random(N) * (1.0 - qlo)
     w = d.quantile(u)
-    phi = d.raw_virtual(w)
+    phi = raw_virtual(d, w)
     est = float(np.mean(phi))
     stderr = float(np.std(phi, ddof=1) / np.sqrt(N)) if N > 1 else float("inf")
     return est, stderr
@@ -152,7 +210,7 @@ def bulow_klemperer_check(d: SingleDist, n: int):
     The margin is vcg.mid - rev.mid; the classical guarantee asks it to be
     nonnegative. Both are exact brackets.
     """
-    if not iron(d).regular:
+    if not d.regular:
         raise ValueError("Bulow-Klemperer requires a regular distribution")
     vcg_est = vcg_item_revenue(d, n + 1)
     rev_est = myerson_item_revenue(d, n)
@@ -348,7 +406,7 @@ def assign_regions_loop(quantiles: np.ndarray) -> np.ndarray:
 
 def myerson_cdf(d: SingleDist, n: int):
     """psi(t)^n: the CDF of phi_bar(max)^+."""
-    psi = iron(d).psi
+    psi = d.psi
     return lambda t: psi(t) ** n
 
 
@@ -376,7 +434,7 @@ def region_max_cdf(d: SingleDist, m: int, n: int, psi):
 def obs1_cdf(d: SingleDist, m: int, n: int):
     """F^n + n F^(n-1) max(psi^m - F^m, 0)/m: the CDF of obs1's quantity on
     item d of m, for an item with support_lo >= 0."""
-    psi = iron(d).psi
+    psi = d.psi
 
     def cdf(t):
         F = d.cdf(t)
@@ -422,22 +480,21 @@ def _fold_pieces(dW: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     return left, right
 
 
-def score_estimate_one_shot(imap, n: int, cdf) -> Bracket:
+def score_estimate_one_shot(d: SingleDist, n: int, cdf) -> Bracket:
     """``revenue._score_estimate`` with ``cdf`` read on the whole grid at once;
     the rectangle sums are folded over ``PIECE``-cell slices, as the package
     folds its pieces."""
-    t = _score_grid(imap, cdf)[:]
+    t = _score_grid(d, cdf)[:]
     upper, lower = _fold_pieces(np.diff(t), 1.0 - cdf(t))
-    return Bracket(float(t[0] + lower), float(t[0] + upper) + n * imap.dist.tail_integral(t[-1]))
+    return Bracket(float(t[0] + lower), float(t[0] + upper) + n * d.tail_integral(t[-1]))
 
 
-def score_estimate_two_pass(imap, n: int, cdf) -> Bracket:
+def score_estimate_two_pass(d: SingleDist, n: int, cdf) -> Bracket:
     """The two-pass bracket: ``cdf`` read at every t_k for the upper
     rectangles and again at the float below every t_k+1 (its left limit)
     for the lower ones, each sum taken whole. The one-pass bracket of
     ``revenue._score_estimate`` must be as tight, up to rounding."""
-    d = imap.dist
-    t = _score_grid(imap, cdf)[:]
+    t = _score_grid(d, cdf)[:]
     dt = np.diff(t)
     upper = float(t[0] + np.sum(dt * (1.0 - cdf(t[:-1])))) + n * d.tail_integral(t[-1])
     lower = float(t[0] + np.sum(dt * (1.0 - cdf(np.nextafter(t[1:], -np.inf)))))
@@ -580,10 +637,9 @@ def chain_grid_points(d: SingleDist, law) -> np.ndarray:
     """Every point of item d's chain grid on [0, 1] at once: the ``_Grid``
     of ``benchmark._phi_at_experiment`` run on to u = 1, with phi_bar read
     up to the float below 1 for its weights."""
-    imap = iron(d)
     below_one = np.nextafter(1.0, 0.0)
-    grid = _Grid(_COARSE_U, np.append(imap.knots, d.quantile_breakpoints()), 0.0, 1.0, law.cdf,
-                 lambda u: imap.at_quantile(np.minimum(u, below_one)))
+    grid = _Grid(_COARSE_U, np.append(d.knots, d.quantile_breakpoints()), 0.0, 1.0, law.cdf,
+                 lambda u: d.phi_bar(np.minimum(u, below_one)))
     return grid[:]
 
 
@@ -597,8 +653,7 @@ def phi_at_experiment_one_shot(pd: ProductDist, law) -> Bracket:
         u = chain_grid_points(d, law)
         F = np.maximum.accumulate(law.cdf(u))
         top = float(F[-1] - F[-2])
-        imap = iron(d)
-        phi = imap.at_quantile(u)
+        phi = d.phi_bar(u)
         lower, upper = _fold_pieces(np.diff(F[:-1]), phi[:-1])
         lower += top * float(phi[-2])
         if math.isfinite(d.support_hi):
@@ -619,8 +674,7 @@ def phi_at_experiment_two_read(pd: ProductDist, law) -> Bracket:
     cells at the jumps."""
 
     def item(d: SingleDist):
-        imap = iron(d)
-        steps = np.append(imap.knots, d.quantile_breakpoints())
+        steps = np.append(d.knots, d.quantile_breakpoints())
         u = _sorted_distinct(chain_grid_points(d, law))
         beside = np.concatenate([np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)])
         u = u[~np.isin(u, beside) | np.isin(u, steps)]
@@ -631,8 +685,8 @@ def phi_at_experiment_two_read(pd: ProductDist, law) -> Bracket:
         # last left end), where an unbounded phi_bar is finite
         above = np.minimum(np.nextafter(u[:-1], np.inf), np.nextafter(1.0, 0.0))
         below = np.nextafter(u[1:], -np.inf)
-        lo_phi = imap.at_quantile(above)
-        hi_phi = imap.at_quantile(below)
+        lo_phi = d.phi_bar(above)
+        hi_phi = d.phi_bar(below)
         tail = 0.0
         if not math.isfinite(d.support_hi):
             hi_phi[-1] = lo_phi[-1]
@@ -650,9 +704,8 @@ def jump_allowance(pd: ProductDist, cdf) -> float:
     the width that the one-read chain bracket may keep on a step item."""
     out = 0.0
     for d in pd.marginals:
-        imap = iron(d)
-        steps = np.concatenate([imap.knots, d.quantile_breakpoints()])
+        steps = np.concatenate([d.knots, d.quantile_breakpoints()])
         below, above = np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)
-        jump = imap.at_quantile(above) - imap.at_quantile(below)
+        jump = d.phi_bar(above) - d.phi_bar(below)
         out += float(np.sum(jump * (cdf(above) - cdf(below))))
     return out

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-import auctioncomp.cli  # noqa: F401  (binds iron, which the count must see)
 from auctioncomp import benchmark as benchmark_mod
+from auctioncomp import distributions as distributions_mod
+from auctioncomp import experiments as experiments_mod
 from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import (
     assign_regions,
@@ -22,6 +23,7 @@ from auctioncomp.benchmark import (
 from auctioncomp.distributions import (
     Exponential,
     ProductDist,
+    SingleDist,
     TruncatedEqualRevenue,
     Uniform,
     parse_dist,
@@ -30,8 +32,7 @@ from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import er_offregion_items
 from auctioncomp.revenue import Bracket, _item_sum, myerson_item_revenue, srev, vcg
 from auctioncomp.rng import BLOCK, batch_sizes, substream
-from auctioncomp.virtual import IronedVirtualMap, iron
-from oracles import assign_regions_loop, jump_allowance, sample_estimate
+from oracles import assign_regions_loop, jump_allowance, raw_virtual, sample_estimate
 from test_virtual import _brute_force_ironed
 
 REF_BATCH = 1_000_000  # floats per reference batch of profiles
@@ -56,48 +57,46 @@ def _ref_batches(pd, n, N, seed):
         yield v, q, np.argmax(q, axis=2)
 
 
-def _ref_at_quantile(imap, u):
-    d = imap.dist
-    if imap.regular and isinstance(d, (Uniform, Exponential, TruncatedEqualRevenue)):
-        return d.raw_virtual(d.quantile(u))
+def _ref_at_quantile(d, u):
+    if isinstance(d, (Uniform, Exponential, TruncatedEqualRevenue)):
+        return raw_virtual(d, d.quantile(u))
     return _brute_force_ironed(d, u.ravel()).reshape(u.shape)
 
 
-def _ref_efftw(imaps, values, quantiles, region):
+def _ref_efftw(items, values, quantiles, region):
     total = np.zeros(values.shape[0])
-    for j, imap in enumerate(imaps):
-        phi_plus = np.maximum(_ref_at_quantile(imap, quantiles[:, :, j]), 0.0)
+    for j, d in enumerate(items):
+        phi_plus = np.maximum(_ref_at_quantile(d, quantiles[:, :, j]), 0.0)
         total += np.where(region == j, phi_plus, values[:, :, j]).max(axis=1)
     return total
 
 
-def _ref_obs1(imaps, values, quantiles, region):
+def _ref_obs1(items, values, quantiles, region):
     n = values.shape[1]
     rows = np.arange(values.shape[0])
     total = np.zeros(values.shape[0])
-    for j, imap in enumerate(imaps):
+    for j, d in enumerate(items):
         vj = values[:, :, j]
         i1 = np.argmax(quantiles[:, :, j], axis=1)  # the top bidder holds v_(1)
         v1 = vj[rows, i1]
         v2 = np.partition(vj, n - 2, axis=1)[:, n - 2]
         off_region = region[rows, i1] != j
-        phi1 = _ref_at_quantile(imap, quantiles[rows, i1, j])
+        phi1 = _ref_at_quantile(d, quantiles[rows, i1, j])
         total += np.maximum(np.maximum(np.where(off_region, v1, 0.0), phi1), v2)
     return total
 
 
-def _ref_offregion(imaps, values, quantiles, region):
+def _ref_offregion(items, values, quantiles, region):
     # summed over the items
-    return sum(np.where(region != j, values[:, :, j], 0.0).max(axis=1) for j in range(len(imaps)))
+    return sum(np.where(region != j, values[:, :, j], 0.0).max(axis=1) for j in range(len(items)))
 
 
 def _ref_estimates(pd, n, N, seed, kernels):
     """Monte Carlo estimates of each kernel's mean, all on one profile stream."""
-    imaps = [iron(d) for d in pd.marginals]
     chunks = {key: [] for key in kernels}
     for batch in _ref_batches(pd, n, N, seed):
         for key, kernel in kernels.items():
-            chunks[key].append(kernel(imaps, *batch))
+            chunks[key].append(kernel(pd.marginals, *batch))
     return {key: sample_estimate(np.concatenate(c)) for key, c in chunks.items()}
 
 
@@ -111,15 +110,14 @@ def test_profile_kernels_match_reference_bit_for_bit(kind, n, m):
     pd = ProductDist(tuple(parse_dist(s) for s in specs))
     samples = 20_001  # two batches at n=16, m=4, the last one partial
     seed = 50 + 7 * n + m
-    imaps = [iron(d) for d in pd.marginals]
     for bi, (v_ref, q_ref, r_ref) in enumerate(_ref_batches(pd, n, samples, seed)):
         values, quantiles = pd.sample_profiles(substream(seed, "profiles", bi), n, len(v_ref))
         assert np.array_equal(values, v_ref.transpose(2, 1, 0))
         assert np.array_equal(quantiles, q_ref.transpose(2, 1, 0))
         assert np.array_equal(assign_regions(quantiles), r_ref.T)
-        for j, imap in enumerate(imaps):
-            got = imap.at_quantile(quantiles[j])
-            assert np.array_equal(got, _ref_at_quantile(imap, q_ref[:, :, j]).T)
+        for j, d in enumerate(pd.marginals):
+            got = d.phi_bar(quantiles[j])
+            assert np.array_equal(got, _ref_at_quantile(d, q_ref[:, :, j]).T)
 
 
 # (specs, n): ER^2, ER^4 with many bidders, the irregular product (ironed
@@ -164,8 +162,8 @@ def _ref_phi_at_experiment(pd, sampler, N, seed, label):
     # of BLOCK rows, so their stderrs add in quadrature; returns (mean, stderr)
     mean = var = 0.0
     for j, d in enumerate(pd.marginals):
-        imap, rng = iron(d), substream(seed, label, j)
-        phi = [imap.at_quantile(sampler(rng, b)) for b in batch_sizes(N, BLOCK)]
+        rng = substream(seed, label, j)
+        phi = [d.phi_bar(sampler(rng, b)) for b in batch_sizes(N, BLOCK)]
         item_mean, item_se = sample_estimate(np.concatenate(phi))
         mean += item_mean
         var += item_se**2
@@ -310,7 +308,7 @@ def test_obs1_region_quantile_dominates_value_quantile():
     for spec in [IRREGULAR, "exp:1", "uniform:0,1", "uniform:-1,1", "er:p=10000", "point:5",
                  "discrete:v=1,1.2,10;p=0.5,0.4,0.1"]:
         d = parse_dist(spec)
-        psi, F = iron(d).psi(t), d.cdf(t)
+        psi, F = d.psi(t), d.cdf(t)
         assert np.all(psi[t >= 0] >= F[t >= 0]), spec
         assert np.all(psi[t < 0] == 0.0)
 
@@ -379,53 +377,64 @@ def test_repeated_marginals_keep_the_in_order_sum(name, monkeypatch):
     assert PER_ITEM_SUMS[name](REPEATS) == got
 
 
+def _count_reads(monkeypatch, reads):
+    """Append the item of each ``_score_estimate`` call and of each phi_bar
+    read to ``reads``."""
+    score_estimate = revenue_mod._score_estimate
+
+    def counted_score_estimate(d, *args):
+        reads.append(d)
+        return score_estimate(d, *args)
+
+    monkeypatch.setattr(revenue_mod, "_score_estimate", counted_score_estimate)
+    for kind in SingleDist.__subclasses__():
+        phi_bar = kind.phi_bar
+
+        def counted_phi_bar(d, u, phi_bar=phi_bar):
+            reads.append(d)
+            return phi_bar(d, u)
+
+        monkeypatch.setattr(kind, "phi_bar", counted_phi_bar)
+
+
 def test_each_distinct_marginal_estimated_once(monkeypatch):
     distinct = list(dict.fromkeys(REPEATS.marginals))
     assert len(distinct) == 4
     calls = []  # the marginal of each estimate made or phi_bar read
-    score_estimate = revenue_mod._score_estimate
-    at_quantile = IronedVirtualMap.at_quantile
-
-    def counted_score_estimate(imap, *args):
-        calls.append(imap.dist)
-        return score_estimate(imap, *args)
-
-    def counted_at_quantile(imap, u):
-        calls.append(imap.dist)
-        return at_quantile(imap, u)
-
-    monkeypatch.setattr(revenue_mod, "_score_estimate", counted_score_estimate)
-    monkeypatch.setattr(IronedVirtualMap, "at_quantile", counted_at_quantile)
+    _count_reads(monkeypatch, calls)
     for name in PER_ITEM_SUMS:
         calls.clear()
         PER_ITEM_SUMS[name](REPEATS)
         # one unbroken run of reads per distinct marginal
         assert [d for d, _ in groupby(calls)] == distinct, name
+        if not name.endswith("_chain"):  # one score integral per distinct marginal
+            assert calls == distinct, name
 
 
 def test_each_distinct_item_ironed_once_per_call(monkeypatch):
-    # a sum over items irons each distinct item once and passes its map
-    # down to every integral that reads it
+    # a discrete item builds its hull once, when it is made; a sum over items
+    # then reads each item's own psi or phi_bar and builds no hull
+    hulls = []
+    envelope = distributions_mod._upper_concave_envelope
+
+    def counted_envelope(u, r):
+        hulls.append(len(u))
+        return envelope(u, r)
+
+    monkeypatch.setattr(distributions_mod, "_upper_concave_envelope", counted_envelope)
     pd = ProductDist(tuple(parse_dist(s) for s in (IRREGULAR, "exp:1", "uniform:0,1")))
-    ironed = []
-
-    def counted(d):
-        ironed.append(d)
-        return iron(d)
-
-    bindings = [m for name, m in sys.modules.items() if name.split(".")[0] == "auctioncomp"
-                and getattr(m, "iron", None) is iron]
-    assert {m.__name__ for m in bindings} >= {"auctioncomp.virtual", "auctioncomp.revenue",
-                                              "auctioncomp.benchmark", "auctioncomp.cli"}
-    for m in bindings:
-        monkeypatch.setattr(m, "iron", counted)
+    assert len(hulls) == 1
+    reads = []
+    _count_reads(monkeypatch, reads)
     calls = {"efftw": lambda: efftw_bound(pd, 4), "obs1": lambda: obs1_bound(pd, 4), "srev": lambda: srev(pd, 4),
              "vcg": lambda: vcg(pd, 4), "xl_chain": lambda: xl_chain_bound(pd, 4),
              "xb_chain": lambda: xb_chain_bound(pd, 4, 2)}
     for name, call in calls.items():
-        ironed.clear()
+        hulls.clear()
+        reads.clear()
         call()
-        assert ironed == list(pd.marginals), name
+        assert hulls == [], name
+        assert [d for d, _ in groupby(reads)] == list(pd.marginals), name
 
 
 def test_efftw_single_item_equals_myerson():
@@ -477,11 +486,39 @@ def test_obs1_rejects_an_item_below_0(spec):
         obs1_bound(pd, 3)
 
 
+@pytest.mark.parametrize("spec", ["uniform:-8,-7", "uniform:-1,1", "discrete:v=-8,8;p=0.9,0.1"])
+@pytest.mark.parametrize("chain", ["xl", "xb"])
+def test_chain_bounds_reject_an_item_below_0(spec, chain):
+    # on uniform:-8,-7 squared at n = 2 they read [-14.722, -14.722], below
+    # the benchmark's -3.77: no bound; one check serves the whole chain
+    pd = ProductDist((parse_dist(spec), Uniform(0, 1)))
+    bound = (lambda: xl_chain_bound(pd, 2)) if chain == "xl" else (lambda: xb_chain_bound(pd, 2, 2))
+    with pytest.raises(ValueError, match="support_lo >= 0"):
+        bound()
+
+
+def test_xl_builds_its_coefficient_tables_once_per_law(monkeypatch):
+    # the chain reads X_L's CDF on every piece of every item; the series
+    # coefficients are one table per law, not one per read
+    built = []
+    coefficients = experiments_mod._xl_coefficients
+
+    def counted(n, m):
+        built.append((n, m))
+        return coefficients(n, m)
+
+    pd = ProductDist(tuple(parse_dist(s) for s in (IRREGULAR, "exp:1", "uniform:0,1")))
+    want = xl_chain_bound(pd, 4)
+    monkeypatch.setattr(experiments_mod, "_xl_coefficients", counted)
+    assert xl_chain_bound(pd, 4) == want
+    assert built == [(4, 3)]
+
+
 def test_efftw_peak_memory_independent_of_N():
     # exact: a grid of ~10^5 points per item, and the trailing N is unread
     # (N = 10^12 profiles would be 64 TB as Monte Carlo draws)
     pd = ProductDist((TruncatedEqualRevenue(1e4), TruncatedEqualRevenue(1e4)))
-    efftw_bound(pd, 4)  # iron outside the measurement
+    efftw_bound(pd, 4)  # the first call outside the measurement
     tracemalloc.start()
     try:
         est = efftw_bound(pd, 4, 10**12, 0)
@@ -495,7 +532,7 @@ def test_efftw_peak_memory_independent_of_N():
 def test_xl_chain_peak_memory_independent_of_N():
     # exact: one CDF table per call, and the trailing N is unread
     pd = ProductDist((Uniform(0, 1),))
-    xl_chain_bound(pd, 2)  # iron outside the measurement
+    xl_chain_bound(pd, 2)  # the first call outside the measurement
     peaks = []
     for samples in (10**6, 4 * 10**6):
         tracemalloc.start()

@@ -10,6 +10,7 @@ import pytest
 from auctioncomp import benchmark as bench_mod
 from auctioncomp import cli as cli_mod
 from auctioncomp import experiments as exp_mod
+from auctioncomp import repro as repro_mod
 from auctioncomp import revenue as rev_mod
 from auctioncomp.cli import (
     EXIT_CLAIM,
@@ -287,7 +288,7 @@ def test_chain_on_support_below_0_exits_3(dist, n, chain, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_PRECONDITION and captured.out == ""
     assert captured.err == (
-        "precondition violated: --chain needs every item's support_lo >= 0; below 0 the chain need not hold\n"
+        "precondition violated: the chain needs every item's support_lo >= 0; below 0 it need not bound the benchmark\n"
     )
     # the benchmark alone still runs there
     code, out = run_cli(["benchmark", "--dist", *dist, "-n", str(n), "--seed", "1"], capsys)
@@ -538,6 +539,33 @@ def test_reproduce_single_claim_deterministic(capsys):
     doc = json.loads(out1)
     assert doc["results"][0]["passed"] is True
     assert "runtime" not in doc["results"][0]
+
+
+CLAIM_DETAILS = {
+    "little-n-tightness": {"implied_min_c", "price", "stderr"},
+    "appendix-b-revenue": {"k", "surplus_over_2n", "log_n_over_10"},
+    "bign-tightness": {"benchmark_half", "vcg_half"},
+    "two-item-sum-tail": set(),
+}
+
+
+@pytest.mark.parametrize("claim", list(CLAIM_DETAILS))
+def test_reproduce_rows_carry_each_claims_details(claim, capsys):
+    # the five keys of the verdict, then the claim's details, flattened:
+    # little-n-tightness reports implied_min_c and its stderr, and
+    # appendix-b-revenue its surplus over 2n; the sum tail has none
+    result = repro_mod.run_claim(claim, 1)
+    assert set(result.details) == CLAIM_DETAILS[claim]
+    want = {"name": result.name, "computed": result.computed, "target": result.target,
+            "tolerance": result.tolerance, "passed": result.passed, **result.details}
+    code, out = run_cli(["reproduce", "--claim", claim, "--seed", "1"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["results"] == [want]
+    assert list(json.loads(out)["results"][0]) == sorted(want)  # sort_keys
+    code, out = run_cli(["reproduce", "--claim", claim, "--seed", "1", "--out", "csv"], capsys)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == EXIT_OK and len(rows) == 1 and list(rows[0]) == list(want)
+    assert {key: float(rows[0][key]) for key in result.details} == result.details
 
 
 def test_reproduce_unknown_claim_exit_3(capsys):

@@ -94,7 +94,7 @@ def test_er_rejects_p_where_the_jump_to_the_atom_rounds_to_1():
         d = TruncatedEqualRevenue(p)
         jump = float(d.quantile_breakpoints()[0])
         assert jump == 1.0 - 1.0 / p < 1.0
-        assert float(d.raw_virtual_cdf(0.0)) == jump
+        assert float(d.psi(0.0)) == jump
         assert float(d.quantile(np.nextafter(jump, 2.0))) == p
 
 

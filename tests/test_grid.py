@@ -16,7 +16,6 @@ from auctioncomp.distributions import Exponential, FiniteDiscrete, ProductDist, 
 from auctioncomp.experiments import XB, XL
 from auctioncomp.revenue import _COARSE_U, _QUAD_CELLS, _Grid, _score_grid, _stieltjes, myerson_item_revenue
 from auctioncomp.rng import PIECE
-from auctioncomp.virtual import iron
 from oracles import _fold_pieces, grid_points_by_search, myerson_cdf, region_max_cdf, vcg_cdf
 
 ZOO = ["uniform:0,1", "uniform:-1,1", "exp:1", "exp:0.3", "er:p=10000", "er:p=100", "point:5",
@@ -31,7 +30,7 @@ PRODUCTS = {
 
 def _score_cdfs(d, n):
     """The score CDFs of the benchmark on two items, of Myerson and of VCG."""
-    return {"efftw": region_max_cdf(d, 2, n, iron(d).psi), "myerson": myerson_cdf(d, n), "vcg": vcg_cdf(d, n)}
+    return {"efftw": region_max_cdf(d, 2, n, d.psi), "myerson": myerson_cdf(d, n), "vcg": vcg_cdf(d, n)}
 
 
 def _score_grids():
@@ -39,7 +38,7 @@ def _score_grids():
         d = parse_dist(spec)
         for n in (1, 2, 5, 4096):
             for name, cdf in _score_cdfs(d, n).items():
-                yield (spec, n, name), d, cdf, _score_grid(iron(d), cdf)
+                yield (spec, n, name), d, cdf, _score_grid(d, cdf)
 
 
 def _chain_grid(d, law):
@@ -74,7 +73,7 @@ def _chain_grids():
 def _score_jumps(d):
     """Where a score's CDF may jump: 0, the ironed levels and the atoms."""
     bps = d.quantile_breakpoints()
-    return np.concatenate([[0.0], iron(d).levels, d.quantile(np.concatenate([bps, np.nextafter(bps, 1.0)]))])
+    return np.concatenate([[0.0], d.levels, d.quantile(np.concatenate([bps, np.nextafter(bps, 1.0)]))])
 
 
 def _holds_with_neighbours(points, jumps, lo, hi):
@@ -96,7 +95,7 @@ def test_chain_grids_are_nondecreasing_and_hold_every_jump(name):
     pd = ProductDist(tuple(parse_dist(s) for s in PRODUCTS[name]))
     u_K = np.nextafter(1.0, 0.0)
     for d in dict.fromkeys(pd.marginals):
-        steps = np.append(iron(d).knots, d.quantile_breakpoints())
+        steps = np.append(d.knots, d.quantile_breakpoints())
         for law in (XL(2, pd.m), XL(4096, pd.m), XB(19, 4)):
             u = _chain_grid(d, law)[:]
             assert u[0] == 0.0 and u[-1] == u_K  # the walk stops below the top cell
@@ -152,14 +151,14 @@ def test_myerson_on_er_reads_its_score_cdf_once_per_table_point(monkeypatch):
     reads, tables = [], []
     score_estimate = revenue_mod._score_estimate
 
-    def counted(imap, n, cdf):
-        tables.append(_score_grid(imap, cdf).x.size)
+    def counted(d, n, cdf):
+        tables.append(_score_grid(d, cdf).x.size)
 
         def read(t):
             reads.append(np.size(t))
             return cdf(t)
 
-        return score_estimate(imap, n, read)
+        return score_estimate(d, n, read)
 
     monkeypatch.setattr(revenue_mod, "_score_estimate", counted)
     myerson_item_revenue(d, n)
@@ -203,7 +202,8 @@ def test_stieltjes_over_a_whole_number_of_pieces_equals_one_shot():
     want_W = np.maximum.accumulate(W(x))
     assert np.any(np.diff(W(x)) < 0.0)
     assert _stieltjes(x, np.exp, W) == _fold_pieces(np.diff(want_W), np.exp(x)) + (want_W[-1],)
-    assert _stieltjes(x, np.exp) == _fold_pieces(np.diff(x), np.exp(x)) + (x[-1],)
+    # the identity, as the score integrals pass it: a nondecreasing grid is its own maximum
+    assert _stieltjes(x, np.exp, lambda t: t) == _fold_pieces(np.diff(x), np.exp(x)) + (x[-1],)
 
 
 def _pd(spec, m):
@@ -238,7 +238,7 @@ def test_chain_width_near_the_cauchy_schwarz_floor(spec):
     # (integral of sqrt(dF dphi_bar))^2 / K wide, here summed on 2^20 cells
     # and 256 per octave of 1 - u; the grid's cells below 1 come within 5%
     n, m = 4096, 4
-    law, phi = XL(n, m), iron(parse_dist(spec)).at_quantile
+    law, phi = XL(n, m), parse_dist(spec).phi_bar
     u = np.concatenate([np.linspace(0.0, 1.0, 2**20 + 1), 1.0 - np.exp2(-np.arange(53 * 256 + 1) / 256)])
     u = np.unique(u)[:-1]
     floor = m * np.sum(np.sqrt(np.diff(law.cdf(u)) * np.diff(phi(u)))) ** 2

@@ -22,7 +22,6 @@ from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import er_order_stat
 from auctioncomp.revenue import Bracket, _score_estimate, myerson_item_revenue, srev, vcg, vcg_item_revenue
 from auctioncomp.rng import PIECE, fill_pieces
-from auctioncomp.virtual import iron
 from oracles import (
     jump_allowance,
     phi_at_experiment_one_shot,
@@ -58,7 +57,7 @@ def test_score_estimates_same_bits_as_one_shot(spec, cells, monkeypatch):
     d = parse_dist(spec)
     pd = ProductDist((d, parse_dist(IRREGULAR)))
     for n in (1, 2, 5):
-        grid = revenue_mod._score_grid(iron(d), lambda t: iron(d).psi(t) ** n)
+        grid = revenue_mod._score_grid(d, lambda t: d.psi(t) ** n)
         if spec.startswith(("er:", "point:", "discrete:")):
             # psi^n is a step function: its weight sits in one-ulp cells, so
             # its grid is its table
@@ -151,7 +150,7 @@ def test_atomic_brackets_hold_exact_order_stats(spec, thin, cells, monkeypatch):
 
     widths = []
     for n in (1, 2, 5):
-        cases = [(lambda F: F**n, _score_estimate(iron(d), n, lambda t: d.cdf(t) ** n))]
+        cases = [(lambda F: F**n, _score_estimate(d, n, lambda t: d.cdf(t) ** n))]
         if n > 1:
             cases.append((lambda F: F**n + n * F ** (n - 1) * (1 - F), vcg_item_revenue(d, n)))
         for law, est in cases:

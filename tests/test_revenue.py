@@ -32,7 +32,6 @@ from auctioncomp.revenue import (
     vcg_item_revenue,
 )
 from auctioncomp.rng import BLOCK, batch_sizes, substream
-from auctioncomp.virtual import iron
 from oracles import (
     MechanismOutcome,
     bulow_klemperer_check,
@@ -43,6 +42,7 @@ from oracles import (
     feldman_run_once,
     myerson_cdf,
     obs1_cdf,
+    raw_virtual,
     region_max_cdf,
     sample_estimate,
     three_tier_mc,
@@ -61,7 +61,7 @@ def virtual_max_estimate(d, n, N, seed):
     for bi, b in enumerate(batch_sizes(N, 1_000_000)):
         rng = substream(seed, "virt-max", bi)
         u1 = rng.random(b) ** (1.0 / n)
-        chunks.append(d.raw_virtual(d.quantile(u1)))
+        chunks.append(raw_virtual(d, d.quantile(u1)))
     return sample_estimate(np.concatenate(chunks))
 
 
@@ -226,16 +226,16 @@ def _score_sites(d, n):
     (d, d), which integrates d once and adds it twice."""
     pd = ProductDist((d, d))
     step = lambda t: (t >= 0).astype(float)  # the off-region term's psi: region terms are 0
-    yield "myerson", myerson_item_revenue(d, n), _score_estimate(iron(d), n, myerson_cdf(d, n))
+    yield "myerson", myerson_item_revenue(d, n), _score_estimate(d, n, myerson_cdf(d, n))
     if n > 1:
-        yield "vcg", vcg_item_revenue(d, n), _score_estimate(iron(d), n, vcg_cdf(d, n))
-    one = _score_estimate(iron(d), n, region_max_cdf(d, 2, n, iron(d).psi))
+        yield "vcg", vcg_item_revenue(d, n), _score_estimate(d, n, vcg_cdf(d, n))
+    one = _score_estimate(d, n, region_max_cdf(d, 2, n, d.psi))
     yield "efftw", efftw_bound(pd, n), Bracket.point(0.0) + one + one
     off = (er_offregion_items(n, 2, d.p)[0] if isinstance(d, TruncatedEqualRevenue)
-           else _order_stat(iron(d), n, _region_score_cdf(d, 2, step)))
-    yield "off-region", off, _score_estimate(iron(d), n, region_max_cdf(d, 2, n, step))
+           else _order_stat(d, n, _region_score_cdf(d, 2, step)))
+    yield "off-region", off, _score_estimate(d, n, region_max_cdf(d, 2, n, step))
     if n > 1 and d.support_lo >= 0:
-        one = _score_estimate(iron(d), n, obs1_cdf(d, 2, n))
+        one = _score_estimate(d, n, obs1_cdf(d, 2, n))
         yield "obs1", obs1_bound(pd, n), Bracket.point(0.0) + one + one
 
 
@@ -256,7 +256,7 @@ def test_er_order_stat_rule_matches_the_binomial_sum(x, y, p):
     # about x p eps (a tenth of it at (12, 12, 1e4), where 1 - H cancels)
     got = er_order_stat(x, y, p)
     d = TruncatedEqualRevenue(p)
-    want = _score_estimate(iron(d), y, er_order_stat_cdf(d, x, y))
+    want = _score_estimate(d, y, er_order_stat_cdf(d, x, y))
     slack = x * p * np.finfo(float).eps
     assert abs(got.lo - want.lo) <= slack and abs(got.hi - want.hi) <= slack, (got, want)
 
@@ -264,7 +264,7 @@ def test_er_order_stat_rule_matches_the_binomial_sum(x, y, p):
 def test_order_stat_rule_checks_n_once():
     d = Uniform(0.0, 1.0)
     for call in (lambda: myerson_item_revenue(d, 0), lambda: vcg_item_revenue(d, 0),
-                 lambda: efftw_bound(ProductDist((d,)), 0), lambda: _order_stat(iron(d), -1, d.cdf, k=2)):
+                 lambda: efftw_bound(ProductDist((d,)), 0), lambda: _order_stat(d, -1, d.cdf, k=2)):
         with pytest.raises(ValueError, match="need n >= 1"):
             call()
 

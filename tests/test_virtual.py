@@ -9,17 +9,23 @@ from auctioncomp.distributions import (
     FiniteDiscrete,
     TruncatedEqualRevenue,
     Uniform,
+    _sorted_distinct,
+    _upper_concave_envelope,
     parse_dist,
 )
 from auctioncomp.revenue import _COARSE_U
-from auctioncomp.virtual import _sorted_distinct, _upper_concave_envelope, iron
+from auctioncomp.virtual import IronedVirtualMap, iron
 from oracles import (
     fact1_check,
     iron_on_grid,
     iron_reference,
+    phi_bar_reference,
+    psi_reference,
+    raw_virtual,
     revenue_curve,
     upper_concave_envelope_indexed,
 )
+from test_grid import ZOO
 
 # regular and irregular, continuous, atomic and mixed, heavy-tailed, negative
 IRON_ZOO = [
@@ -34,20 +40,74 @@ IRON_ZOO = [
 
 
 def test_raw_virtual_closed_forms():
-    assert Uniform(0, 1).raw_virtual(0.75) == pytest.approx(0.5)
-    assert Exponential(1.0).raw_virtual(1.0) == pytest.approx(0.0)
-    assert Exponential(2.0).raw_virtual(3.0) == pytest.approx(2.5)
+    # the reference's closed forms, and each kind's phi_bar at the quantile
+    # of the same value
+    assert raw_virtual(Uniform(0, 1), 0.75) == pytest.approx(0.5)
+    assert raw_virtual(Exponential(1.0), 1.0) == pytest.approx(0.0)
+    assert raw_virtual(Exponential(2.0), 3.0) == pytest.approx(2.5)
     er = TruncatedEqualRevenue(100.0)
-    assert er.raw_virtual(50.0) == 0.0
-    assert er.raw_virtual(100.0) == 100.0
+    assert raw_virtual(er, 50.0) == 0.0
+    assert raw_virtual(er, 100.0) == 100.0
+    assert Uniform(0, 1).phi_bar(0.75) == 0.5
+    assert Exponential(1.0).phi_bar(-np.expm1(-1.0)) == pytest.approx(0.0)
+    assert Exponential(2.0).phi_bar(-np.expm1(-6.0)) == pytest.approx(2.5)
+    assert er.phi_bar(0.98) == 0.0
+    assert er.phi_bar(0.995) == 100.0
 
 
 def test_raw_virtual_rejects_atoms_and_out_of_support():
+    # atoms have no raw virtual value, and a kind with a density reads
+    # phi_bar only at quantiles in [0, 1]
     for d in (FiniteDiscrete((1.0, 2.0), (0.5, 0.5)), FiniteDiscrete((5.0,), (1.0,))):
         with pytest.raises(ValueError, match="undefined at atoms"):
-            d.raw_virtual(np.asarray(1.0))
-    with pytest.raises(ValueError):
-        Uniform(0, 1).raw_virtual(2.0)
+            raw_virtual(d, np.asarray(1.0))
+    for d in (Uniform(0, 1), Exponential(1.0), TruncatedEqualRevenue(100.0)):
+        for u in (-0.5, 1.5, np.nan):
+            with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+                d.phi_bar(u)
+
+
+def _u_grid(d):
+    """Quantiles in [0, 1]: a uniform grid, the coarse table, and d's
+    breakpoints and knots with the float on either side."""
+    steps = np.concatenate([d.quantile_breakpoints(), d.knots])
+    beside = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0)])
+    return np.concatenate([np.linspace(0.0, 1.0, 4097), _COARSE_U, np.clip(beside, 0.0, 1.0)])
+
+
+def _t_grid(d):
+    """Thresholds across 0, the top value and d's step levels."""
+    top = float(d.quantile(np.nextafter(1.0, 0.0)))
+    marks = np.concatenate([[0.0, -0.0, top, 2.0 * top], d.levels])
+    beside = np.concatenate([marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)])
+    return np.concatenate([np.linspace(-2.0 * abs(top) - 1.0, 2.0 * abs(top) + 1.0, 4097), beside,
+                           [-np.inf, -1e300, 1e300, np.inf]])
+
+
+@pytest.mark.parametrize("spec", list(dict.fromkeys(IRON_ZOO + ZOO)))
+def test_phi_bar_and_psi_equal_the_closed_forms_bit_for_bit(spec):
+    # each kind's own phi_bar and psi against the reference: the raw virtual
+    # value and its CDF for a kind with a density, the reference hull's steps
+    # for a discrete one
+    d = parse_dist(spec)
+    u, t = _u_grid(d), _t_grid(d)
+    assert d.phi_bar(u).tobytes() == phi_bar_reference(d, u).tobytes()
+    assert d.psi(t).tobytes() == psi_reference(d, t).tobytes()
+    for x in (0.3, 0.0, 1.0):  # one quantile or threshold reads one value
+        assert float(d.phi_bar(x)) == float(phi_bar_reference(d, [x])[0])
+        assert float(d.psi(x)) == float(psi_reference(d, [x])[0])
+
+
+@pytest.mark.parametrize("spec", IRON_ZOO)
+def test_iron_is_a_view_of_the_item(spec):
+    # the map holds the item's own steps and reads the item's own methods
+    d = parse_dist(spec)
+    imap = iron(d)
+    assert isinstance(imap, IronedVirtualMap) and imap.dist is d
+    assert imap.knots is d.knots and imap.levels is d.levels and imap.regular is d.regular
+    u, t = _u_grid(d), _t_grid(d)
+    assert imap.at_quantile(u).tobytes() == d.phi_bar(u).tobytes()
+    assert imap.psi(t).tobytes() == d.psi(t).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -55,28 +115,29 @@ def test_raw_virtual_rejects_atoms_and_out_of_support():
     ids=lambda d: d.spec(),
 )
 def test_regular_distributions_detected(d):
-    assert iron(d).regular
+    assert d.regular
 
 
 def test_irregular_discrete_detected():
     # revenue vertices (0,1), (0.5,0.6), (0.9,1), (1,0): dips then rises
     d = FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1))
-    imap = iron(d)
-    assert not imap.regular
+    assert not d.regular
 
 
 def test_two_point_mass_is_regular():
     # discrete virtual values 1 - (0.3/0.7)*9 < 10 are monotone
     d = FiniteDiscrete((1.0, 10.0), (0.7, 0.3))
-    assert iron(d).regular
+    assert d.regular
 
 
 def test_iron_rejects_a_hull_slope_that_overflows():
     # the first hull segment climbs by 1e300 over a quantile width of 1e-10:
-    # its slope, an ironed virtual value, would be 1e310
-    d = FiniteDiscrete((0.0, 1e300), (1e-10, 1.0 - 1e-10))
+    # its slope, an ironed virtual value, would be 1e310; the item irons
+    # itself when it is made, so it is never made
     with pytest.raises(ValueError, match="ironing .*1e\\+300.* overflows"):
-        iron(d)
+        FiniteDiscrete((0.0, 1e300), (1e-10, 1.0 - 1e-10))
+    with pytest.raises(ValueError, match="bad distribution spec .*ironing .* overflows"):
+        parse_dist("discrete:v=0,1e300;p=1e-10,0.9999999999")
 
 
 def _brute_force_ironed(d, u) -> np.ndarray:
@@ -115,9 +176,8 @@ def _brute_force_ironed(d, u) -> np.ndarray:
 )
 def test_ironed_discrete_matches_brute_force_hull(vals, probs):
     d = FiniteDiscrete(vals, probs)
-    imap = iron(d)
     u = np.array([0.05, 0.2, 0.33, 0.5, 0.66, 0.8, 0.95])
-    assert np.allclose(imap.at_quantile(u), _brute_force_ironed(d, u), rtol=0, atol=1e-8)
+    assert np.allclose(d.phi_bar(u), _brute_force_ironed(d, u), rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -132,19 +192,18 @@ def test_ironed_discrete_matches_brute_force_hull(vals, probs):
     ids=lambda d: d.spec(),
 )
 def test_ironed_map_monotone(d):
-    imap = iron(d)
     u = np.linspace(0.0, 0.999999, 2000)
-    phi = np.asarray(imap.at_quantile(u))
+    phi = np.asarray(d.phi_bar(u))
     assert np.all(np.diff(phi) >= -1e-9)
 
 
 def test_iron_memoized_read_only():
-    # a frozen map's arrays are read-only; a kind with a density has no steps
-    imap = iron(FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1)))
-    for arr in (imap.knots, imap.levels):
+    # an item's steps are read-only; a kind with a density has no steps
+    d = FiniteDiscrete((1.0, 1.2, 10.0), (0.5, 0.4, 0.1))
+    for arr in (d.knots, d.levels):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    smooth = iron(Exponential(2.0))
+    smooth = Exponential(2.0)
     assert smooth.regular
     for arr in (smooth.knots, smooth.levels):
         assert arr.size == 0 and not arr.flags.writeable
@@ -166,8 +225,7 @@ def test_iron_memoized_read_only():
 def test_at_quantile_equals_brute_force_ironing(d, K):
     # the steps against the brute-force hull, not against the map's own
     # arrays, probed densely and on a K-cell grid of quantiles
-    imap = iron(d)
-    knots, levels = imap.knots, imap.levels
+    knots, levels = d.knots, d.levels
     assert len(levels) == len(knots) + 1 <= len(d.values)
     assert np.all(np.diff(knots) > 0) and np.all(np.diff(levels) > 0)
     for arr in (knots, levels):
@@ -186,13 +244,13 @@ def test_at_quantile_equals_brute_force_ironing(d, K):
         [0.0, 1.0, -0.5, 1.5, np.nan, np.inf, -np.inf],
         np.random.default_rng(0).random(20_000),
     ])
-    assert np.allclose(imap.at_quantile(u), _brute_force_ironed(d, u), rtol=0, atol=1e-8)
+    assert np.allclose(d.phi_bar(u), _brute_force_ironed(d, u), rtol=0, atol=1e-8)
 
 
 def test_ironed_uniform_matches_raw():
-    imap = iron(Uniform(0, 1))
+    d = Uniform(0, 1)
     u = np.linspace(0.0, 1.0, 11)
-    assert np.allclose(np.asarray(imap.at_quantile(u)), 2.0 * u - 1.0)
+    assert np.allclose(np.asarray(d.phi_bar(u)), 2.0 * u - 1.0)
 
 
 def test_fact1_uniform_grid():
@@ -275,26 +333,25 @@ def test_iron_bit_equal_to_reference_construction(spec, K):
     # bit for bit against the reference construction; the hull of the
     # revenue tabulated on a K-cell grid reads the same phi_bar up to rounding
     d = parse_dist(spec)
-    imap = iron(d)
     knots, levels, regular = iron_reference(d)
-    assert imap.knots.tobytes() == knots.tobytes()
-    assert imap.levels.tobytes() == levels.tobytes()
-    assert imap.regular is regular
+    assert d.knots.tobytes() == knots.tobytes()
+    assert d.levels.tobytes() == levels.tobytes()
+    assert d.regular is regular
     grid = revenue_curve(d, K)[0]
     grid_knots, grid_levels, grid_regular = iron_on_grid(d, K)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(grid_levels))))
-    if d.purely_atomic:
+    if isinstance(d, FiniteDiscrete):
         # the grid adds only points on the linear pieces between the corners
         assert grid_regular is regular
         u = np.concatenate([np.linspace(0.0, 1.0, 20_001), grid])
         on_grid = grid_levels[np.searchsorted(grid_knots, u, side="right")]
-        assert np.allclose(imap.at_quantile(u), on_grid, rtol=0, atol=tol)
+        assert np.allclose(d.phi_bar(u), on_grid, rtol=0, atol=tol)
     else:
         # R is concave, so the chord over a cell has a slope between phi_bar
         # at the cell's two ends
         on_cell = grid_levels[np.searchsorted(grid_knots, 0.5 * (grid[:-1] + grid[1:]), "right")]
-        assert np.all(imap.at_quantile(grid[:-1]) - tol <= on_cell)
-        assert np.all(on_cell <= imap.at_quantile(grid[1:]) + tol)
+        assert np.all(d.phi_bar(grid[:-1]) - tol <= on_cell)
+        assert np.all(on_cell <= d.phi_bar(grid[1:]) + tol)
 
 
 def _dedupe_inputs():
@@ -305,7 +362,7 @@ def _dedupe_inputs():
         bps = d.quantile_breakpoints()
         for K in (2, 3, 17, 4096):
             yield np.concatenate([np.linspace(0.0, 1.0, K + 1), bps[(bps > 0) & (bps < 1)]])
-    steps = np.concatenate([iron(d).knots for d in dists] + [d.quantile_breakpoints() for d in dists])
+    steps = np.concatenate([d.knots for d in dists] + [d.quantile_breakpoints() for d in dists])
     yield np.concatenate([_COARSE_U, steps, np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf)])
     yield np.concatenate([d.quantile(_COARSE_U) for d in dists])
     yield np.array([])
@@ -313,7 +370,7 @@ def _dedupe_inputs():
     yield np.full(7, 0.25)
     yield np.array([1.0, -0.0, 0.0, 1.0, 0.5])
     for d in dists:
-        if d.purely_atomic:
+        if isinstance(d, FiniteDiscrete):
             bps = d.quantile_breakpoints()
             yield np.concatenate([[0.0, 1.0], bps[(bps > 0) & (bps < 1)]])
 
@@ -346,8 +403,8 @@ GRID_MAPS = {
 
 @pytest.mark.parametrize("spec", list(GRID_MAPS))
 def test_atomic_maps_equal_recorded_grid_maps(spec):
-    imap = iron(parse_dist(spec))
-    assert (imap.knots.tobytes().hex(), imap.levels.tobytes().hex()) == GRID_MAPS[spec]
+    d = parse_dist(spec)
+    assert (d.knots.tobytes().hex(), d.levels.tobytes().hex()) == GRID_MAPS[spec]
 
 
 def _random_discrete_specs(count: int):
@@ -399,13 +456,12 @@ def test_iron_matches_exact_hull_of_revenue_corners(spec):
     hull = _exact_upper_hull(corners)
     slopes = [-(r1 - r0) / (u1 - u0) for (u0, r0), (u1, r1) in itertools.pairwise(hull)]
 
-    imap = iron(d)
-    assert imap.knots.tolist() == [float(u) for u, _ in hull[1:-1]]
-    assert np.all(np.diff(imap.levels) > 0) and len(imap.levels) <= len(values)
-    assert np.allclose(imap.levels, [float(s) for s in slopes], rtol=1e-12, atol=1e-12)
+    assert d.knots.tolist() == [float(u) for u, _ in hull[1:-1]]
+    assert np.all(np.diff(d.levels) > 0) and len(d.levels) <= len(values)
+    assert np.allclose(d.levels, [float(s) for s in slopes], rtol=1e-12, atol=1e-12)
     below = max(
         (r1 - r0) / (u1 - u0) * (u - u0) + r0 - r
         for (u0, r0), (u1, r1) in itertools.pairwise(hull)
         for u, r in corners if u0 <= u <= u1
     )
-    assert imap.regular is (below <= 1e-9)
+    assert d.regular is (below <= 1e-9)
