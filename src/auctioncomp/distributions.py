@@ -379,7 +379,8 @@ def parse_dist(spec: str) -> SingleDist:
     """Parse a compact distribution spec string.
 
     Grammar: ``uniform:0,1``, ``er:p=10000``, ``exp:1``,
-    ``discrete:v=1,2;p=0.5,0.5``, and ``point:5``, which is ``discrete:v=5;p=1``.
+    ``discrete:v=1,2;p=0.5,0.5`` (the keys v and p, once each), and ``point:5``,
+    which is ``discrete:v=5;p=1``.
     """
     spec = spec.strip()
     try:
@@ -397,7 +398,11 @@ def parse_dist(spec: str) -> SingleDist:
         if kind == "point":
             return FiniteDiscrete((float(arg),), (1.0,))
         if kind == "discrete":
-            parts = dict(tok.split("=", 1) for tok in arg.split(";"))
+            pairs = [tok.split("=", 1) for tok in arg.split(";")]
+            keys = sorted(key for key, *_ in pairs)
+            if keys != ["p", "v"]:
+                raise ValueError(f"discrete takes the keys v and p once each, not {keys}")
+            parts = dict(pairs)
             vals = tuple(float(t) for t in parts["v"].split(","))
             probs = tuple(float(t) for t in parts["p"].split(","))
             return FiniteDiscrete(vals, probs)

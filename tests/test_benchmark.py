@@ -279,7 +279,9 @@ def test_exact_estimates_same_bits_for_any_blas_thread_count():
     # a BLAS dot sums in an order that follows its thread count, which would
     # make the artifact depend on the CPU count
     code = (
-        "from auctioncomp import *; pd = ProductDist((TruncatedEqualRevenue(1e4),) * 4); "
+        "from auctioncomp.benchmark import efftw_bound; from auctioncomp.revenue import vcg; "
+        "from auctioncomp.distributions import ProductDist, TruncatedEqualRevenue; "
+        "pd = ProductDist((TruncatedEqualRevenue(1e4),) * 4); "
         "print(repr(efftw_bound(pd, 16)), repr(vcg(pd, 25)))"
     )
     outs = [

@@ -32,8 +32,9 @@ def test_chain_bounds_do_not_load_numpy_polynomial():
     # the quadrature nodes are built in the package: numpy.polynomial costs
     # ~5 ms to import and ~1.6 MB of resident memory
     code = (
-        "import sys, auctioncomp as a; pd = a.ProductDist((a.Uniform(0, 1),) * 2); "
-        "a.xl_chain_bound(pd, 2); a.xb_chain_bound(pd, 2, 2); "
+        "import sys; from auctioncomp.benchmark import xb_chain_bound, xl_chain_bound; "
+        "from auctioncomp.distributions import ProductDist, Uniform; "
+        "pd = ProductDist((Uniform(0, 1),) * 2); xl_chain_bound(pd, 2); xb_chain_bound(pd, 2, 2); "
         "print('numpy.polynomial' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

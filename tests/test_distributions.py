@@ -202,6 +202,22 @@ def test_parse_dist_rejects(bad):
 
 
 @pytest.mark.parametrize(
+    "bad", ["discrete:v=1,2;p=0.5,0.5;p=0.4,0.6", "discrete:v=1,2;p=0.5,0.5;extra=3",
+            "discrete:v=1,2;v=1,2;p=0.5,0.5", "discrete:v=1,2"],
+)
+def test_parse_dist_rejects_a_discrete_key_unknown_repeated_or_missing(bad):
+    # a repeated key was read as its last value, an unknown one ignored
+    with pytest.raises(ValueError, match=re.escape(f"bad distribution spec {bad!r}")) as info:
+        parse_dist(bad)
+    assert "keys v and p once each" in str(info.value.__cause__)
+
+
+def test_parse_dist_reads_the_discrete_keys_in_either_order():
+    d = FiniteDiscrete((1.0, 2.0), (0.25, 0.75))
+    assert parse_dist("discrete:v=1,2;p=0.25,0.75") == d == parse_dist("discrete:p=0.25,0.75;v=1,2")
+
+
+@pytest.mark.parametrize(
     "bad",
     ["exp:1e-310", "exp:1e-307", "uniform:-1e308,1e308", "uniform:1e308,1.7e308",
      "uniform:-8e307,8e307", "discrete:v=-1e308,1e308;p=0.5,0.5", "point:1e308"],

@@ -85,7 +85,7 @@ MUTANTS = {
 }
 
 # no registered claim reads the posted price's size or the laws of X_L and
-# X_B (ROADMAP item 9's exact dominance thresholds register claims that do)
+# X_B (ROADMAP item 11's exact dominance thresholds register claims that do)
 UNCOVERED = ["posted-price-x1.5", "xl_cdf-m+1", "xb_cdf-ell+1"]
 
 

@@ -100,14 +100,12 @@ def test_phi_bar_and_psi_equal_the_closed_forms_bit_for_bit(spec):
 
 @pytest.mark.parametrize("spec", IRON_ZOO)
 def test_iron_is_a_view_of_the_item(spec):
-    # the map holds the item's own steps and reads the item's own methods
+    # the map holds the item and reads the item's own phi_bar
     d = parse_dist(spec)
     imap = iron(d)
     assert isinstance(imap, IronedVirtualMap) and imap.dist is d
-    assert imap.knots is d.knots and imap.levels is d.levels and imap.regular is d.regular
-    u, t = _u_grid(d), _t_grid(d)
+    u = _u_grid(d)
     assert imap.at_quantile(u).tobytes() == d.phi_bar(u).tobytes()
-    assert imap.psi(t).tobytes() == d.psi(t).tobytes()
 
 
 @pytest.mark.parametrize(
