@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rng import BLOCK, estimate, fill_pieces, map_batches
+from .rng import BLOCK, estimate, map_batches
 
 __all__ = [
     "DominanceReport",
@@ -263,22 +263,18 @@ def _gauss_cf(alpha: int, gamma: int, x: np.ndarray, s: np.ndarray) -> np.ndarra
 def _piecewise_cdf(t, branches) -> np.ndarray | float:
     """A CDF of the shape of t (a float for a scalar): 0 for t <= 0 (and
     NaN), 1 for t >= 1, and at 0 < x < 1 fn(x) of the first (test, fn) of
-    ``branches`` whose test(x) holds. It runs in pieces of ``PIECE``
-    (``rng.fill_pieces``), each point by its own branch, so a point's bits
-    are those of the point alone."""
-
-    def piece(x):
-        out = np.where(x >= 1.0, 1.0, 0.0)
-        left = (x > 0.0) & (x < 1.0)
-        for test, fn in branches:
-            part = left & test(x)
-            if part.any():  # a Horner loop over no points still costs its numpy calls
-                out[part] = fn(x[part])
-            left &= ~part
-        return out
-
+    ``branches`` whose test(x) holds. All points are read in one call, each
+    by its own branch, so a point's bits are those of the point alone."""
     t = np.asarray(t, dtype=float)
-    out = fill_pieces(np.empty(t.size), piece, t.ravel()).reshape(t.shape)
+    x = t.ravel()
+    out = np.where(x >= 1.0, 1.0, 0.0)
+    left = (x > 0.0) & (x < 1.0)
+    for test, fn in branches:
+        part = left & test(x)
+        if part.any():  # a Horner loop over no points still costs its numpy calls
+            out[part] = fn(x[part])
+        left &= ~part
+    out = out.reshape(t.shape)
     return out if out.ndim else float(out)
 
 

@@ -29,7 +29,7 @@ from .distributions import ProductDist, TruncatedEqualRevenue
 from .revenue import (
     Bracket,
     _order_stat,
-    er2_sum_tail_truncated,
+    er2_sum_tail,
     feldman_params,
     feldman_posted_price,
     three_tier_params,
@@ -230,11 +230,11 @@ def _claim_decomposition(seed: int) -> ReproResult:
 
 
 def _claim_sum_tail(seed: int) -> ReproResult:
-    # for 2q <= p + 1 a draw at the atom p already reaches 2q, so truncating
-    # at p leaves the event unchanged and only rounding separates the forms
-    q, p = 5.0, 1e6
+    # the three-tier mechanism's tail, 2/t + 2 ln(t - 1)/t^2 at t = 2q,
+    # against the paper's printed form; only rounding separates the two
+    q = 5.0
     target = Bracket.point(two_item_sum_tail(q))
-    computed = Bracket.point(er2_sum_tail_truncated(2.0 * q, p))
+    computed = Bracket.point(er2_sum_tail(2.0 * q))
     return _within(f"two-item-sum-tail-q{q:g}", computed, target, 1e-12 * target.mid)
 
 

@@ -334,42 +334,13 @@ def feldman_posted_price(
 # ---------------------------------------------------------------------------
 
 
-def er2_sum_tail_truncated(t: float, trunc: float) -> float:
-    """Pr[v1 + v2 >= t] for two i.i.d. draws from ER truncated at ``trunc``.
-
-    Closed form by splitting on which draws sit at the truncation atom;
-    the continuous-continuous part integrates via partial fractions.
-    """
-    P = float(trunc)
+def er2_sum_tail(t: float) -> float:
+    """Pr[v1 + v2 >= t] for two i.i.d. untruncated equal-revenue draws:
+    1 for t <= 2, else 2/t + 2 ln(t - 1)/t^2."""
     if t <= 2.0:
         return 1.0
-    if t > 2.0 * P:
-        return 0.0
-    a = 1.0 / P
-
-    def cont_tail(u: float) -> float:
-        # mass of the continuous part at or above u
-        if u <= 1.0:
-            return 1.0 - a
-        if u >= P:
-            return 0.0
-        return 1.0 / u - a
-
-    both_atoms = a * a
-    one_atom = 2.0 * a * cont_tail(t - P)
-    # continuous pairs with x0 <= v1 < x1 and v2 >= t - v1; each end comes
-    # with its gap t - x from its definition: t minus the rounded x1 = t - 1
-    # reads 0 once t passes 2^53
-    x0, g0 = (1.0, t - 1.0) if t - P <= 1.0 else (t - P, P)
-    x1, g1 = (t - 1.0, 1.0) if t - 1.0 <= P else (P, t - P)
-    part_mixed = 0.0
-    if x1 > x0:
-        def F(x: float, gap: float) -> float:
-            # t * t reads inf past t ~ 1.3e154, where t**2 raises; the terms read 0
-            return math.log(x / gap) / (t * t) - 1.0 / (t * x)
-        part_mixed = F(x1, g1) - F(x0, g0) - a * (1.0 / x0 - 1.0 / x1)
-    part_flat = (1.0 - a) * (1.0 / x1 - 1.0 / P) if P > x1 else 0.0
-    return both_atoms + one_atom + part_mixed + part_flat
+    # t * t reads inf past t ~ 1.3e154, where t**2 raises; the term reads 0
+    return 2.0 / t + 2.0 * math.log(t - 1.0) / (t * t)
 
 
 def three_tier_params(n: int, q: float, p: float) -> dict:
@@ -377,16 +348,17 @@ def three_tier_params(n: int, q: float, p: float) -> dict:
     three-tier mechanism: high iff v1 + v2 >= p k/(k-1), medium iff
     v1 + v2 >= 2q.
 
-    Values are truncated at 10^4 * p, so the high price sits well inside
-    their support.
+    Values are truncated at 10^4 p, yet the tiers read the untruncated
+    tail (``er2_sum_tail``): both thresholds lie below 10^4 p + 1
+    (t_high <= 1.0102 p as k >= sqrt(n) >= 100, and 2q <= p/50), where a
+    draw at the atom already passes t, so the truncation moves neither.
     """
-    trunc = 1e4 * p
     k = n / q + n * math.log(q) / (8.0 * q**2)
     t_high = p * k / (k - 1.0)
-    if not math.isfinite(1e4 * t_high):  # so trunc = 10^4 p and t_high are finite
+    if not math.isfinite(1e4 * t_high):  # so 10^4 p and t_high are finite
         raise ValueError("high price p must be finite, and so must 10^4 p k/(k-1)")
-    p_high = er2_sum_tail_truncated(t_high, trunc)
-    p_med = max(er2_sum_tail_truncated(2.0 * q, trunc) - p_high, 0.0)
+    p_high = er2_sum_tail(t_high)
+    p_med = max(er2_sum_tail(2.0 * q) - p_high, 0.0)
     return {"k": k, "p_high": p_high, "p_med": p_med}
 
 
@@ -403,6 +375,8 @@ def three_tier_mechanism(n: int, q: float, p: float) -> Bracket:
 
 
 def _check_three_tier(n: int, q: float, p: float) -> None:
+    if n < 1:
+        raise ValueError("need n >= 1")
     if not 100.0 <= q <= math.sqrt(n):
         raise ValueError("q must satisfy 100 <= q <= sqrt(n)")
     if p < 100.0 * q:

@@ -25,8 +25,8 @@ bracket kernel of the exact integrals (``revenue._stieltjes``) keeps no
 grid-length array of its own: it sums each piece as it goes and adds the
 piece sums in order, a fold fixed by the constant ``PIECE``, not by the CPU
 count. The X_L and X_B CDFs, a closed form, a continued fraction or a
-series per point, fill their output piece by piece (``fill_pieces``), so a
-point's bits do not depend on the points beside it.
+series per point, read each point by its own branch, so a point's bits do
+not depend on the points beside it.
 """
 
 from __future__ import annotations
@@ -84,15 +84,6 @@ def map_batches(seed: int, label: str, N: int, kernel: Callable, width: int = 1)
     need_samples(N)
     rng = substream(seed, label)
     return (kernel(rng, r) for r in batch_sizes(N, max(1, BLOCK // max(1, width))))
-
-
-def fill_pieces(out: np.ndarray, fn: Callable, *arrays: np.ndarray) -> np.ndarray:
-    """``out[i:j] = fn(*(a[i:j] for a in arrays))`` for consecutive pieces of
-    ``PIECE`` rows; returns ``out``. ``fn`` must act row by row, so ``out``
-    holds the bits of ``fn(*arrays)`` with one piece of temporaries alive."""
-    for i in range(0, len(out), PIECE):
-        out[i:i + PIECE] = fn(*(a[i:i + PIECE] for a in arrays))
-    return out
 
 
 def estimate(s1: int, s2: int, N: int) -> tuple[float, float]:

@@ -232,6 +232,18 @@ def test_xl_chain_brackets_the_er_closed_form():
         assert est.lo <= exact <= est.hi, (p, est, exact)
 
 
+@pytest.mark.xfail(strict=True, reason="XB(3, 2).cdf(0.9999) reads ~1 ulp low, weighed by p; "
+                                       "the laws' CDF allowance (ROADMAP item 3) brings it in")
+def test_xb_chain_brackets_the_er_square_exact_value():
+    # two ER(1e4) items at n = 2 and ell = 2, benchmark --chain big's default
+    # there: n' = 3, and each item adds p Pr[X_B > 1 - 1/p], so the sum is
+    # 2p (1 - F(1 - 1/p)) for F the CDF of X_B(3, 2), from 40-digit mpmath.
+    # The bracket [11.988347551554757, 11.98834755156808] misses it by 1.1e-12
+    exact = 11.988347551553628581
+    est = xb_chain_bound(ProductDist((parse_dist("er:p=10000"),) * 2), 2, 2)
+    assert est.lo <= exact <= est.hi, est
+
+
 def test_chain_bracket_ordered_on_a_cell_with_no_float_inside():
     # ER(1e16) breaks at 1 - 1e-16, which rounds to 1 - 2^-53: the grid's top
     # cell (1 - 2^-53, 1) holds no float, and phi_bar jumps from 0 to p in it.

@@ -21,7 +21,7 @@ from auctioncomp.distributions import ProductDist, TruncatedEqualRevenue, Unifor
 from auctioncomp.experiments import XB, XL
 from auctioncomp.repro import er_order_stat
 from auctioncomp.revenue import Bracket, _score_estimate, myerson_item_revenue, srev, vcg, vcg_item_revenue
-from auctioncomp.rng import PIECE, fill_pieces
+from auctioncomp.rng import PIECE
 from oracles import (
     jump_allowance,
     phi_at_experiment_one_shot,
@@ -295,17 +295,3 @@ def test_exact_kernel_working_set(bound, cells, limit_mb, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mb * 2**20, peak / 2**20
-
-
-@pytest.mark.parametrize("length", [0, 1, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE - 5])
-def test_fill_pieces_equals_one_call(length):
-    x = np.random.default_rng(length).random(length)
-    sizes = []
-
-    def fn(a, b):
-        sizes.append(len(a))
-        return np.exp(a) * b - 1.0
-
-    out = fill_pieces(np.empty(length), fn, x, x[::-1])
-    assert out.tobytes() == (np.exp(x) * x[::-1] - 1.0).tobytes()
-    assert sizes == [min(PIECE, length - i) for i in range(0, length, PIECE)]

@@ -1,10 +1,14 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from auctioncomp import revenue as revenue_mod
 from auctioncomp.benchmark import _region_score_cdf, efftw_bound, obs1_bound
 from auctioncomp.distributions import (
     Exponential,
@@ -19,7 +23,7 @@ from auctioncomp.revenue import (
     Bracket,
     _order_stat,
     _score_estimate,
-    er2_sum_tail_truncated,
+    er2_sum_tail,
     feldman_params,
     _FELDMAN_WIDTH,
     feldman_posted_price,
@@ -438,35 +442,54 @@ def test_mechanism_outcome_invariants():
         MechanismOutcome(revenue=5.0, winners=(None,), payments=(1.0,))
 
 
-def test_er2_sum_tail_truncated_endpoints():
-    assert er2_sum_tail_truncated(2.0, 100.0) == 1.0
-    assert er2_sum_tail_truncated(201.0, 100.0) == 0.0
+def test_er2_sum_tail_is_one_up_to_two():
+    assert er2_sum_tail(1.5) == er2_sum_tail(2.0) == 1.0
+    # and the closed form leaves 2 continuously
+    assert er2_sum_tail(math.nextafter(2.0, 3.0)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_er2_sum_tail_truncated_vs_mc():
-    # direct Monte Carlo oracle on the truncated square
-    from auctioncomp.rng import substream
-
+    # a direct Monte Carlo oracle on the truncated square: at t <= P + 1 a
+    # draw at the atom P already reaches t, so the untruncated form holds
     P = 100.0
     d = TruncatedEqualRevenue(P)
     rng = substream(10, "tail-oracle")
     v = np.asarray(d.quantile(rng.random((400_000, 2))))
-    for t in (3.0, 10.0, 50.0, 150.0):
+    for t in (3.0, 10.0, 50.0, 101.0):
         mc = float(np.mean(v.sum(axis=1) >= t))
-        closed = er2_sum_tail_truncated(t, P)
+        closed = er2_sum_tail(t)
         se = math.sqrt(max(mc * (1 - mc), 1e-12) / len(v))
         assert abs(closed - mc) <= 4 * se + 1e-6
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e4, 1e6])
-def test_er2_sum_tail_truncated_equals_closed_form_below_the_atom(scale):
-    # for t <= P + 1 a draw at the atom P already reaches t, so truncation
-    # leaves the event unchanged; past t = 2^53, t - 1 rounds to t and the
-    # gaps t - x must not be taken from rounded ends
+def test_er2_sum_tail_equals_the_papers_form():
+    # 2/t + 2 ln(t - 1)/t^2 against repro's printed form at q = t/2, past
+    # t = 2^53 where t - 1 rounds to t
     for t in np.geomspace(2.5, 1e20, 300):
         t = float(t)
-        closed = two_item_sum_tail(t / 2.0)
-        assert er2_sum_tail_truncated(t, scale * t) == pytest.approx(closed, rel=1e-15, abs=0)
+        assert er2_sum_tail(t) == pytest.approx(two_item_sum_tail(t / 2.0), rel=1e-15, abs=0)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_three_tier_thresholds_lie_below_the_truncation_atom(data):
+    # values are truncated at P = 10^4 p; the tiers read the untruncated
+    # tail, which is the truncated one at t <= P + 1
+    n = data.draw(st.integers(10_000, 10**12))
+    q = data.draw(st.floats(100.0, math.sqrt(n)))
+    p = data.draw(st.floats(100.0 * q, 1.7e304))
+    k = n / q + n * math.log(q) / (8.0 * q**2)
+    assume(math.isfinite(1e4 * p * k / (k - 1.0)))
+    revenue_mod._check_three_tier(n, q, p)
+    read = []
+
+    def record(t):
+        read.append(t)
+        return er2_sum_tail(t)
+
+    with mock.patch.object(revenue_mod, "er2_sum_tail", record):
+        three_tier_params(n, q, p)
+    assert len(read) == 2 and max(read) <= 1e4 * p + 1.0, (n, q, p, read)
 
 
 @pytest.mark.parametrize("p", [1e155, 1e160, 1e200, 1e300])
@@ -475,7 +498,7 @@ def test_three_tier_finite_past_the_square_of_the_high_price(p):
     # the terms it divides fall below the smallest normal float
     n, q = 1_000_000, 100.0
     k = three_tier_params(n, q, p)["k"]
-    assert er2_sum_tail_truncated(p * k / (k - 1), 1e4 * p) == pytest.approx(2 * (k - 1) / (k * p), rel=1e-12)
+    assert er2_sum_tail(p * k / (k - 1)) == pytest.approx(2 * (k - 1) / (k * p), rel=1e-12)
     est = three_tier_mechanism(n, q, p)
     assert est.lo == est.hi == pytest.approx(three_tier_revenue(n, q, 1e100), rel=1e-12)
 
@@ -494,6 +517,13 @@ def test_three_tier_validates_window():
         three_tier_mechanism(10_000, 99.0, 1e8)  # q < 100
     with pytest.raises(ValueError):
         three_tier_mechanism(10_000, 100.0, 500.0)  # p not >> q
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_three_tier_rejects_n_below_one(n):
+    # the message names n, not the domain error of sqrt(n)
+    with pytest.raises(ValueError, match=r"need n >= 1"):
+        three_tier_mechanism(n, 100.0, 1e8)
 
 
 def test_three_tier_medium_count_concentrates():
