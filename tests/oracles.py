@@ -32,7 +32,9 @@ region loop is the reference for the region rule's argmax. The raw virtual
 value v - (1 - F(v)) / f(v) of each kind with a density, and its CDF, in
 closed form (``raw_virtual``, ``raw_virtual_cdf``), with the steps of the
 reference hull for an atomic kind, are the reference for each item's own
-``phi_bar`` and ``psi``.
+``phi_bar`` and ``psi``. The sum tail of the truncated equal-revenue square,
+split on which draws sit at the atom, is the reference for the untruncated
+closed form the three-tier mechanism reads below that atom.
 """
 
 from __future__ import annotations
@@ -361,6 +363,44 @@ def two_item_sum_tail_mc(q: float, N: int, seed: int, p: float = 1e6) -> tuple[f
 
     rate = sum(map_batches(seed, "sum-tail", N, block, 2)) / N
     return rate, math.sqrt(max(rate * (1 - rate), 1e-300) / N)  # the binomial stderr
+
+
+def er2_sum_tail_truncated(t: float, trunc: float) -> float:
+    """Pr[v1 + v2 >= t] for two i.i.d. draws from ER truncated at ``trunc``.
+
+    Closed form by splitting on which draws sit at the truncation atom;
+    the continuous-continuous part integrates via partial fractions.
+    """
+    P = float(trunc)
+    if t <= 2.0:
+        return 1.0
+    if t > 2.0 * P:
+        return 0.0
+    a = 1.0 / P
+
+    def cont_tail(u: float) -> float:
+        # mass of the continuous part at or above u
+        if u <= 1.0:
+            return 1.0 - a
+        if u >= P:
+            return 0.0
+        return 1.0 / u - a
+
+    both_atoms = a * a
+    one_atom = 2.0 * a * cont_tail(t - P)
+    # continuous pairs with x0 <= v1 < x1 and v2 >= t - v1; each end comes
+    # with its gap t - x from its definition: t minus the rounded x1 = t - 1
+    # reads 0 once t passes 2^53
+    x0, g0 = (1.0, t - 1.0) if t - P <= 1.0 else (t - P, P)
+    x1, g1 = (t - 1.0, 1.0) if t - 1.0 <= P else (P, t - P)
+    part_mixed = 0.0
+    if x1 > x0:
+        def F(x: float, gap: float) -> float:
+            # t * t reads inf past t ~ 1.3e154, where t**2 raises; the terms read 0
+            return math.log(x / gap) / (t * t) - 1.0 / (t * x)
+        part_mixed = F(x1, g1) - F(x0, g0) - a * (1.0 / x0 - 1.0 / x1)
+    part_flat = (1.0 - a) * (1.0 / x1 - 1.0 / P) if P > x1 else 0.0
+    return both_atoms + one_atom + part_mixed + part_flat
 
 
 def prop_key_conditional(n: int, ell: int, c: int, p: float, N: int, seed: int):

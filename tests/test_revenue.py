@@ -39,6 +39,7 @@ from auctioncomp.rng import BLOCK, batch_sizes, substream
 from oracles import (
     MechanismOutcome,
     bulow_klemperer_check,
+    er2_sum_tail_truncated,
     er_order_stat_cdf,
     feldman_full_matrix,
     feldman_one_shot,
@@ -468,6 +469,17 @@ def test_er2_sum_tail_equals_the_papers_form():
     for t in np.geomspace(2.5, 1e20, 300):
         t = float(t)
         assert er2_sum_tail(t) == pytest.approx(two_item_sum_tail(t / 2.0), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e6])
+def test_er2_sum_tail_truncated_equals_closed_form_below_the_atom(scale):
+    # for t <= P + 1 a draw at the atom P already reaches t, so truncation
+    # leaves the event unchanged and the untruncated form the three-tier
+    # mechanism reads is the truncated square's tail; past t = 2^53, t - 1
+    # rounds to t and the gaps t - x must not be taken from rounded ends
+    for t in np.geomspace(2.5, 1e20, 300):
+        t = float(t)
+        assert er2_sum_tail_truncated(t, scale * t) == pytest.approx(er2_sum_tail(t), rel=1e-15, abs=0)
 
 
 @given(st.data())
