@@ -22,12 +22,14 @@ posted-bundle mechanism (``revenue.feldman_posted_price``).
 is: the item draws are independent of x, so none of them exceeds x with
 probability x^(m-1), and otherwise a uniformly chosen exceeder is uniform on
 [x, 1]. ``ystar_conditional_mc`` still simulates all m - 1 item draws,
-because it is the independent check of the closed form ``ystar_tail``. It
-takes the rank-th exceeder, largest first, with a uniform rank; whether that
-one exceeds p follows from two counts per row, so no exceeder is located.
-Each item draw is read at its bit cost: its top byte, drawn item-major as
-(m - 1, rows) from raw 64-bit words, eight to a word, and a uniform
-remainder below it only when the byte ties the byte of X_(1) or of p.
+because it is the independent check of the closed form ``ystar_tail``. Of
+a row's k exceeders, h exceed p, so a uniformly chosen one exceeds p with
+probability exactly h/k: each row adds h/k, an integer over
+L = lcm(1, ..., m - 1), and draws no rank (Rao-Blackwell), so no exceeder
+is located. Each item draw is read at its bit cost: its top byte, drawn
+item-major as (m - 1, rows) from raw 64-bit words, eight to a word, and a
+uniform remainder below it only when the byte ties the byte of X_(1) or of
+p.
 
 The samplers compute in place (``out=`` arithmetic in the order of the plain
 expressions, so the draws are the same bits), which keeps a draw of ``XL``
@@ -51,7 +53,8 @@ Dominance between two samplers is decided empirically on a uniform probe
 grid with a two-sided DKW allowance. Determinism model: each Monte Carlo
 loop here is ``rng.map_batches``, one seeded stream drawn block by block,
 with about ``BLOCK`` floats of draws alive at a time, whatever N and m; each
-block returns integer counts, which the loop adds (``rng.estimate``).
+block returns integer counts, which the loop adds exactly, and one rule
+(``rng.estimate``) reads the mean and stderr off the integer totals.
 """
 
 from __future__ import annotations
@@ -475,10 +478,12 @@ def ystar_tail(n: int, m: int, p) -> np.ndarray | float:
     1 - n p^(m-1)/(n+m-2) - sum_{i=1}^{m-2} n p^i / ((n+i)(n+i-1)),
     a polynomial in p summed by Horner's rule (``_horner``).
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if m < 2:
         raise ValueError("need m >= 2")
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
+    if not np.all((p >= 0) & (p <= 1)):  # a NaN fails both
         raise ValueError("p must lie in [0, 1]")
     c = [1.0] + [-n / ((n + i) * (n + i - 1)) for i in range(1, m - 1)] + [-n / (n + m - 2)]
     out = _horner(c, p)
@@ -493,24 +498,31 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
     draws are simulated directly, so this stays independent of both
     ``ystar_tail`` and the conditional construction in ``XL``.
 
-    Y* is the exceeder of rank floor(U k) among the k item draws above X_(1),
-    taken largest first; the h draws above p > X_(1) lead that order, so
-    Y* > p iff floor(U k) < h, i.e. U k < h. Only k and h are counted.
+    Y* is a uniformly ranked one of the k item draws above X_(1); the h draws
+    above p > X_(1) are among them, so given (k, h) the row's indicator of
+    Y* > p has mean exactly h / k (0 at k = 0). Each row adds that mean
+    instead of drawing the rank (Rao-Blackwell), so only k and h are counted
+    and no exceeder is located.
 
     An item draw is (B + V) / 256: its top byte B, then a uniform remainder
     V, which given B is uniform. Each block of ``BLOCK // (m - 1)`` rows
     draws X_(1), then the item bytes item-major as (m - 1, rows), eight to a
     ``random_raw`` word read little-endian, then one remainder V per item
     whose byte is a = floor(256 X_(1)) or p8 = floor(256 p), in item-major
-    order (one V serves both when a == p8), then the rank uniforms U. A
-    byte above a (above p8) counts in k (in h); a byte equal to a (to p8)
-    counts when V > 256 X_(1) - a (V > 256 p - p8), and both differences
-    are exact in binary floating point. So only about 2/256 of the items
-    draw a float.
+    order (one V serves both when a == p8). A byte above a (above p8)
+    counts in k (in h); a byte equal to a (to p8) counts when
+    V > 256 X_(1) - a (V > 256 p - p8), and both differences are exact in
+    binary floating point. So only about 2/256 of the items draw a float.
 
-    Returns (rate, stderr) by ``rng.estimate``, with the hit count as both
-    totals (a hit is its own square): stderr 0 when no run hits, or all do.
+    Each block returns, for each k, the integer sums of h and of h^2 over
+    its rows. Over the common denominator L = lcm(1, ..., m - 1) a row adds
+    the integer (L / k) h, so the totals S1 = sum_k (L / k) sum h and
+    S2 = sum_k (L / k)^2 sum h^2 are exact Python ints, and ``rng.estimate``
+    reads (mean, stderr) off them with the scale L: stderr 0 when every row
+    reads the same h / k, as when no row has an item above p.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")
     if m < 2:
@@ -535,10 +547,14 @@ def ystar_conditional_mc(n: int, m: int, p: float, N: int, seed: int) -> tuple[f
         row, byte = at % r, y.ravel()[at]
         k = k + np.bincount(row[(byte == a[row]) & (v > x_scaled[row] - a[row])], minlength=r)
         h = h + np.bincount(row[(byte == p8) & (v > p_rest)], minlength=r)
-        return int(np.count_nonzero(rng.random(r) * k < h))
+        # float sums of at most r m^2 are exact integers
+        return np.stack((np.bincount(k, h, minlength=m), np.bincount(k, h * h, minlength=m))).astype(np.int64)
 
-    hits = sum(map_batches(seed, "ystar-mc", N, block, width))
-    return estimate(hits, hits, N)
+    sums = sum(map_batches(seed, "ystar-mc", N, block, width))
+    L = math.lcm(*range(1, m))
+    s1 = sum(L // k * int(sums[0, k]) for k in range(1, m))
+    s2 = sum((L // k) ** 2 * int(sums[1, k]) for k in range(1, m))
+    return estimate(s1, s2, N, L)
 
 
 def dkw_epsilon(N: int, delta: float) -> float:

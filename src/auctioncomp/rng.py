@@ -15,9 +15,11 @@ array the kernel keeps alive, so a block holds about ``BLOCK`` floats.
 A Monte Carlo estimate never holds its N samples: each block returns
 integer counts and the loop adds them, exactly, so no estimate depends on
 the order in which its blocks are added. One rule (``estimate``) turns the
-integer totals S1 and S2 of the per-run counts and of their squares into a
-mean and its standard error; a hit count is its own square, so a hit rate
-passes S2 = S1.
+integer totals S1 and S2 of the per-run values and of their squares into
+a mean and its standard error. A value is an integer over a common
+denominator L, passed as ``scale`` (1 for counts): the Y* estimator's
+per-row means h/k have L = lcm(1, ..., m - 1), and its totals are Python
+ints, so no sum rounds or overflows whatever m is.
 
 An exact integrand on a long grid is evaluated in pieces of ``PIECE``
 values: elementwise arithmetic gives the same bits on any slice. The one
@@ -86,10 +88,12 @@ def map_batches(seed: int, label: str, N: int, kernel: Callable, width: int = 1)
     return (kernel(rng, r) for r in batch_sizes(N, max(1, BLOCK // max(1, width))))
 
 
-def estimate(s1: int, s2: int, N: int) -> tuple[float, float]:
+def estimate(s1: int, s2: int, N: int, scale: int = 1) -> tuple[float, float]:
     """(mean, standard error) of N runs from the integer totals s1 and s2 of
-    their counts and of the counts' squares: S1 / N and
-    sqrt((N S2 - S1^2) / (N^2 (N - 1))), 0 at N = 1. The numerator and
-    denominator are exact integers, so runs that all agree read 0."""
-    stderr = math.sqrt((N * s2 - s1 * s1) / (N * N * (N - 1))) if N > 1 else 0.0
-    return s1 / N, stderr
+    their values and of the values' squares, each value an integer over the
+    denominator ``scale``: S1 / (N scale) and
+    sqrt((N S2 - S1^2) / (N^2 (N - 1) scale^2)), 0 at N = 1. The numerators
+    and denominators are exact integers, each ratio rounded once, so runs
+    that all agree read 0."""
+    stderr = math.sqrt((N * s2 - s1 * s1) / (N * N * (N - 1) * scale * scale)) if N > 1 else 0.0
+    return s1 / (N * scale), stderr

@@ -1,6 +1,7 @@
 import decimal
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from auctioncomp.experiments import (
 )
 from auctioncomp.benchmark import xl_chain_bound
 from auctioncomp.distributions import ProductDist, Uniform
-from auctioncomp.rng import BLOCK, estimate, substream
+from auctioncomp.rng import BLOCK, substream
 from oracles import (
     j_tail_decimal,
     prop_key_conditional,
@@ -720,50 +721,37 @@ def test_ystar_tail_matches_exact_rationals(n, m):
         assert ystar_tail(n, m, p) == g
 
 
+def _within_4_sigma(n, m, p, est, stderr):
+    return abs(est - ystar_tail(n, m, p)) <= 4 * stderr
+
+
 def test_ystar_tail_matches_conditional_mc():
-    # the hit count is Bin(N, ystar_tail): a z-test with the exact variance,
-    # also with p on a byte boundary (0.5) and with X_(1) mostly sharing the
-    # byte of p (n = 400)
-    N = 400_000
+    # a z-test at the estimator's own stderr, also with p on a byte boundary
+    # (0.5) and with X_(1) mostly sharing the byte of p (n = 400)
     for n, m, p in [(2, 3, 0.5), (2, 16, 0.5), (5, 4, 0.3), (400, 4, 0.5 + 1 / 512), (3, 300, 0.97)]:
-        tail = ystar_tail(n, m, p)
-        est, _ = ystar_conditional_mc(n, m, p, N, seed=12)
-        assert abs(est - tail) <= 4 * math.sqrt(tail * (1 - tail) / N), (n, m, p, est, tail)
+        est, stderr = ystar_conditional_mc(n, m, p, 400_000, seed=12)
+        assert stderr > 0 and _within_4_sigma(n, m, p, est, stderr), (n, m, p, est, stderr)
 
 
-def _ref_pick_above_p(byte, rest, x1, p, rng):
-    """Whether a uniformly ranked exceeder of x1 exceeds p, per row, by
-    sorting: items are (byte, remainder) pairs of shape (rows, m - 1), and
-    x1, p are compared as their (floor(256 x), 256 x - floor(256 x)) pairs,
-    lexicographically."""
-    a, x_rest = np.divmod(256.0 * x1, 1.0)
-    p8, p_rest = divmod(256.0 * p, 1.0)
-    above_x1 = (byte > a[:, None]) | ((byte == a[:, None]) & (rest > x_rest[:, None]))
-    k = np.count_nonzero(above_x1, axis=1)
-    order = np.lexsort((-rest, -byte.astype(np.int64)), axis=1)  # largest first
-    rank = (rng.random(len(x1)) * np.maximum(k, 1)).astype(np.int64)
-    rows = np.arange(len(x1))
-    pick = order[rows, np.minimum(rank, byte.shape[1] - 1)]
-    chosen_byte, chosen_rest = byte[rows, pick], rest[rows, pick]
-    above_p = (chosen_byte > p8) | ((chosen_byte == p8) & (chosen_rest > p_rest))
-    return (k > 0) & above_p
+def test_ystar_conditional_mc_stderr_is_below_the_hit_counts():
+    # averaging h/k in place of a rank draw cuts the variance per row about
+    # 5.4-fold at (2, 16, 0.5): at most 0.45 of the binomial stderr of the
+    # hit count it replaces
+    N = 2_000_000
+    tail = ystar_tail(2, 16, 0.5)
+    _, stderr = ystar_conditional_mc(2, 16, 0.5, N, 3)
+    assert 0 < stderr <= 0.45 * math.sqrt(tail * (1 - tail) / N)
 
 
-@pytest.mark.parametrize(
-    "n, m, p", [(2, 16, 0.6), (5, 4, 0.6), (1, 3, 0.6), (3, 300, 0.6), (400, 4, 0.5 + 1 / 512)],
-    ids=["2-16", "5-4", "1-3", "3-300", "400-4-shared-byte"],
-)
-def test_ystar_conditional_mc_equals_sort_based_pick(n, m, p):
-    # replay the one stream block by block in the kernel's draw order: X_(1),
-    # the item bytes item-major from raw words (eight to a word, little-endian),
-    # a remainder per item whose byte ties X_(1)'s or p's, the rank uniforms;
-    # then pick with the sorting reference on (byte, remainder) pairs: the hit
-    # counts agree exactly
-    seed, width = 5, m - 1
+def _ystar_draws(n, m, p, N, seed):
+    """The Y* kernel's one stream, replayed block by block in its draw order:
+    X_(1), the item bytes item-major from raw words (eight to a word,
+    little-endian), then a remainder per item whose byte ties X_(1)'s or p's,
+    item-major. Yields (x1, byte, rest), the items as (rows, m - 1)
+    (byte, remainder) pairs."""
+    width = m - 1
     rows = BLOCK // width
-    N = 15 * rows + rows // 2  # fifteen full blocks and a short one
     rng = substream(seed, "ystar-mc")
-    hits = shared = 0
     for start in range(0, N, rows):
         r = min(rows, N - start)
         x1 = p * rng.random(r) ** (1.0 / n)
@@ -773,13 +761,81 @@ def test_ystar_conditional_mc_equals_sort_based_pick(n, m, p):
         tie = (byte == a[:, None]) | (byte == p8)
         rest = np.full(byte.shape, 0.5)  # decides nothing: the byte differs from both
         rest.T[tie.T] = rng.random(np.count_nonzero(tie))  # item-major order
-        hits += int(np.count_nonzero(_ref_pick_above_p(byte, rest, x1, p, rng)))
-        shared += int(np.count_nonzero(a == p8))
-    assert N % rows and 0 < hits < N
-    if n == 400:
-        assert shared > N // 2  # X_(1) and p mostly share a byte bucket
-    # its stderr is the one estimate rule on the hit count, whose square is itself
-    assert ystar_conditional_mc(n, m, p, N, seed) == (hits / N, estimate(hits, hits, N)[1])
+        yield x1, byte, rest
+
+
+def _sorted_counts(x1, byte, rest, p, tie_counts=False):
+    """(k, h) per row by sorting: of the (byte, remainder) pairs taken largest
+    first, the k leading ones lie above x1 and the h leading ones above p,
+    each compared as its (floor(256 x), 256 x - floor(256 x)) pair,
+    lexicographically. ``tie_counts`` is a mutant: a pair on x1's byte
+    counts as above x1 whatever its remainder."""
+    a, x_rest = np.divmod(256.0 * x1[:, None], 1.0)
+    p8, p_rest = divmod(256.0 * p, 1.0)
+    order = np.lexsort((-rest, -byte.astype(np.int64)), axis=1)
+    b, v = np.take_along_axis(byte, order, 1), np.take_along_axis(rest, order, 1)
+    above_x1 = (b > a) | ((b == a) & ((v > x_rest) | tie_counts))
+    above_p = (b > p8) | ((b == p8) & (v > p_rest))
+    leading = lambda above: np.cumprod(above, axis=1).sum(axis=1)  # noqa: E731
+    return leading(above_x1), leading(above_p)
+
+
+def _mean_and_stderr(pairs, N, value):
+    """(mean, stderr) of the N rows' values value(k, h), in exact rationals
+    rounded once, from the count of each (k, h)."""
+    s1 = sum(c * value(k, h) for (k, h), c in pairs.items())
+    s2 = sum(c * value(k, h) ** 2 for (k, h), c in pairs.items())
+    return float(s1 / N), math.sqrt(float((N * s2 - s1 * s1) / (N * N * (N - 1))))
+
+
+def _h_over_k(k, h):
+    return Fraction(h, k) if k else Fraction(0)
+
+
+def _replayed_pairs(n, m, p, N, seed, tie_counts=False):
+    pairs = Counter()
+    for x1, byte, rest in _ystar_draws(n, m, p, N, seed):
+        pairs.update(zip(*(c.tolist() for c in _sorted_counts(x1, byte, rest, p, tie_counts))))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "n, m, p", [(2, 16, 0.6), (5, 4, 0.6), (1, 3, 0.6), (3, 300, 0.6), (400, 4, 0.5 + 1 / 512)],
+    ids=["2-16", "5-4", "1-3", "3-300", "400-4-shared-byte"],
+)
+def test_ystar_conditional_mc_equals_sort_based_pick(n, m, p):
+    # replay the one stream, which holds no rank uniform, take each row's
+    # (k, h) from the sorting reference and average h/k in exact rationals:
+    # the kernel's mean and stderr agree bit for bit
+    seed, rows = 5, BLOCK // (m - 1)
+    N = 15 * rows + rows // 2  # fifteen full blocks and a short one
+    pairs = _replayed_pairs(n, m, p, N, seed)
+    assert N % rows and sum(pairs.values()) == N
+    assert any(h for k, h in pairs) and any(0 < h < k for k, h in pairs)
+    if n == 400:  # X_(1) and p mostly share a byte bucket
+        shared = sum(
+            np.count_nonzero(np.floor(256.0 * x1) == math.floor(256.0 * p))
+            for x1, _, _ in _ystar_draws(n, m, p, N, seed)
+        )
+        assert shared > N // 2
+    assert ystar_conditional_mc(n, m, p, N, seed) == _mean_and_stderr(pairs, N, _h_over_k)
+
+
+@pytest.mark.parametrize(
+    "tie_counts, value",
+    [
+        pytest.param(True, _h_over_k, id="x1-tie-without-remainder"),
+        pytest.param(False, lambda k, h: Fraction(h, k + 1), id="h-over-k-plus-1"),
+    ],
+)
+def test_ystar_4_sigma_check_catches_mutants(tie_counts, value):
+    # the replay is the kernel's twin at the check's own size, and a mutant
+    # of it misses the tail by more than 4 of its own stderr
+    n, m, p, N = 2, 16, 0.5, 400_000
+    est, stderr = ystar_conditional_mc(n, m, p, N, seed=12)
+    assert (est, stderr) == _mean_and_stderr(_replayed_pairs(n, m, p, N, 12), N, _h_over_k)
+    mutant = _mean_and_stderr(_replayed_pairs(n, m, p, N, 12, tie_counts), N, value)
+    assert _within_4_sigma(n, m, p, est, stderr) and not _within_4_sigma(n, m, p, *mutant)
 
 
 def test_ystar_conditional_mc_with_no_hits_reads_stderr_zero():

@@ -12,7 +12,7 @@ import pytest
 
 import auctioncomp
 from auctioncomp.distributions import FiniteDiscrete
-from auctioncomp.experiments import sample_xs, top_order_stats, ystar_conditional_mc
+from auctioncomp.experiments import sample_xs, top_order_stats, ystar_conditional_mc, ystar_tail
 from auctioncomp.repro import bign_tightness, er_benchmark_decomposition, er_order_stat
 
 
@@ -53,6 +53,13 @@ def _rng():
         pytest.param(lambda: ystar_conditional_mc(2, 4, 1.0, 1000, 1), "p must lie in (0, 1)", id="ystar-p-1"),
         pytest.param(lambda: ystar_conditional_mc(2, 4, 0.0, 1000, 1), "p must lie in (0, 1)", id="ystar-p-0"),
         pytest.param(lambda: ystar_conditional_mc(2, 1, 0.5, 1000, 1), "need m >= 2", id="ystar-m-1"),
+        pytest.param(lambda: ystar_conditional_mc(0, 16, 0.5, 1000, 1), "need n >= 1", id="ystar-n-0"),
+        pytest.param(lambda: ystar_conditional_mc(2, 16, float("nan"), 1000, 1), "p must lie in (0, 1)",
+                     id="ystar-p-nan"),
+        pytest.param(lambda: ystar_tail(0, 16, 0.5), "need n >= 1", id="ystar-tail-n-0"),
+        pytest.param(lambda: ystar_tail(2, 16, float("nan")), "p must lie in [0, 1]", id="ystar-tail-p-nan"),
+        pytest.param(lambda: ystar_tail(2, 16, np.array([0.5, np.nan])), "p must lie in [0, 1]",
+                     id="ystar-tail-p-array-nan"),
         pytest.param(lambda: er_order_stat(5, 4), "need 2 <= x <= y", id="er-order-x-above-y"),
         pytest.param(lambda: er_order_stat(0, 4), "need 2 <= x <= y", id="er-order-x-0"),
         pytest.param(lambda: er_benchmark_decomposition(0, 2, 1e4), "need n >= 1, m >= 1", id="er-decomposition-n-0"),

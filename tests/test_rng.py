@@ -54,6 +54,20 @@ def test_estimate_is_the_sample_mean_and_stderr_of_the_counts(counts):
         assert stderr == pytest.approx(math.sqrt(var), rel=1e-15, abs=0)
 
 
+@pytest.mark.parametrize(
+    "values", [[Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3)], [0, Fraction(2, 3), 1, Fraction(1, 6)]]
+)
+def test_estimate_reads_values_over_a_common_denominator(values):
+    # each value an integer over L = 6: the mean and stderr are those of the
+    # rationals themselves, each rounded once
+    L, N = 6, len(values)
+    s1 = sum(int(v * L) for v in values)
+    s2 = sum(int(v * L) ** 2 for v in values)
+    mean = Fraction(sum(values), N)
+    var = sum((v - mean) ** 2 for v in values) / (N - 1) / N if N > 1 else 0
+    assert estimate(s1, s2, N, L) == (float(mean), math.sqrt(float(var)))
+
+
 def test_estimate_reads_zero_when_every_run_agrees():
     # N S2 = S1^2 exactly, so the stderr is 0, not a rounding residue
     for k, N in [(0, 1), (1, 1), (0, 10), (1, 10), (3, 10**6), (2**40, 7)]:
