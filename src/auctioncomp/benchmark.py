@@ -17,7 +17,8 @@ a closed-form CDF (``_region_score_cdf``): the benchmark is the mean of
 their highest, and ``obs1_bound`` of the value's rank-2 rule with its own
 chance of passing; both are exact 1-D integrals of the one order-statistic
 rule (``revenue._order_stat``), each reading the item's own psi
-(``SingleDist.psi``). ``obs1_bound`` and the chain bounds take no item
+(``SingleDist.psi``), and closed forms on an equal-revenue item below a
+size cap. ``obs1_bound`` and the chain bounds take no item
 with support_lo < 0, where they need not bound the benchmark; one check
 (``_need_support_at_least_0``) serves the three. The chain bounds are
 exact too: each distinct item's E[phi_bar(X)] is bracketed by the score
@@ -64,27 +65,23 @@ def assign_regions(quantiles: np.ndarray) -> np.ndarray:
     return np.argmax(quantiles, axis=0)
 
 
-def _region_score_cdf(d: SingleDist, m: int, psi):
-    """CDF of one bidder's score on item d of m.
+def _region_score_cdf(m: int):
+    """The rule (F, psi) -> G of one bidder's score on an item of m.
 
     A bidder with quantile u is in the item's region with probability
     u^(m-1). Outside it the score (the value) is at most t for quantiles up
     to F(t); inside it the region term is at most t for quantiles up to
     psi(t). So the score has CDF G = F - F^m/m + psi^m/m.
     """
-
-    def cdf(t):
-        F = d.cdf(t)
-        return F - F**m / m + psi(t) ** m / m
-
-    return cdf
+    return lambda F, psi: F - F**m / m + psi**m / m
 
 
 def efftw_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     """The quantile-region revenue benchmark, exact: per item, the highest
     of n scores ``_region_score_cdf``, whose region terms are phi_bar^+, with
     the law ``SingleDist.psi``."""
-    return _item_sum(pd.marginals, lambda d: _order_stat(d, n, _region_score_cdf(d, pd.m, d.psi)))
+    rule = _region_score_cdf(pd.m)
+    return _item_sum(pd.marginals, lambda d: _order_stat(d, n, rule))
 
 
 def _need_support_at_least_0(pd: ProductDist) -> None:
@@ -117,10 +114,10 @@ def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     _need_support_at_least_0(pd)
     m = pd.m
 
-    def item(d):
-        return _order_stat(d, n, d.cdf, k=2, accept=lambda t, F: np.maximum(d.psi(t) ** m - F**m, 0.0) / m)
+    def accept(F, psi):
+        return (psi**m - F**m).clip(0.0) / m
 
-    return _item_sum(pd.marginals, item)
+    return _item_sum(pd.marginals, lambda d: _order_stat(d, n, lambda F, psi: F, k=2, accept=accept))
 
 
 def _phi_at_experiment(pd: ProductDist, law) -> Bracket:

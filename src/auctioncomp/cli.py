@@ -126,6 +126,9 @@ def _little_n_extra(n: int, m: int) -> float:
 def cmd_benchmark(args) -> int:
     pd = ProductDist(tuple(parse_dist(s) for s in args.dist))
     n, m, N = args.n, pd.m, args.samples
+    if args.chain and args.c is not None and n + args.c < 1:
+        # the last link, srev with n + c bidders, is checked before any link is computed
+        raise ValueError("need n + c >= 1")
     # the bounds read no N; the tracer counts it (README, "Pinned by `bench/`")
     chain = [("efftw", bench_mod.efftw_bound(pd, n, N))]
     if args.chain == "little":

@@ -10,6 +10,11 @@ Supported kinds: uniform, exponential, equal-revenue truncated at p (CDF
 which a point mass (``point:v``) is the one-atom case. Instances are
 immutable and safe to share across threads.
 
+An equal-revenue item also integrates a score in closed form
+(``TruncatedEqualRevenue.exact_score_mean``): below p its score CDF is a
+polynomial in F = 1 - 1/t, whose integral Python integers give exactly
+(``_Poly``, up to a size cap), with ln p bracketed by a series.
+
 Each kind also carries its ironed Myerson virtual value in quantile space,
 ``phi_bar(u)``, and ``psi(t)``, the CDF of phi_bar(U)^+ for a uniform U,
 which the exact revenue and benchmark integrals read. Kinds with a density
@@ -101,6 +106,13 @@ class SingleDist:
     def tail_integral(self, t: float) -> float:
         """Integral of Pr[X > s] over s >= t; unbounded kinds override it."""
         return 0.0 if t >= self.support_hi else math.inf
+
+    def exact_score_mean(self, H, psi: str):
+        """E[S] as a (lo, hi) pair of floats around its exact value, for a
+        score S >= 0 with CDF H(F(t), psi(t)), psi the item's own ("item")
+        or 1 on t >= 0 ("step"); None where the kind has no exact form, and
+        the caller walks the score grid (``revenue._order_stat``)."""
+        return None
 
     def quantile_breakpoints(self):
         """Where the quantile jumps: Pr[X < a] for each atom a above support_lo."""
@@ -214,6 +226,43 @@ class TruncatedEqualRevenue(SingleDist):
 
     def _psi(self, t):
         return np.where(t >= self.p, 1.0, np.where(t >= 0, self._jump, 0.0))
+
+    def exact_score_mean(self, H, psi: str):
+        """E[S] in Python integers while n and the degree of H in F stay
+        within ``_EXACT_DEGREE``, else None. psi is constant below p,
+        c = 1 - 1/p (exact, from p's integer ratio a/b) or 1, so H is the
+        constant H(0, c) on [0, 1), H(1 - w, c) at w = 1/t on [1, p) and 1
+        past p. With
+        1 - H(1 - w, c) = sum_j r_j w^j,
+
+            E[S] = 1 - H(0, c) + r_0 (p - 1) + r_1 ln p
+                   + sum_{j >= 2} r_j (1 - p^(1 - j)) / (j - 1),
+
+        all over one common denominator; ln p is bracketed by a series
+        in integers (``_log_bracket``), and each end is rounded outward."""
+        a, b = self.p.as_integer_ratio()
+        s = _Poly([a - b], a) if psi == "item" else _Poly([1])
+        try:
+            body, below = H(_Poly([1, -1]), s), H(_Poly([0]), s)
+        except _TooLarge:
+            return None
+        h, D = body.num, body.den
+        J = len(h) - 1
+        L = math.lcm(*range(1, J))  # over every 1/(j - 1)
+        apow, bpow = [a**i for i in range(J)] or [1], [b**i for i in range(J)]
+        # the rational terms over D b L a^(J - 1)
+        num = (D - h[0]) * (a - b) * L * apow[-1]
+        for j in range(2, J + 1):
+            num -= h[j] * b * (L // (j - 1)) * (apow[j - 1] - bpow[j - 1]) * apow[J - j]
+        den = D * b * L * apow[-1]
+        num, den = num * below.den + (below.den - below.num[0]) * den, den * below.den
+        # r_1 ln p, r_1 = r1 / D, with ln p in [lo/d, hi/d] to about
+        # 2^-70 / |r_1|, each end taken where it moves the value outward
+        r1 = -h[1] if J else 0
+        lo, hi, d = _log_bracket(self.p, (70 + (abs(r1) // D).bit_length()) // 3 + 1) if r1 else (0, 0, 1)
+        if r1 < 0:
+            lo, hi = hi, lo
+        return tuple(_rounded(num * D * d + r1 * log * den, den * D * d, up) for log, up in ((lo, False), (hi, True)))
 
     def quantile_breakpoints(self):
         return np.array([self._jump])
@@ -344,6 +393,126 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
     x = np.sort(x)
     if x.size:
         x = x[np.concatenate([[True], x[1:] != x[:-1]])]
+    return x
+
+
+# The exact score path's size cap: no product of degree above it, and no
+# power x**e with e * max(deg x, 1) above it, so n and the degree of H in F
+# stay within it. Set by measurement: up to 32 the integers cost at most
+# half the grid walk for every p (a 53-bit a in p = a/b is the worst case);
+# at 64 the benchmark's score on 4 items at n = 16 costs 2-3 walks.
+_EXACT_DEGREE = 32
+
+
+class _TooLarge(Exception):
+    """A polynomial of the exact score path would pass ``_EXACT_DEGREE``."""
+
+
+class _Poly:
+    """A polynomial in w with rational coefficients, held as Python ints
+    over one denominator: sum_j num[j] w^j / den, den > 0. It takes the
+    arithmetic a score rule writes (+, - and * with ints or polynomials,
+    / by a positive int, ** by an int), and raises ``_TooLarge`` before a product or power passes
+    ``_EXACT_DEGREE``."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: list, den: int = 1):
+        while len(num) > 1 and not num[-1]:
+            num = num[:-1]
+        self.num, self.den = num, den
+
+    @staticmethod
+    def of(x) -> "_Poly":
+        if isinstance(x, _Poly):
+            return x
+        n, d = x.as_integer_ratio()
+        return _Poly([n], d)
+
+    def __add__(self, other):
+        other = _Poly.of(other)
+        g = math.gcd(self.den, other.den)
+        x, y = other.den // g, self.den // g
+        out = [c * x for c in self.num] + [0] * (len(other.num) - len(self.num))
+        for i, c in enumerate(other.num):
+            out[i] += c * y
+        return _Poly(out, self.den * x)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly([-c for c in self.num], self.den)
+
+    def __sub__(self, other):
+        return self + -_Poly.of(other)
+
+    def __rsub__(self, other):
+        return _Poly.of(other) + -self
+
+    def __mul__(self, other):
+        other = _Poly.of(other)
+        if len(self.num) + len(other.num) - 2 > _EXACT_DEGREE:
+            raise _TooLarge
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, c in enumerate(self.num):
+            for j, e in enumerate(other.num):
+                out[i + j] += c * e
+        return _Poly(out, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k: int):
+        return _Poly(self.num, self.den * k)
+
+    def __pow__(self, e: int):
+        if e * max(len(self.num) - 1, 1) > _EXACT_DEGREE:
+            raise _TooLarge
+        out, base = _Poly([1]), self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return out
+
+    def clip(self, lo):
+        """The score rules' one clip, obs1's max(psi^m - F^m, 0), is
+        inactive where polynomials are formed: on an equal-revenue item F
+        stays at or below psi, c = 1 - 1/p or 1, below p."""
+        return self
+
+
+def _log_bracket(p: float, N: int) -> tuple[int, int, int]:
+    """Integers lo, hi and d > 0 with lo/d <= ln p <= hi/d, hi - lo at most
+    2 (k + 1) 9^-N d: p = 2^k r with r in [1, 2), and ln p = k ln 2 + ln r,
+    each log 2 atanh(z) (z = (r - 1)/(r + 1) < 1/3, and 1/3 for ln 2),
+    summed exactly to N terms; the tail of each sum lies below 9^-N."""
+    a, b = p.as_integer_ratio()
+    k = a.bit_length() - b.bit_length()
+    if a < b << k:
+        k -= 1
+    b <<= k  # r = a/b
+
+    def atanh(u, v):  # sum_{i < N} (u/v)^(2i+1) / (2i+1), as (numerator, denominator)
+        L = math.lcm(*range(1, 2 * N, 2))
+        return sum(u ** (2 * i + 1) * v ** (2 * (N - i) - 2) * (L // (2 * i + 1)) for i in range(N)), L * v ** (2 * N - 1)
+
+    n2, d2 = atanh(1, 3)
+    nr, dr = atanh(a - b, a + b)
+    lo = 2 * (k * n2 * dr + nr * d2) * 9**N
+    return lo, lo + 2 * (k + 1) * d2 * dr, d2 * dr * 9**N
+
+
+def _rounded(num: int, den: int, up: bool) -> float:
+    """The float at or above num/den (up) or at or below it, den > 0: the
+    nearest float (int division rounds correctly), moved one step where it
+    lies on the wrong side."""
+    x = num / den
+    xn, xd = x.as_integer_ratio()
+    side = xn * den - num * xd  # the sign of x - num/den
+    if (side < 0) if up else (side > 0):
+        return math.nextafter(x, math.inf if up else -math.inf)
     return x
 
 

@@ -3,9 +3,12 @@ mechanisms (sequential posted-bundle and three-tier).
 
 Single-item optimal revenue E[(phi_bar(max))^+] and VCG (the second-highest
 value) are exact: each is the mean of an order statistic of n i.i.d.
-bidder scores, whose CDF one rule forms from one bidder's score CDF and
-the rank (``_order_stat``, which the benchmark, ``obs1_bound`` and the
-equal-revenue order statistics share). ``_score_estimate`` integrates it
+bidder scores, whose CDF one rule forms from one bidder's score rule, a
+function of the item's CDF F and of psi, and the rank (``_order_stat``,
+which the benchmark, ``obs1_bound`` and the equal-revenue order statistics
+share). An equal-revenue item integrates it in closed form, in Python
+integers, up to a size cap (``SingleDist.exact_score_mean``); elsewhere
+``_score_estimate`` integrates it
 by ``_stieltjes``, the bracket rule that every exact integral here shares:
 the integrand is read once per point of a ``_Grid``, whose points spread
 by sqrt(dW dg) from a coarse table, at most one per float of a cell, and
@@ -221,37 +224,51 @@ def _score_estimate(d: SingleDist, n: int, cdf) -> Bracket:
     return Bracket(float(t.x[0] + lower), float(t.x[0] + upper) + n * d.tail_integral(t.x[-1]))
 
 
-def _order_stat(d: SingleDist, n: int, G, k: int = 1, accept=None) -> Bracket:
-    """E[S] for the k-th highest S of n i.i.d. scores on item d,
-    each with CDF G: S <= t iff fewer than k scores pass t, so S has CDF
+def _step_psi(t):
+    """1 on t >= 0: the psi of a region term that is 0 (the off-region score)."""
+    return (t >= 0).astype(float)
+
+
+def _order_stat(d: SingleDist, n: int, rule, k: int = 1, accept=None, psi: str = "item") -> Bracket:
+    """E[S] for the k-th highest S of n i.i.d. scores on item d. One
+    bidder's score has CDF G = rule(F, psi) at t, where F = d.cdf(t) and
+    psi(t) is the item's own (``SingleDist.psi``) or, for ``psi="step"``,
+    1 on t >= 0. S <= t iff fewer than k scores pass t, so S has CDF
 
         H = sum_{j < k} C(n, j) G^(n-j) a^j,
 
-    where a = ``accept(t, G(t))``, 1 - G by default, is the chance that one
+    where a = ``accept(F, psi)``, 1 - G by default, is the chance that one
     bidder's score passes t; a score whose passes count only in part
-    (``benchmark.obs1_bound``) gives its own. k = 1 reads G(t) ** n. This
-    is the one order-statistic rule of every exact score: it checks n once
-    and hands H to ``_score_estimate``.
+    (``benchmark.obs1_bound``) gives its own. k = 1 reads G ** n. This is
+    the one order-statistic rule of every exact score: it checks n once,
+    asks the item for H's integral in closed form
+    (``SingleDist.exact_score_mean``: equal-revenue items, below a size
+    cap), and otherwise hands H to ``_score_estimate``. Each site states its
+    rule once, so the closed form and the grid read the same H.
     """
     if n < 1:
         raise ValueError("need n >= 1")
 
-    def cdf(t):
-        g = G(t)
-        H = g**n
+    def H(F, s):
+        g = rule(F, s)
+        h = g**n
         if k > 1:
-            a = 1.0 - g if accept is None else accept(t, g)
+            a = 1 - g if accept is None else accept(F, s)
             for j in range(1, k):
-                H += math.comb(n, j) * g ** (n - j) * a**j
-        return H
+                h += math.comb(n, j) * g ** (n - j) * a**j
+        return h
 
-    return _score_estimate(d, n, cdf)
+    exact = d.exact_score_mean(H, psi)
+    if exact is not None:
+        return Bracket(*exact)
+    psi_at = d.psi if psi == "item" else _step_psi
+    return _score_estimate(d, n, lambda t: H(d.cdf(t), psi_at(t)))
 
 
 def myerson_item_revenue(d: SingleDist, n: int) -> Bracket:
     """Optimal single-item revenue with n i.i.d. bidders, E[(phi_bar(max))^+],
     the highest of the n scores phi_bar^+, whose CDF is ``SingleDist.psi``."""
-    return _order_stat(d, n, d.psi)
+    return _order_stat(d, n, lambda F, psi: psi)
 
 
 def vcg_item_revenue(d: SingleDist, n: int) -> Bracket:
@@ -259,7 +276,7 @@ def vcg_item_revenue(d: SingleDist, n: int) -> Bracket:
     values], 0 for one bidder."""
     if n == 1:
         return Bracket.point(0.0)
-    return _order_stat(d, n, d.cdf, k=2)
+    return _order_stat(d, n, lambda F, psi: F, k=2)
 
 
 def srev(pd: ProductDist, n: int) -> Bracket:

@@ -25,8 +25,8 @@ limit on its own, is the bound on the one-pass width; the two-read chain
 bracket, which reads phi_bar at the float inside each end of a cell, is
 the bound on the one-read chain width. Each exact score's CDF, written
 out at its own site as the package once wrote it (Myerson's psi^n, VCG's
-F^n + n F^(n-1) (1 - F), the benchmark's G^n, obs1's and the equal-revenue
-order statistic's binomial sum), is the reference for the one
+F^n + n F^(n-1) (1 - F), the benchmark's G^n, obs1's binomial sum), is
+the reference for the one
 order-statistic rule that now forms them all, and the running-maximum
 region loop is the reference for the region rule's argmax. The raw virtual
 value v - (1 - F(v)) / f(v) of each kind with a density, and its CDF, in
@@ -34,7 +34,12 @@ closed form (``raw_virtual``, ``raw_virtual_cdf``), with the steps of the
 reference hull for an atomic kind, are the reference for each item's own
 ``phi_bar`` and ``psi``. The sum tail of the truncated equal-revenue square,
 split on which draws sit at the atom, is the reference for the untruncated
-closed form the three-tier mechanism reads below that atom.
+closed form the three-tier mechanism reads below that atom. On an
+equal-revenue item each of those scores, its CDF a polynomial in F with
+exact rational coefficients, integrates over F in [0, 1 - 1/p] with the
+measure dF / (1 - F)^2 by a recurrence over the powers of F, in
+``fractions`` with ln p from 40-digit ``decimal`` (``er_score_mean``): the
+reference for the package's closed form, which expands in 1/t instead.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import decimal
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -483,15 +489,91 @@ def obs1_cdf(d: SingleDist, m: int, n: int):
     return cdf
 
 
-def er_order_stat_cdf(d: SingleDist, x: int, y: int):
-    """Pr[Bin(y, 1 - F(t)) < x]: the CDF of the x-th highest of y values,
-    summed as C(y, j) (1 - F)^j F^(y-j)."""
+# ---------------------------------------------------------------------------
+# The equal-revenue scores in exact rationals: each CDF H as a polynomial in F
+# (coefficient i of F^i), psi the constant s below p
+# ---------------------------------------------------------------------------
 
-    def cdf(t):
-        F = d.cdf(t)
-        return sum(math.comb(y, j) * (1.0 - F) ** j * F ** (y - j) for j in range(x))
 
-    return cdf
+def _poly_mul(x: list, y: list) -> list:
+    out = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_sum(*terms: dict) -> list:
+    """The polynomial with coefficient sum_t t[i] of F^i, from sparse terms."""
+    out = [Fraction(0)] * (max(i for t in terms for i in t) + 1)
+    for t in terms:
+        for i, c in t.items():
+            out[i] += c
+    return out
+
+
+def er_site_polys(m: int, n: int, c: Fraction) -> dict:
+    """Each score site's CDF H on an equal-revenue item of m below p, as
+    polynomials in F, written out from each site's law; the item's psi is
+    c = 1 - 1/p there, and the off-region term's is 1."""
+
+    def region_max(s):  # (F - F^m/m + s^m/m)^n
+        G = _poly_sum({0: s**m / m}, {1: Fraction(1)}, {m: Fraction(-1, m)})
+        out = [Fraction(1)]
+        for _ in range(n):
+            out = _poly_mul(out, G)
+        return out
+
+    sites = {"myerson": [c**n], "efftw": region_max(c), "off-region": region_max(Fraction(1))}
+    if n > 1:
+        # F^n + n F^(n-1) (1 - F), and n F^(n-1) (c^m - F^m) / m in place of (1 - F)
+        sites["vcg"] = _poly_sum({n: Fraction(1)}, {n - 1: Fraction(n), n: Fraction(-n)})
+        sites["obs1"] = _poly_sum({n: Fraction(1)}, {n - 1: n * c**m / m}, {n - 1 + m: Fraction(-n, m)})
+    return sites
+
+
+def er_order_stat_poly(x: int, y: int) -> list:
+    """Pr[Bin(y, 1 - F) < x] = sum_{j < x} C(y, j) (1 - F)^j F^(y - j),
+    each (1 - F)^j expanded by the binomial theorem."""
+    return _poly_sum(*({y - j + i: Fraction(math.comb(y, j) * math.comb(j, i) * (-1) ** i) for i in range(j + 1)}
+                       for j in range(x)))
+
+
+def er_score_mean(p: float, H: list) -> tuple[Fraction, Fraction]:
+    """(A, B) with E[S] = A + B ln p for a score S on ER(p) whose CDF is
+    H(F) below p (H(0) on [0, 1)) and 1 from p on:
+
+        E[S] = 1 - H(0) + integral over F in [0, c] of (1 - H(F)) / (1 - F)^2 dF,
+
+    c = 1 - 1/p, t = 1/(1 - F). With I_i = integral of F^i / (1 - F)^2 and
+    K_j = integral of F^j / (1 - F), F^i = F^(i-1) - F^(i-1) (1 - F) gives
+    I_i = I_(i-1) - K_(i-1) and K_j = K_(j-1) - c^j / j, from I_0 = p - 1
+    and K_0 = ln p; each is carried as its pair (rational, coefficient of ln p).
+    """
+    p = Fraction(p)
+    c = 1 - 1 / p
+    I, K = (p - 1, Fraction(0)), (Fraction(0), Fraction(1))
+    A, B = 1 - H[0], Fraction(0)
+    for i, h in enumerate(H):
+        q = (1 if i == 0 else 0) - h  # the coefficient of F^i in 1 - H
+        A, B = A + q * I[0], B + q * I[1]
+        I = (I[0] - K[0], I[1] - K[1])
+        K = (K[0] - c ** (i + 1) / (i + 1), K[1])
+    return A, B
+
+
+def holds_er_score_mean(bracket, p: float, AB: tuple[Fraction, Fraction]) -> bool:
+    """lo <= A + B ln p <= hi: exactly where B = 0, else with ln p to 40
+    digits, far inside the floats' spacing."""
+    A, B = AB
+    lo, hi = Fraction(bracket.lo), Fraction(bracket.hi)
+    if B == 0:
+        return lo <= A <= hi
+    ctx = decimal.Context(prec=40)
+    ln_p = ctx.ln(decimal.Decimal(p))
+    value = ctx.add(ctx.divide(decimal.Decimal(A.numerator), decimal.Decimal(A.denominator)),
+                    ctx.multiply(ctx.divide(decimal.Decimal(B.numerator), decimal.Decimal(B.denominator)), ln_p))
+    return decimal.Decimal(bracket.lo) <= value <= decimal.Decimal(bracket.hi)
 
 
 # ---------------------------------------------------------------------------

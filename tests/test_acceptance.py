@@ -1,8 +1,9 @@
 """Acceptance suite: one test per published criterion, one PASS line each.
 
 Tolerances are pinned to the criterion statements (3 sigma for Monte Carlo
-identities, the certified half-widths for exact brackets, 2% for the
-equal-revenue folklore values, DKW bands for empirical CDF comparisons). All
+identities, 4 sigma at the estimator's own stderr for the Y* tail, the
+certified half-widths for exact brackets, 2% for the equal-revenue folklore
+values, DKW bands for empirical CDF comparisons). All
 seeds are fixed, so a pass here is replayable. The Monte Carlo oracles come
 from ``oracles``.
 """
@@ -133,18 +134,20 @@ def test_criterion_06_dominance_extra_bidders_vs_xl():
 
 
 def test_criterion_07_ystar_closed_form():
+    # a z-test at the estimator's own stderr, 0.18 to 0.95 of the DKW band
+    # at these probes: the band would let through errors the estimator
+    # resolves, up to 22.8 sigma
     N = 10_000_000
-    eps = dkw_epsilon(N, 1e-3)
     probes = np.linspace(0.1, 0.9, 9)
     worst = 0.0
     for n, m in [(2, 3), (5, 4)]:
         for i, p in enumerate(probes):
-            mc, _ = ystar_conditional_mc(n, m, float(p), N, seed=7000 + 10 * n + i)
+            mc, se = ystar_conditional_mc(n, m, float(p), N, seed=7000 + 10 * n + i)
             closed = ystar_tail(n, m, float(p))
-            assert abs(mc - closed) <= eps, (n, m, p, mc, closed)
-            worst = max(worst, abs(mc - closed) / eps)
+            assert se > 0 and abs(mc - closed) <= 4 * se, (n, m, p, mc, closed, se)
+            worst = max(worst, abs(mc - closed) / se)
     _report("criterion 7 (conditional exceedance closed form)",
-            f"18 probes at N=1e7, worst |err|/band = {worst:.2f}")
+            f"18 probes at N=1e7, worst |err|/stderr = {worst:.2f} (bound 4)")
 
 
 def test_criterion_08_inequality_chains():

@@ -345,6 +345,16 @@ def test_estimate_rows_report_the_samples_option(argv, capsys):
     assert doc["results"]
 
 
+@pytest.mark.parametrize("chain", ["little", "big"])
+def test_chain_with_n_plus_c_below_1_exits_3_before_any_link(chain, monkeypatch, capsys):
+    # srev(n + c) closes the chain: n + c < 1 is bad input, named as such,
+    # and no link is computed first
+    monkeypatch.setattr(bench_mod, "efftw_bound", lambda *args: pytest.fail("a link was computed"))
+    code = main(["benchmark", "--dist", "er:p=10000", "-n", "2", "--chain", chain, "-c", "-3", "--seed", "1"])
+    assert code == EXIT_PRECONDITION
+    assert "need n + c >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

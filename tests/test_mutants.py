@@ -22,12 +22,9 @@ from auctioncomp.revenue import er2_sum_tail, feldman_params, three_tier_params,
 MODULES = [importlib.import_module(f"auctioncomp.{m.name}") for m in pkgutil.iter_modules(auctioncomp.__path__)]
 
 
-def _region_score_cdf_u_m(d, m, psi):
+def _region_score_cdf_u_m(m):
     # in the region with probability u^m, not u^(m-1)
-    def cdf(t):
-        F = d.cdf(t)
-        return F - F ** (m + 1) / (m + 1) + psi(t) ** (m + 1) / (m + 1)
-    return cdf
+    return lambda F, psi: F - F ** (m + 1) / (m + 1) + psi ** (m + 1) / (m + 1)
 
 
 # the replacements call the originals, bound here before any patch
@@ -77,6 +74,8 @@ MUTANTS = {
     "posted-price-x1.5": ("feldman_params", "revenue", _feldman_params_price_raised, set()),
     "xl_cdf-m+1": ("XL.cdf", "experiments", _xl_cdf_one_item_more, set()),
     "xb_cdf-ell+1": ("XB.cdf", "experiments", _xb_cdf_ell_one_more, set()),
+    # the equal-revenue closed form without its r_1 ln p term
+    "er-drop-log-term": ("_log_bracket", "distributions", lambda p, N: (0, 0, 1), set()),
     # every bracket verdict reads the one comparison; the posted-bundle cap
     # is a Monte Carlo mean, not a bracket
     "bracket-le-false": ("Bracket.le", "revenue", lambda self, other: False,
@@ -85,8 +84,10 @@ MUTANTS = {
 }
 
 # no registered claim reads the posted price's size or the laws of X_L and
-# X_B (ROADMAP item 11's exact dominance thresholds register claims that do)
-UNCOVERED = ["posted-price-x1.5", "xl_cdf-m+1", "xb_cdf-ell+1"]
+# X_B (ROADMAP item 11's exact dominance thresholds register claims that do);
+# of the equal-revenue scores only obs1's has r_1 != 0, and no claim reads
+# obs1_bound (``test_revenue`` catches that mutant against its oracle)
+UNCOVERED = ["posted-price-x1.5", "xl_cdf-m+1", "xb_cdf-ell+1", "er-drop-log-term"]
 
 
 def _failed_claims():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import auctioncomp
+from auctioncomp.cli import build_parser, cmd_benchmark
 from auctioncomp.distributions import FiniteDiscrete
 from auctioncomp.experiments import sample_xs, top_order_stats, ystar_conditional_mc, ystar_tail
 from auctioncomp.repro import bign_tightness, er_benchmark_decomposition, er_order_stat
@@ -34,10 +35,20 @@ def test_the_root_imports_nothing_and_a_module_only_what_it_needs():
     assert [m for m in loaded if m.startswith("auctioncomp.")] == []
     loaded = _modules_after("import auctioncomp.distributions")
     assert [m for m in loaded if m.startswith("auctioncomp.")] == ["auctioncomp.distributions"]
+    # the equal-revenue closed form works in Python ints: the command line
+    # imports neither exact-arithmetic module
+    loaded = _modules_after("import auctioncomp.cli")
+    assert "fractions" not in loaded and "decimal" not in loaded
 
 
 def _rng():
     return np.random.default_rng(1)
+
+
+def _benchmark(argv):
+    """The ``benchmark`` subcommand's handler on argv; ``cli.main`` turns
+    the ValueError it raises into exit code 3."""
+    return cmd_benchmark(build_parser().parse_args(["benchmark", *argv, "--seed", "1"]))
 
 
 @pytest.mark.parametrize(
@@ -65,6 +76,8 @@ def _rng():
         pytest.param(lambda: er_benchmark_decomposition(0, 2, 1e4), "need n >= 1, m >= 1", id="er-decomposition-n-0"),
         pytest.param(lambda: er_benchmark_decomposition(2, 0, 1e4), "need n >= 1, m >= 1", id="er-decomposition-m-0"),
         pytest.param(lambda: bign_tightness(7, 2, 1), "need n >= 4m", id="bign-n-below-4m"),
+        pytest.param(lambda: _benchmark(["--dist", "er:p=10000", "-n", "2", "--chain", "little", "-c", "-3"]),
+                     "need n + c >= 1", id="benchmark-chain-n+c-0"),
     ],
 )
 def test_input_checks_reject_with_their_message(call, message):
