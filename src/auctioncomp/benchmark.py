@@ -66,14 +66,15 @@ def assign_regions(quantiles: np.ndarray) -> np.ndarray:
 
 
 def _region_score_cdf(m: int):
-    """The rule (F, psi) -> G of one bidder's score on an item of m.
+    """The rule x -> G of one bidder's score on an item of m, from x.F and
+    x.psi (``revenue._order_stat``).
 
     A bidder with quantile u is in the item's region with probability
     u^(m-1). Outside it the score (the value) is at most t for quantiles up
     to F(t); inside it the region term is at most t for quantiles up to
     psi(t). So the score has CDF G = F - F^m/m + psi^m/m.
     """
-    return lambda F, psi: F - F**m / m + psi**m / m
+    return lambda x: x.F - x.F**m / m + x.psi**m / m
 
 
 def efftw_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
@@ -106,18 +107,19 @@ def obs1_bound(pd: ProductDist, n: int, N: int = 0, seed: int = 0) -> Bracket:
     Exact: as phi_bar <= v, the quantity is v_(1) off the region and
     max(phi_bar^+, v_(2)) in it. It is at most t >= 0 iff no value passes
     t, or one does and that bidder is in the region with phi_bar^+ <= t, so
-    its CDF is the second-highest's rule with a = max(psi^m - F^m, 0)/m for
-    the chance that one bidder passes (psi >= F there; ``_order_stat``).
+    its CDF is the second-highest's rule with a = (max(F, psi)^m - F^m)/m,
+    that is max(psi^m - F^m, 0)/m, for the chance that one bidder passes
+    (psi >= F there; ``_order_stat``).
     """
     if n < 2:
         raise ValueError("need n >= 2 (uses the second-highest value)")
     _need_support_at_least_0(pd)
     m = pd.m
 
-    def accept(F, psi):
-        return (psi**m - F**m).clip(0.0) / m
+    def accept(x):
+        return (x.upper**m - x.F**m) / m
 
-    return _item_sum(pd.marginals, lambda d: _order_stat(d, n, lambda F, psi: F, k=2, accept=accept))
+    return _item_sum(pd.marginals, lambda d: _order_stat(d, n, lambda x: x.F, k=2, accept=accept))
 
 
 def _phi_at_experiment(pd: ProductDist, law) -> Bracket:

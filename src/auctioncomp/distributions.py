@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -109,9 +110,10 @@ class SingleDist:
 
     def exact_score_mean(self, H, psi: str):
         """E[S] as a (lo, hi) pair of floats around its exact value, for a
-        score S >= 0 with CDF H(F(t), psi(t)), psi the item's own ("item")
-        or 1 on t >= 0 ("step"); None where the kind has no exact form, and
-        the caller walks the score grid (``revenue._order_stat``)."""
+        score S >= 0 with CDF H(x) at t, where x.F = F(t), x.psi = psi(t),
+        the item's own ("item") or 1 on t >= 0 ("step"), and x.upper =
+        max(F, psi); None where the kind has no exact form, and the caller
+        walks the score grid (``revenue._order_stat``)."""
         return None
 
     def quantile_breakpoints(self):
@@ -232,8 +234,8 @@ class TruncatedEqualRevenue(SingleDist):
         within ``_EXACT_DEGREE``, else None. psi is constant below p,
         c = 1 - 1/p (exact, from p's integer ratio a/b) or 1, so H is the
         constant H(0, c) on [0, 1), H(1 - w, c) at w = 1/t on [1, p) and 1
-        past p. With
-        1 - H(1 - w, c) = sum_j r_j w^j,
+        past p; F = 1 - 1/t < 1 - 1/p <= c there, so max(F, psi) reads c.
+        With 1 - H(1 - w, c) = sum_j r_j w^j,
 
             E[S] = 1 - H(0, c) + r_0 (p - 1) + r_1 ln p
                    + sum_{j >= 2} r_j (1 - p^(1 - j)) / (j - 1),
@@ -243,7 +245,7 @@ class TruncatedEqualRevenue(SingleDist):
         a, b = self.p.as_integer_ratio()
         s = _Poly([a - b], a) if psi == "item" else _Poly([1])
         try:
-            body, below = H(_Poly([1, -1]), s), H(_Poly([0]), s)
+            body, below = (H(SimpleNamespace(F=F, psi=s, upper=s)) for F in (_Poly([1, -1]), _Poly([0])))
         except _TooLarge:
             return None
         h, D = body.num, body.den
@@ -347,7 +349,9 @@ class FiniteDiscrete(SingleDist):
         return edges[np.searchsorted(self.levels, t, side="right")]
 
     def quantile_breakpoints(self):
-        return self._cum[:-1].copy()
+        # the atoms with mass above the lowest: an atom of mass 0 is no value
+        held = np.flatnonzero(np.asarray(self.probs) > 0)
+        return self._cum[held[1:] - 1]
 
     def spec(self):
         v = ",".join(_fmt(x) for x in self.values)
@@ -475,12 +479,6 @@ class _Poly:
             if e:
                 base = base * base
         return out
-
-    def clip(self, lo):
-        """The score rules' one clip, obs1's max(psi^m - F^m, 0), is
-        inactive where polynomials are formed: on an equal-revenue item F
-        stays at or below psi, c = 1 - 1/p or 1, below p."""
-        return self
 
 
 def _log_bracket(p: float, N: int) -> tuple[int, int, int]:

@@ -78,7 +78,7 @@ def er_order_stat(x: int, y: int, p: float = 1e4) -> Bracket:
         raise ValueError("the highest equal-revenue draw has infinite expectation")
     if not 2 <= x <= y:
         raise ValueError("need 2 <= x <= y")
-    return _order_stat(TruncatedEqualRevenue(p), y, lambda F, psi: F, k=x)
+    return _order_stat(TruncatedEqualRevenue(p), y, lambda v: v.F, k=x)
 
 
 def er_offregion_items(n: int, m: int, p: float) -> list[Bracket]:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,8 @@ _QUAD_CELLS = 50_000
 @dataclass(frozen=True)
 class Bracket:
     """An exact value known to lie in [lo, hi] (Moore's interval
-    arithmetic): brackets add end by end, and compare by ``le``."""
+    arithmetic): brackets add end by end, each end rounded outward, and
+    compare by ``le``."""
 
     lo: float
     hi: float
@@ -73,7 +75,9 @@ class Bracket:
         return Bracket(x, x)
 
     def __add__(self, other: "Bracket") -> "Bracket":
-        return Bracket(self.lo + other.lo, self.hi + other.hi)
+        """The sum, each end rounded outward (``_add_outward``), so it holds
+        the exact sum of any two values the brackets hold."""
+        return Bracket(_add_outward(self.lo, other.lo, False), _add_outward(self.hi, other.hi, True))
 
     @property
     def mid(self) -> float:
@@ -98,11 +102,25 @@ class Bracket:
         return math.hypot(self.half, other.half)
 
 
+def _add_outward(a: float, b: float, up: bool) -> float:
+    """a + b rounded up (or down): the nearest float, moved one step where
+    it lies on the wrong side of the exact sum. Knuth's TwoSum gives the
+    rounding error e exactly, s + e = a + b, so the sum moves only where
+    round-to-nearest went inward (never where it was exact, as in a
+    doubling); an infinite or NaN sum reads e = NaN and stays."""
+    s = a + b
+    z = s - a
+    e = (a - (s - z)) + (b - z)
+    if (e > 0.0) if up else (e < 0.0):
+        return math.nextafter(s, math.inf if up else -math.inf)
+    return s
+
+
 def _item_sum(marginals, fn) -> Bracket:
     """Sum over items of the exact bracket ``fn(d)``, added end by end in
-    item order. ``fn`` runs once per distinct (frozen, hashable) marginal
-    and a repeat adds the first result, so the sum has the bits of one call
-    per item."""
+    item order, each end rounded outward (``Bracket.__add__``). ``fn`` runs
+    once per distinct (frozen, hashable) marginal and a repeat adds the
+    first result, so the sum has the bits of one call per item."""
     done = {d: fn(d) for d in dict.fromkeys(marginals)}
     return sum((done[d] for d in marginals), Bracket.point(0.0))
 
@@ -229,31 +247,54 @@ def _step_psi(t):
     return (t >= 0).astype(float)
 
 
+class _Reads:
+    """What a score rule reads at the points t of a grid: F = d.cdf(t) and
+    psi(t), each computed on its first read, so a rule pays only for what
+    it reads, and ``upper`` = max(F, psi)."""
+
+    def __init__(self, d: SingleDist, psi, t):
+        self._d, self._psi, self._t = d, psi, t
+
+    @cached_property
+    def F(self):
+        return self._d.cdf(self._t)
+
+    @cached_property
+    def psi(self):
+        return self._psi(self._t)
+
+    @property
+    def upper(self):
+        return np.maximum(self.F, self.psi)
+
+
 def _order_stat(d: SingleDist, n: int, rule, k: int = 1, accept=None, psi: str = "item") -> Bracket:
     """E[S] for the k-th highest S of n i.i.d. scores on item d. One
-    bidder's score has CDF G = rule(F, psi) at t, where F = d.cdf(t) and
-    psi(t) is the item's own (``SingleDist.psi``) or, for ``psi="step"``,
-    1 on t >= 0. S <= t iff fewer than k scores pass t, so S has CDF
+    bidder's score has CDF G = rule(x) at t, where x.F = d.cdf(t), x.psi =
+    psi(t), the item's own (``SingleDist.psi``) or, for ``psi="step"``,
+    1 on t >= 0, and x.upper = max(F, psi). S <= t iff fewer than k scores
+    pass t, so S has CDF
 
         H = sum_{j < k} C(n, j) G^(n-j) a^j,
 
-    where a = ``accept(F, psi)``, 1 - G by default, is the chance that one
+    where a = ``accept(x)``, 1 - G by default, is the chance that one
     bidder's score passes t; a score whose passes count only in part
     (``benchmark.obs1_bound``) gives its own. k = 1 reads G ** n. This is
     the one order-statistic rule of every exact score: it checks n once,
     asks the item for H's integral in closed form
     (``SingleDist.exact_score_mean``: equal-revenue items, below a size
-    cap), and otherwise hands H to ``_score_estimate``. Each site states its
-    rule once, so the closed form and the grid read the same H.
+    cap), and otherwise hands H to ``_score_estimate`` on ``_Reads``, which
+    computes only the inputs the rule reads. Each site states its rule
+    once, so the closed form and the grid read the same H.
     """
     if n < 1:
         raise ValueError("need n >= 1")
 
-    def H(F, s):
-        g = rule(F, s)
+    def H(x):
+        g = rule(x)
         h = g**n
         if k > 1:
-            a = 1 - g if accept is None else accept(F, s)
+            a = 1 - g if accept is None else accept(x)
             for j in range(1, k):
                 h += math.comb(n, j) * g ** (n - j) * a**j
         return h
@@ -262,13 +303,13 @@ def _order_stat(d: SingleDist, n: int, rule, k: int = 1, accept=None, psi: str =
     if exact is not None:
         return Bracket(*exact)
     psi_at = d.psi if psi == "item" else _step_psi
-    return _score_estimate(d, n, lambda t: H(d.cdf(t), psi_at(t)))
+    return _score_estimate(d, n, lambda t: H(_Reads(d, psi_at, t)))
 
 
 def myerson_item_revenue(d: SingleDist, n: int) -> Bracket:
     """Optimal single-item revenue with n i.i.d. bidders, E[(phi_bar(max))^+],
     the highest of the n scores phi_bar^+, whose CDF is ``SingleDist.psi``."""
-    return _order_stat(d, n, lambda F, psi: psi)
+    return _order_stat(d, n, lambda x: x.psi)
 
 
 def vcg_item_revenue(d: SingleDist, n: int) -> Bracket:
@@ -276,7 +317,7 @@ def vcg_item_revenue(d: SingleDist, n: int) -> Bracket:
     values], 0 for one bidder."""
     if n == 1:
         return Bracket.point(0.0)
-    return _order_stat(d, n, lambda F, psi: F, k=2)
+    return _order_stat(d, n, lambda x: x.F, k=2)
 
 
 def srev(pd: ProductDist, n: int) -> Bracket:

@@ -24,7 +24,7 @@ MODULES = [importlib.import_module(f"auctioncomp.{m.name}") for m in pkgutil.ite
 
 def _region_score_cdf_u_m(m):
     # in the region with probability u^m, not u^(m-1)
-    return lambda F, psi: F - F ** (m + 1) / (m + 1) + psi ** (m + 1) / (m + 1)
+    return lambda x: x.F - x.F ** (m + 1) / (m + 1) + x.psi ** (m + 1) / (m + 1)
 
 
 # the replacements call the originals, bound here before any patch

@@ -242,6 +242,18 @@ def test_vcg_er_product_scales_with_bidders():
 # ---------------------------------------------------------------------------
 
 
+# the exact path's cap (``distributions._EXACT_DEGREE``): n and the degree
+# of H in F at most 32
+CAP = 32
+
+
+def _closed_form(d, n):
+    """Whether the sites of ``_score_sites`` read the equal-revenue closed
+    form, not the grid: the pin's n are at most 5, where every H on two
+    items has degree at most 2n <= CAP, or past CAP."""
+    return isinstance(d, TruncatedEqualRevenue) and n <= CAP
+
+
 def _one_item(bound, pd, n):
     """The bracket of ``bound`` (efftw or obs1) on the first item of pd
     alone: the items' sum is not formed, so no rounding of it enters."""
@@ -252,18 +264,23 @@ def _one_item(bound, pd, n):
 def _score_sites(d, n):
     """(site, the package's bracket, the bracket of the site's own CDF on
     the grid) for every exact score on item d with n bidders; the benchmark
-    and obs1 on (d, d), one item's bracket."""
+    and obs1 on (d, d), which integrates d once and adds it twice, but one
+    item's bracket on an equal-revenue item, whose closed form the caller
+    checks against the oracle's one-item value."""
     pd = ProductDist((d, d))
+    er = _closed_form(d, n)
     step = lambda t: (t >= 0).astype(float)  # the off-region term's psi: region terms are 0
     yield "myerson", myerson_item_revenue(d, n), _score_estimate(d, n, myerson_cdf(d, n))
     if n > 1:
         yield "vcg", vcg_item_revenue(d, n), _score_estimate(d, n, vcg_cdf(d, n))
-    yield "efftw", _one_item(efftw_bound, pd, n), _score_estimate(d, n, region_max_cdf(d, 2, n, d.psi))
+    one = _score_estimate(d, n, region_max_cdf(d, 2, n, d.psi))
+    yield "efftw", _one_item(efftw_bound, pd, n) if er else efftw_bound(pd, n), Bracket.point(0.0) + one + one
     off = (er_offregion_items(n, 2, d.p)[0] if isinstance(d, TruncatedEqualRevenue)
            else _order_stat(d, n, _region_score_cdf(2), psi="step"))
     yield "off-region", off, _score_estimate(d, n, region_max_cdf(d, 2, n, step))
     if n > 1 and d.support_lo >= 0:
-        yield "obs1", _one_item(obs1_bound, pd, n), _score_estimate(d, n, obs1_cdf(d, 2, n))
+        one = _score_estimate(d, n, obs1_cdf(d, 2, n))
+        yield "obs1", _one_item(obs1_bound, pd, n) if er else obs1_bound(pd, n), Bracket.point(0.0) + one + one
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 4096])
@@ -274,7 +291,7 @@ def test_order_stat_rule_keeps_every_site_bit_for_bit(spec, n):
     # exact rational value within 4 ulps instead
     d = parse_dist(spec)
     for site, got, want in _score_sites(d, n):
-        if isinstance(d, TruncatedEqualRevenue) and n <= 32:
+        if _closed_form(d, n):
             exact = er_score_mean(d.p, er_site_polys(2, n, 1 - 1 / Fraction(d.p))[site])
             assert holds_er_score_mean(got, d.p, exact) and _ulps(got) <= 4, (site, got)
         else:
@@ -288,11 +305,6 @@ def test_er_order_stat_rule_matches_the_binomial_sum(x, y, p):
     # integrated in exact rationals: the closed form holds it within 4 ulps
     got = er_order_stat(x, y, p)
     assert holds_er_score_mean(got, p, er_score_mean(p, er_order_stat_poly(x, y))) and _ulps(got) <= 4, got
-
-
-# the exact path's cap (``distributions._EXACT_DEGREE``): n and the degree
-# of H in F at most 32
-CAP = 32
 
 
 def _er_sites(d, m):
@@ -336,14 +348,29 @@ def test_er_brackets_hold_the_exact_value(p):
             assert _ulps(got) <= 4, (x, y, got)
 
 
-@pytest.mark.xfail(strict=True, reason="Bracket.__add__ rounds each end to nearest, not outward (ROADMAP item 3)")
-def test_efftw_on_three_er_items_holds_the_exact_sum():
-    # each item's bracket holds its exact value, but the sum of three
-    # ulp-wide brackets rounds each end to nearest, here inward
-    p, m, n = 3.3, 3, 10
-    one = er_score_mean(p, er_site_polys(m, n, 1 - 1 / Fraction(p))["efftw"])
-    est = efftw_bound(ProductDist((TruncatedEqualRevenue(p),) * m), n)
-    assert holds_er_score_mean(est, p, (m * one[0], m * one[1])), est
+@pytest.mark.parametrize("p", [2.5, 3.3, 1e4, 10000.1, 1e16])
+def test_sums_over_er_items_hold_the_exact_sum(p):
+    # each item's bracket holds its exact value within a few ulps, and the
+    # items' sum rounds each end outward; to nearest, an end rounded inward
+    # in 46 of 196 such efftw sums (ER(3.3)^3 at n = 10 read one point)
+    d = TruncatedEqualRevenue(p)
+    for m in (3, 4, 5, 7):
+        pd = ProductDist((d,) * m)
+        for n in range(2, CAP // m + 1, 3):
+            polys = er_site_polys(m, n, 1 - 1 / Fraction(p))
+            for site, got in (("efftw", efftw_bound(pd, n)), ("myerson", srev(pd, n)), ("vcg", vcg(pd, n))):
+                A, B = er_score_mean(p, polys[site])
+                assert holds_er_score_mean(got, p, (m * A, m * B)), (site, m, n, got)
+
+
+def test_bracket_sum_rounds_outward_only_where_nearest_went_inward():
+    # 0.1 + 0.2 rounds up to nearest: the lower end steps down, the upper
+    # end keeps it; a doubling and a sum that is exact keep their bits
+    got = Bracket.point(0.1) + Bracket.point(0.2)
+    assert (got.lo, got.hi) == (math.nextafter(0.1 + 0.2, 0.0), 0.1 + 0.2)
+    assert Bracket(0.1, 0.3) + Bracket(0.1, 0.3) == Bracket(0.2, 0.6)
+    assert Bracket(1.0, 2.0) + Bracket(0.5, 0.25) == Bracket(1.5, 2.25)
+    assert Bracket(-math.inf, 1.0) + Bracket(1.0, math.inf) == Bracket(-math.inf, math.inf)
 
 
 def test_er_closed_form_stops_at_the_cap(monkeypatch):
